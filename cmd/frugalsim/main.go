@@ -85,7 +85,7 @@ func main() {
 		hbUpper  = flag.Duration("hb-upper", time.Second, "heartbeat upper bound (0 = none)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		tiles    = flag.Int("tiles", 0,
-			"geo tiles the run is sharded across (0 = auto by size, 1 = single engine); results are byte-identical at any value")
+			"geo tiles the run is sharded across (0 or 1 = single engine); results are byte-identical at any value")
 		showTrace = flag.Int("trace", 0, "print the last N timeline records (0 = off)")
 		timeline  = flag.Bool("timeline", false, "print per-event coverage over time")
 		sample    = flag.Duration("sample", 0,

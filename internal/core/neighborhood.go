@@ -10,24 +10,70 @@ import (
 
 // neighbor is one row of the paper's neighborhood table (Figure 2):
 // identity, subscriptions, presumed received events, speed and store time.
+// The presumed-received set is a bit per event-table slot for the events
+// this node stores, and a set of ids for those it does not.
 type neighbor struct {
 	id       event.NodeID
 	subs     *topic.Set
 	speed    float64 // m/s, negative = unknown
-	has      map[event.ID]struct{}
+	has      slotSet // presumed received, by slot
+	covers   slotSet // subs.Covers(entry topic), by slot
 	storedAt time.Duration
+
+	// Presumed received but not stored here: ids announced before their
+	// event arrived, and holders of events this node evicted. Two
+	// generations of at most overflowGen ids; the older is forgotten
+	// when the newer fills, so a row that lives forever (a static mesh)
+	// remembers the last overflowGen..2*overflowGen such ids rather than
+	// every id it ever saw. Forgetting is safe: at worst an event that
+	// comes back is sent to a neighbor that already holds it.
+	other, older map[event.ID]struct{}
 }
 
-func (n *neighbor) knows(id event.ID) bool {
-	_, ok := n.has[id]
-	return ok
-}
+// overflowGen is far above what a row accumulates before the event
+// arrives or the neighbor moves away in any simulated scenario (no golden
+// reaches it); it is sized for real meshes that churn through events.
+const overflowGen = 1024
 
-func (n *neighbor) markHas(id event.ID) {
-	if n.has == nil {
-		n.has = make(map[event.ID]struct{})
+// markHas records that the neighbor is presumed to hold id; e is the
+// event table's entry for id, nil when the event is not stored.
+func (n *neighbor) markHas(id event.ID, e *tableEntry) {
+	if e != nil {
+		n.has.assign(e.slot, true)
+		return
 	}
-	n.has[id] = struct{}{}
+	if len(n.other) >= overflowGen {
+		n.other, n.older = n.older, n.other
+		clear(n.other)
+	}
+	if n.other == nil {
+		n.other = make(map[event.ID]struct{})
+	}
+	n.other[id] = struct{}{}
+}
+
+// adopt fills the row's bits for a newly stored entry: an id heard before
+// its event arrived moves from the overflow set to the slot.
+func (n *neighbor) adopt(e *tableEntry) {
+	_, newer := n.other[e.ev.ID]
+	_, older := n.older[e.ev.ID]
+	if newer || older {
+		delete(n.other, e.ev.ID)
+		delete(n.older, e.ev.ID)
+		n.has.assign(e.slot, true)
+	}
+	n.covers.assign(e.slot, n.subs.Covers(e.ev.Topic))
+}
+
+// release clears the row's bits for an evicted entry, so the slot's next
+// owner inherits nothing. Who held the event goes back to the overflow
+// set: an evicted event can be received and stored again.
+func (n *neighbor) release(e *tableEntry) {
+	if n.has.test(e.slot) {
+		n.has.assign(e.slot, false)
+		n.markHas(e.ev.ID, nil)
+	}
+	n.covers.assign(e.slot, false)
 }
 
 // neighborhood is the dynamic one-hop neighbor table. Only neighbors with
@@ -74,23 +120,24 @@ func (nh *neighborhood) deleteRow(id event.NodeID) {
 
 // upsert implements UPDATENEIGHBORINFO: insert or refresh a neighbor row,
 // reporting whether the neighbor is new and whether its subscriptions
-// changed. The presumed-received set survives refreshes. When the table
-// is full, the stalest row is evicted to admit the new one.
-func (nh *neighborhood) upsert(id event.NodeID, subs *topic.Set, speed float64, now time.Duration) (isNew, subsChanged bool) {
+// changed (either way its covers set is the caller's to refill). The
+// presumed-received set survives refreshes. When the table is full, the
+// stalest row is evicted to admit the new one.
+func (nh *neighborhood) upsert(id event.NodeID, subs *topic.Set, speed float64, now time.Duration) (n *neighbor, isNew, subsChanged bool) {
 	if n, ok := nh.m[id]; ok {
 		subsChanged = !n.subs.Equal(subs)
 		n.subs = subs
 		n.speed = speed
 		n.storedAt = now
-		return false, subsChanged
+		return n, false, subsChanged
 	}
 	if nh.max > 0 && len(nh.rows) >= nh.max {
 		nh.evictStalest()
 	}
-	n := &neighbor{id: id, subs: subs, speed: speed, storedAt: now}
+	n = &neighbor{id: id, subs: subs, speed: speed, storedAt: now}
 	nh.m[id] = n
 	nh.insertRow(n)
-	return true, false
+	return n, true, false
 }
 
 func (nh *neighborhood) evictStalest() {

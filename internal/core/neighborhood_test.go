@@ -17,14 +17,58 @@ func subsOf(names ...string) *topic.Set {
 	return s
 }
 
+// knows reports whether the row presumes its neighbor holds id: the slot
+// bit when tb stores the event, the overflow set otherwise.
+func (n *neighbor) knows(id event.ID, tb *eventTable) bool {
+	if e := tb.get(id); e != nil {
+		return n.has.test(e.slot)
+	}
+	_, newer := n.other[id]
+	_, older := n.older[id]
+	return newer || older
+}
+
+func TestOverflowSetIsBounded(t *testing.T) {
+	// A row that never dies must not remember every unstored id it was
+	// ever told about: the newest overflowGen stay, the total is capped.
+	nh := newNeighborhood(0)
+	n, _, _ := nh.upsert(1, subsOf(".a"), -1, 0)
+	tb := newEventTable(0)
+	const total = 5*overflowGen + 17
+	for i := 1; i <= total; i++ {
+		n.markHas(event.ID{Lo: uint64(i)}, nil)
+		if got := len(n.other) + len(n.older); got > 2*overflowGen {
+			t.Fatalf("after %d ids the row remembers %d, cap %d", i, got, 2*overflowGen)
+		}
+	}
+	for i := total - overflowGen + 1; i <= total; i++ {
+		if !n.knows(event.ID{Lo: uint64(i)}, tb) {
+			t.Fatalf("recent id %d forgotten", i)
+		}
+	}
+	if n.knows(event.ID{Lo: 1}, tb) {
+		t.Fatal("oldest id still remembered")
+	}
+	// An id in the older generation still moves to its slot on store.
+	id := event.ID{Lo: total - overflowGen + 1}
+	if _, ok := n.older[id]; !ok {
+		t.Fatalf("test setup: id %v expected in the older generation", id)
+	}
+	e, _ := tb.insert(event.Event{ID: id, Topic: topic.MustParse(".a"), Remaining: time.Minute}, 0)
+	n.adopt(e)
+	if !n.has.test(e.slot) || len(n.older)+len(n.other) != overflowGen-1+17 {
+		t.Fatalf("adopt did not move the id out of the overflow generations (%d + %d left)", len(n.other), len(n.older))
+	}
+}
+
 func TestNeighborhoodUpsert(t *testing.T) {
 	nh := newNeighborhood(0)
-	isNew, changed := nh.upsert(1, subsOf(".a"), 5, 0)
+	_, isNew, changed := nh.upsert(1, subsOf(".a"), 5, 0)
 	if !isNew || changed {
 		t.Fatalf("first upsert: new=%v changed=%v", isNew, changed)
 	}
 	// Refresh with same subs: neither new nor changed.
-	isNew, changed = nh.upsert(1, subsOf(".a"), 7, time.Second)
+	_, isNew, changed = nh.upsert(1, subsOf(".a"), 7, time.Second)
 	if isNew || changed {
 		t.Fatalf("refresh: new=%v changed=%v", isNew, changed)
 	}
@@ -32,7 +76,7 @@ func TestNeighborhoodUpsert(t *testing.T) {
 		t.Fatal("refresh did not update row")
 	}
 	// Changed subscriptions detected.
-	_, changed = nh.upsert(1, subsOf(".a", ".b"), 7, 2*time.Second)
+	_, _, changed = nh.upsert(1, subsOf(".a", ".b"), 7, 2*time.Second)
 	if !changed {
 		t.Fatal("subscription change not detected")
 	}
@@ -41,10 +85,14 @@ func TestNeighborhoodUpsert(t *testing.T) {
 func TestNeighborhoodHasSurvivesRefresh(t *testing.T) {
 	nh := newNeighborhood(0)
 	nh.upsert(1, subsOf(".a"), -1, 0)
+	tb := newEventTable(0)
+	stored := mkEvent(8, ".a", time.Minute)
+	tb.put(t, stored, 0)
 	id := event.ID{Lo: 9}
-	nh.get(1).markHas(id)
+	nh.get(1).markHas(stored.ID, tb.get(stored.ID))
+	nh.get(1).markHas(id, nil)
 	nh.upsert(1, subsOf(".a"), -1, time.Second)
-	if !nh.get(1).knows(id) {
+	if !nh.get(1).knows(stored.ID, tb) || !nh.get(1).knows(id, tb) {
 		t.Fatal("presumed-received set lost on heartbeat refresh")
 	}
 }

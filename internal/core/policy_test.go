@@ -12,13 +12,13 @@ import (
 func TestGCFIFOPolicy(t *testing.T) {
 	tb := newEventTable(3)
 	tb.policy = GCFIFO
-	tb.insert(mkEvent(1, ".a", time.Hour), 0)
-	tb.insert(mkEvent(2, ".a", time.Minute), time.Second)
-	tb.insert(mkEvent(3, ".a", time.Second*90), 2*time.Second)
+	tb.put(t, mkEvent(1, ".a", time.Hour), 0)
+	tb.put(t, mkEvent(2, ".a", time.Minute), time.Second)
+	tb.put(t, mkEvent(3, ".a", time.Second*90), 2*time.Second)
 	// Make event 2 the paper-policy victim (heavily forwarded); FIFO
 	// must still pick the oldest (event 1).
 	tb.get(event.ID{Lo: 2}).fwd = 50
-	evicted := tb.insert(mkEvent(4, ".a", time.Minute), 3*time.Second)
+	evicted := tb.put(t, mkEvent(4, ".a", time.Minute), 3*time.Second)
 	if evicted == nil || evicted.ev.ID.Lo != 1 {
 		t.Fatalf("FIFO evicted %+v, want oldest (1)", evicted)
 	}
@@ -33,9 +33,9 @@ func TestGCRandomPolicy(t *testing.T) {
 		tb.policy = GCRandom
 		tb.rng = rand.New(rand.NewSource(seed))
 		for i := uint64(1); i <= 3; i++ {
-			tb.insert(mkEvent(i, ".a", time.Hour), 0)
+			tb.put(t, mkEvent(i, ".a", time.Hour), 0)
 		}
-		evicted := tb.insert(mkEvent(99, ".a", time.Hour), time.Second)
+		evicted := tb.put(t, mkEvent(99, ".a", time.Hour), time.Second)
 		if evicted == nil {
 			t.Fatal("no eviction at capacity")
 		}
@@ -50,9 +50,9 @@ func TestGCRandomStillPrefersExpired(t *testing.T) {
 	tb := newEventTable(2)
 	tb.policy = GCRandom
 	tb.rng = rand.New(rand.NewSource(1))
-	tb.insert(mkEvent(1, ".a", time.Second), 0) // expires at 1s
-	tb.insert(mkEvent(2, ".a", time.Hour), 0)
-	evicted := tb.insert(mkEvent(3, ".a", time.Hour), 2*time.Second)
+	tb.put(t, mkEvent(1, ".a", time.Second), 0) // expires at 1s
+	tb.put(t, mkEvent(2, ".a", time.Hour), 0)
+	evicted := tb.put(t, mkEvent(3, ".a", time.Hour), 2*time.Second)
 	if evicted == nil || evicted.ev.ID.Lo != 1 {
 		t.Fatalf("random policy must still evict expired first, got %+v", evicted)
 	}
@@ -99,7 +99,7 @@ func TestPendingIDListExpiry(t *testing.T) {
 	}
 	if nb := p.nbrs.get(5); nb == nil {
 		t.Fatal("neighbor not added")
-	} else if nb.knows(x) {
+	} else if nb.knows(x, p.table) {
 		t.Fatal("stale stashed id list was applied")
 	}
 	if len(p.pendingIDs) != 0 {

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 	"time"
 
 	"repro/internal/event"
@@ -36,6 +36,12 @@ type Protocol struct {
 	// Stashing until the heartbeat arrives preserves the paper's
 	// frugality while restoring liveness; entries expire after ngcDelay.
 	pendingIDs map[event.NodeID]pendingIDList
+
+	// Scratch reused across calls (per instance: runs execute many
+	// instances concurrently). computeSendSet fills need and receivers.
+	need      []uint64       // slots some neighbor needs, by word
+	receivers []event.NodeID // the neighbors needing them, ascending
+	holders   []*neighbor    // onEvents
 
 	stats   Stats
 	stopped bool
@@ -227,13 +233,26 @@ func (p *Protocol) onHeartbeat(h event.Heartbeat) {
 		return
 	}
 	now := p.sched.Now()
-	hbSubs := topic.NewSet(h.Subscriptions...)
-	if !hbSubs.Overlaps(p.subs) {
+	if !p.subs.OverlapsAny(h.Subscriptions) {
 		// Not (or no longer) interesting: forget any stale row.
 		p.nbrs.remove(h.From)
 		return
 	}
-	isNew, changed := p.nbrs.upsert(h.From, hbSubs, h.Speed, now)
+	// Most heartbeats refresh a known row with unchanged subscriptions:
+	// reuse the row's set rather than building one per heartbeat.
+	nb := p.nbrs.get(h.From)
+	var hbSubs *topic.Set
+	if nb != nil && nb.subs.EqualSlice(h.Subscriptions) {
+		hbSubs = nb.subs
+	} else {
+		hbSubs = topic.NewSet(h.Subscriptions...)
+	}
+	nb, isNew, changed := p.nbrs.upsert(h.From, hbSubs, h.Speed, now)
+	if isNew || changed {
+		for _, e := range p.table.order {
+			nb.covers.assign(e.slot, hbSubs.Covers(e.ev.Topic))
+		}
+	}
 	if (isNew || changed) && p.cfg.BlindPush {
 		// Ablation: no id pre-exchange — assume the neighbor holds
 		// nothing and schedule a push directly.
@@ -244,7 +263,7 @@ func (p *Protocol) onHeartbeat(h event.Heartbeat) {
 		// peer's RETRIEVEEVENTSTOSEND, telling it we need everything.
 		p.tr.Broadcast(event.IDList{
 			From: p.cfg.ID,
-			IDs:  p.table.idsMatching(hbSubs, now),
+			IDs:  p.table.idsMatching(&nb.covers, now),
 		})
 		p.stats.IDListsSent++
 	}
@@ -254,9 +273,8 @@ func (p *Protocol) onHeartbeat(h event.Heartbeat) {
 		if pend, ok := p.pendingIDs[h.From]; ok {
 			delete(p.pendingIDs, h.From)
 			if now-pend.at <= p.ngcDelay {
-				nb := p.nbrs.get(h.From)
 				for _, id := range pend.ids {
-					nb.markHas(id)
+					nb.markHas(id, p.table.get(id))
 				}
 				p.retrieveEventsToSend()
 			}
@@ -285,7 +303,7 @@ func (p *Protocol) onIDList(l event.IDList) {
 		return
 	}
 	for _, id := range l.IDs {
-		nb.markHas(id)
+		nb.markHas(id, p.table.get(id))
 	}
 	p.retrieveEventsToSend()
 }
@@ -308,7 +326,7 @@ func (p *Protocol) onEvents(msg event.Events) {
 	now := p.sched.Now()
 	// Update presumed-received info: the sender and every listed
 	// receiver are assumed to hold the carried events.
-	holders := make([]*neighbor, 0, len(msg.Receivers)+1)
+	holders := p.holders[:0]
 	if nb := p.nbrs.get(msg.From); nb != nil {
 		holders = append(holders, nb)
 	}
@@ -317,17 +335,19 @@ func (p *Protocol) onEvents(msg event.Events) {
 			holders = append(holders, nb)
 		}
 	}
+	p.holders = holders
 	interested := false
 	for _, ev := range msg.Events {
 		p.stats.EventsReceived++
+		e := p.table.get(ev.ID)
 		for _, nb := range holders {
-			nb.markHas(ev.ID)
+			nb.markHas(ev.ID, e)
 		}
 		if !p.subs.Covers(ev.Topic) {
 			p.stats.Parasites++ // parasite event: drop (Section 3)
 			continue
 		}
-		if p.table.has(ev.ID) {
+		if e != nil {
 			p.stats.Duplicates++
 			continue
 		}
@@ -349,10 +369,19 @@ func (p *Protocol) onEvents(msg event.Events) {
 	}
 }
 
-// store inserts ev into the event table, accounting evictions.
+// store inserts ev into the event table, accounting evictions, and
+// brings every neighbor row's bits in line with the slots that changed
+// hands.
 func (p *Protocol) store(ev event.Event, now time.Duration) {
-	if evicted := p.table.insert(ev, now); evicted != nil {
+	e, evicted := p.table.insert(ev, now)
+	if evicted != nil {
 		p.stats.TableEvictions++
+	}
+	for _, nb := range p.nbrs.rows {
+		if evicted != nil {
+			nb.release(evicted)
+		}
+		nb.adopt(e)
 	}
 }
 
@@ -394,8 +423,7 @@ func (p *Protocol) Publish(t topic.Topic, payload []byte, validity time.Duration
 		})
 		p.stats.EventMsgsSent++
 		p.stats.EventsSent++
-		p.markAllNeighbors(ev.ID)
-		p.table.get(ev.ID).fwd++
+		p.markSent(ev.ID)
 	}
 	p.stats.Published++
 	if p.subs.Covers(t) {
@@ -417,48 +445,55 @@ func (p *Protocol) interestedNeighbors(t topic.Topic) []event.NodeID {
 	return out
 }
 
-func (p *Protocol) markAllNeighbors(id event.ID) {
+// markSent accounts one broadcast of the event id: every neighbor is
+// presumed to have received it, and its forward count grows.
+func (p *Protocol) markSent(id event.ID) {
+	e := p.table.get(id)
 	for _, nb := range p.nbrs.sorted() {
-		nb.markHas(id)
+		nb.markHas(id, e)
+	}
+	if e != nil {
+		e.fwd++
 	}
 }
 
-// computeSendSet returns the valid stored events some neighbor needs,
-// plus the union of the needing neighbors' ids (paper Figure 7).
-func (p *Protocol) computeSendSet() ([]*tableEntry, []event.NodeID) {
-	now := p.sched.Now()
-	var entries []*tableEntry
-	needers := make(map[event.NodeID]bool)
-	for _, e := range p.table.validEntries(now) {
-		needed := false
-		for _, nb := range p.nbrs.sorted() {
-			if nb.subs.Covers(e.ev.Topic) && !nb.knows(e.ev.ID) {
-				needed = true
-				needers[nb.id] = true
-			}
+// computeSendSet recomputes the valid stored events some neighbor needs
+// (paper Figure 7): per row, the slots it covers, is not presumed to hold,
+// and that are still valid, a word at a time. It returns their number and
+// leaves their union in p.need and the needing neighbors in p.receivers.
+func (p *Protocol) computeSendSet() int {
+	t := p.table
+	t.refresh(p.sched.Now())
+	p.need = append(p.need[:0], make([]uint64, (len(t.slab)+63)>>6)...)
+	p.receivers = p.receivers[:0]
+	for _, nb := range p.nbrs.sorted() {
+		var any uint64
+		for w := range p.need {
+			m := nb.covers.word(w) &^ nb.has.word(w) & t.valid.word(w)
+			p.need[w] |= m
+			any |= m
 		}
-		if needed {
-			entries = append(entries, e)
+		if any != 0 {
+			p.receivers = append(p.receivers, nb.id)
 		}
 	}
-	ids := make([]event.NodeID, 0, len(needers))
-	for id := range needers {
-		ids = append(ids, id)
+	n := 0
+	for _, w := range p.need {
+		n += bits.OnesCount64(w)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return entries, ids
+	return n
 }
 
 // retrieveEventsToSend implements RETRIEVEEVENTSTOSEND (paper Figure 7):
 // when some neighbor misses events we hold, arm (or tighten) the back-off
 // timer; the send set itself is recomputed at expiry.
 func (p *Protocol) retrieveEventsToSend() {
-	entries, _ := p.computeSendSet()
-	if len(entries) == 0 {
+	n := p.computeSendSet()
+	if n == 0 {
 		return
 	}
 	now := p.sched.Now()
-	delay := p.computeBODelay(len(entries))
+	delay := p.computeBODelay(n)
 	deadline := now + delay
 	if p.boTimer != nil {
 		if deadline >= p.boDeadline {
@@ -486,24 +521,27 @@ func (p *Protocol) computeBODelay(n int) time.Duration {
 func (p *Protocol) onBackoffExpired() {
 	p.boTimer = nil
 	now := p.sched.Now()
-	entries, receivers := p.computeSendSet()
-	if len(entries) == 0 {
+	n := p.computeSendSet()
+	if n == 0 {
 		return
 	}
-	events := make([]event.Event, len(entries))
-	for i, e := range entries {
-		events[i] = e.ev.WithRemaining(e.remaining(now))
+	events := make([]event.Event, 0, n)
+	for _, e := range p.table.order {
+		if p.need[e.slot>>6]>>(uint(e.slot)&63)&1 != 0 {
+			events = append(events, e.ev.WithRemaining(e.remaining(now)))
+		}
 	}
+	// The message outlives this call (the transport may queue it), so it
+	// gets its own receiver list, not the scratch one.
 	p.tr.Broadcast(event.Events{
 		From:      p.cfg.ID,
 		Events:    events,
-		Receivers: receivers,
+		Receivers: append([]event.NodeID(nil), p.receivers...),
 	})
 	p.stats.EventMsgsSent++
 	p.stats.EventsSent += uint64(len(events))
-	for _, e := range entries {
-		p.markAllNeighbors(e.ev.ID)
-		e.fwd++
+	for i := range events {
+		p.markSent(events[i].ID)
 	}
 }
 

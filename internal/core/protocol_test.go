@@ -111,7 +111,14 @@ func (h *harness) addNode(id event.NodeID, cfg Config, subs ...string) *Protocol
 	return p
 }
 
-func (h *harness) runUntil(sec float64) { h.eng.RunUntil(sim.Seconds(sec)) }
+// runUntil advances the bus, then checks every node's table and row
+// invariants.
+func (h *harness) runUntil(sec float64) {
+	h.eng.RunUntil(sim.Seconds(sec))
+	for _, p := range h.protos {
+		p.check(h.t)
+	}
+}
 
 // eventsMsgsFrom counts Events messages broadcast by id after a cutoff.
 func (h *harness) eventsMsgsFrom(id event.NodeID, after sim.Time) int {

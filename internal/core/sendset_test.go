@@ -1,0 +1,517 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/event"
+	"repro/internal/topic"
+)
+
+// ---- a manual clock and a recording transport, one pair per instance ----
+
+// stepSched is a Scheduler driven by hand: advance fires due timers in
+// (deadline, arming order) order. Every arming, firing and cancellation
+// is appended to the transcript, so two protocols fed the same inputs can
+// be compared timer for timer.
+type stepSched struct {
+	now     time.Duration
+	seq     int
+	pending []*stepTimer
+	log     *[]string
+}
+
+type stepTimer struct {
+	s   *stepSched
+	at  time.Duration
+	seq int
+	fn  func()
+}
+
+func (s *stepSched) Now() time.Duration { return s.now }
+
+func (s *stepSched) After(d time.Duration, fn func()) Timer {
+	t := &stepTimer{s: s, at: s.now + d, seq: s.seq, fn: fn}
+	s.seq++
+	s.pending = append(s.pending, t)
+	*s.log = append(*s.log, fmt.Sprintf("%v after %v", s.now, d))
+	return t
+}
+
+func (t *stepTimer) Stop() bool {
+	for i, p := range t.s.pending {
+		if p == t {
+			t.s.pending = append(t.s.pending[:i], t.s.pending[i+1:]...)
+			*t.s.log = append(*t.s.log, fmt.Sprintf("%v stop timer %d", t.s.now, t.seq))
+			return true
+		}
+	}
+	return false
+}
+
+func (s *stepSched) advance(d time.Duration) {
+	end := s.now + d
+	for {
+		var next *stepTimer
+		for _, t := range s.pending {
+			if t.at <= end && (next == nil || t.at < next.at || (t.at == next.at && t.seq < next.seq)) {
+				next = t
+			}
+		}
+		if next == nil {
+			break
+		}
+		next.Stop()
+		s.now = next.at
+		next.fn()
+	}
+	s.now = end
+}
+
+type logTransport struct {
+	s   *stepSched
+	log *[]string
+}
+
+func (l logTransport) Broadcast(m event.Message) {
+	*l.log = append(*l.log, fmt.Sprintf("%v send %+v", l.s.now, m))
+}
+
+// ---- the scripted pair: Protocol next to the map-based reference ----
+
+// disseminator is what the script drives on both sides.
+type disseminator interface {
+	Subscribe(topic.Topic) error
+	Unsubscribe(topic.Topic)
+	Publish(topic.Topic, []byte, time.Duration) (event.ID, error)
+	HandleMessage(event.Message) error
+	NeighborIDs() []event.NodeID
+	Stats() Stats
+}
+
+type side struct {
+	d     disseminator
+	sched *stepSched
+	rng   *rand.Rand
+	log   []string
+}
+
+func newSide(cfg Config, build func(Config, Scheduler, Transport) (disseminator, error)) *side {
+	s := &side{rng: rand.New(rand.NewSource(7))}
+	s.sched = &stepSched{log: &s.log}
+	cfg.Rand = s.rng
+	cfg.OnDeliver = func(ev event.Event) {
+		s.log = append(s.log, fmt.Sprintf("%v deliver %v", s.sched.now, ev.ID))
+	}
+	d, err := build(cfg, s.sched, logTransport{s.sched, &s.log})
+	if err != nil {
+		panic(err)
+	}
+	s.d = d
+	return s
+}
+
+var scriptTopics = []topic.Topic{
+	topic.MustParse(".a"), topic.MustParse(".a.x"), topic.MustParse(".b"),
+	topic.MustParse(".b.c"), topic.MustParse(".z"), topic.Root(),
+}
+
+// runScript decodes data into a sequence of heartbeat / id-list / events /
+// publish / subscription / clock operations, applies each to a Protocol
+// and to the map-based reference, and fails on the first difference in
+// their transcripts (every broadcast message, every timer armed, fired or
+// stopped, every delivery), neighbor lists, counters or presumed-received
+// knowledge. Protocol's own invariants are checked after every step.
+func runScript(t testing.TB, data []byte, maxEvents int) {
+	pos := 0
+	next := func() int {
+		if pos >= len(data) {
+			return 0
+		}
+		pos++
+		return int(data[pos-1])
+	}
+	flags := next()
+	cfg := Config{
+		ID:                 1,
+		MaxEvents:          maxEvents,
+		HBDelay:            time.Second,
+		HBUpperBound:       2 * time.Second,
+		MaxNeighbors:       flags & 1 * 3,
+		BlindPush:          flags&2 != 0,
+		DisableSuppression: flags&4 != 0,
+		FixedBackoff:       flags&8 != 0,
+		GCPolicy:           GCPolicy(flags >> 4 % 3),
+	}
+	var p *Protocol
+	got := newSide(cfg, func(c Config, s Scheduler, tr Transport) (disseminator, error) {
+		var err error
+		p, err = New(c, s, tr)
+		return p, err
+	})
+	var ref *refProtocol
+	want := newSide(cfg, func(c Config, s Scheduler, tr Transport) (disseminator, error) {
+		var err error
+		ref, err = newRef(c, s, tr)
+		return ref, err
+	})
+	sides := []*side{got, want}
+
+	// Every event id the script can mention, for the knowledge comparison.
+	var ids []event.ID
+	poolEvent := func(k int) event.Event {
+		return event.Event{
+			ID:        event.ID{Lo: uint64(k + 1)},
+			Topic:     scriptTopics[k%len(scriptTopics)],
+			Publisher: event.NodeID(2 + k%5),
+			Validity:  time.Duration(1+k%4) * time.Second,
+		}
+	}
+	for k := 0; k < 8; k++ {
+		ids = append(ids, poolEvent(k).ID)
+	}
+	fresh := 100
+
+	topicsOf := func(mask int) []topic.Topic {
+		var ts []topic.Topic
+		for i, tp := range scriptTopics {
+			if mask>>i&1 != 0 {
+				ts = append(ts, tp)
+			}
+		}
+		if mask&0x40 != 0 && len(ts) > 1 {
+			// A permuted, repeating wire list is legal; it takes the
+			// slow path of the heartbeat handler.
+			ts = append(ts, ts[0])
+			ts[0], ts[1] = ts[1], ts[0]
+		}
+		return ts
+	}
+	for _, s := range sides {
+		_ = s.d.Subscribe(scriptTopics[0])
+		_ = s.d.Subscribe(scriptTopics[3])
+	}
+
+	for step := 0; pos < len(data); step++ {
+		op, a, b := next(), next(), next()
+		var msg event.Message
+		switch op % 10 {
+		case 0, 1: // heartbeat
+			msg = event.Heartbeat{
+				From:          event.NodeID(2 + a%5),
+				Subscriptions: topicsOf(b),
+				Speed:         []float64{-1, 5, 20}[a/5%3],
+			}
+		case 2, 3: // id list, possibly from a sender not discovered yet
+			l := event.IDList{From: event.NodeID(2 + a%6)}
+			for k := 0; k < 8; k++ {
+				if b>>k&1 != 0 {
+					l.IDs = append(l.IDs, poolEvent(k).ID)
+				}
+			}
+			if a&0x80 != 0 && len(ids) > 8 {
+				l.IDs = append(l.IDs, ids[8+b%(len(ids)-8)])
+			}
+			msg = l
+		case 4: // pool events, some already expired, some parasites
+			m := event.Events{From: event.NodeID(2 + a%6)}
+			for r := 0; r < 7; r++ {
+				if a>>3>>r&1 != 0 {
+					m.Receivers = append(m.Receivers, event.NodeID(1+r))
+				}
+			}
+			for k := 0; k < 8; k++ {
+				if b>>k&1 != 0 {
+					ev := poolEvent(k)
+					ev.Remaining = ev.Validity - time.Duration(a%3)*time.Second
+					m.Events = append(m.Events, ev)
+				}
+			}
+			msg = m
+		case 5: // a never-seen event: tables grow past one bitset word
+			ev := poolEvent(fresh)
+			fresh++
+			ev.Remaining = ev.Validity
+			ids = append(ids, ev.ID)
+			msg = event.Events{
+				From:      event.NodeID(2 + a%6),
+				Receivers: []event.NodeID{event.NodeID(2 + b%6)},
+				Events:    []event.Event{ev},
+			}
+		case 6: // publish
+			for _, s := range sides {
+				id, err := s.d.Publish(scriptTopics[a%len(scriptTopics)], nil, time.Duration(1+b%4)*time.Second)
+				if err != nil {
+					t.Fatalf("step %d: publish: %v", step, err)
+				}
+				if s == got {
+					ids = append(ids, id)
+				}
+			}
+		case 7: // short advance: back-offs fire
+			for _, s := range sides {
+				s.sched.advance(time.Duration(a) * 10 * time.Millisecond)
+			}
+		case 8: // long advance: neighbor GC, validity expiry
+			for _, s := range sides {
+				s.sched.advance(time.Duration(a) * 100 * time.Millisecond)
+			}
+		case 9: // own subscriptions change; a restart replays the id stream
+			for _, s := range sides {
+				switch tp := scriptTopics[a%len(scriptTopics)]; b % 3 {
+				case 0:
+					_ = s.d.Subscribe(tp)
+				case 1:
+					s.d.Unsubscribe(tp)
+				case 2:
+					s.rng.Seed(7)
+				}
+			}
+		}
+		if msg != nil {
+			for _, s := range sides {
+				if err := s.d.HandleMessage(msg); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+		}
+
+		for i := 0; i < len(got.log) || i < len(want.log); i++ {
+			if i >= len(got.log) || i >= len(want.log) || got.log[i] != want.log[i] {
+				g, w := "(nothing)", "(nothing)"
+				if i < len(got.log) {
+					g = got.log[i]
+				}
+				if i < len(want.log) {
+					w = want.log[i]
+				}
+				t.Fatalf("step %d (op %d): transcripts diverge\n got: %s\nwant: %s", step, op%10, g, w)
+			}
+		}
+		got.log, want.log = got.log[:0], want.log[:0]
+		if g, w := got.d.NeighborIDs(), want.d.NeighborIDs(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("step %d: neighbors %v, reference %v", step, g, w)
+		}
+		if g, w := got.d.Stats(), want.d.Stats(); g != w {
+			t.Fatalf("step %d: stats %+v, reference %+v", step, g, w)
+		}
+		if p.table.len() != ref.table.len() {
+			t.Fatalf("step %d: %d events stored, reference %d", step, p.table.len(), ref.table.len())
+		}
+		for _, nb := range p.nbrs.rows {
+			rnb := ref.nbrs.get(nb.id)
+			for _, id := range ids {
+				if nb.knows(id, p.table) != rnb.knows(id) {
+					t.Fatalf("step %d: row %d presumed to hold %v: %v, reference %v",
+						step, nb.id, id, nb.knows(id, p.table), rnb.knows(id))
+				}
+			}
+		}
+		p.check(t)
+	}
+}
+
+// check verifies the table's invariants and, per neighbor row, that bits
+// exist only on occupied slots, that covers is subs.Covers of each stored
+// topic, and that the overflow set names no stored event.
+func (p *Protocol) check(tb testing.TB) {
+	tb.Helper()
+	t := p.table
+	t.check(tb, p.sched.Now())
+	for _, nb := range p.nbrs.rows {
+		for s := 0; s < len(t.slab)+130; s++ {
+			var e *tableEntry
+			if s < len(t.slab) {
+				e = t.slab[s]
+			}
+			if e == nil && (nb.has.test(s) || nb.covers.test(s)) {
+				tb.Fatalf("row %d keeps a bit on free slot %d", nb.id, s)
+			}
+			if e != nil && nb.covers.test(s) != nb.subs.Covers(e.ev.Topic) {
+				tb.Fatalf("row %d covers bit of slot %d (%v) is %v", nb.id, s, e.ev.Topic, nb.covers.test(s))
+			}
+		}
+		for _, gen := range []map[event.ID]struct{}{nb.other, nb.older} {
+			for id := range gen {
+				if t.has(id) {
+					tb.Fatalf("row %d overflow set names stored event %v", nb.id, id)
+				}
+			}
+		}
+	}
+}
+
+// randomScript is a script of n operations weighted towards the message
+// handlers.
+func randomScript(rng *rand.Rand, n int) []byte {
+	data := make([]byte, 1+3*n)
+	rng.Read(data)
+	return data
+}
+
+// TestSendSetDifferential drives long random scripts through Protocol and
+// the reference, bounded (MaxEvents 3: constant eviction and slot reuse)
+// and unbounded (the table outgrows one bitset word). The seeds run as
+// parallel subtests: scratch buffers are per instance, so -race must stay
+// silent.
+func TestSendSetDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		seed := seed
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			t.Parallel()
+			script := randomScript(rand.New(rand.NewSource(seed)), 600)
+			runScript(t, script, 0)
+			runScript(t, script, 3)
+		})
+	}
+}
+
+func FuzzSendSet(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(randomScript(rand.New(rand.NewSource(seed)), 40))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Under overflowGen operations, so no row can have been told of
+		// enough unstored ids to start forgetting (the reference never
+		// forgets).
+		if len(data) > 3*(overflowGen-1) {
+			t.Skip()
+		}
+		runScript(t, data, 0)
+		runScript(t, data, 3)
+	})
+}
+
+// ---- the three pinned semantics, by name ----
+
+// soloProtocol is a Protocol subscribed to .t on a manual clock.
+func soloProtocol(t *testing.T, maxEvents int) *Protocol {
+	t.Helper()
+	log := new([]string)
+	sched := &stepSched{log: log}
+	p, err := New(Config{
+		ID: 1, MaxEvents: maxEvents, HBDelay: time.Second, HBUpperBound: time.Second,
+		Rand: rand.New(rand.NewSource(1)),
+	}, sched, logTransport{sched, log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Subscribe(topicT); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+var topicT = topic.MustParse(".t")
+
+func handle(t *testing.T, p *Protocol, m event.Message) {
+	t.Helper()
+	if err := p.HandleMessage(m); err != nil {
+		t.Fatal(err)
+	}
+	p.check(t)
+}
+
+func heartbeatFrom(id event.NodeID) event.Heartbeat {
+	return event.Heartbeat{From: id, Subscriptions: []topic.Topic{topicT}, Speed: -1}
+}
+
+func eventT(lo uint64, validity time.Duration) event.Event {
+	return event.Event{ID: event.ID{Lo: lo}, Topic: topicT, Publisher: 9, Validity: validity, Remaining: validity}
+}
+
+// sendSet is the send set as (sorted event ids, receivers).
+func sendSet(p *Protocol) ([]uint64, []event.NodeID) {
+	p.computeSendSet()
+	var ids []uint64
+	for _, e := range p.table.order {
+		if p.need[e.slot>>6]>>(uint(e.slot)&63)&1 != 0 {
+			ids = append(ids, e.ev.ID.Lo)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids, append([]event.NodeID(nil), p.receivers...)
+}
+
+func TestSlotReuseDoesNotInheritBits(t *testing.T) {
+	p := soloProtocol(t, 1)
+	handle(t, p, heartbeatFrom(2))
+	handle(t, p, heartbeatFrom(3))
+	// Event 10 arrives from 2 with 3 as co-receiver: both hold it.
+	handle(t, p, event.Events{From: 2, Receivers: []event.NodeID{3}, Events: []event.Event{eventT(10, time.Minute)}})
+	if ids, _ := sendSet(p); len(ids) != 0 {
+		t.Fatalf("send set %v: everyone already holds event 10", ids)
+	}
+	slot := p.table.get(event.ID{Lo: 10}).slot
+	// Event 11, from a stranger, evicts 10 and takes over its slot. No
+	// neighbor is known to hold 11: it must go to both.
+	handle(t, p, event.Events{From: 8, Events: []event.Event{eventT(11, time.Minute)}})
+	if p.table.has(event.ID{Lo: 10}) || p.table.get(event.ID{Lo: 11}).slot != slot {
+		t.Fatal("event 11 did not take over event 10's slot")
+	}
+	ids, rcv := sendSet(p)
+	if !reflect.DeepEqual(ids, []uint64{11}) || !reflect.DeepEqual(rcv, []event.NodeID{2, 3}) {
+		t.Fatalf("send set %v to %v, want event 11 to neighbors 2 and 3", ids, rcv)
+	}
+}
+
+func TestIDHeardBeforeStoreIsHonoured(t *testing.T) {
+	p := soloProtocol(t, 0)
+	id := event.ID{Lo: 20}
+	// Pending-list path: 2's id list arrives before 2 is a neighbor.
+	handle(t, p, event.IDList{From: 2, IDs: []event.ID{id}})
+	handle(t, p, heartbeatFrom(2))
+	// Overheard path: 3 is a neighbor and announces an id we do not hold.
+	handle(t, p, heartbeatFrom(3))
+	handle(t, p, event.IDList{From: 3, IDs: []event.ID{id}})
+	handle(t, p, heartbeatFrom(4))
+	for _, n := range []event.NodeID{2, 3} {
+		if _, ok := p.nbrs.get(n).other[id]; !ok {
+			t.Fatalf("row %d did not record the unstored id in its overflow set", n)
+		}
+	}
+	// The event itself arrives from a stranger. 2 and 3 said they hold
+	// it; only 4 needs it.
+	handle(t, p, event.Events{From: 8, Events: []event.Event{eventT(20, time.Minute)}})
+	for _, n := range []event.NodeID{2, 3} {
+		nb := p.nbrs.get(n)
+		if !nb.knows(id, p.table) || len(nb.other) != 0 {
+			t.Fatalf("row %d: id did not move from the overflow set to the slot bit", n)
+		}
+	}
+	ids, rcv := sendSet(p)
+	if !reflect.DeepEqual(ids, []uint64{20}) || !reflect.DeepEqual(rcv, []event.NodeID{4}) {
+		t.Fatalf("send set %v to %v, want event 20 to neighbor 4 only", ids, rcv)
+	}
+}
+
+func TestEvictionAndRereceptionKeepHolders(t *testing.T) {
+	p := soloProtocol(t, 1)
+	handle(t, p, heartbeatFrom(2))
+	handle(t, p, heartbeatFrom(3))
+	// 2 holds event 30 (it sent it); 3 does not.
+	handle(t, p, event.Events{From: 2, Events: []event.Event{eventT(30, time.Minute)}})
+	// Event 31 evicts 30 from the one-entry table.
+	handle(t, p, event.Events{From: 8, Events: []event.Event{eventT(31, time.Minute)}})
+	if p.table.has(event.ID{Lo: 30}) {
+		t.Fatal("event 30 still stored")
+	}
+	if !p.nbrs.get(2).knows(event.ID{Lo: 30}, p.table) || p.nbrs.get(3).knows(event.ID{Lo: 30}, p.table) {
+		t.Fatal("eviction lost who holds event 30")
+	}
+	// 30 comes back (evicting 31) from a stranger: it is a fresh delivery,
+	// but 2 is still presumed to hold it, so it goes to 3 alone.
+	before := p.Stats().Delivered
+	handle(t, p, event.Events{From: 8, Events: []event.Event{eventT(30, time.Minute)}})
+	if p.Stats().Delivered != before+1 {
+		t.Fatal("re-received event was not delivered again")
+	}
+	ids, rcv := sendSet(p)
+	if !reflect.DeepEqual(ids, []uint64{30}) || !reflect.DeepEqual(rcv, []event.NodeID{3}) {
+		t.Fatalf("send set %v to %v, want event 30 to neighbor 3 only", ids, rcv)
+	}
+}

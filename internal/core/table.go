@@ -2,12 +2,51 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/event"
-	"repro/internal/topic"
 )
+
+// slotSet is a bitset over event-table slots. Slots 0-63 live inline, so
+// the neighbor rows of a table that never grows past 64 slots allocate
+// nothing for their sets.
+type slotSet struct {
+	lo uint64
+	hi []uint64 // words 1.., grown on demand
+}
+
+// word returns the w-th 64-slot word (zero past the end).
+func (s *slotSet) word(w int) uint64 {
+	if w == 0 {
+		return s.lo
+	}
+	if w <= len(s.hi) {
+		return s.hi[w-1]
+	}
+	return 0
+}
+
+func (s *slotSet) test(slot int) bool { return s.word(slot>>6)>>(uint(slot)&63)&1 != 0 }
+
+func (s *slotSet) assign(slot int, v bool) {
+	p := &s.lo
+	if w := slot >> 6; w > 0 {
+		if w > len(s.hi) {
+			if !v {
+				return
+			}
+			s.hi = append(s.hi, make([]uint64, w-len(s.hi))...)
+		}
+		p = &s.hi[w-1]
+	}
+	if v {
+		*p |= 1 << (uint(slot) & 63)
+	} else {
+		*p &^= 1 << (uint(slot) & 63)
+	}
+}
 
 // tableEntry is one stored event with its local bookkeeping (paper
 // Figure 3: id, validity, counter, topic, data).
@@ -16,6 +55,7 @@ type tableEntry struct {
 	expiresAt time.Duration // local absolute expiry
 	fwd       int           // times this node sent/forwarded the event
 	storedAt  time.Duration
+	slot      int // index in eventTable.slab, and this entry's bit in every slotSet
 }
 
 func (e *tableEntry) valid(now time.Duration) bool { return now < e.expiresAt }
@@ -38,14 +78,19 @@ func (e *tableEntry) gcScore() float64 {
 	return val / (float64(e.fwd) + val)
 }
 
-// eventTable stores received/published events organized by topic (paper
-// Figure 3), with capacity-triggered garbage collection.
+// eventTable stores received/published events (paper Figure 3), with
+// capacity-triggered garbage collection. Every entry owns a dense slot for
+// as long as it is stored, so per-neighbor knowledge about stored events
+// is a bit per slot (see neighbor) and the send set is word arithmetic.
 type eventTable struct {
 	cap    int // 0 = unbounded
 	policy GCPolicy
 	rng    *rand.Rand // for GCRandom; may be nil otherwise
 	byID   map[event.ID]*tableEntry
-	tree   topic.Tree[*tableEntry]
+	slab   []*tableEntry // slot -> entry, nil while the slot is free
+	free   []int         // free slots, reused before the slab grows
+	order  []*tableEntry // every entry, ascending by olderID
+	valid  slotSet       // now < expiresAt, as of the last refresh
 }
 
 func newEventTable(capacity int) *eventTable {
@@ -62,42 +107,54 @@ func (t *eventTable) has(id event.ID) bool {
 func (t *eventTable) get(id event.ID) *tableEntry { return t.byID[id] }
 
 // insert stores ev, evicting via the GC policy when the table is full.
-// It returns the evicted entry, if any. The caller guarantees ev is not
-// already present.
-func (t *eventTable) insert(ev event.Event, now time.Duration) *tableEntry {
-	var evicted *tableEntry
+// It returns the new entry and the evicted one, if any; the evicted
+// entry's slot may already be the new entry's. The caller guarantees ev is
+// not already present — except that a publisher restarted on the same RNG
+// seed reissues its earlier ids: the reissued event then replaces the
+// stored one and, the free list being LIFO, takes over its slot and with
+// it the has bits of every row (presumed knowledge goes by id).
+func (t *eventTable) insert(ev event.Event, now time.Duration) (e, evicted *tableEntry) {
 	if t.cap > 0 && len(t.byID) >= t.cap {
 		evicted = t.garbageCollect(now)
 	}
-	e := &tableEntry{
+	if old := t.byID[ev.ID]; old != nil {
+		t.remove(old)
+	}
+	e = &tableEntry{
 		ev:        ev,
 		expiresAt: now + ev.Remaining,
 		storedAt:  now,
+		slot:      len(t.slab),
+	}
+	if n := len(t.free); n > 0 {
+		e.slot, t.free = t.free[n-1], t.free[:n-1]
+		t.slab[e.slot] = e
+	} else {
+		t.slab = append(t.slab, e)
 	}
 	t.byID[ev.ID] = e
-	t.tree.Add(ev.Topic, e)
-	return evicted
+	t.order = slices.Insert(t.order, t.orderIndex(e), e)
+	return e, evicted
+}
+
+// orderIndex returns e's position in order (or where it would insert).
+func (t *eventTable) orderIndex(e *tableEntry) int {
+	return sort.Search(len(t.order), func(i int) bool { return !olderID(t.order[i], e) })
 }
 
 // garbageCollect removes and returns one entry following the paper's
 // Figure 10: an expired event if one exists, otherwise the entry with the
-// lowest gc score. Ties break on older storedAt, then on id, keeping runs
-// deterministic. GCFIFO/GCRandom are ablation policies.
+// lowest gc score. Ties break on older storedAt, then on id — the order
+// the walk visits entries in — keeping runs deterministic. GCFIFO/GCRandom
+// are ablation policies.
 func (t *eventTable) garbageCollect(now time.Duration) *tableEntry {
 	var victim *tableEntry
-	for _, e := range t.byID {
+	for _, e := range t.order {
 		if !e.valid(now) {
-			// An expired entry displaces any valid victim; among
-			// expired entries the tie-break keeps runs deterministic.
-			if victim == nil || victim.valid(now) || olderID(e, victim) {
-				victim = e
-			}
-			continue
+			victim = e // the oldest expired entry displaces any valid victim
+			break
 		}
-		if victim != nil && !victim.valid(now) {
-			continue // expired victims take precedence
-		}
-		if victim == nil || t.lessByPolicy(e, victim) {
+		if victim == nil || (t.policy != GCFIFO && e.gcScore() < victim.gcScore()) {
 			victim = e
 		}
 	}
@@ -111,15 +168,6 @@ func (t *eventTable) garbageCollect(now time.Duration) *tableEntry {
 	return victim
 }
 
-// lessByPolicy orders valid entries by eviction priority under the active
-// policy.
-func (t *eventTable) lessByPolicy(a, b *tableEntry) bool {
-	if t.policy == GCFIFO {
-		return olderID(a, b)
-	}
-	return less(a, b)
-}
-
 // randomValid picks a uniform random valid entry (GCRandom).
 func (t *eventTable) randomValid(now time.Duration, fallback *tableEntry) *tableEntry {
 	valid := t.validEntries(now)
@@ -129,15 +177,6 @@ func (t *eventTable) randomValid(now time.Duration, fallback *tableEntry) *table
 	return valid[t.rng.Intn(len(valid))]
 }
 
-// less orders valid entries by eviction priority.
-func less(a, b *tableEntry) bool {
-	as, bs := a.gcScore(), b.gcScore()
-	if as != bs {
-		return as < bs
-	}
-	return olderID(a, b)
-}
-
 func olderID(a, b *tableEntry) bool {
 	if a.storedAt != b.storedAt {
 		return a.storedAt < b.storedAt
@@ -145,38 +184,45 @@ func olderID(a, b *tableEntry) bool {
 	return a.ev.ID.Less(b.ev.ID)
 }
 
+// remove frees e's slot. Bits the neighbor rows keep for the slot are the
+// caller's to clear (Protocol.store) before the slot is filled again.
 func (t *eventTable) remove(e *tableEntry) {
 	delete(t.byID, e.ev.ID)
-	t.tree.RemoveFunc(e.ev.Topic, func(v *tableEntry) bool { return v == e })
+	t.slab[e.slot] = nil
+	t.free = append(t.free, e.slot)
+	t.valid.assign(e.slot, false)
+	i := t.orderIndex(e)
+	t.order = slices.Delete(t.order, i, i+1)
 }
 
-// validEntries returns the still-valid entries sorted by id (stable
-// iteration keeps outgoing messages deterministic).
+// refresh recomputes the valid set for instant now.
+func (t *eventTable) refresh(now time.Duration) {
+	for _, e := range t.order {
+		t.valid.assign(e.slot, e.valid(now))
+	}
+}
+
+// validEntries returns the still-valid entries ascending by olderID
+// (stable iteration keeps outgoing messages deterministic).
 func (t *eventTable) validEntries(now time.Duration) []*tableEntry {
-	out := make([]*tableEntry, 0, len(t.byID))
-	for _, e := range t.byID {
+	out := make([]*tableEntry, 0, len(t.order))
+	for _, e := range t.order {
 		if e.valid(now) {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return olderID(out[i], out[j]) })
 	return out
 }
 
-// idsMatching implements the paper's GETEVENTSIDS: identifiers of valid
-// stored events whose topics are covered by subs. The topic tree prunes
-// the walk to the relevant subtrees.
-func (t *eventTable) idsMatching(subs *topic.Set, now time.Duration) []event.ID {
-	seen := make(map[event.ID]bool)
+// idsMatching implements the paper's GETEVENTSIDS: identifiers, sorted, of
+// the valid stored events in covers (the slots whose topics a neighbor's
+// subscriptions cover).
+func (t *eventTable) idsMatching(covers *slotSet, now time.Duration) []event.ID {
 	var out []event.ID
-	for _, sub := range subs.Topics() {
-		t.tree.WalkSubtree(sub, func(_ topic.Topic, e *tableEntry) bool {
-			if e.valid(now) && !seen[e.ev.ID] {
-				seen[e.ev.ID] = true
-				out = append(out, e.ev.ID)
-			}
-			return true
-		})
+	for _, e := range t.order {
+		if e.valid(now) && covers.test(e.slot) {
+			out = append(out, e.ev.ID)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out

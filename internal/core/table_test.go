@@ -18,13 +18,90 @@ func mkEvent(id uint64, top string, validity time.Duration) event.Event {
 	}
 }
 
+// put inserts ev, checks the table's invariants at instant now and
+// returns the evicted entry, if any.
+func (t *eventTable) put(tb testing.TB, ev event.Event, now time.Duration) *tableEntry {
+	tb.Helper()
+	_, evicted := t.insert(ev, now)
+	t.check(tb, now)
+	return evicted
+}
+
+// check verifies the slot and order invariants: byID, the slab and the
+// free list describe the same entries, order lists them ascending by
+// olderID, and after a refresh the valid set is exactly now < expiresAt
+// (with no bit on a free slot).
+func (t *eventTable) check(tb testing.TB, now time.Duration) {
+	tb.Helper()
+	if len(t.order) != len(t.byID) || len(t.slab) != len(t.byID)+len(t.free) {
+		tb.Fatalf("sizes disagree: byID %d, order %d, slab %d, free %d",
+			len(t.byID), len(t.order), len(t.slab), len(t.free))
+	}
+	if t.cap > 0 && len(t.slab) > t.cap {
+		tb.Fatalf("slab grew to %d slots past capacity %d", len(t.slab), t.cap)
+	}
+	t.refresh(now)
+	for i, e := range t.order {
+		if i > 0 && !olderID(t.order[i-1], e) {
+			tb.Fatalf("order[%d] is not older than order[%d]", i-1, i)
+		}
+		if t.byID[e.ev.ID] != e || t.slab[e.slot] != e {
+			tb.Fatalf("entry %v (slot %d) missing from byID or slab", e.ev.ID, e.slot)
+		}
+		if t.valid.test(e.slot) != e.valid(now) {
+			tb.Fatalf("valid bit of slot %d is %v at %v, entry expires at %v",
+				e.slot, t.valid.test(e.slot), now, e.expiresAt)
+		}
+	}
+	seen := make(map[int]bool)
+	for _, s := range t.free {
+		if seen[s] || t.slab[s] != nil || t.valid.test(s) {
+			tb.Fatalf("free slot %d: listed twice, still occupied, or still valid", s)
+		}
+		seen[s] = true
+	}
+}
+
+// coversOf is the covers set a row subscribed to subs would hold.
+func (t *eventTable) coversOf(subs *topic.Set) *slotSet {
+	var c slotSet
+	for _, e := range t.order {
+		c.assign(e.slot, subs.Covers(e.ev.Topic))
+	}
+	return &c
+}
+
+func TestSlotSet(t *testing.T) {
+	var s slotSet
+	s.assign(200, false) // clearing past the end must not grow the set
+	if s.hi != nil {
+		t.Fatal("clearing an absent bit allocated")
+	}
+	for _, i := range []int{0, 63, 64, 130} {
+		s.assign(i, true)
+	}
+	for i := 0; i < 260; i++ {
+		want := i == 0 || i == 63 || i == 64 || i == 130
+		if s.test(i) != want {
+			t.Fatalf("bit %d = %v", i, !want)
+		}
+	}
+	if s.word(0) != 1|1<<63 || s.word(1) != 1 || s.word(2) != 4 || s.word(9) != 0 {
+		t.Fatalf("words = %x %x %x", s.word(0), s.word(1), s.word(2))
+	}
+	s.assign(64, false)
+	if s.test(64) || !s.test(63) || !s.test(130) {
+		t.Fatal("clear touched the wrong bit")
+	}
+}
+
 func TestTableInsertHas(t *testing.T) {
 	tb := newEventTable(0)
 	ev := mkEvent(1, ".a", time.Minute)
 	if tb.has(ev.ID) {
 		t.Fatal("empty table has event")
 	}
-	if evicted := tb.insert(ev, 0); evicted != nil {
+	if evicted := tb.put(t, ev, 0); evicted != nil {
 		t.Fatal("unbounded table evicted")
 	}
 	if !tb.has(ev.ID) || tb.len() != 1 {
@@ -60,12 +137,12 @@ func TestGCScorePaperExample(t *testing.T) {
 
 func TestGCPrefersExpired(t *testing.T) {
 	tb := newEventTable(2)
-	tb.insert(mkEvent(1, ".a", time.Second), 0) // expires at 1s
-	tb.insert(mkEvent(2, ".a", time.Hour), 0)
+	tb.put(t, mkEvent(1, ".a", time.Second), 0) // expires at 1s
+	tb.put(t, mkEvent(2, ".a", time.Hour), 0)
 	// At t=2s, inserting a third event must evict the expired one even
 	// though the long-lived event has a (much) lower score potential.
 	tb.get(event.ID{Lo: 2}).fwd = 100
-	evicted := tb.insert(mkEvent(3, ".a", time.Minute), 2*time.Second)
+	evicted := tb.put(t, mkEvent(3, ".a", time.Minute), 2*time.Second)
 	if evicted == nil || evicted.ev.ID.Lo != 1 {
 		t.Fatalf("evicted = %+v, want expired event 1", evicted)
 	}
@@ -76,13 +153,13 @@ func TestGCPrefersExpired(t *testing.T) {
 
 func TestGCEvictsLowestScore(t *testing.T) {
 	tb := newEventTable(3)
-	tb.insert(mkEvent(1, ".a", 2*time.Minute), 0)
-	tb.insert(mkEvent(2, ".a", 5*time.Minute), 0)
-	tb.insert(mkEvent(3, ".a", time.Minute), 0)
+	tb.put(t, mkEvent(1, ".a", 2*time.Minute), 0)
+	tb.put(t, mkEvent(2, ".a", 5*time.Minute), 0)
+	tb.put(t, mkEvent(3, ".a", time.Minute), 0)
 	tb.get(event.ID{Lo: 1}).fwd = 1
 	tb.get(event.ID{Lo: 2}).fwd = 5 // lowest score per paper example
 	tb.get(event.ID{Lo: 3}).fwd = 0
-	evicted := tb.insert(mkEvent(4, ".a", time.Minute), time.Second)
+	evicted := tb.put(t, mkEvent(4, ".a", time.Minute), time.Second)
 	if evicted == nil || evicted.ev.ID.Lo != 2 {
 		t.Fatalf("evicted %+v, want event 2", evicted)
 	}
@@ -92,10 +169,10 @@ func TestGCNeverForwardedShortLivedSurvives(t *testing.T) {
 	// A short-validity, never-forwarded event must outlive long-validity,
 	// heavily-forwarded ones — that is the point of Equation 1.
 	tb := newEventTable(2)
-	tb.insert(mkEvent(1, ".a", 20*time.Second), 0)
-	tb.insert(mkEvent(2, ".a", 10*time.Minute), 0)
+	tb.put(t, mkEvent(1, ".a", 20*time.Second), 0)
+	tb.put(t, mkEvent(2, ".a", 10*time.Minute), 0)
 	tb.get(event.ID{Lo: 2}).fwd = 12
-	tb.insert(mkEvent(3, ".a", time.Minute), time.Second)
+	tb.put(t, mkEvent(3, ".a", time.Minute), time.Second)
 	if !tb.has(event.ID{Lo: 1}) {
 		t.Fatal("short-lived unforwarded event was evicted")
 	}
@@ -111,7 +188,7 @@ func TestTableCapacityInvariant(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		now += time.Duration(rng.Intn(3)) * time.Second
 		ev := mkEvent(uint64(i+1), ".a", time.Duration(1+rng.Intn(300))*time.Second)
-		tb.insert(ev, now)
+		tb.put(t, ev, now)
 		if tb.len() > 5 {
 			t.Fatalf("table exceeded capacity: %d", tb.len())
 		}
@@ -126,13 +203,13 @@ func TestTableCapacityInvariant(t *testing.T) {
 
 func TestIDsMatching(t *testing.T) {
 	tb := newEventTable(0)
-	tb.insert(mkEvent(1, ".t0.t1", time.Minute), 0)
-	tb.insert(mkEvent(2, ".t0.t1.t2", time.Minute), 0)
-	tb.insert(mkEvent(3, ".x", time.Minute), 0)
-	tb.insert(mkEvent(4, ".t0.t1", time.Second), 0) // expires at 1s
+	tb.put(t, mkEvent(1, ".t0.t1", time.Minute), 0)
+	tb.put(t, mkEvent(2, ".t0.t1.t2", time.Minute), 0)
+	tb.put(t, mkEvent(3, ".x", time.Minute), 0)
+	tb.put(t, mkEvent(4, ".t0.t1", time.Second), 0) // expires at 1s
 
 	subs := topic.NewSet(topic.MustParse(".t0.t1"))
-	ids := tb.idsMatching(subs, 30*time.Second)
+	ids := tb.idsMatching(tb.coversOf(subs), 30*time.Second)
 	if len(ids) != 2 {
 		t.Fatalf("ids = %v, want events 1 and 2", ids)
 	}
@@ -142,30 +219,30 @@ func TestIDsMatching(t *testing.T) {
 
 	// Sub-topic subscriber sees only the subtree.
 	deep := topic.NewSet(topic.MustParse(".t0.t1.t2"))
-	ids = tb.idsMatching(deep, 0)
+	ids = tb.idsMatching(tb.coversOf(deep), 0)
 	if len(ids) != 1 || ids[0].Lo != 2 {
 		t.Fatalf("deep ids = %v", ids)
 	}
 
 	// Overlapping subscriptions must not duplicate ids.
 	both := topic.NewSet(topic.MustParse(".t0"), topic.MustParse(".t0.t1"))
-	if got := tb.idsMatching(both, 0); len(got) != 3 {
+	if got := tb.idsMatching(tb.coversOf(both), 0); len(got) != 3 {
 		t.Fatalf("dedup failed: %v", got)
 	}
 }
 
 func TestValidEntriesSortedAndFiltered(t *testing.T) {
 	tb := newEventTable(0)
-	tb.insert(mkEvent(3, ".a", time.Minute), 0)
-	tb.insert(mkEvent(1, ".a", time.Minute), 0)
-	tb.insert(mkEvent(2, ".a", time.Second), 0)
+	tb.put(t, mkEvent(3, ".a", time.Minute), 0)
+	tb.put(t, mkEvent(1, ".a", time.Minute), 0)
+	tb.put(t, mkEvent(2, ".a", time.Second), 0)
 	got := tb.validEntries(30 * time.Second)
 	if len(got) != 2 {
 		t.Fatalf("valid = %d, want 2", len(got))
 	}
 	// storedAt ties: ordered by id.
-	if got[0].ev.ID.Lo != 3 && got[0].ev.ID.Lo != 1 {
-		t.Fatalf("unexpected entry %v", got[0].ev.ID)
+	if got[0].ev.ID.Lo != 1 || got[1].ev.ID.Lo != 3 {
+		t.Fatalf("order = %v, %v; want 1, 3", got[0].ev.ID, got[1].ev.ID)
 	}
 }
 
@@ -179,14 +256,15 @@ func TestGarbageCollectEmptyTable(t *testing.T) {
 func TestRemoveAlsoPrunesTree(t *testing.T) {
 	tb := newEventTable(0)
 	ev := mkEvent(1, ".a.b", time.Minute)
-	tb.insert(ev, 0)
+	tb.put(t, ev, 0)
 	tb.remove(tb.get(ev.ID))
 	if tb.has(ev.ID) || tb.len() != 0 {
 		t.Fatal("remove left byID entry")
 	}
-	ids := tb.idsMatching(topic.NewSet(topic.MustParse(".a")), 0)
-	if len(ids) != 0 {
-		t.Fatalf("tree still lists removed event: %v", ids)
+	tb.check(t, 0)
+	all := slotSet{lo: ^uint64(0)}
+	if ids := tb.idsMatching(&all, 0); len(ids) != 0 {
+		t.Fatalf("removed event still listed: %v", ids)
 	}
 }
 
@@ -194,7 +272,7 @@ func TestGCDeterministicTieBreak(t *testing.T) {
 	run := func() uint64 {
 		tb := newEventTable(3)
 		for i := uint64(1); i <= 3; i++ {
-			tb.insert(mkEvent(i, ".a", time.Minute), 0)
+			tb.put(t, mkEvent(i, ".a", time.Minute), 0)
 		}
 		v := tb.garbageCollect(time.Second)
 		return v.ev.ID.Lo

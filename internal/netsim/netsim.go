@@ -13,7 +13,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -329,11 +328,11 @@ type Scenario struct {
 	// positions and exchange tile crossings in parallel. Results are
 	// byte-identical at every tile count — the deterministic merge
 	// replays all side effects in the single-engine order — so Tiles is
-	// purely a wall-clock knob. 0 selects automatically (tiled for
-	// city-scale rosters, single-engine otherwise), 1 forces the plain
-	// single-engine path, N >= 2 forces N tiles. Runs with CustomModels
-	// fall back to the single-engine path (no derivable geometry or
-	// speed bound).
+	// purely a wall-clock knob. 0 and 1 both select the plain
+	// single-engine path (tiling has measured slower than it on every
+	// host tried so far, ROADMAP.md item 2, so it is never the default),
+	// N >= 2 forces N tiles. Runs with CustomModels fall back to the
+	// single-engine path (no derivable geometry or speed bound).
 	Tiles int
 
 	// TileShift offsets the tile lattice origin by the given vector
@@ -466,27 +465,12 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// autoTileMin is the roster size from which Tiles 0 resolves to a
-// tiled run; autoTileMax caps the automatic tile count.
-const (
-	autoTileMin = 2000
-	autoTileMax = 8
-)
-
 // resolveTiles turns the Tiles knob into an effective tile count.
 // CustomModels always resolve to 1: the tiler needs scenario geometry
 // and a mobility speed bound, which custom models do not declare.
 func (s Scenario) resolveTiles() int {
-	if s.CustomModels != nil {
+	if s.CustomModels != nil || s.Tiles == 0 {
 		return 1
 	}
-	switch {
-	case s.Tiles == 0:
-		if s.Nodes >= autoTileMin {
-			return min(runtime.NumCPU(), autoTileMax)
-		}
-		return 1
-	default:
-		return s.Tiles
-	}
+	return s.Tiles
 }

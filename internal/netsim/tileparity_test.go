@@ -213,17 +213,17 @@ func TestTiledConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestTileAutoResolution pins the Tiles knob semantics: 0 resolves by
-// size, custom models always run single-engine, negatives fail
-// validation.
+// TestTileAutoResolution pins the Tiles knob semantics: 0 is the
+// single-engine path at any roster size, custom models always run
+// single-engine, negatives fail validation.
 func TestTileAutoResolution(t *testing.T) {
 	small := Scenario{Nodes: 100}
 	if got := small.resolveTiles(); got != 1 {
 		t.Errorf("small auto resolved to %d tiles, want 1", got)
 	}
-	big := Scenario{Nodes: autoTileMin}
-	if got := big.resolveTiles(); got < 1 || got > autoTileMax {
-		t.Errorf("big auto resolved to %d tiles, want 1..%d", got, autoTileMax)
+	big := Scenario{Nodes: 50_000}
+	if got := big.resolveTiles(); got != 1 {
+		t.Errorf("big auto resolved to %d tiles, want 1", got)
 	}
 	forced := Scenario{Nodes: 50, Tiles: 6}
 	if got := forced.resolveTiles(); got != 6 {

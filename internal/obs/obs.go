@@ -204,6 +204,16 @@ func (r *Registry) register(name, help string, k kind, labels []string) *series 
 		return s
 	}
 	s := &series{name: name, labels: append([]string(nil), labels...), kind: k}
+	// The value is created here, under the lock: two goroutines
+	// registering the same series concurrently must get the same one.
+	switch k {
+	case kindCounter:
+		s.c = &Counter{}
+	case kindGauge:
+		s.g = &Gauge{}
+	case kindHist:
+		s.h = &Hist{}
+	}
 	r.index[key] = s
 	r.elems = append(r.elems, s)
 	if help != "" {
@@ -215,20 +225,12 @@ func (r *Registry) register(name, help string, k kind, labels []string) *series 
 // Counter returns the counter registered under (name, labels), creating
 // it on first use. Labels are flat key/value pairs.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.register(name, help, kindCounter, labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.register(name, help, kindCounter, labels).c
 }
 
 // Gauge returns the gauge registered under (name, labels).
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.register(name, help, kindGauge, labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.register(name, help, kindGauge, labels).g
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
@@ -248,11 +250,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 
 // Histogram returns the histogram registered under (name, labels).
 func (r *Registry) Histogram(name, help string, labels ...string) *Hist {
-	s := r.register(name, help, kindHist, labels)
-	if s.h == nil {
-		s.h = &Hist{}
-	}
-	return s.h
+	return r.register(name, help, kindHist, labels).h
 }
 
 // Sample is one series' state in a Snapshot.

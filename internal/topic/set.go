@@ -1,6 +1,9 @@
 package topic
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Set is a mutable collection of subscriptions. The zero value is an empty
 // set ready to use. Set is not safe for concurrent use.
@@ -86,16 +89,15 @@ func (s *Set) Covers(t Topic) bool {
 // rule: two processes are mutually interesting when their subscription
 // sets overlap.
 func (s *Set) Overlaps(o *Set) bool {
-	if s == nil || o == nil {
-		return false
-	}
-	// Iterate over the smaller set for the outer loop.
-	a, b := s, o
-	if b.Len() < a.Len() {
-		a, b = b, a
-	}
-	for _, ta := range a.ts {
-		for _, tb := range b.ts {
+	return s != nil && o != nil && s.OverlapsAny(o.ts)
+}
+
+// OverlapsAny is Overlaps against a plain topic list, such as the one a
+// heartbeat carries: a receiver can tell an uninteresting sender without
+// building a set.
+func (s *Set) OverlapsAny(ts []Topic) bool {
+	for _, ta := range s.ts {
+		for _, tb := range ts {
 			if ta.Related(tb) {
 				return true
 			}
@@ -138,17 +140,13 @@ func (s *Set) Minimal() []Topic {
 }
 
 // Equal reports whether the two sets hold exactly the same topics.
-func (s *Set) Equal(o *Set) bool {
-	if s.Len() != o.Len() {
-		return false
-	}
-	for i, t := range s.ts {
-		if o.ts[i] != t {
-			return false
-		}
-	}
-	return true
-}
+func (s *Set) Equal(o *Set) bool { return s.EqualSlice(o.ts) }
+
+// EqualSlice reports whether ts lists exactly the set's members in
+// canonical order, as Topics and Minimal produce them. A permuted or
+// repeating list reports false even when NewSet(ts...) would equal s, so
+// a caller holding an arbitrary list falls back to that.
+func (s *Set) EqualSlice(ts []Topic) bool { return slices.Equal(s.ts, ts) }
 
 // String formats the set as a sorted, comma-separated list.
 func (s *Set) String() string {

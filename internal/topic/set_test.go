@@ -80,6 +80,30 @@ func TestSetOverlaps(t *testing.T) {
 	}
 }
 
+func TestSetAgainstTopicLists(t *testing.T) {
+	a, b, x := MustParse(".a"), MustParse(".a.b"), MustParse(".x")
+	s := NewSet(b, a)
+	// EqualSlice: only the canonical listing is equal; a permuted,
+	// repeating or zero-padded one is not, though NewSet of it is.
+	if !s.EqualSlice([]Topic{a, b}) || !s.EqualSlice(s.Topics()) {
+		t.Fatal("canonical list must equal the set")
+	}
+	for _, ts := range [][]Topic{{b, a}, {a, b, b}, {a, b, {}}, {a}, nil} {
+		if s.EqualSlice(ts) {
+			t.Fatalf("EqualSlice(%v) = true", ts)
+		}
+	}
+	if !NewSet(b, a, b, Topic{}).Equal(s) || !NewSet().EqualSlice(nil) {
+		t.Fatal("Equal must ignore order, repeats and zero topics")
+	}
+	// OverlapsAny agrees with Overlaps of the set built from the list.
+	for _, ts := range [][]Topic{{x}, {x, b}, {{}}, {MustParse(".a.b.c")}, {Root()}, nil} {
+		if got, want := s.OverlapsAny(ts), s.Overlaps(NewSet(ts...)); got != want {
+			t.Fatalf("OverlapsAny(%v) = %v, Overlaps = %v", ts, got, want)
+		}
+	}
+}
+
 func TestSetTopicsSorted(t *testing.T) {
 	s := NewSet(MustParse(".c"), MustParse(".a"), MustParse(".b"))
 	ts := s.Topics()
