@@ -8,6 +8,7 @@ package repro
 // the frugality figures. Ablation and substrate micro-benchmarks follow.
 
 import (
+	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -456,6 +457,77 @@ func BenchmarkMACBroadcastAllocs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ports[i%n].Broadcast(msgs[i%n], 50)
 		eng.Run()
+	}
+}
+
+// orbitLocator moves node i round a circle of radius r about centers[i]
+// at speed r*omega: positions are a pure function of time and cost no
+// allocation, unlike trajectory models, which grow their legs.
+type orbitLocator struct {
+	centers  []geo.Point
+	r, omega float64
+}
+
+func (l *orbitLocator) Position(id event.NodeID, at sim.Time) geo.Point {
+	a := l.omega*at.Seconds() + float64(id)
+	return geo.Pt(l.centers[id].X+l.r*math.Cos(a), l.centers[id].Y+l.r*math.Sin(a))
+}
+
+// BenchmarkMACFinishDense pins the per-frame receive path at metro
+// density (440 vehicles/km^2, 100 m range: ~14 receivers per frame)
+// with everything the city workloads have and the static pins lack:
+// nodes that move (a non-zero staleness margin on the receiver query,
+// periodic index refreshes) and 16 transmitters contending at the same
+// instant, so hidden terminals overlap and the per-frame interferer
+// list is not empty (the warm-up fails the benchmark if no frame was
+// lost to one). One op is one such round of 16 frames; 0 allocs/op.
+func BenchmarkMACFinishDense(b *testing.B) {
+	b.ReportAllocs()
+	const (
+		n      = 2000
+		radius = 5.0  // orbit radius, m
+		speed  = 12.0 // m/s
+		burst  = 16
+	)
+	side := 1000 * math.Sqrt(n/440.0)
+	rng := rand.New(rand.NewSource(1))
+	loc := &orbitLocator{centers: make([]geo.Point, n), r: radius, omega: speed / radius}
+	for i := range loc.centers {
+		loc.centers[i] = geo.Pt(rng.Float64()*side, rng.Float64()*side)
+	}
+	eng := sim.New(1)
+	cfg := mac.DefaultConfig(100)
+	cfg.SpeedBounded, cfg.MaxSpeed = true, 14
+	cfg.Bounds = geo.NewRect(side, side)
+	medium := mac.New(eng, cfg, loc)
+	ports := make([]*mac.Port, n)
+	msgs := make([]event.Message, n)
+	for i := range ports {
+		ports[i] = medium.Attach(event.NodeID(i), func(mac.Frame) {})
+		msgs[i] = event.Heartbeat{From: event.NodeID(i)}
+	}
+	round := func() {
+		for j := 0; j < burst; j++ {
+			k := rng.Intn(n)
+			ports[k].Broadcast(msgs[k], 50)
+		}
+		eng.Run()
+	}
+	// Warm pools, scratch and every bucket a node's orbit visits: two
+	// full revolutions of simulated time.
+	for eng.Now() < sim.Seconds(2*2*math.Pi*radius/speed) {
+		round()
+	}
+	var lost uint64
+	for _, p := range ports {
+		lost += p.Counters().FramesLost
+	}
+	if lost == 0 {
+		b.Fatal("no frame lost to interference in the warm-up: the interferer path is not exercised")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 }
 

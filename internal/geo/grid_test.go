@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -214,5 +215,84 @@ func TestIndexGridSupersetAndDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("bucket order differs at %d: %d vs %d", i, a[i], b[i])
 		}
+	}
+}
+
+// TestIndexGridAppendWithin pins the recorded-position query the MAC
+// receiver lookup rests on: AppendWithin(p, r) is a subset of
+// AppendDisc(p, r) in the same order, holds exactly the keys recorded
+// within r, and — the property the medium uses — still contains every
+// key truly within r-drift of p after each key has drifted by at most
+// drift since its Relocate (out-of-bounds positions included).
+func TestIndexGridAppendWithin(t *testing.T) {
+	const n, margin = 300, 35.0
+	rng := rand.New(rand.NewSource(41))
+	g := NewIndexGrid(120, NewRect(800, 800), n)
+	recorded := make([]Point, n)
+	current := make([]Point, n)
+	for i := range recorded {
+		recorded[i] = Pt(rng.Float64()*1000-100, rng.Float64()*1000-100)
+		g.Relocate(int32(i), recorded[i])
+	}
+	for round := 0; round < 20; round++ {
+		drift := margin * rng.Float64()
+		for i := range current {
+			a, d := rng.Float64()*2*math.Pi, drift*rng.Float64()
+			current[i] = recorded[i].Add(Pt(d*math.Cos(a), d*math.Sin(a)))
+		}
+		for q := 0; q < 50; q++ {
+			qp := Pt(rng.Float64()*1000-100, rng.Float64()*1000-100)
+			r := margin + rng.Float64()*250
+			disc := g.AppendDisc(qp, r, nil)
+			within := g.AppendWithin(qp, r, nil)
+			got := map[int32]bool{}
+			j := 0
+			for _, k := range within {
+				got[k] = true
+				for j < len(disc) && disc[j] != k {
+					j++
+				}
+				if j == len(disc) {
+					t.Fatalf("AppendWithin key %d is not in AppendDisc order", k)
+				}
+				if d := recorded[k].Dist(qp); d > r*(1+1e-6) {
+					t.Fatalf("AppendWithin(%v, %.1f) returned key %d recorded %.3f away", qp, r, k, d)
+				}
+			}
+			for k := range recorded {
+				if recorded[k].Dist(qp) <= r && !got[int32(k)] {
+					t.Fatalf("key %d recorded within %.1f of %v missed", k, r, qp)
+				}
+				if current[k].Dist(qp) <= r-drift && !got[int32(k)] {
+					t.Fatalf("key %d truly %.3f from %v (r-drift %.3f) missed after drifting %.3f",
+						k, current[k].Dist(qp), qp, r-drift, current[k].Dist(recorded[k]))
+				}
+			}
+		}
+		// Refresh from the drifted positions, as the medium does.
+		for i := range current {
+			recorded[i] = current[i]
+			g.Relocate(int32(i), recorded[i])
+		}
+	}
+	if got := g.AppendWithin(Pt(400, 400), -1, nil); len(got) != 0 {
+		t.Fatalf("negative radius returned %d keys", len(got))
+	}
+}
+
+// TestIndexGridRelocateSameCellRecordsPosition: a move inside one cell
+// skips the re-bucketing but must still update the recorded position.
+func TestIndexGridRelocateSameCellRecordsPosition(t *testing.T) {
+	g := NewIndexGrid(100, NewRect(300, 300), 1)
+	g.Relocate(0, Pt(110, 110))
+	g.Relocate(0, Pt(190, 190)) // same cell (1,1)
+	if got := g.AppendWithin(Pt(190, 190), 5, nil); len(got) != 1 {
+		t.Fatalf("key not found at its new in-cell position: %v", got)
+	}
+	if got := g.AppendWithin(Pt(110, 110), 5, nil); len(got) != 0 {
+		t.Fatalf("key still found at its old in-cell position: %v", got)
+	}
+	if g.Len() != 1 {
+		t.Fatalf("Len = %d after an in-cell move, want 1", g.Len())
 	}
 }

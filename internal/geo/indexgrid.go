@@ -11,20 +11,24 @@ package geo
 // row-major slab as Grid (see cellCore): the receiver-candidate query
 // of the MAC hot path does zero hash lookups.
 //
-// Only the containing cell of each key is recorded, not the exact
-// position: the medium's queries are conservative supersets re-checked
-// against exact positions anyway (see Grid), so storing the position
-// would buy nothing and cost a write per refresh per node. Positions
-// outside the constructor bounds are clamped into border cells.
+// Besides its containing cell, each key's last Relocate position is
+// recorded (16 bytes per key, one write per refresh per node), which
+// lets AppendWithin test the recorded position itself instead of handing
+// back the whole 3x3-cell square: a caller that knows how far a key can
+// have drifted since its Relocate widens r by that drift and gets a
+// superset of the true disc that is ~1/3 the size of AppendDisc's, before
+// it pays for a single exact position. Positions outside the constructor
+// bounds are clamped into border cells (the recorded position is not).
 //
-// Iteration order of AppendDisc is deterministic — cells in row-major
-// order, keys within a cell in bucket order; callers that need a
-// canonical order (the medium sorts by attach rank) must sort, since
-// bucket order depends on movement history.
+// Iteration order of AppendDisc and AppendWithin is deterministic —
+// cells in row-major order, keys within a cell in bucket order; callers
+// that need a canonical order (the medium sorts by attach rank) must
+// sort, since bucket order depends on movement history.
 type IndexGrid struct {
 	cellCore
 	buckets [][]int32 // dense row-major cell slab
 	cells   []int32   // key -> containing cell index, -1 = absent
+	pos     []Point   // key -> position of its last Relocate
 }
 
 // NewIndexGrid returns an empty grid over the given bounds with the
@@ -36,6 +40,7 @@ func NewIndexGrid(cellSize float64, bounds Rect, n int) *IndexGrid {
 		cellCore: core,
 		buckets:  make([][]int32, core.numCells()),
 		cells:    make([]int32, n),
+		pos:      make([]Point, n),
 	}
 	for i := range g.cells {
 		g.cells[i] = -1
@@ -46,6 +51,7 @@ func NewIndexGrid(cellSize float64, bounds Rect, n int) *IndexGrid {
 // Relocate records key k at position p, moving it between buckets only
 // if its containing cell changed. Keys outside [0, n) panic.
 func (g *IndexGrid) Relocate(k int32, p Point) {
+	g.pos[k] = p // before the same-cell return: AppendWithin reads it
 	idx := int32(g.cellIndex(p))
 	old := g.cells[k]
 	if old >= 0 {
@@ -102,6 +108,37 @@ func (g *IndexGrid) AppendDisc(p Point, r float64, buf []int32) []int32 {
 		base := cy * g.cols
 		for _, b := range g.buckets[base+lox : base+hix+1] {
 			buf = append(buf, b...)
+		}
+	}
+	return buf
+}
+
+// withinSlack is the relative slack AppendWithin grants r*r, so that
+// rounding in the squared distance can only admit a key on the rim,
+// never drop one.
+const withinSlack = 1e-9
+
+// AppendWithin appends to buf every key whose recorded position (its
+// last Relocate) lies within r of p and returns the extended buffer: a
+// subset of AppendDisc(p, r), in the same order, and a superset of the
+// keys truly within r-d of p whenever no key has moved more than d
+// since its Relocate (triangle inequality). Like AppendDisc it
+// allocates nothing with a reused buffer, and a negative radius appends
+// nothing.
+func (g *IndexGrid) AppendWithin(p Point, r float64, buf []int32) []int32 {
+	if r < 0 {
+		return buf
+	}
+	r2 := r * r * (1 + withinSlack)
+	lox, loy, hix, hiy := g.discRange(p, r)
+	for cy := loy; cy <= hiy; cy++ {
+		base := cy * g.cols
+		for _, b := range g.buckets[base+lox : base+hix+1] {
+			for _, k := range b {
+				if g.pos[k].Dist2(p) <= r2 {
+					buf = append(buf, k)
+				}
+			}
 		}
 	}
 	return buf

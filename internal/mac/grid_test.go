@@ -22,8 +22,9 @@ func (l modelLocator) Position(id event.NodeID, at sim.Time) geo.Point {
 // runTrafficLog drives a seeded multi-node broadcast storm over moving
 // nodes and returns the full delivery/counter log. Everything derives
 // from fixed seeds, so two runs differing only in Config.FullScan must
-// produce identical logs if the grid path is exact.
-func runTrafficLog(t *testing.T, cfg Config, nodes int, dur time.Duration) []string {
+// produce identical logs if the grid path is exact. lost is the roster's
+// FramesLost total, for tests that need collisions to have happened.
+func runTrafficLog(t *testing.T, cfg Config, nodes int, dur time.Duration) (log []string, lost uint64) {
 	t.Helper()
 	eng := sim.New(99)
 	models := make(modelLocator, nodes)
@@ -36,7 +37,6 @@ func runTrafficLog(t *testing.T, cfg Config, nodes int, dur time.Duration) []str
 		}, rand.New(rand.NewSource(int64(i)+1)))
 	}
 	m := New(eng, cfg, models)
-	var log []string
 	ports := make([]*Port, nodes)
 	for i := 0; i < nodes; i++ {
 		id := event.NodeID(i)
@@ -60,8 +60,9 @@ func runTrafficLog(t *testing.T, cfg Config, nodes int, dur time.Duration) []str
 	for i, p := range ports {
 		c := p.Counters()
 		log = append(log, fmt.Sprintf("node %d counters %+v", i, c))
+		lost += c.FramesLost
 	}
-	return log
+	return log, lost
 }
 
 func compareLogs(t *testing.T, scan, grid []string) {
@@ -88,8 +89,8 @@ func TestGridMatchesFullScanMobile(t *testing.T) {
 
 	scanCfg := base
 	scanCfg.FullScan = true
-	scan := runTrafficLog(t, scanCfg, 40, 3*time.Second)
-	grid := runTrafficLog(t, base, 40, 3*time.Second)
+	scan, _ := runTrafficLog(t, scanCfg, 40, 3*time.Second)
+	grid, _ := runTrafficLog(t, base, 40, 3*time.Second)
 	if len(scan) < 100 {
 		t.Fatalf("scenario too quiet to be meaningful: %d log entries", len(scan))
 	}
@@ -112,8 +113,8 @@ func TestGridMatchesFullScanShadowing(t *testing.T) {
 
 	scanCfg := base
 	scanCfg.FullScan = true
-	scan := runTrafficLog(t, scanCfg, 30, 2*time.Second)
-	grid := runTrafficLog(t, base, 30, 2*time.Second)
+	scan, _ := runTrafficLog(t, scanCfg, 30, 2*time.Second)
+	grid, _ := runTrafficLog(t, base, 30, 2*time.Second)
 	compareLogs(t, scan, grid)
 }
 
@@ -124,9 +125,58 @@ func TestGridMatchesFullScanUnbounded(t *testing.T) {
 
 	scanCfg := base
 	scanCfg.FullScan = true
-	scan := runTrafficLog(t, scanCfg, 25, 2*time.Second)
-	grid := runTrafficLog(t, base, 25, 2*time.Second)
+	scan, _ := runTrafficLog(t, scanCfg, 25, 2*time.Second)
+	grid, _ := runTrafficLog(t, base, 25, 2*time.Second)
 	compareLogs(t, scan, grid)
+}
+
+// TestGridMatchesFullScanWideInterference covers the radii the
+// one-interferer-query-per-frame step rests on: the query disc is
+// Range+InterferenceRange around the transmitter, so the differential
+// runs with InterferenceRange well above Range (hidden terminals far
+// outside reception range must still corrupt) and CarrierSenseRange
+// both below and above Range, with and without the speed bound and
+// under a probabilistic channel, at a load where frames are actually
+// lost to collisions on both sides.
+func TestGridMatchesFullScanWideInterference(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"if>range,cs<range", func(c *Config) {
+			c.InterferenceRange, c.CarrierSenseRange = 700, 180
+		}},
+		{"if>range,cs>range", func(c *Config) {
+			c.InterferenceRange, c.CarrierSenseRange = 550, 420
+		}},
+		{"if<range,cs<range", func(c *Config) {
+			c.InterferenceRange, c.CarrierSenseRange = 120, 150
+		}},
+		{"unbounded,if>range", func(c *Config) {
+			c.SpeedBounded, c.MaxSpeed = false, 0
+			c.InterferenceRange, c.CarrierSenseRange = 700, 180
+		}},
+		{"shadowing,if>range", func(c *Config) {
+			c.InterferenceRange, c.CarrierSenseRange = 650, 200
+			c.ReceiveProb = func(d float64) float64 { return 1 - d/400 }
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := DefaultConfig(300)
+			base.SpeedBounded = true
+			base.MaxSpeed = 40
+			tc.mutate(&base)
+			scanCfg := base
+			scanCfg.FullScan = true
+			scan, scanLost := runTrafficLog(t, scanCfg, 60, 2*time.Second)
+			grid, gridLost := runTrafficLog(t, base, 60, 2*time.Second)
+			if scanLost == 0 || gridLost == 0 {
+				t.Fatalf("no collisions (lost: full-scan %d, grid %d): the interferer path was not exercised", scanLost, gridLost)
+			}
+			compareLogs(t, scan, grid)
+		})
+	}
 }
 
 // TestGridHiddenTerminal pins the interference path through the tx

@@ -214,9 +214,10 @@ type Counters struct {
 // Internally the medium keeps two spatial indexes: node positions in a
 // dense geo.IndexGrid keyed by attach rank, refreshed per
 // Config.SpeedBounded (re-bucketing only the nodes that crossed a cell
-// boundary) and queried with a staleness margin to find receivers, and
-// live-transmission origins in a geo.Grid, maintained exactly, to
-// answer carrier-sense and interference queries. Both indexes are
+// boundary) and queried by recorded position with a staleness margin to
+// find receivers, and live-transmission origins in a geo.Grid,
+// maintained exactly, to answer carrier-sense queries per attempt and
+// one interferer query per finished frame. Both indexes are
 // conservative supersets followed by the exact distance checks of the
 // reference full scan, so results — including the RNG draw sequence of
 // probabilistic reception — are frame-for-frame identical to
@@ -256,8 +257,12 @@ type Medium struct {
 	txGrid *geo.Grid[*transmission]
 
 	scratch   []int32         // receiver-candidate reuse buffer (ranks)
-	txScratch []*transmission // carrier-sense/interference reuse buffer
+	txScratch []*transmission // transmission-grid query reuse buffer
 	allRanks  []int32         // 0..n-1, the FullScan "candidate set"
+	// interferers holds the finishing frame's possible corrupters
+	// (collectInterferers). It is its own buffer because receiver
+	// handlers re-enter busyUntil, which reuses txScratch.
+	interferers []*transmission
 
 	// fan, when set, takes over clean-receiver delivery (SetDeliverFan);
 	// cleanScratch is its reused rank buffer. route, when set, files
@@ -312,8 +317,9 @@ func (m *Medium) SetDeliverFan(fan func(txPos geo.Point, clean []int32, f Frame)
 // counter plus the rx callback. It is the delivery half of the
 // SetDeliverFan contract; concurrent calls are safe only for distinct
 // ranks.
-func (m *Medium) DeliverTo(rank int32, f Frame) {
-	q := m.ports[rank]
+func (m *Medium) DeliverTo(rank int32, f Frame) { m.ports[rank].deliver(f) }
+
+func (q *Port) deliver(f Frame) {
 	q.c.FramesReceived++
 	if q.rx != nil {
 		q.rx(f)
@@ -404,9 +410,7 @@ func (p *Port) Broadcast(msg event.Message, appBytes int) {
 		// Never-drained backlog (saturated channel): compact the
 		// consumed prefix away, or the backing array grows with total
 		// frames sent instead of with the live backlog.
-		n := copy(p.queue, p.queue[p.qhead:])
-		clear(p.queue[n:])
-		p.queue = p.queue[:n]
+		p.queue = dropHead(p.queue, p.qhead)
 		p.qhead = 0
 	}
 	p.queue = append(p.queue, Frame{From: p.id, Msg: msg, AppBytes: appBytes})
@@ -461,59 +465,36 @@ func (p *Port) startTx() {
 
 // finishCur delivers the in-flight frame to every receiver that heard
 // it cleanly and then continues with the queue. With a delivery fan
-// installed (and a deterministic channel), the checks and the receiver
-// handlers run as two passes; the clean set collected by the serial
-// pass is exactly the set the reference loop would have delivered to,
-// because neither the range check nor the corruption check draws
-// randomness — only ReceiveProb does, which disables the fan.
+// installed (and a deterministic channel), the clean ranks are collected
+// and handed to the fan instead of being delivered one by one; the set
+// is exactly what the inline loop delivers to, because neither the range
+// check nor the corruption check draws randomness — only ReceiveProb
+// does, which disables the fan.
 func (p *Port) finishCur() {
 	m := p.m
 	tx := p.curTx
 	p.curTx = nil
 	frame := p.queue[p.qhead]
-	if m.fan != nil && m.cfg.ReceiveProb == nil {
-		clean := m.cleanScratch[:0]
-		for _, rank := range m.receivers(tx) {
-			if rank == p.rank {
-				continue
-			}
-			q := m.ports[rank]
-			rpos := m.loc.Position(q.id, tx.end)
-			if tx.pos.Dist(rpos) > m.cfg.Range {
-				continue // out of range: not even noise
-			}
-			if m.corrupted(tx, q, rpos) {
-				q.c.FramesLost++
-				continue
-			}
-			clean = append(clean, rank)
+	m.collectInterferers(tx)
+	fan := m.fan != nil && m.cfg.ReceiveProb == nil
+	clean := m.cleanScratch[:0]
+	for _, rank := range m.receivers(tx) {
+		if rank == p.rank {
+			continue
 		}
+		q := m.ports[rank]
+		if !m.hears(tx, q) {
+			continue
+		}
+		if fan {
+			clean = append(clean, rank)
+		} else {
+			q.deliver(frame)
+		}
+	}
+	if fan {
 		m.cleanScratch = clean
 		m.fan(tx.pos, clean, frame)
-	} else {
-		for _, rank := range m.receivers(tx) {
-			if rank == p.rank {
-				continue
-			}
-			q := m.ports[rank]
-			rpos := m.loc.Position(q.id, tx.end)
-			d := tx.pos.Dist(rpos)
-			if d > m.cfg.Range {
-				continue // out of range: not even noise
-			}
-			if m.cfg.ReceiveProb != nil && m.rng.Float64() >= m.cfg.ReceiveProb(d) {
-				q.c.FramesFaded++
-				continue
-			}
-			if m.corrupted(tx, q, rpos) {
-				q.c.FramesLost++
-				continue
-			}
-			q.c.FramesReceived++
-			if q.rx != nil {
-				q.rx(frame)
-			}
-		}
 	}
 	m.prune()
 	p.queue[p.qhead] = Frame{}
@@ -525,18 +506,42 @@ func (p *Port) finishCur() {
 	}
 }
 
+// hears is the per-receiver verdict on tx at port q, in the reference
+// order: out of range (not even noise), faded by the probabilistic
+// channel, lost to half-duplex or interference, or clean. It counts the
+// faded and lost outcomes on q and reports whether the frame is clean.
+func (m *Medium) hears(tx *transmission, q *Port) bool {
+	rpos := m.loc.Position(q.id, tx.end)
+	d := tx.pos.Dist(rpos)
+	if d > m.cfg.Range {
+		return false
+	}
+	if m.cfg.ReceiveProb != nil && m.rng.Float64() >= m.cfg.ReceiveProb(d) {
+		q.c.FramesFaded++
+		return false
+	}
+	if m.corrupted(tx, q, rpos) {
+		q.c.FramesLost++
+		return false
+	}
+	return true
+}
+
 // receivers returns the attach ranks to consider as receivers of tx, in
-// attach order. The grid path returns every node whose recorded cell
-// lies within Range plus the staleness margin — a superset of the true
-// in-range set; finishCur re-checks exact current distances, so
-// delivery (and the RNG draw sequence under ReceiveProb) is identical
-// to the FullScan roster walk.
+// attach order. The grid path returns every node whose recorded position
+// (as of the last index refresh) lies within Range plus the staleness
+// margin. No node moves more than margin between refreshes (the
+// SpeedBounded contract; without it the index is rebuilt at the query
+// instant and the drift is zero), so by the triangle inequality that is
+// a superset of the true in-range set; hears re-checks exact current
+// distances, so delivery (and the RNG draw sequence under ReceiveProb)
+// is identical to the FullScan roster walk.
 func (m *Medium) receivers(tx *transmission) []int32 {
 	if m.cfg.FullScan {
 		return m.allRanks
 	}
 	m.ensureNodeGrid(tx.end)
-	m.scratch = m.nodeGrid.AppendDisc(tx.pos, m.cfg.Range+m.margin, m.scratch[:0])
+	m.scratch = m.nodeGrid.AppendWithin(tx.pos, m.cfg.Range+m.margin, m.scratch[:0])
 	slices.Sort(m.scratch) // bucket order depends on movement history
 	return m.scratch
 }
@@ -661,6 +666,29 @@ func (m *Medium) busyUntil(self event.NodeID, pos geo.Point, now sim.Time) (sim.
 	return until, busy
 }
 
+// collectInterferers gathers, once per finished frame, the foreign
+// transmissions that can corrupt tx at any of its receivers: those that
+// overlap tx in time and started within Range+ifRange of tx.pos. Every
+// receiver is within Range of tx.pos, so a transmission within ifRange
+// of a receiver is in this list (triangle inequality); corrupted only
+// has to walk it — usually empty — instead of querying the transmission
+// grid per receiver. The live set cannot change while finishCur's loop
+// runs: a handler's Broadcast reaches attempt, which only schedules
+// startTx, never calls it. The FullScan reference walks live instead.
+func (m *Medium) collectInterferers(tx *transmission) {
+	if m.cfg.FullScan {
+		return
+	}
+	m.txScratch = m.txGrid.AppendDisc(tx.pos, m.cfg.Range+m.cfg.ifRange(), m.txScratch[:0])
+	ifs := m.interferers[:0]
+	for _, t := range m.txScratch {
+		if t != tx && t.overlaps(tx) {
+			ifs = append(ifs, t)
+		}
+	}
+	m.interferers = ifs
+}
+
 // corrupted reports whether reception of tx at port q fails, either
 // because q was itself transmitting (half-duplex) or because a
 // concurrent foreign transmission interfered (hidden terminal). rpos is
@@ -687,12 +715,8 @@ func (m *Medium) corrupted(tx *transmission, q *Port, rpos geo.Point) bool {
 			return true
 		}
 	}
-	m.txScratch = m.txGrid.AppendDisc(rpos, m.cfg.ifRange(), m.txScratch[:0])
-	for _, t := range m.txScratch {
-		if t == tx || t.from == q.id || !t.overlaps(tx) {
-			continue
-		}
-		if t.pos.Dist(rpos) <= m.cfg.ifRange() {
+	for _, t := range m.interferers {
+		if t.from != q.id && t.pos.Dist(rpos) <= m.cfg.ifRange() {
 			return true // interference at the receiver
 		}
 	}
@@ -751,7 +775,22 @@ func (m *Medium) prune() {
 	if m.liveHead == len(m.live) {
 		m.live = m.live[:0]
 		m.liveHead = 0
+	} else if m.liveHead >= 64 && m.liveHead*2 >= len(m.live) {
+		// A channel that never idles for `keep` never empties live:
+		// compact the consumed prefix away (as Broadcast does for the
+		// port queue), or the backing array grows with total frames sent.
+		m.live = dropHead(m.live, m.liveHead)
+		m.liveHead = 0
 	}
+}
+
+// dropHead moves s[head:] to the front of s's backing array and clears
+// the vacated tail, so a FIFO consumed through a head index reuses its
+// array instead of growing it.
+func dropHead[T any](s []T, head int) []T {
+	n := copy(s, s[head:])
+	clear(s[n:])
+	return s[:n]
 }
 
 // dropRecent removes t from the port's half-duplex history.

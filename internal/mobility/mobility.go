@@ -43,9 +43,21 @@
 //     bound netsim can derive the same way, or leave
 //     mac.Config.SpeedBounded unset and accept per-instant index
 //     rebuilds.
+//
+// One further interface is optional: LegModel. The five built-in models
+// implement it so netsim can answer the MAC's per-receiver position
+// lookups from a flat per-node slab of legs instead of chasing
+// node -> model -> trajectory -> leg on every frame. A model may offer
+// LegAt only if it can guarantee what the slab relies on: its
+// trajectory is made of contiguous half-open legs, a leg once returned
+// is never revised, and Position(t) is exactly that leg's Position(t)
+// for every t the leg Covers. Models without it (CustomModels in tests
+// and examples) are queried through Position as before, with identical
+// results.
 package mobility
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/geo"
@@ -64,16 +76,37 @@ type Model interface {
 	Speed(at sim.Time) float64
 }
 
-// leg is a constant-velocity trajectory segment: the node moves from
+// LegModel is the optional fast path of a trajectory-based Model: LegAt
+// returns the leg covering instant at, and for every instant t that leg
+// Covers, Position(t) must equal the leg's Position(t) bit for bit — for
+// ever, whatever is queried in between. A caller (netsim's locator) may
+// therefore keep the leg and answer later positions from it without
+// calling the model at all. A model qualifies when its trajectory is a
+// sequence of contiguous legs that are never revised once handed out;
+// a model that cannot promise that simply does not implement LegAt.
+type LegModel interface {
+	Model
+	LegAt(at sim.Time) Leg
+}
+
+// Leg is a constant-velocity trajectory segment: the node moves from
 // `from` to `to` during [start, moveEnd] and then stays at `to` until
-// `end` (pause). A static leg has from == to.
-type leg struct {
+// `end` (pause). A static leg has from == to. The zero Leg covers no
+// instant.
+type Leg struct {
 	start, moveEnd, end sim.Time
 	from, to            geo.Point
 	speed               float64
 }
 
-func (l leg) position(at sim.Time) geo.Point {
+// Covers reports whether at falls in the leg's half-open span. Legs of
+// one trajectory are contiguous, so exactly one covers any instant the
+// trajectory reaches — the one trajectory.find returns.
+func (l *Leg) Covers(at sim.Time) bool { return l.start <= at && at < l.end }
+
+// Position returns the node position at instant at (clamped to the
+// leg's end points outside its span).
+func (l *Leg) Position(at sim.Time) geo.Point {
 	if at >= l.moveEnd {
 		return l.to
 	}
@@ -84,7 +117,7 @@ func (l leg) position(at sim.Time) geo.Point {
 	return l.from.Lerp(l.to, f)
 }
 
-func (l leg) speedAt(at sim.Time) float64 {
+func (l *Leg) speedAt(at sim.Time) float64 {
 	if at >= l.start && at < l.moveEnd {
 		return l.speed
 	}
@@ -95,24 +128,25 @@ func (l leg) speedAt(at sim.Time) float64 {
 // lookup. extend is called to append legs until the trajectory covers a
 // requested instant.
 type trajectory struct {
-	legs []leg
+	legs []Leg
 	end  sim.Time // covered() memo: end of the last leg
 	idx  int      // find() memo: last returned leg
 }
 
 func (t *trajectory) covered() sim.Time { return t.end }
 
-func (t *trajectory) append(l leg) {
+func (t *trajectory) append(l Leg) {
 	t.legs = append(t.legs, l)
 	t.end = l.end
 }
 
-// find returns the leg active at instant at; the trajectory must already
-// cover at. The simulation queries positions at its current instant, so
-// consecutive calls almost always hit the same leg or its successor —
-// the memo turns the common case into O(1) and the binary search only
-// backstops jumps (identical result either way).
-func (t *trajectory) find(at sim.Time) leg {
+// find returns the leg active at instant at (the pointer is valid until
+// the next append); the trajectory must already cover at. The simulation
+// queries positions at its current instant, so consecutive calls almost
+// always hit the same leg or its successor — the memo turns the common
+// case into O(1) and the binary search only backstops jumps (identical
+// result either way).
+func (t *trajectory) find(at sim.Time) *Leg {
 	n := len(t.legs)
 	i := t.idx
 	if i >= n {
@@ -130,7 +164,7 @@ func (t *trajectory) find(at sim.Time) leg {
 		}
 	}
 	t.idx = i
-	return t.legs[i]
+	return &t.legs[i]
 }
 
 // Static is a Model that never moves. It implements stationary processes
@@ -144,3 +178,8 @@ func (s Static) Position(sim.Time) geo.Point { return s.P }
 
 // Speed implements Model.
 func (s Static) Speed(sim.Time) float64 { return 0 }
+
+// LegAt implements LegModel: one pause at P for all of simulated time.
+func (s Static) LegAt(sim.Time) Leg {
+	return Leg{end: sim.Time(math.MaxInt64), from: s.P, to: s.P}
+}

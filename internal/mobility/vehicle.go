@@ -42,7 +42,14 @@ func (t *graphTraveler) extend(at sim.Time) {
 // Position implements Model (promoted into every embedding model).
 func (t *graphTraveler) Position(at sim.Time) geo.Point {
 	t.extend(at)
-	return t.traj.find(at).position(at)
+	return t.traj.find(at).Position(at)
+}
+
+// LegAt implements LegModel: drive appends contiguous legs and never
+// revises one.
+func (t *graphTraveler) LegAt(at sim.Time) Leg {
+	t.extend(at)
+	return *t.traj.find(at)
 }
 
 // Speed implements Model.
@@ -55,7 +62,7 @@ func (t *graphTraveler) Speed(at sim.Time) float64 {
 func (t *graphTraveler) startAt(i int) {
 	t.at = i
 	p := t.g.Point(i)
-	t.traj.append(leg{from: p, to: p})
+	t.traj.append(Leg{from: p, to: p})
 }
 
 // weightedIntersection draws an intersection biased by road popularity.
@@ -91,7 +98,7 @@ func (t *graphTraveler) drive(dest int, speed func(r Road) float64, wait func(i 
 		// Validate() guarantees reachability; this is unreachable but
 		// kept defensive: dwell in place to guarantee progress.
 		last := t.traj.legs[len(t.traj.legs)-1]
-		t.traj.append(leg{
+		t.traj.append(Leg{
 			start: last.end, moveEnd: last.end, end: last.end + sim.Second,
 			from: last.to, to: last.to,
 		})
@@ -111,7 +118,7 @@ func (t *graphTraveler) drive(dest int, speed func(r Road) float64, wait func(i 
 		if end == start {
 			end = start + 1
 		}
-		t.traj.append(leg{
+		t.traj.append(Leg{
 			start: start, moveEnd: moveEnd, end: end,
 			from: pos, to: to, speed: v,
 		})

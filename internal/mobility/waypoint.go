@@ -56,7 +56,7 @@ func NewWaypoint(cfg WaypointConfig, rng *rand.Rand) *Waypoint {
 	start := w.randPoint()
 	// Seed the trajectory with a zero-length pause leg so position
 	// queries at t=0 are defined.
-	w.traj.append(leg{start: 0, moveEnd: 0, end: 0, from: start, to: start})
+	w.traj.append(Leg{start: 0, moveEnd: 0, end: 0, from: start, to: start})
 	return w
 }
 
@@ -83,7 +83,7 @@ func (w *Waypoint) extend(at sim.Time) {
 		speed := w.randSpeed()
 		if speed <= 0 {
 			// Static node: one giant pause leg.
-			w.traj.append(leg{
+			w.traj.append(Leg{
 				start: start, moveEnd: start,
 				end:  sim.Time(1 << 62),
 				from: from, to: from,
@@ -98,7 +98,7 @@ func (w *Waypoint) extend(at sim.Time) {
 			// Degenerate zero-length leg with no pause; force progress.
 			end = start + 1
 		}
-		w.traj.append(leg{
+		w.traj.append(Leg{
 			start: start, moveEnd: moveEnd, end: end,
 			from: from, to: to, speed: speed,
 		})
@@ -108,7 +108,14 @@ func (w *Waypoint) extend(at sim.Time) {
 // Position implements Model.
 func (w *Waypoint) Position(at sim.Time) geo.Point {
 	w.extend(at)
-	return w.traj.find(at).position(at)
+	return w.traj.find(at).Position(at)
+}
+
+// LegAt implements LegModel: extend appends contiguous legs and never
+// revises one.
+func (w *Waypoint) LegAt(at sim.Time) Leg {
+	w.extend(at)
+	return *w.traj.find(at)
 }
 
 // Speed implements Model.

@@ -56,11 +56,31 @@ func addStats(a, b proto.Stats) proto.Stats {
 	return statsOp(a, b, func(x, y uint64) uint64 { return x + y })
 }
 
-// locator adapts the mobility models to the MAC medium.
-type locator struct{ nodes []*node }
+// locator adapts the mobility models to the MAC medium. The medium asks
+// for one position per in-range receiver per frame, nearly always on the
+// leg it asked about last time, so the locator keeps each node's last leg
+// in one contiguous slab (indexed by node id) and answers from it while
+// the leg covers the instant: one load instead of the node -> model ->
+// trajectory -> leg chain. Legs of a mobility.LegModel are contiguous and
+// never revised, so the slab's answer is the model's bit for bit; a
+// CustomModels entry without LegAt keeps a zero slab leg, which covers
+// nothing, and is asked directly.
+type locator struct {
+	nodes []*node
+	legs  []mobility.Leg
+}
 
-func (l locator) Position(id event.NodeID, at sim.Time) geo.Point {
-	return l.nodes[id].model.Position(at)
+func (l *locator) Position(id event.NodeID, at sim.Time) geo.Point {
+	leg := &l.legs[id]
+	if !leg.Covers(at) {
+		model := l.nodes[id].model
+		lm, ok := model.(mobility.LegModel)
+		if !ok {
+			return model.Position(at)
+		}
+		*leg = lm.LegAt(at)
+	}
+	return leg.Position(at)
 }
 
 // portTransport charges the scenario size model for every broadcast and
@@ -89,13 +109,15 @@ func (t portTransport) Broadcast(m event.Message) {
 
 func (t portTransport) send(m event.Message) {
 	size := m.WireSize(t.sizes)
-	t.r.traceAdd(trace.Record{
-		At:    t.r.eng.Now(),
-		Node:  t.port.ID(),
-		Op:    trace.OpSend,
-		Msg:   m.Kind(),
-		Bytes: size,
-	})
+	if tr := t.r.sc.Trace; tr != nil { // per message: no record, no m.Kind() when untraced
+		tr.Add(trace.Record{
+			At:    t.r.eng.Now(),
+			Node:  t.port.ID(),
+			Op:    trace.OpSend,
+			Msg:   m.Kind(),
+			Bytes: size,
+		})
+	}
 	t.port.Broadcast(m, size)
 }
 
@@ -224,7 +246,7 @@ func (r *runner) build() error {
 		n.model = model
 	}
 	cfg := r.macConfig()
-	medium := mac.New(r.eng, cfg, locator{nodes: r.nodes})
+	medium := mac.New(r.eng, cfg, &locator{nodes: r.nodes, legs: make([]mobility.Leg, len(r.nodes))})
 	r.medium = medium
 	for _, n := range r.nodes {
 		n := n
@@ -232,12 +254,14 @@ func (r *runner) build() error {
 			if n.down {
 				return
 			}
-			r.traceAdd(trace.Record{
-				At:   r.eng.Now(),
-				Node: n.id,
-				Op:   trace.OpReceive,
-				Msg:  f.Msg.Kind(),
-			})
+			if tr := r.sc.Trace; tr != nil { // per reception: no record, no f.Msg.Kind() when untraced
+				tr.Add(trace.Record{
+					At:   r.eng.Now(),
+					Node: n.id,
+					Op:   trace.OpReceive,
+					Msg:  f.Msg.Kind(),
+				})
+			}
 			_ = n.proto.HandleMessage(f.Msg)
 		})
 	}
