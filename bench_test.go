@@ -651,35 +651,6 @@ func BenchmarkMetroSweep(b *testing.B) {
 	b.ReportMetric(rel/float64(b.N), "reliability")
 }
 
-// BenchmarkTiledMetroSweep is BenchmarkMetroSweep sharded across four
-// geo tiles (the tile-parallel runner): same city, same shortened
-// window, byte-identical results. On multi-core hosts the handler fan
-// and parallel window prepare cut the wall clock; on a single core the
-// runner degrades to inline delivery, so the diff against
-// BenchmarkMetroSweep also guards the tiled path's serial overhead.
-func BenchmarkTiledMetroSweep(b *testing.B) {
-	def, ok := netsim.LookupScenario("metro-5k")
-	if !ok {
-		b.Fatal("metro-5k scenario not registered")
-	}
-	var rel float64
-	for i := 0; i < b.N; i++ {
-		sc := def.Instantiate(int64(i) + 1)
-		sc.Warmup = 5 * time.Second
-		sc.Measure = 15 * time.Second
-		sc.Tiles = 4
-		res, err := netsim.Run(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Tile == nil || res.Tile.Tiles != 4 {
-			b.Fatal("run did not shard across 4 tiles")
-		}
-		rel += res.Reliability()
-	}
-	b.ReportMetric(rel/float64(b.N), "reliability")
-}
-
 // BenchmarkScenarioSweep runs one reduced pass of the registry-backed
 // scenarios family: the manhattan urban-VANET environment swept across
 // the frugal protocol and the baselines (the CI smoke for the scenario

@@ -171,7 +171,6 @@ func main() {
 		full       = flag.Bool("full", false, "paper-scale parameters (slow)")
 		seeds      = flag.Int("seeds", 0, "runs per sweep point (0 = experiment default)")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations (0 = NumCPU); tables are byte-identical at any value")
-		tiles      = flag.Int("tiles", 0, "geo tiles each scale-family city run is sharded across (0 or 1 = single engine); tables are byte-identical at any value")
 		budget     = flag.Duration("budget", 0, "wall-clock budget for the scale family; required to reach its megacity tiers (e.g. -fig scale -full -budget 4h), 0 skips them")
 		list       = flag.Bool("list", false, "list experiments, scenarios and protocols, then exit")
 		verbose    = flag.Bool("v", false, "print per-point progress")
@@ -218,7 +217,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := exp.Options{
-		Seeds: *seeds, Full: *full, Parallel: *parallel, Tiles: *tiles,
+		Seeds: *seeds, Full: *full, Parallel: *parallel,
 		Protocol: *protoFlag, Budget: *budget,
 		Sample: *sample, SeriesDir: *seriesOut,
 	}

@@ -72,20 +72,18 @@ func main() {
 			"registered protocol name (frugal, the flooding/storm baselines, gossip-pushpull; see 'experiments -list')")
 		wkld = flag.String("workload", "",
 			"registered workload generator merged into the ad-hoc scenario (poisson, flash-crowd, churn-nodes, ...; see 'experiments -list')")
-		nodes    = flag.Int("nodes", 50, "number of processes")
-		mobility = flag.String("mobility", "rwp", "rwp | city | manhattan | highway | static")
-		side     = flag.Float64("side", 2887, "square area side in meters (rwp/static)")
-		speedMin = flag.Float64("speed-min", 0, "min speed m/s (rwp; 0 = same as -speed)")
-		speed    = flag.Float64("speed", 10, "max speed m/s (rwp)")
-		radio    = flag.Float64("range", 339, "radio range in meters")
-		subs     = flag.Float64("subscribers", 0.8, "fraction subscribed to the event topic")
-		events   = flag.Int("events", 1, "events to publish")
-		validity = flag.Duration("validity", 120*time.Second, "event validity period")
-		warmup   = flag.Duration("warmup", 60*time.Second, "warm-up before measurement")
-		hbUpper  = flag.Duration("hb-upper", time.Second, "heartbeat upper bound (0 = none)")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		tiles    = flag.Int("tiles", 0,
-			"geo tiles the run is sharded across (0 or 1 = single engine); results are byte-identical at any value")
+		nodes     = flag.Int("nodes", 50, "number of processes")
+		mobility  = flag.String("mobility", "rwp", "rwp | city | manhattan | highway | static")
+		side      = flag.Float64("side", 2887, "square area side in meters (rwp/static)")
+		speedMin  = flag.Float64("speed-min", 0, "min speed m/s (rwp; 0 = same as -speed)")
+		speed     = flag.Float64("speed", 10, "max speed m/s (rwp)")
+		radio     = flag.Float64("range", 339, "radio range in meters")
+		subs      = flag.Float64("subscribers", 0.8, "fraction subscribed to the event topic")
+		events    = flag.Int("events", 1, "events to publish")
+		validity  = flag.Duration("validity", 120*time.Second, "event validity period")
+		warmup    = flag.Duration("warmup", 60*time.Second, "warm-up before measurement")
+		hbUpper   = flag.Duration("hb-upper", time.Second, "heartbeat upper bound (0 = none)")
+		seed      = flag.Int64("seed", 1, "simulation seed")
 		showTrace = flag.Int("trace", 0, "print the last N timeline records (0 = off)")
 		timeline  = flag.Bool("timeline", false, "print per-event coverage over time")
 		sample    = flag.Duration("sample", 0,
@@ -118,7 +116,7 @@ func main() {
 		// meaningful. Reject the rest instead of silently ignoring it.
 		compatible := map[string]bool{
 			"scenario": true, "protocol": true, "seed": true,
-			"tiles": true, "trace": true, "timeline": true,
+			"trace": true, "timeline": true,
 			"sample": true, "series-out": true,
 			"cpuprofile": true, "memprofile": true,
 		}
@@ -222,7 +220,6 @@ func main() {
 			sc.Workload = spec
 		}
 	}
-	sc.Tiles = *tiles
 	sc.Sample = *sample
 	if *seriesOut != "" && *sample <= 0 {
 		fmt.Fprintln(os.Stderr, "-series-out requires -sample")
@@ -266,10 +263,6 @@ func main() {
 		sc.Name, sc.Nodes, sc.Mobility.Kind, sc.Protocol,
 		sc.SubscriberFraction*100, len(sc.Publications), workloadNote)
 	fmt.Printf("simulated %v (wall %v)\n", sc.Warmup+sc.Measure, time.Since(start).Round(time.Millisecond))
-	if ts := res.Tile; ts != nil {
-		fmt.Printf("tiled across %d tiles: %d windows, %d border crossings, %d border frames, %d/%d frames fanned/serial\n",
-			ts.Tiles, ts.Windows, ts.Crossings, ts.BorderFrames, ts.FannedFrames, ts.SerialFrames)
-	}
 	if s := res.Series; s != nil {
 		note := ""
 		if *seriesOut != "" {

@@ -253,7 +253,7 @@ func (m *mesh) crash(i int) {
 		return
 	}
 	m.nodes[i] = nil
-	m.retiredProto = addStats(m.retiredProto, n.Stats())
+	m.retiredProto = m.retiredProto.Add(n.Stats())
 	m.retiredWire = addWire(m.retiredWire, n.TransportStats())
 	m.crashes++
 	m.mu.Unlock()
@@ -288,7 +288,7 @@ func (m *mesh) totals() (pubsub.Stats, pubsub.TransportStats) {
 	p, w := m.retiredProto, m.retiredWire
 	for _, n := range m.nodes {
 		if n != nil {
-			p = addStats(p, n.Stats())
+			p = p.Add(n.Stats())
 			w = addWire(w, n.TransportStats())
 		}
 	}
@@ -658,7 +658,7 @@ func run() int {
 	}
 
 	proto, wire := ms.totals()
-	proto = subStats(proto, baseProto)
+	proto = proto.Sub(baseProto)
 	wire = subWire(wire, baseWire)
 	elapsed := time.Since(measureStart).Seconds()
 	crashes, recoveries := ms.churnCounts()
@@ -856,32 +856,6 @@ type report struct {
 type checkReport struct {
 	Passed  bool   `json:"passed"`
 	Failure string `json:"failure,omitempty"`
-}
-
-func addStats(a, b pubsub.Stats) pubsub.Stats {
-	a.HeartbeatsSent += b.HeartbeatsSent
-	a.IDListsSent += b.IDListsSent
-	a.EventMsgsSent += b.EventMsgsSent
-	a.EventsSent += b.EventsSent
-	a.EventsReceived += b.EventsReceived
-	a.Delivered += b.Delivered
-	a.Duplicates += b.Duplicates
-	a.Parasites += b.Parasites
-	a.Published += b.Published
-	return a
-}
-
-func subStats(a, b pubsub.Stats) pubsub.Stats {
-	a.HeartbeatsSent -= b.HeartbeatsSent
-	a.IDListsSent -= b.IDListsSent
-	a.EventMsgsSent -= b.EventMsgsSent
-	a.EventsSent -= b.EventsSent
-	a.EventsReceived -= b.EventsReceived
-	a.Delivered -= b.Delivered
-	a.Duplicates -= b.Duplicates
-	a.Parasites -= b.Parasites
-	a.Published -= b.Published
-	return a
 }
 
 func addWire(a, b pubsub.TransportStats) pubsub.TransportStats {

@@ -101,8 +101,8 @@
 //	                 (the diurnal workload)
 //	metro-slice      metro district (Heavy): 600 vehicles on a
 //	                 metro-style grid, diurnal Zipf traffic + churn
-//	                 waves — the tile-parallel fixture, sized for
-//	                 tier-1 suites
+//	                 waves — the city fixture sized for tier-1
+//	                 suites
 //	metro-5k         city-scale VANET (Heavy): 5k vehicles on a 36x28
 //	                 metro grid (~11.4 km^2), diurnal Zipf traffic with
 //	                 churn waves
@@ -194,14 +194,8 @@
 // enumeration order, so rendered tables are byte-identical at any
 // parallelism.
 //
-// Within one run, Scenario.Tiles shards the city across geo tiles —
-// per-tile engine shards under a shared clock, a conservative windowed
-// barrier, and a capture-and-replay fan that runs receiver protocol
-// handlers on per-tile workers (frugalsim -tiles, experiments -tiles
-// for the scale family; 0 auto-sizes by roster). Results are
-// byte-identical at any tile count, pinned by the tile parity suite
-// (internal/netsim/tileparity_test.go) and the metro-slice fingerprint
-// golden; see ARCHITECTURE.md "Tile-parallel contracts".
+// One run is one engine on one goroutine; that worker pool is the
+// multi-core design (ARCHITECTURE.md "Multi-core").
 //
 // The simulated medium (internal/mac) indexes node positions and live
 // transmissions in uniform spatial grids (internal/geo.Grid), so

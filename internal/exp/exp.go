@@ -36,13 +36,6 @@ type Options struct {
 	// sweeps to one registered protocol (cmd/experiments -proto). The
 	// figure sweeps pin their own protocol panels and ignore it.
 	Protocol string
-	// Tiles, when non-zero, sets netsim.Scenario.Tiles on the scale
-	// family's city runs (cmd/experiments -tiles): each simulation is
-	// sharded across that many geo tiles. Results are byte-identical at
-	// any tile count, so this composes freely with Parallel. The
-	// fixed-size figure sweeps ignore it — their villages are far below
-	// the scale where sharding pays.
-	Tiles int
 	// Budget caps the scale family's wall clock (cmd/experiments
 	// -budget): each node-count tier runs only while the elapsed time
 	// plus the tier's cost estimate fits the budget, and the megacity

@@ -92,7 +92,6 @@ func Scale(o Options) (*Output, error) {
 			func(ix []int) (sample, error) {
 				sc := def.Instantiate(int64(ix[1]) + 1)
 				sc.Nodes = nodes
-				sc.Tiles = o.Tiles
 				sc.Protocol = panel[ix[0]]
 				cols, rows := netsim.MetroGraphDims(sc.Nodes)
 				sc.Mobility.Graph = mobility.NewManhattanStyleGraph(cols, rows)

@@ -140,12 +140,6 @@ func (c Config) gridRefresh() time.Duration {
 	return defaultGridRefresh
 }
 
-// GridRefreshPeriod returns the effective node-index refresh period
-// (GridRefresh, or the 200 ms default). The tile-parallel runner sizes
-// its synchronization window with it so the forced barrier refresh
-// never exceeds the staleness budget the query margin covers.
-func (c Config) GridRefreshPeriod() time.Duration { return c.gridRefresh() }
-
 func (c Config) csRange() float64 {
 	if c.CarrierSenseRange > 0 {
 		return c.CarrierSenseRange
@@ -207,6 +201,36 @@ type Counters struct {
 	Defers         uint64 // attempts postponed by carrier sense
 }
 
+// Add returns a + b field by field. A new counter must be added here and
+// in Sub (TestCountersAddSubCoverEveryField fails otherwise).
+func (a Counters) Add(b Counters) Counters {
+	return Counters{
+		FramesSent:     a.FramesSent + b.FramesSent,
+		AppBytesSent:   a.AppBytesSent + b.AppBytesSent,
+		MACBytesSent:   a.MACBytesSent + b.MACBytesSent,
+		FramesReceived: a.FramesReceived + b.FramesReceived,
+		FramesLost:     a.FramesLost + b.FramesLost,
+		FramesFaded:    a.FramesFaded + b.FramesFaded,
+		QueueDrops:     a.QueueDrops + b.QueueDrops,
+		Defers:         a.Defers + b.Defers,
+	}
+}
+
+// Sub returns a - b field by field: the counters accumulated since the
+// snapshot b.
+func (a Counters) Sub(b Counters) Counters {
+	return Counters{
+		FramesSent:     a.FramesSent - b.FramesSent,
+		AppBytesSent:   a.AppBytesSent - b.AppBytesSent,
+		MACBytesSent:   a.MACBytesSent - b.MACBytesSent,
+		FramesReceived: a.FramesReceived - b.FramesReceived,
+		FramesLost:     a.FramesLost - b.FramesLost,
+		FramesFaded:    a.FramesFaded - b.FramesFaded,
+		QueueDrops:     a.QueueDrops - b.QueueDrops,
+		Defers:         a.Defers - b.Defers,
+	}
+}
+
 // Medium is the shared broadcast channel. Attach every node before
 // running the simulation. Medium is driven entirely by the sim engine and
 // is not safe for concurrent use.
@@ -263,14 +287,6 @@ type Medium struct {
 	// (collectInterferers). It is its own buffer because receiver
 	// handlers re-enter busyUntil, which reuses txScratch.
 	interferers []*transmission
-
-	// fan, when set, takes over clean-receiver delivery (SetDeliverFan);
-	// cleanScratch is its reused rank buffer. route, when set, files
-	// per-port contention callbacks on a caller-chosen engine shard
-	// (SetShardRouter). Both are nil outside tile-parallel runs.
-	fan          func(txPos geo.Point, clean []int32, f Frame)
-	cleanScratch []int32
-	route        func(rank int32) *sim.Engine
 }
 
 // New creates a medium. It panics on invalid configuration.
@@ -294,55 +310,6 @@ func New(eng *sim.Engine, cfg Config, loc Locator) *Medium {
 
 // Config returns the medium configuration.
 func (m *Medium) Config() Config { return m.cfg }
-
-// SetDeliverFan installs a delivery fan-out hook for the tile-parallel
-// runner. When set — and reception is deterministic (ReceiveProb nil;
-// under a probabilistic channel the hook is ignored, because fade
-// draws must interleave with receiver handlers in roster order) —
-// finishCur splits delivery into two passes: a serial pass performs
-// the exact range and corruption checks and collects the clean
-// receiver ranks in ascending attach-rank order, then fan runs with
-// the transmission origin, the clean set and the frame. The hook must
-// deliver to every listed rank exactly once via DeliverTo before
-// returning, in any goroutine arrangement it likes, as long as
-// observable side effects land in ascending rank order — that replay
-// discipline is what keeps the run byte-identical to the serial loop
-// (ARCHITECTURE.md, "Tile-parallel contracts"). clean is a reused
-// scratch buffer, valid only during the call.
-func (m *Medium) SetDeliverFan(fan func(txPos geo.Point, clean []int32, f Frame)) {
-	m.fan = fan
-}
-
-// DeliverTo delivers frame f to the port at attach rank: the receive
-// counter plus the rx callback. It is the delivery half of the
-// SetDeliverFan contract; concurrent calls are safe only for distinct
-// ranks.
-func (m *Medium) DeliverTo(rank int32, f Frame) { m.ports[rank].deliver(f) }
-
-func (q *Port) deliver(f Frame) {
-	q.c.FramesReceived++
-	if q.rx != nil {
-		q.rx(f)
-	}
-}
-
-// SetShardRouter files each port's contention and airtime callbacks on
-// the engine returned by route(rank) instead of the medium's root
-// engine. The tile-parallel runner points each node's callbacks at its
-// owning tile's shard; because shards share one clock and one global
-// seq counter (sim.Engine.NewShard), callback semantics are unchanged
-// — the wheel an item sits in is invisible to the schedule.
-func (m *Medium) SetShardRouter(route func(rank int32) *sim.Engine) {
-	m.route = route
-}
-
-// eng returns the engine port p's callbacks are filed on.
-func (p *Port) eng() *sim.Engine {
-	if r := p.m.route; r != nil {
-		return r(p.rank)
-	}
-	return p.m.eng
-}
 
 // Attach registers node id with receive callback rx (may be nil for a
 // deaf node) and returns its port. Attaching the same id twice panics.
@@ -429,11 +396,11 @@ func (p *Port) attempt() {
 	if until, busy := m.busyUntil(p.id, pos, now); busy {
 		p.c.Defers++
 		jitter := time.Duration(m.rng.Intn(m.cfg.CWSlots)) * m.cfg.SlotTime
-		p.eng().Schedule(until.Add(m.cfg.DIFS+jitter), p.attemptFn)
+		m.eng.Schedule(until.Add(m.cfg.DIFS+jitter), p.attemptFn)
 		return
 	}
 	backoff := m.cfg.DIFS + time.Duration(m.rng.Intn(m.cfg.CWSlots))*m.cfg.SlotTime
-	p.eng().ScheduleAfter(backoff, p.startTxFn)
+	m.eng.ScheduleAfter(backoff, p.startTxFn)
 }
 
 // startTx begins transmission if the channel is still idle, otherwise
@@ -460,24 +427,17 @@ func (p *Port) startTx() {
 	p.c.FramesSent++
 	p.c.AppBytesSent += uint64(frame.AppBytes)
 	p.c.MACBytesSent += uint64(frame.AppBytes + m.cfg.HeaderBytes)
-	p.eng().Schedule(tx.end, p.finishFn)
+	m.eng.Schedule(tx.end, p.finishFn)
 }
 
 // finishCur delivers the in-flight frame to every receiver that heard
-// it cleanly and then continues with the queue. With a delivery fan
-// installed (and a deterministic channel), the clean ranks are collected
-// and handed to the fan instead of being delivered one by one; the set
-// is exactly what the inline loop delivers to, because neither the range
-// check nor the corruption check draws randomness — only ReceiveProb
-// does, which disables the fan.
+// it cleanly, in attach order, and then continues with the queue.
 func (p *Port) finishCur() {
 	m := p.m
 	tx := p.curTx
 	p.curTx = nil
 	frame := p.queue[p.qhead]
 	m.collectInterferers(tx)
-	fan := m.fan != nil && m.cfg.ReceiveProb == nil
-	clean := m.cleanScratch[:0]
 	for _, rank := range m.receivers(tx) {
 		if rank == p.rank {
 			continue
@@ -486,15 +446,10 @@ func (p *Port) finishCur() {
 		if !m.hears(tx, q) {
 			continue
 		}
-		if fan {
-			clean = append(clean, rank)
-		} else {
-			q.deliver(frame)
+		q.c.FramesReceived++
+		if q.rx != nil {
+			q.rx(frame)
 		}
-	}
-	if fan {
-		m.cleanScratch = clean
-		m.fan(tx.pos, clean, frame)
 	}
 	m.prune()
 	p.queue[p.qhead] = Frame{}
@@ -608,31 +563,6 @@ func (m *Medium) ensureNodeGrid(now sim.Time) {
 	}
 	for rank, id := range m.order {
 		m.nodeGrid.Relocate(int32(rank), m.loc.Position(id, now))
-	}
-	m.nodeGridAt = now
-	m.nodeGridBuilt = true
-}
-
-// RefreshNodeGrid force-refreshes the node index from caller-computed
-// positions (indexed by attach rank) recorded at now. The tile-parallel
-// runner calls it at every window barrier with the position slab its
-// workers filled in parallel, so the serial event loop never pays the
-// O(N) position sweep of a lazy refresh. Refresh instants are
-// result-neutral by the same argument that makes the grid path
-// frame-identical to FullScan: queries return a conservative superset
-// (margin covers a full staleness period of movement, and the window
-// never exceeds it) and every candidate is re-checked at its exact
-// current distance before anything observable happens.
-func (m *Medium) RefreshNodeGrid(now sim.Time, pos []geo.Point) {
-	if len(pos) != len(m.order) {
-		panic(fmt.Sprintf("mac: RefreshNodeGrid got %d positions for %d nodes", len(pos), len(m.order)))
-	}
-	if m.nodeGrid == nil || m.nodeGrid.Keys() != len(m.order) {
-		m.ensureGeometry()
-		m.nodeGrid = geo.NewIndexGrid(m.cfg.Range, m.bounds, len(m.order))
-	}
-	for rank := range m.order {
-		m.nodeGrid.Relocate(int32(rank), pos[rank])
 	}
 	m.nodeGridAt = now
 	m.nodeGridBuilt = true

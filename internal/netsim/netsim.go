@@ -321,24 +321,14 @@ type Scenario struct {
 	// relative to its start and counters cover exactly this window.
 	Measure time.Duration
 
-	// Tiles selects tile-parallel execution (ARCHITECTURE.md,
-	// "Tile-parallel contracts"): the scenario bounding box splits into
-	// that many geo tiles, each with its own engine shard, receiver
-	// handlers fan out across tile workers, and window barriers refresh
-	// positions and exchange tile crossings in parallel. Results are
-	// byte-identical at every tile count — the deterministic merge
-	// replays all side effects in the single-engine order — so Tiles is
-	// purely a wall-clock knob. 0 and 1 both select the plain
-	// single-engine path (tiling has measured slower than it on every
-	// host tried so far, ROADMAP.md item 2, so it is never the default),
-	// N >= 2 forces N tiles. Runs with CustomModels fall back to the
-	// single-engine path (no derivable geometry or speed bound).
+	// Tiles is read by nothing: not Validate, not withDefaults, not Run.
+	// It selected tile-parallel execution until that path was deleted
+	// (ARCHITECTURE.md, "Multi-core"). The field survives only because
+	// bench/, frozen under BENCHMARK.json, still assigns it; it was
+	// result-neutral by contract, so ignoring it keeps every result. It
+	// goes with the [benchmark] follow-up that drops bench's two-tile run
+	// (ROADMAP.md).
 	Tiles int
-
-	// TileShift offsets the tile lattice origin by the given vector
-	// (wrapped into one tile pitch). Any shift yields the same Result —
-	// the metamorphic re-partitioning lever used by tileparity_test.go.
-	TileShift geo.Point
 
 	// Sample, when positive, records a deterministic time-series over
 	// the measurement window into Result.Series: one SeriesPoint per
@@ -456,21 +446,8 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("netsim: CustomModels has %d entries for %d nodes",
 			len(s.CustomModels), s.Nodes)
 	}
-	if s.Tiles < 0 {
-		return fmt.Errorf("netsim: negative Tiles %d", s.Tiles)
-	}
 	if s.Sample < 0 {
 		return fmt.Errorf("netsim: negative Sample %v", s.Sample)
 	}
 	return nil
-}
-
-// resolveTiles turns the Tiles knob into an effective tile count.
-// CustomModels always resolve to 1: the tiler needs scenario geometry
-// and a mobility speed bound, which custom models do not declare.
-func (s Scenario) resolveTiles() int {
-	if s.CustomModels != nil || s.Tiles == 0 {
-		return 1
-	}
-	return s.Tiles
 }

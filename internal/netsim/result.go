@@ -74,17 +74,12 @@ type Result struct {
 	// local self-delivery and deliveries past the event's validity.
 	// Always populated, with O(1) memory, regardless of DeliveryLog.
 	Latency metrics.LogHist
-	// Tile reports the tile-parallel machinery's activity when the run
-	// was sharded (Scenario.Tiles resolved above one). It is excluded
-	// from Fingerprint: measurements are byte-identical at any tile
-	// count, while these counters legitimately vary with it.
-	Tile *TileStats
 	// Series is the sampled time-series of the measurement window,
 	// populated when Scenario.Sample is positive. It is excluded from
 	// Fingerprint by construction: the fingerprint pins that sampling
 	// is observation-only — the same scenario hashes identically with
 	// sampling on or off (series content itself is seed-deterministic
-	// and tile/parallelism invariant; see series_test.go).
+	// and parallelism invariant; see series_test.go).
 	Series *Series
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"reflect"
 
 	"repro/internal/event"
 	"repro/internal/geo"
@@ -34,26 +33,7 @@ type node struct {
 // totalStats merges the live protocol's counters with those of crashed
 // incarnations.
 func (n *node) totalStats() proto.Stats {
-	s := n.proto.Stats()
-	return addStats(n.prevStats, s)
-}
-
-// statsOp combines two Stats field-wise. Reflection keeps the
-// crash-merge and warm-up-window accounting in lock-step with
-// proto.Stats: a counter added for a new protocol is picked up here
-// automatically instead of silently reading zero in scenario tables.
-func statsOp(a, b proto.Stats, op func(x, y uint64) uint64) proto.Stats {
-	var out proto.Stats
-	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
-	vo := reflect.ValueOf(&out).Elem()
-	for i := 0; i < va.NumField(); i++ {
-		vo.Field(i).SetUint(op(va.Field(i).Uint(), vb.Field(i).Uint()))
-	}
-	return out
-}
-
-func addStats(a, b proto.Stats) proto.Stats {
-	return statsOp(a, b, func(x, y uint64) uint64 { return x + y })
+	return n.prevStats.Add(n.proto.Stats())
 }
 
 // locator adapts the mobility models to the MAC medium. The medium asks
@@ -84,30 +64,14 @@ func (l *locator) Position(id event.NodeID, at sim.Time) geo.Point {
 }
 
 // portTransport charges the scenario size model for every broadcast and
-// feeds the optional trace. In a tiled run (tr non-nil) a broadcast
-// issued inside a fan worker is captured instead of sent; replay calls
-// send with the buffer cleared, at the same instant, so the charged
-// size, trace record and port hand-off are identical to the serial
-// path.
+// feeds the optional trace.
 type portTransport struct {
 	port  *mac.Port
 	sizes event.SizeModel
 	r     *runner
-	tr    *tileRun
-	rank  int32
 }
 
 func (t portTransport) Broadcast(m event.Message) {
-	if t.tr != nil {
-		if b := t.tr.bufOf[t.rank]; b != nil {
-			b.acts = append(b.acts, action{kind: actBroadcast, rank: t.rank, msg: m})
-			return
-		}
-	}
-	t.send(m)
-}
-
-func (t portTransport) send(m event.Message) {
 	size := m.WireSize(t.sizes)
 	if tr := t.r.sc.Trace; tr != nil { // per message: no record, no m.Kind() when untraced
 		tr.Add(trace.Record{
@@ -163,10 +127,6 @@ type runner struct {
 	records   []DeliveryRecord
 	published []PublishedEvent
 
-	// tiled is non-nil when the run is sharded across geo tiles
-	// (Scenario.Tiles); results are byte-identical either way.
-	tiled *tileRun
-
 	// medium is the run's broadcast channel, kept for the sampler's
 	// in-flight reads. sampler is non-nil when Scenario.Sample is set;
 	// it only observes (see series.go).
@@ -199,12 +159,7 @@ func Run(sc Scenario) (*Result, error) {
 	if err := r.schedule(); err != nil {
 		return nil, err
 	}
-	end := sim.At(sc.Warmup + sc.Measure)
-	if r.tiled != nil {
-		r.tiled.runUntil(end)
-	} else {
-		r.eng.RunUntil(end)
-	}
+	r.eng.RunUntil(sim.At(sc.Warmup + sc.Measure))
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -245,8 +200,7 @@ func (r *runner) build() error {
 		}
 		n.model = model
 	}
-	cfg := r.macConfig()
-	medium := mac.New(r.eng, cfg, &locator{nodes: r.nodes, legs: make([]mobility.Leg, len(r.nodes))})
+	medium := mac.New(r.eng, r.macConfig(), &locator{nodes: r.nodes, legs: make([]mobility.Leg, len(r.nodes))})
 	r.medium = medium
 	for _, n := range r.nodes {
 		n := n
@@ -264,12 +218,6 @@ func (r *runner) build() error {
 			}
 			_ = n.proto.HandleMessage(f.Msg)
 		})
-	}
-	// Tiling needs a known bounding box for the geometry; every
-	// registry mobility kind derives one. CustomModels resolve to one
-	// tile, and a zero caller-supplied Bounds falls back likewise.
-	if k := sc.resolveTiles(); k > 1 && cfg.Bounds != (geo.Rect{}) {
-		r.tiled = newTileRun(r, medium, cfg, k)
 	}
 	// Subscription assignment: a seeded shuffle picks the subscribers.
 	shuffleRng := r.eng.NewRand()
@@ -430,25 +378,6 @@ func (r *runner) buildProtocol(n *node) (proto.Disseminator, error) {
 		Rand:      rand.New(rand.NewSource(sc.Seed*7919 + int64(n.id)*104729 + 13)),
 		OnDeliver: r.deliverHook(n.id),
 		Speed:     func() float64 { return model.Speed(eng.Now()) },
-	}
-	if tr := r.tiled; tr != nil {
-		// Tiled wiring: timers file on the node's current tile shard,
-		// and transport/deliveries capture into the fan buffer when one
-		// is installed for the rank (also on crash-recovery rebuilds).
-		rank := int32(n.id)
-		inner := env.OnDeliver
-		tr.deliverTo[rank] = inner
-		env.OnDeliver = func(ev event.Event) {
-			if b := tr.bufOf[rank]; b != nil {
-				b.acts = append(b.acts, action{kind: actDeliver, rank: rank, ev: ev})
-				return
-			}
-			inner(ev)
-		}
-		env.Sched = tileSched{tr: tr, eng: r.eng, rank: rank}
-		tp := portTransport{port: n.port, sizes: sc.Sizes, r: r, tr: tr, rank: rank}
-		tr.transports[rank] = tp
-		env.Transport = tp
 	}
 	d, err := proto.Build(sc.Protocol.Name, sc.Protocol.Params, env)
 	if err != nil {
@@ -836,10 +765,6 @@ func (r *runner) collect() *Result {
 		Latency:    r.lat,
 		Nodes:      make([]NodeResult, len(r.nodes)),
 	}
-	if r.tiled != nil {
-		stats := r.tiled.stats
-		res.Tile = &stats
-	}
 	if r.sampler != nil {
 		res.Series = r.sampler.series
 	}
@@ -858,8 +783,8 @@ func (r *runner) collect() *Result {
 		proto := n.totalStats()
 		macC := n.port.Counters()
 		if r.snapProto != nil {
-			proto = subStats(proto, r.snapProto[i])
-			macC = subMAC(macC, r.snapMAC[i])
+			proto = proto.Sub(r.snapProto[i])
+			macC = macC.Sub(r.snapMAC[i])
 		}
 		res.Nodes[i] = NodeResult{
 			ID:         n.id,
@@ -869,21 +794,4 @@ func (r *runner) collect() *Result {
 		}
 	}
 	return res
-}
-
-func subStats(a, b proto.Stats) proto.Stats {
-	return statsOp(a, b, func(x, y uint64) uint64 { return x - y })
-}
-
-func subMAC(a, b mac.Counters) mac.Counters {
-	return mac.Counters{
-		FramesSent:     a.FramesSent - b.FramesSent,
-		AppBytesSent:   a.AppBytesSent - b.AppBytesSent,
-		MACBytesSent:   a.MACBytesSent - b.MACBytesSent,
-		FramesReceived: a.FramesReceived - b.FramesReceived,
-		FramesLost:     a.FramesLost - b.FramesLost,
-		FramesFaded:    a.FramesFaded - b.FramesFaded,
-		QueueDrops:     a.QueueDrops - b.QueueDrops,
-		Defers:         a.Defers - b.Defers,
-	}
 }

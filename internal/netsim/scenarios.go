@@ -252,10 +252,10 @@ func init() {
 	// metro-slice is the metro family scaled to a single district:
 	// same Manhattan-style geometry, diurnal Zipf traffic, churn waves
 	// and streaming-result aggregation, but small enough for tier-1
-	// suites. It is the fixture the tile-parallel runner is pinned on
-	// (exp's TestMetroSliceFingerprint golden, the tiled race test and
-	// BenchmarkTiledMetroSweep); it stays Heavy so the registry-wide
-	// sweeps don't pay for a second mid-size city.
+	// suites. It is the city fixture of exp's TestMetroSliceFingerprint
+	// golden, TestCityParallelInvariance and bench's metro-slice
+	// workload; it stays Heavy so the registry-wide sweeps don't pay
+	// for a second mid-size city.
 	RegisterScenario(ScenarioDef{
 		Name:        "metro-slice",
 		Description: "metro district: 600 vehicles on a metro-style grid, diurnal Zipf traffic + churn waves",

@@ -18,9 +18,9 @@ import (
 // callbacks, one per sampling period across the measurement window, and
 // each callback only READS state the run already maintains — the
 // per-event cells, the nodes' protocol counters, the MAC ports, the
-// medium's live-transmission list, the timer wheel's pending count and
-// the tile stats. It draws no randomness, sends nothing, and mutates no
-// protocol, MAC or mobility state.
+// medium's live-transmission list and the timer wheel's pending count.
+// It draws no randomness, sends nothing, and mutates no protocol, MAC or
+// mobility state.
 //
 // Why that leaves results byte-identical (the contract the
 // sample-invariance tests pin): the engine's (at, seq) ordering is
@@ -28,9 +28,7 @@ import (
 // numbers — inserting them shifts other items' absolute seq values but
 // never their relative order, so every protocol callback, RNG draw and
 // MAC event executes in exactly the sequence an unsampled run produces.
-// In tiled runs the sampler schedules on the root shard (shard 0 of the
-// sim.Group), whose items merge into the same global order. The only
-// observable difference between a sampled and an unsampled run is
+// The only observable difference between a sampled and an unsampled run is
 // Result.Series itself, which Fingerprint deliberately excludes.
 type Series struct {
 	// Period is the scenario's sampling period.
@@ -55,7 +53,7 @@ type SeriesPoint struct {
 	DeliveryRatio float64
 	// InFlight counts transmissions on air at the sample instant.
 	InFlight int
-	// Pending counts scheduled timer-wheel items across all shards.
+	// Pending counts scheduled timer-wheel items.
 	Pending int
 	// Proto is the per-window delta of the protocol counters, summed
 	// over all nodes (crashed incarnations included).
@@ -63,10 +61,6 @@ type SeriesPoint struct {
 	// MAC is the per-window delta of the MAC counters, summed over all
 	// ports.
 	MAC mac.Counters
-	// FannedFrames and SerialFrames are the per-window deltas of the
-	// tile runner's delivery-path split; zero in untiled runs.
-	FannedFrames uint64
-	SerialFrames uint64
 }
 
 // sampler drives the series. It is armed by runner.schedule (after the
@@ -78,9 +72,8 @@ type sampler struct {
 	end    sim.Time
 	series *Series
 
-	prevProto              proto.Stats
-	prevMAC                mac.Counters
-	prevFanned, prevSerial uint64
+	prevProto proto.Stats
+	prevMAC   mac.Counters
 }
 
 // startSampler arms the series baseline at the warm-up boundary. Like
@@ -100,7 +93,6 @@ func (r *runner) startSampler(warm sim.Time) {
 // baseline captures the window-start counters and arms the chain.
 func (s *sampler) baseline() {
 	s.prevProto, s.prevMAC = s.totals()
-	s.prevFanned, s.prevSerial = s.tileFrames()
 	s.arm(s.r.eng.Now())
 }
 
@@ -123,20 +115,16 @@ func (s *sampler) sample() {
 	r := s.r
 	now := r.eng.Now()
 	pr, mc := s.totals()
-	fan, ser := s.tileFrames()
 	s.series.Points = append(s.series.Points, SeriesPoint{
 		At:            now,
 		Published:     len(r.cells),
 		DeliveryRatio: r.cumulativeRatio(),
 		InFlight:      r.medium.InFlight(now),
-		Pending:       r.pendingTimers(),
-		Proto:         subStats(pr, s.prevProto),
-		MAC:           subMAC(mc, s.prevMAC),
-		FannedFrames:  fan - s.prevFanned,
-		SerialFrames:  ser - s.prevSerial,
+		Pending:       r.eng.Pending(),
+		Proto:         pr.Sub(s.prevProto),
+		MAC:           mc.Sub(s.prevMAC),
 	})
 	s.prevProto, s.prevMAC = pr, mc
-	s.prevFanned, s.prevSerial = fan, ser
 	s.arm(now)
 }
 
@@ -145,27 +133,10 @@ func (s *sampler) totals() (proto.Stats, mac.Counters) {
 	var pr proto.Stats
 	var mc mac.Counters
 	for _, n := range s.r.nodes {
-		pr = addStats(pr, n.totalStats())
-		c := n.port.Counters()
-		mc.FramesSent += c.FramesSent
-		mc.AppBytesSent += c.AppBytesSent
-		mc.MACBytesSent += c.MACBytesSent
-		mc.FramesReceived += c.FramesReceived
-		mc.FramesLost += c.FramesLost
-		mc.FramesFaded += c.FramesFaded
-		mc.QueueDrops += c.QueueDrops
-		mc.Defers += c.Defers
+		pr = pr.Add(n.totalStats())
+		mc = mc.Add(n.port.Counters())
 	}
 	return pr, mc
-}
-
-// tileFrames reads the tile runner's delivery-path counters (zero when
-// the run is untiled).
-func (s *sampler) tileFrames() (fanned, serial uint64) {
-	if tr := s.r.tiled; tr != nil {
-		return tr.stats.FannedFrames, tr.stats.SerialFrames
-	}
-	return 0, 0
 }
 
 // cumulativeRatio is the running mean per-event reliability: the value
@@ -185,19 +156,10 @@ func (r *runner) cumulativeRatio() float64 {
 	return sum / float64(len(r.cells))
 }
 
-// pendingTimers counts scheduled engine items — across every shard in a
-// tiled run, so the value is comparable at any tile count.
-func (r *runner) pendingTimers() int {
-	if r.tiled != nil {
-		return r.tiled.group.Pending()
-	}
-	return r.eng.Pending()
-}
-
 // seriesColumns enumerates the CSV/JSON schema: the fixed lead columns
 // followed by the proto and MAC counter fields by reflection, so a
 // counter added to either struct appears in dumped curves without
-// further wiring (the same argument as runner.statsOp).
+// further wiring.
 func seriesColumns() []string {
 	cols := []string{"t_s", "published", "delivery_ratio", "in_flight", "pending"}
 	for _, s := range []any{proto.Stats{}, mac.Counters{}} {
@@ -210,7 +172,7 @@ func seriesColumns() []string {
 			cols = append(cols, prefix+snakeCase(rt.Field(i).Name))
 		}
 	}
-	return append(cols, "fanned_frames", "serial_frames")
+	return cols
 }
 
 // row renders one point in seriesColumns order.
@@ -228,9 +190,7 @@ func (p SeriesPoint) row() []string {
 			out = append(out, fmt.Sprintf("%d", v.Field(i).Uint()))
 		}
 	}
-	return append(out,
-		fmt.Sprintf("%d", p.FannedFrames),
-		fmt.Sprintf("%d", p.SerialFrames))
+	return out
 }
 
 // snakeCase converts a Go field name (FramesSent) to its column name

@@ -6,11 +6,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/mac"
+	"repro/internal/proto"
 )
 
 // sampleScenario returns the manhattan catalog scenario with the given
-// seed — enough traffic and tiles-compatibility to exercise every
-// series column.
+// seed — enough traffic to exercise every series column.
 func sampleScenario(t *testing.T, seed int64) Scenario {
 	t.Helper()
 	def, ok := LookupScenario("manhattan")
@@ -106,44 +108,6 @@ func TestSeriesSeedDeterministic(t *testing.T) {
 	}
 }
 
-// TestSeriesTileInvariant pins tile invariance: a tiled run samples the
-// same delivery/counter trajectory as the single-engine run (the
-// tile-path split columns are excluded — they legitimately vary).
-func TestSeriesTileInvariant(t *testing.T) {
-	forceFan(t)
-	run := func(tiles int) *Series {
-		sc := sampleScenario(t, 13)
-		sc.Sample = 2 * time.Second
-		sc.Tiles = tiles
-		res, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Series
-	}
-	ref, tiled := run(1), run(4)
-	if len(ref.Points) != len(tiled.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(ref.Points), len(tiled.Points))
-	}
-	for i := range ref.Points {
-		a, b := ref.Points[i], tiled.Points[i]
-		// Fan/serial split is tile machinery, not measurement.
-		a.FannedFrames, a.SerialFrames = 0, 0
-		b.FannedFrames, b.SerialFrames = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("point %d differs tiled vs untiled:\n%+v\nvs\n%+v", i, a, b)
-		}
-	}
-	var fanned, serial uint64
-	for _, p := range tiled.Points {
-		fanned += p.FannedFrames
-		serial += p.SerialFrames
-	}
-	if fanned+serial == 0 {
-		t.Fatal("tiled series shows no delivery-path activity")
-	}
-}
-
 // TestSeriesEncoders pins the CSV header/row shape and that the JSON
 // document parses with the same columns.
 func TestSeriesEncoders(t *testing.T) {
@@ -161,17 +125,19 @@ func TestSeriesEncoders(t *testing.T) {
 	if len(lines) != len(res.Series.Points)+1 {
 		t.Fatalf("CSV has %d lines for %d points", len(lines), len(res.Series.Points))
 	}
+	// The header is the five lead columns, then one proto_ column per
+	// proto.Stats field, then one mac_ column per mac.Counters field.
 	header := strings.Split(lines[0], ",")
-	for _, want := range []string{"t_s", "delivery_ratio", "proto_delivered", "mac_frames_sent", "fanned_frames"} {
-		found := false
-		for _, c := range header {
-			if c == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("CSV header lacks %q: %v", want, header)
-		}
+	nProto := reflect.TypeOf(proto.Stats{}).NumField()
+	nMAC := reflect.TypeOf(mac.Counters{}).NumField()
+	if got, want := strings.Join(header[:5], ","), "t_s,published,delivery_ratio,in_flight,pending"; got != want {
+		t.Fatalf("CSV lead columns %q, want %q", got, want)
+	}
+	if len(header) != 5+nProto+nMAC {
+		t.Fatalf("CSV header has %d columns, want %d: %v", len(header), 5+nProto+nMAC, header)
+	}
+	if header[5] != "proto_heartbeats_sent" || header[5+nProto] != "mac_frames_sent" || header[len(header)-1] != "mac_defers" {
+		t.Fatalf("CSV counter columns out of place: %v", header)
 	}
 	for _, l := range lines[1:] {
 		if got := len(strings.Split(l, ",")); got != len(header) {

@@ -66,6 +66,45 @@ type Stats struct {
 	NeighborsGCed  uint64
 }
 
+// Add returns a + b field by field: how a crashed incarnation's
+// counters are merged into its successor's. A new counter must be added
+// here and in Sub (TestStatsAddSubCoverEveryField fails otherwise).
+func (a Stats) Add(b Stats) Stats {
+	return Stats{
+		HeartbeatsSent: a.HeartbeatsSent + b.HeartbeatsSent,
+		IDListsSent:    a.IDListsSent + b.IDListsSent,
+		EventMsgsSent:  a.EventMsgsSent + b.EventMsgsSent,
+		EventsSent:     a.EventsSent + b.EventsSent,
+		EventsReceived: a.EventsReceived + b.EventsReceived,
+		Delivered:      a.Delivered + b.Delivered,
+		Duplicates:     a.Duplicates + b.Duplicates,
+		Parasites:      a.Parasites + b.Parasites,
+		ExpiredDrops:   a.ExpiredDrops + b.ExpiredDrops,
+		Published:      a.Published + b.Published,
+		TableEvictions: a.TableEvictions + b.TableEvictions,
+		NeighborsGCed:  a.NeighborsGCed + b.NeighborsGCed,
+	}
+}
+
+// Sub returns a - b field by field: the counters accumulated since the
+// snapshot b (warm-up baselines, sampling windows).
+func (a Stats) Sub(b Stats) Stats {
+	return Stats{
+		HeartbeatsSent: a.HeartbeatsSent - b.HeartbeatsSent,
+		IDListsSent:    a.IDListsSent - b.IDListsSent,
+		EventMsgsSent:  a.EventMsgsSent - b.EventMsgsSent,
+		EventsSent:     a.EventsSent - b.EventsSent,
+		EventsReceived: a.EventsReceived - b.EventsReceived,
+		Delivered:      a.Delivered - b.Delivered,
+		Duplicates:     a.Duplicates - b.Duplicates,
+		Parasites:      a.Parasites - b.Parasites,
+		ExpiredDrops:   a.ExpiredDrops - b.ExpiredDrops,
+		Published:      a.Published - b.Published,
+		TableEvictions: a.TableEvictions - b.TableEvictions,
+		NeighborsGCed:  a.NeighborsGCed - b.NeighborsGCed,
+	}
+}
+
 // Disseminator is the surface the simulation runner (and any other
 // host) needs from a dissemination protocol. All implementations are
 // single-threaded: every entry point, including timer callbacks

@@ -19,8 +19,14 @@ import (
 // allocates nothing. Firing order is exactly ascending (at, seq): FIFO
 // among callbacks scheduled for the same instant.
 type Engine struct {
-	clk *clock
-	rng *rand.Rand
+	now  Time
+	seq  uint64 // next tie-breaker: FIFO among equal instants
+	halt bool
+	rng  *rand.Rand
+
+	// executed counts callbacks that have run; useful for progress
+	// accounting and loop-detection in tests.
+	executed uint64
 
 	wheel wheel
 	over  overflowHeap
@@ -44,24 +50,6 @@ type Engine struct {
 	stopped int
 }
 
-// clock is the simulation clock shared by an engine and every shard
-// derived from it via NewShard. Keeping (now, seq, halt, executed) in
-// one place is what makes a sharded run indistinguishable from a
-// single-engine one: the Group merge-executor steps whichever shard
-// holds the globally earliest item, every shard reads the same instant,
-// and — crucially — seq numbering stays global, so FIFO tie-breaking
-// among equal instants is identical no matter which shard an item was
-// filed on.
-type clock struct {
-	now  Time
-	seq  uint64
-	halt bool
-
-	// executed counts callbacks that have run; useful for progress
-	// accounting and loop-detection in tests.
-	executed uint64
-}
-
 // item is a scheduled callback. Items are pooled: gen increments on
 // every recycle so stale Timer handles cannot cancel a reused entry.
 type item struct {
@@ -75,25 +63,14 @@ type item struct {
 // New returns an engine whose clock starts at the epoch and whose
 // randomness derives entirely from seed.
 func New(seed int64) *Engine {
-	return &Engine{clk: &clock{}, rng: rand.New(rand.NewSource(seed))}
-}
-
-// NewShard returns a new engine sharing this engine's clock and root
-// RNG but owning its own timer wheel. Shards are the per-tile event
-// queues of a tile-parallel run (see Group): work filed on any shard
-// carries a globally unique, globally ordered (at, seq) key, so a
-// Group can interleave shards into exactly the schedule a single
-// engine would have produced. Creating a shard draws nothing from the
-// RNG and never perturbs the clock.
-func (e *Engine) NewShard() *Engine {
-	return &Engine{clk: e.clk, rng: e.rng}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current instant of the simulation clock.
-func (e *Engine) Now() Time { return e.clk.now }
+func (e *Engine) Now() Time { return e.now }
 
 // Executed returns the number of callbacks that have run so far.
-func (e *Engine) Executed() uint64 { return e.clk.executed }
+func (e *Engine) Executed() uint64 { return e.executed }
 
 // Rand returns the engine's root RNG. Prefer NewRand for per-entity
 // streams so that entities stay independent of each other's draw order.
@@ -129,15 +106,6 @@ func (t *Timer) Stop() bool {
 // Stopped reports whether Stop was called before the timer fired.
 func (t *Timer) Stopped() bool { return t != nil && t.stopped }
 
-// Live reports whether the timer is still scheduled — not yet fired
-// and not stopped — without mutating anything. This is exactly the
-// predicate Stop uses to decide its return value; the tile-parallel
-// runner's capture layer uses it to answer a handler's Stop call
-// read-only and defer the engine mutation to the replay phase.
-func (t *Timer) Live() bool {
-	return t != nil && t.it != nil && !t.stopped && t.it.gen == t.gen && !t.it.stopped
-}
-
 // At schedules fn to run at instant at (clamped to now if in the past) and
 // returns a cancellable handle.
 func (e *Engine) At(at Time, fn func()) *Timer {
@@ -147,7 +115,7 @@ func (e *Engine) At(at Time, fn func()) *Timer {
 
 // After schedules fn to run d from now. Negative d behaves like zero.
 func (e *Engine) After(d time.Duration, fn func()) *Timer {
-	return e.At(e.clk.now.Add(d), fn)
+	return e.At(e.now.Add(d), fn)
 }
 
 // Schedule is At without the cancellation handle: the hot-path variant
@@ -157,15 +125,15 @@ func (e *Engine) Schedule(at Time, fn func()) { e.schedule(at, fn) }
 
 // ScheduleAfter is After without the cancellation handle.
 func (e *Engine) ScheduleAfter(d time.Duration, fn func()) {
-	e.schedule(e.clk.now.Add(d), fn)
+	e.schedule(e.now.Add(d), fn)
 }
 
 func (e *Engine) schedule(at Time, fn func()) *item {
 	if fn == nil {
 		panic("sim: nil callback")
 	}
-	if at < e.clk.now {
-		at = e.clk.now
+	if at < e.now {
+		at = e.now
 	}
 	it := e.newItem(at, fn)
 	e.enqueue(it)
@@ -183,8 +151,8 @@ func (e *Engine) newItem(at Time, fn func()) *item {
 	}
 	it.at = at
 	it.fn = fn
-	it.seq = e.clk.seq
-	e.clk.seq++
+	it.seq = e.seq
+	e.seq++
 	return it
 }
 
@@ -298,7 +266,7 @@ func (e *Engine) drainOverflowDue() {
 
 // Halt stops the currently running Run/RunUntil loop after the current
 // callback returns. Pending events remain queued.
-func (e *Engine) Halt() { e.clk.halt = true }
+func (e *Engine) Halt() { e.halt = true }
 
 // Pending returns the number of live queued callbacks: scheduled, not
 // yet fired and not stopped. Stopped timers never count, whether they
@@ -366,8 +334,8 @@ func (e *Engine) Step() bool {
 			}
 			at, fn := it.at, it.fn
 			e.recycle(it)
-			e.clk.now = at
-			e.clk.executed++
+			e.now = at
+			e.executed++
 			fn()
 			return true
 		}
@@ -379,43 +347,35 @@ func (e *Engine) Step() bool {
 
 // Run executes callbacks until the queue is empty or Halt is called.
 func (e *Engine) Run() {
-	e.clk.halt = false
-	for !e.clk.halt && e.Step() {
+	e.halt = false
+	for !e.halt && e.Step() {
 	}
 }
 
 // RunUntil executes all callbacks scheduled at or before limit, then
 // advances the clock to limit. Callbacks scheduled later stay queued.
 func (e *Engine) RunUntil(limit Time) {
-	e.clk.halt = false
-	for !e.clk.halt {
+	e.halt = false
+	for !e.halt {
 		next, ok := e.peek()
 		if !ok || next > limit {
 			break
 		}
 		e.Step()
 	}
-	if e.clk.now < limit {
-		e.clk.now = limit
+	if e.now < limit {
+		e.now = limit
 	}
 }
 
 // peek returns the instant of the earliest live callback, discarding
 // stopped entries it walks past.
 func (e *Engine) peek() (Time, bool) {
-	at, _, ok := e.head()
-	return at, ok
-}
-
-// head returns the (at, seq) key of the earliest live callback,
-// discarding stopped entries it walks past — the comparison key the
-// Group merge-executor uses to pick which shard steps next.
-func (e *Engine) head() (Time, uint64, bool) {
 	for {
 		for e.readyPos < len(e.ready) {
 			it := e.ready[e.readyPos]
 			if !it.stopped {
-				return it.at, it.seq, true
+				return it.at, true
 			}
 			e.ready[e.readyPos] = nil
 			e.readyPos++
@@ -424,7 +384,7 @@ func (e *Engine) head() (Time, uint64, bool) {
 			e.recycle(it)
 		}
 		if !e.advance() {
-			return 0, 0, false
+			return 0, false
 		}
 	}
 }
