@@ -254,7 +254,7 @@ func (m *mesh) crash(i int) {
 	}
 	m.nodes[i] = nil
 	m.retiredProto = m.retiredProto.Add(n.Stats())
-	m.retiredWire = addWire(m.retiredWire, n.TransportStats())
+	m.retiredWire = m.retiredWire.Add(n.TransportStats())
 	m.crashes++
 	m.mu.Unlock()
 	n.Close()
@@ -289,7 +289,7 @@ func (m *mesh) totals() (pubsub.Stats, pubsub.TransportStats) {
 	for _, n := range m.nodes {
 		if n != nil {
 			p = p.Add(n.Stats())
-			w = addWire(w, n.TransportStats())
+			w = w.Add(n.TransportStats())
 		}
 	}
 	return p, w
@@ -659,7 +659,7 @@ func run() int {
 
 	proto, wire := ms.totals()
 	proto = proto.Sub(baseProto)
-	wire = subWire(wire, baseWire)
+	wire = wire.Sub(baseWire)
 	elapsed := time.Since(measureStart).Seconds()
 	crashes, recoveries := ms.churnCounts()
 
@@ -856,34 +856,4 @@ type report struct {
 type checkReport struct {
 	Passed  bool   `json:"passed"`
 	Failure string `json:"failure,omitempty"`
-}
-
-func addWire(a, b pubsub.TransportStats) pubsub.TransportStats {
-	a.DatagramsSent += b.DatagramsSent
-	a.DatagramsReceived += b.DatagramsReceived
-	a.DecodeErrors += b.DecodeErrors
-	a.SendErrors += b.SendErrors
-	a.Dropped += b.Dropped
-	a.RecvDropped += b.RecvDropped
-	a.Batches += b.Batches
-	a.PeersLearned += b.PeersLearned
-	a.PeersEvicted += b.PeersEvicted
-	a.MmsgSends += b.MmsgSends
-	a.MmsgRecvs += b.MmsgRecvs
-	return a
-}
-
-func subWire(a, b pubsub.TransportStats) pubsub.TransportStats {
-	a.DatagramsSent -= b.DatagramsSent
-	a.DatagramsReceived -= b.DatagramsReceived
-	a.DecodeErrors -= b.DecodeErrors
-	a.SendErrors -= b.SendErrors
-	a.Dropped -= b.Dropped
-	a.RecvDropped -= b.RecvDropped
-	a.Batches -= b.Batches
-	a.PeersLearned -= b.PeersLearned
-	a.PeersEvicted -= b.PeersEvicted
-	a.MmsgSends -= b.MmsgSends
-	a.MmsgRecvs -= b.MmsgRecvs
-	return a
 }

@@ -36,7 +36,7 @@
 //     fast path (ARCHITECTURE.md "Real-path contracts" and
 //     "Real-deployment contracts"), with per-node metrics registration
 //     and flight recording built in
-//   - cmd/experiments, cmd/frugalsim, cmd/benchjson, cmd/loadgen —
+//   - cmd/experiments, cmd/frugalsim, cmd/loadgen —
 //     command-line tools (loadgen soak-tests N real UDP nodes under
 //     the registered workload generators — full or partial circulant
 //     meshes, static or learned rosters, optional crash/recover churn
@@ -48,8 +48,9 @@
 // ARCHITECTURE.md maps the paper's sections onto these packages and
 // sketches the dataflow of one simulation.
 //
-// The benchmarks in bench_test.go exercise one reduced-scale run per
-// paper figure; go run ./cmd/experiments regenerates the full tables.
+// go run ./cmd/experiments regenerates the paper's tables; go run -C
+// bench . is the repository's benchmark (its paper-figs workload times
+// every figure family against its golden; catalog in BENCHMARK.json).
 //
 // # Building and running
 //
@@ -118,7 +119,7 @@
 // from the registry-wide families and the golden suite — reach them
 // with -scenario, the "scale" experiment family (node count 300→50k,
 // frugal vs gossip vs flood; the megacity tiers need -full and a
-// -budget) or BenchmarkMetroSweep.
+// -budget) or the benchmark's metro-flood-5k workload.
 //
 // The vehicular environments are backed by two mobility models layered
 // on the street-graph machinery (mobility.Manhattan, mobility.Highway);

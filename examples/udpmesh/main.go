@@ -113,11 +113,10 @@ func main() {
 		log.Fatal("timed out waiting for mesh-wide delivery")
 	}
 
-	var sent, recv uint64
+	var wire transport.Stats
 	for _, n := range nodes {
-		s := n.udp.Stats()
-		sent += s.DatagramsSent
-		recv += s.DatagramsReceived
+		wire = wire.Add(n.udp.Stats())
 	}
-	fmt.Printf("\nmesh-wide delivery complete: %d datagrams sent, %d received\n", sent, recv)
+	fmt.Printf("\nmesh-wide delivery complete: %d datagrams sent, %d received\n",
+		wire.DatagramsSent, wire.DatagramsReceived)
 }

@@ -1,31 +1,25 @@
 package geo
 
-type gridEntry struct {
-	idx int // dense cell index in buckets
-	pos Point
-}
-
 // Grid is a uniform spatial index: values of type T filed under the
-// cell containing their recorded position, cells stored as a dense
-// row-major slab over a bounding rectangle (see cellCore). It answers
-// "which values were recorded near p?" in time proportional to the
-// number of nearby values instead of the total population, with zero
-// hash lookups on the query path, which is what lets the MAC medium
-// scale past a few hundred nodes.
+// cell containing the position they were put at, cells stored as a
+// dense row-major slab over a bounding rectangle (see cellCore). It
+// answers "which values were put near p?" in time proportional to the
+// number of nearby values instead of the total population, with no
+// hash lookup on any path, which is what lets the MAC medium scale past
+// a few hundred nodes.
 //
-// The grid stores *recorded* positions: callers that index moving
-// objects must either re-record them as they move or pad query radii by
-// the maximum drift since recording (see mac.Config.MaxSpeed).
-// Positions outside the constructor bounds are clamped into border
-// cells — still correct, just slower if pervasive.
+// The grid keeps no record of where a value lives: the caller owns the
+// position and hands the same one to Remove that it gave to Put (the
+// MAC's transmissions have a fixed origin). Positions outside the
+// constructor bounds are clamped into border cells — still correct,
+// just slower if pervasive.
 //
-// Iteration order of VisitDisc is deterministic — cells in row-major
-// order, values within a cell in insertion order — so simulations built
-// on it stay reproducible. The zero Grid is not usable; call NewGrid.
+// AppendDisc order is deterministic — cells in row-major order, values
+// within a cell in insertion order — so simulations built on it stay
+// reproducible. The zero Grid is not usable; call NewGrid.
 type Grid[T comparable] struct {
 	cellCore
 	buckets [][]T // dense row-major cell slab
-	entries map[T]gridEntry
 }
 
 // NewGrid returns an empty grid over the given bounds with the given
@@ -39,80 +33,43 @@ func NewGrid[T comparable](cellSize float64, bounds Rect) *Grid[T] {
 	return &Grid[T]{
 		cellCore: core,
 		buckets:  make([][]T, core.numCells()),
-		entries:  make(map[T]gridEntry),
 	}
 }
 
-// Put records v at position p, moving it between buckets if it was
-// already present elsewhere.
+// Put files v under the cell containing p.
 func (g *Grid[T]) Put(v T, p Point) {
 	idx := g.cellIndex(p)
-	if e, ok := g.entries[v]; ok {
-		if e.idx == idx {
-			g.entries[v] = gridEntry{idx: idx, pos: p}
-			return
-		}
-		g.drop(v, e.idx)
-	}
 	g.buckets[idx] = append(g.buckets[idx], v)
-	g.entries[v] = gridEntry{idx: idx, pos: p}
 }
 
-// Remove deletes v from the grid; removing an absent value is a no-op.
-func (g *Grid[T]) Remove(v T) {
-	e, ok := g.entries[v]
-	if !ok {
-		return
-	}
-	g.drop(v, e.idx)
-	delete(g.entries, v)
-}
-
-// drop removes v from bucket idx, preserving the order of the remaining
-// values (so VisitDisc stays deterministic under churn). An emptied
-// bucket keeps its capacity: the MAC transmission index constantly
-// cycles values through the same cells, and re-allocating the bucket on
-// every revisit was its last per-frame allocation.
-func (g *Grid[T]) drop(v T, idx int) {
+// Remove deletes v from the cell containing p, the position it was put
+// at, preserving the order of the cell's remaining values (so
+// AppendDisc stays deterministic under churn); a value not filed there
+// is a no-op. An emptied bucket keeps its capacity: the MAC
+// transmission index constantly cycles values through the same cells,
+// and re-allocating the bucket on every revisit was its last per-frame
+// allocation.
+func (g *Grid[T]) Remove(v T, p Point) {
+	idx := g.cellIndex(p)
 	b := g.buckets[idx]
 	for i, x := range b {
 		if x == v {
 			copy(b[i:], b[i+1:])
 			var zero T
 			b[len(b)-1] = zero
-			b = b[:len(b)-1]
-			break
+			g.buckets[idx] = b[:len(b)-1]
+			return
 		}
 	}
-	g.buckets[idx] = b
 }
 
-// Pos returns the recorded position of v.
-func (g *Grid[T]) Pos(v T) (Point, bool) {
-	e, ok := g.entries[v]
-	return e.pos, ok
-}
-
-// Len returns the number of recorded values.
-func (g *Grid[T]) Len() int { return len(g.entries) }
-
-// Clear empties the grid, keeping the bucket slab and its per-cell
-// capacities allocated.
-func (g *Grid[T]) Clear() {
-	for i := range g.buckets {
-		clear(g.buckets[i])
-		g.buckets[i] = g.buckets[i][:0]
-	}
-	clear(g.entries)
-}
-
-// AppendDisc appends to buf every value whose recorded position lies
-// in a cell intersecting the axis-aligned bounding square of the disc
-// (p, r) and returns the extended buffer. Like VisitDisc it is a
-// superset of the disc and callers must re-check exact distances, but
-// it takes no callback: a query with a reused buffer allocates
-// nothing, which is what the MAC hot path needs. A negative radius
-// appends nothing.
+// AppendDisc appends to buf every value filed in a cell intersecting
+// the axis-aligned bounding square of the disc (p, r) and returns the
+// extended buffer. The result is a superset of the disc: it may hold
+// values up to r + size*sqrt(2) away (more for clamped out-of-bounds
+// positions), and callers must re-check exact distances. A query with
+// a reused buffer allocates nothing, which is what the MAC hot path
+// needs. A negative radius appends nothing.
 func (g *Grid[T]) AppendDisc(p Point, r float64, buf []T) []T {
 	if r < 0 {
 		return buf
@@ -125,25 +82,4 @@ func (g *Grid[T]) AppendDisc(p Point, r float64, buf []T) []T {
 		}
 	}
 	return buf
-}
-
-// VisitDisc calls fn for every value whose recorded position lies in a
-// cell intersecting the axis-aligned bounding square of the disc
-// (p, r). The visit is a superset of the disc: fn may see values up to
-// r + size*sqrt(2) away (more for clamped out-of-bounds positions),
-// and callers must re-check exact distances. A negative radius visits
-// nothing.
-func (g *Grid[T]) VisitDisc(p Point, r float64, fn func(v T, recorded Point)) {
-	if r < 0 {
-		return
-	}
-	lox, loy, hix, hiy := g.discRange(p, r)
-	for cy := loy; cy <= hiy; cy++ {
-		base := cy * g.cols
-		for _, b := range g.buckets[base+lox : base+hix+1] {
-			for _, v := range b {
-				fn(v, g.entries[v].pos)
-			}
-		}
-	}
 }

@@ -9,32 +9,23 @@ import (
 
 func TestGridBasics(t *testing.T) {
 	g := NewGrid[int](10, NewRect(200, 200))
-	if g.Len() != 0 {
-		t.Fatal("new grid not empty")
+	if got := g.AppendDisc(Pt(100, 100), 200, nil); len(got) != 0 {
+		t.Fatalf("new grid not empty: %v", got)
 	}
 	g.Put(1, Pt(5, 5))
 	g.Put(2, Pt(25, 5))
-	g.Put(1, Pt(6, 5)) // same cell move
-	if g.Len() != 2 {
-		t.Fatalf("len = %d, want 2", g.Len())
+	g.Remove(1, Pt(5, 5)) // a move is Remove at the old position + Put
+	g.Put(1, Pt(95, 95))
+	if got := g.AppendDisc(Pt(90, 90), 20, nil); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("query after move = %v, want [1]", got)
 	}
-	if p, ok := g.Pos(1); !ok || p != Pt(6, 5) {
-		t.Fatalf("Pos(1) = %v %v", p, ok)
+	if got := g.AppendDisc(Pt(5, 5), 4, nil); len(got) != 0 {
+		t.Fatalf("value still filed at its old position: %v", got)
 	}
-	g.Put(1, Pt(95, 95)) // cross-cell move
-	var got []int
-	g.VisitDisc(Pt(90, 90), 20, func(v int, _ Point) { got = append(got, v) })
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("visit after move = %v", got)
-	}
-	g.Remove(1)
-	g.Remove(1) // absent: no-op
-	if g.Len() != 1 {
-		t.Fatalf("len after remove = %d", g.Len())
-	}
-	g.Clear()
-	if g.Len() != 0 {
-		t.Fatal("clear left entries")
+	g.Remove(1, Pt(95, 95))
+	g.Remove(1, Pt(95, 95)) // absent: no-op
+	if got := g.AppendDisc(Pt(100, 100), 200, nil); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("after remove = %v, want [2]", got)
 	}
 }
 
@@ -42,21 +33,36 @@ func TestGridNegativeCoordsAndRadius(t *testing.T) {
 	g := NewGrid[int](7, Rect{Min: Pt(-28, -28), Max: Pt(28, 28)})
 	g.Put(1, Pt(-3, -3))
 	g.Put(2, Pt(-20, 4))
-	var got []int
-	g.VisitDisc(Pt(0, 0), 5, func(v int, _ Point) { got = append(got, v) })
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("visit = %v, want [1]", got)
+	if got := g.AppendDisc(Pt(0, 0), 5, nil); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("query = %v, want [1]", got)
 	}
-	got = nil
-	g.VisitDisc(Pt(0, 0), -1, func(v int, _ Point) { got = append(got, v) })
-	if got != nil {
-		t.Fatal("negative radius visited values")
+	if got := g.AppendDisc(Pt(0, 0), -1, nil); got != nil {
+		t.Fatal("negative radius returned values")
+	}
+}
+
+// checkSuperset fails unless every value of pos within r of q is in
+// AppendDisc(q, r) and the query returned no value twice or unknown.
+func checkSuperset(t *testing.T, g *Grid[int], pos map[int]Point, q Point, r float64) {
+	t.Helper()
+	visited := map[int]bool{}
+	for _, v := range g.AppendDisc(q, r, nil) {
+		if _, ok := pos[v]; !ok || visited[v] {
+			t.Fatalf("AppendDisc(%v, %.1f) returned %d, removed or already returned", q, r, v)
+		}
+		visited[v] = true
+	}
+	for id, p := range pos {
+		if p.Dist(q) <= r && !visited[id] {
+			t.Fatalf("value %d at %v (dist %.1f) missed by AppendDisc(%v, %.1f)",
+				id, p, p.Dist(q), q, r)
+		}
 	}
 }
 
 // TestGridVisitSuperset checks the load-bearing invariant against a
-// brute-force scan: every value within r of the query point is visited,
-// under random insert/move/remove churn.
+// brute-force scan: every value within r of the query point is
+// returned, under random insert/move/remove churn.
 func TestGridVisitSuperset(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := NewGrid[int](50, Rect{Min: Pt(-200, -200), Max: Pt(800, 800)})
@@ -66,60 +72,51 @@ func TestGridVisitSuperset(t *testing.T) {
 		switch op := rng.Intn(10); {
 		case op < 6 || len(pos) == 0: // insert or move
 			id := rng.Intn(300)
+			if old, ok := pos[id]; ok {
+				g.Remove(id, old)
+			}
 			p := randPt()
 			g.Put(id, p)
 			pos[id] = p
 		case op < 8: // remove
-			for id := range pos {
-				g.Remove(id)
+			for id, p := range pos {
+				g.Remove(id, p)
 				delete(pos, id)
 				break
 			}
 		default: // query
-			q, r := randPt(), rng.Float64()*300
-			visited := map[int]bool{}
-			g.VisitDisc(q, r, func(v int, rec Point) {
-				if pos[v] != rec {
-					t.Fatalf("recorded pos of %d = %v, want %v", v, rec, pos[v])
-				}
-				visited[v] = true
-			})
-			for id, p := range pos {
-				if p.Dist(q) <= r && !visited[id] {
-					t.Fatalf("value %d at %v (dist %.1f) missed by VisitDisc(%v, %.1f)",
-						id, p, p.Dist(q), q, r)
-				}
-			}
+			checkSuperset(t, g, pos, randPt(), rng.Float64()*300)
 		}
 	}
-	if g.Len() != len(pos) {
-		t.Fatalf("grid len %d != reference len %d", g.Len(), len(pos))
+	if got := g.AppendDisc(Pt(300, 300), 2000, nil); len(got) != len(pos) {
+		t.Fatalf("grid holds %d values, reference %d", len(got), len(pos))
 	}
 }
 
 // TestGridVisitDeterministic pins the documented iteration order:
-// identical build sequences visit in identical order.
+// identical build sequences query in identical order.
 func TestGridVisitDeterministic(t *testing.T) {
 	build := func() []int {
 		g := NewGrid[int](30, NewRect(500, 500))
 		rng := rand.New(rand.NewSource(11))
-		for i := 0; i < 200; i++ {
-			g.Put(i, Pt(rng.Float64()*500, rng.Float64()*500))
+		pos := make([]Point, 200)
+		for i := range pos {
+			pos[i] = Pt(rng.Float64()*500, rng.Float64()*500)
+			g.Put(i, pos[i])
 		}
 		for i := 0; i < 50; i++ {
-			g.Remove(rng.Intn(200))
+			k := rng.Intn(200)
+			g.Remove(k, pos[k])
 		}
-		var order []int
-		g.VisitDisc(Pt(250, 250), 200, func(v int, _ Point) { order = append(order, v) })
-		return order
+		return g.AppendDisc(Pt(250, 250), 200, nil)
 	}
 	a, b := build(), build()
 	if len(a) != len(b) {
-		t.Fatalf("visit lengths differ: %d vs %d", len(a), len(b))
+		t.Fatalf("query lengths differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("visit order differs at %d: %d vs %d", i, a[i], b[i])
+			t.Fatalf("query order differs at %d: %d vs %d", i, a[i], b[i])
 		}
 	}
 	if sort.IntsAreSorted(a) && len(a) > 10 {
@@ -144,20 +141,7 @@ func TestGridClampedOutOfBounds(t *testing.T) {
 		pos[i] = p
 	}
 	for q := 0; q < 100; q++ {
-		qp, r := randPt(), rng.Float64()*400
-		visited := map[int]bool{}
-		g.VisitDisc(qp, r, func(v int, rec Point) {
-			if pos[v] != rec {
-				t.Fatalf("recorded pos of %d = %v, want %v", v, rec, pos[v])
-			}
-			visited[v] = true
-		})
-		for id, p := range pos {
-			if p.Dist(qp) <= r && !visited[id] {
-				t.Fatalf("value %d at %v (dist %.1f) missed by clamped VisitDisc(%v, %.1f)",
-					id, p, p.Dist(qp), qp, r)
-			}
-		}
+		checkSuperset(t, g, pos, randPt(), rng.Float64()*400)
 	}
 }
 
@@ -294,5 +278,41 @@ func TestIndexGridRelocateSameCellRecordsPosition(t *testing.T) {
 	}
 	if g.Len() != 1 {
 		t.Fatalf("Len = %d after an in-cell move, want 1", g.Len())
+	}
+}
+
+// TestIndexGridRelocateQueryZeroAlloc pins the MAC medium's
+// spatial-index hot pair at a 5k roster: one incremental Relocate (a
+// node drifting across cell boundaries) plus one receiver-candidate
+// disc query into a reused buffer must not allocate.
+func TestIndexGridRelocateQueryZeroAlloc(t *testing.T) {
+	const n, side = 5000, 3400.0
+	g := NewIndexGrid(100, NewRect(side, side), n)
+	rng := rand.New(rand.NewSource(1))
+	pos := make([]Point, n)
+	for i := range pos {
+		pos[i] = Pt(rng.Float64()*side, rng.Float64()*side)
+		g.Relocate(int32(i), pos[i])
+	}
+	buf := make([]int32, 0, 512)
+	i := 0
+	step := func() {
+		k := i % n
+		i++
+		pos[k].X += 37 // drift across cell boundaries (clamped at edges)
+		if pos[k].X > side {
+			pos[k].X -= side
+		}
+		g.Relocate(int32(k), pos[k])
+		buf = g.AppendDisc(pos[k], 100, buf[:0])
+		if len(buf) == 0 {
+			t.Fatal("disc query missed its own key")
+		}
+	}
+	for k := 0; k < 4*n; k++ { // grow every bucket the drift visits
+		step()
+	}
+	if allocs := testing.AllocsPerRun(2*n, step); allocs != 0 {
+		t.Fatalf("Relocate + AppendDisc allocates %.0f times, want 0", allocs)
 	}
 }

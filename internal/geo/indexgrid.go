@@ -95,10 +95,9 @@ func (g *IndexGrid) Len() int {
 
 // AppendDisc appends to buf every key whose containing cell intersects
 // the axis-aligned bounding square of the disc (p, r) and returns the
-// extended buffer. Like Grid.VisitDisc it is a superset of the disc —
-// callers must re-check exact distances — but takes no callback, so a
-// query with a reused buffer allocates nothing. A negative radius
-// appends nothing.
+// extended buffer. Like Grid.AppendDisc it is a superset of the disc —
+// callers must re-check exact distances — and a query with a reused
+// buffer allocates nothing. A negative radius appends nothing.
 func (g *IndexGrid) AppendDisc(p Point, r float64, buf []int32) []int32 {
 	if r < 0 {
 		return buf

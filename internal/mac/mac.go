@@ -55,8 +55,8 @@ type Config struct {
 
 	// SpeedBounded, when true, promises that no attached node moves
 	// faster than MaxSpeed m/s. The medium then refreshes its spatial
-	// node index only every GridRefresh of simulated time and pads range
-	// queries by MaxSpeed*GridRefresh, making per-frame receiver lookups
+	// node index only every 200 ms of simulated time and pads range
+	// queries by MaxSpeed*200 ms, making per-frame receiver lookups
 	// cost O(nodes in range) instead of O(all nodes). A MaxSpeed of 0
 	// with SpeedBounded set declares the nodes static (the index never
 	// goes stale). Without the promise the index is rebuilt whenever the
@@ -67,10 +67,6 @@ type Config struct {
 	SpeedBounded bool
 	// MaxSpeed is the speed bound in m/s backing SpeedBounded.
 	MaxSpeed float64
-	// GridRefresh is the node-index refresh period under SpeedBounded
-	// with a non-zero MaxSpeed; 0 selects 200 ms. Longer periods rebuild
-	// less often but widen the query margin.
-	GridRefresh time.Duration
 
 	// Bounds is the scenario's bounding rectangle; the medium pre-sizes
 	// its dense spatial indexes over it (cells of one radio range). It
@@ -89,9 +85,10 @@ type Config struct {
 	FullScan bool
 }
 
-// defaultGridRefresh is the node-index refresh period when
-// Config.GridRefresh is zero.
-const defaultGridRefresh = 200 * time.Millisecond
+// gridRefresh is the node-index refresh period under SpeedBounded with
+// a non-zero MaxSpeed. A longer period would rebuild less often but
+// widen the query margin.
+const gridRefresh = 200 * time.Millisecond
 
 // DefaultConfig returns an 802.11b broadcast medium with the given
 // reception radius.
@@ -124,20 +121,10 @@ func (c Config) Validate() error {
 	if c.MaxSpeed < 0 {
 		return fmt.Errorf("mac: negative MaxSpeed %v", c.MaxSpeed)
 	}
-	if c.GridRefresh < 0 {
-		return fmt.Errorf("mac: negative GridRefresh %v", c.GridRefresh)
-	}
 	if c.Bounds.Width() < 0 || c.Bounds.Height() < 0 {
 		return fmt.Errorf("mac: inverted Bounds %v", c.Bounds)
 	}
 	return nil
-}
-
-func (c Config) gridRefresh() time.Duration {
-	if c.GridRefresh > 0 {
-		return c.GridRefresh
-	}
-	return defaultGridRefresh
 }
 
 func (c Config) csRange() float64 {
@@ -249,7 +236,7 @@ func (a Counters) Sub(b Counters) Counters {
 //
 // The per-frame paths reuse scratch buffers and pool transmission
 // records and engine timers: once warm, broadcasting allocates nothing
-// (see BenchmarkMACBroadcastAllocs), which is what keeps churny
+// (see TestBroadcastAllocationFlat), which is what keeps churny
 // 10k-node sweeps allocation-flat.
 type Medium struct {
 	eng   *sim.Engine
@@ -302,7 +289,7 @@ func New(eng *sim.Engine, cfg Config, loc Locator) *Medium {
 		rank: make(map[event.NodeID]int),
 	}
 	if cfg.SpeedBounded {
-		m.staleAfter = cfg.gridRefresh()
+		m.staleAfter = gridRefresh
 		m.margin = cfg.MaxSpeed * m.staleAfter.Seconds()
 	}
 	return m
@@ -695,7 +682,7 @@ func (m *Medium) prune() {
 		if t.end+keep > now {
 			break
 		}
-		m.txGrid.Remove(t)
+		m.txGrid.Remove(t, t.pos)
 		t.owner.dropRecent(t)
 		m.live[m.liveHead] = nil
 		m.liveHead++

@@ -1,6 +1,8 @@
 package mac
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -354,5 +356,75 @@ func TestBroadcastAllocationFlat(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(400, send); allocs > 0.05 {
 		t.Fatalf("steady-state broadcast allocates %.2f allocs/op, want 0", allocs)
+	}
+}
+
+// orbitLocator moves node i round a circle of radius r about centers[i]
+// at speed r*omega: positions are a pure function of time and cost no
+// allocation, unlike trajectory models, which grow their legs.
+type orbitLocator struct {
+	centers  []geo.Point
+	r, omega float64
+}
+
+func (l *orbitLocator) Position(id event.NodeID, at sim.Time) geo.Point {
+	a := l.omega*at.Seconds() + float64(id)
+	return geo.Pt(l.centers[id].X+l.r*math.Cos(a), l.centers[id].Y+l.r*math.Sin(a))
+}
+
+// TestFinishDenseAllocationFlat pins the per-frame receive path at
+// metro density (440 vehicles/km^2, 100 m range: ~14 receivers per
+// frame) with what the city workloads have and
+// TestBroadcastAllocationFlat lacks: 16 transmitters contending at the
+// same instant, so hidden terminals overlap and the per-frame
+// interferer list is not empty (the warm-up fails the test if no frame
+// was lost to one). One run is one such round of 16 frames over moving
+// nodes (staleness margin on the receiver query, periodic index
+// refreshes); it must not allocate.
+func TestFinishDenseAllocationFlat(t *testing.T) {
+	const (
+		n      = 2000
+		radius = 5.0  // orbit radius, m
+		speed  = 12.0 // m/s
+		burst  = 16
+	)
+	side := 1000 * math.Sqrt(n/440.0)
+	rng := rand.New(rand.NewSource(1))
+	loc := &orbitLocator{centers: make([]geo.Point, n), r: radius, omega: speed / radius}
+	for i := range loc.centers {
+		loc.centers[i] = geo.Pt(rng.Float64()*side, rng.Float64()*side)
+	}
+	eng := sim.New(1)
+	cfg := DefaultConfig(100)
+	cfg.SpeedBounded, cfg.MaxSpeed = true, 14
+	cfg.Bounds = geo.NewRect(side, side)
+	m := New(eng, cfg, loc)
+	ports := make([]*Port, n)
+	msgs := make([]event.Message, n)
+	for i := range ports {
+		ports[i] = m.Attach(event.NodeID(i), func(Frame) {})
+		msgs[i] = event.Heartbeat{From: event.NodeID(i)}
+	}
+	round := func() {
+		for j := 0; j < burst; j++ {
+			k := rng.Intn(n)
+			ports[k].Broadcast(msgs[k], 50)
+		}
+		eng.Run()
+	}
+	// Warm pools, scratch and every bucket a node's orbit visits: two
+	// full revolutions of simulated time.
+	for eng.Now() < sim.Seconds(2*2*math.Pi*radius/speed) {
+		round()
+	}
+	var lost uint64
+	for _, p := range ports {
+		lost += p.Counters().FramesLost
+	}
+	if lost == 0 {
+		t.Fatal("no frame lost to interference in the warm-up: the interferer path is not exercised")
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("steady-state round of %d contending frames allocates %.0f times, want 0", burst, allocs)
 	}
 }

@@ -32,10 +32,10 @@
 //     Contract tests assert |Position(t+dt) - Position(t)| <= vmax*dt.
 //
 //   - A knowable speed bound. The MAC medium (internal/mac) indexes
-//     node positions in a spatial grid refreshed every
-//     mac.Config.GridRefresh; range queries are padded by a staleness
-//     margin of MaxSpeed*GridRefresh, so lookups stay exact only if no
-//     node ever exceeds the declared MaxSpeed. netsim derives that
+//     node positions in a spatial grid refreshed every 200 ms of
+//     simulated time; range queries are padded by a staleness margin
+//     of MaxSpeed*200 ms, so lookups stay exact only if no node ever
+//     exceeds the declared MaxSpeed. netsim derives that
 //     bound automatically: Graph.MaxSpeedLimit() for the
 //     graph-constrained models (which never drive above a road's
 //     limit), MobilitySpec.MaxSpeed for random waypoint, zero for

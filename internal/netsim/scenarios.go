@@ -214,7 +214,7 @@ func init() {
 	// churn mixed in — the VANET-scale regime of the related work, far
 	// beyond the paper's few hundred nodes. Both are Heavy: the
 	// registry-wide sweeps and the golden suite skip them; reach them
-	// via -scenario, the exp "scale" family or BenchmarkMetroSweep.
+	// via -scenario, the exp "scale" family or bench/'s metro workloads.
 	metroTemplate := func(nodes int) Scenario {
 		cols, rows := MetroGraphDims(nodes)
 		return Scenario{

@@ -8,7 +8,7 @@
 // Design constraints, in order:
 //
 //   - Hot-path cost: Counter.Inc/Add and Gauge.Set are single atomic
-//     operations with no allocation (pinned by BenchmarkObsRegistry).
+//     operations with no allocation (TestCounterGaugeZeroAlloc).
 //     All map and label work happens once, at registration time.
 //   - Read-only scrapes: encoders and Snapshot only observe; nothing in
 //     this package may feed back into protocol or simulation state.

@@ -197,3 +197,24 @@ func TestSnapshotStableOrder(t *testing.T) {
 		t.Fatalf("snapshot order %v, want %v", names, want)
 	}
 }
+
+// TestCounterGaugeZeroAlloc pins the hot path transport and pubsub pay
+// per operation when scraped: Inc and Set on registered series are bare
+// atomics. Registration happens once outside the measured function,
+// exactly as RegisterMetrics does at wiring time.
+func TestCounterGaugeZeroAlloc(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("repro_test_ops_total", "help", "node", "1")
+	g := r.Gauge("repro_test_depth", "help", "node", "1")
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, func() {
+		c.Inc()
+		g.Set(int64(c.Value()))
+	})
+	if allocs != 0 {
+		t.Fatalf("Counter.Inc + Gauge.Set allocates %.0f times, want 0", allocs)
+	}
+	if c.Value() != runs+1 || g.Value() != runs+1 { // AllocsPerRun warms up with one extra call
+		t.Fatalf("counter = %d, gauge = %d after %d runs", c.Value(), g.Value(), runs+1)
+	}
+}

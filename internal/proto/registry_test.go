@@ -1,13 +1,17 @@
 package proto_test
 
 import (
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/proto"
+	"repro/internal/sim"
+	"repro/internal/topic"
 
 	_ "repro/internal/proto/all"
 )
@@ -82,4 +86,46 @@ func TestRegisterProtocolRejectsBadDefs(t *testing.T) {
 	mustPanic("no description", proto.Definition{Name: "x", Params: core.Tuning{}, New: factory})
 	mustPanic("no factory", proto.Definition{Name: "x", Description: "x", Params: core.Tuning{}})
 	mustPanic("no schema", proto.Definition{Name: "x", Description: "x", New: factory})
+}
+
+type nullTransport struct{}
+
+func (nullTransport) Broadcast(event.Message) {}
+
+// TestHandleMessageKnownNeighborAllocs pins the message a node handles
+// most, through the interface the registry hands out: the name lookup
+// happens once per node at build time, and refreshing a known
+// neighbor's row from its heartbeat allocates nothing (the message is
+// boxed once here, as the transports' decoders do, so the caller's
+// interface conversion is not charged to the handler).
+func TestHandleMessageKnownNeighborAllocs(t *testing.T) {
+	d, err := proto.Build("frugal", nil, proto.Env{
+		ID:        1,
+		Sched:     proto.EngineScheduler{Eng: sim.New(1)},
+		Transport: nullTransport{},
+		Rand:      rand.New(rand.NewSource(1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Subscribe(topic.MustParse(".t")); err != nil {
+		t.Fatal(err)
+	}
+	var hb event.Message = event.Heartbeat{
+		From:          2,
+		Subscriptions: []topic.Topic{topic.MustParse(".t")},
+		Speed:         10,
+	}
+	// The sender's first heartbeat creates its neighbor row.
+	if err := d.HandleMessage(hb); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := d.HandleMessage(hb); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("heartbeat from a known neighbor allocates %.0f times, want 0", allocs)
+	}
 }

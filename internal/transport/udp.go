@@ -172,6 +172,42 @@ type Stats struct {
 	MmsgRecvs uint64
 }
 
+// Add returns a + b field by field. A new counter must be added here and
+// in Sub (TestStatsAddSubCoverEveryField fails otherwise).
+func (a Stats) Add(b Stats) Stats {
+	return Stats{
+		DatagramsSent:     a.DatagramsSent + b.DatagramsSent,
+		DatagramsReceived: a.DatagramsReceived + b.DatagramsReceived,
+		DecodeErrors:      a.DecodeErrors + b.DecodeErrors,
+		SendErrors:        a.SendErrors + b.SendErrors,
+		Dropped:           a.Dropped + b.Dropped,
+		RecvDropped:       a.RecvDropped + b.RecvDropped,
+		Batches:           a.Batches + b.Batches,
+		PeersLearned:      a.PeersLearned + b.PeersLearned,
+		PeersEvicted:      a.PeersEvicted + b.PeersEvicted,
+		MmsgSends:         a.MmsgSends + b.MmsgSends,
+		MmsgRecvs:         a.MmsgRecvs + b.MmsgRecvs,
+	}
+}
+
+// Sub returns a - b field by field: the counters accumulated since the
+// snapshot b.
+func (a Stats) Sub(b Stats) Stats {
+	return Stats{
+		DatagramsSent:     a.DatagramsSent - b.DatagramsSent,
+		DatagramsReceived: a.DatagramsReceived - b.DatagramsReceived,
+		DecodeErrors:      a.DecodeErrors - b.DecodeErrors,
+		SendErrors:        a.SendErrors - b.SendErrors,
+		Dropped:           a.Dropped - b.Dropped,
+		RecvDropped:       a.RecvDropped - b.RecvDropped,
+		Batches:           a.Batches - b.Batches,
+		PeersLearned:      a.PeersLearned - b.PeersLearned,
+		PeersEvicted:      a.PeersEvicted - b.PeersEvicted,
+		MmsgSends:         a.MmsgSends - b.MmsgSends,
+		MmsgRecvs:         a.MmsgRecvs - b.MmsgRecvs,
+	}
+}
+
 // ring is a bounded FIFO of reusable byte buffers with drop-oldest
 // overflow. Slot buffers are pooled: they are swapped, never freed, so
 // a warm ring performs zero allocations per push/pop.
