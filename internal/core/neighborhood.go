@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/event"
@@ -77,105 +77,117 @@ func (n *neighbor) release(e *tableEntry) {
 }
 
 // neighborhood is the dynamic one-hop neighbor table. Only neighbors with
-// overlapping subscriptions are stored (paper Section 3, phase 1). Rows
-// live in a slice kept sorted by id: the protocol iterates the table far
-// more often than it inserts (every heartbeat, back-off expiry and send
-// set walks it), and in a dense metro cell the per-call map-iterate+sort
-// of a rebuild dominated the city-sweep profile. A lookup map indexes
-// the same rows for the O(1) refresh path.
+// overlapping subscriptions are stored (paper Section 3, phase 1). It is
+// one structure sorted by id: rows in the canonical iteration order (every
+// heartbeat, back-off expiry and send set walks them) and, parallel to
+// them, their ids packed densely, so resolving a message's sender is a
+// binary search over a few cache lines of ids rather than a hash probe
+// or a pointer chase per step.
+//
+// The AVERAGESPEED mean is memoised: nearly every heartbeat refreshes a
+// row without changing any speed. The memo is keyed on the caller's own
+// speed because the sum starts from it — ((own+s1)+s2)... — and a
+// separately cached neighbor sum would round differently; it is dropped
+// whenever a row appears, disappears or reports a different speed.
 type neighborhood struct {
-	max  int // 0 = unbounded
-	m    map[event.NodeID]*neighbor
-	rows []*neighbor // sorted by id; the canonical iteration order
+	max  int            // 0 = unbounded
+	ids  []event.NodeID // ascending; ids[i] == rows[i].id
+	rows []*neighbor
+
+	avgValid    bool
+	avgOwn, avg float64
+	avgOK       bool
 }
 
-func newNeighborhood(max int) *neighborhood {
-	return &neighborhood{max: max, m: make(map[event.NodeID]*neighbor)}
-}
+func newNeighborhood(max int) *neighborhood { return &neighborhood{max: max} }
 
 func (nh *neighborhood) len() int { return len(nh.rows) }
 
-func (nh *neighborhood) get(id event.NodeID) *neighbor { return nh.m[id] }
-
-// rowIndex returns the position of id in rows (or where it would insert).
-func (nh *neighborhood) rowIndex(id event.NodeID) int {
-	return sort.Search(len(nh.rows), func(i int) bool { return nh.rows[i].id >= id })
-}
-
-func (nh *neighborhood) insertRow(n *neighbor) {
-	i := nh.rowIndex(n.id)
-	nh.rows = append(nh.rows, nil)
-	copy(nh.rows[i+1:], nh.rows[i:])
-	nh.rows[i] = n
-}
-
-func (nh *neighborhood) deleteRow(id event.NodeID) {
-	i := nh.rowIndex(id)
-	if i < len(nh.rows) && nh.rows[i].id == id {
-		copy(nh.rows[i:], nh.rows[i+1:])
-		nh.rows[len(nh.rows)-1] = nil
-		nh.rows = nh.rows[:len(nh.rows)-1]
+func (nh *neighborhood) get(id event.NodeID) *neighbor {
+	if i, ok := slices.BinarySearch(nh.ids, id); ok {
+		return nh.rows[i]
 	}
+	return nil
 }
 
-// upsert implements UPDATENEIGHBORINFO: insert or refresh a neighbor row,
-// reporting whether the neighbor is new and whether its subscriptions
-// changed (either way its covers set is the caller's to refill). The
-// presumed-received set survives refreshes. When the table is full, the
-// stalest row is evicted to admit the new one.
-func (nh *neighborhood) upsert(id event.NodeID, subs *topic.Set, speed float64, now time.Duration) (n *neighbor, isNew, subsChanged bool) {
-	if n, ok := nh.m[id]; ok {
-		subsChanged = !n.subs.Equal(subs)
-		n.subs = subs
-		n.speed = speed
+func (nh *neighborhood) deleteAt(i int) {
+	nh.ids = slices.Delete(nh.ids, i, i+1)
+	nh.rows = slices.Delete(nh.rows, i, i+1)
+	nh.avgValid = false
+}
+
+// upsert implements UPDATENEIGHBORINFO: insert or refresh the row of the
+// neighbor that announced the subscription list wire, reporting whether
+// the neighbor is new and whether its subscriptions changed (either way
+// its covers set is the caller's to refill). A refresh repeating the
+// row's list keeps the row's set rather than building one per heartbeat.
+// The presumed-received set survives refreshes. When the table is full,
+// the stalest row is evicted to admit the new one.
+func (nh *neighborhood) upsert(id event.NodeID, wire []topic.Topic, speed float64, now time.Duration) (n *neighbor, isNew, subsChanged bool) {
+	i, ok := slices.BinarySearch(nh.ids, id)
+	if ok {
+		n = nh.rows[i]
+		if !n.subs.EqualSlice(wire) {
+			subs := topic.NewSet(wire...)
+			subsChanged = !n.subs.Equal(subs)
+			n.subs = subs
+		}
+		if n.speed != speed {
+			n.speed = speed
+			nh.avgValid = false
+		}
 		n.storedAt = now
 		return n, false, subsChanged
 	}
 	if nh.max > 0 && len(nh.rows) >= nh.max {
-		nh.evictStalest()
+		v := nh.stalest()
+		nh.deleteAt(v)
+		if v < i {
+			i--
+		}
 	}
-	n = &neighbor{id: id, subs: subs, speed: speed, storedAt: now}
-	nh.m[id] = n
-	nh.insertRow(n)
+	n = &neighbor{id: id, subs: topic.NewSet(wire...), speed: speed, storedAt: now}
+	nh.ids = slices.Insert(nh.ids, i, id)
+	nh.rows = slices.Insert(nh.rows, i, n)
+	nh.avgValid = false
 	return n, true, false
 }
 
-func (nh *neighborhood) evictStalest() {
-	var victim *neighbor
-	for _, n := range nh.rows {
-		if victim == nil || n.storedAt < victim.storedAt {
-			victim = n // id ascending: first minimum wins ties
+// stalest returns the position of the least recently refreshed row of a
+// non-empty table.
+func (nh *neighborhood) stalest() int {
+	v := 0
+	for i, n := range nh.rows {
+		if n.storedAt < nh.rows[v].storedAt {
+			v = i // id ascending: first minimum wins ties
 		}
 	}
-	if victim != nil {
-		delete(nh.m, victim.id)
-		nh.deleteRow(victim.id)
-	}
+	return v
 }
 
 func (nh *neighborhood) remove(id event.NodeID) {
-	if _, ok := nh.m[id]; ok {
-		delete(nh.m, id)
-		nh.deleteRow(id)
+	if i, ok := slices.BinarySearch(nh.ids, id); ok {
+		nh.deleteAt(i)
 	}
 }
 
 // gc implements the neighborhoodGC task (paper Figure 10): drop rows not
 // refreshed within ngcDelay. It returns the number removed.
 func (nh *neighborhood) gc(now, ngcDelay time.Duration) int {
-	kept := nh.rows[:0]
+	kept := 0
 	for _, n := range nh.rows {
 		if now-ngcDelay > n.storedAt {
-			delete(nh.m, n.id)
-		} else {
-			kept = append(kept, n)
+			continue
 		}
+		nh.ids[kept], nh.rows[kept] = n.id, n
+		kept++
 	}
-	removed := len(nh.rows) - len(kept)
-	for i := len(kept); i < len(nh.rows); i++ {
-		nh.rows[i] = nil
+	removed := len(nh.rows) - kept
+	if removed > 0 {
+		clear(nh.rows[kept:])
+		nh.ids, nh.rows = nh.ids[:kept], nh.rows[:kept]
+		nh.avgValid = false
 	}
-	nh.rows = kept
 	return removed
 }
 
@@ -190,18 +202,22 @@ func (nh *neighborhood) sorted() []*neighbor {
 // avgSpeed implements AVERAGESPEED over neighbors reporting a known
 // speed; ok is false when no information is available.
 func (nh *neighborhood) avgSpeed(ownSpeed float64) (avg float64, ok bool) {
+	if nh.avgValid && ownSpeed == nh.avgOwn {
+		return nh.avg, nh.avgOK
+	}
 	sum, n := 0.0, 0
 	if ownSpeed >= 0 {
 		sum, n = ownSpeed, 1
 	}
-	for _, nb := range nh.sorted() {
+	for _, nb := range nh.rows {
 		if nb.speed >= 0 {
 			sum += nb.speed
 			n++
 		}
 	}
-	if n == 0 {
-		return 0, false
+	if n > 0 {
+		avg, ok = sum/float64(n), true
 	}
-	return sum / float64(n), true
+	nh.avgValid, nh.avgOwn, nh.avg, nh.avgOK = true, ownSpeed, avg, ok
+	return avg, ok
 }

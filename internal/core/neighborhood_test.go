@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -9,12 +10,13 @@ import (
 	"repro/internal/topic"
 )
 
-func subsOf(names ...string) *topic.Set {
+// subsOf is a heartbeat's subscription list as it arrives on the wire.
+func subsOf(names ...string) []topic.Topic {
 	s := topic.NewSet()
 	for _, n := range names {
 		s.Add(topic.MustParse(n))
 	}
-	return s
+	return s.Topics()
 }
 
 // knows reports whether the row presumes its neighbor holds id: the slot
@@ -155,6 +157,73 @@ func TestAvgSpeed(t *testing.T) {
 	avg, ok = nh.avgSpeed(-1)
 	if !ok || math.Abs(avg-20) > 1e-9 {
 		t.Fatalf("avg without own = %v, want 20", avg)
+	}
+}
+
+// TestAvgSpeedMemoBitExact holds the memoised AVERAGESPEED to a fresh
+// walk in id order, bit for bit, across every way a row can appear,
+// disappear or change speed, in a bounded table (eviction) and an
+// unbounded one.
+func TestAvgSpeedMemoBitExact(t *testing.T) {
+	fresh := func(nh *neighborhood, own float64) (float64, bool) {
+		sum, n := 0.0, 0
+		if own >= 0 {
+			sum, n = own, 1
+		}
+		for i, nb := range nh.rows {
+			if nb.id != nh.ids[i] || i > 0 && nh.ids[i-1] >= nb.id {
+				t.Fatalf("ids %v do not mirror the rows at %d (row %d)", nh.ids, i, nb.id)
+			}
+			if nb.speed >= 0 {
+				sum += nb.speed
+				n++
+			}
+		}
+		if n == 0 {
+			return 0, false
+		}
+		return sum / float64(n), true
+	}
+	rng := rand.New(rand.NewSource(1))
+	speed := func() float64 {
+		if rng.Intn(4) == 0 {
+			return -1
+		}
+		return rng.Float64() * 40 // sums of these round differently in a different order
+	}
+	for _, max := range []int{0, 6} {
+		nh := newNeighborhood(max)
+		own, now := speed(), time.Duration(0)
+		for step := 0; step < 20000; step++ {
+			now += time.Duration(rng.Intn(300)) * time.Millisecond
+			id := event.NodeID(1 + rng.Intn(24))
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3:
+				nh.upsert(id, subsOf(".a"), speed(), now)
+			case 4, 5:
+				if nb := nh.get(id); nb != nil { // the usual heartbeat: nothing new
+					nh.avgSpeed(own)
+					nh.upsert(id, subsOf(".a"), nb.speed, now)
+					if !nh.avgValid {
+						t.Fatalf("step %d: a heartbeat repeating speed %v dropped the memo", step, nb.speed)
+					}
+				}
+			case 6:
+				nh.remove(id)
+			case 7:
+				nh.gc(now, 2*time.Second)
+			case 8:
+				own = speed()
+			}
+			if max > 0 && nh.len() > max {
+				t.Fatalf("step %d: %d rows, cap %d", step, nh.len(), max)
+			}
+			got, gotOK := nh.avgSpeed(own)
+			want, wantOK := fresh(nh, own)
+			if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d: memoised mean %v (%v), fresh walk %v (%v)", step, got, gotOK, want, wantOK)
+			}
+		}
 	}
 }
 

@@ -118,6 +118,30 @@ func TestPendingIDListCapBounded(t *testing.T) {
 	}
 }
 
+func TestPendingStashReplacesWhenFull(t *testing.T) {
+	// A full stash still takes a fresher list from a sender it already
+	// holds: replacing needs no free slot, and keeping the stale list is
+	// the deadlock the stash exists to prevent.
+	h := newHarness(t, 36)
+	p := h.addNode(1, Config{}, ".t")
+	stale, fresh := event.ID{Lo: 1}, event.ID{Lo: 2}
+	_ = p.HandleMessage(event.IDList{From: 100, IDs: []event.ID{stale}})
+	for i := 1; i < maxPendingIDLists; i++ {
+		_ = p.HandleMessage(event.IDList{From: event.NodeID(100 + i)})
+	}
+	_ = p.HandleMessage(event.IDList{From: 100, IDs: []event.ID{fresh}})
+	_ = p.HandleMessage(event.IDList{From: 999, IDs: []event.ID{fresh}}) // no room: dropped
+	if len(p.pendingIDs) != maxPendingIDLists || p.pendingFrom(999) >= 0 {
+		t.Fatalf("stash holds %d lists (one from 999: %v), want the same %d senders",
+			len(p.pendingIDs), p.pendingFrom(999) >= 0, maxPendingIDLists)
+	}
+	_ = p.HandleMessage(event.Heartbeat{From: 100, Subscriptions: []topic.Topic{topic.MustParse(".t")}, Speed: -1})
+	nb := p.nbrs.get(100)
+	if nb == nil || !nb.knows(fresh, p.table) || nb.knows(stale, p.table) {
+		t.Fatal("the stale list survived in the full stash: the fresher one was dropped")
+	}
+}
+
 func TestHeartbeatRemovesNoLongerOverlappingNeighbor(t *testing.T) {
 	h := newHarness(t, 33)
 	p1 := h.addNode(1, Config{}, ".t")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/event"
@@ -35,7 +36,9 @@ type Protocol struct {
 	// needer's (the one-shot id exchange then never reaches the holder).
 	// Stashing until the heartbeat arrives preserves the paper's
 	// frugality while restoring liveness; entries expire after ngcDelay.
-	pendingIDs map[event.NodeID]pendingIDList
+	// At most maxPendingIDLists entries, one per sender, in arrival
+	// order: the expired ones are always a prefix.
+	pendingIDs []pendingIDList
 
 	// Scratch reused across calls (per instance: runs execute many
 	// instances concurrently). computeSendSet fills need and receivers.
@@ -48,8 +51,9 @@ type Protocol struct {
 }
 
 type pendingIDList struct {
-	ids []event.ID
-	at  time.Duration
+	from event.NodeID
+	ids  []event.ID
+	at   time.Duration
 }
 
 // maxPendingIDLists bounds the stash of id lists from undiscovered
@@ -71,13 +75,12 @@ func New(cfg Config, sched Scheduler, tr Transport) (*Protocol, error) {
 	table.policy = cfg.GCPolicy
 	table.rng = cfg.Rand
 	p := &Protocol{
-		cfg:        cfg,
-		sched:      sched,
-		tr:         tr,
-		subs:       topic.NewSet(),
-		nbrs:       newNeighborhood(cfg.MaxNeighbors),
-		table:      table,
-		pendingIDs: make(map[event.NodeID]pendingIDList),
+		cfg:   cfg,
+		sched: sched,
+		tr:    tr,
+		subs:  topic.NewSet(),
+		nbrs:  newNeighborhood(cfg.MaxNeighbors),
+		table: table,
 	}
 	p.hbDelay = cfg.clampHB(cfg.HBDelay)
 	p.ngcDelay = p.scaleNGC(p.hbDelay)
@@ -238,19 +241,10 @@ func (p *Protocol) onHeartbeat(h event.Heartbeat) {
 		p.nbrs.remove(h.From)
 		return
 	}
-	// Most heartbeats refresh a known row with unchanged subscriptions:
-	// reuse the row's set rather than building one per heartbeat.
-	nb := p.nbrs.get(h.From)
-	var hbSubs *topic.Set
-	if nb != nil && nb.subs.EqualSlice(h.Subscriptions) {
-		hbSubs = nb.subs
-	} else {
-		hbSubs = topic.NewSet(h.Subscriptions...)
-	}
-	nb, isNew, changed := p.nbrs.upsert(h.From, hbSubs, h.Speed, now)
+	nb, isNew, changed := p.nbrs.upsert(h.From, h.Subscriptions, h.Speed, now)
 	if isNew || changed {
 		for _, e := range p.table.order {
-			nb.covers.assign(e.slot, hbSubs.Covers(e.ev.Topic))
+			nb.covers.assign(e.slot, nb.subs.Covers(e.ev.Topic))
 		}
 	}
 	if (isNew || changed) && p.cfg.BlindPush {
@@ -270,8 +264,9 @@ func (p *Protocol) onHeartbeat(h event.Heartbeat) {
 	if isNew {
 		// Apply an id list heard before the neighbor was known, then
 		// check whether it needs anything we hold.
-		if pend, ok := p.pendingIDs[h.From]; ok {
-			delete(p.pendingIDs, h.From)
+		if i := p.pendingFrom(h.From); i >= 0 {
+			pend := p.pendingIDs[i]
+			p.pendingIDs = slices.Delete(p.pendingIDs, i, i+1)
 			if now-pend.at <= p.ngcDelay {
 				for _, id := range pend.ids {
 					nb.markHas(id, p.table.get(id))
@@ -294,11 +289,17 @@ func (p *Protocol) onIDList(l event.IDList) {
 	nb := p.nbrs.get(l.From)
 	if nb == nil {
 		p.prunePending(now)
+		// A fresher list replaces the sender's stashed one, also in a
+		// full stash: keeping the stale one is the deadlock again.
+		if i := p.pendingFrom(l.From); i >= 0 {
+			p.pendingIDs = slices.Delete(p.pendingIDs, i, i+1)
+		}
 		if len(p.pendingIDs) < maxPendingIDLists {
-			p.pendingIDs[l.From] = pendingIDList{
-				ids: append([]event.ID(nil), l.IDs...),
-				at:  now,
-			}
+			p.pendingIDs = append(p.pendingIDs, pendingIDList{
+				from: l.From,
+				ids:  append([]event.ID(nil), l.IDs...),
+				at:   now,
+			})
 		}
 		return
 	}
@@ -308,14 +309,25 @@ func (p *Protocol) onIDList(l event.IDList) {
 	p.retrieveEventsToSend()
 }
 
+// pendingFrom returns the position of from's stashed id list, -1 when
+// there is none.
+func (p *Protocol) pendingFrom(from event.NodeID) int {
+	for i := range p.pendingIDs {
+		if p.pendingIDs[i].from == from {
+			return i
+		}
+	}
+	return -1
+}
+
 // prunePending drops stashed id lists older than the neighborhood GC
 // horizon.
 func (p *Protocol) prunePending(now time.Duration) {
-	for id, pend := range p.pendingIDs {
-		if now-pend.at > p.ngcDelay {
-			delete(p.pendingIDs, id)
-		}
+	n := 0
+	for n < len(p.pendingIDs) && now-p.pendingIDs[n].at > p.ngcDelay {
+		n++
 	}
+	p.pendingIDs = slices.Delete(p.pendingIDs, 0, n)
 }
 
 // onEvents implements paper Figure 9, lines 15-32.
@@ -464,7 +476,9 @@ func (p *Protocol) markSent(id event.ID) {
 func (p *Protocol) computeSendSet() int {
 	t := p.table
 	t.refresh(p.sched.Now())
-	p.need = append(p.need[:0], make([]uint64, (len(t.slab)+63)>>6)...)
+	words := (len(t.slab) + 63) >> 6
+	p.need = slices.Grow(p.need[:0], words)[:words]
+	clear(p.need)
 	p.receivers = p.receivers[:0]
 	for _, nb := range p.nbrs.sorted() {
 		var any uint64

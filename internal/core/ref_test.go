@@ -7,8 +7,10 @@ package core
 // sendset_test.go hold Protocol to, message for message and timer for
 // timer. It is the old code verbatim apart from the ref* names, the
 // accessors the tests do not call, the doc comments (see the production
-// files) and idsMatching, which scans instead of walking the deleted
-// topic.Tree. Do not optimize it.
+// files), idsMatching, which scans instead of walking the deleted
+// topic.Tree, and onIDList's stash rule, which lets a stashed sender's
+// fresher list through a full stash (the old rule was a bug, fixed on
+// both sides). Do not optimize it.
 
 import (
 	"errors"
@@ -474,7 +476,7 @@ func (p *refProtocol) onIDList(l event.IDList) {
 	nb := p.nbrs.get(l.From)
 	if nb == nil {
 		p.prunePending(now)
-		if len(p.pendingIDs) < maxPendingIDLists {
+		if _, stashed := p.pendingIDs[l.From]; stashed || len(p.pendingIDs) < maxPendingIDLists {
 			p.pendingIDs[l.From] = refPendingIDList{
 				ids: append([]event.ID(nil), l.IDs...),
 				at:  now,

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -97,13 +98,15 @@ type side struct {
 	d     disseminator
 	sched *stepSched
 	rng   *rand.Rand
+	speed float64 // what Config.Speed reports; the script changes it
 	log   []string
 }
 
 func newSide(cfg Config, build func(Config, Scheduler, Transport) (disseminator, error)) *side {
-	s := &side{rng: rand.New(rand.NewSource(7))}
+	s := &side{rng: rand.New(rand.NewSource(7)), speed: -1}
 	s.sched = &stepSched{log: &s.log}
 	cfg.Rand = s.rng
+	cfg.Speed = func() float64 { return s.speed }
 	cfg.OnDeliver = func(ev event.Event) {
 		s.log = append(s.log, fmt.Sprintf("%v deliver %v", s.sched.now, ev.ID))
 	}
@@ -120,13 +123,76 @@ var scriptTopics = []topic.Topic{
 	topic.MustParse(".b.c"), topic.MustParse(".z"), topic.Root(),
 }
 
+// scriptShape is what a script's bytes are decoded against: the event
+// table bound, how many ids heartbeats come from (id lists and event
+// pushes come from one more, a sender that is never discovered), and a
+// neighbor table bound overriding the script's own flag.
+type scriptShape struct {
+	maxEvents    int
+	senders      int
+	maxNeighbors int
+}
+
+var (
+	// The shapes every script runs in. wideShape has more senders than
+	// the pending-list stash has room for; cappedShape keeps the
+	// neighbor table evicting its stalest row.
+	narrowShapes = []scriptShape{{senders: 5}, {senders: 5, maxEvents: 3}}
+	wideShape    = scriptShape{senders: 200}
+	cappedShape  = scriptShape{senders: 12, maxNeighbors: 4, maxEvents: 3}
+)
+
+// scriptCoverage counts what a script made Protocol's sender-indexed
+// structures do.
+type scriptCoverage struct {
+	stashReplaced int // a stashed sender's list replaced in a full stash
+	stashPopped   int // an expired prefix popped, a live suffix kept
+	evicted       int // neighbor rows evicted by the table bound
+}
+
+func (c *scriptCoverage) add(o scriptCoverage) {
+	c.stashReplaced += o.stashReplaced
+	c.stashPopped += o.stashPopped
+	c.evicted += o.evicted
+}
+
+// expect says what handling msg is about to make the stash and the
+// neighbor table bound do.
+func (p *Protocol) expect(msg event.Message) (c scriptCoverage) {
+	switch m := msg.(type) {
+	case event.IDList:
+		if m.From == p.cfg.ID || p.nbrs.get(m.From) != nil {
+			break
+		}
+		expired := 0
+		for _, pend := range p.pendingIDs {
+			if p.sched.Now()-pend.at > p.ngcDelay {
+				expired++
+			}
+		}
+		if expired > 0 && expired < len(p.pendingIDs) {
+			c.stashPopped = 1
+		}
+		if expired == 0 && len(p.pendingIDs) == maxPendingIDLists && p.pendingFrom(m.From) >= 0 {
+			c.stashReplaced = 1
+		}
+	case event.Heartbeat:
+		if m.From != p.cfg.ID && p.cfg.MaxNeighbors > 0 && p.nbrs.len() == p.cfg.MaxNeighbors &&
+			p.nbrs.get(m.From) == nil && p.subs.OverlapsAny(m.Subscriptions) {
+			c.evicted = 1
+		}
+	}
+	return c
+}
+
 // runScript decodes data into a sequence of heartbeat / id-list / events /
-// publish / subscription / clock operations, applies each to a Protocol
-// and to the map-based reference, and fails on the first difference in
-// their transcripts (every broadcast message, every timer armed, fired or
-// stopped, every delivery), neighbor lists, counters or presumed-received
-// knowledge. Protocol's own invariants are checked after every step.
-func runScript(t testing.TB, data []byte, maxEvents int) {
+// publish / subscription / own-speed / clock operations, applies each to
+// a Protocol and to the map-based reference, and fails on the first
+// difference in their transcripts (every broadcast message, every timer
+// armed, fired or stopped, every delivery), neighbor lists, counters or
+// presumed-received knowledge. Protocol's own invariants are checked
+// after every step.
+func runScript(t testing.TB, data []byte, sh scriptShape) (cov scriptCoverage) {
 	pos := 0
 	next := func() int {
 		if pos >= len(data) {
@@ -138,10 +204,10 @@ func runScript(t testing.TB, data []byte, maxEvents int) {
 	flags := next()
 	cfg := Config{
 		ID:                 1,
-		MaxEvents:          maxEvents,
+		MaxEvents:          sh.maxEvents,
 		HBDelay:            time.Second,
 		HBUpperBound:       2 * time.Second,
-		MaxNeighbors:       flags & 1 * 3,
+		MaxNeighbors:       max(flags&1*3, sh.maxNeighbors),
 		BlindPush:          flags&2 != 0,
 		DisableSuppression: flags&4 != 0,
 		FixedBackoff:       flags&8 != 0,
@@ -202,12 +268,12 @@ func runScript(t testing.TB, data []byte, maxEvents int) {
 		switch op % 10 {
 		case 0, 1: // heartbeat
 			msg = event.Heartbeat{
-				From:          event.NodeID(2 + a%5),
+				From:          event.NodeID(2 + a%sh.senders),
 				Subscriptions: topicsOf(b),
 				Speed:         []float64{-1, 5, 20}[a/5%3],
 			}
 		case 2, 3: // id list, possibly from a sender not discovered yet
-			l := event.IDList{From: event.NodeID(2 + a%6)}
+			l := event.IDList{From: event.NodeID(2 + a%(sh.senders+1))}
 			for k := 0; k < 8; k++ {
 				if b>>k&1 != 0 {
 					l.IDs = append(l.IDs, poolEvent(k).ID)
@@ -218,7 +284,7 @@ func runScript(t testing.TB, data []byte, maxEvents int) {
 			}
 			msg = l
 		case 4: // pool events, some already expired, some parasites
-			m := event.Events{From: event.NodeID(2 + a%6)}
+			m := event.Events{From: event.NodeID(2 + a%(sh.senders+1))}
 			for r := 0; r < 7; r++ {
 				if a>>3>>r&1 != 0 {
 					m.Receivers = append(m.Receivers, event.NodeID(1+r))
@@ -238,8 +304,8 @@ func runScript(t testing.TB, data []byte, maxEvents int) {
 			ev.Remaining = ev.Validity
 			ids = append(ids, ev.ID)
 			msg = event.Events{
-				From:      event.NodeID(2 + a%6),
-				Receivers: []event.NodeID{event.NodeID(2 + b%6)},
+				From:      event.NodeID(2 + a%(sh.senders+1)),
+				Receivers: []event.NodeID{event.NodeID(2 + b%(sh.senders+1))},
 				Events:    []event.Event{ev},
 			}
 		case 6: // publish
@@ -260,23 +326,37 @@ func runScript(t testing.TB, data []byte, maxEvents int) {
 			for _, s := range sides {
 				s.sched.advance(time.Duration(a) * 100 * time.Millisecond)
 			}
-		case 9: // own subscriptions change; a restart replays the id stream
+		case 9: // own subscriptions or speed change; a restart replays the id stream
 			for _, s := range sides {
-				switch tp := scriptTopics[a%len(scriptTopics)]; b % 3 {
+				switch tp := scriptTopics[a%len(scriptTopics)]; b % 4 {
 				case 0:
 					_ = s.d.Subscribe(tp)
 				case 1:
 					s.d.Unsubscribe(tp)
 				case 2:
 					s.rng.Seed(7)
+				case 3:
+					s.speed = []float64{-1, 0, 12.5, 400}[a%4]
 				}
 			}
 		}
 		if msg != nil {
+			cov.add(p.expect(msg))
 			for _, s := range sides {
 				if err := s.d.HandleMessage(msg); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
+			}
+		}
+		if len(p.pendingIDs) > maxPendingIDLists || len(p.pendingIDs) != len(ref.pendingIDs) {
+			t.Fatalf("step %d: %d id lists stashed, reference %d, cap %d", step, len(p.pendingIDs), len(ref.pendingIDs), maxPendingIDLists)
+		}
+		for i, pend := range p.pendingIDs {
+			if i > 0 && pend.at < p.pendingIDs[i-1].at {
+				t.Fatalf("step %d: stash out of arrival order at %d", step, i)
+			}
+			if r, ok := ref.pendingIDs[pend.from]; !ok || r.at != pend.at || !reflect.DeepEqual(r.ids, pend.ids) {
+				t.Fatalf("step %d: stashed list of %d is %v, reference %v (stashed: %v)", step, pend.from, pend, r, ok)
 			}
 		}
 
@@ -313,6 +393,7 @@ func runScript(t testing.TB, data []byte, maxEvents int) {
 		}
 		p.check(t)
 	}
+	return cov
 }
 
 // check verifies the table's invariants and, per neighbor row, that bits
@@ -353,19 +434,54 @@ func randomScript(rng *rand.Rand, n int) []byte {
 	return data
 }
 
+// stashScript is a script of n operations dominated by id lists, with
+// short clock advances: under wideShape most senders are undiscovered, so
+// the pending-list stash fills, replaces and expires.
+func stashScript(rng *rand.Rand, n int) []byte {
+	data := randomScript(rng, n)
+	for i := 1; i < len(data); i += 3 {
+		switch k := rng.Intn(100); {
+		case k < 60:
+			data[i] = 2 // id list
+		case k < 68:
+			data[i] = 0 // heartbeat
+		case k < 80:
+			data[i], data[i+1] = 7, data[i+1]%12 // advance <= 110 ms
+		case k < 82:
+			data[i], data[i+1] = 8, data[i+1]%40 // advance <= 3.9 s
+		}
+	}
+	return data
+}
+
 // TestSendSetDifferential drives long random scripts through Protocol and
 // the reference, bounded (MaxEvents 3: constant eviction and slot reuse)
-// and unbounded (the table outgrows one bitset word). The seeds run as
-// parallel subtests: scratch buffers are per instance, so -race must stay
-// silent.
+// and unbounded (the table outgrows one bitset word), then with more
+// senders than the stash holds and with a neighbor table that keeps
+// evicting. The seeds run as parallel subtests: scratch buffers are per
+// instance, so -race must stay silent.
 func TestSendSetDifferential(t *testing.T) {
+	var mu sync.Mutex
+	var total scriptCoverage
+	t.Cleanup(func() { // after the parallel subtests
+		if total.stashReplaced == 0 || total.stashPopped == 0 || total.evicted == 0 {
+			t.Errorf("scripts no longer reach every sender-indexed path: %+v", total)
+		}
+	})
 	for seed := int64(1); seed <= 24; seed++ {
 		seed := seed
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			t.Parallel()
-			script := randomScript(rand.New(rand.NewSource(seed)), 600)
-			runScript(t, script, 0)
-			runScript(t, script, 3)
+			rng := rand.New(rand.NewSource(seed))
+			script := randomScript(rng, 600)
+			for _, sh := range narrowShapes {
+				runScript(t, script, sh)
+			}
+			cov := runScript(t, script, cappedShape)
+			cov.add(runScript(t, stashScript(rng, 600), wideShape))
+			mu.Lock()
+			total.add(cov)
+			mu.Unlock()
 		})
 	}
 }
@@ -381,8 +497,9 @@ func FuzzSendSet(f *testing.F) {
 		if len(data) > 3*(overflowGen-1) {
 			t.Skip()
 		}
-		runScript(t, data, 0)
-		runScript(t, data, 3)
+		for _, sh := range append(narrowShapes, wideShape, cappedShape) {
+			runScript(t, data, sh)
+		}
 	})
 }
 

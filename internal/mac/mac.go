@@ -454,19 +454,46 @@ func (p *Port) finishCur() {
 // faded and lost outcomes on q and reports whether the frame is clean.
 func (m *Medium) hears(tx *transmission, q *Port) bool {
 	rpos := m.loc.Position(q.id, tx.end)
-	d := tx.pos.Dist(rpos)
-	if d > m.cfg.Range {
-		return false
-	}
-	if m.cfg.ReceiveProb != nil && m.rng.Float64() >= m.cfg.ReceiveProb(d) {
-		q.c.FramesFaded++
-		return false
+	if m.cfg.ReceiveProb == nil {
+		if !within(tx.pos, rpos, m.cfg.Range) {
+			return false
+		}
+	} else {
+		d := tx.pos.Dist(rpos) // the channel model needs the distance itself
+		if d > m.cfg.Range {
+			return false
+		}
+		if m.rng.Float64() >= m.cfg.ReceiveProb(d) {
+			q.c.FramesFaded++
+			return false
+		}
 	}
 	if m.corrupted(tx, q, rpos) {
 		q.c.FramesLost++
 		return false
 	}
 	return true
+}
+
+// rimBand is the relative half-width, in squared distance, of the band
+// around a threshold inside which within asks Hypot (the slack
+// geo.IndexGrid.AppendWithin grants its rim).
+const rimBand = 1e-9
+
+// within reports a.Dist(b) <= r, bit for bit, for any r whose square
+// neither overflows nor underflows. The squared distance and Hypot each
+// carry a relative rounding error below 1e-15, so outside the band the
+// squares already decide what Hypot would say; only a pair on the rim
+// pays for the Hypot.
+func within(a, b geo.Point, r float64) bool {
+	d2, r2 := a.Dist2(b), r*r
+	if d2 <= r2*(1-rimBand) {
+		return true
+	}
+	if d2 > r2*(1+rimBand) {
+		return false
+	}
+	return a.Dist(b) <= r
 }
 
 // receivers returns the attach ranks to consider as receivers of tx, in
@@ -573,7 +600,7 @@ func (m *Medium) busyUntil(self event.NodeID, pos geo.Point, now sim.Time) (sim.
 		if t.from == self || t.end <= now || t.start >= now {
 			continue
 		}
-		if t.pos.Dist(pos) <= m.cfg.csRange() {
+		if within(t.pos, pos, m.cfg.csRange()) {
 			busy = true
 			if t.end > until {
 				until = t.end
@@ -619,7 +646,7 @@ func (m *Medium) corrupted(tx *transmission, q *Port, rpos geo.Point) bool {
 			if t.from == q.id {
 				return true // half-duplex: q was talking
 			}
-			if t.pos.Dist(rpos) <= m.cfg.ifRange() {
+			if within(t.pos, rpos, m.cfg.ifRange()) {
 				return true // interference at the receiver
 			}
 		}
@@ -633,7 +660,7 @@ func (m *Medium) corrupted(tx *transmission, q *Port, rpos geo.Point) bool {
 		}
 	}
 	for _, t := range m.interferers {
-		if t.from != q.id && t.pos.Dist(rpos) <= m.cfg.ifRange() {
+		if t.from != q.id && within(t.pos, rpos, m.cfg.ifRange()) {
 			return true // interference at the receiver
 		}
 	}

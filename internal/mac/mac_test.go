@@ -428,3 +428,44 @@ func TestFinishDenseAllocationFlat(t *testing.T) {
 		t.Fatalf("steady-state round of %d contending frames allocates %.0f times, want 0", burst, allocs)
 	}
 }
+
+// TestWithinMatchesHypot holds the squared-distance range check to the
+// Hypot comparison it replaced, verdict for verdict: on random pairs, on
+// pairs placed on the rim and stepped ulp by ulp either side of it, and
+// on the exact axis and 3-4-5 rims.
+func TestWithinMatchesHypot(t *testing.T) {
+	check := func(a, b geo.Point, r float64) {
+		t.Helper()
+		if got, want := within(a, b, r), a.Dist(b) <= r; got != want {
+			t.Fatalf("within(%v, %v, %v) = %v, Dist = %.17g says %v", a, b, r, got, a.Dist(b), want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		r := []float64{0.5, 44, 100, 250, 1e4}[rng.Intn(5)]
+		a := geo.Point{X: rng.Float64() * 5000, Y: rng.Float64() * 5000}
+		// Random pairs spread over twice the range...
+		check(a, geo.Point{X: a.X + (rng.Float64()*4-2)*r, Y: a.Y + (rng.Float64()*4-2)*r}, r)
+		// ...and pairs placed on the rim, then nudged a few ulps either
+		// way, where only Hypot can tell.
+		sin, cos := math.Sincos(rng.Float64() * 2 * math.Pi)
+		b := geo.Point{X: a.X + r*cos, Y: a.Y + r*sin}
+		for k := 0; k < 4; k++ {
+			check(a, b, r)
+			check(a, geo.Point{X: math.Nextafter(b.X, math.Inf(1)), Y: b.Y}, r)
+			check(a, geo.Point{X: b.X, Y: math.Nextafter(b.Y, math.Inf(-1))}, r)
+			b.X = math.Nextafter(b.X, a.X) // walk inwards
+		}
+	}
+	for _, r := range []float64{1, 100, 250} {
+		origin := geo.Point{}
+		for _, b := range []geo.Point{{X: r}, {Y: -r}, {X: 0.6 * r, Y: 0.8 * r}} {
+			check(origin, b, r)
+			check(origin, b, math.Nextafter(r, 0))
+			check(origin, b, math.Nextafter(r, math.Inf(1)))
+			check(origin, geo.Point{X: math.Nextafter(b.X, math.Inf(1)), Y: b.Y}, r)
+			check(origin, geo.Point{X: math.Nextafter(b.X, math.Inf(-1)), Y: b.Y}, r)
+		}
+	}
+	check(geo.Point{}, geo.Point{}, 0) // r*r == 0 is still exact at distance 0
+}

@@ -92,12 +92,13 @@ type nullTransport struct{}
 
 func (nullTransport) Broadcast(event.Message) {}
 
-// TestHandleMessageKnownNeighborAllocs pins the message a node handles
+// TestHandleMessageKnownNeighborAllocs pins the messages a node handles
 // most, through the interface the registry hands out: the name lookup
-// happens once per node at build time, and refreshing a known
-// neighbor's row from its heartbeat allocates nothing (the message is
-// boxed once here, as the transports' decoders do, so the caller's
-// interface conversion is not charged to the handler).
+// happens once per node at build time, and from a known neighbor a
+// heartbeat that only refreshes its row, an id list that leaves nothing
+// to send and a push of an event already stored allocate nothing (each
+// message is boxed once here, as the transports' decoders do, so the
+// caller's interface conversion is not charged to the handler).
 func TestHandleMessageKnownNeighborAllocs(t *testing.T) {
 	d, err := proto.Build("frugal", nil, proto.Env{
 		ID:        1,
@@ -108,24 +109,34 @@ func TestHandleMessageKnownNeighborAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Subscribe(topic.MustParse(".t")); err != nil {
+	tp := topic.MustParse(".t")
+	if err := d.Subscribe(tp); err != nil {
 		t.Fatal(err)
 	}
-	var hb event.Message = event.Heartbeat{
-		From:          2,
-		Subscriptions: []topic.Topic{topic.MustParse(".t")},
-		Speed:         10,
+	ev := event.Event{ID: event.ID{Lo: 7}, Topic: tp, Publisher: 2, Validity: time.Hour, Remaining: time.Hour}
+	msgs := []struct {
+		what string
+		m    event.Message
+	}{
+		// The sender's first heartbeat creates its neighbor row, its
+		// first push stores the event: every later one changes nothing.
+		{"heartbeat", event.Heartbeat{From: 2, Subscriptions: []topic.Topic{tp}, Speed: 10}},
+		{"duplicate event push", event.Events{From: 2, Receivers: []event.NodeID{1, 3}, Events: []event.Event{ev}}},
+		{"id list with nothing to send", event.IDList{From: 2, IDs: []event.ID{ev.ID}}},
 	}
-	// The sender's first heartbeat creates its neighbor row.
-	if err := d.HandleMessage(hb); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := d.HandleMessage(hb); err != nil {
+	for _, msg := range msgs {
+		if err := d.HandleMessage(msg.m); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("heartbeat from a known neighbor allocates %.0f times, want 0", allocs)
+	}
+	for _, msg := range msgs {
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := d.HandleMessage(msg.m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s from a known neighbor allocates %.0f times, want 0", msg.what, allocs)
+		}
 	}
 }
