@@ -86,12 +86,23 @@ type evRec struct {
 	seen     map[pubsub.NodeID]bool
 }
 
+type earlyDelivery struct {
+	node pubsub.NodeID
+	when time.Time
+}
+
 // tracker accumulates deliveries across all nodes' OnDeliver callbacks.
 type tracker struct {
 	mu      sync.Mutex
 	events  map[event.ID]*evRec
 	latency metrics.LogHist
-	late    int // deliveries of events published before tracking started
+	// early holds the deliveries whose event is not registered yet:
+	// Publish hands the event to the sockets before it returns the id,
+	// so another node's OnDeliver can run first. published drains it.
+	// (Holding mu across Publish instead would deadlock: OnDeliver runs
+	// under the delivering node's protocol lock, which Publish on that
+	// node needs.)
+	early map[event.ID][]earlyDelivery
 
 	// pubs/gots shadow the map totals as atomics so the progress ticker
 	// and the metrics registry can read them without taking the lock.
@@ -99,27 +110,39 @@ type tracker struct {
 	gots atomic.Int64
 }
 
-func (tr *tracker) published(id event.ID, eligible int) {
+// published registers an event Publish returned, at being the time
+// Publish was called, and counts the deliveries that beat it here.
+func (tr *tracker) published(id event.ID, at time.Time, eligible int) {
 	tr.mu.Lock()
-	tr.events[id] = &evRec{at: time.Now(), eligible: eligible, seen: make(map[pubsub.NodeID]bool)}
+	rec := &evRec{at: at, eligible: eligible, seen: make(map[pubsub.NodeID]bool)}
+	tr.events[id] = rec
+	for _, d := range tr.early[id] {
+		tr.count(rec, d.node, d.when)
+	}
+	delete(tr.early, id)
 	tr.mu.Unlock()
 	tr.pubs.Add(1)
 }
 
 func (tr *tracker) delivered(ev pubsub.Event, at pubsub.NodeID) {
+	now := time.Now()
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	rec, ok := tr.events[ev.ID]
-	if !ok {
-		tr.late++
-		return
+	if rec, ok := tr.events[ev.ID]; ok {
+		tr.count(rec, at, now)
+	} else {
+		tr.early[ev.ID] = append(tr.early[ev.ID], earlyDelivery{at, now})
 	}
-	if rec.seen[at] {
+}
+
+// count records one delivery of rec's event; mu must be held.
+func (tr *tracker) count(rec *evRec, node pubsub.NodeID, when time.Time) {
+	if rec.seen[node] {
 		return // re-delivery by a churn-recovered node
 	}
-	rec.seen[at] = true
+	rec.seen[node] = true
 	rec.got++
-	tr.latency.Add(time.Since(rec.at).Seconds())
+	tr.latency.Add(when.Sub(rec.at).Seconds())
 	tr.gots.Add(1)
 }
 
@@ -428,7 +451,7 @@ func run() int {
 		numSubs = 1
 	}
 
-	tr := &tracker{events: make(map[event.ID]*evRec)}
+	tr := &tracker{events: make(map[event.ID]*evRec), early: make(map[event.ID][]earlyDelivery)}
 	tun := pubsub.UDPTuning{SendQueue: *sendQ, RecvQueue: *recvQ, FlushInterval: *flush}
 	if dynamic {
 		tun.LearnPeers = true
@@ -610,12 +633,13 @@ func run() int {
 			if idx < numSubs {
 				eligible-- // the publisher doesn't count toward its own event
 			}
+			at := time.Now()
 			id, err := n.Publish(tp, []byte("soak payload"), op.Validity)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "loadgen: publish: %v\n", err)
 				return 2
 			}
-			tr.published(id, eligible)
+			tr.published(id, at, eligible)
 			published++
 		case workload.Crash:
 			ms.crash(op.Node)

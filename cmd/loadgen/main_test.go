@@ -11,6 +11,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/event"
+	"repro/pubsub"
 )
 
 // buildLoadgen compiles the command once into a temp dir; the check and
@@ -270,5 +273,26 @@ func TestBadWorkloadExits2(t *testing.T) {
 	}
 	if code := ee.ExitCode(); code != 2 {
 		t.Fatalf("bad workload exited %d, want 2", code)
+	}
+}
+
+// TestTrackerCountsDeliveryThatBeatsRegistration pins the order the
+// sockets actually produce: Publish puts the event on the wire before
+// it returns the id, so a subscriber's OnDeliver can reach the tracker
+// before published does. Such a delivery used to be dropped from the
+// real delivery ratio.
+func TestTrackerCountsDeliveryThatBeatsRegistration(t *testing.T) {
+	tr := &tracker{events: make(map[event.ID]*evRec), early: make(map[event.ID][]earlyDelivery)}
+	ev := pubsub.Event{ID: event.ID{Lo: 1}}
+	at := time.Now()
+	tr.delivered(ev, 2)
+	tr.delivered(ev, 2) // a re-delivery still counts once
+	tr.published(ev.ID, at, 3)
+	tr.delivered(ev, 3)
+	if rec := tr.events[ev.ID]; rec.got != 2 || tr.gots.Load() != 2 || tr.latency.N() != 2 {
+		t.Fatalf("got %d deliveries (gots %d, latencies %d), want 2", rec.got, tr.gots.Load(), tr.latency.N())
+	}
+	if len(tr.early) != 0 {
+		t.Fatalf("early deliveries not drained: %v", tr.early)
 	}
 }

@@ -5,26 +5,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/topic"
 )
 
-// ---- harness: zero-loss bus shared by flooding nodes ----
-
-type simSched struct{ eng *sim.Engine }
-
-func (s simSched) Now() time.Duration { return s.eng.Now().Duration() }
-func (s simSched) After(d time.Duration, fn func()) core.Timer {
-	return s.eng.After(d, fn)
-}
+// ---- harness: zero-loss bus shared by flooding and storm nodes ----
 
 type harness struct {
 	t      *testing.T
 	eng    *sim.Engine
 	ids    []event.NodeID
-	protos map[event.NodeID]*Protocol
+	protos map[event.NodeID]proto.Disseminator
 	deliv  map[event.NodeID][]event.Event
 }
 
@@ -32,7 +25,7 @@ func newHarness(t *testing.T, seed int64) *harness {
 	return &harness{
 		t:      t,
 		eng:    sim.New(seed),
-		protos: make(map[event.NodeID]*Protocol),
+		protos: make(map[event.NodeID]proto.Disseminator),
 		deliv:  make(map[event.NodeID][]event.Event),
 	}
 }
@@ -52,27 +45,37 @@ func (b busTransport) Broadcast(m event.Message) {
 	}
 }
 
-func (h *harness) addNode(id event.NodeID, v Variant, subs ...string) *Protocol {
-	h.t.Helper()
-	cfg := Config{
-		ID:      id,
-		Variant: v,
-		Rand:    rand.New(rand.NewSource(int64(id) + 50)),
-		OnDeliver: func(ev event.Event) {
-			h.deliv[id] = append(h.deliv[id], ev)
-		},
+// env is node id's environment on the bus; seedOffset keeps the flood
+// and storm suites on the RNG streams they were written against.
+func (h *harness) env(id event.NodeID, seedOffset int64) proto.Env {
+	return proto.Env{
+		ID:        id,
+		Sched:     proto.EngineScheduler{Eng: h.eng},
+		Transport: busTransport{h: h, from: id},
+		Rand:      rand.New(rand.NewSource(int64(id) + seedOffset)),
+		OnDeliver: func(ev event.Event) { h.deliv[id] = append(h.deliv[id], ev) },
 	}
-	p, err := New(cfg, simSched{h.eng}, busTransport{h: h, from: id})
+}
+
+// join puts a built node on the bus and subscribes it.
+func (h *harness) join(id event.NodeID, d proto.Disseminator, err error, subs []string) {
+	h.t.Helper()
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	h.protos[id] = p
+	h.protos[id] = d
 	h.ids = append(h.ids, id)
 	for _, s := range subs {
-		if err := p.Subscribe(topic.MustParse(s)); err != nil {
+		if err := d.Subscribe(topic.MustParse(s)); err != nil {
 			h.t.Fatal(err)
 		}
 	}
+}
+
+func (h *harness) addNode(id event.NodeID, v Variant, subs ...string) *Protocol {
+	h.t.Helper()
+	p, err := New(v, Tuning{}, h.env(id, 50))
+	h.join(id, p, err, subs)
 	return p
 }
 
@@ -80,26 +83,12 @@ func (h *harness) runUntil(sec float64) { h.eng.RunUntil(sim.Seconds(sec)) }
 
 // ---- tests ----
 
-func TestVariantString(t *testing.T) {
-	if Simple.String() != "simple-flooding" ||
-		InterestAware.String() != "interests-aware-flooding" ||
-		NeighborsInterest.String() != "neighbors-interests-flooding" {
-		t.Fatal("variant names wrong")
-	}
-	if Variant(9).String() != "variant(9)" {
-		t.Fatal("unknown variant format")
-	}
-}
-
+// TestConfigValidate: the constructor refuses what Tuning.Validate
+// refuses (the missing-environment half is TestProtocolInputContract's).
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{Variant: Variant(9)}).Validate(); err == nil {
-		t.Fatal("unknown variant accepted")
-	}
-	if err := (Config{Period: -time.Second}).Validate(); err == nil {
+	h := newHarness(t, 1)
+	if _, err := New(Simple, Tuning{Period: -time.Second}, h.env(1, 50)); err == nil {
 		t.Fatal("negative period accepted")
-	}
-	if _, err := New(Config{}, nil, nil); err == nil {
-		t.Fatal("nil deps accepted")
 	}
 }
 
@@ -107,7 +96,7 @@ func TestSimpleFloodingDelivers(t *testing.T) {
 	h := newHarness(t, 1)
 	p1 := h.addNode(1, Simple, ".t")
 	h.addNode(2, Simple, ".t")
-	h.addNode(3, Simple, ".other")
+	p3 := h.addNode(3, Simple, ".other")
 	id, err := p1.Publish(topic.MustParse(".t"), []byte("x"), time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +106,7 @@ func TestSimpleFloodingDelivers(t *testing.T) {
 		t.Fatalf("p2 deliveries = %v", h.deliv[2])
 	}
 	// Simple flooding stores parasites and repropagates them...
-	if !h.protos[3].HasEvent(id) {
+	if !p3.HasEvent(id) {
 		t.Fatal("simple flooding should store parasite events")
 	}
 	// ...but never delivers them.
@@ -263,17 +252,6 @@ func TestFloodExpiredEventsPruned(t *testing.T) {
 	}
 }
 
-func TestFloodPublishValidation(t *testing.T) {
-	h := newHarness(t, 9)
-	p := h.addNode(1, Simple, ".t")
-	if _, err := p.Publish(topic.Topic{}, nil, time.Minute); err == nil {
-		t.Fatal("zero topic accepted")
-	}
-	if _, err := p.Publish(topic.MustParse(".t"), nil, 0); err == nil {
-		t.Fatal("zero validity accepted")
-	}
-}
-
 func TestFloodStop(t *testing.T) {
 	h := newHarness(t, 10)
 	p1 := h.addNode(1, Simple, ".t")
@@ -293,7 +271,7 @@ func TestFloodStop(t *testing.T) {
 }
 
 func TestFloodDeterminism(t *testing.T) {
-	run := func() []core.Stats {
+	run := func() []proto.Stats {
 		h := newHarness(t, 42)
 		for id := event.NodeID(1); id <= 4; id++ {
 			h.addNode(id, Simple, ".t")
@@ -302,7 +280,7 @@ func TestFloodDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.runUntil(40)
-		var out []core.Stats
+		var out []proto.Stats
 		for id := event.NodeID(1); id <= 4; id++ {
 			out = append(out, h.protos[id].Stats())
 		}
@@ -358,8 +336,8 @@ func TestFloodNeighborTTLExpires(t *testing.T) {
 func TestFloodIDAccessorAndIDListIgnored(t *testing.T) {
 	h := newHarness(t, 13)
 	p := h.addNode(4, Simple, ".t")
-	if p.ID() != 4 {
-		t.Fatalf("ID = %v", p.ID())
+	if p.ID != 4 {
+		t.Fatalf("ID = %v", p.ID)
 	}
 	if err := p.HandleMessage(event.IDList{From: 9}); err != nil {
 		t.Fatalf("IDList should be ignored quietly, got %v", err)

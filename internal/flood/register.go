@@ -62,13 +62,7 @@ func registerFlood(name, description string, variant Variant) {
 			if !ok {
 				return nil, fmt.Errorf("flood: params are %T, want flood.Tuning", p)
 			}
-			return New(Config{
-				ID:        env.ID,
-				Variant:   variant,
-				Period:    t.Period,
-				OnDeliver: env.OnDeliver,
-				Rand:      env.Rand,
-			}, env.Sched, env.Transport)
+			return New(variant, t, env)
 		},
 	})
 }
@@ -83,15 +77,7 @@ func registerStorm(name, description string, scheme StormScheme) {
 			if !ok {
 				return nil, fmt.Errorf("flood: params are %T, want flood.StormTuning", p)
 			}
-			return NewStorm(StormConfig{
-				ID:               env.ID,
-				Scheme:           scheme,
-				P:                t.P,
-				CounterThreshold: t.CounterThreshold,
-				AssessmentDelay:  t.AssessmentDelay,
-				OnDeliver:        env.OnDeliver,
-				Rand:             env.Rand,
-			}, env.Sched, env.Transport)
+			return NewStorm(scheme, t, env)
 		},
 	})
 }

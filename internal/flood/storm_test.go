@@ -1,102 +1,36 @@
 package flood
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/topic"
 )
 
-// stormHarness wires Storm nodes to the shared test bus.
-type stormHarness struct {
-	t      *testing.T
-	eng    *sim.Engine
-	ids    []event.NodeID
-	protos map[event.NodeID]*Storm
-	deliv  map[event.NodeID][]event.Event
-}
-
-func newStormHarness(t *testing.T, seed int64) *stormHarness {
-	return &stormHarness{
-		t:      t,
-		eng:    sim.New(seed),
-		protos: make(map[event.NodeID]*Storm),
-		deliv:  make(map[event.NodeID][]event.Event),
-	}
-}
-
-type stormBus struct {
-	h    *stormHarness
-	from event.NodeID
-}
-
-func (b stormBus) Broadcast(m event.Message) {
-	for _, id := range b.h.ids {
-		if id == b.from {
-			continue
-		}
-		p := b.h.protos[id]
-		b.h.eng.After(time.Millisecond, func() { _ = p.HandleMessage(m) })
-	}
-}
-
-func (h *stormHarness) addNode(id event.NodeID, cfg StormConfig, subs ...string) *Storm {
+func (h *harness) addStorm(id event.NodeID, scheme StormScheme, t StormTuning, subs ...string) *Storm {
 	h.t.Helper()
-	cfg.ID = id
-	if cfg.Rand == nil {
-		cfg.Rand = rand.New(rand.NewSource(int64(id) + 500))
-	}
-	cfg.OnDeliver = func(ev event.Event) {
-		h.deliv[id] = append(h.deliv[id], ev)
-	}
-	p, err := NewStorm(cfg, simSched{h.eng}, stormBus{h: h, from: id})
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	h.protos[id] = p
-	h.ids = append(h.ids, id)
-	for _, s := range subs {
-		if err := p.Subscribe(topic.MustParse(s)); err != nil {
-			h.t.Fatal(err)
-		}
-	}
+	p, err := NewStorm(scheme, t, h.env(id, 500))
+	h.join(id, p, err, subs)
 	return p
 }
 
-func TestStormSchemeString(t *testing.T) {
-	if Probabilistic.String() != "probabilistic-broadcast" ||
-		CounterBased.String() != "counter-based-broadcast" {
-		t.Fatal("scheme names wrong")
-	}
-	if StormScheme(7).String() != "storm(7)" {
-		t.Fatal("unknown scheme format")
-	}
-}
-
-func TestStormConfigValidate(t *testing.T) {
-	if err := (StormConfig{Scheme: StormScheme(9)}).Validate(); err == nil {
-		t.Fatal("unknown scheme accepted")
-	}
-	if err := (StormConfig{P: 1.5}).Validate(); err == nil {
-		t.Fatal("bad probability accepted")
-	}
-	if err := (StormConfig{CounterThreshold: -1}).Validate(); err == nil {
-		t.Fatal("negative threshold accepted")
-	}
-	if _, err := NewStorm(StormConfig{}, nil, nil); err == nil {
-		t.Fatal("nil deps accepted")
+func TestStormTuningValidate(t *testing.T) {
+	h := newHarness(t, 1)
+	for _, bad := range []StormTuning{{P: 1.5}, {P: -0.1}, {CounterThreshold: -1}, {AssessmentDelay: -time.Second}} {
+		if _, err := NewStorm(CounterBased, bad, h.env(1, 500)); err == nil {
+			t.Errorf("StormTuning %+v accepted", bad)
+		}
 	}
 }
 
 func TestStormProbabilisticDelivers(t *testing.T) {
-	h := newStormHarness(t, 1)
-	p1 := h.addNode(1, StormConfig{Scheme: Probabilistic, P: 1.0}, ".t")
-	h.addNode(2, StormConfig{Scheme: Probabilistic, P: 1.0}, ".t")
-	h.addNode(3, StormConfig{Scheme: Probabilistic, P: 1.0}, ".t")
+	h := newHarness(t, 1)
+	p1 := h.addStorm(1, Probabilistic, StormTuning{P: 1.0}, ".t")
+	h.addStorm(2, Probabilistic, StormTuning{P: 1.0}, ".t")
+	h.addStorm(3, Probabilistic, StormTuning{P: 1.0}, ".t")
 	id, err := p1.Publish(topic.MustParse(".t"), []byte("x"), time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +44,9 @@ func TestStormProbabilisticDelivers(t *testing.T) {
 }
 
 func TestStormProbabilisticZeroNeverRelays(t *testing.T) {
-	h := newStormHarness(t, 2)
-	p1 := h.addNode(1, StormConfig{Scheme: Probabilistic, P: 1}, ".t")
-	p2 := h.addNode(2, StormConfig{Scheme: Probabilistic, P: 1e-12}, ".t")
+	h := newHarness(t, 2)
+	p1 := h.addStorm(1, Probabilistic, StormTuning{P: 1}, ".t")
+	p2 := h.addStorm(2, Probabilistic, StormTuning{P: 1e-12}, ".t")
 	if _, err := p1.Publish(topic.MustParse(".t"), nil, time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +63,10 @@ func TestStormProbabilisticZeroNeverRelays(t *testing.T) {
 func TestStormSingleShot(t *testing.T) {
 	// Unlike periodic flooding, each node transmits each event at most
 	// once — the defining property of the storm schemes.
-	h := newStormHarness(t, 3)
+	h := newHarness(t, 3)
 	ps := make([]*Storm, 4)
 	for i := range ps {
-		ps[i] = h.addNode(event.NodeID(i+1), StormConfig{Scheme: Probabilistic, P: 1}, ".t")
+		ps[i] = h.addStorm(event.NodeID(i+1), Probabilistic, StormTuning{P: 1}, ".t")
 	}
 	if _, err := ps[0].Publish(topic.MustParse(".t"), nil, time.Hour); err != nil {
 		t.Fatal(err)
@@ -149,12 +83,11 @@ func TestStormCounterSuppression(t *testing.T) {
 	// On a fully connected bus every node hears every relay. With
 	// threshold 2 and several nodes, at least some relays must be
 	// suppressed — the storm remedy at work.
-	h := newStormHarness(t, 4)
+	h := newHarness(t, 4)
 	const n = 8
 	ps := make([]*Storm, n)
 	for i := range ps {
-		ps[i] = h.addNode(event.NodeID(i+1), StormConfig{
-			Scheme:           CounterBased,
+		ps[i] = h.addStorm(event.NodeID(i+1), CounterBased, StormTuning{
 			CounterThreshold: 2,
 			AssessmentDelay:  300 * time.Millisecond,
 		}, ".t")
@@ -181,9 +114,9 @@ func TestStormCounterSuppression(t *testing.T) {
 func TestStormRelaysParasitesButDoesNotDeliver(t *testing.T) {
 	// Storm schemes are network-layer broadcasts: uninterested nodes
 	// relay but never deliver.
-	h := newStormHarness(t, 5)
-	p1 := h.addNode(1, StormConfig{Scheme: Probabilistic, P: 1}, ".t")
-	p2 := h.addNode(2, StormConfig{Scheme: Probabilistic, P: 1}, ".other")
+	h := newHarness(t, 5)
+	p1 := h.addStorm(1, Probabilistic, StormTuning{P: 1}, ".t")
+	p2 := h.addStorm(2, Probabilistic, StormTuning{P: 1}, ".other")
 	if _, err := p1.Publish(topic.MustParse(".t"), nil, time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -201,53 +134,37 @@ func TestStormRelaysParasitesButDoesNotDeliver(t *testing.T) {
 }
 
 func TestStormExpiredPruned(t *testing.T) {
-	h := newStormHarness(t, 6)
-	p1 := h.addNode(1, StormConfig{Scheme: Probabilistic, P: 1}, ".t")
-	p2 := h.addNode(2, StormConfig{Scheme: Probabilistic, P: 1}, ".t")
-	if _, err := p1.Publish(topic.MustParse(".t"), nil, 2*time.Second); err != nil {
+	h := newHarness(t, 6)
+	p1 := h.addStorm(1, Probabilistic, StormTuning{P: 1}, ".t")
+	p2 := h.addStorm(2, Probabilistic, StormTuning{P: 1}, ".t")
+	old, err := p1.Publish(topic.MustParse(".t"), nil, 2*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
 	h.eng.RunUntil(sim.Seconds(5))
 	// Trigger a prune via another event.
-	if _, err := p1.Publish(topic.MustParse(".t"), nil, time.Minute); err != nil {
+	fresh, err := p1.Publish(topic.MustParse(".t"), nil, time.Minute)
+	if err != nil {
 		t.Fatal(err)
 	}
 	h.eng.RunUntil(sim.Seconds(8))
-	if got := len(p2.sortedStormIDs()); got != 1 {
-		t.Fatalf("store holds %d events, want 1 (expired pruned)", got)
-	}
-}
-
-func TestStormPublishValidation(t *testing.T) {
-	h := newStormHarness(t, 7)
-	p := h.addNode(1, StormConfig{Scheme: Probabilistic}, ".t")
-	if _, err := p.Publish(topic.Topic{}, nil, time.Minute); err == nil {
-		t.Fatal("zero topic accepted")
-	}
-	if _, err := p.Publish(topic.MustParse(".t"), nil, 0); err == nil {
-		t.Fatal("zero validity accepted")
-	}
-	p.Stop()
-	if _, err := p.Publish(topic.MustParse(".t"), nil, time.Minute); err == nil {
-		t.Fatal("publish after stop accepted")
-	}
-	if err := p.Subscribe(topic.MustParse(".x")); err == nil {
-		t.Fatal("subscribe after stop accepted")
+	if p2.HasEvent(old) || !p2.HasEvent(fresh) {
+		t.Fatalf("store holds expired=%v valid=%v, want only the valid event", p2.HasEvent(old), p2.HasEvent(fresh))
 	}
 }
 
 func TestStormDeterminism(t *testing.T) {
-	run := func() []core.Stats {
-		h := newStormHarness(t, 42)
+	run := func() []proto.Stats {
+		h := newHarness(t, 42)
 		ps := make([]*Storm, 5)
 		for i := range ps {
-			ps[i] = h.addNode(event.NodeID(i+1), StormConfig{Scheme: CounterBased}, ".t")
+			ps[i] = h.addStorm(event.NodeID(i+1), CounterBased, StormTuning{}, ".t")
 		}
 		if _, err := ps[0].Publish(topic.MustParse(".t"), nil, time.Minute); err != nil {
 			t.Fatal(err)
 		}
 		h.eng.RunUntil(sim.Seconds(70))
-		out := make([]core.Stats, len(ps))
+		out := make([]proto.Stats, len(ps))
 		for i, p := range ps {
 			out[i] = p.Stats()
 		}

@@ -16,18 +16,20 @@
 // The package is wired into the simulation exclusively through the
 // internal/proto registry (see init): no runner or harness code names
 // it. It is, deliberately, the worked example for "adding a protocol"
-// in ARCHITECTURE.md.
+// in ARCHITECTURE.md: subscriptions, lifecycle, Publish, dispatch, the
+// event store and the neighbour table come from proto.Baseline and
+// proto.Neighbors, so this file is the params, the constructor and the
+// gossip rule.
 package gossip
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/event"
 	"repro/internal/proto"
-	"repro/internal/topic"
 )
 
 // ProtocolName is the registry key.
@@ -79,46 +81,23 @@ func (t Tuning) withDefaults() Tuning {
 	return t
 }
 
-// rumor is one stored event plus its local push state.
+// rumor is the push state of one stored event.
 type rumor struct {
-	ev        event.Event
-	expiresAt time.Duration
-	pushLeft  int // remaining push rounds; pulls serve it afterwards
+	pushLeft int // remaining push rounds; pulls serve it afterwards
 }
 
-// neighbor is one heartbeat-learned peer.
-type neighbor struct {
-	subs     *topic.Set
-	storedAt time.Duration
-	// known holds event ids the peer is presumed to have (from digests,
-	// addressed sends and overheard traffic) — the push/pull filter.
-	known map[event.ID]bool
-}
+// known is the per-neighbor state: the event ids the peer is presumed
+// to have (from digests, addressed sends and overheard traffic) — the
+// push/pull filter.
+type known map[event.ID]bool
 
-// Protocol is one push-pull gossip process. Like every Disseminator it
-// is single-threaded: all entry points must be invoked serially.
+// Protocol is one push-pull gossip process: the skeleton plus the
+// gossip rule — the round, the pull answer, the sample, and how long an
+// expired rumor is remembered.
 type Protocol struct {
-	tun tuningRT
-	env proto.Env
-
-	subs  *topic.Set
-	store map[event.ID]*rumor
-	// sorted caches the store's rumors in id order (nil = rebuild);
-	// digests arrive once per neighbor per round, so the sort is reused
-	// across them instead of redone per message.
-	sorted []*rumor
-	nbrs   map[event.NodeID]*neighbor
-
-	roundTimer proto.Timer
-	hbTimer    proto.Timer
-	stats      proto.Stats
-	stopped    bool
-}
-
-// tuningRT is Tuning with the derived neighbor TTL resolved.
-type tuningRT struct {
-	Tuning
-	neighborTTL time.Duration
+	proto.Baseline[rumor]
+	tun  Tuning // defaults resolved
+	nbrs *proto.Neighbors[known]
 }
 
 // New creates a gossip node; the periodic round and heartbeat tasks
@@ -127,214 +106,65 @@ func New(t Tuning, env proto.Env) (*Protocol, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if env.Sched == nil || env.Transport == nil || env.Rand == nil {
-		return nil, errors.New("gossip: environment missing scheduler, transport or rand")
-	}
 	t = t.withDefaults()
-	return &Protocol{
-		tun: tuningRT{
-			Tuning: t,
-			// Mirror the frugal protocol's 2.5x heartbeat horizon.
-			neighborTTL: time.Duration(2.5 * float64(t.Period)),
-		},
-		env:   env,
-		subs:  topic.NewSet(),
-		store: make(map[event.ID]*rumor),
-		nbrs:  make(map[event.NodeID]*neighbor),
-	}, nil
+	p := &Protocol{tun: t, nbrs: proto.NewNeighbors[known](t.Period)}
+	if err := p.Init(env, p); err != nil {
+		return nil, err
+	}
+	// The round's phase is drawn before the heartbeat's.
+	p.Every(t.Period, p.roundTick)
+	p.Every(t.Period, p.Heartbeat)
+	return p, nil
 }
 
-// ID returns the process identifier.
-func (p *Protocol) ID() event.NodeID { return p.env.ID }
+// OnPublish implements proto.Rule: a published rumor starts with a full
+// push budget; the next round starts spreading it.
+func (p *Protocol) OnPublish(ru *proto.Stored[rumor]) { ru.State.pushLeft = p.tun.Rounds }
 
-// Stats returns a snapshot of the counters.
-func (p *Protocol) Stats() proto.Stats { return p.stats }
-
-// HasEvent reports whether the store holds id.
-func (p *Protocol) HasEvent(id event.ID) bool {
-	_, ok := p.store[id]
-	return ok
-}
-
-// Subscribe registers interest in t and its subtopics.
-func (p *Protocol) Subscribe(t topic.Topic) error {
-	if p.stopped {
-		return errors.New("gossip: protocol stopped")
-	}
-	if t.IsZero() {
-		return errors.New("gossip: zero topic")
-	}
-	p.subs.Add(t)
-	p.start()
-	return nil
-}
-
-// Unsubscribe removes t from the subscription set.
-func (p *Protocol) Unsubscribe(t topic.Topic) { p.subs.Remove(t) }
-
-// Stop halts all activity permanently.
-func (p *Protocol) Stop() {
-	p.stopped = true
-	if p.roundTimer != nil {
-		p.roundTimer.Stop()
-		p.roundTimer = nil
-	}
-	if p.hbTimer != nil {
-		p.hbTimer.Stop()
-		p.hbTimer = nil
+// OnHeartbeat implements proto.Rule.
+func (p *Protocol) OnHeartbeat(h event.Heartbeat) {
+	if nb := p.nbrs.Observe(h, p.Sched.Now()); nb.State == nil {
+		nb.State = make(known)
 	}
 }
 
-// start launches the periodic tasks with a random initial phase so that
-// co-started nodes do not gossip in lockstep.
-func (p *Protocol) start() {
-	if p.roundTimer == nil {
-		phase := time.Duration(p.env.Rand.Int63n(int64(p.tun.Period) + 1))
-		p.roundTimer = p.env.Sched.After(phase, p.roundTick)
-	}
-	if p.hbTimer == nil {
-		phase := time.Duration(p.env.Rand.Int63n(int64(p.tun.Period) + 1))
-		p.hbTimer = p.env.Sched.After(phase, p.heartbeatTick)
-	}
-}
-
-// Publish stores a new rumor with a full push budget; the next round
-// starts spreading it.
-func (p *Protocol) Publish(t topic.Topic, payload []byte, validity time.Duration) (event.ID, error) {
-	if p.stopped {
-		return event.ID{}, errors.New("gossip: protocol stopped")
-	}
-	if t.IsZero() {
-		return event.ID{}, errors.New("gossip: zero topic")
-	}
-	if validity <= 0 {
-		return event.ID{}, fmt.Errorf("gossip: non-positive validity %v", validity)
-	}
-	now := p.env.Sched.Now()
-	ev := event.Event{
-		ID:        event.NewID(p.env.Rand),
-		Topic:     t,
-		Publisher: p.env.ID,
-		Payload:   append([]byte(nil), payload...),
-		Validity:  validity,
-		Remaining: validity,
-	}
-	p.store[ev.ID] = &rumor{ev: ev, expiresAt: now + validity, pushLeft: p.tun.Rounds}
-	p.sorted = nil
-	p.stats.Published++
-	if p.subs.Covers(t) {
-		p.deliver(ev)
-	}
-	p.start()
-	return ev.ID, nil
-}
-
-func (p *Protocol) deliver(ev event.Event) {
-	p.stats.Delivered++
-	if p.env.OnDeliver != nil {
-		p.env.OnDeliver(ev)
-	}
-}
-
-// HandleMessage feeds a received broadcast into the protocol.
-func (p *Protocol) HandleMessage(m event.Message) error {
-	if p.stopped {
-		return nil
-	}
-	switch v := m.(type) {
-	case event.Heartbeat:
-		p.onHeartbeat(v)
-	case event.IDList:
-		p.onDigest(v)
-	case event.Events:
-		p.onEvents(v)
-	default:
-		return fmt.Errorf("gossip: unknown message %T", m)
-	}
-	return nil
-}
-
-func (p *Protocol) onHeartbeat(h event.Heartbeat) {
-	if h.From == p.env.ID {
-		return
-	}
-	now := p.env.Sched.Now()
-	if nb, ok := p.nbrs[h.From]; ok {
-		nb.subs = topic.NewSet(h.Subscriptions...)
-		nb.storedAt = now
-		return
-	}
-	p.nbrs[h.From] = &neighbor{
-		subs:     topic.NewSet(h.Subscriptions...),
-		storedAt: now,
-		known:    make(map[event.ID]bool),
-	}
-}
-
-// onDigest is the pull half: a digest lists the ids the sender holds;
-// we answer with the valid events of interest to the sender that the
-// digest lacks.
-func (p *Protocol) onDigest(l event.IDList) {
-	if l.From == p.env.ID {
-		return
-	}
-	nb, ok := p.nbrs[l.From]
-	if !ok {
+// OnIDList implements proto.Rule with the pull half: a digest lists the
+// ids the sender holds; we answer with the valid events of interest to
+// the sender that the digest lacks.
+func (p *Protocol) OnIDList(l event.IDList) {
+	nb := p.nbrs.Get(l.From)
+	if nb == nil {
 		return // undiscovered sender: its next heartbeat fixes this
 	}
 	for _, id := range l.IDs {
-		nb.known[id] = true
+		nb.State[id] = true
 	}
-	now := p.env.Sched.Now()
-	var batch []*rumor
-	for _, ru := range p.sortedValid(now) {
-		if !nb.known[ru.ev.ID] && nb.subs.Covers(ru.ev.Topic) {
-			batch = append(batch, ru)
-		}
-	}
-	p.send(batch, now, l.From, nb)
+	now := p.Sched.Now()
+	p.send(p.Valid(now), now, l.From, nb, false)
 }
 
-func (p *Protocol) onEvents(msg event.Events) {
-	if msg.From == p.env.ID {
-		return
-	}
-	now := p.env.Sched.Now()
+// OnEvents implements proto.Rule.
+func (p *Protocol) OnEvents(msg event.Events) {
+	now := p.Sched.Now()
 	// Presumed-received: the sender and every addressed receiver hold
 	// the carried events — the filter that keeps push/pull finite.
-	holders := make([]*neighbor, 0, len(msg.Receivers)+1)
-	if nb, ok := p.nbrs[msg.From]; ok {
+	holders := make([]*proto.Neighbor[known], 0, len(msg.Receivers)+1)
+	if nb := p.nbrs.Get(msg.From); nb != nil {
 		holders = append(holders, nb)
 	}
 	for _, r := range msg.Receivers {
-		if nb, ok := p.nbrs[r]; ok {
+		if nb := p.nbrs.Get(r); nb != nil {
 			holders = append(holders, nb)
 		}
 	}
 	for _, ev := range msg.Events {
-		p.stats.EventsReceived++
 		for _, nb := range holders {
-			nb.known[ev.ID] = true
+			nb.State[ev.ID] = true
 		}
-		if !p.subs.Covers(ev.Topic) {
-			p.stats.Parasites++ // outside our interests: drop
-			continue
+		// Events outside our interests are dropped.
+		if ru, fresh := p.Receive(ev, now, false); fresh {
+			ru.State.pushLeft = p.tun.Rounds
 		}
-		if _, ok := p.store[ev.ID]; ok {
-			p.stats.Duplicates++
-			continue
-		}
-		if ev.Remaining <= 0 {
-			p.stats.ExpiredDrops++
-			continue
-		}
-		p.store[ev.ID] = &rumor{
-			ev:        ev,
-			expiresAt: now + ev.Remaining,
-			pushLeft:  p.tun.Rounds,
-		}
-		p.sorted = nil
-		p.deliver(ev)
 	}
 }
 
@@ -342,148 +172,85 @@ func (p *Protocol) onEvents(msg event.Events) {
 // interested neighbors, then broadcast the digest that lets any
 // neighbor pull what we miss.
 func (p *Protocol) roundTick() {
-	if p.stopped {
-		p.roundTimer = nil
-		return
-	}
-	now := p.env.Sched.Now()
+	now := p.Sched.Now()
 	p.prune(now)
-	valid := p.sortedValid(now)
+	valid := p.Valid(now)
 	sample := p.sampleNeighbors()
 	for _, id := range sample {
-		nb := p.nbrs[id]
-		var batch []*rumor
-		for _, ru := range valid {
-			if ru.pushLeft > 0 && !nb.known[ru.ev.ID] && nb.subs.Covers(ru.ev.Topic) {
-				batch = append(batch, ru)
-			}
-		}
-		p.send(batch, now, id, nb)
+		p.send(valid, now, id, p.nbrs.Get(id), true)
 	}
 	if len(sample) > 0 {
 		// The budget burns per round with peers in range, pushed or
 		// not: a rumor the whole sample already knows is cold.
 		for _, ru := range valid {
-			if ru.pushLeft > 0 {
-				ru.pushLeft--
+			if ru.State.pushLeft > 0 {
+				ru.State.pushLeft--
 			}
 		}
 	}
-	if !p.subs.Empty() {
+	if !p.Subs.Empty() {
 		// The pull request: advertise holdings (even empty — that is
 		// precisely "send me everything").
 		ids := make([]event.ID, len(valid))
 		for i, ru := range valid {
-			ids[i] = ru.ev.ID
+			ids[i] = ru.Ev.ID
 		}
-		p.env.Transport.Broadcast(event.IDList{From: p.env.ID, IDs: ids})
-		p.stats.IDListsSent++
+		p.Transport.Broadcast(event.IDList{From: p.ID, IDs: ids})
+		p.Count.IDListsSent++
 	}
-	p.roundTimer = p.env.Sched.After(p.tun.Period, p.roundTick)
 }
 
-// send transmits batch addressed to peer and records the bookkeeping.
-func (p *Protocol) send(batch []*rumor, now time.Duration, peer event.NodeID, nb *neighbor) {
-	if len(batch) == 0 {
-		return
+// send addresses to peer the valid rumors it subscribes to and is not
+// presumed to hold — a push only those with budget left, a pull answer
+// all of them — and presumes them received.
+func (p *Protocol) send(valid []*proto.Stored[rumor], now time.Duration, peer event.NodeID, nb *proto.Neighbor[known], push bool) {
+	var batch []*proto.Stored[rumor]
+	for _, ru := range valid {
+		if (!push || ru.State.pushLeft > 0) && !nb.State[ru.Ev.ID] && nb.Subs.Covers(ru.Ev.Topic) {
+			batch = append(batch, ru)
+			nb.State[ru.Ev.ID] = true
+		}
 	}
-	events := make([]event.Event, len(batch))
-	for i, ru := range batch {
-		events[i] = ru.ev.WithRemaining(ru.expiresAt - now)
-		nb.known[ru.ev.ID] = true
-	}
-	p.env.Transport.Broadcast(event.Events{
-		From:      p.env.ID,
-		Events:    events,
-		Receivers: []event.NodeID{peer},
-	})
-	p.stats.EventMsgsSent++
-	p.stats.EventsSent += uint64(len(events))
-}
-
-func (p *Protocol) heartbeatTick() {
-	if p.stopped {
-		p.hbTimer = nil
-		return
-	}
-	p.env.Transport.Broadcast(event.Heartbeat{
-		From:          p.env.ID,
-		Subscriptions: p.subs.Topics(),
-		Speed:         -1, // oblivious: gossip ignores mobility
-	})
-	p.stats.HeartbeatsSent++
-	p.hbTimer = p.env.Sched.After(p.tun.Period, p.heartbeatTick)
+	p.Send(batch, now, peer)
 }
 
 // sampleNeighbors draws up to Fanout live neighbor ids, uniformly
 // without replacement, in a deterministic order given the node RNG.
 func (p *Protocol) sampleNeighbors() []event.NodeID {
-	ids := make([]event.NodeID, 0, len(p.nbrs))
-	for id := range p.nbrs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := p.nbrs.IDs()
 	if len(ids) <= p.tun.Fanout {
 		return ids
 	}
 	picked := make([]event.NodeID, 0, p.tun.Fanout)
-	for _, i := range p.env.Rand.Perm(len(ids))[:p.tun.Fanout] {
+	for _, i := range p.Rand.Perm(len(ids))[:p.tun.Fanout] {
 		picked = append(picked, ids[i])
 	}
-	sort.Slice(picked, func(i, j int) bool { return picked[i] < picked[j] })
+	slices.Sort(picked)
 	return picked
 }
 
-// prune drops expired rumors and stale neighbors. Expired rumors are
-// retained one neighborTTL past expiry as delivery memory: a peer that
-// received the event later holds a slightly later expiry (transit time
-// accumulates), so a copy can still arrive with Remaining > 0 shortly
-// after our own copy expired — dropping the entry immediately would
-// re-deliver it. sortedValid filters them out of digests and pushes.
+// prune drops expired rumors and stale neighbors. Retention rule:
+// expired rumors are kept one neighbor TTL past expiry as delivery
+// memory: a peer that received the event later holds a slightly later
+// expiry (transit time accumulates), so a copy can still arrive with
+// Remaining > 0 shortly after our own copy expired — dropping the entry
+// immediately would re-deliver it. Valid filters them out of digests
+// and pushes.
 func (p *Protocol) prune(now time.Duration) {
-	for id, ru := range p.store {
-		if now >= ru.expiresAt+p.tun.neighborTTL {
-			delete(p.store, id)
-			p.sorted = nil
-		}
-	}
-	for id, nb := range p.nbrs {
-		if now-nb.storedAt > p.tun.neighborTTL {
-			delete(p.nbrs, id)
-			continue
-		}
+	p.Prune(func(ru *proto.Stored[rumor]) bool { return now >= ru.ExpiresAt+p.nbrs.TTL })
+	p.nbrs.Prune(now)
+	for _, id := range p.nbrs.IDs() {
 		// The known filter only ever guards pushes/pulls of events we
 		// hold, so entries for ids outside the store are dead weight —
 		// dropping them bounds per-neighbor memory by the store size
 		// instead of growing with every event id ever overheard.
-		for evID := range nb.known {
-			if _, held := p.store[evID]; !held {
-				delete(nb.known, evID)
+		nb := p.nbrs.Get(id)
+		for evID := range nb.State {
+			if !p.HasEvent(evID) {
+				delete(nb.State, evID)
 			}
 		}
 	}
-}
-
-// sortedValid returns still-valid rumors ordered by event id, reusing
-// the cached id-ordered slice (validity is time-dependent, so only the
-// filter runs per call; the sort reruns only after store mutations).
-func (p *Protocol) sortedValid(now time.Duration) []*rumor {
-	if p.sorted == nil {
-		p.sorted = make([]*rumor, 0, len(p.store))
-		for _, ru := range p.store {
-			p.sorted = append(p.sorted, ru)
-		}
-		sort.Slice(p.sorted, func(i, j int) bool {
-			return p.sorted[i].ev.ID.Less(p.sorted[j].ev.ID)
-		})
-	}
-	out := make([]*rumor, 0, len(p.sorted))
-	for _, ru := range p.sorted {
-		if now < ru.expiresAt {
-			out = append(out, ru)
-		}
-	}
-	return out
 }
 
 func init() {

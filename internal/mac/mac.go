@@ -218,6 +218,20 @@ func (a Counters) Sub(b Counters) Counters {
 	}
 }
 
+// Each calls fn once per counter, in declaration order, with the
+// counter's column name (the simulator's series prefixes it mac_). A
+// new counter must be added here too (the same test checks).
+func (a Counters) Each(fn func(name string, v uint64)) {
+	fn("frames_sent", a.FramesSent)
+	fn("app_bytes_sent", a.AppBytesSent)
+	fn("macbytes_sent", a.MACBytesSent)
+	fn("frames_received", a.FramesReceived)
+	fn("frames_lost", a.FramesLost)
+	fn("frames_faded", a.FramesFaded)
+	fn("queue_drops", a.QueueDrops)
+	fn("defers", a.Defers)
+}
+
 // Medium is the shared broadcast channel. Attach every node before
 // running the simulation. Medium is driven entirely by the sim engine and
 // is not safe for concurrent use.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 	"strings"
 	"time"
 
@@ -157,21 +156,13 @@ func (r *runner) cumulativeRatio() float64 {
 }
 
 // seriesColumns enumerates the CSV/JSON schema: the fixed lead columns
-// followed by the proto and MAC counter fields by reflection, so a
-// counter added to either struct appears in dumped curves without
-// further wiring.
+// followed by the proto and MAC counters as their Each methods name
+// them, so a counter added to either struct appears in dumped curves
+// without further wiring.
 func seriesColumns() []string {
 	cols := []string{"t_s", "published", "delivery_ratio", "in_flight", "pending"}
-	for _, s := range []any{proto.Stats{}, mac.Counters{}} {
-		rt := reflect.TypeOf(s)
-		prefix := "proto_"
-		if rt == reflect.TypeOf(mac.Counters{}) {
-			prefix = "mac_"
-		}
-		for i := 0; i < rt.NumField(); i++ {
-			cols = append(cols, prefix+snakeCase(rt.Field(i).Name))
-		}
-	}
+	proto.Stats{}.Each(func(name string, _ uint64) { cols = append(cols, "proto_"+name) })
+	mac.Counters{}.Each(func(name string, _ uint64) { cols = append(cols, "mac_"+name) })
 	return cols
 }
 
@@ -184,29 +175,10 @@ func (p SeriesPoint) row() []string {
 		fmt.Sprintf("%d", p.InFlight),
 		fmt.Sprintf("%d", p.Pending),
 	}
-	for _, s := range []any{p.Proto, p.MAC} {
-		v := reflect.ValueOf(s)
-		for i := 0; i < v.NumField(); i++ {
-			out = append(out, fmt.Sprintf("%d", v.Field(i).Uint()))
-		}
-	}
+	counter := func(_ string, v uint64) { out = append(out, fmt.Sprintf("%d", v)) }
+	p.Proto.Each(counter)
+	p.MAC.Each(counter)
 	return out
-}
-
-// snakeCase converts a Go field name (FramesSent) to its column name
-// (frames_sent). Consecutive capitals stay one word (GCed -> gced).
-func snakeCase(s string) string {
-	var b strings.Builder
-	for i, r := range s {
-		if r >= 'A' && r <= 'Z' {
-			if i > 0 && !(s[i-1] >= 'A' && s[i-1] <= 'Z') {
-				b.WriteByte('_')
-			}
-			r += 'a' - 'A'
-		}
-		b.WriteRune(r)
-	}
-	return b.String()
 }
 
 // WriteCSV renders the series as one header line plus one row per

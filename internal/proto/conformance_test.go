@@ -222,3 +222,86 @@ func TestProtocolConformanceHeavyLoss(t *testing.T) {
 		})
 	}
 }
+
+// TestProtocolInputContract is the one statement of what every
+// registered protocol does with bad or degenerate input, whatever its
+// dissemination rule: the factory needs its environment, Publish and
+// Subscribe validate their arguments and refuse a stopped instance, a
+// node's own broadcast echoed back changes nothing, and a node that
+// unsubscribed its last topic delivers nothing more.
+func TestProtocolInputContract(t *testing.T) {
+	tp := topic.MustParse(".t")
+	for _, def := range proto.Protocols() {
+		t.Run(def.Name, func(t *testing.T) {
+			if _, err := def.New(def.Params, proto.Env{ID: 1}); err == nil {
+				t.Error("factory accepted an environment without scheduler, transport and rand")
+			}
+			delivered := 0
+			d, err := def.New(def.Params, proto.Env{
+				ID:        1,
+				Sched:     proto.EngineScheduler{Eng: sim.New(1)},
+				Transport: nullTransport{},
+				Rand:      rand.New(rand.NewSource(1)),
+				OnDeliver: func(event.Event) { delivered++ },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Subscribe(topic.Topic{}); err == nil {
+				t.Error("Subscribe accepted the zero topic")
+			}
+			if err := d.Subscribe(tp); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Publish(topic.Topic{}, nil, time.Minute); err == nil {
+				t.Error("Publish accepted the zero topic")
+			}
+			for _, validity := range []time.Duration{0, -time.Second} {
+				if _, err := d.Publish(tp, nil, validity); err == nil {
+					t.Errorf("Publish accepted validity %v", validity)
+				}
+			}
+
+			incoming := func(from event.NodeID, lo uint64) event.Events {
+				return event.Events{From: from, Events: []event.Event{{
+					ID: event.ID{Lo: lo}, Topic: tp, Publisher: 2, Validity: time.Hour, Remaining: time.Hour,
+				}}}
+			}
+			before := d.Stats()
+			for _, m := range []event.Message{
+				event.Heartbeat{From: 1, Subscriptions: []topic.Topic{tp}, Speed: -1},
+				event.IDList{From: 1, IDs: []event.ID{{Lo: 7}}},
+				incoming(1, 7),
+			} {
+				if err := d.HandleMessage(m); err != nil {
+					t.Errorf("own %T rejected: %v", m, err)
+				}
+			}
+			if after := d.Stats(); after != before {
+				t.Errorf("own messages changed the counters:\n%+v\n%+v", before, after)
+			}
+
+			if err := d.HandleMessage(incoming(2, 8)); err != nil {
+				t.Fatal(err)
+			}
+			if delivered != 1 {
+				t.Fatalf("subscribed node delivered %d events, want 1", delivered)
+			}
+			d.Unsubscribe(tp)
+			if err := d.HandleMessage(incoming(2, 9)); err != nil {
+				t.Fatal(err)
+			}
+			if delivered != 1 {
+				t.Errorf("node delivered after unsubscribing its last topic")
+			}
+
+			d.Stop()
+			if _, err := d.Publish(tp, nil, time.Minute); err == nil {
+				t.Error("stopped instance accepted Publish")
+			}
+			if err := d.Subscribe(tp); err == nil {
+				t.Error("stopped instance accepted Subscribe")
+			}
+		})
+	}
+}

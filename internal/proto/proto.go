@@ -105,6 +105,25 @@ func (a Stats) Sub(b Stats) Stats {
 	}
 }
 
+// Each calls fn once per counter, in declaration order, with the
+// counter's column name: the one vocabulary the simulator's series
+// (proto_<name>) and a live node's metrics (repro_pubsub_<name>_total)
+// share. A new counter must be added here too (the same test checks).
+func (a Stats) Each(fn func(name string, v uint64)) {
+	fn("heartbeats_sent", a.HeartbeatsSent)
+	fn("idlists_sent", a.IDListsSent)
+	fn("event_msgs_sent", a.EventMsgsSent)
+	fn("events_sent", a.EventsSent)
+	fn("events_received", a.EventsReceived)
+	fn("delivered", a.Delivered)
+	fn("duplicates", a.Duplicates)
+	fn("parasites", a.Parasites)
+	fn("expired_drops", a.ExpiredDrops)
+	fn("published", a.Published)
+	fn("table_evictions", a.TableEvictions)
+	fn("neighbors_gced", a.NeighborsGCed)
+}
+
 // Disseminator is the surface the simulation runner (and any other
 // host) needs from a dissemination protocol. All implementations are
 // single-threaded: every entry point, including timer callbacks

@@ -11,8 +11,6 @@ package pubsub
 import (
 	"fmt"
 	"io"
-	"reflect"
-	"strings"
 
 	"repro/internal/event"
 	"repro/internal/obs"
@@ -37,15 +35,18 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // Scrape-time reads only; the protocol hot path is untouched.
 func (n *Node) RegisterMetrics(reg *MetricsRegistry) {
 	label := []string{"node", fmt.Sprint(uint32(n.id))}
-	st := reflect.TypeOf(Stats{})
-	for i := 0; i < st.NumField(); i++ {
-		f := st.Field(i)
-		name := "repro_pubsub_" + metricSnake(f.Name) + "_total"
-		idx := i
-		reg.CounterFunc(name, "protocol counter "+f.Name+" (core.Stats)", func() uint64 {
-			return reflect.ValueOf(n.safe.Stats()).Field(idx).Uint()
+	// Stats.Each names the counters as the netsim series columns do, so
+	// the simulated and scraped names line up.
+	Stats{}.Each(func(name string, _ uint64) {
+		reg.CounterFunc("repro_pubsub_"+name+"_total", "protocol counter "+name+" (core.Stats)", func() (v uint64) {
+			n.safe.Stats().Each(func(k string, cur uint64) {
+				if k == name {
+					v = cur
+				}
+			})
+			return v
 		}, label...)
-	}
+	})
 	reg.GaugeFunc("repro_pubsub_neighbors",
 		"nodes currently in the neighborhood table", func() float64 {
 			return float64(len(n.safe.NeighborIDs()))
@@ -137,21 +138,4 @@ func (n *Node) hookDeliveries(cfg *Config) {
 			user(ev)
 		}
 	}
-}
-
-// metricSnake converts a Go field name (EventMsgsSent) to the metric
-// segment convention (event_msgs_sent). Same transform as the netsim
-// series columns, so the simulated and scraped names line up.
-func metricSnake(s string) string {
-	var b strings.Builder
-	for i, r := range s {
-		if r >= 'A' && r <= 'Z' {
-			if i > 0 && !(s[i-1] >= 'A' && s[i-1] <= 'Z') {
-				b.WriteByte('_')
-			}
-			r += 'a' - 'A'
-		}
-		b.WriteRune(r)
-	}
-	return b.String()
 }

@@ -80,6 +80,21 @@ func TestNodeMetricsAndFlight(t *testing.T) {
 		}
 	}
 
+	// The twelve protocol counters are a published vocabulary: the CI
+	// smoke and dashboards read them by name.
+	for _, name := range []string{
+		"heartbeats_sent", "idlists_sent", "event_msgs_sent", "events_sent",
+		"events_received", "delivered", "duplicates", "parasites",
+		"expired_drops", "published", "table_evictions", "neighbors_gced",
+	} {
+		if want := "# TYPE repro_pubsub_" + name + "_total counter"; !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	if got := strings.Count(out, "# TYPE repro_pubsub_"); got != 14 {
+		t.Errorf("%d repro_pubsub_ series, want the 12 counters, neighbors and flight_records_total", got)
+	}
+
 	// Flight recorders: publisher saw the publish and at least one send;
 	// subscriber saw a receive and the delivery.
 	var fa, fb strings.Builder
