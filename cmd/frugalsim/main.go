@@ -44,6 +44,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // writeSeries dumps a sampled run's curve; the extension picks the
@@ -209,15 +210,14 @@ func main() {
 			})
 		}
 		if *wkld != "" {
-			spec, ok := netsim.ParseWorkload(*wkld)
-			if !ok {
+			if _, ok := workload.LookupWorkload(*wkld); !ok {
 				fmt.Fprintf(os.Stderr, "unknown workload %q; registered workloads:\n", *wkld)
-				for _, d := range netsim.Workloads() {
+				for _, d := range workload.Workloads() {
 					fmt.Fprintf(os.Stderr, "  %-12s %s\n", d.Name, d.Description)
 				}
 				os.Exit(1)
 			}
-			sc.Workload = spec
+			sc.Workload = netsim.WorkloadSpec{Name: *wkld}
 		}
 	}
 	sc.Sample = *sample

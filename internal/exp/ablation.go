@@ -19,10 +19,7 @@ import (
 // plus the event-table GC policy (Equation 1 vs FIFO vs random) on a
 // memory-starved variant.
 func Ablations(o Options) (*Output, error) {
-	seeds := o.seedCount(3)
-	if o.Full {
-		seeds = o.seedCount(10)
-	}
+	seeds := o.seedCount(3, 10)
 	variants := []struct {
 		name string
 		mut  func(*netsim.CoreTuning)
@@ -33,19 +30,16 @@ func Ablations(o Options) (*Output, error) {
 		{"blind-push", func(c *netsim.CoreTuning) { c.BlindPush = true }},
 		{"fixed-heartbeat", func(c *netsim.CoreTuning) { c.DisableAdaptiveHB = true }},
 	}
-	type sample struct {
-		rel, bw, sent, dup float64
-	}
-	samples, err := runGrid(o, []int{len(variants), seeds}, func(ix []int) (sample, error) {
-		res, err := ablationRun(o, variants[ix[0]].mut, 0, int64(ix[1])+1)
+	means, err := meanGrid(o, []int{len(variants)}, seeds, func(ix []int, seed int64) ([]float64, error) {
+		res, err := ablationRun(o, variants[ix[0]].mut, 0, seed)
 		if err != nil {
-			return sample{}, err
+			return nil, err
 		}
-		return sample{
-			rel:  res.Reliability(),
-			bw:   res.AppBytesPerProcess(),
-			sent: res.EventsSentPerProcess(),
-			dup:  res.DuplicatesPerProcess(),
+		return []float64{
+			res.Reliability(),
+			res.AppBytesPerProcess(),
+			res.EventsSentPerProcess(),
+			res.DuplicatesPerProcess(),
 		}, nil
 	})
 	if err != nil {
@@ -55,17 +49,9 @@ func Ablations(o Options) (*Output, error) {
 		"Ablations — mechanism off vs paper design (random waypoint, 10 m/s, 80% subscribers, 5 events)",
 		"variant", "reliability", "bw/process", "events-sent", "duplicates")
 	for vi, v := range variants {
-		var rel, bw, sent, dup metrics.Agg
-		for seed := 0; seed < seeds; seed++ {
-			s := samples.At(vi, seed)
-			rel.Add(s.rel)
-			bw.Add(s.bw)
-			sent.Add(s.sent)
-			dup.Add(s.dup)
-		}
-		tb.AddRow(v.name, metrics.Pct(rel.Mean()), metrics.KB(bw.Mean()),
-			metrics.F1(sent.Mean()), metrics.F1(dup.Mean()))
-		o.progress("ablation %s -> rel=%s", v.name, metrics.Pct(rel.Mean()))
+		m := means.At(vi)
+		tb.AddRow(v.name, metrics.Pct(m[0]), metrics.KB(m[1]), metrics.F1(m[2]), metrics.F1(m[3]))
+		o.progress("ablation %s -> rel=%s", v.name, metrics.Pct(m[0]))
 	}
 
 	policies := []struct {
@@ -76,21 +62,18 @@ func Ablations(o Options) (*Output, error) {
 		{"fifo", core.GCFIFO},
 		{"random", core.GCRandom},
 	}
-	type gcSample struct {
-		rel, evict float64
-	}
-	gcSamples, err := runGrid(o, []int{len(policies), seeds}, func(ix []int) (gcSample, error) {
+	gcMeans, err := meanGrid(o, []int{len(policies)}, seeds, func(ix []int, seed int64) ([]float64, error) {
 		res, err := ablationRun(o, func(c *netsim.CoreTuning) {
 			c.GCPolicy = policies[ix[0]].policy
-		}, 3, int64(ix[1])+1)
+		}, 3, seed)
 		if err != nil {
-			return gcSample{}, err
+			return nil, err
 		}
 		var ev float64
 		for _, n := range res.Nodes {
 			ev += float64(n.Proto.TableEvictions)
 		}
-		return gcSample{rel: res.Reliability(), evict: ev / float64(len(res.Nodes))}, nil
+		return []float64{res.Reliability(), ev / float64(len(res.Nodes))}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -99,14 +82,9 @@ func Ablations(o Options) (*Output, error) {
 		"Ablations — event-table GC policy under memory pressure (table capacity 3, 8 events)",
 		"policy", "reliability", "evictions/process")
 	for pi, pol := range policies {
-		var rel, evict metrics.Agg
-		for seed := 0; seed < seeds; seed++ {
-			s := gcSamples.At(pi, seed)
-			rel.Add(s.rel)
-			evict.Add(s.evict)
-		}
-		gcTable.AddRow(pol.name, metrics.Pct(rel.Mean()), metrics.F1(evict.Mean()))
-		o.progress("gc ablation %s -> rel=%s", pol.name, metrics.Pct(rel.Mean()))
+		m := gcMeans.At(pi)
+		gcTable.AddRow(pol.name, metrics.Pct(m[0]), metrics.F1(m[1]))
+		o.progress("gc ablation %s -> rel=%s", pol.name, metrics.Pct(m[0]))
 	}
 	return &Output{Tables: []*metrics.Table{tb, gcTable}}, nil
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/geo"
@@ -85,11 +84,16 @@ func (o Options) dumpSeries(base string, res *netsim.Result) error {
 	return f.Close()
 }
 
-func (o Options) seedCount(def int) int {
-	if o.Seeds > 0 {
+// seedCount resolves the runs per sweep point: Options.Seeds when set,
+// otherwise the sweep's default at the selected scale.
+func (o Options) seedCount(quick, full int) int {
+	switch {
+	case o.Seeds > 0:
 		return o.Seeds
+	case o.Full:
+		return full
 	}
-	return def
+	return quick
 }
 
 func (o Options) progress(format string, args ...any) {
@@ -273,13 +277,32 @@ func reliabilityRun(sc netsim.Scenario, publisher int, validity time.Duration) (
 	return netsim.Run(sc)
 }
 
-// reliabilityPoint is reliabilityRun reduced to the reliability number.
-func reliabilityPoint(sc netsim.Scenario, publisher int, validity time.Duration) (float64, error) {
+// reliabilityPoint is reliabilityRun reduced to the reliability number,
+// in the one-metric shape meanGrid folds.
+func reliabilityPoint(sc netsim.Scenario, publisher int, validity time.Duration) ([]float64, error) {
 	res, err := reliabilityRun(sc, publisher, validity)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return res.Reliability(), nil
+	return []float64{res.Reliability()}, nil
+}
+
+// traffic is the panel the registry-backed sweeps (scenarios,
+// workloads, scale) report per run, in trafficCols order.
+func traffic(res *netsim.Result) []float64 {
+	return []float64{
+		res.Reliability(),
+		res.EventsSentPerProcess(),
+		res.DuplicatesPerProcess(),
+		res.AppBytesPerProcess(),
+	}
+}
+
+var trafficCols = []string{"reliability", "copies/proc", "dups/proc", "bandwidth"}
+
+// trafficCells renders the seed means of a traffic panel.
+func trafficCells(m []float64) []string {
+	return []string{metrics.Pct(m[0]), metrics.F1(m[1]), metrics.F1(m[2]), metrics.KB(m[3])}
 }
 
 // fmtSeconds renders a duration in whole seconds for table headers.
@@ -290,14 +313,4 @@ func fmtSeconds(d time.Duration) string {
 // fmtPctCol renders a fraction as a column header like "80%".
 func fmtPctCol(frac float64) string {
 	return fmt.Sprintf("%d%%", int(frac*100+0.5))
-}
-
-// sortedKeysInt is a tiny helper for deterministic map iteration.
-func sortedKeysInt[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +70,18 @@ func TestFig16ValidityMonotone(t *testing.T) {
 	}
 }
 
+// frugalPoint looks one point of the frugality sweep up by value: the
+// per-metric seed means of (protocol, events, pct).
+func frugalPoint(t *testing.T, d *frugalData, proto string, events, pct int) []float64 {
+	t.Helper()
+	pi := slices.IndexFunc(d.protocols, func(p netsim.ProtocolSpec) bool { return p.String() == proto })
+	ni, ci := slices.Index(d.events, events), slices.Index(d.pcts, pct)
+	if pi < 0 || ni < 0 || ci < 0 {
+		t.Fatalf("no frugality point (%s, %d events, %d%%)", proto, events, pct)
+	}
+	return d.means.At(pi, ni, ci)
+}
+
 func TestFrugalityOrderings(t *testing.T) {
 	d, err := frugalitySweep(Options{Seeds: 1})
 	if err != nil {
@@ -76,29 +89,29 @@ func TestFrugalityOrderings(t *testing.T) {
 	}
 	maxEvents := d.events[len(d.events)-1]
 	for _, pct := range d.pcts {
-		frugal := d.cells[frugalKey{"frugal", maxEvents, pct}]
-		simple := d.cells[frugalKey{"simple-flooding", maxEvents, pct}]
-		aware := d.cells[frugalKey{"interests-aware-flooding", maxEvents, pct}]
+		frugal := frugalPoint(t, d, "frugal", maxEvents, pct)
+		simple := frugalPoint(t, d, "simple-flooding", maxEvents, pct)
+		aware := frugalPoint(t, d, "interests-aware-flooding", maxEvents, pct)
 		// Paper Fig 18: 50-100x fewer events sent; demand at least 5x.
-		if frugal.sent.Mean()*5 > simple.sent.Mean() {
+		if frugal[frugalSent]*5 > simple[frugalSent] {
 			t.Errorf("pct=%d: frugal sent %.1f vs simple %.1f, want >5x gap",
-				pct, frugal.sent.Mean(), simple.sent.Mean())
+				pct, frugal[frugalSent], simple[frugalSent])
 		}
 		// Paper Fig 19: far fewer duplicates than the best alternative.
-		if frugal.dups.Mean()*5 > aware.dups.Mean() {
+		if frugal[frugalDups]*5 > aware[frugalDups] {
 			t.Errorf("pct=%d: frugal dups %.1f vs interests-aware %.1f, want >5x gap",
-				pct, frugal.dups.Mean(), aware.dups.Mean())
+				pct, frugal[frugalDups], aware[frugalDups])
 		}
 		// Paper Fig 17: frugal uses less bandwidth at scale.
-		if frugal.bandwidth.Mean() > simple.bandwidth.Mean() {
+		if frugal[frugalBandwidth] > simple[frugalBandwidth] {
 			t.Errorf("pct=%d: frugal bandwidth %.0f exceeds simple flooding %.0f",
-				pct, frugal.bandwidth.Mean(), simple.bandwidth.Mean())
+				pct, frugal[frugalBandwidth], simple[frugalBandwidth])
 		}
 	}
 	// Paper Fig 20: parasites are worst around 60% interest for ours.
-	par20 := d.cells[frugalKey{"frugal", maxEvents, 20}].parasites.Mean()
-	par60 := d.cells[frugalKey{"frugal", maxEvents, 60}].parasites.Mean()
-	par100 := d.cells[frugalKey{"frugal", maxEvents, 100}].parasites.Mean()
+	par20 := frugalPoint(t, d, "frugal", maxEvents, 20)[frugalParasites]
+	par60 := frugalPoint(t, d, "frugal", maxEvents, 60)[frugalParasites]
+	par100 := frugalPoint(t, d, "frugal", maxEvents, 100)[frugalParasites]
 	if !(par60 > par20 && par60 > par100) {
 		t.Errorf("frugal parasites should peak at 60%%: 20%%=%.1f 60%%=%.1f 100%%=%.1f",
 			par20, par60, par100)
@@ -116,11 +129,10 @@ func TestFrugalityCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frugal := d.cells[frugalKey{"frugal", 1, 20}]
-	aware := d.cells[frugalKey{"interests-aware-flooding", 1, 20}]
-	if aware.bandwidth.Mean() >= frugal.bandwidth.Mean() {
-		t.Skipf("crossover not visible at this scale: frugal=%.0f aware=%.0f",
-			frugal.bandwidth.Mean(), aware.bandwidth.Mean())
+	frugal := frugalPoint(t, d, "frugal", 1, 20)[frugalBandwidth]
+	aware := frugalPoint(t, d, "interests-aware-flooding", 1, 20)[frugalBandwidth]
+	if aware >= frugal {
+		t.Skipf("crossover not visible at this scale: frugal=%.0f aware=%.0f", frugal, aware)
 	}
 }
 
@@ -135,6 +147,26 @@ func TestFrugalityMemoized(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("identical options should return the memoized sweep")
+	}
+}
+
+// TestCityInterestMemoized pins that fig14 and fig15 render from one
+// sweep: the same options return the same sweep, another seed count
+// runs its own.
+func TestCityInterestMemoized(t *testing.T) {
+	sweep := func(seeds int) *cityInterest {
+		d, err := cityInterestSweep(Options{Seeds: seeds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	a := sweep(1)
+	if b := sweep(1); a != b {
+		t.Fatal("identical options should return the memoized sweep")
+	}
+	if c := sweep(2); a == c || slices.Equal(a.means, c.means) {
+		t.Fatal("a different seed count must run its own sweep")
 	}
 }
 
@@ -188,7 +220,7 @@ func TestHeadlineClaim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum += rel
+		sum += rel[0]
 	}
 	got := sum / seeds
 	t.Logf("headline reliability (scaled environment) = %.1f%%", got*100)
@@ -219,7 +251,7 @@ func TestStormSchemesCannotExploitValidity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rel
+		return rel[0]
 	}
 	frugalGain := run(rwpFrugal(), 180*time.Second) - run(rwpFrugal(), 30*time.Second)
 	stormGain := run(netsim.ProtocolSpec{Name: "probabilistic-broadcast"}, 180*time.Second) - run(netsim.ProtocolSpec{Name: "probabilistic-broadcast"}, 30*time.Second)

@@ -19,9 +19,8 @@ func Fig11(o Options) (*Output, error) {
 		20 * time.Second, 60 * time.Second, 100 * time.Second,
 		140 * time.Second, 180 * time.Second,
 	}
-	seeds := o.seedCount(5)
+	seeds := o.seedCount(5, 30)
 	if o.Full {
-		seeds = o.seedCount(30)
 		validities = []time.Duration{
 			20 * time.Second, 40 * time.Second, 60 * time.Second,
 			80 * time.Second, 100 * time.Second, 120 * time.Second,
@@ -31,11 +30,9 @@ func Fig11(o Options) (*Output, error) {
 		speeds = []float64{0, 1, 10, 30}
 	}
 
-	// Fan the (fraction, validity, speed, seed) grid out over the
-	// worker pool, then aggregate by multi-index.
-	rels, err := runGrid(o, []int{len(fracs), len(validities), len(speeds), seeds},
-		func(ix []int) (float64, error) {
-			sc := rwpScenario(env, speeds[ix[2]], speeds[ix[2]], fracs[ix[0]], int64(ix[3])+1)
+	rels, err := meanGrid(o, []int{len(fracs), len(validities), len(speeds)}, seeds,
+		func(ix []int, seed int64) ([]float64, error) {
+			sc := rwpScenario(env, speeds[ix[2]], speeds[ix[2]], fracs[ix[0]], seed)
 			sc.Name = "fig11"
 			return reliabilityPoint(sc, -1, validities[ix[1]])
 		})
@@ -55,13 +52,9 @@ func Fig11(o Options) (*Output, error) {
 		for vi, v := range validities {
 			row := []string{fmtSeconds(v)}
 			for si, speed := range speeds {
-				var agg metrics.Agg
-				for seed := 0; seed < seeds; seed++ {
-					agg.Add(rels.At(fi, vi, si, seed))
-				}
-				row = append(row, metrics.Pct(agg.Mean()))
-				o.progress("fig11 frac=%v speed=%v validity=%v -> %s",
-					frac, speed, v, metrics.Pct(agg.Mean()))
+				rel := metrics.Pct(rels.At(fi, vi, si)[0])
+				row = append(row, rel)
+				o.progress("fig11 frac=%v speed=%v validity=%v -> %s", frac, speed, v, rel)
 			}
 			tb.AddRow(row...)
 		}

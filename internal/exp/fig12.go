@@ -17,9 +17,8 @@ func Fig12(o Options) (*Output, error) {
 	validities := []time.Duration{
 		40 * time.Second, 80 * time.Second, 120 * time.Second, 180 * time.Second,
 	}
-	seeds := o.seedCount(5)
+	seeds := o.seedCount(5, 30)
 	if o.Full {
-		seeds = o.seedCount(30)
 		validities = []time.Duration{
 			40 * time.Second, 60 * time.Second, 80 * time.Second,
 			100 * time.Second, 120 * time.Second, 140 * time.Second,
@@ -29,9 +28,9 @@ func Fig12(o Options) (*Output, error) {
 		fracs = []float64{0.2, 0.6, 1.0}
 	}
 
-	rels, err := runGrid(o, []int{len(validities), len(fracs), seeds},
-		func(ix []int) (float64, error) {
-			sc := rwpScenario(env, 1, 40, fracs[ix[1]], int64(ix[2])+1)
+	rels, err := meanGrid(o, []int{len(validities), len(fracs)}, seeds,
+		func(ix []int, seed int64) ([]float64, error) {
+			sc := rwpScenario(env, 1, 40, fracs[ix[1]], seed)
 			sc.Name = "fig12"
 			return reliabilityPoint(sc, -1, validities[ix[0]])
 		})
@@ -49,12 +48,9 @@ func Fig12(o Options) (*Output, error) {
 	for vi, v := range validities {
 		row := []string{fmtSeconds(v)}
 		for fi, frac := range fracs {
-			var agg metrics.Agg
-			for seed := 0; seed < seeds; seed++ {
-				agg.Add(rels.At(vi, fi, seed))
-			}
-			row = append(row, metrics.Pct(agg.Mean()))
-			o.progress("fig12 frac=%v validity=%v -> %s", frac, v, metrics.Pct(agg.Mean()))
+			rel := metrics.Pct(rels.At(vi, fi)[0])
+			row = append(row, rel)
+			o.progress("fig12 frac=%v validity=%v -> %s", frac, v, rel)
 		}
 		tb.AddRow(row...)
 	}

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -15,115 +14,82 @@ import (
 // the three flooding baselines. The sweep is memoized so that regenerating
 // all four figures costs one pass.
 
-type frugalCell struct {
-	bandwidth metrics.Agg // app bytes sent per process
-	sent      metrics.Agg // event copies sent per process
-	dups      metrics.Agg // duplicates received per process
-	parasites metrics.Agg // parasite events received per process
-}
-
-type frugalKey struct {
-	proto  string // registry name
-	events int
-	pct    int
-}
+// The metrics of one frugality point, as indices into a means cell.
+const (
+	frugalBandwidth = iota // app bytes sent per process
+	frugalSent             // event copies sent per process
+	frugalDups             // duplicates received per process
+	frugalParasites        // parasite events received per process
+)
 
 type frugalData struct {
 	protocols []netsim.ProtocolSpec
 	events    []int
 	pcts      []int
-	cells     map[frugalKey]*frugalCell
-	validity  time.Duration
+	// means is addressed At(protocol, events, pct) with indices into
+	// the three axes above.
+	means *gridResults[[]float64]
 }
 
-var frugalMemo = struct {
-	sync.Mutex
-	m map[[2]int]*frugalData // key: {seeds, full}
-}{m: make(map[[2]int]*frugalData)}
+var frugalMemo memo[frugalData]
+
+// frugalWindow is the sweep's event validity and measurement window.
+func frugalWindow(o Options) time.Duration {
+	if o.Full {
+		return 180 * time.Second // paper: 180 s measurement window
+	}
+	return 60 * time.Second
+}
 
 func frugalitySweep(o Options) (*frugalData, error) {
-	seeds := o.seedCount(2)
-	validity := 60 * time.Second
-	events := []int{1, 5, 10}
-	pcts := []int{20, 60, 100}
-	if o.Full {
-		seeds = o.seedCount(10)
-		validity = 180 * time.Second // paper: 180 s measurement window
-		events = []int{1, 5, 10, 15, 20}
-		pcts = []int{20, 40, 60, 80, 100}
-	}
-	memoKey := [2]int{seeds, boolInt(o.Full)}
-	frugalMemo.Lock()
-	if d, ok := frugalMemo.m[memoKey]; ok {
-		frugalMemo.Unlock()
-		return d, nil
-	}
-	frugalMemo.Unlock()
-
-	env := rwpBase(o)
-	// Paper panel in figure order; baselines resolve by registry name.
-	protocols := []netsim.ProtocolSpec{
-		rwpFrugal(),
-		{Name: "interests-aware-flooding"},
-		{Name: "simple-flooding"},
-		{Name: "neighbors-interests-flooding"},
-	}
-	data := &frugalData{
-		protocols: protocols,
-		events:    events,
-		pcts:      pcts,
-		cells:     make(map[frugalKey]*frugalCell),
-		validity:  validity,
-	}
-	type sample struct {
-		bandwidth, sent, dups, parasites float64
-	}
-	samples, err := runGrid(o, []int{len(protocols), len(events), len(pcts), seeds},
-		func(ix []int) (sample, error) {
-			res, err := frugalityRun(env, protocols[ix[0]], events[ix[1]], pcts[ix[2]],
-				validity, int64(ix[3])+1)
-			if err != nil {
-				return sample{}, err
-			}
-			return sample{
-				bandwidth: res.AppBytesPerProcess(),
-				sent:      res.EventsSentPerProcess(),
-				dups:      res.DuplicatesPerProcess(),
-				parasites: res.ParasitesPerProcess(),
-			}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for pi, proto := range protocols {
-		for ni, n := range events {
-			for ci, pct := range pcts {
-				cell := &frugalCell{}
-				for seed := 0; seed < seeds; seed++ {
-					s := samples.At(pi, ni, ci, seed)
-					cell.bandwidth.Add(s.bandwidth)
-					cell.sent.Add(s.sent)
-					cell.dups.Add(s.dups)
-					cell.parasites.Add(s.parasites)
+	seeds := o.seedCount(2, 10)
+	return frugalMemo.get(seeds, o.Full, func() (*frugalData, error) {
+		d := &frugalData{
+			// Paper panel in figure order; baselines resolve by registry name.
+			protocols: []netsim.ProtocolSpec{
+				rwpFrugal(),
+				{Name: "interests-aware-flooding"},
+				{Name: "simple-flooding"},
+				{Name: "neighbors-interests-flooding"},
+			},
+			events: []int{1, 5, 10},
+			pcts:   []int{20, 60, 100},
+		}
+		if o.Full {
+			d.events = []int{1, 5, 10, 15, 20}
+			d.pcts = []int{20, 40, 60, 80, 100}
+		}
+		env, window := rwpBase(o), frugalWindow(o)
+		var err error
+		d.means, err = meanGrid(o, []int{len(d.protocols), len(d.events), len(d.pcts)}, seeds,
+			func(ix []int, seed int64) ([]float64, error) {
+				res, err := frugalityRun(env, d.protocols[ix[0]], d.events[ix[1]], d.pcts[ix[2]],
+					window, seed)
+				if err != nil {
+					return nil, err
 				}
-				data.cells[frugalKey{proto.String(), n, pct}] = cell
-				o.progress("frugality %v events=%d interest=%d%% -> bw=%s sent=%.1f dup=%.1f par=%.1f",
-					proto, n, pct, metrics.KB(cell.bandwidth.Mean()),
-					cell.sent.Mean(), cell.dups.Mean(), cell.parasites.Mean())
+				return []float64{
+					frugalBandwidth: res.AppBytesPerProcess(),
+					frugalSent:      res.EventsSentPerProcess(),
+					frugalDups:      res.DuplicatesPerProcess(),
+					frugalParasites: res.ParasitesPerProcess(),
+				}, nil
+			})
+		if err != nil {
+			return nil, err
+		}
+		for pi, proto := range d.protocols {
+			for ni, n := range d.events {
+				for ci, pct := range d.pcts {
+					m := d.means.At(pi, ni, ci)
+					o.progress("frugality %v events=%d interest=%d%% -> bw=%s sent=%.1f dup=%.1f par=%.1f",
+						proto, n, pct, metrics.KB(m[frugalBandwidth]),
+						m[frugalSent], m[frugalDups], m[frugalParasites])
+				}
 			}
 		}
-	}
-	frugalMemo.Lock()
-	frugalMemo.m[memoKey] = data
-	frugalMemo.Unlock()
-	return data, nil
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+		return d, nil
+	})
 }
 
 // frugalityRun executes one frugality scenario: n events published by
@@ -145,72 +111,50 @@ func frugalityRun(env rwpEnv, proto netsim.ProtocolSpec, n, pct int, validity ti
 	return netsim.Run(sc)
 }
 
-// renderFrugality turns the sweep into one table: rows are
+// renderFrugality turns one metric of the sweep into a table: rows are
 // (protocol, events-to-publish), columns the subscriber percentages.
-func renderFrugality(d *frugalData, title string, value func(*frugalCell) string) *metrics.Table {
+func renderFrugality(o Options, title string, metric int, format func(float64) string) (*Output, error) {
+	d, err := frugalitySweep(o)
+	if err != nil {
+		return nil, err
+	}
 	cols := []string{"protocol", "events"}
 	for _, pct := range d.pcts {
 		cols = append(cols, fmt.Sprintf("%d%%", pct))
 	}
 	tb := metrics.NewTable(title, cols...)
-	for _, proto := range d.protocols {
-		for _, n := range d.events {
+	for pi, proto := range d.protocols {
+		for ni, n := range d.events {
 			row := []string{proto.String(), fmt.Sprintf("%d", n)}
-			for _, pct := range d.pcts {
-				row = append(row, value(d.cells[frugalKey{proto.String(), n, pct}]))
+			for ci := range d.pcts {
+				row = append(row, format(d.means.At(pi, ni, ci)[metric]))
 			}
 			tb.AddRow(row...)
 		}
 	}
-	return tb
+	return &Output{Tables: []*metrics.Table{tb}}, nil
 }
 
 // Fig17 reproduces Figure 17: bandwidth used per process as a function of
 // the number of events to publish and the number of subscribers.
 func Fig17(o Options) (*Output, error) {
-	d, err := frugalitySweep(o)
-	if err != nil {
-		return nil, err
-	}
-	tb := renderFrugality(d,
-		fmt.Sprintf("Fig 17 — bandwidth per process over %s (app bytes: heartbeats + id lists + events)", d.validity),
-		func(c *frugalCell) string { return metrics.KB(c.bandwidth.Mean()) })
-	return &Output{Tables: []*metrics.Table{tb}}, nil
+	return renderFrugality(o,
+		fmt.Sprintf("Fig 17 — bandwidth per process over %s (app bytes: heartbeats + id lists + events)", frugalWindow(o)),
+		frugalBandwidth, metrics.KB)
 }
 
 // Fig18 reproduces Figure 18: number of events sent per process.
 func Fig18(o Options) (*Output, error) {
-	d, err := frugalitySweep(o)
-	if err != nil {
-		return nil, err
-	}
-	tb := renderFrugality(d,
-		"Fig 18 — events sent per process",
-		func(c *frugalCell) string { return metrics.F1(c.sent.Mean()) })
-	return &Output{Tables: []*metrics.Table{tb}}, nil
+	return renderFrugality(o, "Fig 18 — events sent per process", frugalSent, metrics.F1)
 }
 
 // Fig19 reproduces Figure 19: number of duplicates received per process.
 func Fig19(o Options) (*Output, error) {
-	d, err := frugalitySweep(o)
-	if err != nil {
-		return nil, err
-	}
-	tb := renderFrugality(d,
-		"Fig 19 — duplicates received per process",
-		func(c *frugalCell) string { return metrics.F1(c.dups.Mean()) })
-	return &Output{Tables: []*metrics.Table{tb}}, nil
+	return renderFrugality(o, "Fig 19 — duplicates received per process", frugalDups, metrics.F1)
 }
 
 // Fig20 reproduces Figure 20: number of parasite events received per
 // process.
 func Fig20(o Options) (*Output, error) {
-	d, err := frugalitySweep(o)
-	if err != nil {
-		return nil, err
-	}
-	tb := renderFrugality(d,
-		"Fig 20 — parasite events received per process",
-		func(c *frugalCell) string { return metrics.F1(c.parasites.Mean()) })
-	return &Output{Tables: []*metrics.Table{tb}}, nil
+	return renderFrugality(o, "Fig 20 — parasite events received per process", frugalParasites, metrics.F1)
 }

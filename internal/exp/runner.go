@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/metrics"
 )
 
 // parallelism resolves Options.Parallel: zero (or negative) selects one
@@ -148,4 +150,65 @@ func runGrid[T any](o Options, dims []int, job func(idx []int) (T, error)) (*gri
 		return nil, err
 	}
 	return &gridResults[T]{dims: dims, vals: vals}, nil
+}
+
+// meanGrid is runGrid for the fold every figure point goes through: the
+// mean over seeded runs. It appends the seed axis to dims, runs job for
+// every (point, seed) on the runJobs pool — seed is 1-based, as the
+// scenarios stamp it — and returns, per point, the mean of each metric
+// job reported. This is the one place seeds are folded: each metric
+// goes through a metrics.Agg in seed order after all jobs finish, so
+// the Welford arithmetic, hence every table byte, is independent of
+// parallelism. A spread beside the mean (Agg carries Std) or a
+// per-point stopping rule belongs here and nowhere else.
+func meanGrid(o Options, dims []int, seeds int, job func(ix []int, seed int64) ([]float64, error)) (*gridResults[[]float64], error) {
+	nd := len(dims)
+	runs, err := runGrid(o, append(dims[:nd:nd], seeds), func(ix []int) ([]float64, error) {
+		return job(ix[:nd], int64(ix[nd])+1)
+	})
+	if err != nil {
+		return nil, err
+	}
+	means := make([][]float64, len(runs.vals)/seeds)
+	for p := range means {
+		point := runs.vals[p*seeds : (p+1)*seeds]
+		aggs := make([]metrics.Agg, len(point[0]))
+		for _, run := range point {
+			for m, x := range run {
+				aggs[m].Add(x)
+			}
+		}
+		means[p] = make([]float64, len(aggs))
+		for m := range aggs {
+			means[p][m] = aggs[m].Mean()
+		}
+	}
+	return &gridResults[[]float64]{dims: dims, vals: means}, nil
+}
+
+// memo keeps a sweep that several figures render from (fig14-15,
+// fig17-20), so regenerating all of them costs one pass. Seed count and
+// scale are the only Options that change a figure sweep's numbers, so
+// they are the key. Nothing is locked while run executes: concurrent
+// first callers each sweep, and all of them get the result stored first.
+type memo[V any] struct {
+	m sync.Map // memoKey -> *V
+}
+
+type memoKey struct {
+	seeds int
+	full  bool
+}
+
+func (c *memo[V]) get(seeds int, full bool, run func() (*V, error)) (*V, error) {
+	key := memoKey{seeds, full}
+	if v, ok := c.m.Load(key); ok {
+		return v.(*V), nil
+	}
+	v, err := run()
+	if err != nil {
+		return nil, err
+	}
+	stored, _ := c.m.LoadOrStore(key, v)
+	return stored.(*V), nil
 }

@@ -2,11 +2,14 @@ package exp
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 )
 
@@ -131,6 +134,54 @@ func TestRunJobsOrderAndErrors(t *testing.T) {
 		_, err := runJobs(Options{Parallel: parallel}, 100, boom)
 		if err == nil || err.Error() != "job 17 failed" {
 			t.Fatalf("parallel=%d: err = %v, want job 17's", parallel, err)
+		}
+	}
+}
+
+// TestMeanGridMatchesHandFold pins the seed fold every table goes
+// through: over a 2x3 grid x 4 seeds of a 3-metric job, meanGrid equals
+// a per-cell, per-metric Agg folded in seed order, bit for bit, at one
+// worker and at eight; and a failing sweep reports the lowest-indexed
+// failing job, as runJobs does.
+func TestMeanGridMatchesHandFold(t *testing.T) {
+	dims := []int{2, 3}
+	const seeds = 4
+	// Magnitudes spread over nine decades, so a fold in any other order
+	// rounds differently.
+	job := func(ix []int, seed int64) ([]float64, error) {
+		rng := rand.New(rand.NewSource(int64(ix[0])<<16 | int64(ix[1])<<8 | seed))
+		return []float64{rng.Float64(), rng.NormFloat64() * 1e6, rng.ExpFloat64() * 1e-3}, nil
+	}
+	for _, parallel := range []int{1, 8} {
+		got, err := meanGrid(Options{Parallel: parallel}, dims, seeds, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < dims[0]; i++ {
+			for j := 0; j < dims[1]; j++ {
+				var want [3]metrics.Agg
+				for seed := int64(1); seed <= seeds; seed++ {
+					run, _ := job([]int{i, j}, seed)
+					for m, x := range run {
+						want[m].Add(x)
+					}
+				}
+				for m := range want {
+					if g, w := got.At(i, j)[m], want[m].Mean(); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("parallel=%d point (%d,%d) metric %d: meanGrid %v, hand fold %v",
+							parallel, i, j, m, g, w)
+					}
+				}
+			}
+		}
+		_, err = meanGrid(Options{Parallel: parallel}, dims, seeds, func(ix []int, seed int64) ([]float64, error) {
+			if ix[1] == 1 && seed >= 3 {
+				return nil, fmt.Errorf("point %v seed %d failed", ix, seed)
+			}
+			return job(ix, seed)
+		})
+		if err == nil || err.Error() != "point [0 1] seed 3 failed" {
+			t.Fatalf("parallel=%d: err = %v, want point [0 1] seed 3's", parallel, err)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // TestGoldenSampleInvariance re-runs representative golden sweeps with
@@ -31,7 +33,8 @@ func TestGoldenSampleInvariance(t *testing.T) {
 }
 
 // TestSeriesDump pins the -sample/-series-out plumbing: a sampled
-// scenario sweep writes one CSV curve per (protocol, seed) sweep point.
+// scenario sweep writes one CSV curve per (protocol, seed) sweep point,
+// and the workloads family one per (generator, seed).
 func TestSeriesDump(t *testing.T) {
 	dir := t.TempDir()
 	o := Options{
@@ -65,5 +68,29 @@ func TestSeriesDump(t *testing.T) {
 	}
 	if len(ents) != 2 {
 		t.Fatalf("dump dir has %d files, want 2", len(ents))
+	}
+
+	dir = t.TempDir()
+	o = Options{Seeds: 1, Sample: 5 * time.Second, SeriesDir: dir}
+	if _, err := Workloads(o); err != nil {
+		t.Fatal(err)
+	}
+	generators := 0
+	for _, def := range workload.Workloads() {
+		if _, ok := workloadSpec(def); !ok {
+			continue
+		}
+		generators++
+		path := filepath.Join(dir, "workloads-"+def.Name+"-frugal-seed1.csv")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing series dump: %v", err)
+		}
+		if lines := strings.Split(strings.TrimSpace(string(data)), "\n"); len(lines) < 2 {
+			t.Fatalf("%s has %d lines, want header + points", path, len(lines))
+		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != generators {
+		t.Fatalf("dump dir has %d files (err %v), want one per generator: %d", len(ents), err, generators)
 	}
 }

@@ -82,15 +82,13 @@ func Scale(o Options) (*Output, error) {
 		return nil, fmt.Errorf("exp: metro scenario family not registered")
 	}
 	counts := scaleCounts(o.Full)
-	seeds := o.seedCount(1)
+	seeds := o.seedCount(1, 1)
 	panel := scalePanel(def.Template.Protocol)
-	type sample struct {
-		rel, sent, dups, bytes, lost float64
-	}
-	runTier := func(nodes int) (*gridResults[sample], error) {
-		return runGrid(o, []int{len(panel), seeds},
-			func(ix []int) (sample, error) {
-				sc := def.Instantiate(int64(ix[1]) + 1)
+	// Per point: the traffic panel, then frames lost.
+	runTier := func(nodes int) (*gridResults[[]float64], error) {
+		return meanGrid(o, []int{len(panel)}, seeds,
+			func(ix []int, seed int64) ([]float64, error) {
+				sc := def.Instantiate(seed)
 				sc.Nodes = nodes
 				sc.Protocol = panel[ix[0]]
 				cols, rows := netsim.MetroGraphDims(sc.Nodes)
@@ -103,20 +101,15 @@ func Scale(o Options) (*Output, error) {
 				}
 				res, err := netsim.Run(sc)
 				if err != nil {
-					return sample{}, fmt.Errorf("scale %d nodes, %v: %w", sc.Nodes, sc.Protocol, err)
+					return nil, fmt.Errorf("scale %d nodes, %v: %w", sc.Nodes, sc.Protocol, err)
 				}
-				return sample{
-					rel:   res.Reliability(),
-					sent:  res.EventsSentPerProcess(),
-					dups:  res.DuplicatesPerProcess(),
-					bytes: res.AppBytesPerProcess(),
-					lost:  float64(res.FramesLostTotal()),
-				}, nil
+				return append(traffic(res), float64(res.FramesLostTotal())), nil
 			})
 	}
 
-	type row [7]string
-	var rows []row
+	tb := metrics.NewTable(
+		fmt.Sprintf("Scale — metro city sweep, %d seed(s) per point (frugal vs gossip vs flood)", seeds),
+		append(append([]string{"nodes", "protocol"}, trafficCols...), "frames lost")...)
 	var done []int
 	var durs []time.Duration
 	truncated := ""
@@ -142,37 +135,22 @@ func Scale(o Options) (*Output, error) {
 				n, est.Round(time.Second), elapsed.Round(time.Second), o.Budget)
 		}
 		t0 := time.Now()
-		samples, err := runTier(n)
+		means, err := runTier(n)
 		if err != nil {
 			return nil, err
 		}
 		durs = append(durs, time.Since(t0))
 		done = append(done, n)
 		for pi, spec := range panel {
-			var rel, sent, dups, bytes, lost metrics.Agg
-			for s := 0; s < seeds; s++ {
-				v := samples.At(pi, s)
-				rel.Add(v.rel)
-				sent.Add(v.sent)
-				dups.Add(v.dups)
-				bytes.Add(v.bytes)
-				lost.Add(v.lost)
-			}
-			rows = append(rows, row{fmt.Sprintf("%d", n), spec.String(), metrics.Pct(rel.Mean()),
-				metrics.F1(sent.Mean()), metrics.F1(dups.Mean()), metrics.KB(bytes.Mean()),
-				fmt.Sprintf("%.0f", lost.Mean())})
-			o.progress("scale %d %v -> %s", n, spec, metrics.Pct(rel.Mean()))
+			m := means.At(pi)
+			row := append([]string{fmt.Sprintf("%d", n), spec.String()}, trafficCells(m)...)
+			tb.AddRow(append(row, fmt.Sprintf("%.0f", m[4]))...)
+			o.progress("scale %d %v -> %s", n, spec, metrics.Pct(m[0]))
 		}
 		o.progress("scale: %d-node tier done in %v", n, durs[len(durs)-1].Round(time.Second))
 	}
-	title := fmt.Sprintf("Scale — metro city sweep, %d seed(s) per point (frugal vs gossip vs flood)", seeds)
 	if truncated != "" {
-		title += " — " + truncated
-	}
-	tb := metrics.NewTable(title,
-		"nodes", "protocol", "reliability", "copies/proc", "dups/proc", "bandwidth", "frames lost")
-	for _, rw := range rows {
-		tb.AddRow(rw[:]...)
+		tb.Title += " — " + truncated
 	}
 	return &Output{Tables: []*metrics.Table{tb}}, nil
 }

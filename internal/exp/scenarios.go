@@ -75,55 +75,36 @@ func ScenarioSweep(name string, o Options) (*Output, error) {
 // and bandwidth, averaged over seeds. Like every sweep it aggregates in
 // enumeration order, so output is byte-identical at any parallelism.
 func scenarioSweep(def netsim.ScenarioDef, o Options) (*Output, error) {
-	seeds := o.seedCount(3)
-	if o.Full {
-		seeds = o.seedCount(30)
-	}
+	seeds := o.seedCount(3, 30)
 	panel, err := scenarioPanel(def, o)
 	if err != nil {
 		return nil, err
 	}
-	type sample struct {
-		rel, sent, dups, bytes float64
-	}
-	samples, err := runGrid(o, []int{len(panel), seeds},
-		func(ix []int) (sample, error) {
-			sc := def.Instantiate(int64(ix[1]) + 1)
+	means, err := meanGrid(o, []int{len(panel)}, seeds,
+		func(ix []int, seed int64) ([]float64, error) {
+			sc := def.Instantiate(seed)
 			sc.Protocol = panel[ix[0]]
 			sc.Sample = o.Sample
 			res, err := netsim.Run(sc)
 			if err != nil {
-				return sample{}, fmt.Errorf("scenario %s, %v: %w", def.Name, sc.Protocol, err)
+				return nil, fmt.Errorf("scenario %s, %v: %w", def.Name, sc.Protocol, err)
 			}
 			if err := o.dumpSeries(fmt.Sprintf("scenario-%s-%v-seed%d",
-				def.Name, sc.Protocol, ix[1]+1), res); err != nil {
-				return sample{}, err
+				def.Name, sc.Protocol, seed), res); err != nil {
+				return nil, err
 			}
-			return sample{
-				rel:   res.Reliability(),
-				sent:  res.EventsSentPerProcess(),
-				dups:  res.DuplicatesPerProcess(),
-				bytes: res.AppBytesPerProcess(),
-			}, nil
+			return traffic(res), nil
 		})
 	if err != nil {
 		return nil, err
 	}
 	tb := metrics.NewTable(
 		fmt.Sprintf("Scenario %s — %s (%d seeds)", def.Name, def.Description, seeds),
-		"protocol", "reliability", "copies/proc", "dups/proc", "bandwidth")
+		append([]string{"protocol"}, trafficCols...)...)
 	for pi, spec := range panel {
-		var rel, sent, dups, bytes metrics.Agg
-		for seed := 0; seed < seeds; seed++ {
-			s := samples.At(pi, seed)
-			rel.Add(s.rel)
-			sent.Add(s.sent)
-			dups.Add(s.dups)
-			bytes.Add(s.bytes)
-		}
-		tb.AddRow(spec.String(), metrics.Pct(rel.Mean()),
-			metrics.F1(sent.Mean()), metrics.F1(dups.Mean()), metrics.KB(bytes.Mean()))
-		o.progress("scenario %s %v -> %s", def.Name, spec, metrics.Pct(rel.Mean()))
+		m := means.At(pi)
+		tb.AddRow(append([]string{spec.String()}, trafficCells(m)...)...)
+		o.progress("scenario %s %v -> %s", def.Name, spec, metrics.Pct(m[0]))
 	}
 	return &Output{Tables: []*metrics.Table{tb}}, nil
 }

@@ -14,18 +14,15 @@ import (
 // point (10 m/s, 80% subscribers) under log-normal shadowing of
 // increasing sigma, with the paper's -111 dBm propagation limit.
 func ExtShadowing(o Options) (*Output, error) {
-	seeds := o.seedCount(5)
-	if o.Full {
-		seeds = o.seedCount(30)
-	}
+	seeds := o.seedCount(5, 30)
 	env := rwpBase(o)
 	validities := []time.Duration{60 * time.Second, 120 * time.Second, 180 * time.Second}
 	sigmas := []float64{0, 4, 8}
 
-	rels, err := runGrid(o, []int{len(validities), len(sigmas), seeds},
-		func(ix []int) (float64, error) {
+	rels, err := meanGrid(o, []int{len(validities), len(sigmas)}, seeds,
+		func(ix []int, seed int64) ([]float64, error) {
 			sigma := sigmas[ix[1]]
-			sc := rwpScenario(env, 10, 10, 0.8, int64(ix[2])+1)
+			sc := rwpScenario(env, 10, 10, 0.8, seed)
 			sc.Name = "ext-shadowing"
 			if sigma > 0 {
 				params := radio.Default80211b()
@@ -58,12 +55,9 @@ func ExtShadowing(o Options) (*Output, error) {
 	for vi, v := range validities {
 		row := []string{fmtSeconds(v)}
 		for si, sigma := range sigmas {
-			var agg metrics.Agg
-			for seed := 0; seed < seeds; seed++ {
-				agg.Add(rels.At(vi, si, seed))
-			}
-			row = append(row, metrics.Pct(agg.Mean()))
-			o.progress("shadowing sigma=%v validity=%v -> %s", sigma, v, metrics.Pct(agg.Mean()))
+			rel := metrics.Pct(rels.At(vi, si)[0])
+			row = append(row, rel)
+			o.progress("shadowing sigma=%v validity=%v -> %s", sigma, v, rel)
 		}
 		tb.AddRow(row...)
 	}

@@ -16,10 +16,7 @@ import (
 // time, so their reliability barely grows with validity while the frugal
 // protocol's climbs. Their traffic is low, but so is their coverage.
 func ExtStorm(o Options) (*Output, error) {
-	seeds := o.seedCount(5)
-	if o.Full {
-		seeds = o.seedCount(30)
-	}
+	seeds := o.seedCount(5, 30)
 	env := rwpBase(o)
 	validities := []time.Duration{30 * time.Second, 90 * time.Second, 180 * time.Second}
 	protocols := []netsim.ProtocolSpec{
@@ -28,19 +25,17 @@ func ExtStorm(o Options) (*Output, error) {
 		{Name: "counter-based-broadcast"},
 	}
 
-	type sample struct {
-		rel, sent float64
-	}
-	samples, err := runGrid(o, []int{len(validities), len(protocols), seeds},
-		func(ix []int) (sample, error) {
-			sc := rwpScenario(env, 10, 10, 0.8, int64(ix[2])+1)
+	// Per point: {reliability, event copies sent per process}.
+	means, err := meanGrid(o, []int{len(validities), len(protocols)}, seeds,
+		func(ix []int, seed int64) ([]float64, error) {
+			sc := rwpScenario(env, 10, 10, 0.8, seed)
 			sc.Name = "ext-storm"
 			sc.Protocol = protocols[ix[1]]
 			res, err := reliabilityRun(sc, -1, validities[ix[0]])
 			if err != nil {
-				return sample{}, err
+				return nil, err
 			}
-			return sample{rel: res.Reliability(), sent: res.EventsSentPerProcess()}, nil
+			return []float64{res.Reliability(), res.EventsSentPerProcess()}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -49,27 +44,21 @@ func ExtStorm(o Options) (*Output, error) {
 	rel := metrics.NewTable(
 		"Extension — reliability: frugal vs broadcast-storm schemes (10 m/s, 80% subscribers)",
 		"validity[s]", "frugal", "probabilistic", "counter-based")
-	traffic := metrics.NewTable(
+	copies := metrics.NewTable(
 		"Extension — event copies sent per process (validity 180 s)",
 		"protocol", "copies/process")
 
 	for vi, v := range validities {
 		row := []string{fmtSeconds(v)}
 		for pi, proto := range protocols {
-			var agg metrics.Agg
-			var sent metrics.Agg
-			for seed := 0; seed < seeds; seed++ {
-				s := samples.At(vi, pi, seed)
-				agg.Add(s.rel)
-				sent.Add(s.sent)
-			}
-			row = append(row, metrics.Pct(agg.Mean()))
+			m := means.At(vi, pi)
+			row = append(row, metrics.Pct(m[0]))
 			if v == validities[len(validities)-1] {
-				traffic.AddRow(proto.String(), metrics.F2(sent.Mean()))
+				copies.AddRow(proto.String(), metrics.F2(m[1]))
 			}
-			o.progress("storm %v validity=%v -> %s", proto, v, metrics.Pct(agg.Mean()))
+			o.progress("storm %v validity=%v -> %s", proto, v, metrics.Pct(m[0]))
 		}
 		rel.AddRow(row...)
 	}
-	return &Output{Tables: []*metrics.Table{rel, traffic}}, nil
+	return &Output{Tables: []*metrics.Table{rel, copies}}, nil
 }

@@ -46,6 +46,30 @@ func workloadSpec(def workload.Definition) (netsim.WorkloadSpec, bool) {
 	}
 }
 
+// workloadRun is one run of either workload sweep: a sweepable
+// generator on the reference environment under protocol p. It reports
+// {events published} followed by the traffic panel, and dumps the run's
+// series as <sweep>-<generator>-<protocol>-seed<N> when sampling is on.
+func workloadRun(o Options, sweep string, def workload.Definition, p netsim.ProtocolSpec, seed int64) ([]float64, error) {
+	sc := workloadEnv(seed)
+	sc.Workload, _ = workloadSpec(def)
+	sc.Protocol = p
+	sc.Sample = o.Sample
+	res, err := netsim.Run(sc)
+	if err != nil {
+		return nil, fmt.Errorf("workload %s, %v: %w", def.Name, p, err)
+	}
+	if err := o.dumpSeries(fmt.Sprintf("%s-%s-%v-seed%d", sweep, def.Name, p, seed), res); err != nil {
+		return nil, err
+	}
+	return append([]float64{float64(len(res.Published))}, traffic(res)...), nil
+}
+
+// workloadCells renders the seed means of one workloadRun point.
+func workloadCells(m []float64) []string {
+	return append([]string{metrics.F1(m[0])}, trafficCells(m[1:])...)
+}
+
 // Workloads is the registry-backed workload family: every registered
 // traffic and churn generator runs (with default params) on the
 // reference waypoint environment, one row per generator. The family
@@ -60,54 +84,29 @@ func Workloads(o Options) (*Output, error) {
 			rows = append(rows, def)
 		}
 	}
-	seeds := o.seedCount(3)
-	type sample struct {
-		events, rel, sent, dups, bytes float64
+	p := workloadEnv(1).Protocol
+	if o.Protocol != "" {
+		var ok bool
+		if p, ok = netsim.ParseProtocol(o.Protocol); !ok {
+			return nil, fmt.Errorf("exp: unknown protocol %q (registered: %s)",
+				o.Protocol, strings.Join(netsim.ProtocolNames(), ", "))
+		}
 	}
-	samples, err := runGrid(o, []int{len(rows), seeds},
-		func(ix []int) (sample, error) {
-			def := rows[ix[0]]
-			sc := workloadEnv(int64(ix[1]) + 1)
-			sc.Workload, _ = workloadSpec(def)
-			if o.Protocol != "" {
-				spec, ok := netsim.ParseProtocol(o.Protocol)
-				if !ok {
-					return sample{}, fmt.Errorf("exp: unknown protocol %q (registered: %s)",
-						o.Protocol, strings.Join(netsim.ProtocolNames(), ", "))
-				}
-				sc.Protocol = spec
-			}
-			res, err := netsim.Run(sc)
-			if err != nil {
-				return sample{}, fmt.Errorf("workload %s: %w", def.Name, err)
-			}
-			return sample{
-				events: float64(len(res.Published)),
-				rel:    res.Reliability(),
-				sent:   res.EventsSentPerProcess(),
-				dups:   res.DuplicatesPerProcess(),
-				bytes:  res.AppBytesPerProcess(),
-			}, nil
+	seeds := o.seedCount(3, 3)
+	means, err := meanGrid(o, []int{len(rows)}, seeds,
+		func(ix []int, seed int64) ([]float64, error) {
+			return workloadRun(o, "workloads", rows[ix[0]], p, seed)
 		})
 	if err != nil {
 		return nil, err
 	}
 	tb := metrics.NewTable(
 		fmt.Sprintf("Workload generators on the waypoint environment (%d seeds; churn paired with periodic traffic)", seeds),
-		"workload", "class", "events", "reliability", "copies/proc", "dups/proc", "bandwidth")
+		append([]string{"workload", "class", "events"}, trafficCols...)...)
 	for wi, def := range rows {
-		var events, rel, sent, dups, bytes metrics.Agg
-		for seed := 0; seed < seeds; seed++ {
-			s := samples.At(wi, seed)
-			events.Add(s.events)
-			rel.Add(s.rel)
-			sent.Add(s.sent)
-			dups.Add(s.dups)
-			bytes.Add(s.bytes)
-		}
-		tb.AddRow(def.Name, string(def.Class), metrics.F1(events.Mean()), metrics.Pct(rel.Mean()),
-			metrics.F1(sent.Mean()), metrics.F1(dups.Mean()), metrics.KB(bytes.Mean()))
-		o.progress("workload %s -> %s", def.Name, metrics.Pct(rel.Mean()))
+		m := means.At(wi)
+		tb.AddRow(append([]string{def.Name, string(def.Class)}, workloadCells(m)...)...)
+		o.progress("workload %s -> %s", def.Name, metrics.Pct(m[1]))
 	}
 	return &Output{Tables: []*metrics.Table{tb}}, nil
 }
@@ -120,61 +119,29 @@ func WorkloadSweep(name string, o Options) (*Output, error) {
 		return nil, fmt.Errorf("exp: unknown workload %q (registered: %s)",
 			name, strings.Join(workload.WorkloadNames(), ", "))
 	}
-	spec, ok := workloadSpec(def)
-	if !ok {
+	if _, ok := workloadSpec(def); !ok {
 		return nil, fmt.Errorf("exp: workload %q is a %s helper, not a sweepable generator (registered: %s)",
 			name, def.Class, strings.Join(workload.WorkloadNames(), ", "))
 	}
-	seeds := o.seedCount(3)
-	env := workloadEnv(1)
-	panel, err := scenarioPanel(netsim.ScenarioDef{Template: env}, o)
+	seeds := o.seedCount(3, 3)
+	panel, err := scenarioPanel(netsim.ScenarioDef{Template: workloadEnv(1)}, o)
 	if err != nil {
 		return nil, err
 	}
-	type sample struct {
-		events, rel, sent, dups, bytes float64
-	}
-	samples, err := runGrid(o, []int{len(panel), seeds},
-		func(ix []int) (sample, error) {
-			sc := workloadEnv(int64(ix[1]) + 1)
-			sc.Workload = spec
-			sc.Protocol = panel[ix[0]]
-			sc.Sample = o.Sample
-			res, err := netsim.Run(sc)
-			if err != nil {
-				return sample{}, fmt.Errorf("workload %s, %v: %w", name, sc.Protocol, err)
-			}
-			if err := o.dumpSeries(fmt.Sprintf("workload-%s-%v-seed%d",
-				name, sc.Protocol, ix[1]+1), res); err != nil {
-				return sample{}, err
-			}
-			return sample{
-				events: float64(len(res.Published)),
-				rel:    res.Reliability(),
-				sent:   res.EventsSentPerProcess(),
-				dups:   res.DuplicatesPerProcess(),
-				bytes:  res.AppBytesPerProcess(),
-			}, nil
+	means, err := meanGrid(o, []int{len(panel)}, seeds,
+		func(ix []int, seed int64) ([]float64, error) {
+			return workloadRun(o, "workload", def, panel[ix[0]], seed)
 		})
 	if err != nil {
 		return nil, err
 	}
 	tb := metrics.NewTable(
 		fmt.Sprintf("Workload %s — %s (%d seeds, waypoint environment)", def.Name, def.Description, seeds),
-		"protocol", "events", "reliability", "copies/proc", "dups/proc", "bandwidth")
+		append([]string{"protocol", "events"}, trafficCols...)...)
 	for pi, pspec := range panel {
-		var events, rel, sent, dups, bytes metrics.Agg
-		for seed := 0; seed < seeds; seed++ {
-			s := samples.At(pi, seed)
-			events.Add(s.events)
-			rel.Add(s.rel)
-			sent.Add(s.sent)
-			dups.Add(s.dups)
-			bytes.Add(s.bytes)
-		}
-		tb.AddRow(pspec.String(), metrics.F1(events.Mean()), metrics.Pct(rel.Mean()),
-			metrics.F1(sent.Mean()), metrics.F1(dups.Mean()), metrics.KB(bytes.Mean()))
-		o.progress("workload %s %v -> %s", def.Name, pspec, metrics.Pct(rel.Mean()))
+		m := means.At(pi)
+		tb.AddRow(append([]string{pspec.String()}, workloadCells(m)...)...)
+		o.progress("workload %s %v -> %s", def.Name, pspec, metrics.Pct(m[1]))
 	}
 	return &Output{Tables: []*metrics.Table{tb}}, nil
 }

@@ -37,9 +37,6 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Norm returns the Euclidean norm of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Lerp linearly interpolates from p to q; f=0 yields p, f=1 yields q.
 func (p Point) Lerp(q Point, f float64) Point {
 	return Point{p.X + (q.X-p.X)*f, p.Y + (q.Y-p.Y)*f}

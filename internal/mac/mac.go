@@ -309,9 +309,6 @@ func New(eng *sim.Engine, cfg Config, loc Locator) *Medium {
 	return m
 }
 
-// Config returns the medium configuration.
-func (m *Medium) Config() Config { return m.cfg }
-
 // Attach registers node id with receive callback rx (may be nil for a
 // deaf node) and returns its port. Attaching the same id twice panics.
 func (m *Medium) Attach(id event.NodeID, rx func(Frame)) *Port {

@@ -42,24 +42,6 @@ func (a *Agg) Var() float64 {
 // Std returns the unbiased sample standard deviation.
 func (a *Agg) Std() float64 { return math.Sqrt(a.Var()) }
 
-// Mean averages a slice; it returns 0 for empty input.
-func Mean(xs []float64) float64 {
-	var a Agg
-	for _, x := range xs {
-		a.Add(x)
-	}
-	return a.Mean()
-}
-
-// Std returns the unbiased standard deviation of a slice.
-func Std(xs []float64) float64 {
-	var a Agg
-	for _, x := range xs {
-		a.Add(x)
-	}
-	return a.Std()
-}
-
 // Table is a simple aligned text table, used to print the paper's
 // figure/table data.
 type Table struct {

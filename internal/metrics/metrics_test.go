@@ -37,15 +37,6 @@ func TestAggSingleSample(t *testing.T) {
 	}
 }
 
-func TestMeanStdHelpers(t *testing.T) {
-	if Mean(nil) != 0 || Std(nil) != 0 {
-		t.Fatal("empty slice helpers should be 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Fatal("Mean wrong")
-	}
-}
-
 // Property: Welford matches the naive two-pass computation.
 func TestAggMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {

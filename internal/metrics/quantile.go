@@ -32,54 +32,3 @@ func Quantile(xs []float64, q float64) float64 {
 
 // Median is Quantile(xs, 0.5).
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Histogram buckets samples into fixed-width bins for quick textual
-// distribution summaries.
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	under    int
-	over     int
-	n        int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over
-// [min, max). Out-of-range samples are tracked separately.
-func NewHistogram(min, max float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	if max <= min {
-		max = min + 1
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, bins)}
-}
-
-// Add folds one sample into the histogram.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.Min:
-		h.under++
-	case x >= h.Max:
-		h.over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// N returns the total number of samples including out-of-range ones.
-func (h *Histogram) N() int { return h.n }
-
-// OutOfRange returns the counts below Min and at/above Max.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
-
-// Bucket returns the [lo, hi) bounds of bin i.
-func (h *Histogram) Bucket(i int) (lo, hi float64) {
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + float64(i)*w, h.Min + float64(i+1)*w
-}

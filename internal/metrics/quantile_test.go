@@ -83,36 +83,3 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.N() != 8 {
-		t.Fatalf("N = %d", h.N())
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Fatalf("out of range = %d,%d, want 1,2", under, over)
-	}
-	// Bins: [0,2) [2,4) [4,6) [6,8) [8,10)
-	want := []int{2, 1, 1, 0, 1}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Fatalf("bin %d = %d, want %d (%v)", i, h.Counts[i], w, h.Counts)
-		}
-	}
-	lo, hi := h.Bucket(1)
-	if lo != 2 || hi != 4 {
-		t.Fatalf("Bucket(1) = [%v,%v)", lo, hi)
-	}
-}
-
-func TestHistogramDegenerateConfig(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // max<=min and bins<1 both repaired
-	h.Add(5)
-	if h.N() != 1 {
-		t.Fatal("degenerate histogram unusable")
-	}
-}

@@ -87,25 +87,6 @@ func ProtocolNames() []string { return proto.ProtocolNames() }
 // hand-placed events and generated dynamics compose.
 type WorkloadSpec = workload.Spec
 
-// ParseWorkload resolves a registry name into a default-params spec.
-// It reports false for unregistered names; WorkloadNames lists the
-// valid ones.
-func ParseWorkload(s string) (WorkloadSpec, bool) {
-	if _, ok := workload.LookupWorkload(s); !ok {
-		return WorkloadSpec{}, false
-	}
-	return WorkloadSpec{Name: s}, true
-}
-
-// WorkloadNames returns the sorted registered workload-generator names
-// (the workload registry's catalog, re-exported for the CLIs).
-func WorkloadNames() []string { return workload.WorkloadNames() }
-
-// Workloads returns every registered workload definition, sorted by
-// name (the workload registry's catalog, re-exported for the CLIs'
-// unknown-id listings).
-func Workloads() []workload.Definition { return workload.Workloads() }
-
 // MobilityKind selects the mobility model.
 type MobilityKind int
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"time"
 )
@@ -13,8 +12,8 @@ import (
 // schedule further work. Scheduling a callback in the past clamps it to the
 // current instant.
 //
-// Pending callbacks live in a hierarchical timer wheel with a heap
-// fallback for far-future instants (see wheel.go); fired and cancelled
+// Pending callbacks live in a hierarchical timer wheel whose nine levels
+// span the whole Time range (see wheel.go); fired and cancelled
 // entries are recycled through a free list, so steady-state scheduling
 // allocates nothing. Firing order is exactly ascending (at, seq): FIFO
 // among callbacks scheduled for the same instant.
@@ -29,7 +28,6 @@ type Engine struct {
 	executed uint64
 
 	wheel wheel
-	over  overflowHeap
 
 	// ready holds the items due at or before wheel.cur, sorted by
 	// (at, seq); readyPos is the consumed prefix. New items landing at
@@ -71,10 +69,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Executed returns the number of callbacks that have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
-
-// Rand returns the engine's root RNG. Prefer NewRand for per-entity
-// streams so that entities stay independent of each other's draw order.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // NewRand derives an independent RNG stream from the engine seed.
 func (e *Engine) NewRand() *rand.Rand {
@@ -166,17 +160,14 @@ func (e *Engine) recycle(it *item) {
 }
 
 // enqueue files the item: merge into the ready buffer when due at or
-// before the current tick, otherwise into the wheel, otherwise (beyond
-// the wheel horizon) into the overflow heap.
+// before the current tick, otherwise into the wheel.
 func (e *Engine) enqueue(it *item) {
 	e.count++
 	if tickOf(it.at) <= e.wheel.cur {
 		e.readyInsert(it)
 		return
 	}
-	if !e.wheel.place(it) {
-		e.over.push(it)
-	}
+	e.wheel.place(it)
 }
 
 // readyInsert merge-inserts into the unconsumed tail of the ready
@@ -199,34 +190,21 @@ func (e *Engine) readyInsert(it *item) {
 
 // advance moves the wheel to the next occupied instant and refills the
 // ready buffer with every item due at that tick, in (at, seq) order. It
-// reports false when nothing is pending anywhere. The loop only returns
-// once no wheel slot or overflow item shares the chosen tick, so a
-// cascade that lands items at the boundary cannot shadow a level-0 slot
-// (or overflow resident) due at the same instant.
+// reports false when nothing is pending. The loop only returns once no
+// wheel slot shares the chosen tick, so a cascade that lands items at
+// the boundary cannot shadow a level-0 slot due at the same instant.
 func (e *Engine) advance() bool {
 	e.ready = e.ready[:0]
 	e.readyPos = 0
 	for {
-		e.drainOverflowDue()
 		start, lvl := e.wheel.nextWindow()
-		overTick := int64(math.MaxInt64)
-		if len(e.over) > 0 {
-			overTick = tickOf(e.over[0].at)
-		}
-		if len(e.ready) > 0 && start > e.wheel.cur && overTick > e.wheel.cur {
+		if len(e.ready) > 0 && start > e.wheel.cur {
 			// Everything due at the current tick is collected and
 			// nothing else shares it.
 			return true
 		}
-		if lvl < 0 || overTick < start {
-			if overTick == math.MaxInt64 {
-				return false // wheel and overflow both empty
-			}
-			// The far-future heap comes due first (the wheel may even
-			// be empty): jump straight to its earliest tick.
-			e.wheel.cur = overTick
-			e.drainOverflowDue()
-			return true
+		if lvl < 0 {
+			return false // wheel empty
 		}
 		if lvl == 0 {
 			// A level-0 window is a single tick: its slot holds exactly
@@ -236,7 +214,6 @@ func (e *Engine) advance() bool {
 			e.wheel.cur = start
 			e.ready = e.wheel.drain(0, start&slotMask, e.ready)
 			sortItems(e.ready)
-			e.drainOverflowDue()
 			return true
 		}
 		// A coarser window opens next: advance to its boundary and
@@ -249,18 +226,10 @@ func (e *Engine) advance() bool {
 			e.scratch[i] = nil
 			if tickOf(it.at) <= e.wheel.cur {
 				e.readyInsert(it)
-			} else if !e.wheel.place(it) {
-				e.over.push(it)
+			} else {
+				e.wheel.place(it)
 			}
 		}
-	}
-}
-
-// drainOverflowDue merges overflow items that have come due (tick at or
-// before the wheel cursor) into the ready buffer.
-func (e *Engine) drainOverflowDue() {
-	for len(e.over) > 0 && tickOf(e.over[0].at) <= e.wheel.cur {
-		e.readyInsert(e.over.pop())
 	}
 }
 
@@ -313,8 +282,6 @@ func (e *Engine) maybeCompact() {
 			}
 		}
 	}
-	e.over = drop(e.over)
-	e.over.init()
 	e.stopped = 0
 }
 

@@ -6,9 +6,10 @@ import (
 	"sort"
 )
 
-// The engine's pending-callback store is a hierarchical timer wheel: 6
-// levels of 64 slots over 2^14 ns (~16 us) ticks, covering ~13 days of
-// simulated time, with a binary-heap overflow for anything farther out.
+// The engine's pending-callback store is a hierarchical timer wheel: 9
+// levels of 64 slots over 2^14 ns (~16 us) ticks. 64^9 = 2^54 ticks is
+// more than the 2^49 an int64 of nanoseconds can hold, so every
+// representable instant has a slot and there is no second store.
 // Insertion and cancellation are O(1); finding the next occupied instant
 // is O(levels) via per-level occupancy bitmaps instead of the O(log n)
 // sift of the old global binary heap — the difference that keeps a
@@ -26,9 +27,9 @@ const (
 	tickBits = 14
 	// slotBits is the log2 of the per-level slot count.
 	slotBits = 6
-	// wheelLevels is the number of wheel levels; items beyond the top
-	// level's horizon (64^6 ticks ~ 13 days) overflow into a heap.
-	wheelLevels = 6
+	// wheelLevels is the number of wheel levels: the fewest whose
+	// horizon (64^9 = 2^54 ticks) covers every Time (< 2^49 ticks).
+	wheelLevels = 9
 
 	slotsPerLevel = 1 << slotBits
 	slotMask      = slotsPerLevel - 1
@@ -48,20 +49,15 @@ type wheel struct {
 	cur int64
 }
 
-// place files an item whose tick is strictly beyond cur at the coarsest
-// level whose resolution still separates it from the present.
-func (w *wheel) place(it *item) bool {
+// place files an item whose tick is strictly beyond cur at the finest
+// level l whose span still reaches it (distance < 64^(l+1) ticks). The
+// distance is below 2^49, so l never exceeds wheelLevels-1.
+func (w *wheel) place(it *item) {
 	t := tickOf(it.at)
-	d := uint64(t - w.cur)
-	for l := 0; l < wheelLevels; l++ {
-		if d < 1<<((l+1)*slotBits) {
-			idx := (t >> (l * slotBits)) & slotMask
-			w.slots[l][idx] = append(w.slots[l][idx], it)
-			w.occ[l] |= 1 << idx
-			return true
-		}
-	}
-	return false // beyond the horizon: overflow heap
+	l := (bits.Len64(uint64(t-w.cur)) - 1) / slotBits
+	idx := (t >> (l * slotBits)) & slotMask
+	w.slots[l][idx] = append(w.slots[l][idx], it)
+	w.occ[l] |= 1 << idx
 }
 
 // drain empties slot idx of level l into buf and returns the result.
@@ -143,73 +139,4 @@ func sortItems(items []*item) {
 		return
 	}
 	sort.Slice(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
-}
-
-// overflowHeap is the far-future fallback: a plain binary min-heap by
-// (at, seq) for items beyond the wheel horizon. It reuses the old
-// engine queue's sift routines without the container/heap interface
-// boxing.
-type overflowHeap []*item
-
-func (h *overflowHeap) push(it *item) {
-	*h = append(*h, it)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !itemLess(q[i], q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *overflowHeap) pop() *item {
-	q := *h
-	n := len(q) - 1
-	top := q[0]
-	q[0] = q[n]
-	q[n] = nil
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && itemLess(q[l], q[small]) {
-			small = l
-		}
-		if r < n && itemLess(q[r], q[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
-	}
-	return top
-}
-
-// init re-heapifies after a bulk rewrite (compaction).
-func (h overflowHeap) init() {
-	n := len(h)
-	for i := n/2 - 1; i >= 0; i-- {
-		for j := i; ; {
-			l, r := 2*j+1, 2*j+2
-			small := j
-			if l < n && itemLess(h[l], h[small]) {
-				small = l
-			}
-			if r < n && itemLess(h[r], h[small]) {
-				small = r
-			}
-			if small == j {
-				break
-			}
-			h[j], h[small] = h[small], h[j]
-			j = small
-		}
-	}
 }

@@ -62,7 +62,9 @@ func (r *refEngine) Run() {
 }
 
 // delays spans the interesting ranges: sub-tick, level boundaries (64^l
-// ticks at 2^14 ns per tick), and the beyond-horizon overflow heap.
+// ticks at 2^14 ns per tick), the top levels 6-8 and the last
+// representable instants (a sum past MaxInt64 wraps negative and is
+// clamped to now, in the wheel and the reference alike).
 var scriptDelays = []time.Duration{
 	0, 1, 100 * time.Nanosecond,
 	16 * time.Microsecond, 17 * time.Microsecond, // tick boundary
@@ -71,7 +73,8 @@ var scriptDelays = []time.Duration{
 	time.Second, 4 * time.Second, 5 * time.Second, // level 2/3 boundary ~2^32 ns
 	5 * time.Minute, 286 * time.Minute, // level 3/4 boundary ~2^38 ns
 	24 * time.Hour, 305 * time.Hour, 306 * time.Hour, // level 4/5 boundary ~2^44 ns
-	14 * 24 * time.Hour, 1000 * 24 * time.Hour, // beyond horizon: overflow heap
+	14 * 24 * time.Hour, 1000 * 24 * time.Hour, // levels 6 and 7 (5/6 boundary ~2^50 ns, 6/7 ~2^56 ns)
+	1 << 62, math.MaxInt64 - 1, math.MaxInt64, // level 8 (7/8 boundary ~2^62 ns) and the edge of Time
 }
 
 // traceEntry is one fired callback in a script replay: which event and
@@ -196,10 +199,10 @@ func runRefScript(t *testing.T, seed int64) []traceEntry {
 	return trace
 }
 
-// TestWheelFarFutureOverflow pins the heap fallback: timers beyond the
-// wheel horizon (~13 days) fire, in order, interleaved with near-term
-// work, and Stop works on overflow residents.
-func TestWheelFarFutureOverflow(t *testing.T) {
+// TestWheelFarFutureInOrder pins a level no simulated run reaches:
+// timers 20 and 400 days out (level 6) fire, in order, interleaved
+// with near-term work, and Stop works on a resident there.
+func TestWheelFarFutureInOrder(t *testing.T) {
 	e := New(1)
 	var fired []int
 	far := 20 * 24 * time.Hour
@@ -212,7 +215,7 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 		t.Fatalf("Pending = %d, want 5", e.Pending())
 	}
 	if !stopped.Stop() {
-		t.Fatal("Stop on overflow-resident timer failed")
+		t.Fatal("Stop on level-6 resident timer failed")
 	}
 	_ = veryFar
 	e.Run()
@@ -231,8 +234,8 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 }
 
 // TestWheelStopResidentEveryLevel stops one timer resident at each
-// wheel level and in the overflow heap; none may fire, and the
-// remaining timers still fire in order.
+// wheel level; none may fire, and the remaining timers still fire in
+// order.
 func TestWheelStopResidentEveryLevel(t *testing.T) {
 	e := New(1)
 	delays := []time.Duration{
@@ -241,7 +244,9 @@ func TestWheelStopResidentEveryLevel(t *testing.T) {
 		2 * time.Second,       // level 2
 		30 * time.Minute,      // level 3
 		2 * 24 * time.Hour,    // level 4 or 5
-		40 * 24 * time.Hour,   // overflow
+		40 * 24 * time.Hour,   // level 6
+		3000 * 24 * time.Hour, // level 7
+		1 << 62,               // level 8
 	}
 	var fired []time.Duration
 	var stops []*Timer

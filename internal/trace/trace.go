@@ -95,22 +95,6 @@ func (t *Trace) Dropped() uint64 { return t.dropped }
 // returned slice is owned by the trace; copy before mutating.
 func (t *Trace) Records() []Record { return t.records }
 
-// Filter returns the records matching keep.
-func (t *Trace) Filter(keep func(Record) bool) []Record {
-	var out []Record
-	for _, r := range t.records {
-		if keep(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ByNode returns the records of one node.
-func (t *Trace) ByNode(id event.NodeID) []Record {
-	return t.Filter(func(r Record) bool { return r.Node == id })
-}
-
 // writeRecord renders one timeline entry (shared by Trace and Ring).
 func writeRecord(w io.Writer, r Record) error {
 	var err error

@@ -57,20 +57,6 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-func TestFilterAndByNode(t *testing.T) {
-	var tr Trace
-	tr.Add(rec(1, 1, OpSend))
-	tr.Add(rec(2, 2, OpReceive))
-	tr.Add(rec(3, 1, OpDeliver))
-	if got := tr.ByNode(1); len(got) != 2 {
-		t.Fatalf("ByNode(1) = %d records", len(got))
-	}
-	sends := tr.Filter(func(r Record) bool { return r.Op == OpSend })
-	if len(sends) != 1 || sends[0].Node != 1 {
-		t.Fatalf("Filter sends = %v", sends)
-	}
-}
-
 func TestWriteText(t *testing.T) {
 	tr := New(2)
 	tr.Add(Record{At: sim.Seconds(1.5), Node: 3, Op: OpSend, Msg: event.KindIDList, Bytes: 24})
