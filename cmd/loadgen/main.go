@@ -52,7 +52,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/rand"
 	"net/http"
 	"os"
 	"strconv"
@@ -66,6 +65,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/topic"
 	"repro/internal/workload"
 	"repro/pubsub"
@@ -556,7 +556,7 @@ func run() int {
 	}
 
 	// The same generator stream the simulator would run.
-	rng := rand.New(rand.NewSource(*seed))
+	rng := sim.NewStream(*seed)
 	gen, err := workload.Build(spec.Name, spec.Params, workload.Env{
 		Nodes:      *nodes,
 		Rand:       rng,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/sim"
 )
 
 // Defaults mirror the paper's evaluation settings (Section 5.1).
@@ -144,7 +145,7 @@ func (c Config) withDefaults() Config {
 		c.HBLowerBound = DefaultHBLowerBound
 	}
 	if c.Rand == nil {
-		c.Rand = rand.New(rand.NewSource(int64(c.ID) + 1))
+		c.Rand = sim.NewStream(int64(c.ID) + 1)
 	}
 	return c
 }

@@ -375,7 +375,7 @@ func (r *runner) buildProtocol(n *node) (proto.Disseminator, error) {
 		ID:        n.id,
 		Sched:     proto.EngineScheduler{Eng: r.eng},
 		Transport: portTransport{port: n.port, sizes: sc.Sizes, r: r},
-		Rand:      rand.New(rand.NewSource(sc.Seed*7919 + int64(n.id)*104729 + 13)),
+		Rand:      sim.NewStream(sc.Seed*7919 + int64(n.id)*104729 + 13),
 		OnDeliver: r.deliverHook(n.id),
 		Speed:     func() float64 { return model.Speed(eng.Now()) },
 	}

@@ -61,7 +61,7 @@ type item struct {
 // New returns an engine whose clock starts at the epoch and whose
 // randomness derives entirely from seed.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: NewStream(seed)}
 }
 
 // Now returns the current instant of the simulation clock.
@@ -70,9 +70,11 @@ func (e *Engine) Now() Time { return e.now }
 // Executed returns the number of callbacks that have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// NewRand derives an independent RNG stream from the engine seed.
+// NewRand derives an independent RNG stream from the engine seed. Like
+// the engine's own, it comes from NewStream, the repository's one RNG
+// constructor.
 func (e *Engine) NewRand() *rand.Rand {
-	return rand.New(rand.NewSource(e.rng.Int63()))
+	return NewStream(e.rng.Int63())
 }
 
 // Timer is a handle to a scheduled callback.
