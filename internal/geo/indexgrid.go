@@ -21,9 +21,10 @@ package geo
 // bounds are clamped into border cells (the recorded position is not).
 //
 // Iteration order of AppendDisc and AppendWithin is deterministic —
-// cells in row-major order, keys within a cell in bucket order; callers
-// that need a canonical order (the medium sorts by attach rank) must
-// sort, since bucket order depends on movement history.
+// cells in row-major order, keys within a cell in bucket order — but
+// bucket order depends on movement history, so callers that need a
+// canonical order must impose it (the medium puts its candidates in
+// attach-rank order through a bitset over the keys).
 type IndexGrid struct {
 	cellCore
 	buckets [][]int32 // dense row-major cell slab

@@ -2,7 +2,9 @@ package mac
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -207,6 +209,46 @@ func TestGridHiddenTerminal(t *testing.T) {
 		}
 		if got := mid.Counters().FramesLost; got != 2 {
 			t.Fatalf("fullScan=%v: middle node lost %d frames, want 2", fullScan, got)
+		}
+	}
+}
+
+// TestReceiversMatchSortedCandidates pins the receiver-order contract:
+// whatever the roster size, relative to the bitset's 64-rank words and
+// 4096-rank summary words, receivers returns exactly the grid's
+// candidates sorted by attach rank — empty, local and whole-roster
+// queries alike.
+func TestReceiversMatchSortedCandidates(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 4095, 4096, 4097, 50000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		const r = 100.0
+		side := r * math.Sqrt(float64(n)) / 2
+		loc := make(fixedLocator, n)
+		for i := 0; i < n; i++ {
+			loc[event.NodeID(i)] = geo.Pt(rng.Float64()*side, rng.Float64()*side)
+		}
+		for _, rangeM := range []float64{r, 2 * side} {
+			m := New(sim.New(1), DefaultConfig(rangeM), loc)
+			for i := 0; i < n; i++ {
+				m.Attach(event.NodeID(i), nil)
+			}
+			queries := []geo.Point{geo.Pt(-10*side-1e4, -10*side-1e4)} // nobody in range
+			for q := 0; q < 20; q++ {
+				queries = append(queries, geo.Pt(rng.Float64()*side, rng.Float64()*side))
+			}
+			for _, pos := range queries {
+				got := slices.Clone(m.receivers(&transmission{pos: pos}))
+				want := m.nodeGrid.AppendWithin(pos, m.cfg.Range+m.margin, nil)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d range=%v at %v: receivers (%d ranks) differ from the sorted candidates (%d)",
+						n, rangeM, pos, len(got), len(want))
+				}
+			}
+			if slices.ContainsFunc(m.rankBits, func(w uint64) bool { return w != 0 }) ||
+				slices.ContainsFunc(m.rankSum, func(w uint64) bool { return w != 0 }) {
+				t.Fatalf("n=%d: rank bitset not cleared after the walk", n)
+			}
 		}
 	}
 }

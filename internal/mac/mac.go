@@ -12,8 +12,8 @@ package mac
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"slices"
 	"time"
 
 	"repro/internal/event"
@@ -284,6 +284,11 @@ type Medium struct {
 	scratch   []int32         // receiver-candidate reuse buffer (ranks)
 	txScratch []*transmission // transmission-grid query reuse buffer
 	allRanks  []int32         // 0..n-1, the FullScan "candidate set"
+	// rankBits and rankSum put receivers' candidates in rank order: one
+	// bit per attach rank, one summary bit per 64-rank word. Both are all
+	// zero between calls.
+	rankBits []uint64
+	rankSum  []uint64
 	// interferers holds the finishing frame's possible corrupters
 	// (collectInterferers). It is its own buffer because receiver
 	// handlers re-enter busyUntil, which reuses txScratch.
@@ -516,14 +521,48 @@ func within(a, b geo.Point, r float64) bool {
 // a superset of the true in-range set; hears re-checks exact current
 // distances, so delivery (and the RNG draw sequence under ReceiveProb)
 // is identical to the FullScan roster walk.
+//
+// The grid yields candidates in bucket order, which depends on movement
+// history; they are put in rank order by marking them in a two-level
+// bitset and walking it, at a cost of one step per candidate plus one
+// per 4096 ranks — no comparison sort.
 func (m *Medium) receivers(tx *transmission) []int32 {
 	if m.cfg.FullScan {
 		return m.allRanks
 	}
 	m.ensureNodeGrid(tx.end)
 	m.scratch = m.nodeGrid.AppendWithin(tx.pos, m.cfg.Range+m.margin, m.scratch[:0])
-	slices.Sort(m.scratch) // bucket order depends on movement history
+	m.scratch = m.rankOrder(m.scratch)
 	return m.scratch
+}
+
+// rankOrder returns the distinct ranks of cand in ascending order,
+// reusing cand's array. Every rank must be below len(m.order).
+func (m *Medium) rankOrder(cand []int32) []int32 {
+	if words := (len(m.order) + 63) >> 6; len(m.rankBits) < words {
+		m.rankBits = make([]uint64, words)
+		m.rankSum = make([]uint64, (words+63)>>6)
+	}
+	for _, r := range cand {
+		m.rankBits[r>>6] |= 1 << (r & 63)
+		m.rankSum[r>>12] |= 1 << ((r >> 6) & 63)
+	}
+	out := cand[:0]
+	for si, sum := range m.rankSum {
+		if sum == 0 {
+			continue
+		}
+		m.rankSum[si] = 0
+		for ; sum != 0; sum &= sum - 1 {
+			wi := si<<6 | bits.TrailingZeros64(sum)
+			w := m.rankBits[wi]
+			m.rankBits[wi] = 0
+			for ; w != 0; w &= w - 1 {
+				out = append(out, int32(wi<<6|bits.TrailingZeros64(w)))
+			}
+		}
+	}
+	return out
 }
 
 // ensureGeometry resolves the index bounding box and creates the

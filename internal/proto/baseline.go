@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/event"
@@ -46,19 +45,30 @@ type Rule[S any] interface {
 // It is embedded by value and reaches its rule through an interface,
 // not closures, so that a received message touches one cold per-node
 // object rather than three: at a city-sized roster the pointer-embedded,
-// closure-hooked form ran metro-flood-5k 20 % slower.
+// closure-hooked form ran metro-flood-5k 20 % slower. For the same
+// reason a duplicate copy — nearly every copy a flooding node receives —
+// is answered from the skeleton itself: the last topic's subscription
+// verdict is memoised beside the counters, and the store is a dense
+// id-sorted slice pair searched in place of a map.
 //
 // Like every Disseminator it is single-threaded.
 type Baseline[S any] struct {
 	Env
+	// Subs is the subscription set. Change it only through Subscribe and
+	// Unsubscribe, which invalidate the memoised verdict.
 	Subs  *topic.Set
 	Count Stats
 
-	rule    Rule[S]
-	store   map[event.ID]*Stored[S]
-	sorted  []*Stored[S] // the store in id order; nil = rebuild
-	tasks   []*task
-	stopped bool
+	rule Rule[S]
+	// The store: ids ascending, entries[i] holding ids[i].
+	ids     []event.ID
+	entries []*Stored[S]
+	// memoTopic's coverage by Subs is memoCovered; a zero memoTopic is
+	// no memo.
+	memoTopic   topic.Topic
+	memoCovered bool
+	tasks       []*task
+	stopped     bool
 }
 
 // task is one periodic activity registered with Every.
@@ -75,7 +85,6 @@ func (b *Baseline[S]) Init(env Env, rule Rule[S]) error {
 	}
 	b.Env, b.rule = env, rule
 	b.Subs = topic.NewSet()
-	b.store = make(map[event.ID]*Stored[S])
 	return nil
 }
 
@@ -94,12 +103,25 @@ func (b *Baseline[S]) Subscribe(t topic.Topic) error {
 		return errors.New("proto: zero topic")
 	}
 	b.Subs.Add(t)
+	b.memoTopic = topic.Topic{}
 	b.start()
 	return nil
 }
 
 // Unsubscribe removes t from the subscription set.
-func (b *Baseline[S]) Unsubscribe(t topic.Topic) { b.Subs.Remove(t) }
+func (b *Baseline[S]) Unsubscribe(t topic.Topic) {
+	b.Subs.Remove(t)
+	b.memoTopic = topic.Topic{}
+}
+
+// covers reports Subs.Covers(t), answered from the one-entry memo when t
+// is the topic asked last.
+func (b *Baseline[S]) covers(t topic.Topic) bool {
+	if t != b.memoTopic || t.IsZero() {
+		b.memoTopic, b.memoCovered = t, b.Subs.Covers(t)
+	}
+	return b.memoCovered
+}
 
 // Stop halts all activity permanently.
 func (b *Baseline[S]) Stop() {
@@ -161,7 +183,7 @@ func (b *Baseline[S]) Publish(t topic.Topic, payload []byte, validity time.Durat
 	e := b.put(ev, b.Sched.Now()+validity)
 	b.Count.Published++
 	b.rule.OnPublish(e)
-	if b.Subs.Covers(t) {
+	if b.covers(t) {
 		b.deliver(ev)
 	}
 	b.start()
@@ -208,22 +230,23 @@ func (b *Baseline[S]) HandleMessage(m event.Message) error {
 // created it.
 func (b *Baseline[S]) Receive(ev event.Event, now time.Duration, keepParasites bool) (e *Stored[S], fresh bool) {
 	b.Count.EventsReceived++
-	covered := b.Subs.Covers(ev.Topic)
+	covered := b.covers(ev.Topic)
 	if !covered {
 		b.Count.Parasites++
 		if !keepParasites {
 			return nil, false
 		}
 	}
-	if e, ok := b.store[ev.ID]; ok {
+	i, ok := b.search(ev.ID)
+	if ok {
 		b.Count.Duplicates++
-		return e, false
+		return b.entries[i], false
 	}
 	if ev.Remaining <= 0 {
 		b.Count.ExpiredDrops++
 		return nil, false
 	}
-	e = b.put(ev, now+ev.Remaining)
+	e = b.insert(i, ev, now+ev.Remaining)
 	if covered {
 		b.deliver(ev)
 	}
@@ -255,40 +278,64 @@ func (b *Baseline[S]) Heartbeat() {
 }
 
 // HasEvent reports whether the store holds id.
-func (b *Baseline[S]) HasEvent(id event.ID) bool { return b.store[id] != nil }
+func (b *Baseline[S]) HasEvent(id event.ID) bool {
+	_, ok := b.search(id)
+	return ok
+}
 
+// search returns id's position in the store (or its insertion point) and
+// whether it is present.
+func (b *Baseline[S]) search(id event.ID) (int, bool) {
+	lo, hi := 0, len(b.ids)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if b.ids[m].Less(id) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(b.ids) && b.ids[lo] == id
+}
+
+// put stores ev, replacing an entry with the same id as a map would.
 func (b *Baseline[S]) put(ev event.Event, expiresAt time.Duration) *Stored[S] {
+	i, ok := b.search(ev.ID)
+	if ok {
+		b.entries[i] = &Stored[S]{Ev: ev, ExpiresAt: expiresAt}
+		return b.entries[i]
+	}
+	return b.insert(i, ev, expiresAt)
+}
+
+// insert stores ev at position i, its id's insertion point.
+func (b *Baseline[S]) insert(i int, ev event.Event, expiresAt time.Duration) *Stored[S] {
 	e := &Stored[S]{Ev: ev, ExpiresAt: expiresAt}
-	b.store[ev.ID] = e
-	b.sorted = nil
+	b.ids = slices.Insert(b.ids, i, ev.ID)
+	b.entries = slices.Insert(b.entries, i, e)
 	return e
 }
 
-// Prune deletes every stored entry drop accepts. The store never drops
-// an entry on its own: how long an expired event is remembered is the
-// protocol's retention rule.
+// Prune deletes every stored entry drop accepts, asking in id order. The
+// store never drops an entry on its own: how long an expired event is
+// remembered is the protocol's retention rule.
 func (b *Baseline[S]) Prune(drop func(*Stored[S]) bool) {
-	for id, e := range b.store {
-		if drop(e) {
-			delete(b.store, id)
-			b.sorted = nil
+	n := 0
+	for i, e := range b.entries {
+		if !drop(e) {
+			b.ids[n], b.entries[n] = b.ids[i], e
+			n++
 		}
 	}
+	clear(b.entries[n:])
+	b.ids, b.entries = b.ids[:n], b.entries[:n]
 }
 
-// Valid returns the still-valid stored events ordered by id. The sort
-// is cached across calls and redone only after the store changed;
-// validity depends on now, so the filter runs per call.
+// Valid returns the still-valid stored events ordered by id: the store
+// is kept in id order, so this is a filter on now.
 func (b *Baseline[S]) Valid(now time.Duration) []*Stored[S] {
-	if b.sorted == nil {
-		b.sorted = make([]*Stored[S], 0, len(b.store))
-		for _, e := range b.store {
-			b.sorted = append(b.sorted, e)
-		}
-		sort.Slice(b.sorted, func(i, j int) bool { return b.sorted[i].Ev.ID.Less(b.sorted[j].Ev.ID) })
-	}
-	out := make([]*Stored[S], 0, len(b.sorted))
-	for _, e := range b.sorted {
+	out := make([]*Stored[S], 0, len(b.entries))
+	for _, e := range b.entries {
 		if now < e.ExpiresAt {
 			out = append(out, e)
 		}
@@ -321,13 +368,16 @@ func NewNeighbors[N any](period time.Duration) *Neighbors[N] {
 }
 
 // Observe records h, creating the sender's row (zero State) if needed.
+// A row whose subscriptions did not change keeps its set.
 func (t *Neighbors[N]) Observe(h event.Heartbeat, now time.Duration) *Neighbor[N] {
 	nb := t.rows[h.From]
 	if nb == nil {
 		nb = &Neighbor[N]{}
 		t.rows[h.From] = nb
 	}
-	nb.Subs = topic.NewSet(h.Subscriptions...)
+	if nb.Subs == nil || !nb.Subs.EqualSlice(h.Subscriptions) {
+		nb.Subs = topic.NewSet(h.Subscriptions...)
+	}
 	nb.seen = now
 	return nb
 }

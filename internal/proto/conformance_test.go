@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -303,5 +304,83 @@ func TestProtocolInputContract(t *testing.T) {
 				t.Error("stopped instance accepted Subscribe")
 			}
 		})
+	}
+}
+
+// TestSubscriptionChangeRecounts pins what each baseline's receive path
+// counts when the subscription set changes between copies of one event:
+// a copy is a parasite exactly while its topic is uncovered, whatever
+// verdict an earlier copy on the same topic got. The keep-parasite
+// baselines (simple flooding, the storm schemes) hold the event either
+// way, so the copy after Unsubscribe is also a duplicate; the others
+// drop it before the store is consulted.
+func TestSubscriptionChangeRecounts(t *testing.T) {
+	tp := topic.MustParse(".t")
+	type counts struct{ delivered, parasites, duplicates uint64 }
+	keep := [4]counts{{1, 0, 0}, {1, 1, 1}, {1, 1, 2}, {2, 1, 2}}
+	drop := [4]counts{{1, 0, 0}, {1, 1, 0}, {1, 1, 1}, {2, 1, 1}}
+	want := map[string][4]counts{
+		"simple-flooding":              keep,
+		"probabilistic-broadcast":      keep,
+		"counter-based-broadcast":      keep,
+		"interests-aware-flooding":     drop,
+		"neighbors-interests-flooding": drop,
+		"gossip-pushpull":              drop,
+	}
+	copyOf := func(lo uint64) event.Events {
+		return event.Events{From: 2, Events: []event.Event{{
+			ID: event.ID{Lo: lo}, Topic: tp, Publisher: 2, Validity: time.Hour, Remaining: time.Hour,
+		}}}
+	}
+	seen := 0
+	for _, def := range proto.Protocols() {
+		if def.Name == core.ProtocolName {
+			continue
+		}
+		seen++
+		t.Run(def.Name, func(t *testing.T) {
+			steps, ok := want[def.Name]
+			if !ok {
+				t.Fatalf("no expected counts for baseline %q", def.Name)
+			}
+			d, err := def.New(def.Params, proto.Env{
+				ID:        1,
+				Sched:     proto.EngineScheduler{Eng: sim.New(1)},
+				Transport: nullTransport{},
+				Rand:      rand.New(rand.NewSource(1)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Subscribe(tp); err != nil {
+				t.Fatal(err)
+			}
+			for i, step := range []func() error{
+				// A first copy on the subscribed topic.
+				func() error { return d.HandleMessage(copyOf(8)) },
+				// The same event after the topic is dropped.
+				func() error { d.Unsubscribe(tp); return d.HandleMessage(copyOf(8)) },
+				// The same event once more after the topic is back.
+				func() error {
+					if err := d.Subscribe(tp); err != nil {
+						return err
+					}
+					return d.HandleMessage(copyOf(8))
+				},
+				// A fresh event on the topic.
+				func() error { return d.HandleMessage(copyOf(9)) },
+			} {
+				if err := step(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				s := d.Stats()
+				if got := (counts{s.Delivered, s.Parasites, s.Duplicates}); got != steps[i] {
+					t.Errorf("step %d: delivered/parasites/duplicates = %v, want %v", i, got, steps[i])
+				}
+			}
+		})
+	}
+	if seen != len(want) {
+		t.Errorf("%d baselines registered, the table covers %d", seen, len(want))
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -85,28 +86,114 @@ func TestStreamMatchesMathRand(t *testing.T) {
 			sameInt63(t, s, got, want, 2*streamLen)
 		}
 	})
+
+	// The lazy register's seams: the last lazy draw, the draw that builds
+	// the register and the one after it, and re-seeding on either side.
+	t.Run("lazy seams", func(t *testing.T) {
+		for _, n := range []int{lazyDraws - 1, lazyDraws, lazyDraws + 1} {
+			for _, s := range []int64{1, 77, -zeroSeed} {
+				got, want := streamPair(s)
+				sameInt63(t, s, got, want, n)
+				sameInt63(t, s, got, want, streamLen)
+			}
+		}
+	})
+
+	t.Run("reseed while lazy", func(t *testing.T) {
+		got, want := streamPair(9)
+		sameInt63(t, 9, got, want, lazyDraws/2)
+		for _, s := range []int64{9, 10, math.MinInt64} {
+			got.Seed(s)
+			want.Seed(s)
+			sameInt63(t, s, got, want, lazyDraws-1)
+		}
+		sameInt63(t, math.MinInt64, got, want, 2*streamLen)
+	})
+
+	t.Run("reseed after build returns to lazy", func(t *testing.T) {
+		got, want := streamPair(11)
+		sameInt63(t, 11, got, want, lazyDraws+1)
+		for _, s := range []int64{11, 12, 0} {
+			got.Seed(s)
+			want.Seed(s)
+			sameInt63(t, s, got, want, lazyDraws)
+			sameInt63(t, s, got, want, 2)
+		}
+	})
 }
 
 func FuzzStreamMatchesMathRand(f *testing.F) {
 	f.Add(int64(0), uint16(10))
 	f.Add(int64(lehmerM), uint16(700))
 	f.Add(int64(math.MinInt64), uint16(1300))
+	for _, n := range []uint16{lazyDraws - 1, lazyDraws, lazyDraws + 1, streamTap, streamLen - streamTap, streamLen} {
+		f.Add(int64(n)*7919, n)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
 		got, want := streamPair(seed)
 		sameInt63(t, seed, got, want, int(n))
 	})
 }
 
-// TestNewStreamAllocs pins the constructor's cost: the 4.9 kB source and
-// the rand.Rand over it, two allocations and nothing else.
+var benchStream *rand.Rand
+
+// TestNewStreamAllocs pins the constructor's cost: the source and the
+// rand.Rand over it, two small allocations and no register.
 func TestNewStreamAllocs(t *testing.T) {
 	const want = 2
-	if got := testing.AllocsPerRun(100, func() { NewStream(12345) }); got != want {
+	if got := testing.AllocsPerRun(100, func() { benchStream = NewStream(12345) }); got != want {
 		t.Fatalf("NewStream allocates %v times, want %d (source + Rand)", got, want)
+	}
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		benchStream = NewStream(int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 128 {
+		t.Fatalf("NewStream allocates %d B, want at most 128 (no register)", per)
 	}
 }
 
-var benchStream *rand.Rand
+// TestStreamRegisterBuiltOnce pins when the register is allocated: not
+// during the first lazyDraws draws, exactly once on the next one, and
+// never again after a re-seed.
+func TestStreamRegisterBuiltOnce(t *testing.T) {
+	var s stream
+	lazy := testing.AllocsPerRun(20, func() {
+		s.Seed(99)
+		for i := 0; i < lazyDraws; i++ {
+			s.Uint64()
+		}
+	})
+	if lazy != 0 || s.vec != nil {
+		t.Fatalf("first %d draws allocate %v times (register built: %v), want 0", lazyDraws, lazy, s.vec != nil)
+	}
+	const runs = 20
+	fresh := make([]stream, runs+1)
+	i := 0
+	built := testing.AllocsPerRun(runs, func() {
+		f := &fresh[i]
+		i++
+		f.Seed(99)
+		for j := 0; j <= lazyDraws; j++ {
+			f.Uint64()
+		}
+	})
+	if built != 1 {
+		t.Fatalf("draw %d allocates %v times, want 1 (the register)", lazyDraws+1, built)
+	}
+	again := testing.AllocsPerRun(20, func() {
+		s.Seed(99)
+		for i := 0; i < 2*streamLen; i++ {
+			s.Uint64()
+		}
+	})
+	if again != 0 {
+		t.Fatalf("a re-seeded stream allocates %v times, want 0 (register kept)", again)
+	}
+}
 
 func BenchmarkNewStream(b *testing.B) {
 	b.ReportAllocs()
@@ -120,5 +207,30 @@ func BenchmarkNewStreamStd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchStream = rand.New(rand.NewSource(int64(i)))
+	}
+}
+
+// BenchmarkStreamFirst128Draws is a typical stream's whole life: built,
+// then drawn from a few dozen to a hundred times (lazy draws only).
+func BenchmarkStreamFirst128Draws(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := NewStream(int64(i))
+		for j := 0; j < 128; j++ {
+			r.Int63()
+		}
+		benchStream = r
+	}
+}
+
+// BenchmarkStreamFirst128DrawsStd is the same life on math/rand.
+func BenchmarkStreamFirst128DrawsStd(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := rand.New(rand.NewSource(int64(i)))
+		for j := 0; j < 128; j++ {
+			r.Int63()
+		}
+		benchStream = r
 	}
 }
