@@ -14,7 +14,7 @@ import (
 // this node stores, and a set of ids for those it does not.
 type neighbor struct {
 	id       event.NodeID
-	subs     *topic.Set
+	subs     topic.Set
 	speed    float64 // m/s, negative = unknown
 	has      slotSet // presumed received, by slot
 	covers   slotSet // subs.Covers(entry topic), by slot
@@ -99,8 +99,6 @@ type neighborhood struct {
 	avgOK       bool
 }
 
-func newNeighborhood(max int) *neighborhood { return &neighborhood{max: max} }
-
 func (nh *neighborhood) len() int { return len(nh.rows) }
 
 func (nh *neighborhood) get(id event.NodeID) *neighbor {
@@ -130,7 +128,7 @@ func (nh *neighborhood) upsert(id event.NodeID, wire []topic.Topic, speed float6
 		if !n.subs.EqualSlice(wire) {
 			subs := topic.NewSet(wire...)
 			subsChanged = !n.subs.Equal(subs)
-			n.subs = subs
+			n.subs = *subs
 		}
 		if n.speed != speed {
 			n.speed = speed
@@ -146,7 +144,7 @@ func (nh *neighborhood) upsert(id event.NodeID, wire []topic.Topic, speed float6
 			i--
 		}
 	}
-	n = &neighbor{id: id, subs: topic.NewSet(wire...), speed: speed, storedAt: now}
+	n = &neighbor{id: id, subs: *topic.NewSet(wire...), speed: speed, storedAt: now}
 	nh.ids = slices.Insert(nh.ids, i, id)
 	nh.rows = slices.Insert(nh.rows, i, n)
 	nh.avgValid = false

@@ -33,7 +33,7 @@ func (n *neighbor) knows(id event.ID, tb *eventTable) bool {
 func TestOverflowSetIsBounded(t *testing.T) {
 	// A row that never dies must not remember every unstored id it was
 	// ever told about: the newest overflowGen stay, the total is capped.
-	nh := newNeighborhood(0)
+	nh := &neighborhood{}
 	n, _, _ := nh.upsert(1, subsOf(".a"), -1, 0)
 	tb := newEventTable(0)
 	const total = 5*overflowGen + 17
@@ -64,7 +64,7 @@ func TestOverflowSetIsBounded(t *testing.T) {
 }
 
 func TestNeighborhoodUpsert(t *testing.T) {
-	nh := newNeighborhood(0)
+	nh := &neighborhood{}
 	_, isNew, changed := nh.upsert(1, subsOf(".a"), 5, 0)
 	if !isNew || changed {
 		t.Fatalf("first upsert: new=%v changed=%v", isNew, changed)
@@ -85,7 +85,7 @@ func TestNeighborhoodUpsert(t *testing.T) {
 }
 
 func TestNeighborhoodHasSurvivesRefresh(t *testing.T) {
-	nh := newNeighborhood(0)
+	nh := &neighborhood{}
 	nh.upsert(1, subsOf(".a"), -1, 0)
 	tb := newEventTable(0)
 	stored := mkEvent(8, ".a", time.Minute)
@@ -100,7 +100,7 @@ func TestNeighborhoodHasSurvivesRefresh(t *testing.T) {
 }
 
 func TestNeighborhoodGC(t *testing.T) {
-	nh := newNeighborhood(0)
+	nh := &neighborhood{}
 	nh.upsert(1, subsOf(".a"), -1, 0)
 	nh.upsert(2, subsOf(".a"), -1, 4*time.Second)
 	// NGC delay 2.5s at now=5s: entry stored at 0 is stale (5-2.5 > 0),
@@ -117,7 +117,7 @@ func TestNeighborhoodGC(t *testing.T) {
 func TestNeighborhoodGCBoundary(t *testing.T) {
 	// Paper Figure 10: remove iff currentTime - NGCDelay > storeTime,
 	// strictly. An entry stored exactly NGCDelay ago survives.
-	nh := newNeighborhood(0)
+	nh := &neighborhood{}
 	nh.upsert(1, subsOf(".a"), -1, 0)
 	if removed := nh.gc(2*time.Second, 2*time.Second); removed != 0 {
 		t.Fatal("boundary entry must survive")
@@ -125,7 +125,7 @@ func TestNeighborhoodGCBoundary(t *testing.T) {
 }
 
 func TestNeighborhoodCapEvictsStalest(t *testing.T) {
-	nh := newNeighborhood(2)
+	nh := &neighborhood{max: 2}
 	nh.upsert(1, subsOf(".a"), -1, 0)
 	nh.upsert(2, subsOf(".a"), -1, time.Second)
 	nh.upsert(3, subsOf(".a"), -1, 2*time.Second)
@@ -141,7 +141,7 @@ func TestNeighborhoodCapEvictsStalest(t *testing.T) {
 }
 
 func TestAvgSpeed(t *testing.T) {
-	nh := newNeighborhood(0)
+	nh := &neighborhood{}
 	if _, ok := nh.avgSpeed(-1); ok {
 		t.Fatal("no data should report !ok")
 	}
@@ -192,7 +192,7 @@ func TestAvgSpeedMemoBitExact(t *testing.T) {
 		return rng.Float64() * 40 // sums of these round differently in a different order
 	}
 	for _, max := range []int{0, 6} {
-		nh := newNeighborhood(max)
+		nh := &neighborhood{max: max}
 		own, now := speed(), time.Duration(0)
 		for step := 0; step < 20000; step++ {
 			now += time.Duration(rng.Intn(300)) * time.Millisecond
@@ -228,7 +228,7 @@ func TestAvgSpeedMemoBitExact(t *testing.T) {
 }
 
 func TestNeighborhoodSortedOrder(t *testing.T) {
-	nh := newNeighborhood(0)
+	nh := &neighborhood{}
 	for _, id := range []event.NodeID{5, 1, 3} {
 		nh.upsert(id, subsOf(".a"), -1, 0)
 	}

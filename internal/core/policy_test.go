@@ -99,7 +99,7 @@ func TestPendingIDListExpiry(t *testing.T) {
 	}
 	if nb := p.nbrs.get(5); nb == nil {
 		t.Fatal("neighbor not added")
-	} else if nb.knows(x, p.table) {
+	} else if nb.knows(x, &p.table) {
 		t.Fatal("stale stashed id list was applied")
 	}
 	if len(p.pendingIDs) != 0 {
@@ -137,7 +137,7 @@ func TestPendingStashReplacesWhenFull(t *testing.T) {
 	}
 	_ = p.HandleMessage(event.Heartbeat{From: 100, Subscriptions: []topic.Topic{topic.MustParse(".t")}, Speed: -1})
 	nb := p.nbrs.get(100)
-	if nb == nil || !nb.knows(fresh, p.table) || nb.knows(stale, p.table) {
+	if nb == nil || !nb.knows(fresh, &p.table) || nb.knows(stale, &p.table) {
 		t.Fatal("the stale list survived in the full stash: the fresher one was dropped")
 	}
 }

@@ -18,9 +18,16 @@ type Protocol struct {
 	sched Scheduler
 	tr    Transport
 
-	subs  *topic.Set
-	nbrs  *neighborhood
-	table *eventTable
+	// The tables are held by value: every sender lookup and heartbeat
+	// reads them, and a pointer would put one more cold load in front.
+	subs  topic.Set
+	nbrs  neighborhood
+	table eventTable
+
+	// announce is the heartbeat's subscription list, subs.Minimal() built
+	// once per subscription change (nil until the next heartbeat needs
+	// it). Sent messages share it, so it is never written in place.
+	announce []topic.Topic
 
 	hbDelay  time.Duration
 	ngcDelay time.Duration
@@ -45,6 +52,14 @@ type Protocol struct {
 	need      []uint64       // slots some neighbor needs, by word
 	receivers []event.NodeID // the neighbors needing them, ascending
 	holders   []*neighbor    // onEvents
+
+	// noneNeeded records that the last computeSendSet found nothing to
+	// send. The send set is the union over rows of covers &^ has & valid,
+	// and between a computeSendSet and the next store or row (re)fill
+	// nothing can grow it: has bits are only set, valid bits only expire,
+	// rows only leave. So while it holds, RETRIEVEEVENTSTOSEND returns at
+	// once. store and the refill of a new or changed row clear it.
+	noneNeeded bool
 
 	stats   Stats
 	stopped bool
@@ -71,17 +86,15 @@ func New(cfg Config, sched Scheduler, tr Transport) (*Protocol, error) {
 		return nil, errors.New("core: nil scheduler or transport")
 	}
 	cfg = cfg.withDefaults()
-	table := newEventTable(cfg.MaxEvents)
-	table.policy = cfg.GCPolicy
-	table.rng = cfg.Rand
 	p := &Protocol{
 		cfg:   cfg,
 		sched: sched,
 		tr:    tr,
-		subs:  topic.NewSet(),
-		nbrs:  newNeighborhood(cfg.MaxNeighbors),
-		table: table,
+		nbrs:  neighborhood{max: cfg.MaxNeighbors},
+		table: *newEventTable(cfg.MaxEvents),
 	}
+	p.table.policy = cfg.GCPolicy
+	p.table.rng = cfg.Rand
 	p.hbDelay = cfg.clampHB(cfg.HBDelay)
 	p.ngcDelay = p.scaleNGC(p.hbDelay)
 	return p, nil
@@ -128,7 +141,9 @@ func (p *Protocol) Subscribe(t topic.Topic) error {
 	if t.IsZero() {
 		return errors.New("core: zero topic")
 	}
-	p.subs.Add(t)
+	if p.subs.Add(t) {
+		p.announce = nil
+	}
 	if p.hbTimer == nil {
 		// Desynchronize first heartbeats across nodes: a random phase in
 		// [0, hbDelay) avoids the pathological all-at-once burst when a
@@ -143,7 +158,9 @@ func (p *Protocol) Subscribe(t topic.Topic) error {
 // Unsubscribe removes t; when the subscription list empties, the
 // heartbeat and neighborhood-GC tasks stop (paper Figure 5).
 func (p *Protocol) Unsubscribe(t topic.Topic) {
-	p.subs.Remove(t)
+	if p.subs.Remove(t) {
+		p.announce = nil
+	}
 	if p.subs.Empty() {
 		stopTimer(&p.hbTimer)
 		stopTimer(&p.ngcTimer)
@@ -191,9 +208,12 @@ func (p *Protocol) heartbeatTick() {
 	}
 	// Announce the minimal covering subscription list: subtopics
 	// subsumed by an announced ancestor add no information.
+	if p.announce == nil {
+		p.announce = p.subs.Minimal()
+	}
 	p.tr.Broadcast(event.Heartbeat{
 		From:          p.cfg.ID,
-		Subscriptions: p.subs.Minimal(),
+		Subscriptions: p.announce,
 		Speed:         p.speed(),
 	})
 	p.stats.HeartbeatsSent++
@@ -243,6 +263,7 @@ func (p *Protocol) onHeartbeat(h event.Heartbeat) {
 	}
 	nb, isNew, changed := p.nbrs.upsert(h.From, h.Subscriptions, h.Speed, now)
 	if isNew || changed {
+		p.noneNeeded = false
 		for _, e := range p.table.order {
 			nb.covers.assign(e.slot, nb.subs.Covers(e.ev.Topic))
 		}
@@ -385,6 +406,7 @@ func (p *Protocol) onEvents(msg event.Events) {
 // brings every neighbor row's bits in line with the slots that changed
 // hands.
 func (p *Protocol) store(ev event.Event, now time.Duration) {
+	p.noneNeeded = false
 	e, evicted := p.table.insert(ev, now)
 	if evicted != nil {
 		p.stats.TableEvictions++
@@ -474,7 +496,7 @@ func (p *Protocol) markSent(id event.ID) {
 // and that are still valid, a word at a time. It returns their number and
 // leaves their union in p.need and the needing neighbors in p.receivers.
 func (p *Protocol) computeSendSet() int {
-	t := p.table
+	t := &p.table
 	t.refresh(p.sched.Now())
 	words := (len(t.slab) + 63) >> 6
 	p.need = slices.Grow(p.need[:0], words)[:words]
@@ -495,13 +517,18 @@ func (p *Protocol) computeSendSet() int {
 	for _, w := range p.need {
 		n += bits.OnesCount64(w)
 	}
+	p.noneNeeded = n == 0
 	return n
 }
 
 // retrieveEventsToSend implements RETRIEVEEVENTSTOSEND (paper Figure 7):
 // when some neighbor misses events we hold, arm (or tighten) the back-off
-// timer; the send set itself is recomputed at expiry.
+// timer; the send set itself is recomputed at expiry. After an empty send
+// set it has nothing to do until something can grow it (see noneNeeded).
 func (p *Protocol) retrieveEventsToSend() {
+	if p.noneNeeded {
+		return
+	}
 	n := p.computeSendSet()
 	if n == 0 {
 		return

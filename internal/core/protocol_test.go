@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -589,5 +590,83 @@ func TestResubscribeRestartsHeartbeat(t *testing.T) {
 	h.runUntil(12)
 	if p1.Stats().HeartbeatsSent <= before {
 		t.Fatal("heartbeat did not restart after resubscribe")
+	}
+}
+
+// lastMsg is a transport that keeps only the latest broadcast.
+type lastMsg struct{ m event.Message }
+
+func (l *lastMsg) Broadcast(m event.Message) { l.m = m }
+
+// heartbeatNode is a Protocol on an engine of its own, subscribed to
+// subs, with its neighborhood-GC task stopped so that every engine step
+// is one heartbeat.
+func heartbeatNode(t *testing.T, subs ...string) (*Protocol, *sim.Engine, *lastMsg) {
+	t.Helper()
+	eng := sim.New(1)
+	tr := &lastMsg{}
+	p, err := New(Config{ID: 1, Rand: rand.New(rand.NewSource(1))}, simSched{eng}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range subs {
+		if err := p.Subscribe(topic.MustParse(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stopTimer(&p.ngcTimer)
+	return p, eng, tr
+}
+
+// TestHeartbeatListSurvivesSubscriptionChange pins the cached heartbeat
+// list: a heartbeat already sent keeps its list when the subscriptions
+// change afterwards (Remove shifts the set's slice in place, so the list
+// must not share it), and the next heartbeat announces the new minimal
+// list.
+func TestHeartbeatListSurvivesSubscriptionChange(t *testing.T) {
+	p, eng, tr := heartbeatNode(t, ".a", ".a.x", ".b", ".c")
+	topics := func(ss ...string) []topic.Topic {
+		var ts []topic.Topic
+		for _, s := range ss {
+			ts = append(ts, topic.MustParse(s))
+		}
+		return ts
+	}
+	eng.Step()
+	sent := tr.m.(event.Heartbeat).Subscriptions
+	if want := topics(".a", ".b", ".c"); !slices.Equal(sent, want) {
+		t.Fatalf("heartbeat announces %v, want %v", sent, want)
+	}
+	p.Unsubscribe(topic.MustParse(".a"))
+	p.Unsubscribe(topic.MustParse(".b"))
+	if err := p.Subscribe(topic.MustParse(".d")); err != nil {
+		t.Fatal(err)
+	}
+	if want := topics(".a", ".b", ".c"); !slices.Equal(sent, want) {
+		t.Fatalf("a sent heartbeat's list changed to %v after the subscriptions did", sent)
+	}
+	eng.Step()
+	if got, want := tr.m.(event.Heartbeat).Subscriptions, topics(".a.x", ".c", ".d"); !slices.Equal(got, want) {
+		t.Fatalf("next heartbeat announces %v, want %v", got, want)
+	}
+}
+
+// TestHeartbeatTickAllocs pins what a heartbeat costs in allocations
+// once the list is cached: the message boxed into event.Message and the
+// rescheduling callback, plus the engine's timer handle and wheel slot,
+// and nothing per subscription (building the list each time cost 3 more
+// with two subscriptions).
+func TestHeartbeatTickAllocs(t *testing.T) {
+	p, eng, _ := heartbeatNode(t, ".a", ".b")
+	for i := 0; i < 10; i++ { // warm the engine's queue and the list
+		eng.Step()
+	}
+	sent := p.Stats().HeartbeatsSent
+	allocs := testing.AllocsPerRun(100, func() { eng.Step() })
+	if got := p.Stats().HeartbeatsSent - sent; got != 101 { // AllocsPerRun warms up with one extra call
+		t.Fatalf("%d heartbeats over 101 engine steps", got)
+	}
+	if allocs != 4 {
+		t.Fatalf("a heartbeat with two subscriptions allocates %v times, want 4", allocs)
 	}
 }

@@ -143,25 +143,35 @@ var (
 )
 
 // scriptCoverage counts what a script made Protocol's sender-indexed
-// structures do.
+// structures and its empty-send-set memo do.
 type scriptCoverage struct {
 	stashReplaced int // a stashed sender's list replaced in a full stash
 	stashPopped   int // an expired prefix popped, a live suffix kept
 	evicted       int // neighbor rows evicted by the table bound
+	memoSkipped   int // a known sender's id list answered by noneNeeded
 }
 
 func (c *scriptCoverage) add(o scriptCoverage) {
 	c.stashReplaced += o.stashReplaced
 	c.stashPopped += o.stashPopped
 	c.evicted += o.evicted
+	c.memoSkipped += o.memoSkipped
 }
 
-// expect says what handling msg is about to make the stash and the
-// neighbor table bound do.
+// expect says what handling msg is about to make the stash, the neighbor
+// table bound and the send-set memo do.
 func (p *Protocol) expect(msg event.Message) (c scriptCoverage) {
 	switch m := msg.(type) {
 	case event.IDList:
-		if m.From == p.cfg.ID || p.nbrs.get(m.From) != nil {
+		if m.From == p.cfg.ID {
+			break
+		}
+		if p.nbrs.get(m.From) != nil {
+			// markHas only sets bits, so the memo stands through the
+			// list and RETRIEVEEVENTSTOSEND takes the skip.
+			if p.noneNeeded {
+				c.memoSkipped = 1
+			}
 			break
 		}
 		expired := 0
@@ -385,9 +395,9 @@ func runScript(t testing.TB, data []byte, sh scriptShape) (cov scriptCoverage) {
 		for _, nb := range p.nbrs.rows {
 			rnb := ref.nbrs.get(nb.id)
 			for _, id := range ids {
-				if nb.knows(id, p.table) != rnb.knows(id) {
+				if nb.knows(id, &p.table) != rnb.knows(id) {
 					t.Fatalf("step %d: row %d presumed to hold %v: %v, reference %v",
-						step, nb.id, id, nb.knows(id, p.table), rnb.knows(id))
+						step, nb.id, id, nb.knows(id, &p.table), rnb.knows(id))
 				}
 			}
 		}
@@ -396,13 +406,21 @@ func runScript(t testing.TB, data []byte, sh scriptShape) (cov scriptCoverage) {
 	return cov
 }
 
-// check verifies the table's invariants and, per neighbor row, that bits
-// exist only on occupied slots, that covers is subs.Covers of each stored
-// topic, and that the overflow set names no stored event.
+// check verifies the table's invariants, that a set noneNeeded memo is
+// what a fresh send set says, and, per neighbor row, that bits exist only
+// on occupied slots, that covers is subs.Covers of each stored topic, and
+// that the overflow set names no stored event.
 func (p *Protocol) check(tb testing.TB) {
 	tb.Helper()
-	t := p.table
+	t := &p.table
 	t.check(tb, p.sched.Now())
+	// Recomputing is harmless here: it leaves the memo set, and need,
+	// receivers and valid are only read right after a computeSendSet.
+	if p.noneNeeded {
+		if n := p.computeSendSet(); n != 0 {
+			tb.Fatalf("noneNeeded is set, but %d events are needed by %v", n, p.receivers)
+		}
+	}
 	for _, nb := range p.nbrs.rows {
 		for s := 0; s < len(t.slab)+130; s++ {
 			var e *tableEntry
@@ -464,8 +482,8 @@ func TestSendSetDifferential(t *testing.T) {
 	var mu sync.Mutex
 	var total scriptCoverage
 	t.Cleanup(func() { // after the parallel subtests
-		if total.stashReplaced == 0 || total.stashPopped == 0 || total.evicted == 0 {
-			t.Errorf("scripts no longer reach every sender-indexed path: %+v", total)
+		if total.stashReplaced == 0 || total.stashPopped == 0 || total.evicted == 0 || total.memoSkipped == 0 {
+			t.Errorf("scripts no longer reach every sender-indexed path and the send-set memo: %+v", total)
 		}
 	})
 	for seed := int64(1); seed <= 24; seed++ {
@@ -596,7 +614,7 @@ func TestIDHeardBeforeStoreIsHonoured(t *testing.T) {
 	handle(t, p, event.Events{From: 8, Events: []event.Event{eventT(20, time.Minute)}})
 	for _, n := range []event.NodeID{2, 3} {
 		nb := p.nbrs.get(n)
-		if !nb.knows(id, p.table) || len(nb.other) != 0 {
+		if !nb.knows(id, &p.table) || len(nb.other) != 0 {
 			t.Fatalf("row %d: id did not move from the overflow set to the slot bit", n)
 		}
 	}
@@ -617,7 +635,7 @@ func TestEvictionAndRereceptionKeepHolders(t *testing.T) {
 	if p.table.has(event.ID{Lo: 30}) {
 		t.Fatal("event 30 still stored")
 	}
-	if !p.nbrs.get(2).knows(event.ID{Lo: 30}, p.table) || p.nbrs.get(3).knows(event.ID{Lo: 30}, p.table) {
+	if !p.nbrs.get(2).knows(event.ID{Lo: 30}, &p.table) || p.nbrs.get(3).knows(event.ID{Lo: 30}, &p.table) {
 		t.Fatal("eviction lost who holds event 30")
 	}
 	// 30 comes back (evicting 31) from a stranger: it is a fresh delivery,

@@ -264,6 +264,10 @@ type Medium struct {
 	live     []*transmission // on-air or recently ended (pruned FIFO)
 	liveHead int             // consumed prefix of live
 	txFree   []*transmission // recycled transmission records
+	// maxAir is the longest airtime of any frame started so far: a frame
+	// on air at t started no earlier than t-maxAir, which bounds how long
+	// prune keeps an ended record.
+	maxAir sim.Time
 
 	// nodeGrid buckets node positions (by attach rank) recorded at
 	// nodeGridAt; queries pad radii by margin to cover movement since.
@@ -423,6 +427,7 @@ func (p *Port) startTx() {
 	tx.pos = pos
 	tx.start = now
 	tx.end = now.Add(m.cfg.Airtime(frame.AppBytes))
+	m.maxAir = max(m.maxAir, tx.end-tx.start)
 	m.live = append(m.live, tx)
 	m.txGrid.Put(tx, tx.pos)
 	p.recent = append(p.recent, tx)
@@ -746,17 +751,21 @@ func (m *Medium) newTransmission() *transmission {
 	return &transmission{}
 }
 
-// prune drops transmissions that can no longer overlap anything on air,
-// consuming the FIFO front of live (start order approximates end order;
-// an entry blocked behind a longer airtime lingers a little, which is
-// outcome-neutral — expired transmissions sense as idle and cannot
-// overlap current frames). Records are recycled through the pool.
+// prune drops transmissions that can no longer overlap anything on air:
+// those that ended more than maxAir ago. A frame on air now started at
+// or after now-maxAir (its own airtime is already in maxAir), a later one
+// starts after now, and both overlap only records ending after their
+// start; busyUntil skips ended records anyway. The bound is strict so a
+// zero-airtime frame ending now, whose finish may still be pending, is
+// kept. prune consumes the FIFO front of live (start order approximates
+// end order; an entry blocked behind a longer airtime lingers a little,
+// which is outcome-neutral — every consumer filters on time). Records are
+// recycled through the pool.
 func (m *Medium) prune() {
 	now := m.eng.Now()
-	const keep = sim.Time(100 * sim.Millisecond)
 	for m.liveHead < len(m.live) {
 		t := m.live[m.liveHead]
-		if t.end+keep > now {
+		if t.end+m.maxAir >= now {
 			break
 		}
 		m.txGrid.Remove(t, t.pos)
@@ -770,7 +779,7 @@ func (m *Medium) prune() {
 		m.live = m.live[:0]
 		m.liveHead = 0
 	} else if m.liveHead >= 64 && m.liveHead*2 >= len(m.live) {
-		// A channel that never idles for `keep` never empties live:
+		// A channel that never idles for maxAir never empties live:
 		// compact the consumed prefix away (as Broadcast does for the
 		// port queue), or the backing array grows with total frames sent.
 		m.live = dropHead(m.live, m.liveHead)

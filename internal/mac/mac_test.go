@@ -469,3 +469,87 @@ func TestWithinMatchesHypot(t *testing.T) {
 	}
 	check(geo.Point{}, geo.Point{}, 0) // r*r == 0 is still exact at distance 0
 }
+
+// TestPruneNeverDropsAnOverlapper holds prune's airtime-bounded
+// retention to its contract: after every engine step, each transmission
+// record that has left live ends no later than the start of every record
+// still on air (a frame started later is on air right after its own
+// step). The traffic mixes 40-4000 B frames, and the first long frame
+// comes after a run of short ones, so maxAir grows mid-run and records
+// pruned under the smaller bound sit next to frames sent under the larger.
+func TestPruneNeverDropsAnOverlapper(t *testing.T) {
+	const (
+		nodes = 40
+		quiet = 300 * time.Millisecond // short frames only until then
+	)
+	rng := rand.New(rand.NewSource(3))
+	loc := fixedLocator{}
+	for i := event.NodeID(0); i < nodes; i++ {
+		loc[i] = geo.Pt(rng.Float64()*900, rng.Float64()*900)
+	}
+	eng := sim.New(5)
+	m := New(eng, DefaultConfig(300), loc)
+	ports := make([]*Port, nodes)
+	for i := range ports {
+		ports[i] = m.Attach(event.NodeID(i), nil)
+	}
+	for i := range ports {
+		var tick func()
+		tick = func() {
+			size := 40 + rng.Intn(360)
+			if eng.Now() >= sim.At(quiet) {
+				size = 40 + rng.Intn(3961)
+			}
+			ports[i].Broadcast(event.Heartbeat{From: event.NodeID(i)}, size)
+			eng.After(5*time.Millisecond+time.Duration(rng.Intn(int(40*time.Millisecond))), tick)
+		}
+		eng.After(time.Duration(rng.Intn(int(10*time.Millisecond))), tick)
+	}
+	eng.At(sim.At(quiet), func() { ports[0].Broadcast(event.Heartbeat{From: 0}, 4000) })
+
+	type record struct {
+		t *transmission
+		v transmission
+	}
+	var (
+		prev, cur   []record
+		droppedEnd  sim.Time // latest end of any record that left live
+		earlyAir    sim.Time // maxAir before the first long frame
+		drops, late int      // records dropped, and of those after maxAir grew
+		present     = map[*transmission]bool{}
+		limit       = sim.At(1500 * time.Millisecond)
+	)
+	for eng.Now() < limit && eng.Step() {
+		now := eng.Now()
+		if now < sim.At(quiet) {
+			earlyAir = m.maxAir
+		}
+		clear(present)
+		for _, tx := range m.live[m.liveHead:] {
+			present[tx] = true
+		}
+		for _, r := range prev {
+			if present[r.t] && *r.t == r.v {
+				continue
+			}
+			droppedEnd = max(droppedEnd, r.v.end)
+			drops++
+			if m.maxAir > earlyAir {
+				late++
+			}
+		}
+		cur = cur[:0]
+		for _, tx := range m.live[m.liveHead:] {
+			if tx.end > now && tx.start < droppedEnd {
+				t.Fatalf("at %v: a pruned record ended at %v, after the start %v of a frame on air until %v (maxAir %v)",
+					now, droppedEnd, tx.start, tx.end, m.maxAir)
+			}
+			cur = append(cur, record{tx, *tx})
+		}
+		prev, cur = cur, prev
+	}
+	if m.maxAir <= earlyAir || late == 0 || drops == late {
+		t.Fatalf("traffic did not grow maxAir mid-run with prunes on both sides: maxAir %v then %v, %d drops, %d after the growth",
+			earlyAir, m.maxAir, drops, late)
+	}
+}
