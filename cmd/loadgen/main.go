@@ -99,9 +99,9 @@ type tracker struct {
 	// early holds the deliveries whose event is not registered yet:
 	// Publish hands the event to the sockets before it returns the id,
 	// so another node's OnDeliver can run first. published drains it.
-	// (Holding mu across Publish instead would deadlock: OnDeliver runs
-	// under the delivering node's protocol lock, which Publish on that
-	// node needs.)
+	// (Holding mu across Publish instead would deadlock: the Publish
+	// caller may run the node's queued OnDelivers itself, and delivered
+	// takes mu on that same goroutine.)
 	early map[event.ID][]earlyDelivery
 
 	// pubs/gots shadow the map totals as atomics so the progress ticker

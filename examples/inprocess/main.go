@@ -1,9 +1,9 @@
 // Inprocess runs the frugal protocol on REAL time, off the simulator:
 // three "devices" live on goroutines, connected by an in-process
-// broadcast bus, each wrapped in core.Safe for thread safety. This is the
-// deployment shape for a real transport (UDP broadcast, BLE advertising):
-// implement core.Scheduler with the wall clock and core.Transport with
-// your radio, and the protocol code is unchanged.
+// broadcast bus, each a goroutine-safe pubsub.Node on the wall clock.
+// This is the deployment shape for a real transport (UDP broadcast, BLE
+// advertising): implement pubsub.Transport with your radio, feed what it
+// receives to Node.HandleMessage, and the protocol code is unchanged.
 //
 // Run with: go run ./examples/inprocess
 package main
@@ -14,108 +14,89 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/event"
-	"repro/internal/topic"
+	"repro/pubsub"
 )
 
-// wallClock implements core.Scheduler on real time.
-type wallClock struct{ start time.Time }
-
-func (w wallClock) Now() time.Duration { return time.Since(w.start) }
-func (w wallClock) After(d time.Duration, fn func()) core.Timer {
-	return wallTimer{time.AfterFunc(d, fn)}
-}
-
-type wallTimer struct{ t *time.Timer }
-
-func (w wallTimer) Stop() bool { return w.t.Stop() }
-
 // bus is an in-process lossless broadcast medium. A real deployment
-// would marshal with event.Marshal and send UDP broadcast datagrams.
+// would send the marshalled message as a UDP broadcast datagram.
 type bus struct {
 	mu    sync.RWMutex
-	peers map[event.NodeID]*core.Safe
+	peers map[pubsub.NodeID]*pubsub.Node
 }
 
-func (b *bus) attach(id event.NodeID, p *core.Safe) {
+func (b *bus) attach(id pubsub.NodeID, n *pubsub.Node) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.peers == nil {
-		b.peers = make(map[event.NodeID]*core.Safe)
+		b.peers = make(map[pubsub.NodeID]*pubsub.Node)
 	}
-	b.peers[id] = p
+	b.peers[id] = n
 }
 
 // transport broadcasts on behalf of one device.
 type transport struct {
 	b    *bus
-	from event.NodeID
+	from pubsub.NodeID
 }
 
-func (t transport) Broadcast(m event.Message) {
+func (t transport) Broadcast(m pubsub.Message) {
 	// Round-trip through the real wire encoding to prove it works.
-	wire := event.Marshal(m)
-	decoded, err := event.Unmarshal(wire)
+	decoded, err := pubsub.Unmarshal(pubsub.Marshal(m))
 	if err != nil {
 		log.Fatalf("wire format round-trip failed: %v", err)
 	}
 	t.b.mu.RLock()
 	defer t.b.mu.RUnlock()
-	for id, p := range t.b.peers {
+	for id, n := range t.b.peers {
 		if id == t.from {
 			continue
 		}
-		p := p
-		go func() { _ = p.HandleMessage(decoded) }()
+		n := n
+		go func() { _ = n.HandleMessage(decoded) }()
 	}
 }
 
 func main() {
-	clock := wallClock{start: time.Now()}
+	start := time.Now()
 	b := &bus{}
-	news := topic.MustParse(".campus.news")
+	news := pubsub.MustParseTopic(".campus.news")
 
 	var wg sync.WaitGroup
-	devices := make([]*core.Safe, 3)
+	devices := make([]*pubsub.Node, 3)
 	for i := range devices {
-		id := event.NodeID(i)
-		p, err := core.NewSafe(core.Config{
+		id := pubsub.NodeID(i)
+		n, err := pubsub.NewNode(pubsub.Config{
 			ID: id,
 			// Fast heartbeats so the demo converges in ~2 wall seconds.
 			HBDelay:      150 * time.Millisecond,
 			HBUpperBound: 150 * time.Millisecond,
-			OnDeliver: func(ev event.Event) {
+			OnDeliver: func(ev pubsub.Event) {
 				fmt.Printf("%6s device %v delivered: %s\n",
-					clock.Now().Round(time.Millisecond), id, ev.Payload)
+					time.Since(start).Round(time.Millisecond), id, ev.Payload)
 				wg.Done()
 			},
-		}, clock, transport{b: b, from: id})
+		}, transport{b: b, from: id})
 		if err != nil {
 			log.Fatal(err)
 		}
-		devices[i] = p
-		b.attach(id, p)
-		if err := p.Subscribe(news); err != nil {
+		defer n.Close()
+		devices[i] = n
+		b.attach(id, n)
+		if err := n.Subscribe(news); err != nil {
 			log.Fatal(err)
 		}
 	}
-	defer func() {
-		for _, d := range devices {
-			d.Stop()
-		}
-	}()
 
 	// Let the devices discover each other over a few heartbeats.
 	time.Sleep(500 * time.Millisecond)
 	for i, d := range devices {
-		fmt.Printf("device %d neighbors: %v\n", i, d.NeighborIDs())
+		fmt.Printf("device %d neighbors: %v\n", i, d.Neighbors())
 	}
 
 	// Three deliveries expected: the publisher self-delivers (it is
 	// subscribed) plus the two remote devices.
 	wg.Add(3)
-	fmt.Printf("%6s device 0 publishing\n", clock.Now().Round(time.Millisecond))
+	fmt.Printf("%6s device 0 publishing\n", time.Since(start).Round(time.Millisecond))
 	if _, err := devices[0].Publish(news, []byte("lecture moved to room BC410"), time.Minute); err != nil {
 		log.Fatal(err)
 	}

@@ -14,81 +14,47 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/event"
-	"repro/internal/topic"
-	"repro/internal/transport"
+	"repro/pubsub"
 )
 
 const meshSize = 5
 
-type clock struct{ start time.Time }
-
-func (c clock) Now() time.Duration { return time.Since(c.start) }
-func (c clock) After(d time.Duration, fn func()) core.Timer {
-	return timer{time.AfterFunc(d, fn)}
-}
-
-type timer struct{ t *time.Timer }
-
-func (t timer) Stop() bool { return t.t.Stop() }
-
 func main() {
-	sched := clock{start: time.Now()}
-	alerts := topic.MustParse(".mesh.alerts")
+	start := time.Now()
+	alerts := pubsub.MustParseTopic(".mesh.alerts")
 
-	type node struct {
-		udp   *transport.UDP
-		proto *core.Safe
-	}
-	nodes := make([]*node, meshSize)
-
+	nodes := make([]*pubsub.Node, meshSize)
 	var delivered sync.WaitGroup
 	for i := range nodes {
 		i := i
-		n := &node{}
-		udp, err := transport.NewUDP(transport.UDPConfig{
-			Listen:  "127.0.0.1:0",
-			Handler: func(m event.Message) { _ = n.proto.HandleMessage(m) },
-		})
-		if err != nil {
-			log.Fatalf("UDP bind: %v", err)
-		}
-		defer udp.Close()
-		n.udp = udp
-
-		proto, err := core.NewSafe(core.Config{
-			ID:           event.NodeID(i),
+		n, err := pubsub.NewUDPNode(pubsub.Config{
+			ID:           pubsub.NodeID(i),
 			HBDelay:      200 * time.Millisecond,
 			HBUpperBound: 200 * time.Millisecond,
-			OnDeliver: func(ev event.Event) {
+			OnDeliver: func(ev pubsub.Event) {
 				fmt.Printf("%8s node %d <- %q (event %s)\n",
-					sched.Now().Round(time.Millisecond), i, ev.Payload, ev.ID.String()[:8])
+					time.Since(start).Round(time.Millisecond), i, ev.Payload, ev.ID.String()[:8])
 				delivered.Done()
 			},
-		}, sched, udp)
+		}, "127.0.0.1:0", nil)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("UDP node: %v", err)
 		}
-		defer proto.Stop()
-		n.proto = proto
-		// Start the read loop only after n.proto is assigned: the handler
-		// above closes over it.
-		udp.Start()
+		defer n.Close()
 		nodes[i] = n
-		fmt.Printf("node %d listening on %s\n", i, udp.LocalAddr())
+		fmt.Printf("node %d listening on %s\n", i, n.LocalAddr())
 	}
 
 	// Hand every node the full roster; self-addresses are filtered.
 	for _, a := range nodes {
 		for _, b := range nodes {
-			if err := a.udp.AddPeer(b.udp.LocalAddr().String()); err != nil {
+			if err := a.AddPeer(b.LocalAddr()); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
 	for _, n := range nodes {
-		if err := n.proto.Subscribe(alerts); err != nil {
+		if err := n.Subscribe(alerts); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -96,14 +62,14 @@ func main() {
 	// A few heartbeat rounds of discovery.
 	time.Sleep(600 * time.Millisecond)
 	for i, n := range nodes {
-		fmt.Printf("node %d neighbors: %v\n", i, n.proto.NeighborIDs())
+		fmt.Printf("node %d neighbors: %v\n", i, n.Neighbors())
 	}
 
 	delivered.Add(meshSize) // everyone, publisher included, is subscribed
-	if _, err := nodes[2].proto.Publish(alerts, []byte("perimeter breach, dock 4"), time.Minute); err != nil {
+	if _, err := nodes[2].Publish(alerts, []byte("perimeter breach, dock 4"), time.Minute); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%8s node 2 published\n", sched.Now().Round(time.Millisecond))
+	fmt.Printf("%8s node 2 published\n", time.Since(start).Round(time.Millisecond))
 
 	done := make(chan struct{})
 	go func() { delivered.Wait(); close(done) }()
@@ -113,9 +79,9 @@ func main() {
 		log.Fatal("timed out waiting for mesh-wide delivery")
 	}
 
-	var wire transport.Stats
+	var wire pubsub.TransportStats
 	for _, n := range nodes {
-		wire = wire.Add(n.udp.Stats())
+		wire = wire.Add(n.TransportStats())
 	}
 	fmt.Printf("\nmesh-wide delivery complete: %d datagrams sent, %d received\n",
 		wire.DatagramsSent, wire.DatagramsReceived)

@@ -25,8 +25,8 @@
 //
 // Concurrency contract: a Protocol instance is single-threaded. All entry
 // points (Subscribe, Publish, HandleMessage, timer callbacks scheduled via
-// the Scheduler) must be invoked serially. Wrap a Protocol in Safe for use
-// from multiple goroutines.
+// the Scheduler) must be invoked serially. pubsub.Node serialises one for
+// use from multiple goroutines.
 package core
 
 import (

@@ -2,10 +2,10 @@
 //
 // UDP emulates the one-hop broadcast primitive of a MANET MAC layer with
 // UDP datagrams fanned out to a peer group — the standard way to
-// run MANET protocols in LAN testbeds. Combined with core.NewSafe and a
-// wall-clock core.Scheduler, the protocol runs unchanged on real
-// sockets (see TestUDPEndToEnd and examples/inprocess for the in-memory
-// analogue).
+// run MANET protocols in LAN testbeds. pubsub.NewUDPNode wires it to a
+// goroutine-safe protocol node on the wall clock, so the protocol runs
+// unchanged on real sockets (see examples/udpmesh, and examples/inprocess
+// for the in-memory analogue).
 //
 // The fast path is asynchronous on both sides (the "real-path
 // contracts", see ARCHITECTURE.md): Broadcast marshals into a pooled
@@ -81,8 +81,9 @@ type UDPConfig struct {
 	// as join seeds rather than a full roster.
 	Peers []string
 	// Handler receives every decoded incoming message. It is called
-	// from the transport's single dispatch goroutine (serially), so
-	// pass core.Safe's HandleMessage (or synchronize yourself).
+	// from the transport's single dispatch goroutine (serially), but a
+	// protocol's timers and API callers run on others, so pass a
+	// goroutine-safe entry point such as pubsub.Node's HandleMessage.
 	// Required.
 	//
 	// The handler is never invoked before Start is called: NewUDP only

@@ -558,17 +558,26 @@ func TestUDPBroadcastMmsgPipelineAllocs(t *testing.T) {
 	}
 }
 
-// wallSched is a real-time core.Scheduler for the end-to-end test.
-type wallSched struct{ start time.Time }
-
-func (w wallSched) Now() time.Duration { return time.Since(w.start) }
-func (w wallSched) After(d time.Duration, fn func()) core.Timer {
-	return wallTimer{time.AfterFunc(d, fn)}
+// lockedNode runs one core.Protocol under one mutex: the UDP read loop,
+// the wall-clock timers and the test goroutine all enter through do.
+type lockedNode struct {
+	mu    sync.Mutex
+	start time.Time
+	p     *core.Protocol
 }
 
-type wallTimer struct{ t *time.Timer }
+func (n *lockedNode) do(fn func()) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	fn()
+}
 
-func (w wallTimer) Stop() bool { return w.t.Stop() }
+// Now and After make lockedNode the protocol's real-time scheduler; each
+// timer callback runs under the node's mutex.
+func (n *lockedNode) Now() time.Duration { return time.Since(n.start) }
+func (n *lockedNode) After(d time.Duration, fn func()) core.Timer {
+	return time.AfterFunc(d, func() { n.do(fn) })
+}
 
 // TestUDPEndToEnd runs the full frugal protocol between three processes
 // over real UDP sockets: discovery via heartbeats, id exchange, event
@@ -576,37 +585,36 @@ func (w wallTimer) Stop() bool { return w.t.Stop() }
 // stack.
 func TestUDPEndToEnd(t *testing.T) {
 	news := topic.MustParse(".net.news")
-	sched := wallSched{start: time.Now()}
 
 	type nodeT struct {
-		udp   *UDP
-		proto *core.Safe
-		got   chan event.Event
+		udp  *UDP
+		node *lockedNode
+		got  chan event.Event
 	}
 	nodes := make([]*nodeT, 3)
 	for i := range nodes {
-		n := &nodeT{got: make(chan event.Event, 8)}
+		n := &nodeT{node: &lockedNode{start: time.Now()}, got: make(chan event.Event, 8)}
 		udp, err := NewUDP(UDPConfig{
 			Listen:  "127.0.0.1:0",
-			Handler: func(m event.Message) { _ = n.proto.HandleMessage(m) },
+			Handler: func(m event.Message) { n.node.do(func() { _ = n.node.p.HandleMessage(m) }) },
 		})
 		if err != nil {
 			t.Skipf("UDP unavailable: %v", err)
 		}
 		t.Cleanup(func() { udp.Close() })
 		n.udp = udp
-		proto, err := core.NewSafe(core.Config{
+		proto, err := core.New(core.Config{
 			ID:           event.NodeID(i),
 			HBDelay:      100 * time.Millisecond,
 			HBUpperBound: 100 * time.Millisecond,
 			OnDeliver:    func(ev event.Event) { n.got <- ev },
-		}, sched, udp)
+		}, n.node, udp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(proto.Stop)
-		n.proto = proto
-		// Only now that n.proto is wired may the read loop run.
+		n.node.p = proto
+		t.Cleanup(func() { n.node.do(proto.Stop) })
+		// Only now that the protocol is wired may the read loop run.
 		udp.Start()
 		nodes[i] = n
 	}
@@ -619,21 +627,27 @@ func TestUDPEndToEnd(t *testing.T) {
 		}
 	}
 	for _, n := range nodes {
-		if err := n.proto.Subscribe(news); err != nil {
+		var err error
+		n.node.do(func() { err = n.node.p.Subscribe(news) })
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Wait for discovery.
 	waitFor(t, func() bool {
 		for _, n := range nodes {
-			if len(n.proto.NeighborIDs()) != 2 {
+			var k int
+			n.node.do(func() { k = len(n.node.p.NeighborIDs()) })
+			if k != 2 {
 				return false
 			}
 		}
 		return true
 	}, "full discovery over UDP")
 
-	id, err := nodes[0].proto.Publish(news, []byte("over real sockets"), time.Minute)
+	var id event.ID
+	var err error
+	nodes[0].node.do(func() { id, err = nodes[0].node.p.Publish(news, []byte("over real sockets"), time.Minute) })
 	if err != nil {
 		t.Fatal(err)
 	}

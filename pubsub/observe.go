@@ -11,6 +11,7 @@ package pubsub
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/event"
 	"repro/internal/obs"
@@ -39,7 +40,7 @@ func (n *Node) RegisterMetrics(reg *MetricsRegistry) {
 	// the simulated and scraped names line up.
 	Stats{}.Each(func(name string, _ uint64) {
 		reg.CounterFunc("repro_pubsub_"+name+"_total", "protocol counter "+name+" (core.Stats)", func() (v uint64) {
-			n.safe.Stats().Each(func(k string, cur uint64) {
+			n.Stats().Each(func(k string, cur uint64) {
 				if k == name {
 					v = cur
 				}
@@ -49,7 +50,7 @@ func (n *Node) RegisterMetrics(reg *MetricsRegistry) {
 	})
 	reg.GaugeFunc("repro_pubsub_neighbors",
 		"nodes currently in the neighborhood table", func() float64 {
-			return float64(len(n.safe.NeighborIDs()))
+			return float64(len(n.Neighbors()))
 		}, label...)
 	reg.CounterFunc("repro_pubsub_flight_records_total",
 		"lifecycle events captured by the flight recorder", func() uint64 {
@@ -99,7 +100,7 @@ func (n *Node) WriteFlight(w io.Writer) error {
 
 // flightNow timestamps a flight record with the node's wall-clock
 // uptime (the same clock the protocol schedules on).
-func (n *Node) flightNow() sim.Time { return sim.At(n.clock.Now()) }
+func (n *Node) flightNow() sim.Time { return sim.At(time.Since(n.start)) }
 
 // recordReceive captures an incoming message when the recorder is armed.
 func (n *Node) recordReceive(m Message) {
@@ -109,7 +110,9 @@ func (n *Node) recordReceive(m Message) {
 }
 
 // flightTransport wraps the node's transport so armed flight recorders
-// see every outgoing broadcast. Unarmed cost is one atomic load.
+// see every outgoing broadcast. Unarmed cost is one atomic load. The
+// protocol broadcasts only under the node's lock, so the size is
+// measured by marshalling into the node's reused buffer.
 type flightTransport struct {
 	n  *Node
 	tr Transport
@@ -117,25 +120,11 @@ type flightTransport struct {
 
 func (f flightTransport) Broadcast(m Message) {
 	if r := f.n.flight.Load(); r != nil {
+		f.n.wire = event.AppendMarshal(f.n.wire[:0], m)
 		r.Add(trace.Record{
 			At: f.n.flightNow(), Node: f.n.id, Op: trace.OpSend,
-			Msg: m.Kind(), Bytes: len(event.Marshal(m)),
+			Msg: m.Kind(), Bytes: len(f.n.wire),
 		})
 	}
 	f.tr.Broadcast(m)
-}
-
-// hookDeliveries chains a flight-recording tap before the caller's
-// OnDeliver. It runs under the protocol lock like OnDeliver itself, so
-// it only touches the ring.
-func (n *Node) hookDeliveries(cfg *Config) {
-	user := cfg.OnDeliver
-	cfg.OnDeliver = func(ev Event) {
-		if r := n.flight.Load(); r != nil {
-			r.Add(trace.Record{At: n.flightNow(), Node: n.id, Op: trace.OpDeliver, Event: ev.ID})
-		}
-		if user != nil {
-			user(ev)
-		}
-	}
 }

@@ -30,6 +30,7 @@ package pubsub
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,13 +57,8 @@ type (
 	// Config parameterizes a protocol instance; zero tuning fields
 	// select the paper's defaults.
 	Config = core.Config
-	// Scheduler abstracts time; implement it to control timers, or use
-	// the built-in wall clock via NewNode.
-	Scheduler = core.Scheduler
 	// Transport is the one-hop broadcast primitive.
 	Transport = core.Transport
-	// Timer is a cancellable scheduled callback.
-	Timer = core.Timer
 	// Stats are the protocol's cumulative counters.
 	Stats = core.Stats
 	// TransportStats are the UDP transport's cumulative counters
@@ -117,29 +113,115 @@ func Unmarshal(b []byte) (Message, error) { return event.Unmarshal(b) }
 // Node is a goroutine-safe protocol instance bound to a transport and
 // the wall clock. Create one with NewNode (custom transport) or
 // NewUDPNode (built-in UDP peer-group transport).
+//
+// One lock serialises everything that reaches the protocol: the methods
+// below, received messages and the protocol's own timers. Deliveries are
+// queued under it and handed to Config.OnDeliver once it is released, so
+//   - OnDeliver calls on one node never overlap, and come in delivery
+//     order;
+//   - they never run under the lock;
+//   - they may call any Node method, Publish included;
+//   - a Publish or HandleMessage caller that finds no delivery in
+//     progress runs the queued deliveries itself before it returns
+//     (otherwise the goroutine already delivering picks them up).
 type Node struct {
 	id    NodeID
-	safe  *core.Safe
+	start time.Time      // the wall clock's epoch
 	udp   *transport.UDP // nil for custom transports
-	clock *wallClock
+
+	mu sync.Mutex
+	p  *core.Protocol
+	// onDeliver is the caller's Config.OnDeliver. The protocol's
+	// deliveries wait in queue until the goroutine that set draining
+	// hands them over; spare is the array the previous batch went out
+	// in, reused for the next.
+	onDeliver    func(Event)
+	queue, spare []Event
+	draining     bool
+	// wire is flightTransport's marshal buffer.
+	wire []byte
 
 	// flight, when armed by StartFlightRecorder, captures the node's
 	// recent lifecycle events (see observe.go).
 	flight atomic.Pointer[trace.Ring]
 }
 
-// wallClock implements Scheduler on real time.
-type wallClock struct{ start time.Time }
-
-func (w *wallClock) Now() time.Duration { return time.Since(w.start) }
-
-func (w *wallClock) After(d time.Duration, fn func()) Timer {
-	return wallTimer{time.AfterFunc(d, fn)}
+// do runs fn under the node's lock, then hands the deliveries it queued
+// to OnDeliver with the lock released. Every call into the protocol goes
+// through here.
+func (n *Node) do(fn func()) {
+	n.mu.Lock()
+	fn()
+	if n.draining || len(n.queue) == 0 {
+		n.mu.Unlock()
+		return
+	}
+	n.draining = true
+	for len(n.queue) > 0 {
+		batch := n.queue
+		n.queue, n.spare = n.spare, nil
+		n.mu.Unlock()
+		n.deliver(batch)
+		n.mu.Lock()
+		n.spare = batch[:0]
+	}
+	n.draining = false
+	n.mu.Unlock()
 }
 
-type wallTimer struct{ t *time.Timer }
+// deliver hands batch to OnDeliver, in order, without the lock. Should
+// OnDeliver panic, the drain ends there, so that a caller who recovers
+// does not leave every later delivery queued behind a draining flag
+// nobody clears; the next caller delivers what is still queued.
+func (n *Node) deliver(batch []Event) {
+	done := false
+	defer func() {
+		if !done {
+			n.mu.Lock()
+			n.draining = false
+			n.mu.Unlock()
+		}
+	}()
+	for _, ev := range batch {
+		n.onDeliver(ev)
+	}
+	clear(batch) // drop the payload references
+	done = true
+}
 
-func (t wallTimer) Stop() bool { return t.t.Stop() }
+// wallClock is the protocol's scheduler: time since the node was built,
+// and timers that enter the protocol through Node.do.
+type wallClock struct{ n *Node }
+
+func (c wallClock) Now() time.Duration { return time.Since(c.n.start) }
+
+func (c wallClock) After(d time.Duration, fn func()) core.Timer {
+	return time.AfterFunc(d, func() { c.n.do(fn) })
+}
+
+// newNode wires a protocol to tr, with deliveries routed through the
+// node's queue.
+func newNode(cfg Config, tr Transport, udp *transport.UDP) (*Node, error) {
+	n := &Node{id: cfg.ID, start: time.Now(), udp: udp, onDeliver: cfg.OnDeliver}
+	cfg.OnDeliver = n.delivered
+	p, err := core.New(cfg, wallClock{n}, flightTransport{n: n, tr: tr})
+	if err != nil {
+		return nil, fmt.Errorf("pubsub: %w", err)
+	}
+	n.p = p
+	return n, nil
+}
+
+// delivered is the protocol's OnDeliver: under the lock, it only records
+// and queues.
+func (n *Node) delivered(ev Event) {
+	if r := n.flight.Load(); r != nil {
+		r.Add(trace.Record{At: n.flightNow(), Node: n.id, Op: trace.OpDeliver, Event: ev.ID})
+	}
+	if n.onDeliver != nil {
+		n.queue = append(n.queue, ev)
+	}
+}
 
 // NewNode builds a node on a custom transport. Deliver incoming messages
 // with Node.HandleMessage; they may arrive from any goroutine.
@@ -147,14 +229,7 @@ func NewNode(cfg Config, tr Transport) (*Node, error) {
 	if tr == nil {
 		return nil, errors.New("pubsub: nil transport")
 	}
-	n := &Node{id: cfg.ID, clock: &wallClock{start: time.Now()}}
-	n.hookDeliveries(&cfg)
-	safe, err := core.NewSafe(cfg, n.clock, flightTransport{n: n, tr: tr})
-	if err != nil {
-		return nil, fmt.Errorf("pubsub: %w", err)
-	}
-	n.safe = safe
-	return n, nil
+	return newNode(cfg, tr, nil)
 }
 
 // NewUDPNode builds a node with the built-in UDP peer-group transport:
@@ -170,15 +245,11 @@ func NewUDPNode(cfg Config, listen string, peers []string) (*Node, error) {
 // bounds and flush batching for high-rate deployments (see cmd/loadgen
 // for a soak harness built on it).
 func NewUDPNodeTuned(cfg Config, listen string, peers []string, tun UDPTuning) (*Node, error) {
-	n := &Node{id: cfg.ID, clock: &wallClock{start: time.Now()}}
-	n.hookDeliveries(&cfg)
+	var n *Node
 	udp, err := transport.NewUDP(transport.UDPConfig{
-		Listen: listen,
-		Peers:  peers,
-		Handler: func(m Message) {
-			n.recordReceive(m)
-			_ = n.safe.HandleMessage(m)
-		},
+		Listen:         listen,
+		Peers:          peers,
+		Handler:        func(m Message) { _ = n.HandleMessage(m) },
 		SendQueue:      tun.SendQueue,
 		RecvQueue:      tun.RecvQueue,
 		FlushInterval:  tun.FlushInterval,
@@ -189,27 +260,27 @@ func NewUDPNodeTuned(cfg Config, listen string, peers []string, tun UDPTuning) (
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: %w", err)
 	}
-	safe, err := core.NewSafe(cfg, n.clock, flightTransport{n: n, tr: udp})
-	if err != nil {
+	if n, err = newNode(cfg, udp, udp); err != nil {
 		udp.Close()
-		return nil, fmt.Errorf("pubsub: %w", err)
+		return nil, err
 	}
-	n.safe = safe
-	n.udp = udp
 	udp.Start()
 	return n, nil
 }
 
 // Subscribe registers interest in t and its whole subtree.
-func (n *Node) Subscribe(t Topic) error { return n.safe.Subscribe(t) }
+func (n *Node) Subscribe(t Topic) (err error) {
+	n.do(func() { err = n.p.Subscribe(t) })
+	return err
+}
 
 // Unsubscribe removes t from the subscription list.
-func (n *Node) Unsubscribe(t Topic) { n.safe.Unsubscribe(t) }
+func (n *Node) Unsubscribe(t Topic) { n.do(func() { n.p.Unsubscribe(t) }) }
 
 // Publish disseminates payload on t with the given validity period and
 // returns the event id.
-func (n *Node) Publish(t Topic, payload []byte, validity time.Duration) (EventID, error) {
-	id, err := n.safe.Publish(t, payload, validity)
+func (n *Node) Publish(t Topic, payload []byte, validity time.Duration) (id EventID, err error) {
+	n.do(func() { id, err = n.p.Publish(t, payload, validity) })
 	if err == nil {
 		if r := n.flight.Load(); r != nil {
 			r.Add(trace.Record{At: n.flightNow(), Node: n.id, Op: trace.OpPublish, Event: id})
@@ -220,19 +291,29 @@ func (n *Node) Publish(t Topic, payload []byte, validity time.Duration) (EventID
 
 // HandleMessage feeds a message received by a custom transport into the
 // protocol. Safe to call from any goroutine.
-func (n *Node) HandleMessage(m Message) error {
+func (n *Node) HandleMessage(m Message) (err error) {
 	n.recordReceive(m)
-	return n.safe.HandleMessage(m)
+	n.do(func() { err = n.p.HandleMessage(m) })
+	return err
 }
 
 // Neighbors returns the ids currently in the neighborhood table.
-func (n *Node) Neighbors() []NodeID { return n.safe.NeighborIDs() }
+func (n *Node) Neighbors() (ids []NodeID) {
+	n.do(func() { ids = n.p.NeighborIDs() })
+	return ids
+}
 
 // HasEvent reports whether the node's event table holds id.
-func (n *Node) HasEvent(id EventID) bool { return n.safe.HasEvent(id) }
+func (n *Node) HasEvent(id EventID) (ok bool) {
+	n.do(func() { ok = n.p.HasEvent(id) })
+	return ok
+}
 
 // Stats returns a snapshot of the protocol counters.
-func (n *Node) Stats() Stats { return n.safe.Stats() }
+func (n *Node) Stats() (st Stats) {
+	n.do(func() { st = n.p.Stats() })
+	return st
+}
 
 // TransportStats returns a snapshot of the UDP transport counters, or
 // the zero value for custom transports.
@@ -284,7 +365,7 @@ func (n *Node) Peers() []string {
 
 // Close stops the protocol and releases the transport.
 func (n *Node) Close() error {
-	n.safe.Stop()
+	n.do(n.p.Stop)
 	if n.udp != nil {
 		return n.udp.Close()
 	}

@@ -124,6 +124,9 @@ func TestCustomTransportNode(t *testing.T) {
 	}
 }
 
+// TestUDPNodeEndToEnd runs the full frugal protocol between three nodes
+// over real UDP sockets on loopback: discovery via heartbeats, id
+// exchange, event dissemination.
 func TestUDPNodeEndToEnd(t *testing.T) {
 	news := pubsub.MustParseTopic(".mesh")
 	mk := func(id pubsub.NodeID, deliver func(pubsub.Event)) *pubsub.Node {
@@ -146,9 +149,8 @@ func TestUDPNodeEndToEnd(t *testing.T) {
 		return n
 	}
 	got := make(chan pubsub.Event, 4)
-	a := mk(1, nil)
-	b := mk(2, func(ev pubsub.Event) { got <- ev })
-	c := mk(3, func(ev pubsub.Event) { got <- ev })
+	deliver := func(ev pubsub.Event) { got <- ev }
+	a, b, c := mk(1, deliver), mk(2, deliver), mk(3, deliver)
 	for _, x := range []*pubsub.Node{a, b, c} {
 		for _, y := range []*pubsub.Node{a, b, c} {
 			if err := x.AddPeer(y.LocalAddr()); err != nil {
@@ -171,14 +173,17 @@ func TestUDPNodeEndToEnd(t *testing.T) {
 		t.Fatalf("discovery incomplete: %v", a.Neighbors())
 	}
 
-	if _, err := a.Publish(news, []byte("facade"), time.Minute); err != nil {
+	// Three deliveries of the id Publish returned. A node delivers an
+	// event once, so the publisher's own copy is among them.
+	id, err := a.Publish(news, []byte("facade"), time.Minute)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		select {
 		case ev := <-got:
-			if string(ev.Payload) != "facade" {
-				t.Fatalf("wrong payload %q", ev.Payload)
+			if ev.ID != id || string(ev.Payload) != "facade" {
+				t.Fatalf("wrong event %v %q, published %v", ev.ID, ev.Payload, id)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("delivery timed out over UDP")
