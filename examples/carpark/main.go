@@ -22,6 +22,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/mac"
 	"repro/internal/mobility"
+	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/topic"
 )
@@ -39,14 +40,6 @@ type fleet []*car
 
 func (f fleet) Position(id event.NodeID, at sim.Time) geo.Point {
 	return f[id].model.Position(at)
-}
-
-// simScheduler adapts the simulation engine to core.Scheduler.
-type simScheduler struct{ eng *sim.Engine }
-
-func (s simScheduler) Now() time.Duration { return s.eng.Now().Duration() }
-func (s simScheduler) After(d time.Duration, fn func()) core.Timer {
-	return s.eng.After(d, fn)
 }
 
 // portTransport broadcasts through a MAC port, charging the paper's
@@ -82,7 +75,7 @@ func main() {
 		port := medium.Attach(c.id, func(fr mac.Frame) {
 			_ = c.proto.HandleMessage(fr.Msg)
 		})
-		proto, err := core.New(core.Config{
+		p, err := core.New(core.Config{
 			ID:           c.id,
 			HBUpperBound: time.Second,
 			Speed: func() float64 {
@@ -93,12 +86,12 @@ func main() {
 					eng.Now(), c.id, ev.Payload, ev.Topic)
 			},
 			Rand: eng.NewRand(),
-		}, simScheduler{eng}, portTransport{port})
+		}, proto.EngineScheduler{Eng: eng}, portTransport{port})
 		if err != nil {
 			log.Fatal(err)
 		}
-		c.proto = proto
-		if err := proto.Subscribe(parking); err != nil {
+		c.proto = p
+		if err := p.Subscribe(parking); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -26,8 +27,12 @@ type Protocol struct {
 
 	// announce is the heartbeat's subscription list, subs.Minimal() built
 	// once per subscription change (nil until the next heartbeat needs
-	// it). Sent messages share it, so it is never written in place.
-	announce []topic.Topic
+	// it). Sent messages share it, so it is never written in place, and
+	// so does heartbeat, the boxed last one, sent at speed hbSpeed
+	// (compared by bits, so that -0 is sent as -0).
+	announce  []topic.Topic
+	heartbeat event.Message
+	hbSpeed   float64
 
 	hbDelay  time.Duration
 	ngcDelay time.Duration
@@ -209,15 +214,16 @@ func (p *Protocol) heartbeatTick() {
 	// Announce the minimal covering subscription list: subtopics
 	// subsumed by an announced ancestor add no information.
 	if p.announce == nil {
-		p.announce = p.subs.Minimal()
+		p.announce, p.heartbeat = p.subs.Minimal(), nil
 	}
-	p.tr.Broadcast(event.Heartbeat{
-		From:          p.cfg.ID,
-		Subscriptions: p.announce,
-		Speed:         p.speed(),
-	})
+	if v := p.speed(); p.heartbeat == nil || math.Float64bits(v) != math.Float64bits(p.hbSpeed) {
+		p.hbSpeed, p.heartbeat = v, event.Heartbeat{From: p.cfg.ID, Subscriptions: p.announce, Speed: v}
+	}
+	p.tr.Broadcast(p.heartbeat)
 	p.stats.HeartbeatsSent++
-	p.hbTimer = p.sched.After(p.hbDelay, p.heartbeatTick)
+	if p.hbTimer != nil { // nil if the broadcast stopped the protocol
+		p.hbTimer.Reset(p.hbDelay)
+	}
 }
 
 // ngcTick is the neighborhoodGC task (paper Figure 10).
@@ -227,7 +233,9 @@ func (p *Protocol) ngcTick() {
 		return
 	}
 	p.stats.NeighborsGCed += uint64(p.nbrs.gc(p.sched.Now(), p.ngcDelay))
-	p.ngcTimer = p.sched.After(p.ngcDelay, p.ngcTick)
+	if p.ngcTimer != nil {
+		p.ngcTimer.Reset(p.ngcDelay)
+	}
 }
 
 // HandleMessage feeds a received broadcast into the protocol. Unknown

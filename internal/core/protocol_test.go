@@ -652,13 +652,16 @@ func TestHeartbeatListSurvivesSubscriptionChange(t *testing.T) {
 }
 
 // TestHeartbeatTickAllocs pins what a heartbeat costs in allocations
-// once the list is cached: the message boxed into event.Message and the
-// rescheduling callback, plus the engine's timer handle and wheel slot,
-// and nothing per subscription (building the list each time cost 3 more
-// with two subscriptions).
+// once warm: nothing. The list is cached, the boxed message is reused
+// while the speed stays the same, and the task re-arms its own timer
+// with Reset, so neither a handle nor a method-value callback is built
+// per period (they cost 2, the message 1, and building the list each
+// time 3 more with two subscriptions). The warm-up runs long enough for
+// the period to have cycled through every wheel slot it lands in: a
+// slot's first append grows its array once.
 func TestHeartbeatTickAllocs(t *testing.T) {
 	p, eng, _ := heartbeatNode(t, ".a", ".b")
-	for i := 0; i < 10; i++ { // warm the engine's queue and the list
+	for i := 0; i < 2000; i++ {
 		eng.Step()
 	}
 	sent := p.Stats().HeartbeatsSent
@@ -666,7 +669,60 @@ func TestHeartbeatTickAllocs(t *testing.T) {
 	if got := p.Stats().HeartbeatsSent - sent; got != 101 { // AllocsPerRun warms up with one extra call
 		t.Fatalf("%d heartbeats over 101 engine steps", got)
 	}
-	if allocs != 4 {
-		t.Fatalf("a heartbeat with two subscriptions allocates %v times, want 4", allocs)
+	if allocs != 0 {
+		t.Fatalf("a heartbeat with two subscriptions allocates %v times, want 0", allocs)
+	}
+}
+
+// hbCounter counts the heartbeats broadcast through it.
+type hbCounter struct{ n int }
+
+func (c *hbCounter) Broadcast(m event.Message) {
+	if _, ok := m.(event.Heartbeat); ok {
+		c.n++
+	}
+}
+
+// TestStaleTimerCallbackKeepsOneChain runs the heartbeat and
+// neighbourhood-GC callbacks late, as a wall-clock timer that had fired
+// but waited for the node's lock would: after the subscriptions were
+// emptied (stopping both tasks) and refilled (starting new ones). A
+// periodic task re-arms its current handle, so the late callbacks cannot
+// fork a second chain: two timers stay pending, and every later period
+// sends one heartbeat.
+func TestStaleTimerCallbackKeepsOneChain(t *testing.T) {
+	var log []string
+	s := &stepSched{log: &log}
+	tr := &hbCounter{}
+	p, err := New(Config{ID: 1, Rand: rand.New(rand.NewSource(1))}, s, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := topic.MustParse(".a")
+	if err := p.Subscribe(a); err != nil {
+		t.Fatal(err)
+	}
+	// Both timers fire: they leave the schedule, their callbacks wait.
+	hb, ngc := p.hbTimer.(*stepTimer), p.ngcTimer.(*stepTimer)
+	hb.Stop()
+	ngc.Stop()
+	s.now = max(hb.at, ngc.at)
+	p.Unsubscribe(a)
+	if err := p.Subscribe(a); err != nil {
+		t.Fatal(err)
+	}
+	hb.fn()
+	ngc.fn()
+	if len(s.pending) != 2 {
+		t.Fatalf("%d timers pending after the late callbacks, want 2 (one heartbeat, one GC)", len(s.pending))
+	}
+	period := p.HBDelay()
+	sent := tr.n
+	s.advance(10 * period)
+	if got := tr.n - sent; got != 10 {
+		t.Fatalf("%d heartbeats over 10 periods, want 10", got)
+	}
+	if len(s.pending) != 2 {
+		t.Fatalf("%d timers pending after 10 periods, want 2", len(s.pending))
 	}
 }

@@ -36,11 +36,26 @@ type stepTimer struct {
 func (s *stepSched) Now() time.Duration { return s.now }
 
 func (s *stepSched) After(d time.Duration, fn func()) Timer {
-	t := &stepTimer{s: s, at: s.now + d, seq: s.seq, fn: fn}
+	t := &stepTimer{s: s, fn: fn}
+	t.arm(d)
+	return t
+}
+
+// arm files t d from now with the next arming number, logged the same
+// whether After or Reset armed it: the reference re-arms its periodic
+// tasks with After, the Protocol with Reset.
+func (t *stepTimer) arm(d time.Duration) {
+	s := t.s
+	t.at, t.seq = s.now+d, s.seq
 	s.seq++
 	s.pending = append(s.pending, t)
 	*s.log = append(*s.log, fmt.Sprintf("%v after %v", s.now, d))
-	return t
+}
+
+func (t *stepTimer) Reset(d time.Duration) bool {
+	pending := t.Stop()
+	t.arm(d)
+	return pending
 }
 
 func (t *stepTimer) Stop() bool {

@@ -1,5 +1,7 @@
 package geo
 
+import "math/bits"
+
 // Grid is a uniform spatial index: values of type T filed under the
 // cell containing the position they were put at, cells stored as a
 // dense row-major slab over a bounding rectangle (see cellCore). It
@@ -16,10 +18,12 @@ package geo
 //
 // AppendDisc order is deterministic — cells in row-major order, values
 // within a cell in insertion order — so simulations built on it stay
-// reproducible. The zero Grid is not usable; call NewGrid.
+// reproducible. An occupancy bitset lets AppendDisc skip empty cells,
+// most of the MAC's. The zero Grid is not usable; call NewGrid.
 type Grid[T comparable] struct {
 	cellCore
-	buckets [][]T // dense row-major cell slab
+	buckets [][]T    // dense row-major cell slab
+	occ     []uint64 // bit i set iff bucket i is non-empty
 }
 
 // NewGrid returns an empty grid over the given bounds with the given
@@ -33,6 +37,7 @@ func NewGrid[T comparable](cellSize float64, bounds Rect) *Grid[T] {
 	return &Grid[T]{
 		cellCore: core,
 		buckets:  make([][]T, core.numCells()),
+		occ:      make([]uint64, (core.numCells()+63)/64),
 	}
 }
 
@@ -40,6 +45,7 @@ func NewGrid[T comparable](cellSize float64, bounds Rect) *Grid[T] {
 func (g *Grid[T]) Put(v T, p Point) {
 	idx := g.cellIndex(p)
 	g.buckets[idx] = append(g.buckets[idx], v)
+	g.occ[idx>>6] |= 1 << (idx & 63)
 }
 
 // Remove deletes v from the cell containing p, the position it was put
@@ -58,6 +64,9 @@ func (g *Grid[T]) Remove(v T, p Point) {
 			var zero T
 			b[len(b)-1] = zero
 			g.buckets[idx] = b[:len(b)-1]
+			if len(b) == 1 {
+				g.occ[idx>>6] &^= 1 << (idx & 63)
+			}
 			return
 		}
 	}
@@ -76,9 +85,13 @@ func (g *Grid[T]) AppendDisc(p Point, r float64, buf []T) []T {
 	}
 	lox, loy, hix, hiy := g.discRange(p, r)
 	for cy := loy; cy <= hiy; cy++ {
-		base := cy * g.cols
-		for _, b := range g.buckets[base+lox : base+hix+1] {
-			buf = append(buf, b...)
+		// The set bits of the row's cells [lo, hi], in index order.
+		lo, hi := cy*g.cols+lox, cy*g.cols+hix
+		for w := lo >> 6; w <= hi>>6; w++ {
+			m := g.occ[w] & (^uint64(0) << max(lo-w<<6, 0)) & (^uint64(0) >> max(w<<6+63-hi, 0))
+			for ; m != 0; m &= m - 1 {
+				buf = append(buf, g.buckets[w<<6+bits.TrailingZeros64(m)]...)
+			}
 		}
 	}
 	return buf

@@ -67,8 +67,10 @@ type Baseline[S any] struct {
 	// no memo.
 	memoTopic   topic.Topic
 	memoCovered bool
-	tasks       []*task
-	stopped     bool
+	// heartbeat is Heartbeat's boxed beacon; nil when subs changed.
+	heartbeat event.Message
+	tasks     []*task
+	stopped   bool
 }
 
 // task is one periodic activity registered with Every.
@@ -103,7 +105,7 @@ func (b *Baseline[S]) Subscribe(t topic.Topic) error {
 		return errors.New("proto: zero topic")
 	}
 	b.Subs.Add(t)
-	b.memoTopic = topic.Topic{}
+	b.memoTopic, b.heartbeat = topic.Topic{}, nil
 	b.start()
 	return nil
 }
@@ -111,7 +113,7 @@ func (b *Baseline[S]) Subscribe(t topic.Topic) error {
 // Unsubscribe removes t from the subscription set.
 func (b *Baseline[S]) Unsubscribe(t topic.Topic) {
 	b.Subs.Remove(t)
-	b.memoTopic = topic.Topic{}
+	b.memoTopic, b.heartbeat = topic.Topic{}, nil
 }
 
 // covers reports Subs.Covers(t), answered from the one-entry memo when t
@@ -146,7 +148,9 @@ func (b *Baseline[S]) Every(period time.Duration, fn func()) {
 			return
 		}
 		fn()
-		t.timer = b.Sched.After(t.period, t.fire)
+		if t.timer != nil { // nil if fn stopped the protocol
+			t.timer.Reset(t.period)
+		}
 	}
 	b.tasks = append(b.tasks, t)
 }
@@ -271,9 +275,13 @@ func (b *Baseline[S]) Send(batch []*Stored[S], now time.Duration, to ...event.No
 
 // Heartbeat broadcasts the subscription beacon a Neighbors table learns
 // from; a protocol that keeps one registers it with Every. Baselines
-// are oblivious to mobility, so the speed is reported unknown.
+// are oblivious to mobility, so the speed is reported unknown. No
+// receiver writes a message, so one serves until Subs changes.
 func (b *Baseline[S]) Heartbeat() {
-	b.Transport.Broadcast(event.Heartbeat{From: b.ID, Subscriptions: b.Subs.Topics(), Speed: -1})
+	if b.heartbeat == nil {
+		b.heartbeat = event.Heartbeat{From: b.ID, Subscriptions: b.Subs.Topics(), Speed: -1}
+	}
+	b.Transport.Broadcast(b.heartbeat)
 	b.Count.HeartbeatsSent++
 }
 

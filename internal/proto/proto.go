@@ -26,6 +26,9 @@ type Timer interface {
 	// Stop cancels the callback if it has not run yet and reports
 	// whether it did.
 	Stop() bool
+	// Reset re-arms the callback to run d from now, cancelling a
+	// pending run, and reports whether it did.
+	Reset(d time.Duration) bool
 }
 
 // Scheduler abstracts time for a protocol: the simulator provides

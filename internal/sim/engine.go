@@ -14,8 +14,9 @@ import (
 //
 // Pending callbacks live in a hierarchical timer wheel whose nine levels
 // span the whole Time range (see wheel.go); fired and cancelled
-// entries are recycled through a free list, so steady-state scheduling
-// allocates nothing. Firing order is exactly ascending (at, seq): FIFO
+// entries are recycled through a free list, so steady-state Schedule
+// and Timer.Reset allocate nothing (At and After allocate the returned
+// handle). Firing order is exactly ascending (at, seq): FIFO
 // among callbacks scheduled for the same instant.
 type Engine struct {
 	now  Time
@@ -77,10 +78,11 @@ func (e *Engine) NewRand() *rand.Rand {
 	return NewStream(e.rng.Int63())
 }
 
-// Timer is a handle to a scheduled callback.
+// Timer is a handle to a scheduled callback, which Reset re-arms.
 type Timer struct {
 	e       *Engine
 	it      *item
+	fn      func()
 	gen     uint32
 	stopped bool
 }
@@ -102,11 +104,21 @@ func (t *Timer) Stop() bool {
 // Stopped reports whether Stop was called before the timer fired.
 func (t *Timer) Stopped() bool { return t != nil && t.stopped }
 
+// Reset re-arms the callback to run d from now, cancelling a pending
+// run, and reports whether it did. It files the callback as After would
+// here, so no firing order changes, and allocates nothing once warm.
+func (t *Timer) Reset(d time.Duration) bool {
+	pending := t.Stop()
+	it := t.e.schedule(t.e.now.Add(d), t.fn)
+	t.it, t.gen, t.stopped = it, it.gen, false
+	return pending
+}
+
 // At schedules fn to run at instant at (clamped to now if in the past) and
 // returns a cancellable handle.
 func (e *Engine) At(at Time, fn func()) *Timer {
 	it := e.schedule(at, fn)
-	return &Timer{e: e, it: it, gen: it.gen}
+	return &Timer{e: e, it: it, fn: fn, gen: it.gen}
 }
 
 // After schedules fn to run d from now. Negative d behaves like zero.

@@ -196,7 +196,46 @@ type wallClock struct{ n *Node }
 func (c wallClock) Now() time.Duration { return time.Since(c.n.start) }
 
 func (c wallClock) After(d time.Duration, fn func()) core.Timer {
-	return time.AfterFunc(d, func() { c.n.do(fn) })
+	w := &wallTimer{n: c.n, fn: fn}
+	w.Reset(d)
+	return w
+}
+
+// wallTimer never runs its callback once stopped, as a simulator timer
+// cannot: a fired time.Timer's callback may still be waiting for the
+// node's lock. So every arming gets a generation, and the callback runs
+// fn only if, under the lock, its arming is still the live one. The
+// protocol calls Stop and Reset under the same lock.
+type wallTimer struct {
+	n         *Node
+	fn        func()
+	t         *time.Timer
+	live, gen uint64 // the pending arming (0: none) and the latest
+}
+
+func (w *wallTimer) Stop() bool {
+	if w.t != nil {
+		w.t.Stop()
+	}
+	was := w.live != 0
+	w.live = 0
+	return was
+}
+
+func (w *wallTimer) Reset(d time.Duration) bool {
+	was := w.Stop()
+	w.gen++
+	gen := w.gen
+	w.live = gen
+	w.t = time.AfterFunc(d, func() {
+		w.n.do(func() {
+			if w.live == gen {
+				w.live = 0
+				w.fn()
+			}
+		})
+	})
+	return was
 }
 
 // newNode wires a protocol to tr, with deliveries routed through the
