@@ -20,10 +20,18 @@
 // story: nodes seed only their forward ring arcs, learn the reverse
 // arcs from observed datagram sources (LearnPeers), and evict silent
 // peers after -suspicion. -churn adds crash/recover waves from the
-// registered churn-nodes generator — the same op stream, executed on
-// real nodes here and by netsim.Run in the mirror: a crashed node's
-// sockets close mid-run, a recovered one rebinds the same address with
-// empty state and resubscribes.
+// registered churn-nodes generator: a crashed node's sockets close
+// mid-run, a recovered one rebinds the same address with empty state
+// and resubscribes.
+//
+// Both sides run the same generator with the same parameters, and both
+// apply its ops through one netsim.Driver and score them in one
+// netsim.Ledger, so what an op does and which delivery counts are
+// decided in one place. The draws differ: the mirror seeds its
+// generator from its engine, while the real mesh seeds it with
+// sim.NewStream of the -seed value and draws anonymous publishers from
+// that same stream. The two runs therefore see the same kind of op stream, not
+// the same ops.
 //
 // The run is observable while it happens: -metrics-addr serves the
 // whole mesh's counters as Prometheus text on /metrics (plus
@@ -62,7 +70,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/geo"
 	"repro/internal/mac"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -75,93 +82,26 @@ func main() {
 	os.Exit(run())
 }
 
-// evRec tracks one published event's real-path outcome. seen dedupes
-// per delivering node: a node that crashes and recovers with empty
-// state legitimately re-delivers old events, but the ratio counts each
-// (event, node) pair once.
-type evRec struct {
-	at       time.Time
-	eligible int
-	got      int
-	seen     map[pubsub.NodeID]bool
-}
-
-type earlyDelivery struct {
-	node pubsub.NodeID
-	when time.Time
-}
-
-// tracker accumulates deliveries across all nodes' OnDeliver callbacks.
-type tracker struct {
-	mu      sync.Mutex
-	events  map[event.ID]*evRec
-	latency metrics.LogHist
-	// early holds the deliveries whose event is not registered yet:
-	// Publish hands the event to the sockets before it returns the id,
-	// so another node's OnDeliver can run first. published drains it.
-	// (Holding mu across Publish instead would deadlock: the Publish
-	// caller may run the node's queued OnDelivers itself, and delivered
-	// takes mu on that same goroutine.)
-	early map[event.ID][]earlyDelivery
-
-	// pubs/gots shadow the map totals as atomics so the progress ticker
-	// and the metrics registry can read them without taking the lock.
-	pubs atomic.Int64
-	gots atomic.Int64
-}
-
-// published registers an event Publish returned, at being the time
-// Publish was called, and counts the deliveries that beat it here.
-func (tr *tracker) published(id event.ID, at time.Time, eligible int) {
-	tr.mu.Lock()
-	rec := &evRec{at: at, eligible: eligible, seen: make(map[pubsub.NodeID]bool)}
-	tr.events[id] = rec
-	for _, d := range tr.early[id] {
-		tr.count(rec, d.node, d.when)
-	}
-	delete(tr.early, id)
-	tr.mu.Unlock()
-	tr.pubs.Add(1)
-}
-
-func (tr *tracker) delivered(ev pubsub.Event, at pubsub.NodeID) {
-	now := time.Now()
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if rec, ok := tr.events[ev.ID]; ok {
-		tr.count(rec, at, now)
-	} else {
-		tr.early[ev.ID] = append(tr.early[ev.ID], earlyDelivery{at, now})
-	}
-}
-
-// count records one delivery of rec's event; mu must be held.
-func (tr *tracker) count(rec *evRec, node pubsub.NodeID, when time.Time) {
-	if rec.seen[node] {
-		return // re-delivery by a churn-recovered node
-	}
-	rec.seen[node] = true
-	rec.got++
-	tr.latency.Add(when.Sub(rec.at).Seconds())
-	tr.gots.Add(1)
-}
-
 // meshCfg is everything needed to (re)build a node: the harness churn
 // executor recreates crashed nodes with the same identity and address.
 type meshCfg struct {
-	hb        time.Duration
-	tun       pubsub.UDPTuning
-	dynamic   bool
-	flight    int
-	subTopics []topic.Topic // per-node subscription (event or decoy topic)
-	tr        *tracker
+	hb     time.Duration
+	tun    pubsub.UDPTuning
+	flight int
+	// Nodes below subs subscribe to topic, the others to decoy.
+	subs         int
+	topic, decoy topic.Topic
 }
 
-// mesh owns the node set and its topology. The workload loop mutates it
-// (crash/recover); the progress ticker, metrics scrapes and final sweep
-// read it concurrently under mu. nodes[i] == nil means node i is down.
+// mesh owns the node set and its topology, and is the netsim.Cluster the
+// op loop drives. The op loop mutates it (crash/recover); the progress
+// ticker, metrics scrapes, final sweep and every node's OnDeliver reach
+// it concurrently under mu. nodes[i] == nil means node i is down.
 type mesh struct {
-	cfg   meshCfg
+	cfg meshCfg
+	// start is the run's time origin: ops and deliveries are timed from
+	// it as sim.Time.
+	start time.Time
 	mu    sync.Mutex
 	nodes []*pubsub.Node
 	addrs []string // stable concrete listen addresses, fixed at first bind
@@ -171,12 +111,19 @@ type mesh struct {
 	visible [][]int
 	forward [][]int
 
-	crashes    int
-	recoveries int
 	// Stats of closed node instances: a crash must not lose its
 	// counters, exactly like the sim's prevStats accumulation.
 	retiredProto pubsub.Stats
 	retiredWire  pubsub.TransportStats
+
+	// inbox holds the deliveries reported since the op loop last drained
+	// it. The ledger stays on the op loop's goroutine: OnDeliver may run
+	// inside that goroutine's own Publish call, so it only queues.
+	inbox []netsim.DeliveryRecord
+	// published and inTime mirror the ledger's totals for the progress
+	// line and the metrics registry, refreshed at each drain.
+	published, inTime   atomic.Int64
+	crashes, recoveries atomic.Int64
 }
 
 // circulant computes the ring-neighbor topology: every node sees the k
@@ -221,17 +168,21 @@ func (m *mesh) buildNode(i int, addr string, peers []string) (*pubsub.Node, erro
 		HBLowerBound: m.cfg.hb,
 		HBUpperBound: m.cfg.hb,
 		OnDeliver: func(ev pubsub.Event) {
-			if ev.Publisher == id {
-				return // local self-delivery, excluded like the sim's
-			}
-			m.cfg.tr.delivered(ev, id)
+			at := sim.At(time.Since(m.start))
+			m.mu.Lock()
+			m.inbox = append(m.inbox, netsim.DeliveryRecord{Event: ev.ID, Node: id, At: at})
+			m.mu.Unlock()
 		},
 	}
 	n, err := pubsub.NewUDPNodeTuned(cfg, addr, peers, m.cfg.tun)
 	if err != nil {
 		return nil, err
 	}
-	if err := n.Subscribe(m.cfg.subTopics[i]); err != nil {
+	tp := m.cfg.decoy
+	if i < m.cfg.subs {
+		tp = m.cfg.topic
+	}
+	if err := n.Subscribe(tp); err != nil {
 		n.Close()
 		return nil, err
 	}
@@ -246,7 +197,7 @@ func (m *mesh) buildNode(i int, addr string, peers []string) (*pubsub.Node, erro
 // dynamic (the rest is learned).
 func (m *mesh) peersFor(i int) []string {
 	idx := m.visible[i]
-	if m.cfg.dynamic {
+	if m.cfg.tun.LearnPeers {
 		idx = m.forward[i]
 	}
 	out := make([]string, len(idx))
@@ -260,47 +211,92 @@ func (m *mesh) peersFor(i int) []string {
 func (m *mesh) node(i int) *pubsub.Node {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if i < 0 || i >= len(m.nodes) {
-		return nil
-	}
 	return m.nodes[i]
 }
 
-// crash closes node i mid-run, preserving its counters — the sim's
-// runner.crash on real sockets. No-op when already down.
-func (m *mesh) crash(i int) {
+// Up, Publish, Crash, Recover, Subscribe and Unsubscribe make the mesh
+// the netsim.Cluster the op loop drives.
+
+func (m *mesh) Up(i int) bool { return m.node(i) != nil }
+
+func (m *mesh) Publish(i int, tp topic.Topic, validity time.Duration) (event.ID, error) {
+	return m.node(i).Publish(tp, []byte("soak payload"), validity)
+}
+
+// Crash closes node i mid-run, preserving its counters.
+func (m *mesh) Crash(i int) {
 	m.mu.Lock()
 	n := m.nodes[i]
-	if n == nil {
-		m.mu.Unlock()
-		return
-	}
 	m.nodes[i] = nil
 	m.retiredProto = m.retiredProto.Add(n.Stats())
 	m.retiredWire = m.retiredWire.Add(n.TransportStats())
-	m.crashes++
 	m.mu.Unlock()
+	m.crashes.Add(1)
 	n.Close()
 }
 
-// recover rebuilds node i with empty protocol state on its original
-// address and resubscribes it — the sim's runner.recover. No-op when
-// the node is up; a failed rebind (address stolen meanwhile) leaves the
-// node down and is reported, not fatal, matching a deployment where a
-// host simply fails to come back.
-func (m *mesh) recover(i int) {
-	if m.node(i) != nil {
-		return
-	}
+// Recover rebuilds node i with empty protocol state on its original
+// address and resubscribes it. A failed rebind (address stolen
+// meanwhile) leaves the node down and is reported, not fatal, matching
+// a deployment where a host simply fails to come back.
+func (m *mesh) Recover(i int) error {
 	n, err := m.buildNode(i, m.addrs[i], m.peersFor(i))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: recover node %d: %v\n", i, err)
-		return
+		return nil
 	}
 	m.mu.Lock()
 	m.nodes[i] = n
-	m.recoveries++
 	m.mu.Unlock()
+	m.recoveries.Add(1)
+	return nil
+}
+
+func (m *mesh) Subscribe(i int, tp topic.Topic) { _ = m.node(i).Subscribe(tp) }
+
+func (m *mesh) Unsubscribe(i int, tp topic.Topic) { m.node(i).Unsubscribe(tp) }
+
+// drain folds the queued deliveries into l.
+func (m *mesh) drain(l *netsim.Ledger) {
+	m.mu.Lock()
+	in := m.inbox
+	m.inbox = nil
+	m.mu.Unlock()
+	for _, d := range in {
+		l.Deliver(d.Event, d.Node, d.At)
+	}
+	published, inTime, _ := l.Totals()
+	m.published.Store(int64(published))
+	m.inTime.Store(int64(inTime))
+}
+
+// drive runs gen's ops on the mesh in wall time, through drv, folding
+// deliveries into drv's ledger l before each op.
+func (m *mesh) drive(drv *netsim.Driver, l *netsim.Ledger, gen workload.Generator) error {
+	for op, ok := gen.Next(); ok; op, ok = gen.Next() {
+		time.Sleep(time.Until(m.start.Add(op.At)))
+		m.drain(l)
+		if err := drv.Apply(op, sim.At(time.Since(m.start))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// settle drains deliveries until their count stops moving (or a hard
+// cap): events published near the end are still spreading, and the
+// ratio should measure the protocol rather than the harness's patience
+// — race-instrumented or loaded runs legitimately take longer.
+func (m *mesh) settle(l *netsim.Ledger) {
+	last := int64(-1)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(300 * time.Millisecond) {
+		m.drain(l)
+		got := m.inTime.Load()
+		if got == last {
+			return
+		}
+		last = got
+	}
 }
 
 // totals sums protocol and wire counters across live nodes plus the
@@ -318,10 +314,32 @@ func (m *mesh) totals() (pubsub.Stats, pubsub.TransportStats) {
 	return p, w
 }
 
-func (m *mesh) churnCounts() (crashes, recoveries int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.crashes, m.recoveries
+// newMesh binds n nodes on ephemeral loopback sockets (addresses must
+// be known before wiring), then applies the circulant topology: the
+// whole visible set under static membership, forward seeds only under
+// dynamic, where the reverse arcs are learned from heartbeat datagram
+// sources. The mesh's clock starts now.
+func newMesh(cfg meshCfg, n int, visibility float64) (*mesh, error) {
+	m := &mesh{cfg: cfg, start: time.Now(), nodes: make([]*pubsub.Node, n), addrs: make([]string, n)}
+	m.visible, m.forward = circulant(n, visibility)
+	for i := range m.nodes {
+		node, err := m.buildNode(i, "127.0.0.1:0", nil)
+		if err != nil {
+			m.closeAll()
+			return nil, fmt.Errorf("node %d: %w", i, err)
+		}
+		m.nodes[i] = node
+		m.addrs[i] = node.LocalAddr()
+	}
+	for i, node := range m.nodes {
+		for _, p := range m.peersFor(i) {
+			if err := node.AddPeer(p); err != nil {
+				m.closeAll()
+				return nil, err
+			}
+		}
+	}
+	return m, nil
 }
 
 func (m *mesh) closeAll() {
@@ -446,56 +464,28 @@ func run() int {
 
 	eventTopic := topic.MustParse(".soak.events")
 	decoyTopic := topic.MustParse(".soak.decoy")
+	// The mirror's rule: an anonymous publication with no subscriber to
+	// draw is skipped on both sides.
 	numSubs := int(float64(*nodes)*(*subs) + 0.5)
-	if numSubs < 1 {
-		numSubs = 1
+	roster := make([]int, numSubs)
+	for i := range roster {
+		roster[i] = i
 	}
 
-	tr := &tracker{events: make(map[event.ID]*evRec), early: make(map[event.ID][]earlyDelivery)}
 	tun := pubsub.UDPTuning{SendQueue: *sendQ, RecvQueue: *recvQ, FlushInterval: *flush}
 	if dynamic {
 		tun.LearnPeers = true
 		tun.Suspicion = *suspicion
 	}
-	subTopics := make([]topic.Topic, *nodes)
-	for i := range subTopics {
-		if i < numSubs {
-			subTopics[i] = eventTopic
-		} else {
-			subTopics[i] = decoyTopic
-		}
+	ms, err := newMesh(meshCfg{
+		hb: *hb, tun: tun, flight: *flight,
+		subs: numSubs, topic: eventTopic, decoy: decoyTopic,
+	}, *nodes, *vis)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		return 2
 	}
-
-	// Build the mesh: every node binds an ephemeral loopback socket
-	// first (addresses must be known before wiring), then the circulant
-	// topology is applied — the whole visible set under static
-	// membership, forward seeds only under dynamic, where the reverse
-	// arcs are learned from heartbeat datagram sources.
-	ms := &mesh{cfg: meshCfg{
-		hb: *hb, tun: tun, dynamic: dynamic, flight: *flight,
-		subTopics: subTopics, tr: tr,
-	}}
-	ms.visible, ms.forward = circulant(*nodes, *vis)
-	ms.nodes = make([]*pubsub.Node, *nodes)
-	ms.addrs = make([]string, *nodes)
 	defer ms.closeAll()
-	for i := range ms.nodes {
-		n, err := ms.buildNode(i, "127.0.0.1:0", nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: node %d: %v\n", i, err)
-			return 2
-		}
-		ms.nodes[i] = n
-		ms.addrs[i] = n.LocalAddr()
-	}
-	for i, n := range ms.nodes {
-		for _, p := range ms.peersFor(i) {
-			if err := n.AddPeer(p); err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-				return 2
-			}
-		}
-	}
 
 	// Observability: per-node flight recorders (armed in buildNode),
 	// every node's counters in one registry, and an optional HTTP
@@ -507,22 +497,14 @@ func run() int {
 	// does account churn.
 	reg := obs.NewRegistry()
 	reg.CounterFunc("repro_loadgen_published_total",
-		"events published by the harness", func() uint64 { return uint64(tr.pubs.Load()) })
+		"events published by the harness", func() uint64 { return uint64(ms.published.Load()) })
 	reg.CounterFunc("repro_loadgen_delivered_total",
-		"tracked deliveries observed across the mesh", func() uint64 { return uint64(tr.gots.Load()) })
+		"in-time deliveries scored across the mesh", func() uint64 { return uint64(ms.inTime.Load()) })
 	reg.GaugeFunc("repro_loadgen_nodes",
 		"mesh size", func() float64 { return float64(*nodes) })
 	reg.GaugeFunc("repro_loadgen_nodes_up",
 		"nodes currently up (mesh size minus crashed)", func() float64 {
-			ms.mu.Lock()
-			defer ms.mu.Unlock()
-			up := 0
-			for _, n := range ms.nodes {
-				if n != nil {
-					up++
-				}
-			}
-			return float64(up)
+			return float64(int64(*nodes) - ms.crashes.Load() + ms.recoveries.Load())
 		})
 	for _, n := range ms.nodes {
 		n.RegisterMetrics(reg)
@@ -555,7 +537,8 @@ func run() int {
 		fmt.Printf("metrics: http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr())
 	}
 
-	// The same generator stream the simulator would run.
+	// The generator the mirror runs, with the mirror's parameters; its
+	// stream also draws the anonymous publishers (see the package doc).
 	rng := sim.NewStream(*seed)
 	gen, err := workload.Build(spec.Name, spec.Params, workload.Env{
 		Nodes:      *nodes,
@@ -572,7 +555,7 @@ func run() int {
 	fmt.Printf("loadgen: %d nodes (%d subscribers), visibility %.2f (%s membership), %s + %s %s workload, hb %s, churn %.2f\n",
 		*nodes, numSubs, *vis, *membership, *warmup, *duration, *wkld, *hb, *churn)
 
-	start := time.Now()
+	start := ms.start
 	end := start.Add(*warmup + *duration)
 	stopProgress := func() {}
 	if *progress > 0 {
@@ -588,10 +571,9 @@ func run() int {
 					return
 				case <-tick.C:
 					_, w := ms.totals()
-					crashes, recoveries := ms.churnCounts()
 					fmt.Fprintf(os.Stderr, "progress: t=%-6s published %d  delivered %d  datagrams %d  drops send %d recv %d  churn %d/%d\n",
-						time.Since(start).Round(time.Second), tr.pubs.Load(), tr.gots.Load(),
-						w.DatagramsSent, w.Dropped, w.RecvDropped, crashes, recoveries)
+						time.Since(start).Round(time.Second), ms.published.Load(), ms.inTime.Load(),
+						w.DatagramsSent, w.Dropped, w.RecvDropped, ms.crashes.Load(), ms.recoveries.Load())
 				}
 			}
 		}()
@@ -603,102 +585,26 @@ func run() int {
 	baseProto, baseWire := ms.totals()
 	measureStart := time.Now()
 
-	// The op loop executes the merged stream with the sim runner's
-	// semantics: publishes on down nodes are silently skipped, anonymous
-	// publishes pick a random subscriber index (down or not — skipped if
-	// down), eligibility counts ALL subscribed indices regardless of
-	// liveness, and crash/recover hit real sockets.
-	published := 0
-	for {
-		op, ok := gen.Next()
-		if !ok {
-			break
-		}
-		time.Sleep(time.Until(start.Add(op.At)))
-		switch op.Kind {
-		case workload.Publish:
-			idx := op.Node
-			if idx < 0 {
-				idx = rng.Intn(numSubs) // anonymous publish: a random subscriber
-			}
-			n := ms.node(idx)
-			if n == nil {
-				continue // publisher is down: the sim skips these too
-			}
-			tp := op.Topic
-			if tp.IsZero() {
-				tp = eventTopic
-			}
-			eligible := numSubs
-			if idx < numSubs {
-				eligible-- // the publisher doesn't count toward its own event
-			}
-			at := time.Now()
-			id, err := n.Publish(tp, []byte("soak payload"), op.Validity)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: publish: %v\n", err)
-				return 2
-			}
-			tr.published(id, at, eligible)
-			published++
-		case workload.Crash:
-			ms.crash(op.Node)
-		case workload.Recover:
-			ms.recover(op.Node)
-		case workload.Subscribe, workload.Unsubscribe:
-			n := ms.node(op.Node)
-			if n == nil {
-				continue
-			}
-			tp := op.Topic
-			if tp.IsZero() {
-				tp = eventTopic
-			}
-			if op.Kind == workload.Subscribe {
-				_ = n.Subscribe(tp)
-			} else {
-				n.Unsubscribe(tp)
-			}
-		}
+	led := netsim.NewLedger(*nodes, roster, false)
+	if err := ms.drive(netsim.NewDriver(ms, led, eventTopic, rng), led, gen); err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		return 2
 	}
 	time.Sleep(time.Until(end))
-	// Drain grace: events published near the end are still spreading.
-	// Wait until the delivery count stops moving (or a hard cap), so the
-	// ratio measures the protocol rather than the harness's patience —
-	// race-instrumented or loaded runs legitimately take longer.
-	lastGot := -1
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		tr.mu.Lock()
-		got := 0
-		for _, rec := range tr.events {
-			got += rec.got
-		}
-		tr.mu.Unlock()
-		if got == lastGot {
-			break
-		}
-		lastGot = got
-		time.Sleep(300 * time.Millisecond)
-	}
+	ms.settle(led)
 
 	proto, wire := ms.totals()
 	proto = proto.Sub(baseProto)
 	wire = wire.Sub(baseWire)
 	elapsed := time.Since(measureStart).Seconds()
-	crashes, recoveries := ms.churnCounts()
+	crashes, recoveries := int(ms.crashes.Load()), int(ms.recoveries.Load())
 
-	tr.mu.Lock()
-	var gotSum, eligSum int
-	for _, rec := range tr.events {
-		gotSum += rec.got
-		eligSum += rec.eligible
-	}
+	published, gotSum, eligSum := led.Totals()
 	realRatio := 0.0
 	if eligSum > 0 {
 		realRatio = float64(gotSum) / float64(eligSum)
 	}
-	lat := tr.latency
-	tr.mu.Unlock()
+	lat := led.Latency()
 
 	protoMsgs := proto.HeartbeatsSent + proto.IDListsSent + proto.EventMsgsSent
 	msgsPerDelivery := math.Inf(1)

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/event"
-	"repro/pubsub"
+	"repro/internal/netsim"
+	"repro/internal/sim"
+	"repro/internal/topic"
+	"repro/internal/workload"
 )
 
 // buildLoadgen compiles the command once into a temp dir; the check and
@@ -276,23 +278,47 @@ func TestBadWorkloadExits2(t *testing.T) {
 	}
 }
 
-// TestTrackerCountsDeliveryThatBeatsRegistration pins the order the
-// sockets actually produce: Publish puts the event on the wire before
-// it returns the id, so a subscriber's OnDeliver can reach the tracker
-// before published does. Such a delivery used to be dropped from the
-// real delivery ratio.
-func TestTrackerCountsDeliveryThatBeatsRegistration(t *testing.T) {
-	tr := &tracker{events: make(map[event.ID]*evRec), early: make(map[event.ID][]earlyDelivery)}
-	ev := pubsub.Event{ID: event.ID{Lo: 1}}
-	at := time.Now()
-	tr.delivered(ev, 2)
-	tr.delivered(ev, 2) // a re-delivery still counts once
-	tr.published(ev.ID, at, 3)
-	tr.delivered(ev, 3)
-	if rec := tr.events[ev.ID]; rec.got != 2 || tr.gots.Load() != 2 || tr.latency.N() != 2 {
-		t.Fatalf("got %d deliveries (gots %d, latencies %d), want 2", rec.got, tr.gots.Load(), tr.latency.N())
+// TestRecoveredPublisherKeepsBothScores drives a scripted op list over
+// a real 4-node loopback mesh through the shared driver: node 1
+// publishes, crashes, recovers with a fresh protocol whose RNG replays
+// its first event ID, and publishes again. Both publications must be
+// scored, 3 eligible each, against the union of deliveries; a record
+// keyed by event ID alone keeps one publication with eligibility 3.
+func TestRecoveredPublisherKeepsBothScores(t *testing.T) {
+	const n = 4
+	tp := topic.MustParse(".soak.events")
+	ms, err := newMesh(meshCfg{hb: 50 * time.Millisecond, subs: n, topic: tp}, n, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(tr.early) != 0 {
-		t.Fatalf("early deliveries not drained: %v", tr.early)
+	defer ms.closeAll()
+	led := netsim.NewLedger(n, []int{0, 1, 2, 3}, false)
+	drv := netsim.NewDriver(ms, led, tp, sim.NewStream(1))
+	ops := workload.NewExplicit([]workload.Op{
+		{At: 300 * time.Millisecond, Kind: workload.Publish, Node: 1, Validity: time.Minute},
+		{At: 900 * time.Millisecond, Kind: workload.Crash, Node: 1},
+		{At: time.Second, Kind: workload.Recover, Node: 1},
+		{At: 1500 * time.Millisecond, Kind: workload.Publish, Node: 1, Validity: time.Minute},
+	})
+	if err := ms.drive(drv, led, ops); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+		ms.drain(led)
+		if _, inTime, _ := led.Totals(); inTime == 6 {
+			break
+		}
+	}
+	out := led.Outcomes()
+	if len(out) != 2 {
+		t.Fatalf("%d publications scored, want 2: %+v", len(out), out)
+	}
+	if out[0].ID != out[1].ID {
+		t.Fatalf("the recovered publisher issued a fresh ID (%v, %v): no alias to score", out[0].ID, out[1].ID)
+	}
+	for i, o := range out {
+		if o.Eligible != 3 || o.DeliveredInTime != 3 {
+			t.Errorf("publication %d: delivered %d/%d, want 3/3", i, o.DeliveredInTime, o.Eligible)
+		}
 	}
 }

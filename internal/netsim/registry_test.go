@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/event"
 	"repro/internal/geo"
 	"repro/internal/mac"
 	"repro/internal/sim"
@@ -174,11 +173,7 @@ func TestManhattanAndHighwaySpeedBounds(t *testing.T) {
 			t.Fatalf("scenario %q missing", name)
 		}
 		sc := def.Instantiate(3)
-		r := &runner{
-			sc:     sc.withDefaults(),
-			eng:    sim.New(sc.Seed),
-			groups: make(map[event.ID]*eventGroup),
-		}
+		r := &runner{sc: sc.withDefaults(), eng: sim.New(sc.Seed)}
 		if err := r.build(); err != nil {
 			t.Fatal(err)
 		}

@@ -2,16 +2,16 @@ package netsim
 
 import (
 	"fmt"
-	"math/bits"
-	"math/rand"
+	"slices"
+	"time"
 
 	"repro/internal/event"
 	"repro/internal/geo"
 	"repro/internal/mac"
-	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/topic"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -93,39 +93,8 @@ type runner struct {
 	// graph is the street network shared by every city-section node of
 	// this run (built once instead of per node).
 	graph *mobility.Graph
-	// subIdx caches the EventTopic subscribers' node indices; the
-	// assignment is fixed at build time, so anonymous publications
-	// (Publisher -1) draw from this instead of rescanning all nodes.
-	subIdx []int
-
-	// Streaming result aggregation: every delivery folds into its
-	// event's fixed-size cell (in-time counter, deduped by a shared
-	// per-ID bitset) and the run-wide latency histogram at delivery
-	// time, so result memory is one bit per (event, node) plus O(1)
-	// per event — instead of the old per-(event, node) time table and
-	// ever-growing DeliveryRecord list.
-	//
-	// cells is 1:1 with published (same order). groups shares one
-	// first-delivery bitset among all publications carrying the same
-	// event ID: a crash-recovered publisher replays its reseeded RNG
-	// stream and can re-issue an earlier ID, and the aliased
-	// publications then score against the union of deliveries, exactly
-	// as the old shared delivery table did. subMask is the subscriber
-	// roster as a bitset (fixed after build), used to seed an aliased
-	// publication's in-time count from deliveries that preceded it.
-	// pending buffers deliveries that arrive before their event's cell
-	// exists — the publisher's local self-delivery fires inside
-	// proto.Publish, before publish() can register the cell.
-	cells   []eventCell
-	groups  map[event.ID]*eventGroup
-	subMask []uint64
-	pending []DeliveryRecord
-	// keepLog mirrors Scenario.DeliveryLog: keep full DeliveryRecords
-	// (Result.Deliveries) for CoverageAt/DeliveryLatencies.
-	keepLog   bool
-	lat       metrics.LogHist
-	records   []DeliveryRecord
-	published []PublishedEvent
+	// led scores every publication and delivery of the run.
+	led *Ledger
 
 	// medium is the run's broadcast channel, kept for the sampler's
 	// in-flight reads. sampler is non-nil when Scenario.Sample is set;
@@ -147,12 +116,7 @@ func Run(sc Scenario) (*Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	r := &runner{
-		sc:      sc,
-		eng:     sim.New(sc.Seed),
-		groups:  make(map[event.ID]*eventGroup),
-		keepLog: sc.DeliveryLog,
-	}
+	r := &runner{sc: sc, eng: sim.New(sc.Seed)}
 	if err := r.build(); err != nil {
 		return nil, err
 	}
@@ -222,38 +186,36 @@ func (r *runner) build() error {
 	// Subscription assignment: a seeded shuffle picks the subscribers.
 	shuffleRng := r.eng.NewRand()
 	order := shuffleRng.Perm(sc.Nodes)
-	numSubs := int(float64(sc.Nodes)*sc.SubscriberFraction + 0.5)
-	for i, idx := range order {
-		r.nodes[idx].subscribed = i < numSubs
-	}
 	// The assignment never changes after build (crashes keep their
-	// flag; Resubscriptions alter protocol state, not this roster), so
-	// cache the subscriber indices for anonymous publications instead
-	// of rescanning all nodes per publish.
-	for i, n := range r.nodes {
-		if n.subscribed {
-			r.subIdx = append(r.subIdx, i)
-		}
+	// flag; Resubscriptions alter protocol state, not this roster): it
+	// is the ledger's roster.
+	subs := order[:int(float64(sc.Nodes)*sc.SubscriberFraction+0.5)]
+	slices.Sort(subs)
+	for _, i := range subs {
+		r.nodes[i].subscribed = true
 	}
-	r.subMask = make([]uint64, (sc.Nodes+63)/64)
-	for _, i := range r.subIdx {
-		r.subMask[uint(i)/64] |= uint64(1) << (uint(i) % 64)
-	}
+	r.led = NewLedger(sc.Nodes, subs, sc.DeliveryLog)
 	for _, n := range r.nodes {
-		proto, err := r.buildProtocol(n)
-		if err != nil {
-			return err
-		}
-		n.proto = proto
-		tp := sc.DecoyTopic
-		if n.subscribed {
-			tp = sc.EventTopic
-		}
-		if err := n.proto.Subscribe(tp); err != nil {
+		if err := r.start(n); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// start gives node n a fresh protocol instance subscribed to its topic:
+// at build, and again when it recovers from a crash.
+func (r *runner) start(n *node) error {
+	p, err := r.buildProtocol(n)
+	if err != nil {
+		return err
+	}
+	n.proto = p
+	tp := r.sc.DecoyTopic
+	if n.subscribed {
+		tp = r.sc.EventTopic
+	}
+	return p.Subscribe(tp)
 }
 
 // defaultGraph maps each graph-constrained mobility kind to its default
@@ -386,102 +348,19 @@ func (r *runner) buildProtocol(n *node) (proto.Disseminator, error) {
 	return d, nil
 }
 
-// eventCell is the fixed-size per-publication accumulator that replaces
-// the per-(event, node) delivery-time table: enough to compute the
-// publication's EventOutcome exactly.
-type eventCell struct {
-	// eligible is |subscribers| minus the publisher (if subscribed),
-	// frozen at publish time — valid because the subscription roster
-	// never changes after build (see runner.subIdx).
-	eligible int32
-	// inTime counts eligible first deliveries at or before deadline.
-	inTime    int32
-	publisher event.NodeID
-	at        sim.Time
-	deadline  sim.Time
-}
-
-// eventGroup joins the publications sharing one event ID: bits is their
-// common first-delivery bitset, cells the indices of their eventCells
-// (publish order; almost always exactly one).
-type eventGroup struct {
-	bits  []uint64
-	cells []int32
-}
-
-// deliver folds one delivery into the event's group: first-delivery
-// dedup via the shared bitset, then every publication's in-time counter
-// and the streaming latency histogram. Returns false for duplicates.
-func (r *runner) deliver(g *eventGroup, id event.NodeID, at sim.Time) bool {
-	w, m := uint(id)/64, uint64(1)<<(uint(id)%64)
-	if g.bits[w]&m != 0 {
-		return false
-	}
-	g.bits[w] |= m
-	sub := r.nodes[id].subscribed
-	for _, ci := range g.cells {
-		c := &r.cells[ci]
-		if sub && id != c.publisher && at <= c.deadline {
-			c.inTime++
-		}
-	}
-	// Latency is scored against the newest publication of the ID (for
-	// the overwhelmingly common single-publication case: the only one).
-	c := &r.cells[g.cells[len(g.cells)-1]]
-	if id != c.publisher && at <= c.deadline {
-		r.lat.Add(at.Sub(c.at).Seconds())
-	}
-	return true
-}
-
-// deliverHook streams first deliveries per (event, node) into the
-// event's group. Deliveries for a not-yet-registered event (the
-// publisher's self-delivery inside proto.Publish) buffer in pending
-// until publish() registers the cell.
+// deliverHook streams node id's deliveries into the ledger and traces
+// each first one.
 func (r *runner) deliverHook(id event.NodeID) func(event.Event) {
 	return func(ev event.Event) {
 		now := r.eng.Now()
-		if g, ok := r.groups[ev.ID]; ok {
-			if !r.deliver(g, id, now) {
-				return
-			}
-		} else {
-			for _, p := range r.pending {
-				if p.Event == ev.ID && p.Node == id {
-					return // duplicate before registration
-				}
-			}
-			r.pending = append(r.pending, DeliveryRecord{Event: ev.ID, Node: id, At: now})
-		}
-		if r.keepLog {
-			r.records = append(r.records, DeliveryRecord{
-				Event: ev.ID,
-				Node:  id,
+		if r.led.Deliver(ev.ID, id, now) && r.sc.Trace != nil {
+			r.sc.Trace.Add(trace.Record{
 				At:    now,
+				Node:  id,
+				Op:    trace.OpDeliver,
+				Event: ev.ID,
 			})
 		}
-		r.traceAdd(trace.Record{
-			At:    now,
-			Node:  id,
-			Op:    trace.OpDeliver,
-			Event: ev.ID,
-		})
-	}
-}
-
-// popcountAnd counts the set bits of a ∧ b.
-func popcountAnd(a, b []uint64) int32 {
-	var n int32
-	for i, w := range a {
-		n += int32(bits.OnesCount64(w & b[i]))
-	}
-	return n
-}
-
-// traceAdd records into the optional scenario trace.
-func (r *runner) traceAdd(rec trace.Record) {
-	if r.sc.Trace != nil {
-		r.sc.Trace.Add(rec)
 	}
 }
 
@@ -505,7 +384,7 @@ func (r *runner) schedule() error {
 	if err != nil {
 		return err
 	}
-	r.pump(gen, pubRng)
+	r.pump(gen, NewDriver(r, r.led, sc.EventTopic, pubRng))
 	return nil
 }
 
@@ -569,10 +448,14 @@ func (r *runner) buildWorkload() (workload.Generator, error) {
 }
 
 // pump streams the workload into the engine with exactly one armed
-// callback: apply the current op, pull the next, reschedule. A run with
-// a million generated publications therefore never materializes an op
-// slice — generation stays O(1) memory off the simulation's hot path.
-func (r *runner) pump(gen workload.Generator, pubRng *rand.Rand) {
+// callback: apply the current op through the driver, pull the next,
+// reschedule. A run with a million generated publications therefore
+// never materializes an op slice — generation stays O(1) memory off the
+// simulation's hot path. Ops come from either the validated explicit
+// lists or a registered generator held to the conformance suite, so an
+// op the driver rejects is deterministic misconfiguration and fails the
+// run.
+func (r *runner) pump(gen workload.Generator, drv *Driver) {
 	op, ok := gen.Next()
 	if !ok {
 		return
@@ -580,7 +463,10 @@ func (r *runner) pump(gen workload.Generator, pubRng *rand.Rand) {
 	var fire func()
 	fire = func() {
 		cur := op
-		r.apply(cur, pubRng)
+		if err := drv.Apply(cur, r.eng.Now()); err != nil {
+			r.fail(err)
+			return
+		}
 		next, ok := gen.Next()
 		if !ok {
 			return
@@ -596,50 +482,6 @@ func (r *runner) pump(gen workload.Generator, pubRng *rand.Rand) {
 	r.eng.Schedule(sim.At(op.At), fire)
 }
 
-// apply executes one workload op. Ops come from either the validated
-// explicit lists or a registered generator held to the conformance
-// suite; out-of-range ops are deterministic misconfiguration and fail
-// the run.
-func (r *runner) apply(op workload.Op, pubRng *rand.Rand) {
-	minNode := 0
-	if op.Kind == workload.Publish {
-		minNode = -1 // -1 publishes from a random subscriber
-	}
-	if op.Node < minNode || op.Node >= r.sc.Nodes {
-		r.fail(fmt.Errorf("netsim: workload %s op node %d out of range [%d,%d)",
-			op.Kind, op.Node, minNode, r.sc.Nodes))
-		return
-	}
-	switch op.Kind {
-	case workload.Publish:
-		if op.Validity <= 0 {
-			r.fail(fmt.Errorf("netsim: workload publish without validity at %v", op.At))
-			return
-		}
-		r.publish(Publication{Publisher: op.Node, Topic: op.Topic, Validity: op.Validity}, pubRng)
-	case workload.Crash:
-		r.crash(op.Node)
-	case workload.Recover:
-		r.recover(op.Node)
-	case workload.Subscribe, workload.Unsubscribe:
-		n := r.nodes[op.Node]
-		if n.down {
-			return
-		}
-		tp := op.Topic
-		if tp.IsZero() {
-			tp = r.sc.EventTopic
-		}
-		if op.Kind == workload.Unsubscribe {
-			n.proto.Unsubscribe(tp)
-		} else {
-			_ = n.proto.Subscribe(tp)
-		}
-	default:
-		r.fail(fmt.Errorf("netsim: unknown workload op kind %v", op.Kind))
-	}
-}
-
 func (r *runner) snapshot() {
 	r.snapProto = make([]proto.Stats, len(r.nodes))
 	r.snapMAC = make([]mac.Counters, len(r.nodes))
@@ -649,135 +491,61 @@ func (r *runner) snapshot() {
 	}
 }
 
-func (r *runner) publish(p Publication, rng *rand.Rand) {
-	idx := p.Publisher
-	if idx < 0 {
-		if len(r.subIdx) == 0 {
-			return // nobody to publish; recorded as zero events
-		}
-		idx = r.subIdx[rng.Intn(len(r.subIdx))]
+// The runner is the Driver's Cluster on the simulator.
+
+func (r *runner) Up(i int) bool { return !r.nodes[i].down }
+
+func (r *runner) Publish(i int, tp topic.Topic, validity time.Duration) (event.ID, error) {
+	n := r.nodes[i]
+	id, err := n.proto.Publish(tp, nil, validity)
+	if tr := r.sc.Trace; err == nil && tr != nil {
+		tr.Add(trace.Record{
+			At:    r.eng.Now(),
+			Node:  n.id,
+			Op:    trace.OpPublish,
+			Event: id,
+		})
 	}
-	n := r.nodes[idx]
-	if n.down {
-		return
-	}
-	tp := p.Topic
-	if tp.IsZero() {
-		tp = r.sc.EventTopic
-	}
-	id, err := n.proto.Publish(tp, nil, p.Validity)
-	if err != nil {
-		// Any buffered self-delivery belongs to a failed (unregistered)
-		// publication; it was already logged/traced on arrival.
-		r.pending = r.pending[:0]
-		return
-	}
-	now := r.eng.Now()
-	eligible := int32(len(r.subIdx))
-	if n.subscribed {
-		eligible--
-	}
-	ci := int32(len(r.cells))
-	cell := eventCell{
-		eligible:  eligible,
-		publisher: n.id,
-		at:        now,
-		deadline:  now.Add(p.Validity),
-	}
-	g := r.groups[id]
-	if g == nil {
-		g = &eventGroup{bits: make([]uint64, (r.sc.Nodes+63)/64)}
-		r.groups[id] = g
-	} else {
-		// Aliased re-publication (see runner.groups): every first
-		// delivery so far precedes this publish and hence its deadline,
-		// so the new outcome starts from the delivered subscribers.
-		cell.inTime = popcountAnd(g.bits, r.subMask)
-		w, m := uint(n.id)/64, uint64(1)<<(uint(n.id)%64)
-		if n.subscribed && g.bits[w]&m != 0 {
-			cell.inTime-- // the new publisher never scores itself
-		}
-	}
-	r.cells = append(r.cells, cell)
-	g.cells = append(g.cells, ci)
-	for _, pd := range r.pending {
-		// The publisher's local delivery from inside proto.Publish.
-		if pd.Event == id {
-			r.deliver(g, pd.Node, pd.At)
-		}
-	}
-	r.pending = r.pending[:0]
-	r.published = append(r.published, PublishedEvent{
-		ID:        id,
-		Publisher: n.id,
-		Topic:     tp,
-		At:        now,
-		Validity:  p.Validity,
-	})
-	r.traceAdd(trace.Record{
-		At:    now,
-		Node:  n.id,
-		Op:    trace.OpPublish,
-		Event: id,
-	})
+	return id, err
 }
 
-func (r *runner) crash(idx int) {
-	n := r.nodes[idx]
-	if n.down {
-		return
-	}
+func (r *runner) Crash(i int) {
+	n := r.nodes[i]
 	n.down = true
 	n.prevStats = n.totalStats()
 	n.proto.Stop()
 }
 
-func (r *runner) recover(idx int) {
-	n := r.nodes[idx]
-	if !n.down {
-		return
-	}
-	p, err := r.buildProtocol(n)
-	if err != nil {
+func (r *runner) Recover(i int) error {
+	n := r.nodes[i]
+	n.down = false
+	if err := r.start(n); err != nil {
 		// Deterministic misconfiguration, not a runtime event: fail the
 		// run instead of leaving the node silently down forever.
 		// buildProtocol's wrap already names the node.
-		r.fail(fmt.Errorf("recovering crashed node: %w", err))
-		return
+		return fmt.Errorf("recovering crashed node: %w", err)
 	}
-	n.proto = p
-	n.down = false
-	tp := r.sc.DecoyTopic
-	if n.subscribed {
-		tp = r.sc.EventTopic
-	}
-	_ = n.proto.Subscribe(tp)
+	return nil
 }
 
+func (r *runner) Subscribe(i int, tp topic.Topic) { _ = r.nodes[i].proto.Subscribe(tp) }
+
+func (r *runner) Unsubscribe(i int, tp topic.Topic) { r.nodes[i].proto.Unsubscribe(tp) }
+
 // collect assembles the Result after the run. Outcomes read directly
-// off the per-event cells (cells is 1:1 with Published, same order), so
-// no delivery table is ever materialized.
+// off the ledger's per-event cells, so no delivery table is ever
+// materialized.
 func (r *runner) collect() *Result {
 	res := &Result{
 		Scenario:   r.sc,
-		Published:  r.published,
-		Deliveries: r.records,
-		Latency:    r.lat,
+		Published:  r.led.published,
+		Deliveries: r.led.records,
+		Latency:    r.led.lat,
+		Outcomes:   r.led.Outcomes(),
 		Nodes:      make([]NodeResult, len(r.nodes)),
 	}
 	if r.sampler != nil {
 		res.Series = r.sampler.series
-	}
-	if len(r.published) > 0 {
-		res.Outcomes = make([]EventOutcome, len(r.published))
-	}
-	for i, pe := range r.published {
-		c := r.cells[i]
-		res.Outcomes[i] = EventOutcome{
-			PublishedEvent:  pe,
-			Eligible:        int(c.eligible),
-			DeliveredInTime: int(c.inTime),
-		}
 	}
 	for i, n := range r.nodes {
 		proto := n.totalStats()

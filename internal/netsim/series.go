@@ -116,7 +116,7 @@ func (s *sampler) sample() {
 	pr, mc := s.totals()
 	s.series.Points = append(s.series.Points, SeriesPoint{
 		At:            now,
-		Published:     len(r.cells),
+		Published:     len(r.led.cells),
 		DeliveryRatio: r.cumulativeRatio(),
 		InFlight:      r.medium.InFlight(now),
 		Pending:       r.eng.Pending(),
@@ -142,17 +142,18 @@ func (s *sampler) totals() (proto.Stats, mac.Counters) {
 // Result.Reliability converges to, counting only in-time deliveries
 // recorded so far.
 func (r *runner) cumulativeRatio() float64 {
-	if len(r.cells) == 0 {
+	cells := r.led.cells
+	if len(cells) == 0 {
 		return 0
 	}
 	sum := 0.0
-	for i := range r.cells {
-		c := &r.cells[i]
+	for i := range cells {
+		c := &cells[i]
 		if c.eligible > 0 {
 			sum += float64(c.inTime) / float64(c.eligible)
 		}
 	}
-	return sum / float64(len(r.cells))
+	return sum / float64(len(cells))
 }
 
 // seriesColumns enumerates the CSV/JSON schema: the fixed lead columns

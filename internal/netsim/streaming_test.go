@@ -18,30 +18,21 @@ import (
 // deliveries.
 func TestStreamingDeliveryAllocFlat(t *testing.T) {
 	for _, n := range []int{64, 8192} {
-		r := &runner{
-			sc:     Scenario{Nodes: n},
-			eng:    sim.New(1),
-			groups: make(map[event.ID]*eventGroup),
+		subs := make([]int, n)
+		for i := range subs {
+			subs[i] = i
 		}
-		r.nodes = make([]*node, n)
-		for i := range r.nodes {
-			r.nodes[i] = &node{id: event.NodeID(i), subscribed: true}
-		}
+		r := &runner{eng: sim.New(1), led: NewLedger(n, subs, false)}
 		ev := event.Event{ID: event.NewID(rand.New(rand.NewSource(3)))}
-		g := &eventGroup{bits: make([]uint64, (n+63)/64), cells: []int32{0}}
-		r.groups[ev.ID] = g
-		r.cells = []eventCell{{
-			eligible:  int32(n - 1),
-			publisher: 0,
-			deadline:  sim.Seconds(1e6),
-		}}
+		r.led.register(PublishedEvent{ID: ev.ID, Publisher: 0, Validity: 1e6 * time.Second})
+		g, c := r.led.groups[ev.ID], &r.led.cells[0]
 		hooks := make([]func(event.Event), n)
 		for i := range hooks {
 			hooks[i] = r.deliverHook(event.NodeID(i))
 		}
 		avg := testing.AllocsPerRun(10, func() {
 			clear(g.bits)
-			r.cells[0].inTime = 0
+			c.inTime = 0
 			for _, h := range hooks {
 				h(ev)
 			}
@@ -49,8 +40,8 @@ func TestStreamingDeliveryAllocFlat(t *testing.T) {
 		if avg != 0 {
 			t.Fatalf("n=%d: %v allocs per %d-delivery round, want 0", n, avg, n)
 		}
-		if got := r.cells[0].inTime; got != int32(n-1) {
-			t.Fatalf("n=%d: inTime = %d, want %d", n, got, n-1)
+		if c.inTime != int32(n-1) {
+			t.Fatalf("n=%d: inTime = %d, want %d", n, c.inTime, n-1)
 		}
 	}
 }
