@@ -63,6 +63,7 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -359,7 +360,7 @@ func run() int {
 		duration = flag.Duration("duration", 10*time.Second, "measurement window")
 		warmup   = flag.Duration("warmup", time.Second, "discovery warm-up before measurement")
 		subs     = flag.Float64("subscribers", 1.0, "fraction subscribed to the event topic")
-		wkld     = flag.String("workload", "poisson", "traffic generator: poisson | flash-crowd")
+		wkld     = flag.String("workload", "poisson", "traffic generator (see -list)")
 		rate     = flag.Float64("rate", 20, "publication rate in events/s (flash-crowd: base rate)")
 		peak     = flag.Float64("peak", 100, "flash-crowd peak rate in events/s")
 		spread   = flag.Int("spread", 0, "publish across N sibling subtopics (0/1 = the event topic itself)")
@@ -367,9 +368,6 @@ func run() int {
 		validity = flag.Duration("validity", 60*time.Second, "event validity period")
 		seed     = flag.Int64("seed", 1, "workload + sim seed")
 		hb       = flag.Duration("hb", 200*time.Millisecond, "heartbeat period (lower = more datagrams/s)")
-		sendQ    = flag.Int("send-queue", 0, "transport send ring bound (0 = default)")
-		recvQ    = flag.Int("recv-queue", 0, "transport dispatch ring bound (0 = default)")
-		flush    = flag.Duration("flush", 0, "transport flush interval (0 = immediate)")
 		vis      = flag.Float64("visibility", 1.0,
 			"fraction of the mesh each node sees (circulant ring topology; 1 = full mesh, lower = multi-hop epidemic repair)")
 		membership = flag.String("membership", "static",
@@ -392,11 +390,17 @@ func run() int {
 		progress    = flag.Duration("progress", 5*time.Second, "print a live progress line every interval (0 = off)")
 	)
 	flag.Parse()
+	// The -workload table, built from the rate flags: -list prints
+	// exactly these generators and nothing else is accepted.
+	topics := workload.TopicModel{Spread: *spread, ZipfS: *zipf}
+	traffic := []workload.Spec{
+		{Name: "poisson", Params: workload.PoissonParams{Rate: *rate, Validity: *validity, Topics: topics}},
+		{Name: "flash-crowd", Params: workload.FlashCrowdParams{BaseRate: *rate, PeakRate: *peak, Validity: *validity, Topics: topics}},
+	}
 	if *list {
-		for _, d := range workload.Workloads() {
-			if d.Class == workload.ClassTraffic {
-				fmt.Printf("%-14s %s\n", d.Name, d.Description)
-			}
+		for _, s := range traffic {
+			d, _ := workload.LookupWorkload(s.Name)
+			fmt.Printf("%-14s %s\n", s.Name, d.Description)
 		}
 		return 0
 	}
@@ -422,30 +426,22 @@ func run() int {
 		return 2
 	}
 
-	var params workload.Params
-	switch *wkld {
-	case "poisson":
-		params = workload.PoissonParams{
-			Rate:     *rate,
-			Validity: *validity,
-			Topics:   workload.TopicModel{Spread: *spread, ZipfS: *zipf},
-		}
-	case "flash-crowd":
-		params = workload.FlashCrowdParams{
-			BaseRate: *rate,
-			PeakRate: *peak,
-			Validity: *validity,
-			Topics:   workload.TopicModel{Spread: *spread, ZipfS: *zipf},
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "loadgen: unsupported workload %q (poisson | flash-crowd)\n", *wkld)
-		return 2
-	}
 	// The op stream spec — one description, two executors: the real mesh
 	// below and the netsim mirror. With churn the traffic generator is
 	// mixed with crash/recover waves; the stagger scales with the window
 	// so short CI runs still fit their waves.
-	spec := workload.Spec{Name: *wkld, Params: params}
+	var spec workload.Spec
+	var names []string
+	for _, s := range traffic {
+		if s.Name == *wkld {
+			spec = s
+		}
+		names = append(names, s.Name)
+	}
+	if spec.IsZero() {
+		fmt.Fprintf(os.Stderr, "loadgen: unsupported workload %q (%s)\n", *wkld, strings.Join(names, " | "))
+		return 2
+	}
 	if *churn > 0 {
 		spec = workload.Spec{Name: "mix", Params: workload.MixParams{Parts: []workload.Spec{
 			spec,
@@ -472,10 +468,9 @@ func run() int {
 		roster[i] = i
 	}
 
-	tun := pubsub.UDPTuning{SendQueue: *sendQ, RecvQueue: *recvQ, FlushInterval: *flush}
+	var tun pubsub.UDPTuning
 	if dynamic {
-		tun.LearnPeers = true
-		tun.Suspicion = *suspicion
+		tun = pubsub.UDPTuning{LearnPeers: true, Suspicion: *suspicion}
 	}
 	ms, err := newMesh(meshCfg{
 		hb: *hb, tun: tun, flight: *flight,

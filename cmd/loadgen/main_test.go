@@ -265,6 +265,25 @@ func TestListPrintsTrafficCatalog(t *testing.T) {
 	}
 }
 
+// TestListedWorkloadsAccepted pins -list to the -workload table: every
+// generator it advertises runs a miniature soak to a clean exit.
+func TestListedWorkloadsAccepted(t *testing.T) {
+	bin := buildLoadgen(t)
+	out, err := exec.Command(bin, "-list").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-list: %v\n%s", err, out)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	for _, line := range lines {
+		name := strings.Fields(line)[0]
+		run, err := exec.Command(bin, "-workload", name, "-nodes", "2",
+			"-warmup", "100ms", "-duration", "200ms", "-hb", "50ms", "-progress", "0").CombinedOutput()
+		if err != nil {
+			t.Errorf("-list advertises %q but -workload %s fails: %v\n%s", name, name, err, run)
+		}
+	}
+}
+
 // TestBadWorkloadExits2 pins structural misuse to usage exit 2.
 func TestBadWorkloadExits2(t *testing.T) {
 	bin := buildLoadgen(t)

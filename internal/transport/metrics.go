@@ -23,13 +23,12 @@ func (u *UDP) QueueDepths() (send, recv int) {
 	return send, recv
 }
 
-// SetDropHook arranges for fn to run after every ring eviction, with
-// outbound reporting which ring overflowed (true: send ring, false:
-// dispatch ring). The hook runs on the Broadcast caller or the socket
-// read goroutine respectively, so it must be fast and must not call
-// back into the transport. One hook at most; pubsub.Node's flight
-// recorder is the intended consumer.
-func (u *UDP) SetDropHook(fn func(outbound bool)) {
+// SetDropHook arranges for fn to run after every ring eviction, send or
+// dispatch. The hook runs on the Broadcast caller or the socket read
+// goroutine respectively, so it must be fast and must not call back
+// into the transport. One hook at most; pubsub.Node's flight recorder
+// is the intended consumer.
+func (u *UDP) SetDropHook(fn func()) {
 	if fn == nil {
 		u.dropHook.Store(nil)
 		return

@@ -106,13 +106,6 @@ type UDPConfig struct {
 	// Stats.RecvDropped; decode and handler work never stall socket
 	// reads.
 	RecvQueue int
-	// FlushInterval is the batching delay of the writer goroutine: on
-	// waking for queued messages it waits this long so nearby
-	// broadcasts coalesce into one per-flush batch (one buffer slab,
-	// N packets per syscall loop). 0 flushes as soon as the writer
-	// wakes — still batching whatever accumulated while the previous
-	// batch was on the wire.
-	FlushInterval time.Duration
 	// LearnPeers grows the roster dynamically: any datagram arriving
 	// from a source address not yet in the peer group joins it (the
 	// configured Peers then act as seeds — a new node only needs one
@@ -126,17 +119,9 @@ type UDPConfig struct {
 	// Stats.PeersEvicted). The protocol's periodic heartbeats keep
 	// live peers refreshed, so the window should cover several
 	// heartbeat periods. Combine with LearnPeers so an evicted peer
-	// that comes back is re-learned from its next datagram.
+	// that comes back is re-learned from its next datagram. The check
+	// runs every Suspicion/4, but no more often than every 10 ms.
 	Suspicion time.Duration
-	// SuspicionSweep overrides how often the eviction check runs
-	// (default Suspicion/4). Only meaningful with Suspicion > 0.
-	SuspicionSweep time.Duration
-	// OnPeerChange, when non-nil, is called after the roster changes:
-	// joined is true for AddPeer and learned sources, false for
-	// RemovePeer and suspicion evictions. It runs on transport
-	// goroutines (and on the caller of AddPeer/RemovePeer), outside
-	// transport locks; it must not block.
-	OnPeerChange func(addr string, joined bool)
 }
 
 // Stats are cumulative transport counters, safe to read concurrently.
@@ -262,14 +247,12 @@ func (r *ring) drain() int {
 	return n
 }
 
-// peerAddr caches every address form of one peer: the resolved
-// *net.UDPAddr for the generic net.PacketConn path, the value-type
-// netip.AddrPort for the allocation-free *net.UDPConn fast path, and a
+// peerAddr caches both address forms of one peer: the value-type
+// netip.AddrPort for the allocation-free portable path, and a
 // pre-marshalled raw sockaddr for the batched-syscall path. lastSeen
 // (unix nanos of the most recent datagram from this peer; the add time
 // until then) feeds the suspicion-window failure detector.
 type peerAddr struct {
-	ua       *net.UDPAddr
 	ap       netip.AddrPort
 	raw      [sockaddrBufSize]byte
 	rawLen   uint32
@@ -292,13 +275,8 @@ type localFilter struct {
 	ips   map[netip.Addr]bool // local interface addresses (wildcard binds)
 }
 
-func newLocalFilter(conn net.PacketConn) localFilter {
-	f := localFilter{ips: map[netip.Addr]bool{}}
-	if ua, ok := conn.LocalAddr().(*net.UDPAddr); ok {
-		ap := ua.AddrPort()
-		f.port = ap.Port()
-		f.bound = ap.Addr().Unmap()
-	}
+func newLocalFilter(local netip.AddrPort) localFilter {
+	f := localFilter{port: local.Port(), bound: local.Addr().Unmap(), ips: map[netip.Addr]bool{}}
 	if f.bound.IsUnspecified() {
 		// Wildcard bind: the socket answers on every local interface
 		// address, so all of them are "self". If the interface walk
@@ -334,24 +312,21 @@ func (f localFilter) matches(ap netip.AddrPort) bool {
 
 // UDP is a peer-group broadcast transport. It implements core.Transport.
 type UDP struct {
-	conn    net.PacketConn
-	uconn   *net.UDPConn // conn when it is a real UDP socket; enables WriteToUDPAddrPort
+	conn    *net.UDPConn
 	raw     syscall.RawConn
 	handler func(event.Message)
 	onError func(error)
-	flush   time.Duration
 
 	mu      sync.RWMutex
 	peers   []*peerAddr
 	peerIdx map[netip.AddrPort]*peerAddr
 
-	filter       localFilter
-	sock6        bool // bound socket is AF_INET6 (batched path maps v4 peers)
-	learn        bool
-	suspicion    time.Duration
-	sweepEvery   time.Duration
-	trackSrc     bool // learn || suspicion > 0: observe datagram sources
-	onPeerChange func(addr string, joined bool)
+	filter     localFilter
+	sock6      bool // bound socket is AF_INET6 (batched path maps v4 peers)
+	learn      bool
+	suspicion  time.Duration
+	sweepEvery time.Duration
+	trackSrc   bool // learn || suspicion > 0: observe datagram sources
 	// now is the failure detector's clock; tests override it before
 	// starting any loop to drive the suspicion window deterministically.
 	now func() time.Time
@@ -379,7 +354,7 @@ type UDP struct {
 	handlerHist atomic.Pointer[obs.Hist]
 	// dropHook, when armed by SetDropHook, is called after every ring
 	// eviction (flight-recorder feed; see pubsub.Node).
-	dropHook atomic.Pointer[func(outbound bool)]
+	dropHook atomic.Pointer[func()]
 
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -408,11 +383,8 @@ func newUDP(cfg UDPConfig, startWriter bool) (*UDP, error) {
 	if cfg.SendQueue < 0 || cfg.RecvQueue < 0 {
 		return nil, fmt.Errorf("transport: negative queue bound (send %d, recv %d)", cfg.SendQueue, cfg.RecvQueue)
 	}
-	if cfg.FlushInterval < 0 {
-		return nil, fmt.Errorf("transport: negative FlushInterval %v", cfg.FlushInterval)
-	}
-	if cfg.Suspicion < 0 || cfg.SuspicionSweep < 0 {
-		return nil, fmt.Errorf("transport: negative suspicion window (%v) or sweep (%v)", cfg.Suspicion, cfg.SuspicionSweep)
+	if cfg.Suspicion < 0 {
+		return nil, fmt.Errorf("transport: negative suspicion window %v", cfg.Suspicion)
 	}
 	sendQ := cfg.SendQueue
 	if sendQ == 0 {
@@ -422,22 +394,29 @@ func newUDP(cfg UDPConfig, startWriter bool) (*UDP, error) {
 	if recvQ == 0 {
 		recvQ = DefaultRecvQueue
 	}
-	conn, err := net.ListenPacket("udp", cfg.Listen)
+	pc, err := net.ListenPacket("udp", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", cfg.Listen, err)
 	}
-	uconn, _ := conn.(*net.UDPConn)
+	conn := pc.(*net.UDPConn) // the "udp" network always yields one
+	raw, err := conn.SyscallConn()
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("transport: listen %s: %w", cfg.Listen, err)
+	}
+	local := conn.LocalAddr().(*net.UDPAddr).AddrPort()
 	u := &UDP{
 		conn:         conn,
-		uconn:        uconn,
+		raw:          raw,
 		handler:      cfg.Handler,
 		onError:      cfg.OnError,
-		flush:        cfg.FlushInterval,
 		peerIdx:      map[netip.AddrPort]*peerAddr{},
-		filter:       newLocalFilter(conn),
+		filter:       newLocalFilter(local),
+		sock6:        local.Addr().Is6(),
 		learn:        cfg.LearnPeers,
 		suspicion:    cfg.Suspicion,
-		onPeerChange: cfg.OnPeerChange,
+		sweepEvery:   max(cfg.Suspicion/4, 10*time.Millisecond),
+		trackSrc:     cfg.LearnPeers || cfg.Suspicion > 0,
 		now:          time.Now,
 		send:         ring{slots: make([][]byte, sendQ)},
 		recv:         ring{slots: make([][]byte, recvQ)},
@@ -445,23 +424,7 @@ func newUDP(cfg UDPConfig, startWriter bool) (*UDP, error) {
 		dispatchKick: make(chan struct{}, 1),
 		done:         make(chan struct{}),
 	}
-	u.trackSrc = u.learn || u.suspicion > 0
-	if ua, ok := conn.LocalAddr().(*net.UDPAddr); ok {
-		u.sock6 = ua.AddrPort().Addr().Is6()
-	}
-	u.sweepEvery = cfg.SuspicionSweep
-	if u.sweepEvery == 0 && u.suspicion > 0 {
-		u.sweepEvery = u.suspicion / 4
-		if u.sweepEvery < 10*time.Millisecond {
-			u.sweepEvery = 10 * time.Millisecond
-		}
-	}
-	if uconn != nil {
-		if rc, err := uconn.SyscallConn(); err == nil {
-			u.raw = rc
-		}
-	}
-	u.mmsgOK.Store(u.raw != nil)
+	u.mmsgOK.Store(true)
 	for _, p := range cfg.Peers {
 		if err := u.AddPeer(p); err != nil {
 			conn.Close()
@@ -525,28 +488,22 @@ func (u *UDP) AddPeer(addr string) error {
 	// slices, and the mapped ::ffff:a.b.c.d form is rejected by IPv4
 	// sockets on the WriteToUDPAddrPort fast path.
 	ap := netip.AddrPortFrom(ua.AddrPort().Addr().Unmap(), uint16(ua.Port))
-	if u.filter.matches(ap) {
-		return nil
-	}
-	if added := u.addPeer(ap, ua, false); added && u.onPeerChange != nil {
-		u.onPeerChange(ap.String(), true)
+	if !u.filter.matches(ap) {
+		u.addPeer(ap, false)
 	}
 	return nil
 }
 
 // addPeer inserts ap unless already present; learned marks roster
 // growth from an observed datagram source.
-func (u *UDP) addPeer(ap netip.AddrPort, ua *net.UDPAddr, learned bool) bool {
-	if ua == nil {
-		ua = net.UDPAddrFromAddrPort(ap)
-	}
-	p := &peerAddr{ua: ua, ap: ap, learned: learned}
+func (u *UDP) addPeer(ap netip.AddrPort, learned bool) {
+	p := &peerAddr{ap: ap, learned: learned}
 	p.rawLen = u.fillSockaddr(ap, &p.raw)
 	p.lastSeen.Store(u.now().UnixNano())
 	u.mu.Lock()
 	if _, dup := u.peerIdx[ap]; dup {
 		u.mu.Unlock()
-		return false
+		return
 	}
 	u.peerIdx[ap] = p
 	u.peers = append(u.peers, p)
@@ -554,7 +511,6 @@ func (u *UDP) addPeer(ap netip.AddrPort, ua *net.UDPAddr, learned bool) bool {
 	if learned {
 		u.peersLearned.Add(1)
 	}
-	return true
 }
 
 // RemovePeer drops a peer address from the broadcast group, reporting
@@ -573,9 +529,6 @@ func (u *UDP) RemovePeer(addr string) bool {
 		u.removeFromRoster(p)
 	}
 	u.mu.Unlock()
-	if p != nil && u.onPeerChange != nil {
-		u.onPeerChange(ap.String(), false)
-	}
 	return p != nil
 }
 
@@ -633,9 +586,7 @@ func (u *UDP) observeSource(src netip.AddrPort) {
 	if !u.learn || u.filter.matches(src) {
 		return
 	}
-	if added := u.addPeer(src, nil, true); added && u.onPeerChange != nil {
-		u.onPeerChange(src.String(), true)
-	}
+	u.addPeer(src, true)
 }
 
 // sweepSilent evicts every peer whose last datagram is older than the
@@ -656,12 +607,7 @@ func (u *UDP) sweepSilent(now time.Time) int {
 		u.removeFromRoster(p)
 	}
 	u.mu.Unlock()
-	for _, p := range evicted {
-		u.peersEvicted.Add(1)
-		if u.onPeerChange != nil {
-			u.onPeerChange(p.ap.String(), false)
-		}
-	}
+	u.peersEvicted.Add(uint64(len(evicted)))
 	return len(evicted)
 }
 
@@ -696,9 +642,7 @@ func (u *UDP) Broadcast(m event.Message) {
 	case <-u.done:
 		u.send.mu.Unlock()
 		u.dropped.Add(1)
-		if fn := u.dropHook.Load(); fn != nil {
-			(*fn)(true)
-		}
+		u.fireDropHook(1)
 		return
 	default:
 	}
@@ -707,9 +651,7 @@ func (u *UDP) Broadcast(m event.Message) {
 	u.send.mu.Unlock()
 	if droppedOldest {
 		u.dropped.Add(1)
-		if fn := u.dropHook.Load(); fn != nil {
-			(*fn)(true)
-		}
+		u.fireDropHook(1)
 	}
 	select {
 	case u.sendKick <- struct{}{}:
@@ -717,34 +659,21 @@ func (u *UDP) Broadcast(m event.Message) {
 	}
 }
 
-// writeLoop drains the send ring: wake on a kick, optionally linger
-// FlushInterval so nearby broadcasts coalesce, then swap the queued
+// writeLoop drains the send ring: wake on a kick, then swap the queued
 // slot buffers into a local slab and fan each message out to the peer
 // group — one sendmmsg per batch on Linux, one WriteTo per packet
-// elsewhere. Messages swapped out but never handed to the socket on a
+// elsewhere. Broadcasts that queue while a batch is on the wire ride
+// the next one. Messages swapped out but never handed to the socket on a
 // shutdown mid-batch are counted as dropped, keeping the broadcast
 // conservation law exact.
 func (u *UDP) writeLoop() {
 	defer u.wg.Done()
 	batch := make([][]byte, len(u.send.slots))
-	flushTimer := time.NewTimer(time.Hour)
-	if !flushTimer.Stop() {
-		<-flushTimer.C
-	}
 	for {
 		select {
 		case <-u.done:
 			return
 		case <-u.sendKick:
-		}
-		if u.flush > 0 {
-			flushTimer.Reset(u.flush)
-			select {
-			case <-u.done:
-				flushTimer.Stop()
-				return
-			case <-flushTimer.C:
-			}
 		}
 		for {
 			select {
@@ -799,23 +728,17 @@ func (u *UDP) sendBatch(batch [][]byte) int {
 	return completed
 }
 
-// sendBatchPortable is the per-packet fallback: one WriteTo per
+// sendBatchPortable is the per-packet fallback: one WriteToUDPAddrPort per
 // (message, peer) pair. Returns the number of fully-offered messages.
 func (u *UDP) sendBatchPortable(batch [][]byte, peers []*peerAddr) int {
 	for mi, wire := range batch {
 		for i := range peers {
-			var err error
-			if u.uconn != nil {
-				_, err = u.uconn.WriteToUDPAddrPort(wire, peers[i].ap)
-			} else {
-				_, err = u.conn.WriteTo(wire, peers[i].ua)
-			}
-			if err != nil {
+			if _, err := u.conn.WriteToUDPAddrPort(wire, peers[i].ap); err != nil {
 				if errors.Is(err, net.ErrClosed) {
 					return mi // shutdown mid-batch: Close owns the socket now
 				}
 				u.sendErrs.Add(1)
-				u.reportError(fmt.Errorf("transport: send to %s: %w", peers[i].ua, err))
+				u.reportError(fmt.Errorf("transport: send to %s: %w", peers[i].ap, err))
 				continue
 			}
 			u.sent.Add(1)
@@ -860,23 +783,24 @@ func (u *UDP) Close() error {
 		// concurrent Broadcasts (see Broadcast's done check).
 		if n := u.send.drain(); n > 0 {
 			u.dropped.Add(uint64(n))
-			u.fireDropHook(true, n)
+			u.fireDropHook(n)
 		}
 		if n := u.recv.drain(); n > 0 {
 			u.recvDropped.Add(uint64(n))
-			u.fireDropHook(false, n)
+			u.fireDropHook(n)
 		}
 	})
 	return err
 }
 
-func (u *UDP) fireDropHook(outbound bool, n int) {
+// fireDropHook runs the armed drop hook once per evicted message.
+func (u *UDP) fireDropHook(n int) {
 	fn := u.dropHook.Load()
 	if fn == nil {
 		return
 	}
 	for i := 0; i < n; i++ {
-		(*fn)(outbound)
+		(*fn)()
 	}
 }
 
@@ -933,9 +857,7 @@ func (u *UDP) ingest(data []byte, src netip.AddrPort) {
 	u.recv.mu.Unlock()
 	if droppedOldest {
 		u.recvDropped.Add(1)
-		if fn := u.dropHook.Load(); fn != nil {
-			(*fn)(false)
-		}
+		u.fireDropHook(1)
 	}
 	select {
 	case u.dispatchKick <- struct{}{}:
@@ -946,17 +868,8 @@ func (u *UDP) ingest(data []byte, src netip.AddrPort) {
 // readOne is the portable single-datagram read, also the fallback when
 // the batched syscall path is unavailable.
 func (u *UDP) readOne(buf []byte) (int, netip.AddrPort, error) {
-	if u.uconn != nil {
-		n, ap, err := u.uconn.ReadFromUDPAddrPort(buf)
-		return n, netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), err
-	}
-	n, a, err := u.conn.ReadFrom(buf)
-	var ap netip.AddrPort
-	if ua, ok := a.(*net.UDPAddr); ok {
-		p := ua.AddrPort()
-		ap = netip.AddrPortFrom(p.Addr().Unmap(), p.Port())
-	}
-	return n, ap, err
+	n, ap, err := u.conn.ReadFromUDPAddrPort(buf)
+	return n, netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), err
 }
 
 // dispatchLoop decodes queued datagrams and runs the handler, one

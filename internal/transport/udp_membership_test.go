@@ -299,29 +299,20 @@ func TestUDPRemovePeer(t *testing.T) {
 // clock: no goroutines, no sleeps — eviction timing is exact. A peer is
 // kept alive precisely as long as datagrams keep arriving inside the
 // suspicion window and evicted on the first sweep past it; a rejoin via
-// LearnPeers works after eviction.
+// LearnPeers works after eviction. The roster is read after every step.
 func TestUDPSuspicionDeterministic(t *testing.T) {
-	var changes []string
-	var mu sync.Mutex
 	u, err := newUDP(UDPConfig{
 		Listen:     "127.0.0.1:0",
 		Handler:    func(event.Message) {},
 		LearnPeers: true,
 		Suspicion:  time.Second,
-		OnPeerChange: func(addr string, joined bool) {
-			mu.Lock()
-			if joined {
-				changes = append(changes, "+"+addr)
-			} else {
-				changes = append(changes, "-"+addr)
-			}
-			mu.Unlock()
-		},
 	}, false) // no background loops: the test owns the clock and the sweeps
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)
 	}
 	defer u.Close()
+	var rosters []string
+	snap := func() { rosters = append(rosters, "["+strings.Join(u.Peers(), " ")+"]") }
 	t0 := time.Unix(1000, 0)
 	now := t0
 	u.now = func() time.Time { return now }
@@ -329,24 +320,29 @@ func TestUDPSuspicionDeterministic(t *testing.T) {
 	if err := u.AddPeer(peer.String()); err != nil {
 		t.Fatal(err)
 	}
+	snap()
 	// Inside the window: nothing to evict.
 	now = t0.Add(900 * time.Millisecond)
 	if n := u.sweepSilent(now); n != 0 {
 		t.Fatalf("evicted %d peers inside the suspicion window", n)
 	}
+	snap()
 	// A datagram from the peer refreshes its clock...
 	now = t0.Add(950 * time.Millisecond)
 	u.observeSource(peer)
+	snap()
 	// ...so a sweep past the ORIGINAL deadline keeps it.
 	now = t0.Add(1800 * time.Millisecond)
 	if n := u.sweepSilent(now); n != 0 {
 		t.Fatalf("refreshed peer evicted (%d)", n)
 	}
+	snap()
 	// Silence past the refreshed deadline evicts it.
 	now = t0.Add(2 * time.Second)
 	if n := u.sweepSilent(now); n != 1 {
 		t.Fatalf("sweep at +2s evicted %d peers, want 1", n)
 	}
+	snap()
 	if n := u.PeerCount(); n != 0 {
 		t.Fatalf("roster still has %d peers after eviction", n)
 	}
@@ -355,18 +351,17 @@ func TestUDPSuspicionDeterministic(t *testing.T) {
 	}
 	// Rejoin: the next datagram from the evicted peer re-learns it.
 	u.observeSource(peer)
+	snap()
 	if n := u.PeerCount(); n != 1 {
 		t.Fatalf("evicted peer did not rejoin on its next datagram (%d peers)", n)
 	}
 	if s := u.Stats(); s.PeersLearned != 1 {
 		t.Fatalf("PeersLearned = %d, want 1 (the rejoin)", s.PeersLearned)
 	}
-	mu.Lock()
-	got := strings.Join(changes, " ")
-	mu.Unlock()
-	want := "+127.0.0.9:4242 -127.0.0.9:4242 +127.0.0.9:4242"
-	if got != want {
-		t.Fatalf("OnPeerChange sequence = %q, want %q", got, want)
+	p := "[" + peer.String() + "]"
+	want := strings.Join([]string{p, p, p, p, "[]", p}, " ")
+	if got := strings.Join(rosters, " "); got != want {
+		t.Fatalf("roster sequence = %q, want %q", got, want)
 	}
 }
 
@@ -375,11 +370,10 @@ func TestUDPSuspicionDeterministic(t *testing.T) {
 // goroutine and stops receiving, then rejoins by sending again.
 func TestUDPEvictionEndToEnd(t *testing.T) {
 	a, err := NewUDP(UDPConfig{
-		Listen:         "127.0.0.1:0",
-		Handler:        func(event.Message) {},
-		LearnPeers:     true,
-		Suspicion:      150 * time.Millisecond,
-		SuspicionSweep: 20 * time.Millisecond,
+		Listen:     "127.0.0.1:0",
+		Handler:    func(event.Message) {},
+		LearnPeers: true,
+		Suspicion:  150 * time.Millisecond, // swept every 37.5 ms
 	})
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)

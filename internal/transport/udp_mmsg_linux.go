@@ -150,12 +150,12 @@ const (
 )
 
 // sendBatchOS fans the batch out via sendmmsg. handled=false means the
-// fast path is unavailable (non-UDP conn, or latched off) and nothing
-// was sent — the caller runs the portable path. Entries are laid out
+// fast path is latched off and nothing was sent — the caller runs the
+// portable path. Entries are laid out
 // msg-major (every peer of message 0, then message 1, ...), so on an
 // early close the fully-offered message count is offered/len(peers).
 func (u *UDP) sendBatchOS(batch [][]byte, peers []*peerAddr) (handled bool, completed int) {
-	if u.raw == nil || !u.mmsgOK.Load() {
+	if !u.mmsgOK.Load() {
 		return false, 0
 	}
 	if u.mw == nil {
@@ -226,7 +226,7 @@ func (u *UDP) flushChunk(k int) (offered int, status flushStatus) {
 			// sendmmsg reports an error by failing the FIRST entry;
 			// count it, skip it, keep draining the rest.
 			u.sendErrs.Add(1)
-			u.reportError(fmt.Errorf("transport: sendmmsg to %s: %w", mw.who[mw.off].ua, error(mw.errno)))
+			u.reportError(fmt.Errorf("transport: sendmmsg to %s: %w", mw.who[mw.off].ap, error(mw.errno)))
 			mw.off++
 			continue
 		}
@@ -290,7 +290,7 @@ func (u *UDP) newReadBatcher() *readBatcher {
 func (rb *readBatcher) read() (int, error) {
 	u := rb.u
 	for {
-		if u.raw == nil || !u.mmsgOK.Load() {
+		if !u.mmsgOK.Load() {
 			n, src, err := u.readOne(rb.bufs[0])
 			if err != nil {
 				return 0, err

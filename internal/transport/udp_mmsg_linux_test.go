@@ -15,14 +15,14 @@ import (
 // rawSink is a bare UDP socket that records every datagram payload it
 // receives, bit-for-bit.
 type rawSink struct {
-	conn net.PacketConn
+	conn *net.UDPConn
 	mu   sync.Mutex
 	got  []string
 }
 
 func newRawSink(t *testing.T) *rawSink {
 	t.Helper()
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)
 	}

@@ -256,9 +256,6 @@ func TestUDPConfigValidation(t *testing.T) {
 	if _, err := NewUDP(UDPConfig{Listen: "127.0.0.1:0", Handler: h, RecvQueue: -1}); err == nil {
 		t.Fatal("negative RecvQueue accepted")
 	}
-	if _, err := NewUDP(UDPConfig{Listen: "127.0.0.1:0", Handler: h, FlushInterval: -time.Second}); err == nil {
-		t.Fatal("negative FlushInterval accepted")
-	}
 }
 
 // TestUDPSendRingOverflowDropsOldest pins the backpressure contract of
@@ -416,8 +413,8 @@ func TestUDPBroadcastNotBlockedByUnreadPeer(t *testing.T) {
 	}
 }
 
-// TestUDPBatchCoalescing pins the flush-tick behaviour: broadcasts
-// issued within one FlushInterval ride the same writer wakeup, so the
+// TestUDPBatchCoalescing pins the writer's coalescing: broadcasts that
+// queue while the writer is busy (here: parked) ride one wakeup, so the
 // batch counter stays far below the message count while every message
 // is still delivered.
 func TestUDPBatchCoalescing(t *testing.T) {
@@ -429,12 +426,11 @@ func TestUDPBatchCoalescing(t *testing.T) {
 	}
 	defer recv.Close()
 	recv.Start()
-	sender, err := NewUDP(UDPConfig{
-		Listen:        "127.0.0.1:0",
-		Peers:         []string{recv.LocalAddr().String()},
-		Handler:       func(event.Message) {},
-		FlushInterval: 20 * time.Millisecond,
-	})
+	sender, err := newUDP(UDPConfig{
+		Listen:  "127.0.0.1:0",
+		Peers:   []string{recv.LocalAddr().String()},
+		Handler: func(event.Message) {},
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,6 +438,7 @@ func TestUDPBatchCoalescing(t *testing.T) {
 	for i := 0; i < n; i++ {
 		sender.Broadcast(event.IDList{From: event.NodeID(i)})
 	}
+	sender.startWriter()
 	waitFor(t, func() bool { return c.count() == n }, "all coalesced messages")
 	s := sender.Stats()
 	if s.Batches == 0 || s.Batches > n/2 {
@@ -451,15 +448,14 @@ func TestUDPBatchCoalescing(t *testing.T) {
 
 // TestUDPBroadcastZeroAlloc pins the pooled fast path: once every ring
 // slot has grown to its working size, Broadcast performs zero heap
-// allocations. The writer is parked on a distant flush tick so the
-// measurement sees the pure enqueue cost the protocol layer pays.
+// allocations. The writer is parked (never started) so the measurement
+// sees the pure enqueue cost the protocol layer pays.
 func TestUDPBroadcastZeroAlloc(t *testing.T) {
-	u, err := NewUDP(UDPConfig{
-		Listen:        "127.0.0.1:0",
-		Handler:       func(event.Message) {},
-		SendQueue:     64,
-		FlushInterval: time.Hour,
-	})
+	u, err := newUDP(UDPConfig{
+		Listen:    "127.0.0.1:0",
+		Handler:   func(event.Message) {},
+		SendQueue: 64,
+	}, false)
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)
 	}

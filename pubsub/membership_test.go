@@ -30,9 +30,8 @@ func mkDynNode(t *testing.T, id pubsub.NodeID, seeds []string, suspicion time.Du
 		HBUpperBound: 50 * time.Millisecond,
 		OnDeliver:    deliver,
 	}, "127.0.0.1:0", seeds, pubsub.UDPTuning{
-		FlushInterval: time.Millisecond,
-		LearnPeers:    true,
-		Suspicion:     suspicion,
+		LearnPeers: true,
+		Suspicion:  suspicion,
 	})
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)

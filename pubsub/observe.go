@@ -74,11 +74,10 @@ func (n *Node) RegisterMetrics(reg *MetricsRegistry) {
 func (n *Node) StartFlightRecorder(capacity int) {
 	r := trace.NewRing(capacity)
 	if n.udp != nil {
-		n.udp.SetDropHook(func(outbound bool) {
+		n.udp.SetDropHook(func() {
 			// The evicted message is gone (that is what a drop is), so
-			// the record carries only the direction-agnostic fact; the
-			// repro_transport_*_drops_total counters split by ring.
-			_ = outbound
+			// the record carries only the fact; the
+			// repro_transport_*_drops_total counters tell the rings apart.
 			if ring := n.flight.Load(); ring != nil {
 				ring.Add(trace.Record{At: n.flightNow(), Node: n.id, Op: trace.OpDrop})
 			}

@@ -62,24 +62,14 @@ type (
 	// Stats are the protocol's cumulative counters.
 	Stats = core.Stats
 	// TransportStats are the UDP transport's cumulative counters
-	// (datagrams, decode errors, queue drops, flush batches).
+	// (datagrams, decode errors, queue drops, writer batches).
 	TransportStats = transport.Stats
 )
 
-// UDPTuning adjusts the asynchronous fast path of the built-in UDP
-// transport. The zero value selects the defaults
-// (transport.DefaultSendQueue / DefaultRecvQueue, immediate flush) —
-// NewUDPNode uses exactly that.
+// UDPTuning selects the membership mode of the built-in UDP transport.
+// The zero value is a static roster (the peers passed in, plus AddPeer)
+// with no failure detection — NewUDPNode uses exactly that.
 type UDPTuning struct {
-	// SendQueue bounds the outbound message ring; overflow drops the
-	// oldest queued message (counted in TransportStats.Dropped).
-	SendQueue int
-	// RecvQueue bounds the inbound dispatch ring; overflow drops the
-	// oldest queued datagram (counted in TransportStats.RecvDropped).
-	RecvQueue int
-	// FlushInterval makes the writer linger so nearby broadcasts
-	// coalesce into one batch; 0 flushes as soon as the writer wakes.
-	FlushInterval time.Duration
 	// LearnPeers turns the peers list into join seeds: the roster grows
 	// from observed datagram sources, so a joining node only needs one
 	// reachable seed and the rest of the mesh learns it from its own
@@ -90,9 +80,6 @@ type UDPTuning struct {
 	// (counted in TransportStats.PeersEvicted). Size it to several
 	// protocol heartbeat periods (Config.THeartbeat).
 	Suspicion time.Duration
-	// SuspicionSweep overrides the eviction check period (default
-	// Suspicion/4).
-	SuspicionSweep time.Duration
 }
 
 // ParseTopic converts a string such as ".a.b" (or "a.b") into a Topic.
@@ -280,21 +267,17 @@ func NewUDPNode(cfg Config, listen string, peers []string) (*Node, error) {
 	return NewUDPNodeTuned(cfg, listen, peers, UDPTuning{})
 }
 
-// NewUDPNodeTuned is NewUDPNode with explicit transport tuning — queue
-// bounds and flush batching for high-rate deployments (see cmd/loadgen
-// for a soak harness built on it).
+// NewUDPNodeTuned is NewUDPNode with dynamic membership: peers become
+// join seeds and silent peers are evicted, as tun selects (see
+// cmd/loadgen -membership dynamic for a soak harness built on it).
 func NewUDPNodeTuned(cfg Config, listen string, peers []string, tun UDPTuning) (*Node, error) {
 	var n *Node
 	udp, err := transport.NewUDP(transport.UDPConfig{
-		Listen:         listen,
-		Peers:          peers,
-		Handler:        func(m Message) { _ = n.HandleMessage(m) },
-		SendQueue:      tun.SendQueue,
-		RecvQueue:      tun.RecvQueue,
-		FlushInterval:  tun.FlushInterval,
-		LearnPeers:     tun.LearnPeers,
-		Suspicion:      tun.Suspicion,
-		SuspicionSweep: tun.SuspicionSweep,
+		Listen:     listen,
+		Peers:      peers,
+		Handler:    func(m Message) { _ = n.HandleMessage(m) },
+		LearnPeers: tun.LearnPeers,
+		Suspicion:  tun.Suspicion,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: %w", err)

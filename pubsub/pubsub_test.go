@@ -130,18 +130,14 @@ func TestCustomTransportNode(t *testing.T) {
 func TestUDPNodeEndToEnd(t *testing.T) {
 	news := pubsub.MustParseTopic(".mesh")
 	mk := func(id pubsub.NodeID, deliver func(pubsub.Event)) *pubsub.Node {
-		// Explicit (default-equivalent) tuning exercises the tuned
-		// constructor on the same end-to-end path NewUDPNode takes.
+		// Zero tuning exercises the tuned constructor on the same
+		// end-to-end path NewUDPNode takes.
 		n, err := pubsub.NewUDPNodeTuned(pubsub.Config{
 			ID:           id,
 			HBDelay:      50 * time.Millisecond,
 			HBUpperBound: 50 * time.Millisecond,
 			OnDeliver:    deliver,
-		}, "127.0.0.1:0", nil, pubsub.UDPTuning{
-			SendQueue:     256,
-			RecvQueue:     256,
-			FlushInterval: time.Millisecond,
-		})
+		}, "127.0.0.1:0", nil, pubsub.UDPTuning{})
 		if err != nil {
 			t.Skipf("UDP unavailable: %v", err)
 		}
