@@ -574,11 +574,12 @@ func run() int {
 		}()
 	}
 	defer stopProgress()
-	// Throughput and message counters cover the measurement window only:
-	// baselines are snapshotted once warm-up ends.
+	// Throughput, CPU and message counters cover the measurement window
+	// only: baselines are snapshotted once warm-up ends, and the netsim
+	// mirror runs after the window closes.
 	time.Sleep(time.Until(start.Add(*warmup)))
 	baseProto, baseWire := ms.totals()
-	measureStart := time.Now()
+	measureStart, cpuStart := time.Now(), processCPU()
 
 	led := netsim.NewLedger(*nodes, roster, false)
 	if err := ms.drive(netsim.NewDriver(ms, led, eventTopic, rng), led, gen); err != nil {
@@ -587,6 +588,7 @@ func run() int {
 	}
 	time.Sleep(time.Until(end))
 	ms.settle(led)
+	cpu := (processCPU() - cpuStart).Seconds()
 
 	proto, wire := ms.totals()
 	proto = proto.Sub(baseProto)
@@ -607,10 +609,16 @@ func run() int {
 		msgsPerDelivery = float64(protoMsgs) / float64(gotSum)
 	}
 	dps := float64(wire.DatagramsSent) / elapsed
+	// The ROADMAP's real-path headline: datagrams per CPU-second of the
+	// whole process (protocol, transport and harness alike).
+	dpcs := 0.0
+	if cpu > 0 {
+		dpcs = float64(wire.DatagramsSent) / cpu
+	}
 
 	fmt.Printf("real:  published %d  delivered %d/%d (ratio %.3f)\n", published, gotSum, eligSum, realRatio)
-	fmt.Printf("real:  proto msgs %d (%.1f per delivery)  datagrams %.0f/s  batches %d  mmsg sends %d\n",
-		protoMsgs, msgsPerDelivery, dps, wire.Batches, wire.MmsgSends)
+	fmt.Printf("real:  proto msgs %d (%.1f per delivery)  datagrams %.0f/s (%.0f per CPU-second)  batches %d  mmsg sends %d\n",
+		protoMsgs, msgsPerDelivery, dps, dpcs, wire.Batches, wire.MmsgSends)
 	fmt.Printf("real:  latency ms p50 %.1f  p90 %.1f  p99 %.1f  (n=%d)\n",
 		lat.Quantile(0.50)*1e3, lat.Quantile(0.90)*1e3, lat.Quantile(0.99)*1e3, lat.N())
 	fmt.Printf("real:  drops send %d recv %d  decode errs %d  send errs %d\n",
@@ -670,6 +678,7 @@ func run() int {
 		RatioGap:        math.Abs(realRatio - simRatio),
 		ProtoMsgs:       protoMsgs,
 		DatagramsPerSec: dps,
+		DatagramsPerCPU: dpcs,
 		Batches:         wire.Batches,
 		MmsgSends:       wire.MmsgSends,
 		MmsgRecvs:       wire.MmsgRecvs,
@@ -762,6 +771,7 @@ type report struct {
 	RatioGap        float64      `json:"ratio_gap"`
 	ProtoMsgs       uint64       `json:"proto_msgs"`
 	DatagramsPerSec float64      `json:"datagrams_per_second"`
+	DatagramsPerCPU float64      `json:"datagrams_per_cpu_second"`
 	Batches         uint64       `json:"batches"`
 	MmsgSends       uint64       `json:"mmsg_sends"`
 	MmsgRecvs       uint64       `json:"mmsg_recvs"`

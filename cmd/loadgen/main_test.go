@@ -58,6 +58,8 @@ func TestSmallSoakCheckPasses(t *testing.T) {
 		Published int     `json:"published"`
 		Delivered int     `json:"delivered"`
 		RealRatio float64 `json:"real_delivery_ratio"`
+		PerSec    float64 `json:"datagrams_per_second"`
+		PerCPU    float64 `json:"datagrams_per_cpu_second"`
 		Check     *struct {
 			Passed bool `json:"passed"`
 		} `json:"check"`
@@ -69,8 +71,16 @@ func TestSmallSoakCheckPasses(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report not valid JSON: %v\n%s", err, data)
 	}
-	if rep.Published == 0 || rep.Delivered == 0 || rep.RealRatio <= 0 {
+	if rep.Published == 0 || rep.Delivered == 0 || rep.RealRatio <= 0 || rep.PerSec <= 0 {
 		t.Fatalf("report counters empty: %s", data)
+	}
+	// Where the process can read its CPU time, the north-star rate is
+	// reported too.
+	if processCPU() > 0 && rep.PerCPU <= 0 {
+		t.Fatalf("datagrams_per_cpu_second missing: %s", data)
+	}
+	if !strings.Contains(string(out), "per CPU-second") {
+		t.Fatalf("real: line lacks the per-CPU-second rate:\n%s", out)
 	}
 	if rep.Check == nil || !rep.Check.Passed {
 		t.Fatalf("report check verdict wrong: %s", data)

@@ -33,7 +33,8 @@
 //     UDP peer-group broadcast with dynamic membership (seed-based
 //     join from observed datagram sources, suspicion-window failure
 //     detection) and a build-tagged Linux sendmmsg/recvmmsg syscall
-//     fast path (ARCHITECTURE.md "Real-path contracts" and
+//     fast path that sends runs of equal-size messages as UDP GSO
+//     segment trains (ARCHITECTURE.md "Real-path contracts" and
 //     "Real-deployment contracts"), with per-node metrics registration
 //     and flight recording built in
 //   - cmd/experiments, cmd/frugalsim, cmd/loadgen —

@@ -18,16 +18,18 @@
 // overflow (new information beats stale information in a soft-state
 // protocol) and count drops in Stats; steady-state Broadcast performs
 // zero heap allocations. On Linux each flush batch is handed to the
-// kernel in one sendmmsg call and the read loop drains the socket with
-// recvmmsg (see udp_mmsg_linux.go); the wire bytes are identical to the
-// portable per-datagram path.
+// kernel in one sendmmsg call, runs of equal-size messages go to each
+// peer as one UDP GSO segment train, and the read loop drains the
+// socket with recvmmsg (see udp_mmsg_linux.go); the wire bytes are
+// identical to the portable per-datagram path.
 //
 // Membership is dynamic when configured: the initial Peers act as
 // seeds, the roster grows from observed datagram sources (LearnPeers),
 // and a suspicion window evicts peers whose datagrams — the protocol's
-// own heartbeats, in steady state — stop arriving (Suspicion). With the
-// zero config the transport behaves exactly like the static full-mesh
-// roster of earlier revisions.
+// own heartbeats, in steady state — stop arriving (Suspicion). Only a
+// datagram that decodes counts as a sign of life. With the zero config
+// the transport behaves exactly like the static full-mesh roster of
+// earlier revisions.
 package transport
 
 import (
@@ -106,16 +108,16 @@ type UDPConfig struct {
 	// Stats.RecvDropped; decode and handler work never stall socket
 	// reads.
 	RecvQueue int
-	// LearnPeers grows the roster dynamically: any datagram arriving
-	// from a source address not yet in the peer group joins it (the
-	// configured Peers then act as seeds — a new node only needs one
-	// reachable seed; everyone it heartbeats learns it from the
-	// datagram source, no global roster required). Sources naming the
-	// local socket are never learned.
+	// LearnPeers grows the roster dynamically: any decodable datagram
+	// arriving from a source address not yet in the peer group joins
+	// it (the configured Peers then act as seeds — a new node only
+	// needs one reachable seed; everyone it heartbeats learns it from
+	// the datagram source, no global roster required). Sources naming
+	// the local socket are never learned.
 	LearnPeers bool
 	// Suspicion, when positive, arms heartbeat-driven failure
-	// detection: a peer from which no datagram has arrived within the
-	// window is evicted from the roster (counted in
+	// detection: a peer from which no decodable datagram has arrived
+	// within the window is evicted from the roster (counted in
 	// Stats.PeersEvicted). The protocol's periodic heartbeats keep
 	// live peers refreshed, so the window should cover several
 	// heartbeat periods. Combine with LearnPeers so an evicted peer
@@ -126,6 +128,8 @@ type UDPConfig struct {
 
 // Stats are cumulative transport counters, safe to read concurrently.
 type Stats struct {
+	// DatagramsSent counts datagrams handed to the kernel, one per
+	// (message, peer): a segment train counts each of its segments.
 	DatagramsSent     uint64
 	DatagramsReceived uint64
 	DecodeErrors      uint64
@@ -150,7 +154,8 @@ type Stats struct {
 	// PeersEvicted counts suspicion-window evictions (Suspicion).
 	PeersEvicted uint64
 	// MmsgSends counts sendmmsg syscalls on the Linux batched fast
-	// path (0 elsewhere); DatagramsSent/MmsgSends is the syscall
+	// path (0 elsewhere), whatever mix of plain datagrams and segment
+	// trains each carried; DatagramsSent/MmsgSends is the syscall
 	// batching factor.
 	MmsgSends uint64
 	// MmsgRecvs counts recvmmsg syscalls on the Linux batched fast
@@ -200,40 +205,45 @@ func (a Stats) Sub(b Stats) Stats {
 type ring struct {
 	mu    sync.Mutex
 	slots [][]byte
+	// srcs, when non-nil (the dispatch ring of a transport that tracks
+	// membership), holds each slot's datagram source.
+	srcs  []netip.AddrPort
 	tail  int // oldest entry
 	count int
 }
 
-// push returns the slot buffer to marshal into (reset to length 0) and
-// whether the oldest entry was evicted to make room. Callers must hold
-// mu, fill the returned buffer, and store it back via the returned
-// index before unlocking.
-func (r *ring) push() (slot *[]byte, dropped bool) {
+// push returns the index of the slot to fill and whether the oldest
+// entry was evicted to make room. Callers must hold mu and fill
+// slots[i] (reusing its buffer from length 0) before unlocking.
+func (r *ring) push() (i int, dropped bool) {
 	if r.count == len(r.slots) {
 		// Full: the write lands on the current tail slot, evicting the
 		// oldest queued entry.
-		i := r.tail
+		i = r.tail
 		r.tail = (r.tail + 1) % len(r.slots)
-		return &r.slots[i], true
+		return i, true
 	}
-	i := (r.tail + r.count) % len(r.slots)
+	i = (r.tail + r.count) % len(r.slots)
 	r.count++
-	return &r.slots[i], false
+	return i, false
 }
 
-// pop swaps the oldest entry out for spare and returns it; ok is false
-// when the ring is empty (spare is then still the caller's). The caller
-// reclaims the returned buffer as its next spare once done with it.
-// Callers must hold mu.
-func (r *ring) pop(spare []byte) (data []byte, ok bool) {
+// pop swaps the oldest entry out for spare and returns it with its
+// source (zero without srcs); ok is false when the ring is empty (spare
+// is then still the caller's). The caller reclaims the returned buffer
+// as its next spare once done with it. Callers must hold mu.
+func (r *ring) pop(spare []byte) (data []byte, src netip.AddrPort, ok bool) {
 	if r.count == 0 {
-		return nil, false
+		return nil, src, false
 	}
 	i := r.tail
 	data, r.slots[i] = r.slots[i], spare
+	if r.srcs != nil {
+		src = r.srcs[i]
+	}
 	r.tail = (r.tail + 1) % len(r.slots)
 	r.count--
-	return data, true
+	return data, src, true
 }
 
 // drain empties the ring and returns how many entries it held. Used by
@@ -344,6 +354,10 @@ type UDP struct {
 	// the first time the kernel (or a seccomp filter) rejects the
 	// syscall, permanently falling back to the portable path.
 	mmsgOK atomic.Bool
+	// gsoOK gates segment trains on that path: set when the socket
+	// accepts UDP_SEGMENT, latched false the first time the kernel
+	// rejects a train as malformed.
+	gsoOK atomic.Bool
 
 	// mw is the writer goroutine's lazily-built sendmmsg state; only
 	// writeLoop touches it.
@@ -424,7 +438,11 @@ func newUDP(cfg UDPConfig, startWriter bool) (*UDP, error) {
 		dispatchKick: make(chan struct{}, 1),
 		done:         make(chan struct{}),
 	}
+	if u.trackSrc {
+		u.recv.srcs = make([]netip.AddrPort, recvQ)
+	}
 	u.mmsgOK.Store(true)
+	u.gsoOK.Store(probeGSO(raw))
 	for _, p := range cfg.Peers {
 		if err := u.AddPeer(p); err != nil {
 			conn.Close()
@@ -568,8 +586,9 @@ func (u *UDP) PeerCount() int {
 
 // observeSource feeds the membership layer one datagram source: refresh
 // the sender's suspicion clock, or — with LearnPeers — join it to the
-// roster. Called from the socket read goroutine for every datagram when
-// tracking is on.
+// roster. Called from the dispatch goroutine for every datagram that
+// decodes, when tracking is on: bytes that are not a protocol message
+// say nothing about a peer.
 func (u *UDP) observeSource(src netip.AddrPort) {
 	if !src.IsValid() {
 		return
@@ -646,8 +665,8 @@ func (u *UDP) Broadcast(m event.Message) {
 		return
 	default:
 	}
-	slot, droppedOldest := u.send.push()
-	*slot = event.AppendMarshal((*slot)[:0], m)
+	i, droppedOldest := u.send.push()
+	u.send.slots[i] = event.AppendMarshal(u.send.slots[i][:0], m)
 	u.send.mu.Unlock()
 	if droppedOldest {
 		u.dropped.Add(1)
@@ -845,15 +864,15 @@ func (u *UDP) readLoop() {
 	}
 }
 
-// ingest accounts one received datagram: membership tracking, then the
-// bounded dispatch ring.
+// ingest copies one received datagram, with its source when membership
+// is tracked, into the bounded dispatch ring.
 func (u *UDP) ingest(data []byte, src netip.AddrPort) {
-	if u.trackSrc {
-		u.observeSource(src)
-	}
 	u.recv.mu.Lock()
-	slot, droppedOldest := u.recv.push()
-	*slot = append((*slot)[:0], data...)
+	i, droppedOldest := u.recv.push()
+	u.recv.slots[i] = append(u.recv.slots[i][:0], data...)
+	if u.recv.srcs != nil {
+		u.recv.srcs[i] = src
+	}
 	u.recv.mu.Unlock()
 	if droppedOldest {
 		u.recvDropped.Add(1)
@@ -888,7 +907,7 @@ func (u *UDP) dispatchLoop() {
 		}
 		for {
 			u.recv.mu.Lock()
-			data, ok := u.recv.pop(spare)
+			data, src, ok := u.recv.pop(spare)
 			u.recv.mu.Unlock()
 			if !ok {
 				break
@@ -899,6 +918,9 @@ func (u *UDP) dispatchLoop() {
 				u.decodeErrs.Add(1)
 				u.reportError(fmt.Errorf("transport: decode %d bytes: %w", len(data), err))
 				continue
+			}
+			if u.trackSrc {
+				u.observeSource(src)
 			}
 			u.received.Add(1)
 			if h := u.handlerHist.Load(); h != nil {

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -427,5 +428,74 @@ func TestUDPLearnNeverSelf(t *testing.T) {
 	u.observeSource(netip.AddrPortFrom(self.Addr().Unmap(), self.Port()))
 	if n := u.PeerCount(); n != 0 {
 		t.Fatalf("node learned itself as a peer: %v", u.Peers())
+	}
+}
+
+// TestUDPUndecodableSourceNotLearned: bytes that do not decode say
+// nothing about a peer. Garbage from a fresh socket neither joins the
+// roster nor counts as learned; a heartbeat from the same socket then
+// does. Garbage from a known peer does not refresh its suspicion clock.
+func TestUDPUndecodableSourceNotLearned(t *testing.T) {
+	u, err := newUDP(UDPConfig{
+		Listen:     "127.0.0.1:0",
+		Handler:    func(event.Message) {},
+		LearnPeers: true,
+		Suspicion:  time.Second,
+	}, false) // no sweeper: the test owns the clock
+	if err != nil {
+		t.Skipf("UDP unavailable: %v", err)
+	}
+	defer u.Close()
+	t0 := time.Unix(1000, 0)
+	var clock atomic.Int64 // read by the dispatch goroutine
+	clock.Store(t0.UnixNano())
+	u.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	u.Start()
+
+	stray, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stray.Close()
+	src := stray.LocalAddr().(*net.UDPAddr).AddrPort()
+	send := func(b []byte) {
+		t.Helper()
+		if _, err := stray.WriteTo(b, u.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	garbage := []byte{0xff, 0x01, 0x02}
+	heartbeat := event.Marshal(event.Heartbeat{From: 2})
+	lastSeen := func() int64 {
+		u.mu.RLock()
+		defer u.mu.RUnlock()
+		return u.peerIdx[src].lastSeen.Load()
+	}
+
+	send(garbage)
+	waitFor(t, func() bool { return u.Stats().DecodeErrors == 1 }, "decode error")
+	if n, s := u.PeerCount(), u.Stats(); n != 0 || s.PeersLearned != 0 {
+		t.Fatalf("undecodable datagram taught the roster: %d peers, %d learned", n, s.PeersLearned)
+	}
+
+	send(heartbeat)
+	waitFor(t, func() bool { return u.PeerCount() == 1 }, "heartbeat source learned")
+	if s := u.Stats(); s.PeersLearned != 1 {
+		t.Fatalf("PeersLearned = %d, want 1", s.PeersLearned)
+	}
+	if got := lastSeen(); got != t0.UnixNano() {
+		t.Fatalf("learned peer lastSeen = %d, want %d", got, t0.UnixNano())
+	}
+
+	clock.Store(t0.Add(500 * time.Millisecond).UnixNano())
+	send(garbage)
+	waitFor(t, func() bool { return u.Stats().DecodeErrors == 2 }, "second decode error")
+	if got := lastSeen(); got != t0.UnixNano() {
+		t.Fatalf("garbage refreshed the peer's lastSeen to %d (was %d)", got, t0.UnixNano())
+	}
+	send(heartbeat)
+	waitFor(t, func() bool { return u.Stats().DatagramsReceived == 2 }, "second heartbeat dispatched")
+	if got, want := lastSeen(), t0.Add(500*time.Millisecond).UnixNano(); got != want {
+		t.Fatalf("heartbeat did not refresh lastSeen: %d, want %d", got, want)
 	}
 }

@@ -2,9 +2,13 @@
 
 // Linux batched-syscall fast path: the writer's per-flush batch goes to
 // the kernel in sendmmsg calls (one syscall for up to mmsgChunk
-// packets) and the read loop drains the socket with recvmmsg. The wire
-// bytes are identical to the portable per-datagram path — only the
-// syscall count changes (see TestMmsgPortableParity). Raw
+// entries) and the read loop drains the socket with recvmmsg. Where
+// the kernel supports UDP GSO (UDP_SEGMENT, Linux 4.18+), each run of
+// consecutive equal-length messages goes to each peer as one entry —
+// a segment train — which the kernel sends as one ordinary datagram
+// per segment. The wire bytes each receiver sees are identical to the
+// portable per-datagram path; only the syscall and stack-walk counts
+// change (see TestMmsgPortableParity, TestGSOTrainParity). Raw
 // syscall.Syscall6 against stdlib constants keeps the module
 // dependency-free; the shape follows the classic x/net
 // Sendmmsg/Recvmmsg wrappers. Both directions integrate with the
@@ -13,7 +17,9 @@
 // spinning, so Close and deadlines keep working. The first
 // capability-type errno (ENOSYS from an old kernel, EPERM from a
 // seccomp filter, ...) before any success latches mmsgOK=false and the
-// transport falls back to the portable path for good.
+// transport falls back to the portable path for good. Trains have
+// their own latch, gsoOK: set by a setsockopt probe at construction,
+// cleared for good when the kernel rejects a train as malformed.
 
 package transport
 
@@ -33,6 +39,23 @@ const mmsgChunk = 64
 // recvSlots is the recvmmsg batch width: one syscall can drain up to
 // this many queued datagrams.
 const recvSlots = 16
+
+// Segment-train limits.
+const (
+	// udpSegment is UDP_SEGMENT (linux/udp.h), which the frozen syscall
+	// package lacks; its level SOL_UDP equals IPPROTO_UDP.
+	udpSegment = 103
+	// gsoMaxSegment is the longest message sent as a segment: a
+	// 1500-byte MTU less the IPv6 and UDP headers. A segment longer
+	// than the route MTU makes the kernel fail the train with EINVAL;
+	// longer messages go as single datagrams, and IP fragments them.
+	gsoMaxSegment = 1500 - 40 - 8
+	// gsoMaxSegs caps the segments in one train: every GSO-capable
+	// kernel accepts 64.
+	gsoMaxSegs = 64
+	// gsoMaxBytes keeps a whole train under the 64 KiB datagram limit.
+	gsoMaxBytes = 60000
+)
 
 // mmsghdr mirrors struct mmsghdr. Go's natural field alignment
 // reproduces the C layout (msg_len plus trailing padding to the
@@ -110,27 +133,97 @@ func isMmsgUnsupported(errno syscall.Errno) bool {
 	return false
 }
 
-// mmsgWriter is the writer goroutine's sendmmsg scratch state: one
-// chunk of mmsghdrs/iovecs plus the owning peer of each entry for
-// error attribution. Allocated once, lazily, by the writer — Broadcast
-// stays zero-alloc.
-type mmsgWriter struct {
-	hdrs [mmsgChunk]mmsghdr
-	iovs [mmsgChunk]syscall.Iovec
-	who  [mmsgChunk]*peerAddr
-	// off/k (arguments) and sent/errno (results) cross the poller
-	// callback through fields, so fn is built once here instead of a
-	// fresh closure per syscall — the flush path allocates nothing.
-	off, k, sent int
-	errno        syscall.Errno
-	fn           func(fd uintptr) bool
+// probeGSO reports whether the socket accepts UDP_SEGMENT. A kernel
+// without UDP GSO answers ENOPROTOOPT; one that ignored the control
+// message instead would put a whole train on the wire as one datagram,
+// so trains are never sent without this check passing.
+func probeGSO(raw syscall.RawConn) bool {
+	var serr error
+	if err := raw.Control(func(fd uintptr) {
+		serr = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpSegment, 0)
+	}); err != nil {
+		return false
+	}
+	return serr == nil
 }
 
-func newMmsgWriter() *mmsgWriter {
-	mw := &mmsgWriter{}
+// isTrainRejected classifies the errnos with which the kernel refuses
+// a segment train as such — a segment over the route MTU or past the
+// segment limit (EINVAL), a socket that cannot offload (EIO), a train
+// over the datagram limit (EMSGSIZE). Any of them latches trains off
+// for the socket's life.
+func isTrainRejected(errno syscall.Errno) bool {
+	switch errno {
+	case syscall.EINVAL, syscall.EIO, syscall.EMSGSIZE:
+		return true
+	}
+	return false
+}
+
+// trainLen returns how many messages from the head of msgs go to each
+// peer as one segment train: the run of equal wire lengths, capped by
+// gsoMaxSegs and gsoMaxBytes. It is 1 — a plain datagram — when the
+// head message is too long to be a segment.
+func trainLen(msgs [][]byte) int {
+	size := len(msgs[0])
+	if size == 0 || size > gsoMaxSegment {
+		return 1
+	}
+	limit := min(len(msgs), gsoMaxSegs, gsoMaxBytes/size)
+	n := 1
+	for n < limit && len(msgs[n]) == size {
+		n++
+	}
+	return n
+}
+
+// gsoCmsg is one UDP_SEGMENT control message: the header and its
+// uint16 segment size, padded to CMSG_SPACE(2).
+type gsoCmsg struct {
+	hdr  syscall.Cmsghdr
+	size uint16
+	_    [6]byte
+}
+
+// mmsgEntry is what the writer keeps beside each mmsghdr: the peer it
+// goes to (error attribution), the datagrams it carries (1, or a
+// train's segment count) and how many batch messages have been offered
+// to every peer once it has been.
+type mmsgEntry struct {
+	who  *peerAddr
+	segs int
+	done int
+}
+
+// mmsgWriter is the writer goroutine's sendmmsg scratch state, built
+// once, lazily, by the writer — Broadcast stays zero-alloc and the
+// flush path allocates nothing.
+type mmsgWriter struct {
+	hdrs [mmsgChunk]mmsghdr
+	ents [mmsgChunk]mmsgEntry
+	ctrl [mmsgChunk]gsoCmsg
+	// iovs holds one iovec per send-ring slot, for the batch message
+	// in that position. Every peer's entry for a message or train
+	// points into it, so a train costs no copy.
+	iovs []syscall.Iovec
+	// split/splitEnts re-offer a failed train one segment per entry.
+	split     [gsoMaxSegs]mmsghdr
+	splitEnts [gsoMaxSegs]mmsgEntry
+	// vec/vlen (arguments) and sent/errno (results) cross the poller
+	// callback through fields, so fn is built once here instead of a
+	// fresh closure per syscall.
+	vec   *mmsghdr
+	vlen  int
+	sent  int
+	errno syscall.Errno
+	fn    func(fd uintptr) bool
+}
+
+func newMmsgWriter(batchCap int) *mmsgWriter {
+	mw := &mmsgWriter{iovs: make([]syscall.Iovec, batchCap)}
 	mw.fn = func(fd uintptr) bool {
 		r, _, e := syscall.Syscall6(sysSendmmsg, fd,
-			uintptr(unsafe.Pointer(&mw.hdrs[mw.off])), uintptr(mw.k-mw.off),
+			uintptr(unsafe.Pointer(mw.vec)), uintptr(mw.vlen),
 			syscall.MSG_DONTWAIT, 0, 0)
 		if e == syscall.EAGAIN {
 			return false // park on the poller until writable
@@ -139,6 +232,32 @@ func newMmsgWriter() *mmsgWriter {
 		return true
 	}
 	return mw
+}
+
+// load points one iovec at each batch message. A batch never holds
+// more messages than the send ring has slots.
+func (mw *mmsgWriter) load(batch [][]byte) {
+	for i, wire := range batch {
+		mw.iovs[i] = syscall.Iovec{Base: unsafe.SliceData(wire), Len: uint64(len(wire))}
+	}
+}
+
+// put fills entry k: the messages behind iovs, each size bytes long, to
+// p — a plain datagram for one iovec, a segment train for several.
+// done is the number of batch messages offered to every peer once this
+// entry has been.
+func (mw *mmsgWriter) put(k int, p *peerAddr, iovs []syscall.Iovec, size, done int) {
+	h := &mw.hdrs[k].hdr
+	*h = syscall.Msghdr{Name: &p.raw[0], Namelen: p.rawLen, Iov: &iovs[0], Iovlen: uint64(len(iovs))}
+	if len(iovs) > 1 {
+		c := &mw.ctrl[k]
+		c.hdr.Level, c.hdr.Type = syscall.IPPROTO_UDP, udpSegment
+		c.hdr.SetLen(syscall.CmsgLen(2))
+		c.size = uint16(size)
+		h.Control = (*byte)(unsafe.Pointer(c))
+		h.SetControllen(int(unsafe.Sizeof(*c)))
+	}
+	mw.ents[k] = mmsgEntry{who: p, segs: len(iovs), done: done}
 }
 
 type flushStatus int
@@ -151,96 +270,131 @@ const (
 
 // sendBatchOS fans the batch out via sendmmsg. handled=false means the
 // fast path is latched off and nothing was sent — the caller runs the
-// portable path. Entries are laid out
-// msg-major (every peer of message 0, then message 1, ...), so on an
-// early close the fully-offered message count is offered/len(peers).
+// portable path. Entries are laid out run-major, then peer: every
+// peer's entry for one train (or single message), then the next, so
+// each peer receives its datagrams in batch order. completed counts
+// the messages offered to every peer; an early close leaves at most
+// the current train partly offered, and the writer counts it dropped.
 func (u *UDP) sendBatchOS(batch [][]byte, peers []*peerAddr) (handled bool, completed int) {
 	if !u.mmsgOK.Load() {
 		return false, 0
 	}
 	if u.mw == nil {
-		u.mw = newMmsgWriter()
+		u.mw = newMmsgWriter(len(u.send.slots))
 	}
 	mw := u.mw
-	offered, k := 0, 0
-	for _, wire := range batch {
-		for _, p := range peers {
-			mw.iovs[k] = syscall.Iovec{Base: unsafe.SliceData(wire), Len: uint64(len(wire))}
-			mw.hdrs[k].hdr = syscall.Msghdr{
-				Name:    &p.raw[0],
-				Namelen: p.rawLen,
-				Iov:     &mw.iovs[k],
-				Iovlen:  1,
+	mw.load(batch)
+	done, k := 0, 0
+	var status flushStatus
+	for i := 0; i < len(batch); {
+		n := 1
+		if u.gsoOK.Load() {
+			n = trainLen(batch[i:])
+		}
+		for j, p := range peers {
+			end := i
+			if j == len(peers)-1 {
+				end = i + n
 			}
-			mw.who[k] = p
-			k++
-			if k == mmsgChunk {
-				done, status := u.flushChunk(k)
-				offered += done
-				k = 0
-				switch status {
-				case flushFellBack:
-					return false, 0
-				case flushClosed:
-					return true, offered / len(peers)
+			mw.put(k, p, mw.iovs[i:i+n], len(batch[i]), end)
+			if k++; k == mmsgChunk {
+				if done, status = u.flushChunk(k, done); status != flushOK {
+					return status == flushClosed, done
 				}
+				k = 0
 			}
 		}
+		i += n
 	}
 	if k > 0 {
-		done, status := u.flushChunk(k)
-		offered += done
-		switch status {
-		case flushFellBack:
-			return false, 0
-		case flushClosed:
-			return true, offered / len(peers)
+		if done, status = u.flushChunk(k, done); status != flushOK {
+			return status == flushClosed, done
 		}
 	}
 	return true, len(batch)
 }
 
-// flushChunk hands mw.hdrs[:k] to the kernel, retrying partial sends
-// until every entry has been offered. A head-entry error is counted and
-// skipped (mirroring the portable path's per-packet error handling); a
-// capability errno before any sendmmsg has ever succeeded on this
-// socket latches the portable path instead.
-func (u *UDP) flushChunk(k int) (offered int, status flushStatus) {
+// flushChunk offers mw.hdrs[:k] and returns the batch messages offered
+// to every peer so far (done before this chunk, more after it).
+func (u *UDP) flushChunk(k, done int) (int, flushStatus) {
 	mw := u.mw
-	mw.k, mw.off = k, 0
-	for mw.off < k {
+	offered, status := u.offer(mw.hdrs[:k], mw.ents[:k])
+	if offered > 0 {
+		done = mw.ents[offered-1].done
+	}
+	return done, status
+}
+
+// offer hands vec to the kernel, retrying partial sends until every
+// entry has been offered. sendmmsg reports an error by failing the
+// FIRST entry. A failed plain entry is counted and skipped (mirroring
+// the portable path's per-packet error handling), unless it is a
+// capability errno before any sendmmsg has ever succeeded on this
+// socket, which latches the portable path instead. A failed train is
+// re-offered one segment per entry, so delivery and SendErrors match
+// the plain path; if the kernel rejected it as a train, trains latch
+// off.
+func (u *UDP) offer(vec []mmsghdr, ents []mmsgEntry) (offered int, status flushStatus) {
+	mw := u.mw
+	for offered < len(vec) {
+		mw.vec, mw.vlen = &vec[offered], len(vec)-offered
 		mw.sent, mw.errno = 0, 0
-		werr := u.raw.Write(mw.fn)
-		if werr != nil {
+		if u.raw.Write(mw.fn) != nil {
 			// RawConn.Write fails only when the socket is closed.
-			return mw.off, flushClosed
+			return offered, flushClosed
 		}
-		if mw.errno != 0 {
-			if mw.errno == syscall.EINTR {
-				continue
+		switch e := ents[offered]; {
+		case mw.errno == syscall.EINTR:
+		case mw.errno != 0 && e.segs > 1:
+			if isTrainRejected(mw.errno) {
+				u.gsoOK.Store(false)
 			}
+			if status := u.resplit(&vec[offered].hdr, e.who); status != flushOK {
+				return offered, status
+			}
+			offered++
+		case mw.errno != 0:
 			if u.mmsgSends.Load() == 0 && isMmsgUnsupported(mw.errno) {
 				u.mmsgOK.Store(false)
 				return 0, flushFellBack
 			}
-			// sendmmsg reports an error by failing the FIRST entry;
-			// count it, skip it, keep draining the rest.
 			u.sendErrs.Add(1)
-			u.reportError(fmt.Errorf("transport: sendmmsg to %s: %w", mw.who[mw.off].ap, error(mw.errno)))
-			mw.off++
-			continue
-		}
-		if mw.sent <= 0 {
+			u.reportError(fmt.Errorf("transport: sendmmsg to %s: %w", e.who.ap, error(mw.errno)))
+			offered++
+		case mw.sent <= 0:
 			// Defensive: zero-progress success would loop forever.
 			u.sendErrs.Add(1)
-			mw.off++
-			continue
+			offered++
+		default:
+			u.mmsgSends.Add(1)
+			var dgrams uint64
+			for _, e := range ents[offered : offered+mw.sent] {
+				dgrams += uint64(e.segs)
+			}
+			u.sent.Add(dgrams)
+			offered += mw.sent
 		}
-		u.mmsgSends.Add(1)
-		u.sent.Add(uint64(mw.sent))
-		mw.off += mw.sent
 	}
-	return k, flushOK
+	return offered, flushOK
+}
+
+// resplit re-offers the failed train h to p one segment per entry, as
+// the plain path would have sent it.
+func (u *UDP) resplit(h *syscall.Msghdr, p *peerAddr) flushStatus {
+	mw := u.mw
+	iovs := unsafe.Slice(h.Iov, h.Iovlen)
+	for len(iovs) > 0 {
+		n := min(len(iovs), len(mw.split))
+		for j := range n {
+			mw.split[j].hdr = syscall.Msghdr{Name: h.Name, Namelen: h.Namelen, Iov: &iovs[j], Iovlen: 1}
+			mw.splitEnts[j] = mmsgEntry{who: p, segs: 1}
+		}
+		if _, status := u.offer(mw.split[:n], mw.splitEnts[:n]); status != flushOK {
+			return status
+		}
+		iovs = iovs[n:]
+	}
+	return flushOK
 }
 
 // readBatcher drains the socket with recvmmsg: up to recvSlots queued

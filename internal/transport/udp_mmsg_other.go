@@ -7,7 +7,10 @@
 
 package transport
 
-import "net/netip"
+import (
+	"net/netip"
+	"syscall"
+)
 
 // mmsgWriter is unused off the Linux batched path; the field on UDP
 // stays nil.
@@ -49,3 +52,7 @@ func (rb *readBatcher) read() (int, error) {
 func (rb *readBatcher) datagram(int) ([]byte, netip.AddrPort) {
 	return rb.buf[:rb.n], rb.src
 }
+
+// probeGSO reports segment trains unavailable: they exist only on the
+// Linux batched path.
+func probeGSO(syscall.RawConn) bool { return false }
