@@ -226,7 +226,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *showTrace > 0 {
-		sc.Trace = trace.New(*showTrace)
+		sc.Trace = trace.NewRing(*showTrace)
 	}
 	if *timeline {
 		// CoverageAt replays the full delivery record list; the runner
@@ -301,7 +301,7 @@ func main() {
 	}
 
 	if sc.Trace != nil {
-		fmt.Printf("\nlast %d timeline records:\n", sc.Trace.Len())
+		fmt.Printf("\nlast %d timeline records:\n", min(sc.Trace.Total(), uint64(*showTrace)))
 		if err := sc.Trace.WriteText(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -68,5 +70,24 @@ func TestFlagMisuseKeepsExit2(t *testing.T) {
 	}
 	if code := ee.ExitCode(); code != 2 {
 		t.Fatalf("flag misuse exited %d, want 2", code)
+	}
+}
+
+// TestCampusTraceGolden pins the -trace output end-to-end: the summary,
+// the last 40 timeline records and, since the run wraps the ring, the
+// dropped-records note after them. Only the wall-clock time is masked.
+func TestCampusTraceGolden(t *testing.T) {
+	bin := buildFrugalsim(t)
+	out, err := exec.Command(bin, "-scenario", "campus", "-trace", "40").Output()
+	if err != nil {
+		t.Fatalf("frugalsim: %v", err)
+	}
+	got := regexp.MustCompile(`\(wall [^)]*\)\n`).ReplaceAllString(string(out), "(wall X)\n")
+	want, err := os.ReadFile(filepath.Join("testdata", "campus-trace40.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("output differs from testdata/campus-trace40.golden:\n%s", got)
 	}
 }

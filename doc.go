@@ -26,8 +26,9 @@
 //     metrics registry (Prometheus text + JSON encoders, /metrics +
 //     /healthz + pprof HTTP listener) and CPU/heap profile helpers
 //     (ARCHITECTURE.md "Observability contracts")
-//   - internal/trace — bounded message-level timelines: simulation
-//     traces and the real path's concurrent flight-recorder ring
+//   - internal/trace — bounded message-level timelines in one O(1)
+//     ring, shared by the simulator's -trace and the real path's
+//     flight recorder
 //   - pubsub, internal/transport — the real-network face of the same
 //     core protocol: a goroutine-safe Node over batched, bounded-queue
 //     UDP peer-group broadcast with dynamic membership (seed-based
@@ -200,9 +201,10 @@
 // multi-core design (ARCHITECTURE.md "Multi-core").
 //
 // The simulated medium (internal/mac) indexes node positions and live
-// transmissions in uniform spatial grids (internal/geo.Grid), so
-// per-frame receiver, carrier-sense and interference lookups cost
-// O(nodes in range) rather than O(all nodes); the index pads queries by
+// transmissions in one dense spatial grid type (internal/geo.Grid; the
+// node index geo.IndexGrid is a Grid[int32]), so per-frame receiver,
+// carrier-sense and interference lookups cost O(nodes in range) rather
+// than O(all nodes); the index pads queries by
 // a mobility-derived staleness margin and re-checks exact distances, so
 // its deliveries are frame-for-frame identical to the full-roster
 // reference scan (mac.Config.FullScan).

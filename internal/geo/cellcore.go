@@ -1,7 +1,7 @@
 package geo
 
-// cellCore is the dense cell-addressing core shared by Grid and
-// IndexGrid: a uniform partition of a bounding rectangle into
+// cellCore is Grid's dense cell addressing (and so IndexGrid's, which
+// is a Grid[int32]): a uniform partition of a bounding rectangle into
 // cols x rows square cells, addressed as one flat row-major slab.
 // Replacing the old map[Cell] spatial hash, it resolves a position to
 // a bucket with two multiplies and two clamps — no hashing — which is
@@ -17,8 +17,7 @@ package geo
 // size bounds from scenario geometry (mobility area or street-graph
 // bounding box) without needing them to be exact.
 type cellCore struct {
-	size   float64 // cell edge length, meters
-	inv    float64 // 1/size
+	inv    float64 // 1 / cell edge length in meters
 	origin Point   // bounds.Min
 	cols   int
 	rows   int
@@ -48,7 +47,6 @@ func newCellCore(cellSize float64, bounds Rect) cellCore {
 		rows = int(bounds.Height()/cellSize) + 1
 	}
 	return cellCore{
-		size:   cellSize,
 		inv:    1 / cellSize,
 		origin: bounds.Min,
 		cols:   cols,
@@ -58,9 +56,6 @@ func newCellCore(cellSize float64, bounds Rect) cellCore {
 
 // numCells returns the dense slab length.
 func (c *cellCore) numCells() int { return c.cols * c.rows }
-
-// CellSize returns the (possibly coarsened) cell edge length.
-func (c *cellCore) CellSize() float64 { return c.size }
 
 // col returns the clamped cell column of x. int() truncates toward
 // zero, but every x left of the origin lands in column 0 via the clamp

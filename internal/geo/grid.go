@@ -42,21 +42,24 @@ func NewGrid[T comparable](cellSize float64, bounds Rect) *Grid[T] {
 }
 
 // Put files v under the cell containing p.
-func (g *Grid[T]) Put(v T, p Point) {
-	idx := g.cellIndex(p)
+func (g *Grid[T]) Put(v T, p Point) { g.putAt(v, g.cellIndex(p)) }
+
+// putAt files v under bucket idx.
+func (g *Grid[T]) putAt(v T, idx int) {
 	g.buckets[idx] = append(g.buckets[idx], v)
 	g.occ[idx>>6] |= 1 << (idx & 63)
 }
 
 // Remove deletes v from the cell containing p, the position it was put
-// at, preserving the order of the cell's remaining values (so
-// AppendDisc stays deterministic under churn); a value not filed there
-// is a no-op. An emptied bucket keeps its capacity: the MAC
-// transmission index constantly cycles values through the same cells,
-// and re-allocating the bucket on every revisit was its last per-frame
-// allocation.
-func (g *Grid[T]) Remove(v T, p Point) {
-	idx := g.cellIndex(p)
+// at; a value not filed there is a no-op.
+func (g *Grid[T]) Remove(v T, p Point) { g.removeAt(v, g.cellIndex(p)) }
+
+// removeAt deletes v from bucket idx, preserving the order of the
+// bucket's remaining values (so AppendDisc stays deterministic under
+// churn). An emptied bucket keeps its capacity: the MAC's transmissions
+// and moving nodes constantly cycle values through the same cells, and
+// re-allocating the bucket on every revisit was a per-frame allocation.
+func (g *Grid[T]) removeAt(v T, idx int) {
 	b := g.buckets[idx]
 	for i, x := range b {
 		if x == v {

@@ -318,40 +318,28 @@ func TestIndexGridRelocateQueryZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestGridOccupancyMatchesBuckets churns a grid 151 cells wide, so that
-// row spans cross occupancy-word boundaries, with Put and Remove at
-// random positions, a tenth of them clamped from outside the bounds.
-// After every operation bit i of the occupancy set must be set exactly
-// when bucket i is non-empty, and AppendDisc must return what walking
-// every bucket of its cell range returns, value for value and in order.
+// TestGridOccupancyMatchesBuckets churns grids 151 cells wide, so that
+// row spans cross occupancy-word boundaries, at random positions, a
+// tenth of them clamped from outside the bounds: a Grid through Put and
+// Remove, and an IndexGrid through Relocate. After every operation bit
+// i of the occupancy set must be set exactly when bucket i is
+// non-empty, and AppendDisc must return what walking every bucket of
+// its cell range returns, value for value and in order.
 func TestGridOccupancyMatchesBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g := NewGrid[int](10, NewRect(1500, 300))
-	if g.cols <= 64 {
-		t.Fatalf("grid has %d columns, want more than 64", g.cols)
-	}
 	point := func() Point {
 		if rng.Intn(10) == 0 {
 			return Pt(-100+rng.Float64()*1800, -100+rng.Float64()*600)
 		}
 		return Pt(rng.Float64()*1500, rng.Float64()*300)
 	}
-	walk := func(p Point, r float64) []int {
-		var out []int
-		lox, loy, hix, hiy := g.discRange(p, r)
-		for cy := loy; cy <= hiy; cy++ {
-			for _, b := range g.buckets[cy*g.cols+lox : cy*g.cols+hix+1] {
-				out = append(out, b...)
-			}
-		}
-		return out
-	}
+
+	g := NewGrid[int](10, NewRect(1500, 300))
 	type filed struct {
 		v int
 		p Point
 	}
 	var live []filed
-	var buf []int
 	for op := 0; op < 4000; op++ {
 		if len(live) == 0 || rng.Intn(5) < 3 {
 			f := filed{op, point()}
@@ -362,22 +350,44 @@ func TestGridOccupancyMatchesBuckets(t *testing.T) {
 			g.Remove(live[i].v, live[i].p)
 			live = append(live[:i], live[i+1:]...)
 		}
-		for i, b := range g.buckets {
-			if set := g.occ[i>>6]>>(i&63)&1 == 1; set != (len(b) > 0) {
-				t.Fatalf("op %d: cell %d holds %d values, occupancy bit %v", op, i, len(b), set)
+		checkOccupancy(t, op, g, point, rng)
+	}
+
+	ig := NewIndexGrid(10, NewRect(1500, 300), 500)
+	for op := 0; op < 4000; op++ {
+		ig.Relocate(int32(rng.Intn(500)), point())
+		checkOccupancy(t, op, &ig.Grid, point, rng)
+	}
+}
+
+// checkOccupancy is TestGridOccupancyMatchesBuckets' check of g after
+// operation op.
+func checkOccupancy[T comparable](t *testing.T, op int, g *Grid[T], point func() Point, rng *rand.Rand) {
+	t.Helper()
+	if g.cols <= 64 {
+		t.Fatalf("grid has %d columns, want more than 64", g.cols)
+	}
+	for i, b := range g.buckets {
+		if set := g.occ[i>>6]>>(i&63)&1 == 1; set != (len(b) > 0) {
+			t.Fatalf("op %d: cell %d holds %d values, occupancy bit %v", op, i, len(b), set)
+		}
+	}
+	for w := len(g.buckets); w < len(g.occ)*64; w++ {
+		if g.occ[w>>6]>>(w&63)&1 == 1 {
+			t.Fatalf("op %d: occupancy bit %d past the last cell is set", op, w)
+		}
+	}
+	for q := 0; q < 3; q++ {
+		p, r := point(), rng.Float64()*[]float64{15, 60, 400}[q]
+		var walk []T
+		lox, loy, hix, hiy := g.discRange(p, r)
+		for cy := loy; cy <= hiy; cy++ {
+			for _, b := range g.buckets[cy*g.cols+lox : cy*g.cols+hix+1] {
+				walk = append(walk, b...)
 			}
 		}
-		for w := len(g.buckets); w < len(g.occ)*64; w++ {
-			if g.occ[w>>6]>>(w&63)&1 == 1 {
-				t.Fatalf("op %d: occupancy bit %d past the last cell is set", op, w)
-			}
-		}
-		for q := 0; q < 3; q++ {
-			p, r := point(), rng.Float64()*[]float64{15, 60, 400}[q]
-			buf = g.AppendDisc(p, r, buf[:0])
-			if want := walk(p, r); !slices.Equal(buf, want) {
-				t.Fatalf("op %d: AppendDisc(%v, %.1f) = %v, bucket walk %v", op, p, r, buf, want)
-			}
+		if got := g.AppendDisc(p, r, nil); !slices.Equal(got, walk) {
+			t.Fatalf("op %d: AppendDisc(%v, %.1f) = %v, bucket walk %v", op, p, r, got, walk)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/sim"
 )
 
@@ -66,9 +65,6 @@ func NewCity(cfg CityConfig, rng *rand.Rand) *City {
 	c.startAt(c.weightedIntersection())
 	return c
 }
-
-// Start returns the intersection the node began at (useful for tests).
-func (c *City) Start() geo.Point { return c.traj.legs[0].from }
 
 // addTrip appends the legs of one trip (possibly with red-light pauses)
 // to the trajectory.

@@ -281,9 +281,10 @@ type Scenario struct {
 	// between partitioned clusters.
 	CustomModels []mobility.Model
 
-	// Trace, when non-nil, records the message-level timeline of the
-	// run (sends, receptions, deliveries, publications).
-	Trace *trace.Trace
+	// Trace, when non-nil, keeps the latest records of the run's
+	// message-level timeline (sends, receptions, deliveries,
+	// publications).
+	Trace *trace.Ring
 
 	// DeliveryLog keeps the full per-delivery record list
 	// (Result.Deliveries) and the per-event delivery bitsets alive for

@@ -1,11 +1,13 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/mac"
+	"repro/internal/trace"
 )
 
 // denseStatic returns a scenario where all nodes sit within one radio
@@ -345,5 +347,55 @@ func TestFloodVariantsRun(t *testing.T) {
 				t.Fatalf("%v reliability = %v in dense static net", name, res.Reliability())
 			}
 		})
+	}
+}
+
+// TestTraceIsObservationOnly runs a registered scenario traced into a
+// ring too large to wrap. The trace must not change the run (same
+// fingerprint and outcomes as untraced with the delivery log the trace
+// implies), its records must be in time order, every tap (send,
+// receive, deliver, publish) must fire, and it must hold one deliver
+// record per logged delivery.
+func TestTraceIsObservationOnly(t *testing.T) {
+	def, ok := LookupScenario("campus")
+	if !ok {
+		t.Fatal("campus not registered")
+	}
+	plain := def.Instantiate(1)
+	plain.DeliveryLog = true
+	want, err := Run(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := def.Instantiate(1)
+	traced.Trace = trace.NewRing(1 << 16)
+	got, err := Run(traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Fatal("tracing changed the run's fingerprint")
+	}
+	if !reflect.DeepEqual(got.Outcomes, want.Outcomes) {
+		t.Fatalf("tracing changed the outcomes:\n%+v\n%+v", got.Outcomes, want.Outcomes)
+	}
+	recs := traced.Trace.Records()
+	if uint64(len(recs)) != traced.Trace.Total() {
+		t.Fatalf("ring wrapped: %d of %d records kept", len(recs), traced.Trace.Total())
+	}
+	ops := map[trace.Op]int{}
+	for i, r := range recs {
+		if i > 0 && r.At < recs[i-1].At {
+			t.Fatalf("record %d at %v precedes record %d at %v", i, r.At, i-1, recs[i-1].At)
+		}
+		ops[r.Op]++
+	}
+	for _, op := range []trace.Op{trace.OpSend, trace.OpReceive, trace.OpDeliver, trace.OpPublish} {
+		if ops[op] == 0 {
+			t.Errorf("no %v records in %d", op, len(recs))
+		}
+	}
+	if ops[trace.OpDeliver] != len(got.Deliveries) {
+		t.Fatalf("%d deliver records, %d logged deliveries", ops[trace.OpDeliver], len(got.Deliveries))
 	}
 }

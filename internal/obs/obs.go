@@ -1,14 +1,15 @@
 // Package obs is the zero-dependency observability layer shared by the
-// simulator and the real path: a metrics registry of atomic counters,
-// gauges and metrics.LogHist-backed histograms with label support, two
-// encoders (Prometheus text exposition and a JSON snapshot), and an
-// opt-in HTTP listener (Serve) mounting /metrics, /healthz and
-// net/http/pprof.
+// simulator and the real path: a metrics registry of scrape-time
+// counters and gauges and metrics.LogHist-backed histograms with label
+// support, two encoders (Prometheus text exposition and a JSON
+// snapshot), and an opt-in HTTP listener (Serve) mounting /metrics,
+// /healthz and net/http/pprof.
 //
 // Design constraints, in order:
 //
-//   - Hot-path cost: Counter.Inc/Add and Gauge.Set are single atomic
-//     operations with no allocation (TestCounterGaugeZeroAlloc).
+//   - Hot-path cost: none for counters and gauges, which are functions
+//     read at scrape time over state the component already keeps
+//     (CounterFunc, GaugeFunc); Hist.Observe is one short mutex hold.
 //     All map and label work happens once, at registration time.
 //   - Read-only scrapes: encoders and Snapshot only observe; nothing in
 //     this package may feed back into protocol or simulation state.
@@ -36,36 +37,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 )
-
-// Counter is a monotonically increasing cumulative metric. The zero
-// value is ready to use; registry-created counters are shared by
-// (name, labels) identity.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds delta (must be non-negative to keep the counter monotone).
-func (c *Counter) Add(delta uint64) { c.v.Add(delta) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous integer-valued metric.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Hist is a streaming histogram over a metrics.LogHist, safe for
 // concurrent observation. Observe costs one short mutex hold; use it
@@ -93,18 +67,16 @@ func (h *Hist) Snapshot() metrics.LogHist {
 type kind uint8
 
 const (
-	kindCounter kind = iota + 1
-	kindGauge
-	kindCounterFunc
+	kindCounterFunc kind = iota + 1
 	kindGaugeFunc
 	kindHist
 )
 
 func (k kind) String() string {
 	switch k {
-	case kindCounter, kindCounterFunc:
+	case kindCounterFunc:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGaugeFunc:
 		return "gauge"
 	case kindHist:
 		return "summary"
@@ -118,10 +90,7 @@ type series struct {
 	name   string
 	labels []string // flat k1, v1, k2, v2, ... as registered
 	kind   kind
-	c      *Counter
-	g      *Gauge
-	cf     func() uint64
-	gf     func() float64
+	value  func() float64 // the counter or gauge reading
 	h      *Hist
 }
 
@@ -143,9 +112,10 @@ func labelString(labels []string) string {
 }
 
 // Registry is a set of named instruments. Registration is idempotent:
-// asking for the same (name, labels) returns the same instrument, and
-// asking with a conflicting kind panics — both are programming errors
-// caught at wiring time, not scrape time. A Registry is safe for
+// asking for the same (name, labels) returns the same histogram, and
+// registering a counter or gauge function again keeps the first.
+// Asking with a conflicting kind panics — a programming error caught at
+// wiring time, not scrape time. A Registry is safe for
 // concurrent registration and scraping; the zero value is not usable,
 // call NewRegistry.
 type Registry struct {
@@ -181,8 +151,10 @@ func validName(s string, label bool) bool {
 	return true
 }
 
-// register resolves or creates the (name, labels) series.
-func (r *Registry) register(name, help string, k kind, labels []string) *series {
+// register resolves or creates the (name, labels) series. A new
+// counter or gauge gets its reading function here, under the lock, so
+// a scrape running alongside never sees it half-registered.
+func (r *Registry) register(name, help string, k kind, labels []string, value func() float64) *series {
 	if !validName(name, false) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -203,15 +175,10 @@ func (r *Registry) register(name, help string, k kind, labels []string) *series 
 		}
 		return s
 	}
-	s := &series{name: name, labels: append([]string(nil), labels...), kind: k}
+	s := &series{name: name, labels: append([]string(nil), labels...), kind: k, value: value}
 	// The value is created here, under the lock: two goroutines
 	// registering the same series concurrently must get the same one.
-	switch k {
-	case kindCounter:
-		s.c = &Counter{}
-	case kindGauge:
-		s.g = &Gauge{}
-	case kindHist:
+	if k == kindHist {
 		s.h = &Hist{}
 	}
 	r.index[key] = s
@@ -222,35 +189,23 @@ func (r *Registry) register(name, help string, k kind, labels []string) *series 
 	return s
 }
 
-// Counter returns the counter registered under (name, labels), creating
-// it on first use. Labels are flat key/value pairs.
-func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	return r.register(name, help, kindCounter, labels).c
-}
-
-// Gauge returns the gauge registered under (name, labels).
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	return r.register(name, help, kindGauge, labels).g
-}
-
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — the bridge for components that already keep atomic counters
 // (e.g. transport.UDP). fn must be safe to call from any goroutine.
+// Labels are flat key/value pairs.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...string) {
-	s := r.register(name, help, kindCounterFunc, labels)
-	s.cf = fn
+	r.register(name, help, kindCounterFunc, labels, func() float64 { return float64(fn()) })
 }
 
 // GaugeFunc registers a gauge read from fn at scrape time (queue
 // depths, table sizes). fn must be safe to call from any goroutine.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.register(name, help, kindGaugeFunc, labels)
-	s.gf = fn
+	r.register(name, help, kindGaugeFunc, labels, fn)
 }
 
 // Histogram returns the histogram registered under (name, labels).
 func (r *Registry) Histogram(name, help string, labels ...string) *Hist {
-	return r.register(name, help, kindHist, labels).h
+	return r.register(name, help, kindHist, labels, nil).h
 }
 
 // Sample is one series' state in a Snapshot.
@@ -266,8 +221,8 @@ type Sample struct {
 	Hist *metrics.LogHist
 }
 
-// snapshotLocked captures the registered series in a stable order:
-// sorted by name, then registration order within a name.
+// snapshot captures the registered series in a stable order: sorted by
+// name, then registration order within a name.
 func (r *Registry) snapshot() []Sample {
 	r.mu.Lock()
 	elems := make([]*series, len(r.elems))
@@ -278,18 +233,11 @@ func (r *Registry) snapshot() []Sample {
 	out := make([]Sample, 0, len(elems))
 	for _, s := range elems {
 		smp := Sample{Name: s.name, Labels: s.labels, Kind: s.kind.String()}
-		switch s.kind {
-		case kindCounter:
-			smp.Value = float64(s.c.Value())
-		case kindGauge:
-			smp.Value = float64(s.g.Value())
-		case kindCounterFunc:
-			smp.Value = float64(s.cf())
-		case kindGaugeFunc:
-			smp.Value = s.gf()
-		case kindHist:
+		if s.h != nil {
 			h := s.h.Snapshot()
 			smp.Hist = &h
+		} else {
+			smp.Value = s.value()
 		}
 		out = append(out, smp)
 	}

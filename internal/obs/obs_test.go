@@ -5,28 +5,31 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // TestRegistryIdempotent pins the sharing contract: the same
-// (name, labels) returns the same instrument; different labels split.
+// (name, labels) returns the same histogram and keeps one series per
+// counter, read through the first function registered; different
+// labels split.
 func TestRegistryIdempotent(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("repro_test_total", "help", "node", "1")
-	b := r.Counter("repro_test_total", "", "node", "1")
-	if a != b {
-		t.Fatal("same (name, labels) returned distinct counters")
+	a := r.Histogram("repro_test_seconds", "help", "node", "1")
+	if b := r.Histogram("repro_test_seconds", "", "node", "1"); a != b {
+		t.Fatal("same (name, labels) returned distinct histograms")
 	}
-	c := r.Counter("repro_test_total", "", "node", "2")
-	if a == c {
-		t.Fatal("distinct labels shared a counter")
+	if c := r.Histogram("repro_test_seconds", "", "node", "2"); a == c {
+		t.Fatal("distinct labels shared a histogram")
 	}
-	a.Add(3)
-	if got := b.Value(); got != 3 {
-		t.Fatalf("shared counter = %d, want 3", got)
+	r.CounterFunc("repro_test_total", "help", func() uint64 { return 1 }, "node", "1")
+	r.CounterFunc("repro_test_total", "", func() uint64 { return 3 }, "node", "1")
+	snap := r.Snapshot()
+	if len(snap) != 3 {
+		t.Fatalf("got %d series, want 3", len(snap))
 	}
-	if got := c.Value(); got != 0 {
-		t.Fatalf("independent counter = %d, want 0", got)
+	if c := snap[2]; c.Name != "repro_test_total" || c.Value != 1 {
+		t.Fatalf("counter series = %+v, want repro_test_total reading 1", c)
 	}
 }
 
@@ -34,13 +37,13 @@ func TestRegistryIdempotent(t *testing.T) {
 // wiring-time programming error.
 func TestKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("repro_conflict", "")
+	r.CounterFunc("repro_conflict", "", func() uint64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("kind conflict did not panic")
 		}
 	}()
-	r.Gauge("repro_conflict", "")
+	r.GaugeFunc("repro_conflict", "", func() float64 { return 0 })
 }
 
 // TestInvalidNamePanics pins the Prometheus name grammar.
@@ -52,7 +55,7 @@ func TestInvalidNamePanics(t *testing.T) {
 					t.Errorf("name %q did not panic", bad)
 				}
 			}()
-			NewRegistry().Counter(bad, "")
+			NewRegistry().Histogram(bad, "")
 		}()
 	}
 }
@@ -62,10 +65,10 @@ func TestInvalidNamePanics(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < 2; i++ {
-		c := r.Counter("repro_sent_total", "datagrams sent", "node", fmt.Sprint(i))
-		c.Add(uint64(10 * (i + 1)))
+		sent := uint64(10 * (i + 1))
+		r.CounterFunc("repro_sent_total", "datagrams sent", func() uint64 { return sent }, "node", fmt.Sprint(i))
 	}
-	r.Gauge("repro_depth", "queue depth").Set(7)
+	r.GaugeFunc("repro_depth", "queue depth", func() float64 { return 7 })
 	h := r.Histogram("repro_lat_seconds", "handler latency")
 	for i := 0; i < 100; i++ {
 		h.Observe(0.001 * float64(i+1))
@@ -106,7 +109,7 @@ func TestPrometheusExposition(t *testing.T) {
 // TestJSONSnapshot pins the JSON encoder's schema.
 func TestJSONSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("repro_a_total", "", "node", "3").Add(5)
+	r.CounterFunc("repro_a_total", "", func() uint64 { return 5 }, "node", "3")
 	h := r.Histogram("repro_b_seconds", "")
 	h.Observe(1.0)
 	h.Observe(3.0)
@@ -147,14 +150,14 @@ func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
-		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := r.Counter("repro_conc_total", "", "g", fmt.Sprint(g%2))
+			var c atomic.Uint64
+			r.CounterFunc("repro_conc_total", "", c.Load, "g", fmt.Sprint(g))
 			h := r.Histogram("repro_conc_seconds", "")
 			for i := 0; i < 1000; i++ {
-				c.Inc()
+				c.Add(1)
 				h.Observe(float64(i))
 			}
 		}()
@@ -185,9 +188,10 @@ func TestConcurrentUse(t *testing.T) {
 // encoders rely on for grouping.
 func TestSnapshotStableOrder(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("repro_z", "")
-	r.Counter("repro_a_total", "", "node", "1")
-	r.Counter("repro_a_total", "", "node", "0")
+	zero := func() uint64 { return 0 }
+	r.GaugeFunc("repro_z", "", func() float64 { return 0 })
+	r.CounterFunc("repro_a_total", "", zero, "node", "1")
+	r.CounterFunc("repro_a_total", "", zero, "node", "0")
 	names := []string{}
 	for _, s := range r.Snapshot() {
 		names = append(names, s.Name+labelString(s.Labels))
@@ -195,26 +199,5 @@ func TestSnapshotStableOrder(t *testing.T) {
 	want := []string{`repro_a_total{node="1"}`, `repro_a_total{node="0"}`, "repro_z"}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("snapshot order %v, want %v", names, want)
-	}
-}
-
-// TestCounterGaugeZeroAlloc pins the hot path transport and pubsub pay
-// per operation when scraped: Inc and Set on registered series are bare
-// atomics. Registration happens once outside the measured function,
-// exactly as RegisterMetrics does at wiring time.
-func TestCounterGaugeZeroAlloc(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("repro_test_ops_total", "help", "node", "1")
-	g := r.Gauge("repro_test_depth", "help", "node", "1")
-	const runs = 1000
-	allocs := testing.AllocsPerRun(runs, func() {
-		c.Inc()
-		g.Set(int64(c.Value()))
-	})
-	if allocs != 0 {
-		t.Fatalf("Counter.Inc + Gauge.Set allocates %.0f times, want 0", allocs)
-	}
-	if c.Value() != runs+1 || g.Value() != runs+1 { // AllocsPerRun warms up with one extra call
-		t.Fatalf("counter = %d, gauge = %d after %d runs", c.Value(), g.Value(), runs+1)
 	}
 }

@@ -25,7 +25,7 @@ func get(t *testing.T, url string) (int, string) {
 // endpoint: exposition, JSON snapshot, liveness and pprof.
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("repro_serve_total", "served").Add(9)
+	reg.CounterFunc("repro_serve_total", "served", func() uint64 { return 9 })
 	srv, err := Serve("127.0.0.1:0", NewMux(reg))
 	if err != nil {
 		t.Fatal(err)

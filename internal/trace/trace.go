@@ -1,12 +1,16 @@
-// Package trace records message-level timelines of simulation runs:
-// every broadcast, reception and application delivery, with bounded
-// memory. Timelines feed the cmd/frugalsim -trace flag and debugging
-// sessions; they are not part of the measured experiment path.
+// Package trace records message-level timelines — every broadcast,
+// reception, publication and application delivery — in one bounded,
+// goroutine-safe Ring. The same ring serves both substrates: a
+// simulation run's cmd/frugalsim -trace and a live node's flight
+// recorder (pubsub.Node.StartFlightRecorder). Timelines are for
+// debugging; they are not part of the measured experiment path.
 package trace
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/event"
 	"repro/internal/sim"
@@ -60,71 +64,93 @@ type Record struct {
 	Bytes int
 }
 
-// Trace is a bounded in-memory timeline. When the capacity is exceeded,
-// the oldest records are dropped (and counted). The zero value is
-// unbounded; use New for a ring. Trace is not safe for concurrent use —
-// the simulator is single-threaded.
-type Trace struct {
-	cap     int
-	records []Record
-	dropped uint64
+// Ring is the one timeline buffer: a goroutine-safe, fixed-capacity
+// ring of the most recent Records, O(1) per Add. The simulator's -trace
+// feeds it from one goroutine (the mutex is then uncontended); on the
+// real path publishes, transport loops and timer callbacks race into it
+// as a node's flight recorder (see pubsub.Node.StartFlightRecorder).
+type Ring struct {
+	mu    sync.Mutex
+	buf   []Record
+	next  int    // slot the next record lands in
+	total uint64 // records ever added
 }
 
-// New returns a trace keeping at most capacity records (0 = unbounded).
-func New(capacity int) *Trace {
-	return &Trace{cap: capacity}
-}
-
-// Add appends a record, evicting the oldest beyond capacity.
-func (t *Trace) Add(r Record) {
-	if t.cap > 0 && len(t.records) >= t.cap {
-		n := copy(t.records, t.records[1:])
-		t.records = t.records[:n]
-		t.dropped++
+// NewRing returns a ring retaining the last capacity records.
+// It panics on a non-positive capacity.
+func NewRing(capacity int) *Ring {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("trace: NewRing capacity %d", capacity))
 	}
-	t.records = append(t.records, r)
+	return &Ring{buf: make([]Record, 0, capacity)}
 }
 
-// Len returns the number of retained records.
-func (t *Trace) Len() int { return len(t.records) }
+// Add records one entry, overwriting the oldest beyond capacity.
+func (r *Ring) Add(rec Record) {
+	r.mu.Lock()
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, rec)
+	} else {
+		r.buf[r.next] = rec
+	}
+	if r.next++; r.next == cap(r.buf) {
+		r.next = 0
+	}
+	r.total++
+	r.mu.Unlock()
+}
 
-// Dropped returns how many records were evicted by the ring.
-func (t *Trace) Dropped() uint64 { return t.dropped }
+// Total returns how many records were ever added.
+func (r *Ring) Total() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.total
+}
 
-// Records returns the retained records in chronological order. The
-// returned slice is owned by the trace; copy before mutating.
-func (t *Trace) Records() []Record { return t.records }
+// Records returns a copy of the retained records, oldest first.
+func (r *Ring) Records() []Record {
+	recs, _ := r.snapshot()
+	return recs
+}
 
-// writeRecord renders one timeline entry (shared by Trace and Ring).
-func writeRecord(w io.Writer, r Record) error {
-	var err error
+// snapshot copies the retained records, oldest first, and the total
+// under one lock hold, so the two agree even while writers run.
+func (r *Ring) snapshot() ([]Record, uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Record, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...) // empty until the ring is full
+	out = append(out, r.buf[:r.next]...)
+	return out, r.total
+}
+
+// WriteText renders the retained records, oldest first, one per line,
+// followed by a note counting the older records the ring overwrote.
+func (r *Ring) WriteText(w io.Writer) error {
+	recs, total := r.snapshot()
+	bw := bufio.NewWriter(w)
+	for _, rec := range recs {
+		writeRecord(bw, rec)
+	}
+	if dropped := total - uint64(len(recs)); dropped > 0 {
+		fmt.Fprintf(bw, "(%d older records dropped)\n", dropped)
+	}
+	return bw.Flush() // the first write error sticks and surfaces here
+}
+
+// writeRecord renders one timeline entry.
+func writeRecord(w io.Writer, r Record) {
 	switch r.Op {
 	case OpSend:
-		_, err = fmt.Fprintf(w, "%9s  %-4v %-7s %-9s %dB\n",
+		fmt.Fprintf(w, "%9s  %-4v %-7s %-9s %dB\n",
 			r.At, r.Node, r.Op, r.Msg, r.Bytes)
 	case OpReceive, OpDrop:
-		_, err = fmt.Fprintf(w, "%9s  %-4v %-7s %-9s\n",
+		fmt.Fprintf(w, "%9s  %-4v %-7s %-9s\n",
 			r.At, r.Node, r.Op, r.Msg)
 	default:
-		_, err = fmt.Fprintf(w, "%9s  %-4v %-7s event %s\n",
+		fmt.Fprintf(w, "%9s  %-4v %-7s event %s\n",
 			r.At, r.Node, r.Op, shortID(r.Event))
 	}
-	return err
-}
-
-// WriteText renders the timeline, one record per line.
-func (t *Trace) WriteText(w io.Writer) error {
-	for _, r := range t.records {
-		if err := writeRecord(w, r); err != nil {
-			return err
-		}
-	}
-	if t.dropped > 0 {
-		if _, err := fmt.Fprintf(w, "(%d older records dropped)\n", t.dropped); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func shortID(id event.ID) string {
