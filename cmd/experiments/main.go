@@ -22,105 +22,8 @@
 // happens in sweep order, so the printed tables are byte-identical at
 // any -parallel value.
 //
-// # Experiment catalog (-fig)
-//
-// One experiment per figure/table of the paper's evaluation, plus
-// ablations and extensions:
-//
-//	fig11..fig12   reliability on random waypoint (speeds, subscribers)
-//	fig13..fig16   reliability on the city section (heartbeat bound,
-//	               subscribers, publisher spread, validity)
-//	fig17..fig20   frugality: bandwidth, copies, duplicates, parasites
-//	ablation       design-choice ablations (back-off, suppression, id
-//	               exchange, GC, adaptive heartbeat)
-//	ext-shadowing  reliability under log-normal shadowing
-//	ext-storm      frugal vs broadcast-storm schemes (Ni et al.)
-//	scenarios      frugal vs baselines across every registered scenario
-//	workloads      every registered workload generator on the reference
-//	               waypoint environment
-//	scale          metro city sweep 300→50k nodes, frugal vs gossip vs
-//	               flood (minutes; -full reaches the 10k tier and, with
-//	               -budget, the 25k/50k megacity tiers)
-//
-// # Protocol catalog (-proto)
-//
-// Protocols are registered by name in the internal/proto registry
-// (each protocol package registers itself; see ARCHITECTURE.md "Adding
-// a protocol"). The scenario sweeps run every registered protocol;
-// -proto <name> restricts them to one. The built-ins:
-//
-//	frugal                        the paper's protocol: adaptive
-//	                              heartbeats, id pre-exchange,
-//	                              proportional back-off
-//	simple-flooding               approach (1): rebroadcast everything
-//	                              each period
-//	interests-aware-flooding      approach (2): store/rebroadcast only
-//	                              subscribed events
-//	neighbors-interests-flooding  approach (3): one addressed copy per
-//	                              interested neighbor
-//	probabilistic-broadcast       Ni et al.: single-shot relay with
-//	                              probability P
-//	counter-based-broadcast       Ni et al.: single-shot relay unless C
-//	                              copies were overheard
-//	gossip-pushpull               push-pull rumor mongering: fanout-
-//	                              bounded pushes + digest-driven pulls
-//
-// # Scenario catalog (-scenario)
-//
-// Scenarios are full declarative workloads registered with
-// netsim.RegisterScenario; -scenario <name> sweeps one of them across
-// every registered protocol. Each sweep finishes in about a second at
-// the default 3 seeds. The built-ins:
-//
-//	campus           the paper's city section: 15 nodes on the synthetic
-//	                 campus street grid, one 150 s event, frugal tuning
-//	                 from Section 5.2
-//	waypoint         the paper's random waypoint at reduced scale: 40
-//	                 nodes at 10 m/s on 6.7 km^2 (6 nodes/km^2), 80%
-//	                 subscribers, one 120 s event
-//	manhattan        urban VANET: 40 vehicles on a 990x770 m Manhattan
-//	                 grid with a deterministic city-wide traffic-light
-//	                 schedule and avenue/side-street speed tiers, a
-//	                 3-event burst of 120 s events, 100 m urban radio
-//	                 range
-//	manhattan-churn  manhattan plus churn: two vehicles crash mid-window
-//	                 and one recovers with empty tables
-//	highway          highway convoy: 32 vehicles in 4 platoon speed
-//	                 tiers (24-32 m/s) on a 3.5 km bidirectional
-//	                 corridor with on/off-ramps, two 90 s events
-//	stadium          flash crowd on the campus grid: 40 pedestrians,
-//	                 burst traffic generated by the flash-crowd workload
-//	rush-hour        diurnal Zipf traffic on the Manhattan grid: 40
-//	                 vehicles, a commute ramp over six skewed subtopics
-//	                 generated by the diurnal workload
-//	metro-5k         city-scale VANET (heavy): 5k vehicles on a 36x28
-//	                 metro grid, diurnal Zipf traffic + churn waves —
-//	                 excluded from the registry-wide sweeps, reach it
-//	                 via -scenario or -fig scale
-//	metro-10k        10k vehicles on a 50x39 metro grid (heavy; the
-//	                 city grows with the roster at constant density)
-//	metro-50k        megacity VANET: 50k vehicles on an 112x87 metro
-//	                 grid (~115 km^2), diurnal Zipf traffic + churn
-//	                 waves (heavy; hours — budget accordingly)
-//
-// # Workload catalog (-workload)
-//
-// Workload generators lazily synthesize traffic and dynamics from the
-// run's seeded RNG (internal/workload registry; see ARCHITECTURE.md
-// "Adding a workload"). -workload <name> sweeps one generator across
-// every registered protocol on the reference waypoint environment;
-// -fig workloads runs every generator. The built-ins:
-//
-//	poisson      memoryless arrivals at a constant mean rate
-//	periodic     fixed-period arrivals with forward jitter
-//	flash-crowd  low background rate with one high-rate burst window
-//	diurnal      cosine rate ramp between quiet floor and rush peak
-//	churn-nodes  waves of staggered node crashes with recovery
-//	churn-subs   Poisson unsubscribe/resubscribe flips
-//	explicit     replays a fixed pre-enumerated op schedule (util)
-//	mix          merges several generators into one stream (util)
-//
-// The -list output is generated from the same registries the flags
+// The experiment, scenario, protocol and workload catalogs are printed
+// by -list, which is generated from the same registries the flags
 // consult, so it cannot drift from what actually runs (a test enforces
 // this).
 package main
@@ -171,7 +74,6 @@ func main() {
 		full       = flag.Bool("full", false, "paper-scale parameters (slow)")
 		seeds      = flag.Int("seeds", 0, "runs per sweep point (0 = experiment default)")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations (0 = NumCPU); tables are byte-identical at any value")
-		budget     = flag.Duration("budget", 0, "wall-clock budget for the scale family; required to reach its megacity tiers (e.g. -fig scale -full -budget 4h), 0 skips them")
 		list       = flag.Bool("list", false, "list experiments, scenarios and protocols, then exit")
 		verbose    = flag.Bool("v", false, "print per-point progress")
 		sample     = flag.Duration("sample", 0, "record a time-series point every period in the scenario/workload sweeps (0 = off); tables are byte-identical with sampling on or off")
@@ -216,10 +118,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-series-out requires -sample")
 		os.Exit(2)
 	}
+	if *sample > 0 && *fig != "" && *fig != "all" && *fig != "scenarios" && *fig != "workloads" {
+		fmt.Fprintln(os.Stderr, "-sample applies to the scenario and workload sweeps; combine it with -scenario, -workload, -fig scenarios, -fig workloads or -fig all")
+		os.Exit(2)
+	}
 	opts := exp.Options{
 		Seeds: *seeds, Full: *full, Parallel: *parallel,
-		Protocol: *protoFlag, Budget: *budget,
-		Sample: *sample, SeriesDir: *seriesOut,
+		Protocol: *protoFlag, Sample: *sample, SeriesDir: *seriesOut,
 	}
 	if *verbose {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }

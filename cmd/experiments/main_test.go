@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -73,5 +76,37 @@ func TestScenarioListingRunnable(t *testing.T) {
 		if _, ok := workload.LookupWorkload(name); !ok {
 			t.Fatalf("listed workload %q not resolvable", name)
 		}
+	}
+}
+
+// TestSampleOnlyWithSweepsThatHonourIt pins -sample to the sweeps that
+// record series (scenario, workload, and -fig all, which contains
+// them): a figure family would ignore it and -series-out would write
+// nothing, so that combination is usage error 2, like -proto's.
+func TestSampleOnlyWithSweepsThatHonourIt(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	dir := filepath.Join(t.TempDir(), "series")
+	out, err := exec.Command(bin, "-fig", "fig16", "-sample", "5s", "-series-out", dir).CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 2 {
+		t.Fatalf("-fig fig16 -sample: err = %v, want exit 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-sample applies to") {
+		t.Fatalf("-fig fig16 -sample: no usage message:\n%s", out)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("rejected run touched %s (stat err %v)", dir, err)
+	}
+
+	out, err = exec.Command(bin, "-scenario", "campus", "-proto", "frugal", "-seeds", "1",
+		"-sample", "5s", "-series-out", dir).CombinedOutput()
+	if err != nil {
+		t.Fatalf("-scenario campus -sample: %v\n%s", err, out)
+	}
+	if csv, _ := filepath.Glob(filepath.Join(dir, "scenario-campus-frugal-seed1.csv")); len(csv) != 1 {
+		t.Fatalf("-scenario campus -sample wrote no series:\n%s", out)
 	}
 }

@@ -173,7 +173,6 @@ func main() {
 				Area:     geo.NewRect(*side, *side),
 				MinSpeed: lo,
 				MaxSpeed: *speed,
-				Pause:    time.Second,
 			}
 		case "static":
 			sc.Mobility = netsim.MobilitySpec{
@@ -181,22 +180,14 @@ func main() {
 				Area: geo.NewRect(*side, *side),
 			}
 		case "city":
-			sc.Mobility = netsim.MobilitySpec{
-				Kind:      netsim.CitySection,
-				StopProb:  0.3,
-				StopMin:   2 * time.Second,
-				StopMax:   10 * time.Second,
-				DestPause: 5 * time.Second,
-			}
+			sc.Mobility = netsim.MobilitySpec{Kind: netsim.CitySection}
 		case "manhattan":
 			sc.Mobility = netsim.MobilitySpec{
 				Kind:        netsim.ManhattanGrid,
 				LightCycle:  30 * time.Second,
 				RedFraction: 0.4,
-				DestPause:   10 * time.Second,
 			}
 		case "highway":
-			// Zero platoon/cruise fields select netsim's convoy defaults.
 			sc.Mobility = netsim.MobilitySpec{Kind: netsim.HighwayConvoy}
 		default:
 			fmt.Fprintf(os.Stderr, "unknown mobility %q\n", *mobility)

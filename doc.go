@@ -81,47 +81,17 @@
 // measurement windows under a name (netsim.RegisterScenario). Registered
 // scenarios are swept across every registered protocol by the exp
 // package's "scenarios" experiment family and are addressable from both
-// CLIs (experiments -scenario, frugalsim -scenario). The built-in
-// catalog:
-//
-//	campus           the paper's 15-node city section on the synthetic
-//	                 campus street grid, one 150 s event
-//	waypoint         the paper's random waypoint at reduced scale: 40
-//	                 nodes, 10 m/s, 80% subscribers, one 120 s event
-//	manhattan        urban VANET: 40 vehicles on a Manhattan street grid
-//	                 with a deterministic city-wide traffic-light
-//	                 schedule (staggered phases, no green wave) and
-//	                 avenue/side-street speed tiers, a burst of three
-//	                 120 s events
-//	manhattan-churn  manhattan plus mid-window crashes and one recovery
-//	highway          highway convoy: 32 vehicles in four platoon speed
-//	                 tiers on a 3.5 km bidirectional corridor with
-//	                 on/off-ramps, two 90 s events
-//	stadium          flash crowd on the campus grid: 40 pedestrians,
-//	                 generated burst traffic (the flash-crowd workload)
-//	rush-hour        diurnal Zipf traffic on the Manhattan grid: 40
-//	                 vehicles, a commute ramp over skewed subtopics
-//	                 (the diurnal workload)
-//	metro-slice      metro district (Heavy): 600 vehicles on a
-//	                 metro-style grid, diurnal Zipf traffic + churn
-//	                 waves — the city fixture sized for tier-1
-//	                 suites
-//	metro-5k         city-scale VANET (Heavy): 5k vehicles on a 36x28
-//	                 metro grid (~11.4 km^2), diurnal Zipf traffic with
-//	                 churn waves
-//	metro-10k        10k vehicles on a 50x39 metro grid (~22.5 km^2;
-//	                 the city grows with the roster at constant ~440
-//	                 vehicles/km^2, see netsim.MetroGraphDims) (Heavy)
-//	metro-50k        megacity VANET: 50k vehicles on an 112x87 metro
-//	                 grid (~115 km^2), same constant density (Heavy)
+// CLIs (experiments -scenario, frugalsim -scenario). go run
+// ./cmd/experiments -list prints the catalog (this applies to the
+// protocol and workload registries below too): the listing is generated
+// from the registries themselves, so it cannot drift.
 //
 // Every non-Heavy catalog entry is swept against every registered
 // protocol; a default-scale sweep (3 seeds x 7 protocols) finishes in
 // about a second. Heavy entries (the metro city sweeps) are excluded
 // from the registry-wide families and the golden suite — reach them
-// with -scenario, the "scale" experiment family (node count 300→50k,
-// frugal vs gossip vs flood; the megacity tiers need -full and a
-// -budget) or the benchmark's metro-flood-5k workload.
+// with -scenario (on either CLI) or the benchmark's metro-slice and
+// metro-flood-5k workloads.
 //
 // The vehicular environments are backed by two mobility models layered
 // on the street-graph machinery (mobility.Manhattan, mobility.Highway);
@@ -137,16 +107,7 @@
 // all. A netsim.Scenario selects its protocol with ProtocolSpec{Name,
 // Params} — validated against the registered schema at
 // Scenario.Validate time — and the runner builds instances purely by
-// name. The built-in catalog:
-//
-//	frugal                        the paper's protocol (internal/core)
-//	simple-flooding               flooding approach (1)
-//	interests-aware-flooding      flooding approach (2)
-//	neighbors-interests-flooding  flooding approach (3)
-//	probabilistic-broadcast       Ni et al.'s probabilistic scheme
-//	counter-based-broadcast       Ni et al.'s counter-based scheme
-//	gossip-pushpull               push-pull rumor mongering
-//	                              (internal/gossip)
+// name.
 //
 // Every registered protocol must pass the conformance suite in
 // internal/proto (safety under drop/duplicate/reorder, no parasite
@@ -161,21 +122,11 @@
 // lifecycle churn and subscription churn from the run's seeded RNG. A
 // netsim.Scenario opts in with WorkloadSpec{Name, Params}; the zero
 // spec means the explicit Publications/Crashes/Resubscriptions lists
-// alone drive the run (internally the "explicit" generator — one
-// scheduling mechanism for both paths), and a non-zero spec's stream
+// alone drive the run (internally one workload.NewExplicit generator —
+// one scheduling mechanism for both paths), and a non-zero spec's stream
 // is merged with those lists. The runner pumps ops through a single
 // armed engine callback, so a million-publication run stays O(1)
-// memory and remains a pure function of (Scenario, Seed). The built-in
-// catalog:
-//
-//	poisson      traffic  memoryless arrivals at a constant mean rate
-//	periodic     traffic  fixed-period arrivals with forward jitter
-//	flash-crowd  traffic  low background rate + one high-rate burst
-//	diurnal      traffic  cosine rate ramp, quiet floor to rush peak
-//	churn-nodes  churn    waves of staggered crashes with recovery
-//	churn-subs   churn    Poisson unsubscribe/resubscribe flips
-//	explicit     util     replays a fixed pre-enumerated op schedule
-//	mix          util     merges several generators into one stream
+// memory and remains a pure function of (Scenario, Seed).
 //
 // Traffic generators spread topics over the topic tree uniformly or
 // Zipf-skewed (workload.TopicModel). The exp "workloads" family sweeps

@@ -29,17 +29,11 @@ func main() {
 		for seed := int64(1); seed <= 2; seed++ {
 			for publisher := 0; publisher < 15; publisher++ {
 				sc := netsim.Scenario{
-					Name:  "campus",
-					Nodes: 15,
-					Seed:  seed,
-					Mobility: netsim.MobilitySpec{
-						Kind:      netsim.CitySection,
-						StopProb:  0.3,
-						StopMin:   2 * time.Second,
-						StopMax:   10 * time.Second,
-						DestPause: 5 * time.Second,
-					},
-					MAC: mac.DefaultConfig(44),
+					Name:     "campus",
+					Nodes:    15,
+					Seed:     seed,
+					Mobility: netsim.MobilitySpec{Kind: netsim.CitySection},
+					MAC:      mac.DefaultConfig(44),
 					Protocol: netsim.FrugalSpec(netsim.CoreTuning{
 						HBUpperBound: time.Second,
 						UseSpeed:     true,

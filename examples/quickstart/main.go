@@ -27,7 +27,6 @@ func main() {
 			Area:     geo.NewRect(1200, 1200),
 			MinSpeed: 5,
 			MaxSpeed: 15,
-			Pause:    time.Second,
 		},
 		MAC: mac.DefaultConfig(339), // the paper's 2 Mbps radio range
 		Protocol: netsim.FrugalSpec(netsim.CoreTuning{

@@ -35,14 +35,6 @@ type Options struct {
 	// sweeps to one registered protocol (cmd/experiments -proto). The
 	// figure sweeps pin their own protocol panels and ignore it.
 	Protocol string
-	// Budget caps the scale family's wall clock (cmd/experiments
-	// -budget): each node-count tier runs only while the elapsed time
-	// plus the tier's cost estimate fits the budget, and the megacity
-	// tiers beyond 10k nodes require one. Zero runs the base tiers
-	// unbounded and skips the megacity tiers. Truncation is reported
-	// in the table title and progress lines, never silent. The
-	// fixed-size figure sweeps ignore it.
-	Budget time.Duration
 	// Progress, when non-nil, receives one liveness line as each
 	// simulation finishes (emitted from worker goroutines, serialized
 	// internally) plus one line per sweep point during aggregation, in
@@ -145,7 +137,6 @@ func All() []Definition {
 		{"ext-storm", "Extension: frugal vs broadcast-storm schemes (Ni et al.)", ExtStorm},
 		{"scenarios", "Extension: every registered protocol across every registered scenario (see -scenario, -proto)", Scenarios},
 		{"workloads", "Extension: every registered workload generator on the reference waypoint environment (see -workload)", Workloads},
-		{"scale", "Extension: metro city sweep 300→50k nodes, frugal vs gossip vs flood (minutes; -full + -budget reaches the 50k megacity)", Scale},
 	}
 }
 
@@ -231,7 +222,6 @@ func rwpScenario(env rwpEnv, minSpeed, maxSpeed float64, frac float64, seed int6
 			Area:     env.area,
 			MinSpeed: minSpeed,
 			MaxSpeed: maxSpeed,
-			Pause:    time.Second, // paper: pause time always 1 s
 		},
 		MAC:                mac.DefaultConfig(paperRange),
 		Protocol:           rwpFrugal(),
@@ -245,16 +235,10 @@ func rwpScenario(env rwpEnv, minSpeed, maxSpeed float64, frac float64, seed int6
 // stochastic stops.
 func cityScenario(hbUpper time.Duration, frac float64, seed int64) netsim.Scenario {
 	return netsim.Scenario{
-		Nodes: 15,
-		Seed:  seed,
-		Mobility: netsim.MobilitySpec{
-			Kind:      netsim.CitySection,
-			StopProb:  0.3,
-			StopMin:   2 * time.Second,
-			StopMax:   10 * time.Second,
-			DestPause: 5 * time.Second,
-		},
-		MAC: mac.DefaultConfig(cityRange),
+		Nodes:    15,
+		Seed:     seed,
+		Mobility: netsim.MobilitySpec{Kind: netsim.CitySection},
+		MAC:      mac.DefaultConfig(cityRange),
 		Protocol: netsim.FrugalSpec(netsim.CoreTuning{
 			HBUpperBound: hbUpper,
 			UseSpeed:     true, // heartbeats track the 8-13 m/s road speeds
@@ -288,7 +272,7 @@ func reliabilityPoint(sc netsim.Scenario, publisher int, validity time.Duration)
 }
 
 // traffic is the panel the registry-backed sweeps (scenarios,
-// workloads, scale) report per run, in trafficCols order.
+// workloads) report per run, in trafficCols order.
 func traffic(res *netsim.Result) []float64 {
 	return []float64{
 		res.Reliability(),

@@ -12,8 +12,8 @@ import (
 
 func TestRegistry(t *testing.T) {
 	defs := All()
-	if len(defs) != 16 {
-		t.Fatalf("registry has %d entries, want 16 (fig11..fig20 + ablation + extensions + scenarios + workloads + scale)", len(defs))
+	if len(defs) != 15 {
+		t.Fatalf("registry has %d entries, want 15 (fig11..fig20 + ablation + extensions + scenarios + workloads)", len(defs))
 	}
 	seen := map[string]bool{}
 	for _, d := range defs {

@@ -45,11 +45,6 @@ func goldenCases() []goldenCase {
 			// Covered per scenario below, so a failure names the
 			// scenario instead of the whole family.
 			continue
-		case "scale":
-			// Whole-city sweeps: minutes per table, out of
-			// test-suite budget. The engine layers it exercises are
-			// pinned by every other case.
-			continue
 		}
 		cases = append(cases, goldenCase{name: d.ID, run: d.Run})
 	}

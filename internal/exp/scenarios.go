@@ -42,8 +42,8 @@ func scenarioPanel(def netsim.ScenarioDef, o Options) ([]netsim.ProtocolSpec, er
 // registered protocol, one table per scenario. The family iterates
 // both registries itself, so a newly registered workload or baseline
 // shows up here (and in cmd/experiments -list) with no further wiring.
-// Heavy scenarios (the metro city sweeps) are skipped: they run behind
-// the "scale" family and explicit -scenario requests instead.
+// Heavy scenarios (the metro city sweeps) are skipped: they run only on
+// explicit -scenario requests.
 func Scenarios(o Options) (*Output, error) {
 	var tables []*metrics.Table
 	for _, def := range netsim.Scenarios() {

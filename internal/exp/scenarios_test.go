@@ -40,8 +40,8 @@ func TestScenarioSweepParallelismInvariance(t *testing.T) {
 // TestScenariosFamilyCoversRegistry runs the whole family once and
 // checks it produces one table per registered non-heavy scenario, in
 // registry order — no scenario can be silently skipped, and the heavy
-// metro sweeps must stay out of the default family (they run behind
-// the "scale" family and explicit -scenario requests).
+// metro sweeps must stay out of the default family (they run only on
+// explicit -scenario requests).
 func TestScenariosFamilyCoversRegistry(t *testing.T) {
 	defs := netsim.Scenarios()
 	out, err := Scenarios(Options{Seeds: 1})

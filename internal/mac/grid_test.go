@@ -132,55 +132,6 @@ func TestGridMatchesFullScanUnbounded(t *testing.T) {
 	compareLogs(t, scan, grid)
 }
 
-// TestGridMatchesFullScanWideInterference covers the radii the
-// one-interferer-query-per-frame step rests on: the query disc is
-// Range+InterferenceRange around the transmitter, so the differential
-// runs with InterferenceRange well above Range (hidden terminals far
-// outside reception range must still corrupt) and CarrierSenseRange
-// both below and above Range, with and without the speed bound and
-// under a probabilistic channel, at a load where frames are actually
-// lost to collisions on both sides.
-func TestGridMatchesFullScanWideInterference(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"if>range,cs<range", func(c *Config) {
-			c.InterferenceRange, c.CarrierSenseRange = 700, 180
-		}},
-		{"if>range,cs>range", func(c *Config) {
-			c.InterferenceRange, c.CarrierSenseRange = 550, 420
-		}},
-		{"if<range,cs<range", func(c *Config) {
-			c.InterferenceRange, c.CarrierSenseRange = 120, 150
-		}},
-		{"unbounded,if>range", func(c *Config) {
-			c.SpeedBounded, c.MaxSpeed = false, 0
-			c.InterferenceRange, c.CarrierSenseRange = 700, 180
-		}},
-		{"shadowing,if>range", func(c *Config) {
-			c.InterferenceRange, c.CarrierSenseRange = 650, 200
-			c.ReceiveProb = func(d float64) float64 { return 1 - d/400 }
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base := DefaultConfig(300)
-			base.SpeedBounded = true
-			base.MaxSpeed = 40
-			tc.mutate(&base)
-			scanCfg := base
-			scanCfg.FullScan = true
-			scan, scanLost := runTrafficLog(t, scanCfg, 60, 2*time.Second)
-			grid, gridLost := runTrafficLog(t, base, 60, 2*time.Second)
-			if scanLost == 0 || gridLost == 0 {
-				t.Fatalf("no collisions (lost: full-scan %d, grid %d): the interferer path was not exercised", scanLost, gridLost)
-			}
-			compareLogs(t, scan, grid)
-		})
-	}
-}
-
 // TestGridHiddenTerminal pins the interference path through the tx
 // grid: two transmitters out of carrier-sense range of each other, both
 // in range of a middle receiver, transmitting concurrently — the

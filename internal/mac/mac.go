@@ -26,14 +26,9 @@ import (
 type Config struct {
 	// BitrateBps is the broadcast bitrate (802.11b basic rate: 2 Mbps).
 	BitrateBps float64
-	// Range is the reception radius in meters.
+	// Range is the radio radius in meters: a node receives, senses the
+	// channel busy and suffers interference within it.
 	Range float64
-	// CarrierSenseRange is the radius within which a transmitter is
-	// heard as channel-busy; 0 means Range.
-	CarrierSenseRange float64
-	// InterferenceRange is the radius within which a concurrent foreign
-	// transmission corrupts reception; 0 means Range.
-	InterferenceRange float64
 	// SlotTime is the contention slot (802.11b: 20 us).
 	SlotTime time.Duration
 	// DIFS is the idle period sensed before transmitting (50 us).
@@ -125,20 +120,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mac: inverted Bounds %v", c.Bounds)
 	}
 	return nil
-}
-
-func (c Config) csRange() float64 {
-	if c.CarrierSenseRange > 0 {
-		return c.CarrierSenseRange
-	}
-	return c.Range
-}
-
-func (c Config) ifRange() float64 {
-	if c.InterferenceRange > 0 {
-		return c.InterferenceRange
-	}
-	return c.Range
 }
 
 // Airtime returns the on-air duration of a frame carrying appBytes of
@@ -573,7 +554,7 @@ func (m *Medium) rankOrder(cand []int32) []int32 {
 // ensureGeometry resolves the index bounding box and creates the
 // transmission grid on first use. Bounds come from Config.Bounds when
 // set; otherwise from the attached roster's current positions, padded
-// by one sense range — the clamped dense grids stay correct either way
+// by one radio range — the clamped dense grids stay correct either way
 // (out-of-bounds positions pile into border cells), so the derived box
 // only needs to be representative, not exact.
 func (m *Medium) ensureGeometry() {
@@ -602,14 +583,14 @@ func (m *Medium) ensureGeometry() {
 				b.Max.Y = p.Y
 			}
 		}
-		pad := max(m.cfg.csRange(), m.cfg.ifRange())
-		b.Min.X -= pad
-		b.Min.Y -= pad
-		b.Max.X += pad
-		b.Max.Y += pad
+		r := m.cfg.Range
+		b.Min.X -= r
+		b.Min.Y -= r
+		b.Max.X += r
+		b.Max.Y += r
 	}
 	m.bounds = b
-	m.txGrid = geo.NewGrid[*transmission](max(m.cfg.csRange(), m.cfg.ifRange()), b)
+	m.txGrid = geo.NewGrid[*transmission](m.cfg.Range, b)
 }
 
 // ensureNodeGrid refreshes the node index at now unless it is still
@@ -648,14 +629,14 @@ func (m *Medium) busyUntil(self event.NodeID, pos geo.Point, now sim.Time) (sim.
 	if !m.cfg.FullScan {
 		// Transmission origins are fixed, so the index is exact: no
 		// margin needed.
-		m.txScratch = m.txGrid.AppendDisc(pos, m.cfg.csRange(), m.txScratch[:0])
+		m.txScratch = m.txGrid.AppendDisc(pos, m.cfg.Range, m.txScratch[:0])
 		cand = m.txScratch
 	}
 	for _, t := range cand {
 		if t.from == self || t.end <= now || t.start >= now {
 			continue
 		}
-		if within(t.pos, pos, m.cfg.csRange()) {
+		if within(t.pos, pos, m.cfg.Range) {
 			busy = true
 			if t.end > until {
 				until = t.end
@@ -667,8 +648,8 @@ func (m *Medium) busyUntil(self event.NodeID, pos geo.Point, now sim.Time) (sim.
 
 // collectInterferers gathers, once per finished frame, the foreign
 // transmissions that can corrupt tx at any of its receivers: those that
-// overlap tx in time and started within Range+ifRange of tx.pos. Every
-// receiver is within Range of tx.pos, so a transmission within ifRange
+// overlap tx in time and started within 2*Range of tx.pos. Every
+// receiver is within Range of tx.pos, so a transmission within Range
 // of a receiver is in this list (triangle inequality); corrupted only
 // has to walk it — usually empty — instead of querying the transmission
 // grid per receiver. The live set cannot change while finishCur's loop
@@ -678,7 +659,7 @@ func (m *Medium) collectInterferers(tx *transmission) {
 	if m.cfg.FullScan {
 		return
 	}
-	m.txScratch = m.txGrid.AppendDisc(tx.pos, m.cfg.Range+m.cfg.ifRange(), m.txScratch[:0])
+	m.txScratch = m.txGrid.AppendDisc(tx.pos, 2*m.cfg.Range, m.txScratch[:0])
 	ifs := m.interferers[:0]
 	for _, t := range m.txScratch {
 		if t != tx && t.overlaps(tx) {
@@ -701,7 +682,7 @@ func (m *Medium) corrupted(tx *transmission, q *Port, rpos geo.Point) bool {
 			if t.from == q.id {
 				return true // half-duplex: q was talking
 			}
-			if within(t.pos, rpos, m.cfg.ifRange()) {
+			if within(t.pos, rpos, m.cfg.Range) {
 				return true // interference at the receiver
 			}
 		}
@@ -715,7 +696,7 @@ func (m *Medium) corrupted(tx *transmission, q *Port, rpos geo.Point) bool {
 		}
 	}
 	for _, t := range m.interferers {
-		if t.from != q.id && within(t.pos, rpos, m.cfg.ifRange()) {
+		if t.from != q.id && within(t.pos, rpos, m.cfg.Range) {
 			return true // interference at the receiver
 		}
 	}

@@ -151,32 +151,49 @@ func TestCarrierSenseSerializesNeighbors(t *testing.T) {
 }
 
 func TestHiddenTerminalCollision(t *testing.T) {
-	// A(0) and C(600) cannot sense each other (range 340) but both reach
-	// B(300). Forcing both to transmit at the same instant corrupts B's
-	// reception of both frames.
-	eng := sim.New(1)
-	loc := fixedLocator{1: geo.Pt(0, 0), 2: geo.Pt(600, 0), 3: geo.Pt(300, 0)}
-	cfg := DefaultConfig(340)
-	cfg.CWSlots = 1 // deterministic back-off: both start together
-	m := New(eng, cfg, loc)
-	pa := m.Attach(1, nil)
-	pc := m.Attach(2, nil)
-	logB := attach(m, eng, 3)
-
-	pa.Broadcast(hb(1), 400)
-	pc.Broadcast(hb(2), 400)
-	eng.Run()
-
-	if len(logB.frames) != 0 {
-		t.Fatalf("hidden-terminal frames delivered: %d", len(logB.frames))
+	// A(0) and C cannot sense each other (range 340) and transmit at the
+	// same instant. With C at 600 both reach B(300), which loses both
+	// frames. With C just beyond the range of B, C neither reaches nor
+	// interferes at B: sensing, reception and interference share one
+	// radius, so B receives A's frame cleanly.
+	cases := []struct {
+		name     string
+		c        geo.Point
+		wantRx   int
+		wantLost uint64
+	}{
+		{"interferer in range", geo.Pt(600, 0), 0, 2},
+		{"interferer beyond range", geo.Pt(300+340+1, 0), 1, 0},
 	}
-	got := m.port(3).Counters()
-	if got.FramesLost != 2 {
-		t.Fatalf("FramesLost = %d, want 2", got.FramesLost)
-	}
-	// The senders, unaware, still count their transmissions.
-	if pa.Counters().FramesSent != 1 || pc.Counters().FramesSent != 1 {
-		t.Fatal("senders should have transmitted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New(1)
+			loc := fixedLocator{1: geo.Pt(0, 0), 2: tc.c, 3: geo.Pt(300, 0)}
+			cfg := DefaultConfig(340)
+			cfg.CWSlots = 1 // deterministic back-off: both start together
+			m := New(eng, cfg, loc)
+			pa := m.Attach(1, nil)
+			pc := m.Attach(2, nil)
+			logB := attach(m, eng, 3)
+
+			pa.Broadcast(hb(1), 400)
+			pc.Broadcast(hb(2), 400)
+			eng.Run()
+
+			if len(logB.frames) != tc.wantRx {
+				t.Fatalf("B received %d frames, want %d", len(logB.frames), tc.wantRx)
+			}
+			if tc.wantRx == 1 && logB.frames[0].From != 1 {
+				t.Fatalf("B received a frame from %v, want A's", logB.frames[0].From)
+			}
+			if got := m.port(3).Counters(); got.FramesLost != tc.wantLost {
+				t.Fatalf("FramesLost = %d, want %d", got.FramesLost, tc.wantLost)
+			}
+			// The senders, unaware, still count their transmissions.
+			if pa.Counters().FramesSent != 1 || pc.Counters().FramesSent != 1 {
+				t.Fatal("senders should have transmitted")
+			}
+		})
 	}
 }
 

@@ -170,6 +170,24 @@ func TestWorkloadChurnRunIsFailsafe(t *testing.T) {
 	}
 }
 
+// strayCrash is the params type of the test-only "stray-crash"
+// generator: one crash of node 99, a second into the run.
+type strayCrash struct{}
+
+func (strayCrash) Validate() error { return nil }
+
+func init() {
+	workload.RegisterWorkload(workload.Definition{
+		Name:        "stray-crash",
+		Description: "test only: crashes a node outside any small roster",
+		Class:       workload.ClassUtil,
+		Params:      strayCrash{},
+		New: func(workload.Params, workload.Env) (workload.Generator, error) {
+			return workload.NewExplicit([]workload.Op{{At: time.Second, Kind: workload.Crash, Node: 99}}), nil
+		},
+	})
+}
+
 // TestWorkloadOutOfRangeOpFailsRun pins the runner's defense: a
 // generator emitting an out-of-roster node index is deterministic
 // misconfiguration and must fail the run, not corrupt it.
@@ -183,14 +201,9 @@ func TestWorkloadOutOfRangeOpFailsRun(t *testing.T) {
 		},
 		MAC:                mac.DefaultConfig(200),
 		SubscriberFraction: 1.0,
-		Workload: WorkloadSpec{
-			Name: "explicit",
-			Params: workload.ExplicitParams{Ops: []workload.Op{
-				{At: time.Second, Kind: workload.Crash, Node: 99},
-			}},
-		},
-		Warmup:  time.Second,
-		Measure: 10 * time.Second,
+		Workload:           WorkloadSpec{Name: "stray-crash"},
+		Warmup:             time.Second,
+		Measure:            10 * time.Second,
 	}
 	if _, err := Run(sc); err == nil {
 		t.Fatal("run with an out-of-range workload op succeeded")

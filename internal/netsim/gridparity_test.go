@@ -24,15 +24,8 @@ func TestGridParityWithFullScan(t *testing.T) {
 			Area:     geo.NewRect(2000, 2000),
 			MinSpeed: 1,
 			MaxSpeed: 40,
-			Pause:    time.Second,
 		}},
-		{"city", MobilitySpec{
-			Kind:      CitySection,
-			StopProb:  0.3,
-			StopMin:   2 * time.Second,
-			StopMax:   10 * time.Second,
-			DestPause: 5 * time.Second,
-		}},
+		{"city", MobilitySpec{Kind: CitySection}},
 		{"static", MobilitySpec{
 			Kind: StaticNodes,
 			Area: geo.NewRect(1200, 1200),

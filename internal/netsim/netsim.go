@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/event"
 	"repro/internal/geo"
 	"repro/internal/mac"
 	"repro/internal/mobility"
@@ -82,9 +81,9 @@ func ProtocolNames() []string { return proto.ProtocolNames() }
 // non-nil, must have the generator's registered params type (nil
 // selects its defaults). The zero spec generates nothing — the
 // scenario's explicit Publications/Crashes/Resubscriptions lists alone
-// drive the run (internally they become the "explicit" generator). A
-// non-zero spec's stream is merged with the explicit lists, so
-// hand-placed events and generated dynamics compose.
+// drive the run (internally they become one workload.NewExplicit
+// generator). A non-zero spec's stream is merged with the explicit
+// lists, so hand-placed events and generated dynamics compose.
 type WorkloadSpec = workload.Spec
 
 // MobilityKind selects the mobility model.
@@ -129,35 +128,20 @@ type MobilitySpec struct {
 
 	// Area is the mobility rectangle for StaticNodes/RandomWaypoint.
 	Area geo.Rect
-	// MinSpeed/MaxSpeed bound random-waypoint speeds, m/s.
+	// MinSpeed/MaxSpeed bound random-waypoint speeds, m/s. The dwell
+	// at each waypoint is the paper's 1 s.
 	MinSpeed, MaxSpeed float64
-	// Pause is the random-waypoint dwell time (paper: 1 s).
-	Pause time.Duration
 
 	// Graph is the street network for the graph-constrained kinds;
 	// nil selects the kind's default builder (the synthetic campus for
 	// CitySection, mobility.NewManhattanGraph for ManhattanGrid,
 	// mobility.NewHighwayGraph for HighwayConvoy).
 	Graph *mobility.Graph
-	// StopProb, StopMin, StopMax configure CitySection's stochastic
-	// intersection stops.
-	StopProb         float64
-	StopMin, StopMax time.Duration
-	// DestPause is the dwell at reached destinations (CitySection and
-	// ManhattanGrid).
-	DestPause time.Duration
 
 	// LightCycle and RedFraction configure ManhattanGrid's city-wide
 	// traffic-light schedule (zero cycle disables lights).
 	LightCycle  time.Duration
 	RedFraction float64
-
-	// Platoons, CruiseMin, CruiseMax and RampPause configure
-	// HighwayConvoy; zero values select the defaults (4 platoons
-	// cruising 24-32 m/s, 5 s ramp pause).
-	Platoons             int
-	CruiseMin, CruiseMax float64
-	RampPause            time.Duration
 }
 
 // validateGraphKind checks the graph-constrained kinds' model fields up
@@ -170,35 +154,12 @@ func (m MobilitySpec) validateGraphKind() error {
 			return err
 		}
 	}
-	if m.DestPause < 0 {
-		return errors.New("netsim: negative DestPause")
-	}
-	switch m.Kind {
-	case CitySection:
-		if m.StopProb < 0 || m.StopProb > 1 {
-			return fmt.Errorf("netsim: StopProb %v out of [0,1]", m.StopProb)
-		}
-		if m.StopMin < 0 || m.StopMax < m.StopMin {
-			return fmt.Errorf("netsim: bad stop range [%v,%v]", m.StopMin, m.StopMax)
-		}
-	case ManhattanGrid:
+	if m.Kind == ManhattanGrid {
 		if m.LightCycle < 0 {
 			return fmt.Errorf("netsim: negative LightCycle %v", m.LightCycle)
 		}
 		if m.RedFraction < 0 || m.RedFraction > 1 {
 			return fmt.Errorf("netsim: RedFraction %v out of [0,1]", m.RedFraction)
-		}
-	case HighwayConvoy:
-		// withDefaults has filled the zero values by the time Run
-		// validates, so these are the effective convoy parameters.
-		if m.Platoons < 0 {
-			return fmt.Errorf("netsim: negative Platoons %d", m.Platoons)
-		}
-		if m.CruiseMin < 0 || m.CruiseMax < m.CruiseMin {
-			return fmt.Errorf("netsim: bad cruise range [%v,%v]", m.CruiseMin, m.CruiseMax)
-		}
-		if m.RampPause < 0 {
-			return errors.New("netsim: negative RampPause")
 		}
 	}
 	return nil
@@ -253,9 +214,6 @@ type Scenario struct {
 	Mobility MobilitySpec
 	// MAC configures the medium; mac.DefaultConfig(range) is typical.
 	MAC mac.Config
-	// Sizes is the bandwidth-accounting model (paper defaults when
-	// zero).
-	Sizes event.SizeModel
 
 	// EventTopic is the topic events are published on (default
 	// ".app.news"). SubscriberFraction in [0,1] of nodes subscribe to
@@ -332,32 +290,12 @@ func (s Scenario) withDefaults() Scenario {
 	if s.DecoyTopic.IsZero() {
 		s.DecoyTopic = topic.MustParse(".app.decoy")
 	}
-	if s.Sizes == (event.SizeModel{}) {
-		s.Sizes = event.DefaultSizeModel()
-	}
 	if s.Trace != nil {
 		// A message-level trace without the matching delivery log would
 		// be an inconsistent timeline.
 		s.DeliveryLog = true
 	}
 	s.Protocol = s.Protocol.withDefaults()
-	if s.Mobility.Kind == HighwayConvoy {
-		// Filled here (not in the runner) so Validate sees the effective
-		// convoy values — a partially specified cruise range fails at
-		// Validate time, not inside the first Run.
-		if s.Mobility.Platoons == 0 {
-			s.Mobility.Platoons = 4
-		}
-		if s.Mobility.CruiseMin == 0 {
-			s.Mobility.CruiseMin = 24
-		}
-		if s.Mobility.CruiseMax == 0 {
-			s.Mobility.CruiseMax = 32
-		}
-		if s.Mobility.RampPause == 0 {
-			s.Mobility.RampPause = 5 * time.Second
-		}
-	}
 	return s
 }
 
@@ -401,7 +339,7 @@ func (s Scenario) Validate() error {
 		if p.Validity <= 0 {
 			return fmt.Errorf("netsim: publication %d without validity", i)
 		}
-		if p.Publisher >= s.Nodes {
+		if p.Publisher < -1 || p.Publisher >= s.Nodes {
 			return fmt.Errorf("netsim: publication %d publisher %d out of range", i, p.Publisher)
 		}
 		if p.Offset < 0 {
@@ -412,6 +350,9 @@ func (s Scenario) Validate() error {
 		if c.Node < 0 || c.Node >= s.Nodes {
 			return fmt.Errorf("netsim: crash %d node out of range", i)
 		}
+		if c.At < 0 || c.RecoverAt < 0 {
+			return fmt.Errorf("netsim: crash %d at negative time", i)
+		}
 		if c.RecoverAt != 0 && c.RecoverAt < c.At {
 			return fmt.Errorf("netsim: crash %d recovers before failing", i)
 		}
@@ -419,6 +360,9 @@ func (s Scenario) Validate() error {
 	for i, r := range s.Resubscriptions {
 		if r.Node < 0 || r.Node >= s.Nodes {
 			return fmt.Errorf("netsim: resubscription %d node out of range", i)
+		}
+		if r.At < 0 {
+			return fmt.Errorf("netsim: resubscription %d at negative time", i)
 		}
 		if r.Topic.IsZero() {
 			return fmt.Errorf("netsim: resubscription %d zero topic", i)

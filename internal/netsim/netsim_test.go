@@ -51,12 +51,30 @@ func TestValidate(t *testing.T) {
 		{"pub publisher range", func(s *Scenario) {
 			s.Publications = []Publication{{Publisher: 99, Validity: time.Second}}
 		}, false},
+		{"pub random publisher", func(s *Scenario) {
+			s.Publications = []Publication{{Publisher: -1, Validity: time.Second}}
+		}, true},
+		{"pub publisher below -1", func(s *Scenario) {
+			s.Publications = []Publication{{Publisher: -2, Validity: time.Second}}
+		}, false},
 		{"crash node range", func(s *Scenario) {
 			s.Crashes = []Crash{{Node: 99, At: time.Second}}
 		}, false},
 		{"crash before recover", func(s *Scenario) {
 			s.Crashes = []Crash{{Node: 0, At: 10 * time.Second, RecoverAt: time.Second}}
 		}, false},
+		{"crash negative at", func(s *Scenario) {
+			s.Crashes = []Crash{{Node: 0, At: -time.Second}}
+		}, false},
+		{"crash negative recover", func(s *Scenario) {
+			s.Crashes = []Crash{{Node: 0, At: -2 * time.Second, RecoverAt: -time.Second}}
+		}, false},
+		{"resub negative at", func(s *Scenario) {
+			s.Resubscriptions = []Resubscription{{Node: 0, At: -time.Second, Topic: s.EventTopic}}
+		}, false},
+		{"resub valid", func(s *Scenario) {
+			s.Resubscriptions = []Resubscription{{Node: 0, At: time.Second, Topic: s.EventTopic}}
+		}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -207,7 +225,6 @@ func TestSparseMobileNetworkUsesMobility(t *testing.T) {
 			Area:     geo.NewRect(3000, 3000),
 			MinSpeed: 15,
 			MaxSpeed: 15,
-			Pause:    time.Second,
 		},
 		MAC:                mac.DefaultConfig(340),
 		Protocol:           FrugalSpec(CoreTuning{HBDelay: time.Second, HBUpperBound: time.Second}),
@@ -279,16 +296,10 @@ func TestCrashWithoutRecoveryLowersReliability(t *testing.T) {
 
 func TestCityScenarioRuns(t *testing.T) {
 	sc := Scenario{
-		Name:  "city-smoke",
-		Nodes: 15,
-		Seed:  21,
-		Mobility: MobilitySpec{
-			Kind:      CitySection,
-			StopProb:  0.3,
-			StopMin:   2 * time.Second,
-			StopMax:   10 * time.Second,
-			DestPause: 5 * time.Second,
-		},
+		Name:               "city-smoke",
+		Nodes:              15,
+		Seed:               21,
+		Mobility:           MobilitySpec{Kind: CitySection},
 		MAC:                mac.DefaultConfig(44),
 		Protocol:           FrugalSpec(CoreTuning{HBDelay: 4 * time.Second, HBUpperBound: time.Second, UseSpeed: true}),
 		SubscriberFraction: 1.0,

@@ -24,8 +24,8 @@ type ScenarioDef struct {
 	Runtime string
 	// Heavy marks scenarios too large for the default registry sweeps
 	// (the exp "scenarios" family, the golden-file suite): they stay
-	// reachable by name (-scenario, the "scale" family, benchmarks) but
-	// are skipped wherever every registered scenario runs implicitly.
+	// reachable by name (-scenario, benchmarks) but are skipped
+	// wherever every registered scenario runs implicitly.
 	Heavy bool
 	// Template is the full scenario; its Seed field is ignored.
 	Template Scenario

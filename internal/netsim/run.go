@@ -63,16 +63,15 @@ func (l *locator) Position(id event.NodeID, at sim.Time) geo.Point {
 	return leg.Position(at)
 }
 
-// portTransport charges the scenario size model for every broadcast and
+// portTransport charges the paper's size model for every broadcast and
 // feeds the optional trace.
 type portTransport struct {
-	port  *mac.Port
-	sizes event.SizeModel
-	r     *runner
+	port *mac.Port
+	r    *runner
 }
 
 func (t portTransport) Broadcast(m event.Message) {
-	size := m.WireSize(t.sizes)
+	size := m.WireSize(event.DefaultSizeModel())
 	if tr := t.r.sc.Trace; tr != nil { // per message: no record, no m.Kind() when untraced
 		tr.Add(trace.Record{
 			At:    t.r.eng.Now(),
@@ -227,6 +226,10 @@ var defaultGraph = map[MobilityKind]func() *mobility.Graph{
 	HighwayConvoy: mobility.NewHighwayGraph,
 }
 
+// buildMobility builds one node's model. Only what scenarios vary comes
+// from MobilitySpec; the rest are the per-kind constants every scenario
+// runs with (the paper's §5.1 environments and the vehicular
+// extensions).
 func (r *runner) buildMobility() (mobility.Model, error) {
 	m := r.sc.Mobility
 	rng := r.eng.NewRand()
@@ -242,7 +245,7 @@ func (r *runner) buildMobility() (mobility.Model, error) {
 			Area:     m.Area,
 			MinSpeed: m.MinSpeed,
 			MaxSpeed: m.MaxSpeed,
-			Pause:    m.Pause,
+			Pause:    time.Second, // paper: pause time always 1 s
 		}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
@@ -251,10 +254,10 @@ func (r *runner) buildMobility() (mobility.Model, error) {
 	case CitySection:
 		cfg := mobility.CityConfig{
 			Graph:     r.graph,
-			StopProb:  m.StopProb,
-			StopMin:   m.StopMin,
-			StopMax:   m.StopMax,
-			DestPause: m.DestPause,
+			StopProb:  0.3,
+			StopMin:   2 * time.Second,
+			StopMax:   10 * time.Second,
+			DestPause: 5 * time.Second,
 		}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
@@ -265,20 +268,19 @@ func (r *runner) buildMobility() (mobility.Model, error) {
 			Graph:       r.graph,
 			LightCycle:  m.LightCycle,
 			RedFraction: m.RedFraction,
-			DestPause:   m.DestPause,
+			DestPause:   10 * time.Second,
 		}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
 		return mobility.NewManhattan(cfg, rng), nil
 	case HighwayConvoy:
-		// Convoy defaults were filled by Scenario.withDefaults.
 		cfg := mobility.HighwayConfig{
 			Graph:     r.graph,
-			Platoons:  m.Platoons,
-			CruiseMin: m.CruiseMin,
-			CruiseMax: m.CruiseMax,
-			RampPause: m.RampPause,
+			Platoons:  4,
+			CruiseMin: 24,
+			CruiseMax: 32,
+			RampPause: 5 * time.Second,
 		}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
@@ -336,7 +338,7 @@ func (r *runner) buildProtocol(n *node) (proto.Disseminator, error) {
 	env := proto.Env{
 		ID:        n.id,
 		Sched:     proto.EngineScheduler{Eng: r.eng},
-		Transport: portTransport{port: n.port, sizes: sc.Sizes, r: r},
+		Transport: portTransport{port: n.port, r: r},
 		Rand:      sim.NewStream(sc.Seed*7919 + int64(n.id)*104729 + 13),
 		OnDeliver: r.deliverHook(n.id),
 		Speed:     func() float64 { return model.Speed(eng.Now()) },
@@ -389,7 +391,7 @@ func (r *runner) schedule() error {
 }
 
 // explicitOps converts the scenario's hand-written lists into one
-// sorted op schedule for the "explicit" generator. The pre-sort slice
+// sorted op schedule for workload.NewExplicit. The pre-sort slice
 // order encodes the tie-break for same-instant ops (publications in
 // list order, then each crash with its recovery, then
 // resubscriptions), matching the engine's historical FIFO order when
@@ -424,7 +426,7 @@ func (r *runner) explicitOps() []workload.Op {
 }
 
 // buildWorkload assembles the run's op stream: the explicit lists
-// always run (as the "explicit" generator); a non-zero WorkloadSpec is
+// always run (through workload.NewExplicit); a non-zero WorkloadSpec is
 // built through the workload registry with its own RNG stream and
 // merged in (ties to the explicit schedule).
 func (r *runner) buildWorkload() (workload.Generator, error) {

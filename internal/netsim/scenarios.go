@@ -23,14 +23,8 @@ func init() {
 		Description: "paper's city section: 15 nodes on the synthetic campus grid, one 150 s event",
 		Runtime:     "<1 s",
 		Template: Scenario{
-			Nodes: 15,
-			Mobility: MobilitySpec{
-				Kind:      CitySection,
-				StopProb:  0.3,
-				StopMin:   2 * time.Second,
-				StopMax:   10 * time.Second,
-				DestPause: 5 * time.Second,
-			},
+			Nodes:              15,
+			Mobility:           MobilitySpec{Kind: CitySection},
 			MAC:                mac.DefaultConfig(44),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 			SubscriberFraction: 1.0,
@@ -52,7 +46,6 @@ func init() {
 				Area:     geo.NewRect(2582, 2582), // the paper's 6 nodes/km^2
 				MinSpeed: 10,
 				MaxSpeed: 10,
-				Pause:    time.Second,
 			},
 			MAC:                mac.DefaultConfig(339),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
@@ -74,7 +67,6 @@ func init() {
 				Kind:        ManhattanGrid,
 				LightCycle:  30 * time.Second,
 				RedFraction: 0.4,
-				DestPause:   10 * time.Second,
 			},
 			MAC:                mac.DefaultConfig(100),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
@@ -98,7 +90,6 @@ func init() {
 				Kind:        ManhattanGrid,
 				LightCycle:  30 * time.Second,
 				RedFraction: 0.4,
-				DestPause:   10 * time.Second,
 			},
 			MAC:                mac.DefaultConfig(100),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
@@ -120,14 +111,8 @@ func init() {
 		Description: "highway convoy: 32 vehicles in 4 platoons on a 3.5 km bidirectional corridor, two 90 s events",
 		Runtime:     "<1 s",
 		Template: Scenario{
-			Nodes: 32,
-			Mobility: MobilitySpec{
-				Kind:      HighwayConvoy,
-				Platoons:  4,
-				CruiseMin: 24,
-				CruiseMax: 32,
-				RampPause: 5 * time.Second,
-			},
+			Nodes:              32,
+			Mobility:           MobilitySpec{Kind: HighwayConvoy},
 			MAC:                mac.DefaultConfig(250),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 			SubscriberFraction: 0.9,
@@ -144,14 +129,8 @@ func init() {
 		Description: "flash crowd on the campus grid: 40 pedestrians, a burst of generated events mid-window",
 		Runtime:     "~2 s",
 		Template: Scenario{
-			Nodes: 40,
-			Mobility: MobilitySpec{
-				Kind:      CitySection,
-				StopProb:  0.3,
-				StopMin:   2 * time.Second,
-				StopMax:   10 * time.Second,
-				DestPause: 5 * time.Second,
-			},
+			Nodes:              40,
+			Mobility:           MobilitySpec{Kind: CitySection},
 			MAC:                mac.DefaultConfig(44),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 			SubscriberFraction: 0.9,
@@ -184,7 +163,6 @@ func init() {
 				Kind:        ManhattanGrid,
 				LightCycle:  30 * time.Second,
 				RedFraction: 0.4,
-				DestPause:   10 * time.Second,
 			},
 			MAC:                mac.DefaultConfig(100),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
@@ -214,7 +192,7 @@ func init() {
 	// churn mixed in — the VANET-scale regime of the related work, far
 	// beyond the paper's few hundred nodes. Both are Heavy: the
 	// registry-wide sweeps and the golden suite skip them; reach them
-	// via -scenario, the exp "scale" family or bench/'s metro workloads.
+	// via -scenario or bench/'s metro workloads.
 	metroTemplate := func(nodes int) Scenario {
 		cols, rows := MetroGraphDims(nodes)
 		return Scenario{
@@ -224,7 +202,6 @@ func init() {
 				Graph:       mobility.NewManhattanStyleGraph(cols, rows),
 				LightCycle:  30 * time.Second,
 				RedFraction: 0.4,
-				DestPause:   10 * time.Second,
 			},
 			MAC:                mac.DefaultConfig(100),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
@@ -289,8 +266,8 @@ func init() {
 // MetroGraphDims returns the Manhattan-style street-grid dimensions
 // (intersection columns x rows on 110 m blocks, ~36:28 aspect) that
 // hold the metro family's vehicle density near 440/km^2 for the given
-// population. The scale experiment family uses it to grow the city
-// with the roster instead of packing a fixed area denser — the latter
+// population. The metro templates use it to grow the city with the
+// roster instead of packing a fixed area denser — the latter
 // makes per-simulated-second cost quadratic in the population (every
 // doubling doubles both the frame rate and the receivers per frame).
 func MetroGraphDims(nodes int) (cols, rows int) {

@@ -57,8 +57,8 @@ func drain(t *testing.T, gen workload.Generator, cap int) []workload.Op {
 
 func TestWorkloadConformance(t *testing.T) {
 	defs := workload.Workloads()
-	if len(defs) < 8 {
-		t.Fatalf("only %d generators registered; explicit, mix, the four arrival processes and both churn kinds must be wired in", len(defs))
+	if len(defs) < 7 {
+		t.Fatalf("only %d generators registered; mix, the four arrival processes and both churn kinds must be wired in", len(defs))
 	}
 	for _, def := range defs {
 		def := def

@@ -5,39 +5,6 @@ import (
 	"sort"
 )
 
-// ExplicitParams replays a fixed, pre-enumerated op schedule — the
-// compatibility bridge for scenarios that enumerate every publication,
-// crash and resubscription by hand. netsim converts its
-// Publications/Crashes/Resubscriptions lists into exactly this
-// generator, so the legacy path and the generated path share one
-// scheduling mechanism.
-type ExplicitParams struct {
-	// Ops is the schedule, sorted by At (stable: same-instant ops keep
-	// their slice order).
-	Ops []Op
-}
-
-// Validate implements Params.
-func (p ExplicitParams) Validate() error {
-	for i, op := range p.Ops {
-		if op.At < 0 {
-			return fmt.Errorf("workload: explicit op %d at negative time %v", i, op.At)
-		}
-		if i > 0 && op.At < p.Ops[i-1].At {
-			return fmt.Errorf("workload: explicit ops not sorted (op %d at %v after %v)",
-				i, op.At, p.Ops[i-1].At)
-		}
-		if op.Kind == Publish {
-			if op.Validity <= 0 {
-				return fmt.Errorf("workload: explicit publish %d without validity", i)
-			}
-		} else if op.Node < 0 {
-			return fmt.Errorf("workload: explicit op %d (%v) with negative node", i, op.Kind)
-		}
-	}
-	return nil
-}
-
 // SortOps stable-sorts ops by At in place: same-instant ops keep their
 // relative order, which is how callers encode tie-breaking (e.g. netsim
 // lists publications before crashes before resubscriptions).
@@ -59,9 +26,11 @@ func (g *explicitGen) Next() (Op, bool) {
 	return op, true
 }
 
-// NewExplicit returns a generator replaying ops (which must already be
-// sorted by At; see SortOps). It is the "explicit" registry entry,
-// exported directly because netsim builds it on every run.
+// NewExplicit returns a generator replaying a fixed, pre-enumerated op
+// schedule (which must already be sorted by At; see SortOps). netsim
+// turns a scenario's hand-written Publications/Crashes/Resubscriptions
+// lists into this generator on every run, so the hand-written path and
+// the generated path share one scheduling mechanism.
 func NewExplicit(ops []Op) Generator { return &explicitGen{ops: ops} }
 
 // head is one merged stream's buffered next op.
@@ -133,15 +102,6 @@ func (p MixParams) Validate() error {
 }
 
 func init() {
-	RegisterWorkload(Definition{
-		Name:        "explicit",
-		Description: "replays a fixed pre-enumerated op schedule (the compatibility path for hand-written scenario lists)",
-		Class:       ClassUtil,
-		Params:      ExplicitParams{},
-		New: func(p Params, _ Env) (Generator, error) {
-			return NewExplicit(p.(ExplicitParams).Ops), nil
-		},
-	})
 	RegisterWorkload(Definition{
 		Name:        "mix",
 		Description: "merges several registered generators into one time-ordered stream (traffic + churn compositions)",

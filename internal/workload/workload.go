@@ -142,7 +142,8 @@ type Spec struct {
 func (s Spec) IsZero() bool { return s.Name == "" }
 
 // String implements fmt.Stringer: the registry name, or "explicit" for
-// the zero spec (the compatibility path).
+// the zero spec, whose run is driven by the scenario's hand-written
+// lists alone (see NewExplicit).
 func (s Spec) String() string {
 	if s.Name == "" {
 		return "explicit"
@@ -174,8 +175,7 @@ const (
 	// ClassChurn generators emit node-lifecycle or subscription
 	// dynamics (no publications of their own).
 	ClassChurn Class = "churn"
-	// ClassUtil generators are composition and compatibility helpers
-	// (explicit, mix).
+	// ClassUtil generators are composition helpers (mix).
 	ClassUtil Class = "util"
 )
 

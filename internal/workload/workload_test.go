@@ -49,33 +49,6 @@ func TestMergeTimeOrderedStableTies(t *testing.T) {
 	}
 }
 
-func TestExplicitParamsValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		ops  []workload.Op
-		want string // substring of the error; "" = valid
-	}{
-		{"empty", nil, ""},
-		{"sorted", []workload.Op{op(1*time.Second, workload.Publish, -1), op(2*time.Second, workload.Crash, 0)}, ""},
-		{"unsorted", []workload.Op{op(2*time.Second, workload.Crash, 0), op(1*time.Second, workload.Publish, -1)}, "not sorted"},
-		{"negative time", []workload.Op{op(-time.Second, workload.Crash, 0)}, "negative time"},
-		{"publish without validity", []workload.Op{{At: time.Second, Kind: workload.Publish, Node: -1}}, "without validity"},
-		{"negative node", []workload.Op{op(time.Second, workload.Crash, -1)}, "negative node"},
-	}
-	for _, tc := range cases {
-		err := workload.ExplicitParams{Ops: tc.ops}.Validate()
-		if tc.want == "" {
-			if err != nil {
-				t.Fatalf("%s: unexpected error %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: error %v does not mention %q", tc.name, err, tc.want)
-		}
-	}
-}
-
 func TestSpecAndMixValidation(t *testing.T) {
 	if err := (workload.Spec{}).Validate(); err != nil {
 		t.Fatalf("zero spec invalid: %v", err)
