@@ -278,6 +278,17 @@ func main() {
 			o.ID.String()[:8], o.Publisher, o.DeliveredInTime, o.Eligible, 100*o.Reliability())
 	}
 
+	censored := 0
+	for _, o := range res.Outcomes {
+		if o.Censored {
+			censored++
+		}
+	}
+	if censored > 0 {
+		fmt.Fprintf(os.Stderr, "%d of %d events censored: the run ends before their validity does, so their reliability is a lower bound\n",
+			censored, len(res.Outcomes))
+	}
+
 	if *timeline {
 		fmt.Println("\ncoverage over time:")
 		for _, o := range res.Outcomes {

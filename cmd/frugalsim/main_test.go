@@ -91,3 +91,24 @@ func TestCampusTraceGolden(t *testing.T) {
 		t.Fatalf("output differs from testdata/campus-trace40.golden:\n%s", got)
 	}
 }
+
+// TestCensoredCountOnStderr: the censored-event count goes to stderr,
+// so stdout (and the golden above) reads the same as before; a run
+// without censored events prints nothing there.
+func TestCensoredCountOnStderr(t *testing.T) {
+	bin := buildFrugalsim(t)
+	for scenario, want := range map[string]string{
+		"stadium": "6 of 24 events censored",
+		"campus":  "",
+	} {
+		var stderr strings.Builder
+		cmd := exec.Command(bin, "-scenario", scenario)
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%s: %v\n%s", scenario, err, stderr.String())
+		}
+		if got := stderr.String(); !strings.HasPrefix(got, want) || (want == "") != (got == "") {
+			t.Errorf("%s: stderr = %q, want it to start with %q", scenario, got, want)
+		}
+	}
+}

@@ -45,7 +45,9 @@
 //     waves — and prints the measured delivery ratio/latency next to
 //     the netsim prediction, optionally serving live /metrics and
 //     writing a machine-readable report)
-//   - examples/ — quickstart, carpark, campus, inprocess, udpmesh
+//   - examples: ExampleRun (quickstart), ExampleRun_campus and
+//     ExampleRun_carpark in internal/netsim, ExampleNewNode and
+//     ExampleNewUDPNode in pubsub; go test checks their output
 //
 // ARCHITECTURE.md maps the paper's sections onto these packages and
 // sketches the dataflow of one simulation.

@@ -21,7 +21,7 @@
 // The protocol is transport-agnostic: it talks to the outside world only
 // through the small Clock/Scheduler/Transport interfaces, so the same
 // code runs on the discrete-event simulator (internal/netsim) and on real
-// time (examples/inprocess).
+// time (pubsub.Node; see ExampleNewNode).
 //
 // Concurrency contract: a Protocol instance is single-threaded. All entry
 // points (Subscribe, Publish, HandleMessage, timer callbacks scheduled via

@@ -11,7 +11,7 @@ import (
 )
 
 // The binary wire format is a compact, versionless encoding intended for
-// real transports (see examples/inprocess). Bandwidth *accounting* in the
+// real transports (see pubsub's ExampleNewNode). Bandwidth *accounting* in the
 // experiments uses SizeModel instead, so that the figures match the
 // paper's fixed message sizes rather than our encoding overhead.
 

@@ -135,31 +135,44 @@ func TestGridMatchesFullScanUnbounded(t *testing.T) {
 // TestGridHiddenTerminal pins the interference path through the tx
 // grid: two transmitters out of carrier-sense range of each other, both
 // in range of a middle receiver, transmitting concurrently — the
-// receiver must lose both frames, with and without the grid.
+// receiver must lose both frames, with and without the grid. In the
+// second placement the grid's 300 m cells start at x = 0, so each
+// transmitter's cell lies wholly outside the other's Range disc: only
+// the 2*Range interferer disc finds the collision.
 func TestGridHiddenTerminal(t *testing.T) {
-	for _, fullScan := range []bool{false, true} {
-		eng := sim.New(1)
-		cfg := DefaultConfig(300)
-		cfg.SpeedBounded = true // static
-		cfg.FullScan = fullScan
-		pos := modelLocator{
-			mobility.Static{P: geo.Pt(0, 0)},
-			mobility.Static{P: geo.Pt(290, 0)},
-			mobility.Static{P: geo.Pt(580, 0)},
-		}
-		m := New(eng, cfg, pos)
-		received := 0
-		a := m.Attach(0, nil)
-		mid := m.Attach(1, func(Frame) { received++ })
-		c := m.Attach(2, nil)
-		a.Broadcast(event.Heartbeat{From: 0}, 400)
-		c.Broadcast(event.Heartbeat{From: 2}, 400)
-		eng.Run()
-		if received != 0 {
-			t.Fatalf("fullScan=%v: middle node received %d frames through a collision", fullScan, received)
-		}
-		if got := mid.Counters().FramesLost; got != 2 {
-			t.Fatalf("fullScan=%v: middle node lost %d frames, want 2", fullScan, got)
+	placements := []struct {
+		xs     [3]float64
+		bounds geo.Rect
+	}{
+		{[3]float64{0, 290, 580}, geo.Rect{}},
+		{[3]float64{290, 580, 870}, geo.NewRect(900, 1)},
+	}
+	for _, pl := range placements {
+		for _, fullScan := range []bool{false, true} {
+			eng := sim.New(1)
+			cfg := DefaultConfig(300)
+			cfg.SpeedBounded = true // static
+			cfg.FullScan = fullScan
+			cfg.Bounds = pl.bounds
+			pos := modelLocator{
+				mobility.Static{P: geo.Pt(pl.xs[0], 0)},
+				mobility.Static{P: geo.Pt(pl.xs[1], 0)},
+				mobility.Static{P: geo.Pt(pl.xs[2], 0)},
+			}
+			m := New(eng, cfg, pos)
+			received := 0
+			a := m.Attach(0, nil)
+			mid := m.Attach(1, func(Frame) { received++ })
+			c := m.Attach(2, nil)
+			a.Broadcast(event.Heartbeat{From: 0}, 400)
+			c.Broadcast(event.Heartbeat{From: 2}, 400)
+			eng.Run()
+			if received != 0 {
+				t.Fatalf("%v fullScan=%v: middle node received %d frames through a collision", pl.xs, fullScan, received)
+			}
+			if got := mid.Counters().FramesLost; got != 2 {
+				t.Fatalf("%v fullScan=%v: middle node lost %d frames, want 2", pl.xs, fullScan, got)
+			}
 		}
 	}
 }

@@ -335,6 +335,9 @@ func (s Scenario) Validate() error {
 	default:
 		return fmt.Errorf("netsim: unknown mobility kind %d", s.Mobility.Kind)
 	}
+	// The run executes ops up to and including its last instant; an
+	// explicit op after it would be silently dropped.
+	end := s.Warmup + s.Measure
 	for i, p := range s.Publications {
 		if p.Validity <= 0 {
 			return fmt.Errorf("netsim: publication %d without validity", i)
@@ -344,6 +347,9 @@ func (s Scenario) Validate() error {
 		}
 		if p.Offset < 0 {
 			return fmt.Errorf("netsim: publication %d negative offset", i)
+		}
+		if s.Warmup+p.Offset > end {
+			return fmt.Errorf("netsim: publication %d past the run's end %v", i, end)
 		}
 	}
 	for i, c := range s.Crashes {
@@ -356,13 +362,16 @@ func (s Scenario) Validate() error {
 		if c.RecoverAt != 0 && c.RecoverAt < c.At {
 			return fmt.Errorf("netsim: crash %d recovers before failing", i)
 		}
+		if c.At > end || c.RecoverAt > end {
+			return fmt.Errorf("netsim: crash %d past the run's end %v", i, end)
+		}
 	}
 	for i, r := range s.Resubscriptions {
 		if r.Node < 0 || r.Node >= s.Nodes {
 			return fmt.Errorf("netsim: resubscription %d node out of range", i)
 		}
-		if r.At < 0 {
-			return fmt.Errorf("netsim: resubscription %d at negative time", i)
+		if r.At < 0 || r.At > end {
+			return fmt.Errorf("netsim: resubscription %d at %v outside [0, %v]", i, r.At, end)
 		}
 		if r.Topic.IsZero() {
 			return fmt.Errorf("netsim: resubscription %d zero topic", i)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/mac"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -75,6 +76,25 @@ func TestValidate(t *testing.T) {
 		{"resub valid", func(s *Scenario) {
 			s.Resubscriptions = []Resubscription{{Node: 0, At: time.Second, Topic: s.EventTopic}}
 		}, true},
+		// The run ends at Warmup+Measure = 100 s and executes ops at
+		// exactly that instant (TestCensored runs one); an op a
+		// nanosecond later would be dropped, so Validate rejects it.
+		{"pub at end", func(s *Scenario) { s.Warmup, s.Publications[0].Offset = 10*time.Second, 90*time.Second }, true},
+		{"pub past end", func(s *Scenario) { s.Warmup, s.Publications[0].Offset = 10*time.Second, 90*time.Second+1 }, false},
+		{"crash at end", func(s *Scenario) { s.Warmup, s.Crashes = 10*time.Second, []Crash{{Node: 0, At: 100 * time.Second}} }, true},
+		{"crash past end", func(s *Scenario) { s.Warmup, s.Crashes = 10*time.Second, []Crash{{Node: 0, At: 100*time.Second + 1}} }, false},
+		{"recover at end", func(s *Scenario) {
+			s.Warmup, s.Crashes = 10*time.Second, []Crash{{Node: 0, At: time.Second, RecoverAt: 100 * time.Second}}
+		}, true},
+		{"recover past end", func(s *Scenario) {
+			s.Warmup, s.Crashes = 10*time.Second, []Crash{{Node: 0, At: time.Second, RecoverAt: 100*time.Second + 1}}
+		}, false},
+		{"resub at end", func(s *Scenario) {
+			s.Warmup, s.Resubscriptions = 10*time.Second, []Resubscription{{Node: 0, At: 100 * time.Second, Topic: s.EventTopic}}
+		}, true},
+		{"resub past end", func(s *Scenario) {
+			s.Warmup, s.Resubscriptions = 10*time.Second, []Resubscription{{Node: 0, At: 100*time.Second + 1, Topic: s.EventTopic}}
+		}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -84,6 +104,33 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("Validate = %v, want ok=%v", err, tt.ok)
 			}
 		})
+	}
+}
+
+// TestCensored: an event whose validity ends exactly at the run's end
+// is scored in full; one published at the end itself (the engine runs
+// ops at its limit) is censored. The flag is derived from the scenario,
+// so Fingerprint ignores it.
+func TestCensored(t *testing.T) {
+	sc := denseStatic(1)
+	sc.Publications = []Publication{
+		{Offset: 0, Publisher: 0, Validity: sc.Measure},
+		{Offset: sc.Measure, Publisher: 1, Validity: time.Second},
+	}
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Outcomes) != 2 || res.Outcomes[1].At != sim.At(sc.Measure) {
+		t.Fatalf("outcomes = %+v, want the second published at %v", res.Outcomes, sc.Measure)
+	}
+	if got := []bool{res.Outcomes[0].Censored, res.Outcomes[1].Censored}; !reflect.DeepEqual(got, []bool{false, true}) {
+		t.Fatalf("Censored = %v, want [false true]", got)
+	}
+	fp := res.Fingerprint()
+	res.Outcomes[0].Censored, res.Outcomes[1].Censored = true, false
+	if res.Fingerprint() != fp {
+		t.Fatal("Fingerprint depends on Censored")
 	}
 }
 

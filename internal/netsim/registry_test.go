@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -60,6 +61,32 @@ func TestScenarioRegistryRoundTrip(t *testing.T) {
 				t.Fatalf("scenario %s delivered nothing", d.Name)
 			}
 		})
+	}
+}
+
+// TestCensoredScenarios lists exactly which registered scenarios end
+// their run before some event's validity does, and how many events each
+// censors. The three largest metro tiers are left out: each run takes
+// minutes.
+func TestCensoredScenarios(t *testing.T) {
+	want := map[string]int{"metro-slice": 6, "rush-hour": 16, "stadium": 6}
+	got := map[string]int{}
+	for _, d := range Scenarios() {
+		if d.Heavy && d.Name != "metro-slice" {
+			continue
+		}
+		res, err := Run(d.Instantiate(1))
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		for _, o := range res.Outcomes {
+			if o.Censored {
+				got[d.Name]++
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("censored events per scenario = %v, want %v", got, want)
 	}
 }
 

@@ -32,6 +32,11 @@ type EventOutcome struct {
 	// DeliveredInTime counts eligible nodes that delivered the event
 	// before its validity expired.
 	DeliveredInTime int
+	// Censored is true when the event's validity ends after the
+	// measurement window does (Warmup+Measure): deliveries still due
+	// were never simulated, so DeliveredInTime is a lower bound. It is
+	// derived from the scenario, so Fingerprint leaves it out.
+	Censored bool
 }
 
 // Reliability is the paper's "probability of event reception":

@@ -549,6 +549,11 @@ func (r *runner) collect() *Result {
 	if r.sampler != nil {
 		res.Series = r.sampler.series
 	}
+	end := sim.At(r.sc.Warmup + r.sc.Measure)
+	for i := range res.Outcomes {
+		o := &res.Outcomes[i]
+		o.Censored = o.At.Add(o.Validity) > end
+	}
 	for i, n := range r.nodes {
 		proto := n.totalStats()
 		macC := n.port.Counters()

@@ -4,8 +4,8 @@
 // UDP datagrams fanned out to a peer group — the standard way to
 // run MANET protocols in LAN testbeds. pubsub.NewUDPNode wires it to a
 // goroutine-safe protocol node on the wall clock, so the protocol runs
-// unchanged on real sockets (see examples/udpmesh, and examples/inprocess
-// for the in-memory analogue).
+// unchanged on real sockets (see pubsub's ExampleNewUDPNode, and
+// ExampleNewNode for the in-memory analogue).
 //
 // The fast path is asynchronous on both sides (the "real-path
 // contracts", see ARCHITECTURE.md): Broadcast marshals into a pooled
