@@ -47,6 +47,10 @@ import (
 	"repro/internal/workload"
 )
 
+// pubSpacing is the gap between the ad-hoc scenario's -events
+// publications.
+const pubSpacing = 500 * time.Millisecond
+
 // writeSeries dumps a sampled run's curve; the extension picks the
 // encoder (.json = JSON document, anything else = CSV).
 func writeSeries(path string, s *netsim.Series) error {
@@ -160,7 +164,10 @@ func main() {
 			MAC:                mac.DefaultConfig(*radio),
 			SubscriberFraction: *subs,
 			Warmup:             *warmup,
-			Measure:            *validity + 5*time.Second,
+			// The last publication goes out (events-1) spacings in;
+			// its validity must end inside the window, or it is
+			// censored.
+			Measure: *validity + 5*time.Second + time.Duration(max(*events-1, 0))*pubSpacing,
 		}
 		switch *mobility {
 		case "rwp":
@@ -195,7 +202,7 @@ func main() {
 		}
 		for i := 0; i < *events; i++ {
 			sc.Publications = append(sc.Publications, netsim.Publication{
-				Offset:    time.Duration(i) * 500 * time.Millisecond,
+				Offset:    time.Duration(i) * pubSpacing,
 				Publisher: -1,
 				Validity:  *validity,
 			})

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,24 +10,32 @@ import (
 	"testing"
 )
 
-// buildFrugalsim compiles the command once into a temp dir; the
+// frugalsim is the command under test, built once by TestMain; the
 // unknown-id paths end in os.Exit, so they are pinned end-to-end
 // through the real binary rather than in-process.
-func buildFrugalsim(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "frugalsim")
-	out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput()
+var frugalsim string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "frugalsim-test")
 	if err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	return bin
+	frugalsim = filepath.Join(dir, "frugalsim")
+	code := 1
+	if out, err := exec.Command("go", "build", "-o", frugalsim, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
 // TestUnknownIDsPrintCatalogAndExit1 pins the three unknown-id paths to
 // the same contract: print the matching registry catalog on stderr and
 // exit 1 (structural flag misuse stays exit 2, see below).
 func TestUnknownIDsPrintCatalogAndExit1(t *testing.T) {
-	bin := buildFrugalsim(t)
 	cases := []struct {
 		flag  string
 		wants []string // catalog entries that must be listed
@@ -37,7 +46,7 @@ func TestUnknownIDsPrintCatalogAndExit1(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.flag, func(t *testing.T) {
-			cmd := exec.Command(bin, c.flag, "no-such-id")
+			cmd := exec.Command(frugalsim, c.flag, "no-such-id")
 			var stderr strings.Builder
 			cmd.Stderr = &stderr
 			err := cmd.Run()
@@ -61,8 +70,7 @@ func TestUnknownIDsPrintCatalogAndExit1(t *testing.T) {
 // invocation (an ad-hoc flag combined with -scenario) is usage error 2,
 // distinct from the unknown-id exit 1.
 func TestFlagMisuseKeepsExit2(t *testing.T) {
-	bin := buildFrugalsim(t)
-	cmd := exec.Command(bin, "-scenario", "campus", "-nodes", "5")
+	cmd := exec.Command(frugalsim, "-scenario", "campus", "-nodes", "5")
 	err := cmd.Run()
 	ee, ok := err.(*exec.ExitError)
 	if !ok {
@@ -77,8 +85,7 @@ func TestFlagMisuseKeepsExit2(t *testing.T) {
 // the last 40 timeline records and, since the run wraps the ring, the
 // dropped-records note after them. Only the wall-clock time is masked.
 func TestCampusTraceGolden(t *testing.T) {
-	bin := buildFrugalsim(t)
-	out, err := exec.Command(bin, "-scenario", "campus", "-trace", "40").Output()
+	out, err := exec.Command(frugalsim, "-scenario", "campus", "-trace", "40").Output()
 	if err != nil {
 		t.Fatalf("frugalsim: %v", err)
 	}
@@ -94,21 +101,25 @@ func TestCampusTraceGolden(t *testing.T) {
 
 // TestCensoredCountOnStderr: the censored-event count goes to stderr,
 // so stdout (and the golden above) reads the same as before; a run
-// without censored events prints nothing there.
+// without censored events prints nothing there. The ad-hoc scenario's
+// window covers its last -events publication.
 func TestCensoredCountOnStderr(t *testing.T) {
-	bin := buildFrugalsim(t)
-	for scenario, want := range map[string]string{
-		"stadium": "6 of 24 events censored",
-		"campus":  "",
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scenario", "stadium"}, "6 of 24 events censored"},
+		{[]string{"-scenario", "campus"}, ""},
+		{[]string{"-events", "20", "-nodes", "20"}, ""},
 	} {
 		var stderr strings.Builder
-		cmd := exec.Command(bin, "-scenario", scenario)
+		cmd := exec.Command(frugalsim, c.args...)
 		cmd.Stderr = &stderr
 		if err := cmd.Run(); err != nil {
-			t.Fatalf("%s: %v\n%s", scenario, err, stderr.String())
+			t.Fatalf("%v: %v\n%s", c.args, err, stderr.String())
 		}
-		if got := stderr.String(); !strings.HasPrefix(got, want) || (want == "") != (got == "") {
-			t.Errorf("%s: stderr = %q, want it to start with %q", scenario, got, want)
+		if got := stderr.String(); !strings.HasPrefix(got, c.want) || (c.want == "") != (got == "") {
+			t.Errorf("%v: stderr = %q, want it to start with %q", c.args, got, c.want)
 		}
 	}
 }

@@ -20,8 +20,9 @@
 // zero heap allocations. On Linux each flush batch is handed to the
 // kernel in one sendmmsg call, runs of equal-size messages go to each
 // peer as one UDP GSO segment train, and the read loop drains the
-// socket with recvmmsg (see udp_mmsg_linux.go); the wire bytes are
-// identical to the portable per-datagram path.
+// socket with recvmmsg, taking a train the kernel coalesced (UDP GRO)
+// apart again (see udp_mmsg_linux.go); the wire bytes and the
+// datagrams dispatched are identical to the portable per-datagram path.
 //
 // Membership is dynamic when configured: the initial Peers act as
 // seeds, the roster grows from observed datagram sources (LearnPeers),
@@ -443,6 +444,9 @@ func newUDP(cfg UDPConfig, startWriter bool) (*UDP, error) {
 	}
 	u.mmsgOK.Store(true)
 	u.gsoOK.Store(probeGSO(raw))
+	// With UDP_GRO on, a read may return a whole segment train as one
+	// buffer; a socket that refuses it reads one datagram per buffer.
+	probeGRO(raw)
 	for _, p := range cfg.Peers {
 		if err := u.AddPeer(p); err != nil {
 			conn.Close()
@@ -827,8 +831,10 @@ func (u *UDP) fireDropHook(n int) {
 // It does no decoding and never calls the handler: its only job is to
 // keep the kernel buffer drained so bursts are absorbed by our bounded
 // ring (with accounted drops) instead of silent kernel tail drops. On
-// Linux it drains up to a whole recvmmsg batch per syscall. Persistent
-// errors back off exponentially (capped) instead of hot-spinning.
+// Linux it drains up to a whole recvmmsg batch per syscall, ingesting
+// a train GRO coalesced one segment at a time, so the ring, its drop
+// accounting and source learning stay per datagram. Persistent errors
+// back off exponentially (capped) instead of hot-spinning.
 func (u *UDP) readLoop() {
 	defer u.wg.Done()
 	rb := u.newReadBatcher()
@@ -859,9 +865,20 @@ func (u *UDP) readLoop() {
 		}
 		backoff = 0
 		for i := 0; i < n; i++ {
-			u.ingest(rb.datagram(i))
+			u.ingestSegments(rb.datagram(i))
 		}
 	}
+}
+
+// ingestSegments ingests one read buffer: a single datagram, or a
+// coalesced train of seg-byte segments (the last may be shorter), each
+// its own datagram from the same source.
+func (u *UDP) ingestSegments(data []byte, seg int, src netip.AddrPort) {
+	for seg > 0 && len(data) > seg {
+		u.ingest(data[:seg], src)
+		data = data[seg:]
+	}
+	u.ingest(data, src)
 }
 
 // ingest copies one received datagram, with its source when membership

@@ -5,10 +5,12 @@
 // entries) and the read loop drains the socket with recvmmsg. Where
 // the kernel supports UDP GSO (UDP_SEGMENT, Linux 4.18+), each run of
 // consecutive equal-length messages goes to each peer as one entry —
-// a segment train — which the kernel sends as one ordinary datagram
-// per segment. The wire bytes each receiver sees are identical to the
-// portable per-datagram path; only the syscall and stack-walk counts
-// change (see TestMmsgPortableParity, TestGSOTrainParity). Raw
+// a segment train. A socket with UDP GRO on (UDP_GRO, Linux 5.0+) may
+// read a whole train as one buffer, its segment size in a control
+// message, which the read loop splits back into datagrams. Either way
+// each receiver dispatches what the portable per-datagram path gives;
+// only the syscall, stack-walk and buffer counts change (see
+// TestMmsgPortableParity, TestGSOTrainParity, TestGROParity). Raw
 // syscall.Syscall6 against stdlib constants keeps the module
 // dependency-free; the shape follows the classic x/net
 // Sendmmsg/Recvmmsg wrappers. Both directions integrate with the
@@ -17,9 +19,11 @@
 // spinning, so Close and deadlines keep working. The first
 // capability-type errno (ENOSYS from an old kernel, EPERM from a
 // seccomp filter, ...) before any success latches mmsgOK=false and the
-// transport falls back to the portable path for good. Trains have
-// their own latch, gsoOK: set by a setsockopt probe at construction,
-// cleared for good when the kernel rejects a train as malformed.
+// transport falls back to the portable path for good, turning GRO off
+// first: the portable read sees no control message. Trains have their
+// own latch, gsoOK: set by a setsockopt probe at construction, cleared
+// for good when the kernel rejects a train as malformed. GRO is turned
+// on at construction and off only by that fallback.
 
 package transport
 
@@ -42,9 +46,11 @@ const recvSlots = 16
 
 // Segment-train limits.
 const (
-	// udpSegment is UDP_SEGMENT (linux/udp.h), which the frozen syscall
-	// package lacks; its level SOL_UDP equals IPPROTO_UDP.
+	// udpSegment and udpGRO are UDP_SEGMENT and UDP_GRO (linux/udp.h),
+	// which the frozen syscall package lacks; their level SOL_UDP equals
+	// IPPROTO_UDP.
 	udpSegment = 103
+	udpGRO     = 104
 	// gsoMaxSegment is the longest message sent as a segment: a
 	// 1500-byte MTU less the IPv6 and UDP headers. A segment longer
 	// than the route MTU makes the kernel fail the train with EINVAL;
@@ -133,18 +139,33 @@ func isMmsgUnsupported(errno syscall.Errno) bool {
 	return false
 }
 
-// probeGSO reports whether the socket accepts UDP_SEGMENT. A kernel
-// without UDP GSO answers ENOPROTOOPT; one that ignored the control
-// message instead would put a whole train on the wire as one datagram,
-// so trains are never sent without this check passing.
-func probeGSO(raw syscall.RawConn) bool {
+// setUDPOpt sets a SOL_UDP socket option, reporting whether the
+// socket took it.
+func setUDPOpt(raw syscall.RawConn, opt, v int) bool {
 	var serr error
 	if err := raw.Control(func(fd uintptr) {
-		serr = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpSegment, 0)
+		serr = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, opt, v)
 	}); err != nil {
 		return false
 	}
 	return serr == nil
+}
+
+// probeGSO reports whether the socket accepts UDP_SEGMENT. A kernel
+// without UDP GSO answers ENOPROTOOPT; one that ignored the control
+// message instead would put a whole train on the wire as one datagram,
+// so trains are never sent without this check passing.
+func probeGSO(raw syscall.RawConn) bool { return setUDPOpt(raw, udpSegment, 0) }
+
+// probeGRO turns UDP_GRO on, reporting whether the socket took it;
+// without it the kernel splits every train into its segments.
+func probeGRO(raw syscall.RawConn) bool { return setUDPOpt(raw, udpGRO, 1) }
+
+// fallBack latches the portable path for good. GRO goes off first:
+// readOne sees no control message, so it must never get a train.
+func (u *UDP) fallBack() {
+	setUDPOpt(u.raw, udpGRO, 0)
+	u.mmsgOK.Store(false)
 }
 
 // isTrainRejected classifies the errnos with which the kernel refuses
@@ -355,7 +376,7 @@ func (u *UDP) offer(vec []mmsghdr, ents []mmsgEntry) (offered int, status flushS
 			offered++
 		case mw.errno != 0:
 			if u.mmsgSends.Load() == 0 && isMmsgUnsupported(mw.errno) {
-				u.mmsgOK.Store(false)
+				u.fallBack()
 				return 0, flushFellBack
 			}
 			u.sendErrs.Add(1)
@@ -397,16 +418,26 @@ func (u *UDP) resplit(h *syscall.Msghdr, p *peerAddr) flushStatus {
 	return flushOK
 }
 
+// groCmsg is the room for one UDP_GRO control message: the header and
+// its int segment size, padded to CMSG_SPACE(4).
+type groCmsg struct {
+	hdr  syscall.Cmsghdr
+	size int32
+	_    [4]byte
+}
+
 // readBatcher drains the socket with recvmmsg: up to recvSlots queued
-// datagrams (with their source addresses) per syscall. When the
-// batched path is unavailable it degrades to the portable single-read.
+// buffers (with their source addresses) per syscall. When the batched
+// path is unavailable it degrades to the portable single-read.
 type readBatcher struct {
 	u     *UDP
 	bufs  [recvSlots][]byte
 	names [recvSlots][sockaddrBufSize]byte
+	ctrl  [recvSlots]groCmsg
 	iovs  [recvSlots]syscall.Iovec
 	hdrs  [recvSlots]mmsghdr
 	lens  [recvSlots]int
+	segs  [recvSlots]int
 	srcs  [recvSlots]netip.AddrPort
 	// got/errno carry the syscall result out of the pre-allocated
 	// poller callback fn — no closure allocation per read.
@@ -421,9 +452,10 @@ func (u *UDP) newReadBatcher() *readBatcher {
 		rb.bufs[i] = make([]byte, maxDatagram)
 		rb.iovs[i] = syscall.Iovec{Base: &rb.bufs[i][0], Len: maxDatagram}
 		rb.hdrs[i].hdr = syscall.Msghdr{
-			Name:   &rb.names[i][0],
-			Iov:    &rb.iovs[i],
-			Iovlen: 1,
+			Name:    &rb.names[i][0],
+			Iov:     &rb.iovs[i],
+			Iovlen:  1,
+			Control: (*byte)(unsafe.Pointer(&rb.ctrl[i])),
 		}
 	}
 	rb.fn = func(fd uintptr) bool {
@@ -439,7 +471,7 @@ func (u *UDP) newReadBatcher() *readBatcher {
 	return rb
 }
 
-// read blocks until at least one datagram arrives, returning how many
+// read blocks until at least one buffer arrives, returning how many
 // slots were filled.
 func (rb *readBatcher) read() (int, error) {
 	u := rb.u
@@ -449,12 +481,13 @@ func (rb *readBatcher) read() (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			rb.lens[0], rb.srcs[0] = n, src
+			rb.lens[0], rb.segs[0], rb.srcs[0] = n, n, src
 			return 1, nil
 		}
 		for i := range rb.hdrs {
-			// Namelen is kernel-written per call; reset it.
+			// Namelen and Controllen are kernel-written per call.
 			rb.hdrs[i].hdr.Namelen = sockaddrBufSize
+			rb.hdrs[i].hdr.SetControllen(int(unsafe.Sizeof(rb.ctrl[i])))
 		}
 		rb.got, rb.errno = 0, 0
 		rerr := u.raw.Read(rb.fn)
@@ -466,22 +499,33 @@ func (rb *readBatcher) read() (int, error) {
 				continue
 			}
 			if u.mmsgRecvs.Load() == 0 && isMmsgUnsupported(rb.errno) {
-				u.mmsgOK.Store(false)
+				u.fallBack()
 				continue // retry on the portable path
 			}
 			return 0, rb.errno
 		}
 		u.mmsgRecvs.Add(1)
 		for i := 0; i < rb.got; i++ {
+			h := &rb.hdrs[i].hdr
 			rb.lens[i] = int(rb.hdrs[i].n)
-			rb.srcs[i] = sockaddrToAddrPort(rb.names[i][:rb.hdrs[i].hdr.Namelen])
+			rb.segs[i] = rb.lens[i]
+			// The one control message a socket with only UDP_GRO on
+			// can carry, read in place: syscall.ParseSocketControlMessage
+			// allocates.
+			if c := &rb.ctrl[i]; h.Controllen >= uint64(syscall.CmsgLen(4)) &&
+				c.hdr.Level == syscall.IPPROTO_UDP && c.hdr.Type == udpGRO && c.size > 0 {
+				rb.segs[i] = int(c.size)
+			}
+			rb.srcs[i] = sockaddrToAddrPort(rb.names[i][:h.Namelen])
 		}
 		return rb.got, nil
 	}
 }
 
-// datagram returns slot i of the last read. The buffer is valid until
-// the next read call; ingest copies it into the dispatch ring.
-func (rb *readBatcher) datagram(i int) ([]byte, netip.AddrPort) {
-	return rb.bufs[i][:rb.lens[i]], rb.srcs[i]
+// datagram returns slot i of the last read: the buffer, its segment
+// size (the buffer's length unless GRO coalesced a train) and its
+// source. The buffer is valid until the next read call; ingest copies
+// each segment into the dispatch ring.
+func (rb *readBatcher) datagram(i int) ([]byte, int, netip.AddrPort) {
+	return rb.bufs[i][:rb.lens[i]], rb.segs[i], rb.srcs[i]
 }

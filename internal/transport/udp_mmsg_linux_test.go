@@ -7,7 +7,9 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/event"
 )
@@ -97,6 +99,12 @@ func senderTo(t *testing.T, sinks []*rawSink) (*UDP, []*peerAddr) {
 	for i, s := range sinks {
 		peerAddrs[i] = s.conn.LocalAddr().String()
 	}
+	return senderAt(t, peerAddrs)
+}
+
+// senderAt builds a writer-less transport whose roster is peerAddrs.
+func senderAt(t *testing.T, peerAddrs []string) (*UDP, []*peerAddr) {
+	t.Helper()
 	u, err := newUDP(UDPConfig{
 		Listen:  "127.0.0.1:0",
 		Peers:   peerAddrs,
@@ -109,8 +117,8 @@ func senderTo(t *testing.T, sinks []*rawSink) (*UDP, []*peerAddr) {
 	u.mu.RLock()
 	peers := u.peers
 	u.mu.RUnlock()
-	if len(peers) != len(sinks) {
-		t.Fatalf("roster has %d peers, want %d", len(peers), len(sinks))
+	if len(peers) != len(peerAddrs) {
+		t.Fatalf("roster has %d peers, want %d", len(peers), len(peerAddrs))
 	}
 	return u, peers
 }
@@ -216,11 +224,14 @@ func TestMmsgEndToEndCounters(t *testing.T) {
 }
 
 // TestMmsgCapabilityFallback: latching mmsgOK off must route both
-// directions through the portable path with identical semantics.
+// directions through the portable path with identical semantics. The
+// portable read sees no control message, so the latch turns UDP GRO
+// off too: segment trains from a GSO sender still arrive one datagram
+// per message.
 func TestMmsgCapabilityFallback(t *testing.T) {
 	a, b, _, cb := newPair(t)
-	a.mmsgOK.Store(false)
-	b.mmsgOK.Store(false)
+	a.fallBack()
+	b.fallBack()
 	const n = 5
 	for i := 0; i < n; i++ {
 		a.Broadcast(event.IDList{From: event.NodeID(i)})
@@ -235,6 +246,97 @@ func TestMmsgCapabilityFallback(t *testing.T) {
 	}
 	// b's read loop may have issued recvmmsg calls before the latch; the
 	// delivered message count above is the semantic assertion.
+	trainsArriveSplit(t, b, cb)
+}
+
+// TestMmsgSendLatchTurnsGROOff: a capability errno on the socket's
+// first sendmmsg (as from a seccomp filter) latches the portable path
+// through the same fallBack as the read side, so UDP GRO goes off with
+// it and segment trains sent to that socket still arrive one message
+// per segment.
+func TestMmsgSendLatchTurnsGROOff(t *testing.T) {
+	var c collect
+	sink := newRawSink(t)
+	rx, err := newUDP(UDPConfig{
+		Listen:  "127.0.0.1:0",
+		Peers:   []string{sink.conn.LocalAddr().String()},
+		Handler: c.handle,
+	}, false)
+	if err != nil {
+		t.Skipf("UDP unavailable: %v", err)
+	}
+	defer rx.Close()
+	if !rx.mmsgOK.Load() || !probeGRO(rx.raw) {
+		t.Skip("UDP GRO unavailable in this environment")
+	}
+	rx.Start()
+	rx.mw = newMmsgWriter(len(rx.send.slots))
+	rx.mw.fn = func(uintptr) bool {
+		rx.mw.errno = syscall.EPERM
+		return true
+	}
+	rx.mu.RLock()
+	peers := rx.peers
+	rx.mu.RUnlock()
+	if handled, _ := rx.sendBatchOS([][]byte{[]byte("x")}, peers); handled {
+		t.Fatal("a first-ever EPERM from sendmmsg did not hand the batch to the portable path")
+	}
+	if rx.mmsgOK.Load() {
+		t.Fatal("a first-ever EPERM from sendmmsg left the batched path on")
+	}
+	if groEnabled(t, rx) {
+		t.Fatal("the send-side latch left UDP GRO on")
+	}
+	trainsArriveSplit(t, rx, &c)
+}
+
+// groEnabled reads UDP_GRO back from u's socket, skipping where the
+// kernel cannot report it.
+func groEnabled(t *testing.T, u *UDP) bool {
+	t.Helper()
+	var v int
+	var gerr error
+	if err := u.raw.Control(func(fd uintptr) {
+		v, gerr = syscall.GetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO)
+	}); err != nil || gerr != nil {
+		t.Skipf("UDP_GRO unreadable: %v %v", err, gerr)
+	}
+	return v != 0
+}
+
+// trainsArriveSplit sends segment trains from a GSO sender to rx, whose
+// batched path is latched off, and requires every segment to reach
+// rx's handler c as its own message. One plain datagram goes first:
+// rx's read loop may still be parked in a recvmmsg call from before
+// the latch, and after it every read is portable.
+func trainsArriveSplit(t *testing.T, rx *UDP, c *collect) {
+	t.Helper()
+	tx, peers := senderAt(t, []string{rx.LocalAddr().String()})
+	skipWithoutGSO(t, tx)
+	base := c.count()
+	rs := rx.Stats()
+	first := [][]byte{event.Marshal(event.IDList{From: 1000})}
+	if handled, completed := tx.sendBatchOS(first, peers); !handled || completed != 1 {
+		t.Fatalf("sendBatchOS = (%v, %d), want (true, 1)", handled, completed)
+	}
+	waitFor(t, func() bool { return c.count() == base+1 }, "the plain datagram")
+	const trains, perTrain = 4, 40
+	for k := 0; k < trains; k++ {
+		batch := make([][]byte, perTrain)
+		for i := range batch {
+			batch[i] = event.Marshal(event.IDList{From: event.NodeID(k*perTrain + i)})
+		}
+		if handled, completed := tx.sendBatchOS(batch, peers); !handled || completed != perTrain {
+			t.Fatalf("sendBatchOS = (%v, %d), want (true, %d)", handled, completed, perTrain)
+		}
+	}
+	want := base + 1 + trains*perTrain
+	waitFor(t, func() bool { return c.count() == want }, "every train segment as its own message")
+	s := rx.Stats()
+	if s.DecodeErrors != rs.DecodeErrors || s.DatagramsReceived-rs.DatagramsReceived != 1+trains*perTrain {
+		t.Fatalf("portable reader: %d decode errors, %d received; want 0 and %d",
+			s.DecodeErrors-rs.DecodeErrors, s.DatagramsReceived-rs.DatagramsReceived, 1+trains*perTrain)
+	}
 }
 
 // trainBatch is one flush batch that exercises every train boundary: a
@@ -266,10 +368,15 @@ func trainBatch() [][]byte {
 func gsoSender(t *testing.T, sinks []*rawSink) (*UDP, []*peerAddr) {
 	t.Helper()
 	u, peers := senderTo(t, sinks)
+	skipWithoutGSO(t, u)
+	return u, peers
+}
+
+func skipWithoutGSO(t *testing.T, u *UDP) {
+	t.Helper()
 	if !u.mmsgOK.Load() || !u.gsoOK.Load() {
 		t.Skip("UDP GSO unavailable in this environment")
 	}
-	return u, peers
 }
 
 // TestGSOTrainParity: segment trains put on the wire exactly what the
@@ -418,5 +525,206 @@ func TestGSOTrainLayout(t *testing.T) {
 	}
 	if s := u.Stats(); s.DatagramsSent != 0 || s.MmsgSends != 0 {
 		t.Fatalf("closed socket counted %d datagrams in %d syscalls", s.DatagramsSent, s.MmsgSends)
+	}
+}
+
+// groReceiver builds a transport that nothing reads but the test,
+// through the read loop's own batcher and split; gro picks whether UDP
+// GRO stays on.
+func groReceiver(t *testing.T, gro bool) (*UDP, *readBatcher) {
+	t.Helper()
+	u, err := newUDP(UDPConfig{Listen: "127.0.0.1:0", Handler: func(event.Message) {}}, false)
+	if err != nil {
+		t.Skipf("UDP unavailable: %v", err)
+	}
+	t.Cleanup(func() { u.Close() })
+	if !u.mmsgOK.Load() || !probeGRO(u.raw) {
+		t.Skip("UDP GRO unavailable in this environment")
+	}
+	if !gro && !setUDPOpt(u.raw, udpGRO, 0) {
+		t.Fatal("UDP GRO would not turn off")
+	}
+	return u, u.newReadBatcher()
+}
+
+// readRing reads until u's dispatch ring holds want datagrams, exactly
+// as readLoop does, and pops them in ring order. It also returns how
+// many buffers the reads returned.
+func readRing(t *testing.T, u *UDP, rb *readBatcher, want int) (got []string, bufs int) {
+	t.Helper()
+	u.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for u.recv.count < want {
+		n, err := rb.read()
+		if err != nil {
+			t.Fatalf("read with %d of %d datagrams in the ring: %v", u.recv.count, want, err)
+		}
+		for i := 0; i < n; i++ {
+			u.ingestSegments(rb.datagram(i))
+		}
+		bufs += n
+	}
+	for {
+		data, _, ok := u.recv.pop(nil)
+		if !ok {
+			return got, bufs
+		}
+		got = append(got, string(data))
+	}
+}
+
+func sorted(ss []string) []string {
+	ss = append([]string(nil), ss...)
+	sort.Strings(ss)
+	return ss
+}
+
+// TestGROParity: a batch that mixes trains, plain datagrams and sizes
+// reaches a GRO receiver as fewer buffers than datagrams, a receiver
+// with GRO off as one buffer per datagram (as before GRO), and both put
+// byte for byte the sent datagrams into the dispatch ring.
+func TestGROParity(t *testing.T) {
+	batch := trainBatch()
+	on, rbOn := groReceiver(t, true)
+	off, rbOff := groReceiver(t, false)
+	tx, peers := senderAt(t, []string{on.LocalAddr().String(), off.LocalAddr().String()})
+	skipWithoutGSO(t, tx)
+	if handled, completed := tx.sendBatchOS(batch, peers); !handled || completed != len(batch) {
+		t.Fatalf("sendBatchOS = (%v, %d), want (true, %d)", handled, completed, len(batch))
+	}
+	gotOn, bufsOn := readRing(t, on, rbOn, len(batch))
+	gotOff, bufsOff := readRing(t, off, rbOff, len(batch))
+	want := make([]string, len(batch))
+	for i, b := range batch {
+		want[i] = string(b)
+	}
+	want = sorted(want)
+	for name, got := range map[string][]string{"GRO on": gotOn, "GRO off": gotOff} {
+		got = sorted(got)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d datagrams in the ring, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: datagram %d differs from the sent one (%d vs %d bytes)", name, i, len(got[i]), len(want[i]))
+			}
+		}
+	}
+	if bufsOff != len(batch) {
+		t.Fatalf("GRO off read %d buffers for %d datagrams", bufsOff, len(batch))
+	}
+	if bufsOn >= len(batch) {
+		t.Skipf("the kernel split every train before the socket (%d buffers)", bufsOn)
+	}
+}
+
+// TestGROShortLastSegment: a train whose last segment is shorter than
+// the segment size — which this writer never sends, but another
+// sender may — is split at the segment size, the short tail last. A
+// plain datagram (no control message) goes first into the same slot,
+// so the train finds the slot's control buffer reset.
+func TestGROShortLastSegment(t *testing.T) {
+	rx, rb := groReceiver(t, true)
+	tx, peers := senderAt(t, []string{rx.LocalAddr().String()})
+	skipWithoutGSO(t, tx)
+	plain := [][]byte{[]byte("plain")}
+	if handled, completed := tx.sendBatchOS(plain, peers); !handled || completed != 1 {
+		t.Fatalf("sendBatchOS = (%v, %d), want (true, 1)", handled, completed)
+	}
+	if got, _ := readRing(t, rx, rb, 1); got[0] != "plain" {
+		t.Fatalf("plain datagram read as %q", got[0])
+	}
+	batch := [][]byte{[]byte("segment-0-14B."), []byte("segment-1-14B."), []byte("segment-2-14B."), []byte("tail-9-B.")}
+	tx.mw.load(batch)
+	tx.mw.put(0, peers[0], tx.mw.iovs[:len(batch)], 14, len(batch))
+	if done, status := tx.flushChunk(1, 0); status != flushOK || done != len(batch) {
+		t.Fatalf("flushChunk = (%d, %v), want (%d, flushOK)", done, status, len(batch))
+	}
+	got, _ := readRing(t, rx, rb, len(batch))
+	for i := range batch {
+		if got[i] != string(batch[i]) {
+			t.Fatalf("datagram %d is %q, want %q", i, got[i], batch[i])
+		}
+	}
+}
+
+// TestGROMalformedSegmentMidTrain: an undecodable segment in the middle
+// of a coalesced train counts one decode error, and its neighbours are
+// each dispatched and teach the roster their source once.
+func TestGROMalformedSegmentMidTrain(t *testing.T) {
+	var c collect
+	rx, err := NewUDP(UDPConfig{Listen: "127.0.0.1:0", Handler: c.handle, LearnPeers: true})
+	if err != nil {
+		t.Skipf("UDP unavailable: %v", err)
+	}
+	defer rx.Close()
+	if !probeGRO(rx.raw) {
+		t.Skip("UDP GRO unavailable in this environment")
+	}
+	rx.Start()
+	tx, peers := senderAt(t, []string{rx.LocalAddr().String()})
+	skipWithoutGSO(t, tx)
+	const segs, bad = 10, 4
+	batch := make([][]byte, segs)
+	for i := range batch {
+		batch[i] = event.Marshal(event.IDList{From: event.NodeID(i)})
+	}
+	batch[bad] = make([]byte, len(batch[0]))
+	batch[bad][0] = 0xff // no such message kind
+	if handled, completed := tx.sendBatchOS(batch, peers); !handled || completed != segs {
+		t.Fatalf("sendBatchOS = (%v, %d), want (true, %d)", handled, completed, segs)
+	}
+	waitFor(t, func() bool { return c.count() == segs-1 }, "every well-formed segment")
+	waitFor(t, func() bool { return rx.Stats().DecodeErrors == 1 }, "one decode error")
+	if s := rx.Stats(); s.DatagramsReceived != segs-1 || s.RecvDropped != 0 || s.PeersLearned != 1 {
+		t.Fatalf("received %d, dropped %d, learned %d; want %d, 0, 1",
+			s.DatagramsReceived, s.RecvDropped, s.PeersLearned, segs-1)
+	}
+	for i, m := range c.snapshot() {
+		want := event.NodeID(i)
+		if i >= bad {
+			want++
+		}
+		if from := m.(event.IDList).From; from != want {
+			t.Fatalf("message %d is from %d, want %d", i, from, want)
+		}
+	}
+}
+
+// TestGROReadSplitZeroAlloc pins the receive path's allocation
+// contract: a warm read of a 10-segment train, the control-message
+// parse and the split into the dispatch ring allocate nothing (nor
+// does the warm sendmmsg that puts the train on the wire).
+func TestGROReadSplitZeroAlloc(t *testing.T) {
+	rx, rb := groReceiver(t, true)
+	tx, peers := senderAt(t, []string{rx.LocalAddr().String()})
+	skipWithoutGSO(t, tx)
+	batch := make([][]byte, 10)
+	for i := range batch {
+		batch[i] = event.Marshal(event.Heartbeat{From: event.NodeID(i)})
+	}
+	var bufs, segs int
+	round := func() {
+		tx.sendBatchOS(batch, peers)
+		n, err := rb.read()
+		if err != nil {
+			panic(err)
+		}
+		for i := 0; i < n; i++ {
+			data, seg, src := rb.datagram(i)
+			rx.ingestSegments(data, seg, src)
+			segs += len(data) / seg
+		}
+		bufs += n
+	}
+	// Warm every dispatch-ring slot: the ring (512) wraps, dropping
+	// the oldest, without ever allocating again.
+	for i := 0; i < 2*DefaultRecvQueue/len(batch); i++ {
+		round()
+	}
+	if bufs*len(batch) != segs {
+		t.Skipf("the kernel split trains before the socket: %d buffers for %d segments", bufs, segs)
+	}
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("read + split of a warm train allocated %.1f times/op, want 0", n)
 	}
 }

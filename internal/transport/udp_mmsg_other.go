@@ -49,10 +49,14 @@ func (rb *readBatcher) read() (int, error) {
 	return 1, nil
 }
 
-func (rb *readBatcher) datagram(int) ([]byte, netip.AddrPort) {
-	return rb.buf[:rb.n], rb.src
+func (rb *readBatcher) datagram(int) ([]byte, int, netip.AddrPort) {
+	return rb.buf[:rb.n], rb.n, rb.src
 }
 
 // probeGSO reports segment trains unavailable: they exist only on the
 // Linux batched path.
 func probeGSO(syscall.RawConn) bool { return false }
+
+// probeGRO reports coalesced receives unavailable: every read is one
+// datagram.
+func probeGRO(syscall.RawConn) bool { return false }

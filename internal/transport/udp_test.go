@@ -30,6 +30,13 @@ func (c *collect) count() int {
 	return len(c.msgs)
 }
 
+// snapshot returns the messages handled so far, in handler order.
+func (c *collect) snapshot() []event.Message {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]event.Message(nil), c.msgs...)
+}
+
 func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
