@@ -201,10 +201,11 @@ func main() {
 			os.Exit(2)
 		}
 		for i := 0; i < *events; i++ {
-			sc.Publications = append(sc.Publications, netsim.Publication{
-				Offset:    time.Duration(i) * pubSpacing,
-				Publisher: -1,
-				Validity:  *validity,
+			sc.Schedule = append(sc.Schedule, workload.Op{
+				At:       sc.Warmup + time.Duration(i)*pubSpacing,
+				Kind:     workload.Publish,
+				Node:     -1,
+				Validity: *validity,
 			})
 		}
 		if *wkld != "" {
@@ -257,9 +258,15 @@ func main() {
 	if !sc.Workload.IsZero() {
 		workloadNote = fmt.Sprintf(" + %v workload", sc.Workload)
 	}
+	scheduled := 0
+	for _, op := range sc.Schedule {
+		if op.Kind == workload.Publish {
+			scheduled++
+		}
+	}
 	fmt.Printf("scenario: %s — %d nodes, %v mobility, %v, %.0f%% subscribers, %d event(s)%s\n",
 		sc.Name, sc.Nodes, sc.Mobility.Kind, sc.Protocol,
-		sc.SubscriberFraction*100, len(sc.Publications), workloadNote)
+		sc.SubscriberFraction*100, scheduled, workloadNote)
 	fmt.Printf("simulated %v (wall %v)\n", sc.Warmup+sc.Measure, time.Since(start).Round(time.Millisecond))
 	if s := res.Series; s != nil {
 		note := ""

@@ -19,7 +19,9 @@
 //   - internal/workload — the workload registry: lazy traffic/churn
 //     generators scenarios select by name
 //   - internal/registry — the shared generic name→definition store
-//     behind the protocol, scenario and workload registries
+//     behind the protocol, scenario and workload registries, and the
+//     typed store (params schema + factory) protocols and workload
+//     generators share
 //   - internal/netsim, metrics, exp — scenario runner, scenario
 //     registry and experiments
 //   - internal/obs — the shared observability layer: a zero-dependency
@@ -123,10 +125,10 @@
 // named generators lazily synthesize publication traffic, node
 // lifecycle churn and subscription churn from the run's seeded RNG. A
 // netsim.Scenario opts in with WorkloadSpec{Name, Params}; the zero
-// spec means the explicit Publications/Crashes/Resubscriptions lists
-// alone drive the run (internally one workload.NewExplicit generator —
-// one scheduling mechanism for both paths), and a non-zero spec's stream
-// is merged with those lists. The runner pumps ops through a single
+// spec means the scenario's hand-placed Schedule []workload.Op alone
+// drives the run (replayed through workload.NewExplicit — one op type
+// and one scheduling mechanism for both paths), and a non-zero spec's
+// stream is merged with the schedule. The runner pumps ops through a single
 // armed engine callback, so a million-publication run stays O(1)
 // memory and remains a pure function of (Scenario, Seed).
 //

@@ -35,10 +35,6 @@ type Config struct {
 	// ID is this process's unique identifier. Required.
 	ID event.NodeID
 
-	// X is the heartbeat tuning factor (DefaultX when 0).
-	X float64
-	// HB2BO is the back-off divisor (DefaultHB2BO when 0).
-	HB2BO float64
 	// HB2NGC is the neighborhood-GC multiplier (DefaultHB2NGC when 0).
 	HB2NGC float64
 	// HBDelay is the initial/fallback heartbeat period (DefaultHBDelay
@@ -112,7 +108,7 @@ const (
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.X < 0 || c.HB2BO < 0 || c.HB2NGC < 0 {
+	if c.HB2NGC < 0 {
 		return fmt.Errorf("core: negative tuning factor")
 	}
 	if c.HBDelay < 0 || c.HBLowerBound < 0 || c.HBUpperBound < 0 {
@@ -129,12 +125,6 @@ func (c Config) Validate() error {
 
 // withDefaults fills zero fields with the paper's defaults.
 func (c Config) withDefaults() Config {
-	if c.X == 0 {
-		c.X = DefaultX
-	}
-	if c.HB2BO == 0 {
-		c.HB2BO = DefaultHB2BO
-	}
 	if c.HB2NGC == 0 {
 		c.HB2NGC = DefaultHB2NGC
 	}

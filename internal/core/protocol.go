@@ -561,7 +561,7 @@ func (p *Protocol) computeBODelay(n int) time.Duration {
 	if n < 1 || p.cfg.FixedBackoff {
 		n = 1
 	}
-	return time.Duration(float64(p.hbDelay) / (p.cfg.HB2BO * float64(n)))
+	return time.Duration(float64(p.hbDelay) / (DefaultHB2BO * float64(n)))
 }
 
 // onBackoffExpired implements paper Figure 9, lines 1-14: recompute the
@@ -604,7 +604,7 @@ func (p *Protocol) computeHBDelay() {
 	avg, ok := p.nbrs.avgSpeed(p.speed())
 	d := p.cfg.HBDelay
 	if ok && avg > 0.01 {
-		d = time.Duration(p.cfg.X / avg * float64(time.Second))
+		d = time.Duration(DefaultX / avg * float64(time.Second))
 	}
 	p.hbDelay = p.cfg.clampHB(d)
 }

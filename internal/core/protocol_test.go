@@ -520,7 +520,7 @@ func TestHandleUnknownMessage(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{ID: 1, X: -1},
+		{ID: 1, HB2NGC: -1},
 		{ID: 1, HBDelay: -time.Second},
 		{ID: 1, HBLowerBound: 2 * time.Second, HBUpperBound: time.Second},
 		{ID: 1, MaxEvents: -1},

@@ -657,7 +657,7 @@ func (p *refProtocol) computeBODelay(n int) time.Duration {
 	if n < 1 || p.cfg.FixedBackoff {
 		n = 1
 	}
-	return time.Duration(float64(p.hbDelay) / (p.cfg.HB2BO * float64(n)))
+	return time.Duration(float64(p.hbDelay) / (DefaultHB2BO * float64(n)))
 }
 
 func (p *refProtocol) onBackoffExpired() {
@@ -692,7 +692,7 @@ func (p *refProtocol) computeHBDelay() {
 	avg, ok := p.nbrs.avgSpeed(p.speed())
 	d := p.cfg.HBDelay
 	if ok && avg > 0.01 {
-		d = time.Duration(p.cfg.X / avg * float64(time.Second))
+		d = time.Duration(DefaultX / avg * float64(time.Second))
 	}
 	p.hbDelay = p.cfg.clampHB(d)
 }

@@ -15,8 +15,6 @@ const ProtocolName = "frugal"
 // (identity, RNG, deliver hook) the runner supplies through proto.Env.
 // The zero value selects the paper's defaults.
 type Tuning struct {
-	X            float64
-	HB2BO        float64
 	HB2NGC       float64
 	HBDelay      time.Duration
 	HBLowerBound time.Duration
@@ -45,8 +43,6 @@ func (t Tuning) Validate() error {
 func (t Tuning) config(env proto.Env) Config {
 	cfg := Config{
 		ID:                 env.ID,
-		X:                  t.X,
-		HB2BO:              t.HB2BO,
 		HB2NGC:             t.HB2NGC,
 		HBDelay:            t.HBDelay,
 		HBLowerBound:       t.HBLowerBound,

@@ -21,6 +21,9 @@ var ErrTruncated = errors.New("event: truncated message")
 // ErrUnknownKind is returned for an unrecognized message discriminator.
 var ErrUnknownKind = errors.New("event: unknown message kind")
 
+// ErrTrailing is returned when bytes follow a complete message.
+var ErrTrailing = errors.New("event: trailing bytes")
+
 // Marshal encodes m into a fresh buffer.
 func Marshal(m Message) []byte { return AppendMarshal(nil, m) }
 
@@ -86,11 +89,14 @@ func AppendEvent(b []byte, ev Event) []byte {
 	return append(b, ev.Payload...)
 }
 
-// Unmarshal decodes a message produced by Marshal.
+// Unmarshal decodes a message produced by Marshal. The buffer must hold
+// exactly one message: bytes after it (a datagram with trailing
+// garbage, or several messages read as one buffer) are an error, not
+// silently dropped.
 func Unmarshal(b []byte) (Message, error) {
 	d := decoder{b: b}
-	kind := Kind(d.u8())
-	switch kind {
+	var m Message
+	switch kind := Kind(d.u8()); kind {
 	case KindHeartbeat:
 		h := Heartbeat{From: NodeID(d.u32()), Speed: math.Float64frombits(d.u64())}
 		n := d.uvarint()
@@ -101,14 +107,14 @@ func Unmarshal(b []byte) (Message, error) {
 			}
 			h.Subscriptions = append(h.Subscriptions, t)
 		}
-		return h, d.err
+		m = h
 	case KindIDList:
 		l := IDList{From: NodeID(d.u32())}
 		n := d.uvarint()
 		for i := uint64(0); i < n && d.err == nil; i++ {
 			l.IDs = append(l.IDs, ID{Hi: d.u64(), Lo: d.u64()})
 		}
-		return l, d.err
+		m = l
 	case KindEvents:
 		e := Events{From: NodeID(d.u32())}
 		nr := d.uvarint()
@@ -123,13 +129,20 @@ func Unmarshal(b []byte) (Message, error) {
 			}
 			e.Events = append(e.Events, ev)
 		}
-		return e, d.err
+		m = e
 	default:
 		if d.err != nil {
 			return nil, d.err
 		}
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, kind)
 	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	if len(d.b) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after a %v", ErrTrailing, len(d.b), m.Kind())
+	}
+	return m, nil
 }
 
 type decoder struct {

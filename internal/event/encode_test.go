@@ -88,6 +88,8 @@ func TestUnmarshalErrors(t *testing.T) {
 		{"unknown kind", []byte{0xee}, ErrUnknownKind},
 		{"truncated heartbeat", []byte{byte(KindHeartbeat), 0, 0}, ErrTruncated},
 		{"truncated idlist", Marshal(IDList{From: 1, IDs: []ID{{1, 2}}})[:10], ErrTruncated},
+		{"one trailing byte", append(Marshal(Heartbeat{From: 1}), 0), ErrTrailing},
+		{"two messages concatenated", append(Marshal(IDList{From: 1, IDs: []ID{{1, 2}}}), Marshal(Heartbeat{From: 2})...), ErrTrailing},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

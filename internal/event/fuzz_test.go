@@ -2,6 +2,7 @@ package event
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -45,8 +46,10 @@ func fuzzSeedMessages() []Message {
 
 // FuzzMessageRoundTrip pins the wire format against the decoder: any
 // input that Unmarshal accepts must survive a Marshal/Unmarshal round
-// trip unchanged, and re-encoding must be a fixed point — while
-// arbitrary junk must fail cleanly (error, never a panic or a hang).
+// trip unchanged, re-encoding must be a fixed point, and the same input
+// with one more byte appended must be rejected (a buffer holds exactly
+// one message) — while arbitrary junk must fail cleanly (error, never a
+// panic or a hang).
 func FuzzMessageRoundTrip(f *testing.F) {
 	for _, m := range fuzzSeedMessages() {
 		f.Add(Marshal(m))
@@ -63,6 +66,9 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		m, err := Unmarshal(data)
 		if err != nil {
 			return // rejected input: only the absence of a panic matters
+		}
+		if _, err := Unmarshal(append(data[:len(data):len(data)], 0)); !errors.Is(err, ErrTrailing) {
+			t.Fatalf("%T with one trailing byte: err = %v, want ErrTrailing", m, err)
 		}
 		enc := Marshal(m)
 		m2, err := Unmarshal(enc)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/workload"
 )
 
 // Ablations quantifies the design choices DESIGN.md calls out by flipping
@@ -111,10 +112,11 @@ func ablationRun(o Options, mut func(*netsim.CoreTuning), maxEvents int, seed in
 		n = 8 // overflow the table to exercise GC
 	}
 	for i := 0; i < n; i++ {
-		sc.Publications = append(sc.Publications, netsim.Publication{
-			Offset:    time.Duration(i) * 500 * time.Millisecond,
-			Publisher: -1,
-			Validity:  validity,
+		sc.Schedule = append(sc.Schedule, workload.Op{
+			At:       sc.Warmup + time.Duration(i)*500*time.Millisecond,
+			Kind:     workload.Publish,
+			Node:     -1,
+			Validity: validity,
 		})
 	}
 	sc.Measure = validity

@@ -17,6 +17,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/workload"
 )
 
 // Options controls experiment scale.
@@ -252,11 +253,7 @@ func cityScenario(hbUpper time.Duration, frac float64, seed int64) netsim.Scenar
 // measurement: a single event published at the start of the measurement
 // window.
 func reliabilityRun(sc netsim.Scenario, publisher int, validity time.Duration) (*netsim.Result, error) {
-	sc.Publications = []netsim.Publication{{
-		Offset:    0,
-		Publisher: publisher,
-		Validity:  validity,
-	}}
+	sc.Schedule = []workload.Op{{At: sc.Warmup, Kind: workload.Publish, Node: publisher, Validity: validity}}
 	sc.Measure = validity + 5*time.Second
 	return netsim.Run(sc)
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/workload"
 )
 
 // The frugality experiments (Figures 17-20) share one parameter sweep:
@@ -101,10 +102,11 @@ func frugalityRun(env rwpEnv, proto netsim.ProtocolSpec, n, pct int, validity ti
 	sc.Name = fmt.Sprintf("frugality-%v", proto)
 	sc.Protocol = proto
 	for i := 0; i < n; i++ {
-		sc.Publications = append(sc.Publications, netsim.Publication{
-			Offset:    time.Duration(i) * 500 * time.Millisecond,
-			Publisher: -1,
-			Validity:  validity,
+		sc.Schedule = append(sc.Schedule, workload.Op{
+			At:       sc.Warmup + time.Duration(i)*500*time.Millisecond,
+			Kind:     workload.Publish,
+			Node:     -1,
+			Validity: validity,
 		})
 	}
 	sc.Measure = validity

@@ -10,7 +10,7 @@ import (
 )
 
 // workloadEnv is the family's reference environment: the registered
-// waypoint scenario with its explicit publication list cleared, so the
+// waypoint scenario with its hand-placed schedule cleared, so the
 // generator under test supplies all traffic. Using a registered
 // scenario keeps the environment in one place; the seed stamps the run.
 func workloadEnv(seed int64) netsim.Scenario {
@@ -19,7 +19,7 @@ func workloadEnv(seed int64) netsim.Scenario {
 		panic("exp: reference scenario \"waypoint\" not registered")
 	}
 	sc := def.Instantiate(seed)
-	sc.Publications = nil
+	sc.Schedule = nil
 	return sc
 }
 
@@ -27,7 +27,7 @@ func workloadEnv(seed int64) netsim.Scenario {
 // generators run standalone; churn generators (which emit no
 // publications of their own) are paired with default periodic traffic
 // through the "mix" generator, so their tables still measure delivery
-// under the churn they inject. Util generators (explicit, mix) are
+// under the churn they inject. Util generators (mix) are
 // composition helpers, not workloads to sweep — reported as skipped.
 func workloadSpec(def workload.Definition) (netsim.WorkloadSpec, bool) {
 	switch def.Class {

@@ -83,12 +83,11 @@ func TestMidCrashPublicationNoDoubleDelivery(t *testing.T) {
 		MAC:                mac.DefaultConfig(500),
 		Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second}),
 		SubscriberFraction: 1.0,
-		Publications: []Publication{
-			// Published at 25 s, while node 2 is down.
-			{Offset: 15 * time.Second, Publisher: 0, Validity: 90 * time.Second},
-		},
-		Crashes: []Crash{
-			{Node: 2, At: 20 * time.Second, RecoverAt: 40 * time.Second},
+		Schedule: []workload.Op{
+			{At: 20 * time.Second, Kind: workload.Crash, Node: 2},
+			// Published while node 2 is down.
+			publish(25*time.Second, 0, 90*time.Second),
+			{At: 40 * time.Second, Kind: workload.Recover, Node: 2},
 		},
 		Warmup:      10 * time.Second,
 		Measure:     100 * time.Second,
@@ -119,6 +118,39 @@ func TestMidCrashPublicationNoDoubleDelivery(t *testing.T) {
 	}
 	if got == 0 {
 		t.Fatal("recovered node never caught up on the mid-crash publication (dense static roster should re-disseminate)")
+	}
+}
+
+// TestScheduleTiesApplyInListedOrder: same-instant Schedule ops apply
+// in the order written. A publication listed before its publisher's
+// crash goes out; one listed after it is skipped (a down node cannot
+// publish), so nothing is registered.
+func TestScheduleTiesApplyInListedOrder(t *testing.T) {
+	at := 5 * time.Second
+	pub := publish(at, 0, 30*time.Second)
+	crash := workload.Op{At: at, Kind: workload.Crash, Node: 0}
+	for _, tc := range []struct {
+		name      string
+		schedule  []workload.Op
+		published int
+	}{
+		{"publish then crash", []workload.Op{pub, crash}, 1},
+		{"crash then publish", []workload.Op{crash, pub}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := denseStatic(3)
+			sc.Schedule = tc.schedule
+			res, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Published) != tc.published {
+				t.Fatalf("published %d events, want %d", len(res.Published), tc.published)
+			}
+			if tc.published == 1 && res.Published[0].At != sim.At(at) {
+				t.Fatalf("published at %v, want %v", res.Published[0].At, at)
+			}
+		})
 	}
 }
 

@@ -51,13 +51,8 @@ func NewDriver(c Cluster, l *Ledger, eventTopic topic.Topic, pubRng *rand.Rand) 
 // protocol refuses, a (un)subscription on a down node, a crash of a
 // down node and a recovery of an up one.
 func (d *Driver) Apply(op workload.Op, now sim.Time) error {
-	minNode := 0
-	if op.Kind == workload.Publish {
-		minNode = -1 // -1 publishes from a random subscriber
-	}
-	if op.Node < minNode || op.Node >= d.l.nodes {
-		return fmt.Errorf("netsim: workload %s op node %d out of range [%d,%d)",
-			op.Kind, op.Node, minNode, d.l.nodes)
+	if err := checkOp(op, d.l.nodes); err != nil {
+		return fmt.Errorf("netsim: workload %w", err)
 	}
 	tp := op.Topic
 	if tp.IsZero() {
@@ -65,9 +60,6 @@ func (d *Driver) Apply(op workload.Op, now sim.Time) error {
 	}
 	switch op.Kind {
 	case workload.Publish:
-		if op.Validity <= 0 {
-			return fmt.Errorf("netsim: workload publish without validity at %v", op.At)
-		}
 		i := op.Node
 		if i < 0 {
 			if len(d.l.subs) == 0 {
@@ -104,6 +96,24 @@ func (d *Driver) Apply(op workload.Op, now sim.Time) error {
 		}
 	default:
 		return fmt.Errorf("netsim: unknown workload op kind %v", op.Kind)
+	}
+	return nil
+}
+
+// checkOp reports an op no roster of n nodes can carry out: a node out
+// of range (a Publish may name -1, a random subscriber) or a
+// publication without validity. Driver.Apply and Scenario.Validate
+// share it, so a Schedule that validates never fails the run.
+func checkOp(op workload.Op, n int) error {
+	minNode := 0
+	if op.Kind == workload.Publish {
+		minNode = -1
+	}
+	if op.Node < minNode || op.Node >= n {
+		return fmt.Errorf("%s op node %d out of range [%d,%d)", op.Kind, op.Node, minNode, n)
+	}
+	if op.Kind == workload.Publish && op.Validity <= 0 {
+		return fmt.Errorf("publish op at %v without validity", op.At)
 	}
 	return nil
 }

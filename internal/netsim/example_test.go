@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/topic"
+	"repro/internal/workload"
 )
 
 // Ten mobile nodes run the frugal protocol over the simulated 802.11b
@@ -29,7 +30,7 @@ func ExampleRun() {
 		MAC:                mac.DefaultConfig(339), // the paper's 2 Mbps radio range
 		Protocol:           netsim.FrugalSpec(netsim.CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 		SubscriberFraction: 1, // everyone wants the event
-		Publications:       []netsim.Publication{{Publisher: 0, Validity: 60 * time.Second}},
+		Schedule:           []workload.Op{{At: 10 * time.Second, Kind: workload.Publish, Node: 0, Validity: 60 * time.Second}},
 		Warmup:             10 * time.Second,
 		Measure:            65 * time.Second,
 	}
@@ -78,7 +79,7 @@ func ExampleRun_campus() {
 					MAC:                mac.DefaultConfig(44),
 					Protocol:           netsim.FrugalSpec(netsim.CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 					SubscriberFraction: 1,
-					Publications:       []netsim.Publication{{Publisher: publisher, Validity: validity}},
+					Schedule:           []workload.Op{{At: 30 * time.Second, Kind: workload.Publish, Node: publisher, Validity: validity}},
 					Warmup:             30 * time.Second,
 					Measure:            validity + 5*time.Second,
 				})
@@ -114,10 +115,10 @@ func ExampleRun_carpark() {
 		Protocol:           netsim.FrugalSpec(netsim.CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 		EventTopic:         topic.MustParse(".city.parking"),
 		SubscriberFraction: 1,
-		Publications: []netsim.Publication{
-			{Offset: 20 * time.Second, Publisher: 2, Topic: lot("lotA"), Validity: 2 * time.Minute},
-			{Offset: 45 * time.Second, Publisher: 7, Topic: lot("lotB"), Validity: 2 * time.Minute},
-			{Offset: 70 * time.Second, Publisher: 4, Topic: lot("lotA"), Validity: 2 * time.Minute},
+		Schedule: []workload.Op{
+			{At: 20 * time.Second, Kind: workload.Publish, Node: 2, Topic: lot("lotA"), Validity: 2 * time.Minute},
+			{At: 45 * time.Second, Kind: workload.Publish, Node: 7, Topic: lot("lotB"), Validity: 2 * time.Minute},
+			{At: 70 * time.Second, Kind: workload.Publish, Node: 4, Topic: lot("lotA"), Validity: 2 * time.Minute},
 		},
 		DeliveryLog: true,
 		Measure:     3 * time.Minute,

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/mac"
+	"repro/internal/workload"
 )
 
 // TestGridParityWithFullScan runs the same scenario with the medium's
@@ -41,9 +42,9 @@ func TestGridParityWithFullScan(t *testing.T) {
 					Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 					SubscriberFraction: 0.8,
 					Warmup:             10 * time.Second,
-					Publications: []Publication{
-						{Publisher: -1, Validity: 30 * time.Second},
-						{Offset: 500 * time.Millisecond, Publisher: -1, Validity: 30 * time.Second},
+					Schedule: []workload.Op{
+						publish(10*time.Second, -1, 30*time.Second),
+						publish(10*time.Second+500*time.Millisecond, -1, 30*time.Second),
 					},
 					Measure:     35 * time.Second,
 					DeliveryLog: true, // parity diffs full delivery records

@@ -8,6 +8,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/mac"
 	"repro/internal/mobility"
+	"repro/internal/workload"
 )
 
 // plainModel hides everything but Position and Speed, LegAt included:
@@ -46,9 +47,9 @@ func legSlabScenario(wrap func(i int, m mobility.Model) mobility.Model) Scenario
 		Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 		SubscriberFraction: 0.8,
 		Warmup:             5 * time.Second,
-		Publications: []Publication{
-			{Publisher: -1, Validity: 20 * time.Second},
-			{Offset: 3 * time.Second, Publisher: -1, Validity: 20 * time.Second},
+		Schedule: []workload.Op{
+			publish(5*time.Second, -1, 20*time.Second),
+			publish(8*time.Second, -1, 20*time.Second),
 		},
 		Measure: 30 * time.Second,
 	}

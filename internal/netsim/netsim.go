@@ -80,10 +80,9 @@ func ProtocolNames() []string { return proto.ProtocolNames() }
 // (see internal/workload): Name is the registered key and Params, when
 // non-nil, must have the generator's registered params type (nil
 // selects its defaults). The zero spec generates nothing — the
-// scenario's explicit Publications/Crashes/Resubscriptions lists alone
-// drive the run (internally they become one workload.NewExplicit
-// generator). A non-zero spec's stream is merged with the explicit
-// lists, so hand-placed events and generated dynamics compose.
+// scenario's Schedule alone drives the run (replayed through
+// workload.NewExplicit). A non-zero spec's stream is merged with the
+// Schedule, so hand-placed events and generated dynamics compose.
 type WorkloadSpec = workload.Spec
 
 // MobilityKind selects the mobility model.
@@ -165,43 +164,6 @@ func (m MobilitySpec) validateGraphKind() error {
 	return nil
 }
 
-// Publication schedules one event.
-type Publication struct {
-	// Offset from the end of warm-up.
-	Offset time.Duration
-	// Publisher is a node index; -1 picks a random subscriber.
-	Publisher int
-	// Topic defaults to the scenario's EventTopic when zero.
-	Topic topic.Topic
-	// Validity is the event's validity period. Required.
-	Validity time.Duration
-}
-
-// Crash schedules a node failure (and optional recovery with fresh
-// state).
-type Crash struct {
-	// Node is the node index.
-	Node int
-	// At is the failure instant (absolute, from simulation start).
-	At time.Duration
-	// RecoverAt restarts the node with empty tables; zero means never.
-	RecoverAt time.Duration
-}
-
-// Resubscription schedules a subscription change on a live node,
-// exercising the paper's "the list of subscriptions can change at any
-// point in time".
-type Resubscription struct {
-	// Node is the node index.
-	Node int
-	// At is the change instant (absolute, from simulation start).
-	At time.Duration
-	// Topic is the topic to add or remove.
-	Topic topic.Topic
-	// Unsubscribe removes the topic instead of adding it.
-	Unsubscribe bool
-}
-
 // Scenario fully describes one simulation run.
 type Scenario struct {
 	Name  string
@@ -223,14 +185,18 @@ type Scenario struct {
 	DecoyTopic         topic.Topic
 	SubscriberFraction float64
 
-	Publications    []Publication
-	Crashes         []Crash
-	Resubscriptions []Resubscription
+	// Schedule holds hand-placed ops (publications, crashes,
+	// recoveries, subscription changes) at absolute instants from
+	// simulation start, sorted by At; same-instant ops apply in the
+	// order written. A Publish op's zero Topic means EventTopic and
+	// Node -1 picks a random subscriber. Templates share the slice
+	// across runs, so the runner never sorts or copies it.
+	Schedule []workload.Op
 
 	// Workload, when non-zero, selects a registered generator that
 	// lazily synthesizes additional traffic and dynamics from the run's
-	// seeded RNG; its op stream is merged with the explicit lists
-	// above. Validated against the registered params schema.
+	// seeded RNG; its op stream is merged with Schedule (ties go to
+	// Schedule). Validated against the registered params schema.
 	Workload WorkloadSpec
 
 	// CustomModels, when non-nil, overrides the mobility model of node
@@ -335,47 +301,8 @@ func (s Scenario) Validate() error {
 	default:
 		return fmt.Errorf("netsim: unknown mobility kind %d", s.Mobility.Kind)
 	}
-	// The run executes ops up to and including its last instant; an
-	// explicit op after it would be silently dropped.
-	end := s.Warmup + s.Measure
-	for i, p := range s.Publications {
-		if p.Validity <= 0 {
-			return fmt.Errorf("netsim: publication %d without validity", i)
-		}
-		if p.Publisher < -1 || p.Publisher >= s.Nodes {
-			return fmt.Errorf("netsim: publication %d publisher %d out of range", i, p.Publisher)
-		}
-		if p.Offset < 0 {
-			return fmt.Errorf("netsim: publication %d negative offset", i)
-		}
-		if s.Warmup+p.Offset > end {
-			return fmt.Errorf("netsim: publication %d past the run's end %v", i, end)
-		}
-	}
-	for i, c := range s.Crashes {
-		if c.Node < 0 || c.Node >= s.Nodes {
-			return fmt.Errorf("netsim: crash %d node out of range", i)
-		}
-		if c.At < 0 || c.RecoverAt < 0 {
-			return fmt.Errorf("netsim: crash %d at negative time", i)
-		}
-		if c.RecoverAt != 0 && c.RecoverAt < c.At {
-			return fmt.Errorf("netsim: crash %d recovers before failing", i)
-		}
-		if c.At > end || c.RecoverAt > end {
-			return fmt.Errorf("netsim: crash %d past the run's end %v", i, end)
-		}
-	}
-	for i, r := range s.Resubscriptions {
-		if r.Node < 0 || r.Node >= s.Nodes {
-			return fmt.Errorf("netsim: resubscription %d node out of range", i)
-		}
-		if r.At < 0 || r.At > end {
-			return fmt.Errorf("netsim: resubscription %d at %v outside [0, %v]", i, r.At, end)
-		}
-		if r.Topic.IsZero() {
-			return fmt.Errorf("netsim: resubscription %d zero topic", i)
-		}
+	if err := s.validateSchedule(); err != nil {
+		return err
 	}
 	if s.CustomModels != nil && len(s.CustomModels) != s.Nodes {
 		return fmt.Errorf("netsim: CustomModels has %d entries for %d nodes",
@@ -383,6 +310,45 @@ func (s Scenario) Validate() error {
 	}
 	if s.Sample < 0 {
 		return fmt.Errorf("netsim: negative Sample %v", s.Sample)
+	}
+	return nil
+}
+
+// validateSchedule checks Schedule with Driver.Apply's checkOp and the
+// rules only a whole schedule can break, so a bad hand-placed op fails
+// here rather than mid-run. The run executes ops up to and including
+// its last instant, so an op after it would be silently dropped;
+// publications belong to the measurement window.
+func (s Scenario) validateSchedule() error {
+	end := s.Warmup + s.Measure
+	var prev time.Duration
+	crashed := map[int]bool{}
+	for i, op := range s.Schedule {
+		if op.At < prev || op.At > end {
+			return fmt.Errorf("netsim: schedule op %d at %v not in [%v, %v]", i, op.At, prev, end)
+		}
+		prev = op.At
+		if err := checkOp(op, s.Nodes); err != nil {
+			return fmt.Errorf("netsim: schedule op %d: %w", i, err)
+		}
+		switch op.Kind {
+		case workload.Publish:
+			if op.At < s.Warmup {
+				return fmt.Errorf("netsim: schedule op %d publishes at %v, before warm-up ends at %v", i, op.At, s.Warmup)
+			}
+		case workload.Crash:
+			crashed[op.Node] = true
+		case workload.Recover:
+			if !crashed[op.Node] {
+				return fmt.Errorf("netsim: schedule op %d recovers node %d before it crashes", i, op.Node)
+			}
+		case workload.Subscribe, workload.Unsubscribe:
+			if op.Topic.IsZero() {
+				return fmt.Errorf("netsim: schedule op %d (%v) has no topic", i, op.Kind)
+			}
+		default:
+			return fmt.Errorf("netsim: schedule op %d has unknown kind %v", i, op.Kind)
+		}
 	}
 	return nil
 }

@@ -8,8 +8,16 @@ import (
 	"repro/internal/geo"
 	"repro/internal/mac"
 	"repro/internal/sim"
+	"repro/internal/topic"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
+
+// publish is a Schedule op: node (-1 for a random subscriber)
+// publishes one event on the scenario's event topic at at.
+func publish(at time.Duration, node int, validity time.Duration) workload.Op {
+	return workload.Op{At: at, Kind: workload.Publish, Node: node, Validity: validity}
+}
 
 // denseStatic returns a scenario where all nodes sit within one radio
 // range: a single publication must reach everyone quickly.
@@ -25,15 +33,22 @@ func denseStatic(seed int64) Scenario {
 		MAC:                mac.DefaultConfig(340),
 		Protocol:           FrugalSpec(CoreTuning{HBDelay: time.Second, HBUpperBound: time.Second}),
 		SubscriberFraction: 1.0,
-		Publications: []Publication{
-			{Offset: 2 * time.Second, Publisher: -1, Validity: 60 * time.Second},
-		},
-		Warmup:  0,
-		Measure: 90 * time.Second,
+		Schedule:           []workload.Op{publish(2*time.Second, -1, 60*time.Second)},
+		Warmup:             0,
+		Measure:            90 * time.Second,
 	}
 }
 
 func TestValidate(t *testing.T) {
+	crash := func(at time.Duration, node int) workload.Op {
+		return workload.Op{At: at, Kind: workload.Crash, Node: node}
+	}
+	recov := func(at time.Duration, node int) workload.Op {
+		return workload.Op{At: at, Kind: workload.Recover, Node: node}
+	}
+	resub := func(at time.Duration, kind workload.Kind, node int, tp topic.Topic) workload.Op {
+		return workload.Op{At: at, Kind: kind, Node: node, Topic: tp}
+	}
 	tests := []struct {
 		name string
 		mut  func(*Scenario)
@@ -47,53 +62,78 @@ func TestValidate(t *testing.T) {
 		{"bad mac", func(s *Scenario) { s.MAC.Range = 0 }, false},
 		{"empty area", func(s *Scenario) { s.Mobility.Area = geo.Rect{} }, false},
 		{"pub no validity", func(s *Scenario) {
-			s.Publications = append(s.Publications, Publication{})
+			s.Schedule = append(s.Schedule, publish(2*time.Second, 0, 0))
 		}, false},
-		{"pub publisher range", func(s *Scenario) {
-			s.Publications = []Publication{{Publisher: 99, Validity: time.Second}}
+		{"pub publisher range", func(s *Scenario) { s.Schedule = []workload.Op{publish(0, 99, time.Second)} }, false},
+		{"pub random publisher", func(s *Scenario) { s.Schedule = []workload.Op{publish(0, -1, time.Second)} }, true},
+		{"pub publisher below -1", func(s *Scenario) { s.Schedule = []workload.Op{publish(0, -2, time.Second)} }, false},
+		{"pub before warmup", func(s *Scenario) {
+			s.Warmup, s.Schedule = 10*time.Second, []workload.Op{publish(10*time.Second-1, 0, time.Second)}
 		}, false},
-		{"pub random publisher", func(s *Scenario) {
-			s.Publications = []Publication{{Publisher: -1, Validity: time.Second}}
+		{"pub at warmup", func(s *Scenario) {
+			s.Warmup, s.Schedule = 10*time.Second, []workload.Op{publish(10*time.Second, 0, time.Second)}
 		}, true},
-		{"pub publisher below -1", func(s *Scenario) {
-			s.Publications = []Publication{{Publisher: -2, Validity: time.Second}}
+		{"unsorted at", func(s *Scenario) {
+			s.Schedule = []workload.Op{publish(2*time.Second, 0, time.Second), publish(time.Second, 1, time.Second)}
 		}, false},
-		{"crash node range", func(s *Scenario) {
-			s.Crashes = []Crash{{Node: 99, At: time.Second}}
-		}, false},
+		{"same-instant ops", func(s *Scenario) {
+			s.Schedule = []workload.Op{publish(time.Second, 0, time.Second), crash(time.Second, 0), recov(time.Second, 0)}
+		}, true},
+		{"crash node range", func(s *Scenario) { s.Schedule = []workload.Op{crash(time.Second, 99)} }, false},
+		{"crash node below 0", func(s *Scenario) { s.Schedule = []workload.Op{crash(time.Second, -1)} }, false},
 		{"crash before recover", func(s *Scenario) {
-			s.Crashes = []Crash{{Node: 0, At: 10 * time.Second, RecoverAt: time.Second}}
+			s.Schedule = []workload.Op{recov(time.Second, 0), crash(10*time.Second, 0)}
 		}, false},
-		{"crash negative at", func(s *Scenario) {
-			s.Crashes = []Crash{{Node: 0, At: -time.Second}}
+		{"recover without crash", func(s *Scenario) { s.Schedule = []workload.Op{recov(time.Second, 0)} }, false},
+		{"recover after another node's crash", func(s *Scenario) {
+			s.Schedule = []workload.Op{crash(time.Second, 1), recov(2*time.Second, 0)}
 		}, false},
+		{"crash negative at", func(s *Scenario) { s.Schedule = []workload.Op{crash(-time.Second, 0)} }, false},
 		{"crash negative recover", func(s *Scenario) {
-			s.Crashes = []Crash{{Node: 0, At: -2 * time.Second, RecoverAt: -time.Second}}
+			s.Schedule = []workload.Op{crash(-2*time.Second, 0), recov(-time.Second, 0)}
 		}, false},
 		{"resub negative at", func(s *Scenario) {
-			s.Resubscriptions = []Resubscription{{Node: 0, At: -time.Second, Topic: s.EventTopic}}
+			s.Schedule = []workload.Op{resub(-time.Second, workload.Subscribe, 0, s.EventTopic)}
 		}, false},
 		{"resub valid", func(s *Scenario) {
-			s.Resubscriptions = []Resubscription{{Node: 0, At: time.Second, Topic: s.EventTopic}}
+			s.Schedule = []workload.Op{resub(time.Second, workload.Subscribe, 0, s.EventTopic)}
 		}, true},
+		{"resub node range", func(s *Scenario) {
+			s.Schedule = []workload.Op{resub(time.Second, workload.Subscribe, 99, s.EventTopic)}
+		}, false},
+		{"subscribe zero topic", func(s *Scenario) {
+			s.Schedule = []workload.Op{resub(time.Second, workload.Subscribe, 0, topic.Topic{})}
+		}, false},
+		{"unsubscribe zero topic", func(s *Scenario) {
+			s.Schedule = []workload.Op{resub(time.Second, workload.Unsubscribe, 0, topic.Topic{})}
+		}, false},
+		{"unknown kind", func(s *Scenario) { s.Schedule = []workload.Op{{At: time.Second, Kind: 99}} }, false},
 		// The run ends at Warmup+Measure = 100 s and executes ops at
 		// exactly that instant (TestCensored runs one); an op a
 		// nanosecond later would be dropped, so Validate rejects it.
-		{"pub at end", func(s *Scenario) { s.Warmup, s.Publications[0].Offset = 10*time.Second, 90*time.Second }, true},
-		{"pub past end", func(s *Scenario) { s.Warmup, s.Publications[0].Offset = 10*time.Second, 90*time.Second+1 }, false},
-		{"crash at end", func(s *Scenario) { s.Warmup, s.Crashes = 10*time.Second, []Crash{{Node: 0, At: 100 * time.Second}} }, true},
-		{"crash past end", func(s *Scenario) { s.Warmup, s.Crashes = 10*time.Second, []Crash{{Node: 0, At: 100*time.Second + 1}} }, false},
+		{"pub at end", func(s *Scenario) {
+			s.Warmup, s.Schedule = 10*time.Second, []workload.Op{publish(100*time.Second, -1, time.Second)}
+		}, true},
+		{"pub past end", func(s *Scenario) {
+			s.Warmup, s.Schedule = 10*time.Second, []workload.Op{publish(100*time.Second+1, -1, time.Second)}
+		}, false},
+		{"crash at end", func(s *Scenario) {
+			s.Warmup, s.Schedule = 10*time.Second, []workload.Op{crash(100*time.Second, 0)}
+		}, true},
+		{"crash past end", func(s *Scenario) {
+			s.Warmup, s.Schedule = 10*time.Second, []workload.Op{crash(100*time.Second+1, 0)}
+		}, false},
 		{"recover at end", func(s *Scenario) {
-			s.Warmup, s.Crashes = 10*time.Second, []Crash{{Node: 0, At: time.Second, RecoverAt: 100 * time.Second}}
+			s.Warmup, s.Schedule = 10*time.Second, []workload.Op{crash(time.Second, 0), recov(100*time.Second, 0)}
 		}, true},
 		{"recover past end", func(s *Scenario) {
-			s.Warmup, s.Crashes = 10*time.Second, []Crash{{Node: 0, At: time.Second, RecoverAt: 100*time.Second + 1}}
+			s.Warmup, s.Schedule = 10*time.Second, []workload.Op{crash(time.Second, 0), recov(100*time.Second+1, 0)}
 		}, false},
 		{"resub at end", func(s *Scenario) {
-			s.Warmup, s.Resubscriptions = 10*time.Second, []Resubscription{{Node: 0, At: 100 * time.Second, Topic: s.EventTopic}}
+			s.Warmup, s.Schedule = 10*time.Second, []workload.Op{resub(100*time.Second, workload.Subscribe, 0, s.EventTopic)}
 		}, true},
 		{"resub past end", func(s *Scenario) {
-			s.Warmup, s.Resubscriptions = 10*time.Second, []Resubscription{{Node: 0, At: 100*time.Second + 1, Topic: s.EventTopic}}
+			s.Warmup, s.Schedule = 10*time.Second, []workload.Op{resub(100*time.Second+1, workload.Unsubscribe, 0, s.EventTopic)}
 		}, false},
 	}
 	for _, tt := range tests {
@@ -113,9 +153,9 @@ func TestValidate(t *testing.T) {
 // so Fingerprint ignores it.
 func TestCensored(t *testing.T) {
 	sc := denseStatic(1)
-	sc.Publications = []Publication{
-		{Offset: 0, Publisher: 0, Validity: sc.Measure},
-		{Offset: sc.Measure, Publisher: 1, Validity: time.Second},
+	sc.Schedule = []workload.Op{
+		publish(sc.Warmup, 0, sc.Measure),
+		publish(sc.Warmup+sc.Measure, 1, time.Second),
 	}
 	res, err := Run(sc)
 	if err != nil {
@@ -276,11 +316,9 @@ func TestSparseMobileNetworkUsesMobility(t *testing.T) {
 		MAC:                mac.DefaultConfig(340),
 		Protocol:           FrugalSpec(CoreTuning{HBDelay: time.Second, HBUpperBound: time.Second}),
 		SubscriberFraction: 1.0,
-		Publications: []Publication{
-			{Offset: 0, Publisher: 0, Validity: 150 * time.Second},
-		},
-		Warmup:  5 * time.Second,
-		Measure: 160 * time.Second,
+		Schedule:           []workload.Op{publish(5*time.Second, 0, 150*time.Second)},
+		Warmup:             5 * time.Second,
+		Measure:            160 * time.Second,
 	}
 	resLong, err := Run(long)
 	if err != nil {
@@ -288,7 +326,7 @@ func TestSparseMobileNetworkUsesMobility(t *testing.T) {
 	}
 	short := long
 	short.Seed = 11
-	short.Publications = []Publication{{Offset: 0, Publisher: 0, Validity: 2 * time.Second}}
+	short.Schedule = []workload.Op{publish(short.Warmup, 0, 2*time.Second)}
 	resShort, err := Run(short)
 	if err != nil {
 		t.Fatal(err)
@@ -304,13 +342,14 @@ func TestSparseMobileNetworkUsesMobility(t *testing.T) {
 
 func TestCrashAndRecovery(t *testing.T) {
 	sc := denseStatic(12)
-	sc.Publications = []Publication{
-		{Offset: 2 * time.Second, Publisher: 0, Validity: 80 * time.Second},
-	}
 	// Node 5 is down when the event is published and recovers later; it
 	// must still receive the event after recovery (state is fresh, the
 	// neighborhood re-detects it).
-	sc.Crashes = []Crash{{Node: 5, At: time.Second, RecoverAt: 30 * time.Second}}
+	sc.Schedule = []workload.Op{
+		{At: time.Second, Kind: workload.Crash, Node: 5},
+		publish(2*time.Second, 0, 80*time.Second),
+		{At: 30 * time.Second, Kind: workload.Recover, Node: 5},
+	}
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -322,10 +361,11 @@ func TestCrashAndRecovery(t *testing.T) {
 
 func TestCrashWithoutRecoveryLowersReliability(t *testing.T) {
 	sc := denseStatic(13)
-	sc.Publications = []Publication{
-		{Offset: 2 * time.Second, Publisher: 0, Validity: 30 * time.Second},
+	sc.Schedule = []workload.Op{
+		{At: time.Second, Kind: workload.Crash, Node: 3},
+		{At: time.Second, Kind: workload.Crash, Node: 7},
+		publish(2*time.Second, 0, 30*time.Second),
 	}
-	sc.Crashes = []Crash{{Node: 3, At: time.Second}, {Node: 7, At: time.Second}}
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -350,11 +390,9 @@ func TestCityScenarioRuns(t *testing.T) {
 		MAC:                mac.DefaultConfig(44),
 		Protocol:           FrugalSpec(CoreTuning{HBDelay: 4 * time.Second, HBUpperBound: time.Second, UseSpeed: true}),
 		SubscriberFraction: 1.0,
-		Publications: []Publication{
-			{Offset: 0, Publisher: 0, Validity: 150 * time.Second},
-		},
-		Warmup:  10 * time.Second,
-		Measure: 160 * time.Second,
+		Schedule:           []workload.Op{publish(10*time.Second, 0, 150*time.Second)},
+		Warmup:             10 * time.Second,
+		Measure:            160 * time.Second,
 	}
 	res, err := Run(sc)
 	if err != nil {
@@ -372,7 +410,7 @@ func TestMeasurementWindowExcludesWarmup(t *testing.T) {
 	sc := denseStatic(14)
 	sc.Warmup = 30 * time.Second
 	sc.Measure = 10 * time.Second
-	sc.Publications = nil // nothing after warmup
+	sc.Schedule = nil // nothing after warmup
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -394,9 +432,7 @@ func TestFloodVariantsRun(t *testing.T) {
 			sc := denseStatic(15)
 			sc.Protocol = ProtocolSpec{Name: name}
 			sc.Measure = 30 * time.Second
-			sc.Publications = []Publication{
-				{Offset: time.Second, Publisher: -1, Validity: 25 * time.Second},
-			}
+			sc.Schedule = []workload.Op{publish(time.Second, -1, 25*time.Second)}
 			res, err := Run(sc)
 			if err != nil {
 				t.Fatal(err)

@@ -186,7 +186,7 @@ func (r *runner) build() error {
 	shuffleRng := r.eng.NewRand()
 	order := shuffleRng.Perm(sc.Nodes)
 	// The assignment never changes after build (crashes keep their
-	// flag; Resubscriptions alter protocol state, not this roster): it
+	// flag; subscription ops alter protocol state, not this roster): it
 	// is the ledger's roster.
 	subs := order[:int(float64(sc.Nodes)*sc.SubscriberFraction+0.5)]
 	slices.Sort(subs)
@@ -390,48 +390,13 @@ func (r *runner) schedule() error {
 	return nil
 }
 
-// explicitOps converts the scenario's hand-written lists into one
-// sorted op schedule for workload.NewExplicit. The pre-sort slice
-// order encodes the tie-break for same-instant ops (publications in
-// list order, then each crash with its recovery, then
-// resubscriptions), matching the engine's historical FIFO order when
-// the lists were scheduled up front.
-func (r *runner) explicitOps() []workload.Op {
-	sc := r.sc
-	ops := make([]workload.Op, 0, len(sc.Publications)+2*len(sc.Crashes)+len(sc.Resubscriptions))
-	for _, p := range sc.Publications {
-		ops = append(ops, workload.Op{
-			At:       sc.Warmup + p.Offset,
-			Kind:     workload.Publish,
-			Node:     p.Publisher,
-			Topic:    p.Topic,
-			Validity: p.Validity,
-		})
-	}
-	for _, c := range sc.Crashes {
-		ops = append(ops, workload.Op{At: c.At, Kind: workload.Crash, Node: c.Node})
-		if c.RecoverAt != 0 {
-			ops = append(ops, workload.Op{At: c.RecoverAt, Kind: workload.Recover, Node: c.Node})
-		}
-	}
-	for _, rs := range sc.Resubscriptions {
-		kind := workload.Subscribe
-		if rs.Unsubscribe {
-			kind = workload.Unsubscribe
-		}
-		ops = append(ops, workload.Op{At: rs.At, Kind: kind, Node: rs.Node, Topic: rs.Topic})
-	}
-	workload.SortOps(ops)
-	return ops
-}
-
-// buildWorkload assembles the run's op stream: the explicit lists
-// always run (through workload.NewExplicit); a non-zero WorkloadSpec is
+// buildWorkload assembles the run's op stream: the Schedule always
+// runs (through workload.NewExplicit); a non-zero WorkloadSpec is
 // built through the workload registry with its own RNG stream and
-// merged in (ties to the explicit schedule).
+// merged in (ties to the Schedule).
 func (r *runner) buildWorkload() (workload.Generator, error) {
 	sc := r.sc
-	gen := workload.NewExplicit(r.explicitOps())
+	gen := workload.NewExplicit(sc.Schedule)
 	if sc.Workload.IsZero() {
 		return gen, nil
 	}
@@ -453,8 +418,8 @@ func (r *runner) buildWorkload() (workload.Generator, error) {
 // callback: apply the current op through the driver, pull the next,
 // reschedule. A run with a million generated publications therefore
 // never materializes an op slice — generation stays O(1) memory off the
-// simulation's hot path. Ops come from either the validated explicit
-// lists or a registered generator held to the conformance suite, so an
+// simulation's hot path. Ops come from either the validated Schedule
+// or a registered generator held to the conformance suite, so an
 // op the driver rejects is deterministic misconfiguration and fails the
 // run.
 func (r *runner) pump(gen workload.Generator, drv *Driver) {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/sim"
 	"repro/internal/topic"
+	"repro/internal/workload"
 )
 
 // shuttle is a deterministic courier: it oscillates on a straight line
@@ -61,12 +62,10 @@ func TestCourierBridgesPartition(t *testing.T) {
 		MAC:                mac.DefaultConfig(339),
 		Protocol:           FrugalSpec(CoreTuning{HBDelay: time.Second, HBUpperBound: time.Second}),
 		SubscriberFraction: 1.0,
-		Publications: []Publication{
-			{Offset: 0, Publisher: 0, Validity: 240 * time.Second},
-		},
-		Warmup:      2 * time.Second,
-		Measure:     250 * time.Second,
-		DeliveryLog: true, // the partition check reads res.Deliveries
+		Schedule:           []workload.Op{publish(2*time.Second, 0, 240*time.Second)},
+		Warmup:             2 * time.Second,
+		Measure:            250 * time.Second,
+		DeliveryLog:        true, // the partition check reads res.Deliveries
 	}
 	res, err := Run(sc)
 	if err != nil {
@@ -113,11 +112,9 @@ func TestResubscriptionReceivesEvents(t *testing.T) {
 		MAC:                mac.DefaultConfig(339),
 		Protocol:           FrugalSpec(CoreTuning{HBDelay: time.Second, HBUpperBound: time.Second}),
 		SubscriberFraction: 0.5,
-		Publications: []Publication{
-			{Offset: 5 * time.Second, Publisher: -1, Validity: 120 * time.Second},
-		},
-		Warmup:  0,
-		Measure: 130 * time.Second,
+		Schedule:           []workload.Op{publish(5*time.Second, -1, 120*time.Second)},
+		Warmup:             0,
+		Measure:            130 * time.Second,
 	}
 	// First pass: find a node that is NOT subscribed.
 	probe, err := Run(sc)
@@ -140,11 +137,12 @@ func TestResubscriptionReceivesEvents(t *testing.T) {
 	// Second pass: the outsider subscribes to the event topic mid-run,
 	// well after publication, and must still receive the event through
 	// the id-exchange with its neighbors.
-	sc.Resubscriptions = []Resubscription{{
-		Node:  outsider,
+	sc.Schedule = append(sc.Schedule, workload.Op{
 		At:    30 * time.Second,
+		Kind:  workload.Subscribe,
+		Node:  outsider,
 		Topic: topic.MustParse(".app.news"),
-	}}
+	})
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -167,11 +165,9 @@ func TestUnsubscribeStopsDeliveries(t *testing.T) {
 		MAC:                mac.DefaultConfig(339),
 		Protocol:           FrugalSpec(CoreTuning{HBDelay: time.Second, HBUpperBound: time.Second}),
 		SubscriberFraction: 1.0,
-		Resubscriptions: []Resubscription{
-			{Node: 2, At: 5 * time.Second, Topic: topic.MustParse(".app.news"), Unsubscribe: true},
-		},
-		Publications: []Publication{
-			{Offset: 10 * time.Second, Publisher: 0, Validity: 60 * time.Second},
+		Schedule: []workload.Op{
+			{At: 5 * time.Second, Kind: workload.Unsubscribe, Node: 2, Topic: topic.MustParse(".app.news")},
+			publish(10*time.Second, 0, 60*time.Second),
 		},
 		Warmup:  0,
 		Measure: 80 * time.Second,
@@ -203,12 +199,10 @@ func TestDeliveryLatencies(t *testing.T) {
 		MAC:                mac.DefaultConfig(339),
 		Protocol:           FrugalSpec(CoreTuning{HBDelay: time.Second, HBUpperBound: time.Second}),
 		SubscriberFraction: 1.0,
-		Publications: []Publication{
-			{Offset: 2 * time.Second, Publisher: 0, Validity: 60 * time.Second},
-		},
-		Warmup:      0,
-		Measure:     70 * time.Second,
-		DeliveryLog: true, // DeliveryLatencies needs the full record list
+		Schedule:           []workload.Op{publish(2*time.Second, 0, 60*time.Second)},
+		Warmup:             0,
+		Measure:            70 * time.Second,
+		DeliveryLog:        true, // DeliveryLatencies needs the full record list
 	}
 	res, err := Run(sc)
 	if err != nil {
@@ -275,11 +269,11 @@ func TestCustomModelsLengthValidated(t *testing.T) {
 
 func TestResubscriptionValidated(t *testing.T) {
 	sc := denseStatic(1)
-	sc.Resubscriptions = []Resubscription{{Node: 99, At: time.Second, Topic: topic.MustParse(".x")}}
+	sc.Schedule = []workload.Op{{At: time.Second, Kind: workload.Subscribe, Node: 99, Topic: topic.MustParse(".x")}}
 	if err := sc.withDefaults().Validate(); err == nil {
 		t.Fatal("out-of-range resubscription accepted")
 	}
-	sc.Resubscriptions = []Resubscription{{Node: 0, At: time.Second}}
+	sc.Schedule = []workload.Op{{At: time.Second, Kind: workload.Subscribe, Node: 0}}
 	if err := sc.withDefaults().Validate(); err == nil {
 		t.Fatal("zero-topic resubscription accepted")
 	}

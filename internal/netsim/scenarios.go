@@ -28,8 +28,8 @@ func init() {
 			MAC:                mac.DefaultConfig(44),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 			SubscriberFraction: 1.0,
-			Publications: []Publication{
-				{Publisher: -1, Validity: 150 * time.Second},
+			Schedule: []workload.Op{
+				{At: 30 * time.Second, Kind: workload.Publish, Node: -1, Validity: 150 * time.Second},
 			},
 			Warmup:  30 * time.Second,
 			Measure: 155 * time.Second,
@@ -50,8 +50,8 @@ func init() {
 			MAC:                mac.DefaultConfig(339),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 			SubscriberFraction: 0.8,
-			Publications: []Publication{
-				{Publisher: -1, Validity: 120 * time.Second},
+			Schedule: []workload.Op{
+				{At: 30 * time.Second, Kind: workload.Publish, Node: -1, Validity: 120 * time.Second},
 			},
 			Warmup:  30 * time.Second,
 			Measure: 125 * time.Second,
@@ -71,10 +71,10 @@ func init() {
 			MAC:                mac.DefaultConfig(100),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 			SubscriberFraction: 0.8,
-			Publications: []Publication{
-				{Offset: 0, Publisher: -1, Validity: 120 * time.Second},
-				{Offset: 2 * time.Second, Publisher: -1, Validity: 120 * time.Second},
-				{Offset: 4 * time.Second, Publisher: -1, Validity: 120 * time.Second},
+			Schedule: []workload.Op{
+				{At: 30 * time.Second, Kind: workload.Publish, Node: -1, Validity: 120 * time.Second},
+				{At: 32 * time.Second, Kind: workload.Publish, Node: -1, Validity: 120 * time.Second},
+				{At: 34 * time.Second, Kind: workload.Publish, Node: -1, Validity: 120 * time.Second},
 			},
 			Warmup:  30 * time.Second,
 			Measure: 130 * time.Second,
@@ -94,13 +94,12 @@ func init() {
 			MAC:                mac.DefaultConfig(100),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 			SubscriberFraction: 0.8,
-			Publications: []Publication{
-				{Offset: 0, Publisher: -1, Validity: 120 * time.Second},
-				{Offset: 3 * time.Second, Publisher: -1, Validity: 120 * time.Second},
-			},
-			Crashes: []Crash{
-				{Node: 3, At: 50 * time.Second, RecoverAt: 90 * time.Second},
-				{Node: 7, At: 70 * time.Second},
+			Schedule: []workload.Op{
+				{At: 30 * time.Second, Kind: workload.Publish, Node: -1, Validity: 120 * time.Second},
+				{At: 33 * time.Second, Kind: workload.Publish, Node: -1, Validity: 120 * time.Second},
+				{At: 50 * time.Second, Kind: workload.Crash, Node: 3},
+				{At: 70 * time.Second, Kind: workload.Crash, Node: 7},
+				{At: 90 * time.Second, Kind: workload.Recover, Node: 3},
 			},
 			Warmup:  30 * time.Second,
 			Measure: 130 * time.Second,
@@ -116,9 +115,9 @@ func init() {
 			MAC:                mac.DefaultConfig(250),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 			SubscriberFraction: 0.9,
-			Publications: []Publication{
-				{Offset: 0, Publisher: -1, Validity: 90 * time.Second},
-				{Offset: 3 * time.Second, Publisher: -1, Validity: 90 * time.Second},
+			Schedule: []workload.Op{
+				{At: 20 * time.Second, Kind: workload.Publish, Node: -1, Validity: 90 * time.Second},
+				{At: 23 * time.Second, Kind: workload.Publish, Node: -1, Validity: 90 * time.Second},
 			},
 			Warmup:  20 * time.Second,
 			Measure: 95 * time.Second,
@@ -134,7 +133,7 @@ func init() {
 			MAC:                mac.DefaultConfig(44),
 			Protocol:           FrugalSpec(CoreTuning{HBUpperBound: time.Second, UseSpeed: true}),
 			SubscriberFraction: 0.9,
-			// No explicit publication list: the flash-crowd generator
+			// No hand-placed publications: the flash-crowd generator
 			// synthesizes the traffic — a quiet background rate with a
 			// 20 s burst a third into the window, spread over four
 			// subtopics of the event topic.

@@ -60,7 +60,7 @@ func TestStreamingOutcomesMatchRecords(t *testing.T) {
 		t.Fatal("waypoint not registered")
 	}
 	sc := def.Instantiate(1)
-	sc.Publications = nil
+	sc.Schedule = nil
 	sc.Workload = WorkloadSpec{
 		Name: "mix",
 		Params: workload.MixParams{Parts: []workload.Spec{

@@ -1,23 +1,12 @@
 package proto
 
-import (
-	"fmt"
-	"reflect"
-	"strings"
-
-	"repro/internal/registry"
-)
+import "repro/internal/registry"
 
 // Params carries a protocol's scenario-level tuning. Each protocol
 // defines one concrete params type (its registered schema); a nil
-// Params selects the protocol's defaults. Params values must be plain
-// data — comparable or at least copy-safe — because scenarios embedding
-// them are copied freely by the experiment harness.
-type Params interface {
-	// Validate reports configuration errors. The zero value of a params
-	// type must validate (it selects the protocol's defaults).
-	Validate() error
-}
+// Params selects the protocol's defaults. It is the one params
+// interface of internal/registry, shared with workload generators.
+type Params = registry.Params
 
 // Factory builds one protocol instance for one node from its params and
 // the runner-supplied environment. The registry guarantees p has the
@@ -44,24 +33,15 @@ type Definition struct {
 	New Factory
 }
 
-var protocols = registry.New[Definition]("proto: protocol")
+var protocols = registry.NewTyped("proto", "protocol", func(d Definition) registry.Entry[Env, Disseminator] {
+	return registry.Entry[Env, Disseminator]{Name: d.Name, Description: d.Description, Params: d.Params, New: d.New}
+})
 
 // RegisterProtocol adds a definition to the registry. It panics on a
 // duplicate name, missing metadata, or an invalid schema (registration
 // happens at init time; a broken definition should fail loudly, not at
 // first use).
-func RegisterProtocol(d Definition) {
-	if d.Name == "" || d.Description == "" {
-		panic(fmt.Sprintf("proto: protocol %q registered without name or description", d.Name))
-	}
-	if d.New == nil || d.Params == nil {
-		panic(fmt.Sprintf("proto: protocol %q registered without factory or params schema", d.Name))
-	}
-	if err := d.Params.Validate(); err != nil {
-		panic(fmt.Sprintf("proto: protocol %q schema zero value invalid: %v", d.Name, err))
-	}
-	protocols.Register(d.Name, d)
-}
+func RegisterProtocol(d Definition) { protocols.Register(d) }
 
 // Protocols returns every registered definition, sorted by name.
 func Protocols() []Definition { return protocols.All() }
@@ -72,45 +52,16 @@ func ProtocolNames() []string { return protocols.Names() }
 // LookupProtocol finds a definition by name.
 func LookupProtocol(name string) (Definition, bool) { return protocols.Lookup(name) }
 
-// resolve is the single code path behind CheckParams and Build: it
-// looks the name up and type-checks params against the registered
-// schema, substituting the schema's zero value (the protocol's
-// defaults) when params is nil.
-func resolve(name string, p Params) (Definition, Params, error) {
-	def, ok := LookupProtocol(name)
-	if !ok {
-		return Definition{}, nil, fmt.Errorf("proto: unknown protocol %q (registered: %s)",
-			name, strings.Join(ProtocolNames(), ", "))
-	}
-	if p == nil {
-		return def, def.Params, nil
-	}
-	if got, want := reflect.TypeOf(p), reflect.TypeOf(def.Params); got != want {
-		return Definition{}, nil, fmt.Errorf("proto: protocol %q params are %v, want %v", name, got, want)
-	}
-	return def, p, nil
-}
-
 // CheckParams validates a (name, params) spec against the registry:
 // the name must be registered, and params — when non-nil — must have
 // the registered schema type and validate. This is what
 // netsim.Scenario.Validate calls for its ProtocolSpec.
-func CheckParams(name string, p Params) error {
-	_, resolved, err := resolve(name, p)
-	if err != nil {
-		return err
-	}
-	return resolved.Validate()
-}
+func CheckParams(name string, p Params) error { return protocols.CheckParams(name, p) }
 
 // Build resolves name and constructs one instance: the factory receives
 // p, or the schema's zero value when p is nil. Callers that validated
 // the spec earlier (netsim does, at Scenario.Validate time) only see
 // errors from the factory itself.
 func Build(name string, p Params, env Env) (Disseminator, error) {
-	def, resolved, err := resolve(name, p)
-	if err != nil {
-		return nil, err
-	}
-	return def.New(resolved, env)
+	return protocols.Build(name, p, env)
 }

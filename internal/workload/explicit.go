@@ -6,8 +6,7 @@ import (
 )
 
 // SortOps stable-sorts ops by At in place: same-instant ops keep their
-// relative order, which is how callers encode tie-breaking (e.g. netsim
-// lists publications before crashes before resubscriptions).
+// relative order, which is how callers encode tie-breaking.
 func SortOps(ops []Op) {
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].At < ops[j].At })
 }
@@ -27,10 +26,10 @@ func (g *explicitGen) Next() (Op, bool) {
 }
 
 // NewExplicit returns a generator replaying a fixed, pre-enumerated op
-// schedule (which must already be sorted by At; see SortOps). netsim
-// turns a scenario's hand-written Publications/Crashes/Resubscriptions
-// lists into this generator on every run, so the hand-written path and
-// the generated path share one scheduling mechanism.
+// schedule (which must already be sorted by At; see SortOps) without
+// modifying it. netsim replays a scenario's hand-placed Schedule
+// through it on every run, so the hand-placed path and the generated
+// path share one scheduling mechanism.
 func NewExplicit(ops []Op) Generator { return &explicitGen{ops: ops} }
 
 // head is one merged stream's buffered next op.

@@ -23,8 +23,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
-	"strings"
 	"time"
 
 	"repro/internal/registry"
@@ -118,21 +116,15 @@ func (e Env) End() time.Duration { return e.Warmup + e.Measure }
 
 // Params carries a generator's scenario-level tuning. Each generator
 // defines one concrete params type (its registered schema); a nil
-// Params selects the generator's defaults. Params values must be plain
-// data — copy-safe — because scenarios embedding them are copied freely
-// by the experiment harness.
-type Params interface {
-	// Validate reports configuration errors. The zero value of a params
-	// type must validate (it selects the generator's defaults).
-	Validate() error
-}
+// Params selects the generator's defaults. It is the one params
+// interface of internal/registry, shared with protocols.
+type Params = registry.Params
 
 // Spec selects and tunes a workload generator by registry name: Name is
 // the registered key and Params, when non-nil, must have the
 // generator's registered params type (nil selects its defaults). The
 // zero Spec selects no generator at all — in netsim that means the
-// scenario's explicit Publications/Crashes/Resubscriptions lists alone
-// drive the run.
+// scenario's hand-placed Schedule alone drives the run.
 type Spec struct {
 	Name   string
 	Params Params
@@ -142,8 +134,8 @@ type Spec struct {
 func (s Spec) IsZero() bool { return s.Name == "" }
 
 // String implements fmt.Stringer: the registry name, or "explicit" for
-// the zero spec, whose run is driven by the scenario's hand-written
-// lists alone (see NewExplicit).
+// the zero spec, whose run is driven by the scenario's hand-placed
+// schedule alone (see NewExplicit).
 func (s Spec) String() string {
 	if s.Name == "" {
 		return "explicit"
@@ -197,28 +189,21 @@ type Definition struct {
 	New Factory
 }
 
-var workloads = registry.New[Definition]("workload: generator")
+var workloads = registry.NewTyped("workload", "generator", func(d Definition) registry.Entry[Env, Generator] {
+	return registry.Entry[Env, Generator]{Name: d.Name, Description: d.Description, Params: d.Params, New: d.New}
+})
 
 // RegisterWorkload adds a definition to the registry. It panics on a
-// duplicate name, missing metadata, or an invalid schema (registration
-// happens at init time; a broken definition should fail loudly, not at
-// first use).
+// duplicate name, missing metadata, an unknown class or an invalid
+// schema (registration happens at init time; a broken definition
+// should fail loudly, not at first use).
 func RegisterWorkload(d Definition) {
-	if d.Name == "" || d.Description == "" {
-		panic(fmt.Sprintf("workload: generator %q registered without name or description", d.Name))
-	}
-	if d.New == nil || d.Params == nil {
-		panic(fmt.Sprintf("workload: generator %q registered without factory or params schema", d.Name))
-	}
 	switch d.Class {
 	case ClassTraffic, ClassChurn, ClassUtil:
 	default:
 		panic(fmt.Sprintf("workload: generator %q registered with unknown class %q", d.Name, d.Class))
 	}
-	if err := d.Params.Validate(); err != nil {
-		panic(fmt.Sprintf("workload: generator %q schema zero value invalid: %v", d.Name, err))
-	}
-	workloads.Register(d.Name, d)
+	workloads.Register(d)
 }
 
 // Workloads returns every registered definition, sorted by name.
@@ -230,43 +215,12 @@ func WorkloadNames() []string { return workloads.Names() }
 // LookupWorkload finds a definition by name.
 func LookupWorkload(name string) (Definition, bool) { return workloads.Lookup(name) }
 
-// resolve is the single code path behind CheckParams and Build: it
-// looks the name up and type-checks params against the registered
-// schema, substituting the schema's zero value (the generator's
-// defaults) when params is nil.
-func resolve(name string, p Params) (Definition, Params, error) {
-	def, ok := LookupWorkload(name)
-	if !ok {
-		return Definition{}, nil, fmt.Errorf("workload: unknown generator %q (registered: %s)",
-			name, strings.Join(WorkloadNames(), ", "))
-	}
-	if p == nil {
-		return def, def.Params, nil
-	}
-	if got, want := reflect.TypeOf(p), reflect.TypeOf(def.Params); got != want {
-		return Definition{}, nil, fmt.Errorf("workload: generator %q params are %v, want %v", name, got, want)
-	}
-	return def, p, nil
-}
-
 // CheckParams validates a (name, params) spec against the registry:
 // the name must be registered, and params — when non-nil — must have
 // the registered schema type and validate. This is what
 // netsim.Scenario.Validate calls for its WorkloadSpec.
-func CheckParams(name string, p Params) error {
-	_, resolved, err := resolve(name, p)
-	if err != nil {
-		return err
-	}
-	return resolved.Validate()
-}
+func CheckParams(name string, p Params) error { return workloads.CheckParams(name, p) }
 
 // Build resolves name and constructs one generator: the factory
 // receives p, or the schema's zero value when p is nil.
-func Build(name string, p Params, env Env) (Generator, error) {
-	def, resolved, err := resolve(name, p)
-	if err != nil {
-		return nil, err
-	}
-	return def.New(resolved, env)
-}
+func Build(name string, p Params, env Env) (Generator, error) { return workloads.Build(name, p, env) }
