@@ -11,69 +11,54 @@ import (
 // neighbor is one row of the paper's neighborhood table (Figure 2):
 // identity, subscriptions, presumed received events, speed and store time.
 // The presumed-received set is a bit per event-table slot for the events
-// this node stores, and a set of ids for those it does not.
+// this node stores, and a bit per ghost for those it does not.
 type neighbor struct {
 	id       event.NodeID
 	subs     topic.Set
 	speed    float64 // m/s, negative = unknown
 	has      slotSet // presumed received, by slot
 	covers   slotSet // subs.Covers(entry topic), by slot
+	ghost    slotSet // presumed received, by ghost index
 	storedAt time.Duration
-
-	// Presumed received but not stored here: ids announced before their
-	// event arrived, and holders of events this node evicted. Two
-	// generations of at most overflowGen ids; the older is forgotten
-	// when the newer fills, so a row that lives forever (a static mesh)
-	// remembers the last overflowGen..2*overflowGen such ids rather than
-	// every id it ever saw. Forgetting is safe: at worst an event that
-	// comes back is sent to a neighbor that already holds it.
-	other, older map[event.ID]struct{}
 }
 
-// overflowGen is far above what a row accumulates before the event
-// arrives or the neighbor moves away in any simulated scenario (no golden
-// reaches it); it is sized for real meshes that churn through events.
-const overflowGen = 1024
+// maxGhosts bounds a node's ghosts: far above what a node gathers in any
+// simulated scenario (no golden reaches half), sized for real meshes.
+const maxGhosts = 2048
 
-// markHas records that the neighbor is presumed to hold id; e is the
-// event table's entry for id, nil when the event is not stored.
-func (n *neighbor) markHas(id event.ID, e *tableEntry) {
-	if e != nil {
-		n.has.assign(e.slot, true)
-		return
-	}
-	if len(n.other) >= overflowGen {
-		n.other, n.older = n.older, n.other
-		clear(n.other)
-	}
-	if n.other == nil {
-		n.other = make(map[event.ID]struct{})
-	}
-	n.other[id] = struct{}{}
+// ghosts is a node's digest of the ids some neighbor is presumed to hold
+// but this node does not store: ids announced before their event
+// arrived, and the holders of events it evicted. Each id has an index in
+// a ring and each row a bit per index (neighbor.ghost), so marking an
+// unstored id is one map probe however many rows hold it. A stored id's
+// bits move to its slot but it keeps its index. A new id takes the
+// oldest's index once the ring is full: forgetting is safe, since at
+// worst an event that comes back is sent to a neighbor that holds it.
+type ghosts struct {
+	index map[event.ID]int32
+	ring  []event.ID // by index
+	next  int        // the oldest index, once the ring is full
 }
 
-// adopt fills the row's bits for a newly stored entry: an id heard before
-// its event arrived moves from the overflow set to the slot.
-func (n *neighbor) adopt(e *tableEntry) {
-	_, newer := n.other[e.ev.ID]
-	_, older := n.older[e.ev.ID]
-	if newer || older {
-		delete(n.other, e.ev.ID)
-		delete(n.older, e.ev.ID)
-		n.has.assign(e.slot, true)
+// add returns id's index, making it a ghost if it is not one. When
+// fresh, the index was just assigned, and the caller must clear its bit
+// in every row.
+func (g *ghosts) add(id event.ID) (i int, fresh bool) {
+	if i, ok := g.index[id]; ok {
+		return int(i), false
 	}
-	n.covers.assign(e.slot, n.subs.Covers(e.ev.Topic))
-}
-
-// release clears the row's bits for an evicted entry, so the slot's next
-// owner inherits nothing. Who held the event goes back to the overflow
-// set: an evicted event can be received and stored again.
-func (n *neighbor) release(e *tableEntry) {
-	if n.has.test(e.slot) {
-		n.has.assign(e.slot, false)
-		n.markHas(e.ev.ID, nil)
+	if g.index == nil {
+		g.index = make(map[event.ID]int32)
 	}
-	n.covers.assign(e.slot, false)
+	if i = len(g.ring); i < maxGhosts {
+		g.ring = append(g.ring, id)
+	} else {
+		i, g.next = g.next, (g.next+1)%maxGhosts
+		delete(g.index, g.ring[i])
+		g.ring[i] = id
+	}
+	g.index[id] = int32(i)
+	return i, true
 }
 
 // neighborhood is the dynamic one-hop neighbor table. Only neighbors with
@@ -90,22 +75,78 @@ func (n *neighbor) release(e *tableEntry) {
 // separately cached neighbor sum would round differently; it is dropped
 // whenever a row appears, disappears or reports a different speed.
 type neighborhood struct {
-	max  int            // 0 = unbounded
-	ids  []event.NodeID // ascending; ids[i] == rows[i].id
-	rows []*neighbor
+	max    int            // 0 = unbounded
+	ids    []event.NodeID // ascending; ids[i] == rows[i].id
+	rows   []*neighbor
+	ghosts ghosts
 
 	avgValid    bool
 	avgOwn, avg float64
 	avgOK       bool
 }
 
-func (nh *neighborhood) len() int { return len(nh.rows) }
-
 func (nh *neighborhood) get(id event.NodeID) *neighbor {
 	if i, ok := slices.BinarySearch(nh.ids, id); ok {
 		return nh.rows[i]
 	}
 	return nil
+}
+
+// markHas records that rows are presumed to hold id; e is the event
+// table's entry for id, nil when the event is not stored.
+func (nh *neighborhood) markHas(id event.ID, e *tableEntry, rows ...*neighbor) {
+	if e != nil {
+		for _, n := range rows {
+			n.has.assign(e.slot, true)
+		}
+		return
+	}
+	if len(rows) == 0 {
+		return
+	}
+	g, fresh := nh.ghosts.add(id)
+	if fresh {
+		for _, n := range nh.rows {
+			n.ghost.assign(g, false)
+		}
+	}
+	for _, n := range rows {
+		n.ghost.assign(g, true)
+	}
+}
+
+// stored brings every row's bits in line with the event table after e
+// was stored, evicting evicted (nil if none; its slot may be e's): who
+// held the evicted event becomes a ghost, since it can be received and
+// stored again, and who held e's ghost moves to e's slot.
+func (nh *neighborhood) stored(e, evicted *tableEntry) {
+	if evicted != nil && evicted.ev.ID == e.ev.ID {
+		evicted = nil // a reissued id: e took over the slot and its bits
+	}
+	adopt, release := -1, -1
+	if i, ok := nh.ghosts.index[e.ev.ID]; ok {
+		adopt = int(i)
+	}
+	if evicted != nil && slices.ContainsFunc(nh.rows, func(n *neighbor) bool { return n.has.test(evicted.slot) }) {
+		release, _ = nh.ghosts.add(evicted.ev.ID) // every row's bit is set below
+	}
+	for _, n := range nh.rows {
+		held := false
+		if evicted != nil {
+			held = n.has.test(evicted.slot)
+			n.has.assign(evicted.slot, false)
+			n.covers.assign(evicted.slot, false)
+		}
+		// Read before release is written: the two may share an index.
+		if adopt >= 0 && n.ghost.test(adopt) {
+			n.has.assign(e.slot, true)
+			n.ghost.assign(adopt, false)
+		}
+		if release >= 0 {
+			n.ghost.assign(release, held)
+		}
+		n.covers.assign(e.slot, n.subs.Covers(e.ev.Topic))
+	}
 }
 
 func (nh *neighborhood) deleteAt(i int) {
@@ -187,14 +228,6 @@ func (nh *neighborhood) gc(now, ngcDelay time.Duration) int {
 		nh.avgValid = false
 	}
 	return removed
-}
-
-// sorted returns the neighbor rows ordered by id for deterministic
-// iteration. The returned slice is the table's live backing array:
-// callers may read rows (and mutate row contents, e.g. markHas) but must
-// not hold it across table mutations.
-func (nh *neighborhood) sorted() []*neighbor {
-	return nh.rows
 }
 
 // avgSpeed implements AVERAGESPEED over neighbors reporting a known

@@ -20,47 +20,84 @@ func subsOf(names ...string) []topic.Topic {
 }
 
 // knows reports whether the row presumes its neighbor holds id: the slot
-// bit when tb stores the event, the overflow set otherwise.
-func (n *neighbor) knows(id event.ID, tb *eventTable) bool {
+// bit when tb stores the event, its ghost's bit otherwise.
+func (nh *neighborhood) knows(n *neighbor, id event.ID, tb *eventTable) bool {
 	if e := tb.get(id); e != nil {
 		return n.has.test(e.slot)
 	}
-	_, newer := n.other[id]
-	_, older := n.older[id]
-	return newer || older
+	g, ok := nh.ghosts.index[id]
+	return ok && n.ghost.test(int(g))
+}
+
+// knows is neighborhood.knows against the protocol's own table.
+func (p *Protocol) knows(n *neighbor, id event.ID) bool { return p.nbrs.knows(n, id, &p.table) }
+
+// checkGhosts verifies the digest: the index map and the ring agree,
+// and every row bit names a ghost that is not a stored event.
+func (nh *neighborhood) checkGhosts(tb testing.TB, t *eventTable) {
+	tb.Helper()
+	g := &nh.ghosts
+	if len(g.ring) > maxGhosts || len(g.index) != len(g.ring) {
+		tb.Fatalf("%d ghosts indexed, %d in the ring, cap %d", len(g.index), len(g.ring), maxGhosts)
+	}
+	for i, id := range g.ring {
+		if g.index[id] != int32(i) {
+			tb.Fatalf("ring index %d holds %v, indexed at %d", i, id, g.index[id])
+		}
+	}
+	for _, n := range nh.rows {
+		for i := 0; i < maxGhosts+64; i++ {
+			if n.ghost.test(i) && (i >= len(g.ring) || t.has(g.ring[i])) {
+				tb.Fatalf("row %d keeps a bit on index %d, which is no unstored ghost", n.id, i)
+			}
+		}
+	}
 }
 
 func TestOverflowSetIsBounded(t *testing.T) {
-	// A row that never dies must not remember every unstored id it was
-	// ever told about: the newest overflowGen stay, the total is capped.
+	// A node that never dies must not remember every unstored id it was
+	// ever told about: the newest maxGhosts stay, the oldest go first.
 	nh := &neighborhood{}
 	n, _, _ := nh.upsert(1, subsOf(".a"), -1, 0)
 	tb := newEventTable(0)
-	const total = 5*overflowGen + 17
+	const total = 2*maxGhosts + 17
 	for i := 1; i <= total; i++ {
-		n.markHas(event.ID{Lo: uint64(i)}, nil)
-		if got := len(n.other) + len(n.older); got > 2*overflowGen {
-			t.Fatalf("after %d ids the row remembers %d, cap %d", i, got, 2*overflowGen)
+		nh.markHas(event.ID{Lo: uint64(i)}, nil, n)
+		if got := len(nh.ghosts.index); got > maxGhosts {
+			t.Fatalf("after %d ids the node remembers %d, cap %d", i, got, maxGhosts)
 		}
 	}
-	for i := total - overflowGen + 1; i <= total; i++ {
-		if !n.knows(event.ID{Lo: uint64(i)}, tb) {
+	nh.checkGhosts(t, tb)
+	oldest := event.ID{Lo: total - maxGhosts + 1}
+	for i := oldest.Lo; i <= total; i++ {
+		if !nh.knows(n, event.ID{Lo: i}, tb) {
 			t.Fatalf("recent id %d forgotten", i)
 		}
 	}
-	if n.knows(event.ID{Lo: 1}, tb) {
-		t.Fatal("oldest id still remembered")
+	if nh.knows(n, event.ID{Lo: oldest.Lo - 1}, tb) {
+		t.Fatal("an id older than the newest maxGhosts still remembered")
 	}
-	// An id in the older generation still moves to its slot on store.
-	id := event.ID{Lo: total - overflowGen + 1}
-	if _, ok := n.older[id]; !ok {
-		t.Fatalf("test setup: id %v expected in the older generation", id)
+	// The oldest remembered id still moves to its slot on store.
+	e, _ := tb.insert(event.Event{ID: oldest, Topic: topic.MustParse(".a"), Remaining: time.Minute}, 0)
+	nh.stored(e, nil)
+	if !n.has.test(e.slot) || n.ghost.test(int(nh.ghosts.index[oldest])) {
+		t.Fatal("store did not move the id's bit from its ghost to its slot")
 	}
-	e, _ := tb.insert(event.Event{ID: id, Topic: topic.MustParse(".a"), Remaining: time.Minute}, 0)
-	n.adopt(e)
-	if !n.has.test(e.slot) || len(n.older)+len(n.other) != overflowGen-1+17 {
-		t.Fatalf("adopt did not move the id out of the overflow generations (%d + %d left)", len(n.other), len(n.older))
+	nh.checkGhosts(t, tb)
+	// The ring is full: each new ghost takes the oldest index, first the
+	// stored id's, then a live ghost's, and only the rows that hold the
+	// new id keep a bit there.
+	m, _, _ := nh.upsert(2, subsOf(".a"), -1, 0)
+	for _, id := range []event.ID{{Lo: total + 1}, {Lo: total + 2}} {
+		nh.markHas(id, nil, m)
+		if nh.knows(n, id, tb) || !nh.knows(m, id, tb) {
+			t.Fatalf("id %v: a reused index kept the forgotten ghost's holders", id)
+		}
 	}
+	if !nh.knows(n, oldest, tb) || nh.knows(n, event.ID{Lo: oldest.Lo + 1}, tb) {
+		t.Fatal("the stored id lost its slot bit, or the second-oldest ghost was not forgotten")
+	}
+	nh.checkGhosts(t, tb)
 }
 
 func TestNeighborhoodUpsert(t *testing.T) {
@@ -91,10 +128,10 @@ func TestNeighborhoodHasSurvivesRefresh(t *testing.T) {
 	stored := mkEvent(8, ".a", time.Minute)
 	tb.put(t, stored, 0)
 	id := event.ID{Lo: 9}
-	nh.get(1).markHas(stored.ID, tb.get(stored.ID))
-	nh.get(1).markHas(id, nil)
+	nh.markHas(stored.ID, tb.get(stored.ID), nh.get(1))
+	nh.markHas(id, nil, nh.get(1))
 	nh.upsert(1, subsOf(".a"), -1, time.Second)
-	if !nh.get(1).knows(stored.ID, tb) || !nh.get(1).knows(id, tb) {
+	if !nh.knows(nh.get(1), stored.ID, tb) || !nh.knows(nh.get(1), id, tb) {
 		t.Fatal("presumed-received set lost on heartbeat refresh")
 	}
 }
@@ -129,8 +166,8 @@ func TestNeighborhoodCapEvictsStalest(t *testing.T) {
 	nh.upsert(1, subsOf(".a"), -1, 0)
 	nh.upsert(2, subsOf(".a"), -1, time.Second)
 	nh.upsert(3, subsOf(".a"), -1, 2*time.Second)
-	if nh.len() != 2 {
-		t.Fatalf("len = %d, want 2", nh.len())
+	if len(nh.rows) != 2 {
+		t.Fatalf("len = %d, want 2", len(nh.rows))
 	}
 	if nh.get(1) != nil {
 		t.Fatal("stalest entry should have been evicted")
@@ -215,8 +252,8 @@ func TestAvgSpeedMemoBitExact(t *testing.T) {
 			case 8:
 				own = speed()
 			}
-			if max > 0 && nh.len() > max {
-				t.Fatalf("step %d: %d rows, cap %d", step, nh.len(), max)
+			if max > 0 && len(nh.rows) > max {
+				t.Fatalf("step %d: %d rows, cap %d", step, len(nh.rows), max)
 			}
 			got, gotOK := nh.avgSpeed(own)
 			want, wantOK := fresh(nh, own)
@@ -232,7 +269,7 @@ func TestNeighborhoodSortedOrder(t *testing.T) {
 	for _, id := range []event.NodeID{5, 1, 3} {
 		nh.upsert(id, subsOf(".a"), -1, 0)
 	}
-	got := nh.sorted()
+	got := nh.rows
 	if len(got) != 3 || got[0].id != 1 || got[1].id != 3 || got[2].id != 5 {
 		t.Fatalf("sorted order wrong: %v %v %v", got[0].id, got[1].id, got[2].id)
 	}

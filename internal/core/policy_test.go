@@ -17,7 +17,7 @@ func TestGCFIFOPolicy(t *testing.T) {
 	tb.put(t, mkEvent(3, ".a", time.Second*90), 2*time.Second)
 	// Make event 2 the paper-policy victim (heavily forwarded); FIFO
 	// must still pick the oldest (event 1).
-	tb.get(event.ID{Lo: 2}).fwd = 50
+	tb.setFwd(tb.get(event.ID{Lo: 2}), 50)
 	evicted := tb.put(t, mkEvent(4, ".a", time.Minute), 3*time.Second)
 	if evicted == nil || evicted.ev.ID.Lo != 1 {
 		t.Fatalf("FIFO evicted %+v, want oldest (1)", evicted)
@@ -99,7 +99,7 @@ func TestPendingIDListExpiry(t *testing.T) {
 	}
 	if nb := p.nbrs.get(5); nb == nil {
 		t.Fatal("neighbor not added")
-	} else if nb.knows(x, &p.table) {
+	} else if p.knows(nb, x) {
 		t.Fatal("stale stashed id list was applied")
 	}
 	if len(p.pendingIDs) != 0 {
@@ -137,7 +137,7 @@ func TestPendingStashReplacesWhenFull(t *testing.T) {
 	}
 	_ = p.HandleMessage(event.Heartbeat{From: 100, Subscriptions: []topic.Topic{topic.MustParse(".t")}, Speed: -1})
 	nb := p.nbrs.get(100)
-	if nb == nil || !nb.knows(fresh, &p.table) || nb.knows(stale, &p.table) {
+	if nb == nil || !p.knows(nb, fresh) || p.knows(nb, stale) {
 		t.Fatal("the stale list survived in the full stash: the fresher one was dropped")
 	}
 }

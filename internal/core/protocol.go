@@ -119,7 +119,7 @@ func (p *Protocol) NGCDelay() time.Duration { return p.ngcDelay }
 
 // NeighborIDs returns the ids in the neighborhood table, sorted.
 func (p *Protocol) NeighborIDs() []event.NodeID {
-	ns := p.nbrs.sorted()
+	ns := p.nbrs.rows
 	out := make([]event.NodeID, len(ns))
 	for i, n := range ns {
 		out[i] = n.id
@@ -298,7 +298,7 @@ func (p *Protocol) onHeartbeat(h event.Heartbeat) {
 			p.pendingIDs = slices.Delete(p.pendingIDs, i, i+1)
 			if now-pend.at <= p.ngcDelay {
 				for _, id := range pend.ids {
-					nb.markHas(id, p.table.get(id))
+					p.nbrs.markHas(id, p.table.get(id), nb)
 				}
 				p.retrieveEventsToSend()
 			}
@@ -333,7 +333,7 @@ func (p *Protocol) onIDList(l event.IDList) {
 		return
 	}
 	for _, id := range l.IDs {
-		nb.markHas(id, p.table.get(id))
+		p.nbrs.markHas(id, p.table.get(id), nb)
 	}
 	p.retrieveEventsToSend()
 }
@@ -381,29 +381,25 @@ func (p *Protocol) onEvents(msg event.Events) {
 	for _, ev := range msg.Events {
 		p.stats.EventsReceived++
 		e := p.table.get(ev.ID)
-		for _, nb := range holders {
-			nb.markHas(ev.ID, e)
-		}
-		if !p.subs.Covers(ev.Topic) {
+		switch {
+		case !p.subs.Covers(ev.Topic):
 			p.stats.Parasites++ // parasite event: drop (Section 3)
-			continue
-		}
-		if e != nil {
+		case e != nil:
 			p.stats.Duplicates++
-			continue
-		}
-		if ev.Remaining <= 0 {
+		case ev.Remaining <= 0:
 			p.stats.ExpiredDrops++
-			continue
+		default:
+			interested = true
+			// Receiving a new event of interest cancels our own pending
+			// send (suppression, Figure 9 line 22).
+			if !p.cfg.DisableSuppression {
+				stopTimer(&p.boTimer)
+			}
+			e = p.store(ev, now)
+			p.deliver(ev)
 		}
-		interested = true
-		// Receiving a new event of interest cancels our own pending
-		// send (suppression, Figure 9 line 22).
-		if !p.cfg.DisableSuppression {
-			stopTimer(&p.boTimer)
-		}
-		p.store(ev, now)
-		p.deliver(ev)
+		// Marked once stored: a new event's holders go straight to its slot.
+		p.nbrs.markHas(ev.ID, e, holders...)
 	}
 	if interested {
 		p.retrieveEventsToSend()
@@ -412,19 +408,15 @@ func (p *Protocol) onEvents(msg event.Events) {
 
 // store inserts ev into the event table, accounting evictions, and
 // brings every neighbor row's bits in line with the slots that changed
-// hands.
-func (p *Protocol) store(ev event.Event, now time.Duration) {
+// hands. It returns the new entry.
+func (p *Protocol) store(ev event.Event, now time.Duration) *tableEntry {
 	p.noneNeeded = false
 	e, evicted := p.table.insert(ev, now)
 	if evicted != nil {
 		p.stats.TableEvictions++
 	}
-	for _, nb := range p.nbrs.rows {
-		if evicted != nil {
-			nb.release(evicted)
-		}
-		nb.adopt(e)
-	}
+	p.nbrs.stored(e, evicted)
+	return e
 }
 
 func (p *Protocol) deliver(ev event.Event) {
@@ -479,7 +471,7 @@ func (p *Protocol) Publish(t topic.Topic, payload []byte, validity time.Duration
 // subscriptions cover t.
 func (p *Protocol) interestedNeighbors(t topic.Topic) []event.NodeID {
 	var out []event.NodeID
-	for _, nb := range p.nbrs.sorted() {
+	for _, nb := range p.nbrs.rows {
 		if nb.subs.Covers(t) {
 			out = append(out, nb.id)
 		}
@@ -491,11 +483,9 @@ func (p *Protocol) interestedNeighbors(t topic.Topic) []event.NodeID {
 // presumed to have received it, and its forward count grows.
 func (p *Protocol) markSent(id event.ID) {
 	e := p.table.get(id)
-	for _, nb := range p.nbrs.sorted() {
-		nb.markHas(id, e)
-	}
+	p.nbrs.markHas(id, e, p.nbrs.rows...)
 	if e != nil {
-		e.fwd++
+		p.table.forwarded(e)
 	}
 }
 
@@ -505,12 +495,12 @@ func (p *Protocol) markSent(id event.ID) {
 // leaves their union in p.need and the needing neighbors in p.receivers.
 func (p *Protocol) computeSendSet() int {
 	t := &p.table
-	t.refresh(p.sched.Now())
+	t.expire(p.sched.Now())
 	words := (len(t.slab) + 63) >> 6
 	p.need = slices.Grow(p.need[:0], words)[:words]
 	clear(p.need)
 	p.receivers = p.receivers[:0]
-	for _, nb := range p.nbrs.sorted() {
+	for _, nb := range p.nbrs.rows {
 		var any uint64
 		for w := range p.need {
 			m := nb.covers.word(w) &^ nb.has.word(w) & t.valid.word(w)

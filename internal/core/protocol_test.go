@@ -726,3 +726,47 @@ func TestStaleTimerCallbackKeepsOneChain(t *testing.T) {
 		t.Fatalf("%d timers pending after 10 periods, want 2", len(s.pending))
 	}
 }
+
+// TestStoreEvictAllocs pins the steady-state cost of storing a new event
+// into a full 256-entry table with seven neighbor rows, all of which
+// hold every event: the eviction's holders become a ghost (the digest
+// full, so the oldest ghost is forgotten), the new event's holders go to
+// its slot, and the send set is empty. Nothing is allocated beyond the
+// stored entry itself.
+func TestStoreEvictAllocs(t *testing.T) {
+	var log []string
+	p, err := New(Config{ID: 1, MaxEvents: 256, Rand: rand.New(rand.NewSource(1))}, &stepSched{log: &log}, &hbCounter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Subscribe(topicT); err != nil {
+		t.Fatal(err)
+	}
+	receivers := []event.NodeID{3, 4, 5, 6, 7, 8}
+	for id := event.NodeID(2); id <= 8; id++ {
+		if err := p.HandleMessage(heartbeatFrom(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const warm, runs = 256 + 2*maxGhosts, 1000
+	msgs := make([]event.Message, warm+runs+1)
+	for i := range msgs {
+		msgs[i] = event.Events{From: 2, Receivers: receivers, Events: []event.Event{eventT(uint64(i+1), time.Hour)}}
+	}
+	next := 0
+	store := func() {
+		_ = p.HandleMessage(msgs[next])
+		next++
+	}
+	for next < warm {
+		store()
+	}
+	evictions := p.Stats().TableEvictions
+	allocs := testing.AllocsPerRun(runs, store)
+	if got := p.Stats().TableEvictions - evictions; got != runs+1 || len(p.nbrs.ghosts.index) != maxGhosts {
+		t.Fatalf("%d evictions over %d stores, %d ghosts: not the steady state", got, runs+1, len(p.nbrs.ghosts.index))
+	}
+	if allocs != 1 {
+		t.Fatalf("a store that evicts allocates %v times, want 1 (the entry)", allocs)
+	}
+}

@@ -140,21 +140,27 @@ var scriptTopics = []topic.Topic{
 
 // scriptShape is what a script's bytes are decoded against: the event
 // table bound, how many ids heartbeats come from (id lists and event
-// pushes come from one more, a sender that is never discovered), and a
-// neighbor table bound overriding the script's own flag.
+// pushes come from one more, a sender that is never discovered), a
+// neighbor table bound overriding the script's own flag, and a GC policy
+// overriding the script's own when not GCPaper.
 type scriptShape struct {
 	maxEvents    int
 	senders      int
 	maxNeighbors int
+	policy       GCPolicy
 }
 
 var (
-	// The shapes every script runs in. wideShape has more senders than
-	// the pending-list stash has room for; cappedShape keeps the
-	// neighbor table evicting its stalest row.
-	narrowShapes = []scriptShape{{senders: 5}, {senders: 5, maxEvents: 3}}
-	wideShape    = scriptShape{senders: 200}
-	cappedShape  = scriptShape{senders: 12, maxNeighbors: 4, maxEvents: 3}
+	// The shapes every script runs in: unbounded, and bounded under each
+	// GC policy. wideShape has more senders than the pending-list stash
+	// has room for; cappedShape keeps the neighbor table evicting its
+	// stalest row.
+	narrowShapes = []scriptShape{
+		{senders: 5}, {senders: 5, maxEvents: 3},
+		{senders: 5, maxEvents: 3, policy: GCFIFO}, {senders: 5, maxEvents: 3, policy: GCRandom},
+	}
+	wideShape   = scriptShape{senders: 200}
+	cappedShape = scriptShape{senders: 12, maxNeighbors: 4, maxEvents: 3}
 )
 
 // scriptCoverage counts what a script made Protocol's sender-indexed
@@ -202,7 +208,7 @@ func (p *Protocol) expect(msg event.Message) (c scriptCoverage) {
 			c.stashReplaced = 1
 		}
 	case event.Heartbeat:
-		if m.From != p.cfg.ID && p.cfg.MaxNeighbors > 0 && p.nbrs.len() == p.cfg.MaxNeighbors &&
+		if m.From != p.cfg.ID && p.cfg.MaxNeighbors > 0 && len(p.nbrs.rows) == p.cfg.MaxNeighbors &&
 			p.nbrs.get(m.From) == nil && p.subs.OverlapsAny(m.Subscriptions) {
 			c.evicted = 1
 		}
@@ -227,6 +233,10 @@ func runScript(t testing.TB, data []byte, sh scriptShape) (cov scriptCoverage) {
 		return int(data[pos-1])
 	}
 	flags := next()
+	policy := GCPolicy(flags >> 4 % 3)
+	if sh.policy != GCPaper {
+		policy = sh.policy
+	}
 	cfg := Config{
 		ID:                 1,
 		MaxEvents:          sh.maxEvents,
@@ -236,7 +246,7 @@ func runScript(t testing.TB, data []byte, sh scriptShape) (cov scriptCoverage) {
 		BlindPush:          flags&2 != 0,
 		DisableSuppression: flags&4 != 0,
 		FixedBackoff:       flags&8 != 0,
-		GCPolicy:           GCPolicy(flags >> 4 % 3),
+		GCPolicy:           policy,
 	}
 	var p *Protocol
 	got := newSide(cfg, func(c Config, s Scheduler, tr Transport) (disseminator, error) {
@@ -410,9 +420,9 @@ func runScript(t testing.TB, data []byte, sh scriptShape) (cov scriptCoverage) {
 		for _, nb := range p.nbrs.rows {
 			rnb := ref.nbrs.get(nb.id)
 			for _, id := range ids {
-				if nb.knows(id, &p.table) != rnb.knows(id) {
+				if p.knows(nb, id) != rnb.knows(id) {
 					t.Fatalf("step %d: row %d presumed to hold %v: %v, reference %v",
-						step, nb.id, id, nb.knows(id, &p.table), rnb.knows(id))
+						step, nb.id, id, p.knows(nb, id), rnb.knows(id))
 				}
 			}
 		}
@@ -421,10 +431,11 @@ func runScript(t testing.TB, data []byte, sh scriptShape) (cov scriptCoverage) {
 	return cov
 }
 
-// check verifies the table's invariants, that a set noneNeeded memo is
-// what a fresh send set says, and, per neighbor row, that bits exist only
-// on occupied slots, that covers is subs.Covers of each stored topic, and
-// that the overflow set names no stored event.
+// check verifies the table's invariants (slots, order, heaps, expiry),
+// the ghost digest's (no ghost names a stored event, every row bit names
+// a ghost), that a set noneNeeded memo is what a fresh send set says,
+// and, per neighbor row, that bits exist only on occupied slots and that
+// covers is subs.Covers of each stored topic.
 func (p *Protocol) check(tb testing.TB) {
 	tb.Helper()
 	t := &p.table
@@ -449,14 +460,8 @@ func (p *Protocol) check(tb testing.TB) {
 				tb.Fatalf("row %d covers bit of slot %d (%v) is %v", nb.id, s, e.ev.Topic, nb.covers.test(s))
 			}
 		}
-		for _, gen := range []map[event.ID]struct{}{nb.other, nb.older} {
-			for id := range gen {
-				if t.has(id) {
-					tb.Fatalf("row %d overflow set names stored event %v", nb.id, id)
-				}
-			}
-		}
 	}
+	p.nbrs.checkGhosts(tb, t)
 }
 
 // randomScript is a script of n operations weighted towards the message
@@ -488,8 +493,9 @@ func stashScript(rng *rand.Rand, n int) []byte {
 }
 
 // TestSendSetDifferential drives long random scripts through Protocol and
-// the reference, bounded (MaxEvents 3: constant eviction and slot reuse)
-// and unbounded (the table outgrows one bitset word), then with more
+// the reference, bounded (MaxEvents 3: constant eviction and slot reuse,
+// under each of the three GC policies) and unbounded (the table outgrows
+// one bitset word), then with more
 // senders than the stash holds and with a neighbor table that keeps
 // evicting. The seeds run as parallel subtests: scratch buffers are per
 // instance, so -race must stay silent.
@@ -524,10 +530,10 @@ func FuzzSendSet(f *testing.F) {
 		f.Add(randomScript(rand.New(rand.NewSource(seed)), 40))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Under overflowGen operations, so no row can have been told of
-		// enough unstored ids to start forgetting (the reference never
-		// forgets).
-		if len(data) > 3*(overflowGen-1) {
+		// Each operation names at most one new id, so under maxGhosts-8
+		// operations no node can hold enough ghosts to start forgetting
+		// (the reference never forgets).
+		if len(data) > 3*(maxGhosts-8) {
 			t.Skip()
 		}
 		for _, sh := range append(narrowShapes, wideShape, cappedShape) {
@@ -619,9 +625,10 @@ func TestIDHeardBeforeStoreIsHonoured(t *testing.T) {
 	handle(t, p, heartbeatFrom(3))
 	handle(t, p, event.IDList{From: 3, IDs: []event.ID{id}})
 	handle(t, p, heartbeatFrom(4))
+	g, ok := p.nbrs.ghosts.index[id]
 	for _, n := range []event.NodeID{2, 3} {
-		if _, ok := p.nbrs.get(n).other[id]; !ok {
-			t.Fatalf("row %d did not record the unstored id in its overflow set", n)
+		if !ok || !p.nbrs.get(n).ghost.test(int(g)) {
+			t.Fatalf("row %d did not record the unstored id as a ghost", n)
 		}
 	}
 	// The event itself arrives from a stranger. 2 and 3 said they hold
@@ -629,8 +636,8 @@ func TestIDHeardBeforeStoreIsHonoured(t *testing.T) {
 	handle(t, p, event.Events{From: 8, Events: []event.Event{eventT(20, time.Minute)}})
 	for _, n := range []event.NodeID{2, 3} {
 		nb := p.nbrs.get(n)
-		if !nb.knows(id, &p.table) || len(nb.other) != 0 {
-			t.Fatalf("row %d: id did not move from the overflow set to the slot bit", n)
+		if !p.knows(nb, id) || nb.ghost.test(int(g)) {
+			t.Fatalf("row %d: id did not move from its ghost to the slot bit", n)
 		}
 	}
 	ids, rcv := sendSet(p)
@@ -650,7 +657,7 @@ func TestEvictionAndRereceptionKeepHolders(t *testing.T) {
 	if p.table.has(event.ID{Lo: 30}) {
 		t.Fatal("event 30 still stored")
 	}
-	if !p.nbrs.get(2).knows(event.ID{Lo: 30}, &p.table) || p.nbrs.get(3).knows(event.ID{Lo: 30}, &p.table) {
+	if !p.knows(p.nbrs.get(2), event.ID{Lo: 30}) || p.knows(p.nbrs.get(3), event.ID{Lo: 30}) {
 		t.Fatal("eviction lost who holds event 30")
 	}
 	// 30 comes back (evicting 31) from a stranger: it is a fresh delivery,

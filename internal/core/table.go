@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"container/heap"
 	"math/rand"
 	"slices"
 	"sort"
@@ -54,8 +56,10 @@ type tableEntry struct {
 	ev        event.Event
 	expiresAt time.Duration // local absolute expiry
 	fwd       int           // times this node sent/forwarded the event
+	val       float64       // ev.Validity in seconds, for gcScore
 	storedAt  time.Duration
-	slot      int // index in eventTable.slab, and this entry's bit in every slotSet
+	slot      int      // index in eventTable.slab, and this entry's bit in every slotSet
+	at        [2]int32 // position in byExpiry and byScore, -1 when absent
 }
 
 func (e *tableEntry) valid(now time.Duration) bool { return now < e.expiresAt }
@@ -74,27 +78,79 @@ func (e *tableEntry) remaining(now time.Duration) time.Duration {
 // event with a long validity that has been forwarded many times goes
 // before a short-lived event that was never propagated.
 func (e *tableEntry) gcScore() float64 {
-	val := e.ev.Validity.Seconds()
-	return val / (float64(e.fwd) + val)
+	return e.val / (float64(e.fwd) + e.val)
+}
+
+// The eventTable heaps, by what they order on; each indexes tableEntry.at.
+const (
+	byExpiry = iota // expiresAt
+	byScore         // gcScore, then olderID
+)
+
+// entryHeap is a container/heap of entries that know their position in
+// it, so an entry leaves or moves in O(log n).
+type entryHeap struct {
+	key int
+	es  []*tableEntry
+}
+
+func (h *entryHeap) Len() int { return len(h.es) }
+
+// Less orders byScore entries as the paper's victim choice: lower score,
+// then older. A zero validity never forwarded scores NaN, which
+// cmp.Compare puts first.
+func (h *entryHeap) Less(i, j int) bool {
+	a, b := h.es[i], h.es[j]
+	if h.key == byExpiry {
+		return a.expiresAt < b.expiresAt
+	}
+	if c := cmp.Compare(a.gcScore(), b.gcScore()); c != 0 {
+		return c < 0
+	}
+	return olderID(a, b)
+}
+
+func (h *entryHeap) Swap(i, j int) {
+	h.es[i], h.es[j] = h.es[j], h.es[i]
+	h.es[i].at[h.key], h.es[j].at[h.key] = int32(i), int32(j)
+}
+
+func (h *entryHeap) Push(x any) {
+	e := x.(*tableEntry)
+	e.at[h.key] = int32(len(h.es))
+	h.es = append(h.es, e)
+}
+
+func (h *entryHeap) Pop() any {
+	n := len(h.es) - 1
+	e := h.es[n]
+	h.es[n], h.es = nil, h.es[:n]
+	e.at[h.key] = -1
+	return e
 }
 
 // eventTable stores received/published events (paper Figure 3), with
 // capacity-triggered garbage collection. Every entry owns a dense slot for
 // as long as it is stored, so per-neighbor knowledge about stored events
 // is a bit per slot (see neighbor) and the send set is word arithmetic.
+// An entry is valid until expire sees its expiresAt pass (the node clock
+// never goes back); the valid ones sit in byExpiry and, when the table is
+// bounded, in byScore, whose root is Figure 10's victim.
 type eventTable struct {
-	cap    int // 0 = unbounded
-	policy GCPolicy
-	rng    *rand.Rand // for GCRandom; may be nil otherwise
-	byID   map[event.ID]*tableEntry
-	slab   []*tableEntry // slot -> entry, nil while the slot is free
-	free   []int         // free slots, reused before the slab grows
-	order  []*tableEntry // every entry, ascending by olderID
-	valid  slotSet       // now < expiresAt, as of the last refresh
+	cap      int // 0 = unbounded
+	policy   GCPolicy
+	rng      *rand.Rand // for GCRandom; may be nil otherwise
+	byID     map[event.ID]*tableEntry
+	slab     []*tableEntry // slot -> entry, nil while the slot is free
+	free     []int         // free slots, reused before the slab grows
+	order    []*tableEntry // every entry, ascending by olderID
+	valid    slotSet       // the valid entries' slots
+	byExpiry entryHeap     // the valid entries
+	byScore  entryHeap     // the valid entries, bounded tables only
 }
 
 func newEventTable(capacity int) *eventTable {
-	return &eventTable{cap: capacity, byID: make(map[event.ID]*tableEntry)}
+	return &eventTable{cap: capacity, byID: make(map[event.ID]*tableEntry), byScore: entryHeap{key: byScore}}
 }
 
 func (t *eventTable) len() int { return len(t.byID) }
@@ -123,8 +179,10 @@ func (t *eventTable) insert(ev event.Event, now time.Duration) (e, evicted *tabl
 	e = &tableEntry{
 		ev:        ev,
 		expiresAt: now + ev.Remaining,
+		val:       ev.Validity.Seconds(),
 		storedAt:  now,
 		slot:      len(t.slab),
+		at:        [2]int32{-1, -1},
 	}
 	if n := len(t.free); n > 0 {
 		e.slot, t.free = t.free[n-1], t.free[:n-1]
@@ -134,6 +192,11 @@ func (t *eventTable) insert(ev event.Event, now time.Duration) (e, evicted *tabl
 	}
 	t.byID[ev.ID] = e
 	t.order = slices.Insert(t.order, t.orderIndex(e), e)
+	t.valid.assign(e.slot, true)
+	heap.Push(&t.byExpiry, e)
+	if t.cap > 0 {
+		heap.Push(&t.byScore, e)
+	}
 	return e, evicted
 }
 
@@ -143,38 +206,31 @@ func (t *eventTable) orderIndex(e *tableEntry) int {
 }
 
 // garbageCollect removes and returns one entry following the paper's
-// Figure 10: an expired event if one exists, otherwise the entry with the
-// lowest gc score. Ties break on older storedAt, then on id — the order
-// the walk visits entries in — keeping runs deterministic. GCFIFO/GCRandom
-// are ablation policies.
+// Figure 10: the oldest expired event if one exists, otherwise the entry
+// with the lowest gc score, ties broken on older storedAt, then on id,
+// keeping runs deterministic. GCFIFO/GCRandom are ablation policies.
 func (t *eventTable) garbageCollect(now time.Duration) *tableEntry {
+	t.expire(now)
 	var victim *tableEntry
-	for _, e := range t.order {
-		if !e.valid(now) {
-			victim = e // the oldest expired entry displaces any valid victim
-			break
-		}
-		if victim == nil || (t.policy != GCFIFO && e.gcScore() < victim.gcScore()) {
-			victim = e
-		}
-	}
-	if victim != nil && t.policy == GCRandom && victim.valid(now) && t.rng != nil {
-		victim = t.randomValid(now, victim)
-	}
-	if victim == nil {
+	switch {
+	case len(t.order) == 0:
 		return nil
+	case len(t.order) > len(t.byExpiry.es): // some entry expired
+		for _, e := range t.order {
+			if !t.valid.test(e.slot) {
+				victim = e
+				break
+			}
+		}
+	case t.policy == GCFIFO:
+		victim = t.order[0]
+	case t.policy == GCRandom && t.rng != nil:
+		victim = t.order[t.rng.Intn(len(t.order))] // every entry is valid
+	default:
+		victim = t.byScore.es[0]
 	}
 	t.remove(victim)
 	return victim
-}
-
-// randomValid picks a uniform random valid entry (GCRandom).
-func (t *eventTable) randomValid(now time.Duration, fallback *tableEntry) *tableEntry {
-	valid := t.validEntries(now)
-	if len(valid) == 0 {
-		return fallback
-	}
-	return valid[t.rng.Intn(len(valid))]
 }
 
 func olderID(a, b *tableEntry) bool {
@@ -190,28 +246,36 @@ func (t *eventTable) remove(e *tableEntry) {
 	delete(t.byID, e.ev.ID)
 	t.slab[e.slot] = nil
 	t.free = append(t.free, e.slot)
-	t.valid.assign(e.slot, false)
+	t.invalidate(e)
 	i := t.orderIndex(e)
 	t.order = slices.Delete(t.order, i, i+1)
 }
 
-// refresh recomputes the valid set for instant now.
-func (t *eventTable) refresh(now time.Duration) {
-	for _, e := range t.order {
-		t.valid.assign(e.slot, e.valid(now))
+// invalidate takes e out of the valid set and the heaps.
+func (t *eventTable) invalidate(e *tableEntry) {
+	t.valid.assign(e.slot, false)
+	if i := e.at[byExpiry]; i >= 0 {
+		heap.Remove(&t.byExpiry, int(i))
+	}
+	if i := e.at[byScore]; i >= 0 {
+		heap.Remove(&t.byScore, int(i))
 	}
 }
 
-// validEntries returns the still-valid entries ascending by olderID
-// (stable iteration keeps outgoing messages deterministic).
-func (t *eventTable) validEntries(now time.Duration) []*tableEntry {
-	out := make([]*tableEntry, 0, len(t.order))
-	for _, e := range t.order {
-		if e.valid(now) {
-			out = append(out, e)
-		}
+// forwarded accounts one more send of e, which lowers its gc score.
+func (t *eventTable) forwarded(e *tableEntry) {
+	e.fwd++
+	if i := e.at[byScore]; i >= 0 {
+		heap.Fix(&t.byScore, int(i))
 	}
-	return out
+}
+
+// expire clears the valid bit of every entry whose validity has ended by
+// instant now, soonest first off byExpiry.
+func (t *eventTable) expire(now time.Duration) {
+	for len(t.byExpiry.es) > 0 && !t.byExpiry.es[0].valid(now) {
+		t.invalidate(t.byExpiry.es[0])
+	}
 }
 
 // idsMatching implements the paper's GETEVENTSIDS: identifiers, sorted, of

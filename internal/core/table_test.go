@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 	"time"
@@ -27,10 +28,20 @@ func (t *eventTable) put(tb testing.TB, ev event.Event, now time.Duration) *tabl
 	return evicted
 }
 
-// check verifies the slot and order invariants: byID, the slab and the
-// free list describe the same entries, order lists them ascending by
-// olderID, and after a refresh the valid set is exactly now < expiresAt
-// (with no bit on a free slot).
+// setFwd sets e's forward count, keeping the score heap in order.
+func (t *eventTable) setFwd(e *tableEntry, fwd int) {
+	e.fwd = fwd
+	if i := e.at[byScore]; i >= 0 {
+		heap.Fix(&t.byScore, int(i))
+	}
+}
+
+// check verifies the slot, order and heap invariants: byID, the slab and
+// the free list describe the same entries, order lists them ascending by
+// olderID, after expire the valid set is exactly now < expiresAt (with no
+// bit on a free slot), byExpiry holds exactly the valid entries, and so
+// does byScore when the table is bounded, each heap in order and each
+// entry knowing its position.
 func (t *eventTable) check(tb testing.TB, now time.Duration) {
 	tb.Helper()
 	if len(t.order) != len(t.byID) || len(t.slab) != len(t.byID)+len(t.free) {
@@ -40,7 +51,32 @@ func (t *eventTable) check(tb testing.TB, now time.Duration) {
 	if t.cap > 0 && len(t.slab) > t.cap {
 		tb.Fatalf("slab grew to %d slots past capacity %d", len(t.slab), t.cap)
 	}
-	t.refresh(now)
+	t.expire(now)
+	heaps := []*entryHeap{&t.byExpiry}
+	if t.cap > 0 {
+		heaps = append(heaps, &t.byScore)
+	} else if len(t.byScore.es) != 0 {
+		tb.Fatalf("unbounded table keeps %d entries by score", len(t.byScore.es))
+	}
+	valid := 0
+	for _, e := range t.order {
+		if t.valid.test(e.slot) {
+			valid++
+		}
+	}
+	for _, h := range heaps {
+		if len(h.es) != valid {
+			tb.Fatalf("heap %d holds %d entries, %d are valid", h.key, len(h.es), valid)
+		}
+		for i, e := range h.es {
+			if int(e.at[h.key]) != i || !t.valid.test(e.slot) || t.slab[e.slot] != e {
+				tb.Fatalf("heap %d: entry %v at %d thinks it is at %d (valid %v)", h.key, e.ev.ID, i, e.at[h.key], t.valid.test(e.slot))
+			}
+			if i > 0 && h.Less(i, (i-1)/2) {
+				tb.Fatalf("heap %d: entry %d sorts before its parent", h.key, i)
+			}
+		}
+	}
 	for i, e := range t.order {
 		if i > 0 && !olderID(t.order[i-1], e) {
 			tb.Fatalf("order[%d] is not older than order[%d]", i-1, i)
@@ -127,8 +163,11 @@ func TestGCScorePaperExample(t *testing.T) {
 	// has been forwarded less than 2 times will be collected AFTER an
 	// event with a validity period of 5 min that has been forwarded 5
 	// times."
-	short := &tableEntry{ev: mkEvent(1, ".a", 2*time.Minute), fwd: 1}
-	long := &tableEntry{ev: mkEvent(2, ".a", 5*time.Minute), fwd: 5}
+	tb := newEventTable(0)
+	short, _ := tb.insert(mkEvent(1, ".a", 2*time.Minute), 0)
+	long, _ := tb.insert(mkEvent(2, ".a", 5*time.Minute), 0)
+	tb.setFwd(short, 1)
+	tb.setFwd(long, 5)
 	if !(long.gcScore() < short.gcScore()) {
 		t.Fatalf("gc ordering violates paper example: long=%v short=%v",
 			long.gcScore(), short.gcScore())
@@ -141,7 +180,7 @@ func TestGCPrefersExpired(t *testing.T) {
 	tb.put(t, mkEvent(2, ".a", time.Hour), 0)
 	// At t=2s, inserting a third event must evict the expired one even
 	// though the long-lived event has a (much) lower score potential.
-	tb.get(event.ID{Lo: 2}).fwd = 100
+	tb.setFwd(tb.get(event.ID{Lo: 2}), 100)
 	evicted := tb.put(t, mkEvent(3, ".a", time.Minute), 2*time.Second)
 	if evicted == nil || evicted.ev.ID.Lo != 1 {
 		t.Fatalf("evicted = %+v, want expired event 1", evicted)
@@ -156,9 +195,9 @@ func TestGCEvictsLowestScore(t *testing.T) {
 	tb.put(t, mkEvent(1, ".a", 2*time.Minute), 0)
 	tb.put(t, mkEvent(2, ".a", 5*time.Minute), 0)
 	tb.put(t, mkEvent(3, ".a", time.Minute), 0)
-	tb.get(event.ID{Lo: 1}).fwd = 1
-	tb.get(event.ID{Lo: 2}).fwd = 5 // lowest score per paper example
-	tb.get(event.ID{Lo: 3}).fwd = 0
+	tb.setFwd(tb.get(event.ID{Lo: 1}), 1)
+	tb.setFwd(tb.get(event.ID{Lo: 2}), 5) // lowest score per paper example
+	tb.setFwd(tb.get(event.ID{Lo: 3}), 0)
 	evicted := tb.put(t, mkEvent(4, ".a", time.Minute), time.Second)
 	if evicted == nil || evicted.ev.ID.Lo != 2 {
 		t.Fatalf("evicted %+v, want event 2", evicted)
@@ -171,7 +210,7 @@ func TestGCNeverForwardedShortLivedSurvives(t *testing.T) {
 	tb := newEventTable(2)
 	tb.put(t, mkEvent(1, ".a", 20*time.Second), 0)
 	tb.put(t, mkEvent(2, ".a", 10*time.Minute), 0)
-	tb.get(event.ID{Lo: 2}).fwd = 12
+	tb.setFwd(tb.get(event.ID{Lo: 2}), 12)
 	tb.put(t, mkEvent(3, ".a", time.Minute), time.Second)
 	if !tb.has(event.ID{Lo: 1}) {
 		t.Fatal("short-lived unforwarded event was evicted")
@@ -193,7 +232,7 @@ func TestTableCapacityInvariant(t *testing.T) {
 			t.Fatalf("table exceeded capacity: %d", tb.len())
 		}
 		if e := tb.get(ev.ID); e != nil {
-			e.fwd = rng.Intn(10)
+			tb.setFwd(e, rng.Intn(10))
 		}
 	}
 	if tb.len() != 5 {
@@ -228,21 +267,6 @@ func TestIDsMatching(t *testing.T) {
 	both := topic.NewSet(topic.MustParse(".t0"), topic.MustParse(".t0.t1"))
 	if got := tb.idsMatching(tb.coversOf(both), 0); len(got) != 3 {
 		t.Fatalf("dedup failed: %v", got)
-	}
-}
-
-func TestValidEntriesSortedAndFiltered(t *testing.T) {
-	tb := newEventTable(0)
-	tb.put(t, mkEvent(3, ".a", time.Minute), 0)
-	tb.put(t, mkEvent(1, ".a", time.Minute), 0)
-	tb.put(t, mkEvent(2, ".a", time.Second), 0)
-	got := tb.validEntries(30 * time.Second)
-	if len(got) != 2 {
-		t.Fatalf("valid = %d, want 2", len(got))
-	}
-	// storedAt ties: ordered by id.
-	if got[0].ev.ID.Lo != 1 || got[1].ev.ID.Lo != 3 {
-		t.Fatalf("order = %v, %v; want 1, 3", got[0].ev.ID, got[1].ev.ID)
 	}
 }
 

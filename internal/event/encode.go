@@ -101,7 +101,11 @@ func Unmarshal(b []byte) (Message, error) {
 		h := Heartbeat{From: NodeID(d.u32()), Speed: math.Float64frombits(d.u64())}
 		n := d.uvarint()
 		for i := uint64(0); i < n && d.err == nil; i++ {
-			t, err := topic.Parse(d.str())
+			ts := d.str()
+			if d.err != nil {
+				break // reported below, as the event path reports it
+			}
+			t, err := topic.Parse(ts)
 			if err != nil {
 				return nil, fmt.Errorf("event: heartbeat topic: %w", err)
 			}

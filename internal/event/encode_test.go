@@ -87,6 +87,10 @@ func TestUnmarshalErrors(t *testing.T) {
 		{"empty", nil, ErrTruncated},
 		{"unknown kind", []byte{0xee}, ErrUnknownKind},
 		{"truncated heartbeat", []byte{byte(KindHeartbeat), 0, 0}, ErrTruncated},
+		{"heartbeat cut inside its subscription list", func() []byte {
+			b := Marshal(Heartbeat{From: 1, Subscriptions: []topic.Topic{topic.MustParse(".a.b")}})
+			return b[:len(b)-1]
+		}(), ErrTruncated},
 		{"truncated idlist", Marshal(IDList{From: 1, IDs: []ID{{1, 2}}})[:10], ErrTruncated},
 		{"one trailing byte", append(Marshal(Heartbeat{From: 1}), 0), ErrTrailing},
 		{"two messages concatenated", append(Marshal(IDList{From: 1, IDs: []ID{{1, 2}}}), Marshal(Heartbeat{From: 2})...), ErrTrailing},

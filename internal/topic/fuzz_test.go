@@ -1,25 +1,52 @@
 package topic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// FuzzParse pins the parser's invariants on arbitrary input: accepted
-// topics must have a canonical form that re-parses to the same value,
-// structural accessors must agree with each other, and the parent
-// chain must walk to the root in Depth steps — while rejected input
-// must fail with an error, never a panic.
+// parseSplit is Parse as it was written before the one-pass scan, with
+// strings.Split: FuzzParse holds Parse to its results and error texts.
+func parseSplit(s string) (Topic, error) {
+	if s == "" {
+		return Topic{}, ErrEmpty
+	}
+	if s == "." {
+		return Root(), nil
+	}
+	s = strings.TrimPrefix(s, ".")
+	for _, seg := range strings.Split(s, ".") {
+		if seg == "" {
+			return Topic{}, fmt.Errorf("%w: empty segment in %q", ErrBadSegment, s)
+		}
+		if strings.ContainsAny(seg, " \t\n") {
+			return Topic{}, fmt.Errorf("%w: whitespace in %q", ErrBadSegment, seg)
+		}
+	}
+	return Topic{s: "." + s}, nil
+}
+
+// FuzzParse pins the parser's invariants on arbitrary input: it must
+// agree with parseSplit, accepted topics must have a canonical form that
+// re-parses to the same value, structural accessors must agree with each
+// other, and the parent chain must walk to the root in Depth steps —
+// while rejected input must fail with an error, never a panic.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		".", "a", ".a", "a.b", ".a.b.c", ".grenoble.conferences.middleware",
 		"", "..", "a..b", ".a.", " ", "a b", "a\t.b", "a\n", ".app.news",
+		"..a", "a. b..", ".a b.c d", "a.b\tc.",
 		strings.Repeat(".x", 100),
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		tp, err := Parse(s)
+		want, wantErr := parseSplit(s)
+		if tp != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("Parse(%q) = %q, %v; before the one-pass scan %q, %v", s, tp.s, err, want.s, wantErr)
+		}
 		if err != nil {
 			return // rejected: only the absence of a panic matters
 		}

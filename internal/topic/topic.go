@@ -33,7 +33,8 @@ var (
 
 // Parse converts s into a canonical Topic. Both "a.b" and ".a.b" are
 // accepted and normalize to ".a.b"; "." denotes the root. Empty segments
-// ("a..b", trailing dots) and whitespace are rejected.
+// ("a..b", trailing dots) and whitespace are rejected. One pass over the
+// bytes validates, so a name already canonical costs no allocation.
 func Parse(s string) (Topic, error) {
 	if s == "" {
 		return Topic{}, ErrEmpty
@@ -41,15 +42,21 @@ func Parse(s string) (Topic, error) {
 	if s == "." {
 		return Root(), nil
 	}
-	s = strings.TrimPrefix(s, ".")
-	segs := strings.Split(s, ".")
-	for _, seg := range segs {
-		if seg == "" {
-			return Topic{}, fmt.Errorf("%w: empty segment in %q", ErrBadSegment, s)
-		}
-		if strings.ContainsAny(seg, " \t\n") {
+	r := strings.TrimPrefix(s, ".")
+	for start, i := 0, 0; i <= len(r); i++ {
+		switch {
+		case i == len(r) || r[i] == '.':
+			if i == start {
+				return Topic{}, fmt.Errorf("%w: empty segment in %q", ErrBadSegment, r)
+			}
+			start = i + 1
+		case r[i] == ' ' || r[i] == '\t' || r[i] == '\n':
+			seg, _, _ := strings.Cut(r[start:], ".")
 			return Topic{}, fmt.Errorf("%w: whitespace in %q", ErrBadSegment, seg)
 		}
+	}
+	if len(r) < len(s) {
+		return Topic{s: s}, nil // already canonical
 	}
 	return Topic{s: "." + s}, nil
 }

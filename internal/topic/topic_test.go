@@ -44,6 +44,12 @@ func TestParse(t *testing.T) {
 	}
 }
 
+func TestParseCanonicalZeroAlloc(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _, _ = Parse(".a.b") }); n != 0 {
+		t.Fatalf("Parse of a canonical name allocates %v times, want 0", n)
+	}
+}
+
 func TestMustParsePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
