@@ -161,6 +161,6 @@
 // carrier-sense and interference lookups cost O(nodes in range) rather
 // than O(all nodes); the index pads queries by
 // a mobility-derived staleness margin and re-checks exact distances, so
-// its deliveries are frame-for-frame identical to the full-roster
-// reference scan (mac.Config.FullScan).
+// its deliveries are frame-for-frame identical to a full-roster walk,
+// the reference medium that lives only in internal/mac's tests.
 package repro

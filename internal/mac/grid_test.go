@@ -21,12 +21,48 @@ func (l modelLocator) Position(id event.NodeID, at sim.Time) geo.Point {
 	return l[id].Position(at)
 }
 
+// station is a node's port on either medium.
+type station interface {
+	Broadcast(msg event.Message, appBytes int)
+	Counters() Counters
+}
+
+// attachFunc attaches a node to a medium.
+type attachFunc func(id event.NodeID, rx func(Frame)) station
+
+// mediumFunc builds a medium on an engine. gridMedium and
+// referenceMedium build the medium under test and its roster-walk
+// oracle (refMedium).
+type mediumFunc func(eng *sim.Engine, cfg Config, loc Locator) attachFunc
+
+func gridMedium(eng *sim.Engine, cfg Config, loc Locator) attachFunc {
+	m := New(eng, cfg, loc)
+	return func(id event.NodeID, rx func(Frame)) station { return m.Attach(id, rx) }
+}
+
+func referenceMedium(eng *sim.Engine, cfg Config, loc Locator) attachFunc {
+	m := newRefMedium(eng, cfg, loc)
+	return func(id event.NodeID, rx func(Frame)) station { return m.Attach(id, rx) }
+}
+
+var media = []struct {
+	name string
+	new  mediumFunc
+}{{"grid", gridMedium}, {"reference", referenceMedium}}
+
 // runTrafficLog drives a seeded multi-node broadcast storm over moving
-// nodes and returns the full delivery/counter log. Everything derives
-// from fixed seeds, so two runs differing only in Config.FullScan must
-// produce identical logs if the grid path is exact. lost is the roster's
-// FramesLost total, for tests that need collisions to have happened.
-func runTrafficLog(t *testing.T, cfg Config, nodes int, dur time.Duration) (log []string, lost uint64) {
+// nodes on the medium newMedium builds and returns the full
+// delivery/counter log. Everything derives from fixed seeds, so the grid
+// medium and the reference must produce identical logs if the grid path
+// is exact.
+//
+// The traffic is partly reactive: a receiver answers a periodic frame on
+// a coin from its own seeded stream, from inside the medium's receiver
+// loop. The receivers of one frame then contend from the same instant,
+// so same-slot replies collide (half-duplex at the repliers, hidden
+// terminals beyond them). The run must record losses and carrier-sense
+// defers, or the comparison would check nothing.
+func runTrafficLog(t *testing.T, newMedium mediumFunc, cfg Config, nodes int, dur time.Duration) []string {
 	t.Helper()
 	eng := sim.New(99)
 	models := make(modelLocator, nodes)
@@ -38,12 +74,17 @@ func runTrafficLog(t *testing.T, cfg Config, nodes int, dur time.Duration) (log 
 			Pause:    500 * time.Millisecond,
 		}, rand.New(rand.NewSource(int64(i)+1)))
 	}
-	m := New(eng, cfg, models)
-	ports := make([]*Port, nodes)
+	attach := newMedium(eng, cfg, models)
+	ports := make([]station, nodes)
+	var log []string
 	for i := 0; i < nodes; i++ {
 		id := event.NodeID(i)
-		ports[i] = m.Attach(id, func(f Frame) {
-			log = append(log, fmt.Sprintf("%v rx %d<-%d", eng.Now(), id, f.From))
+		replies := rand.New(rand.NewSource(int64(i) + 2000))
+		ports[i] = attach(id, func(f Frame) {
+			log = append(log, fmt.Sprintf("%v rx %d<-%d %T", eng.Now(), id, f.From, f.Msg))
+			if _, periodic := f.Msg.(event.Heartbeat); periodic && replies.Intn(4) == 0 {
+				ports[id].Broadcast(event.IDList{From: id}, 20+replies.Intn(80))
+			}
 		})
 	}
 	// Every node broadcasts on its own jittered period; dense enough for
@@ -59,23 +100,34 @@ func runTrafficLog(t *testing.T, cfg Config, nodes int, dur time.Duration) (log 
 		eng.After(time.Duration(rng.Intn(int(10*time.Millisecond))), tick)
 	}
 	eng.RunUntil(sim.At(dur))
+	var sum Counters
 	for i, p := range ports {
 		c := p.Counters()
 		log = append(log, fmt.Sprintf("node %d counters %+v", i, c))
-		lost += c.FramesLost
+		sum = sum.Add(c)
 	}
-	return log, lost
+	if sum.FramesLost == 0 || sum.Defers == 0 {
+		t.Fatalf("traffic too light to compare: %d frames lost, %d defers", sum.FramesLost, sum.Defers)
+	}
+	return log
 }
 
-func compareLogs(t *testing.T, scan, grid []string) {
+// compareMedia runs the same traffic on the grid medium and on the
+// reference and requires identical logs.
+func compareMedia(t *testing.T, cfg Config, nodes int, dur time.Duration) {
 	t.Helper()
-	if len(scan) != len(grid) {
-		t.Fatalf("log lengths differ: full-scan %d vs grid %d", len(scan), len(grid))
+	ref := runTrafficLog(t, referenceMedium, cfg, nodes, dur)
+	grid := runTrafficLog(t, gridMedium, cfg, nodes, dur)
+	if len(ref) < 100 {
+		t.Fatalf("scenario too quiet to be meaningful: %d log entries", len(ref))
 	}
-	for i := range scan {
-		if scan[i] != grid[i] {
-			t.Fatalf("logs diverge at entry %d:\n  full-scan: %s\n  grid:      %s",
-				i, scan[i], grid[i])
+	if len(ref) != len(grid) {
+		t.Fatalf("log lengths differ: reference %d vs grid %d", len(ref), len(grid))
+	}
+	for i := range ref {
+		if ref[i] != grid[i] {
+			t.Fatalf("logs diverge at entry %d:\n  reference: %s\n  grid:      %s",
+				i, ref[i], grid[i])
 		}
 	}
 }
@@ -85,60 +137,41 @@ func compareLogs(t *testing.T, scan, grid []string) {
 // must match the full-roster reference frame-for-frame — same
 // receptions at the same instants, same loss/defer counters.
 func TestGridMatchesFullScanMobile(t *testing.T) {
-	base := DefaultConfig(300)
-	base.SpeedBounded = true
-	base.MaxSpeed = 40
-
-	scanCfg := base
-	scanCfg.FullScan = true
-	scan, _ := runTrafficLog(t, scanCfg, 40, 3*time.Second)
-	grid, _ := runTrafficLog(t, base, 40, 3*time.Second)
-	if len(scan) < 100 {
-		t.Fatalf("scenario too quiet to be meaningful: %d log entries", len(scan))
-	}
-	compareLogs(t, scan, grid)
+	cfg := DefaultConfig(300)
+	cfg.SpeedBounded = true
+	cfg.MaxSpeed = 40
+	compareMedia(t, cfg, 40, 3*time.Second)
 }
 
 // TestGridMatchesFullScanShadowing repeats the equivalence under a
 // probabilistic channel, where exactness additionally requires the
-// medium's RNG draw sequence to line up between the two paths.
+// medium's RNG draw sequence to line up with the reference's.
 func TestGridMatchesFullScanShadowing(t *testing.T) {
-	base := DefaultConfig(300)
-	base.SpeedBounded = true
-	base.MaxSpeed = 40
-	base.ReceiveProb = func(d float64) float64 {
+	cfg := DefaultConfig(300)
+	cfg.SpeedBounded = true
+	cfg.MaxSpeed = 40
+	cfg.ReceiveProb = func(d float64) float64 {
 		if d > 250 {
 			return 0.3
 		}
 		return 0.9
 	}
-
-	scanCfg := base
-	scanCfg.FullScan = true
-	scan, _ := runTrafficLog(t, scanCfg, 30, 2*time.Second)
-	grid, _ := runTrafficLog(t, base, 30, 2*time.Second)
-	compareLogs(t, scan, grid)
+	compareMedia(t, cfg, 30, 2*time.Second)
 }
 
 // TestGridMatchesFullScanUnbounded drops the speed promise: the medium
 // must fall back to per-instant re-bucketing and stay exact.
 func TestGridMatchesFullScanUnbounded(t *testing.T) {
-	base := DefaultConfig(300)
-
-	scanCfg := base
-	scanCfg.FullScan = true
-	scan, _ := runTrafficLog(t, scanCfg, 25, 2*time.Second)
-	grid, _ := runTrafficLog(t, base, 25, 2*time.Second)
-	compareLogs(t, scan, grid)
+	compareMedia(t, DefaultConfig(300), 25, 2*time.Second)
 }
 
 // TestGridHiddenTerminal pins the interference path through the tx
 // grid: two transmitters out of carrier-sense range of each other, both
 // in range of a middle receiver, transmitting concurrently — the
-// receiver must lose both frames, with and without the grid. In the
-// second placement the grid's 300 m cells start at x = 0, so each
-// transmitter's cell lies wholly outside the other's Range disc: only
-// the 2*Range interferer disc finds the collision.
+// receiver must lose both frames, on the grid medium and on the
+// reference. In the second placement the grid's 300 m cells start at
+// x = 0, so each transmitter's cell lies wholly outside the other's
+// Range disc: only the 2*Range interferer disc finds the collision.
 func TestGridHiddenTerminal(t *testing.T) {
 	placements := []struct {
 		xs     [3]float64
@@ -148,30 +181,29 @@ func TestGridHiddenTerminal(t *testing.T) {
 		{[3]float64{290, 580, 870}, geo.NewRect(900, 1)},
 	}
 	for _, pl := range placements {
-		for _, fullScan := range []bool{false, true} {
+		for _, md := range media {
 			eng := sim.New(1)
 			cfg := DefaultConfig(300)
 			cfg.SpeedBounded = true // static
-			cfg.FullScan = fullScan
 			cfg.Bounds = pl.bounds
 			pos := modelLocator{
 				mobility.Static{P: geo.Pt(pl.xs[0], 0)},
 				mobility.Static{P: geo.Pt(pl.xs[1], 0)},
 				mobility.Static{P: geo.Pt(pl.xs[2], 0)},
 			}
-			m := New(eng, cfg, pos)
+			attach := md.new(eng, cfg, pos)
 			received := 0
-			a := m.Attach(0, nil)
-			mid := m.Attach(1, func(Frame) { received++ })
-			c := m.Attach(2, nil)
+			a := attach(0, nil)
+			mid := attach(1, func(Frame) { received++ })
+			c := attach(2, nil)
 			a.Broadcast(event.Heartbeat{From: 0}, 400)
 			c.Broadcast(event.Heartbeat{From: 2}, 400)
 			eng.Run()
 			if received != 0 {
-				t.Fatalf("%v fullScan=%v: middle node received %d frames through a collision", pl.xs, fullScan, received)
+				t.Fatalf("%v %s: middle node received %d frames through a collision", pl.xs, md.name, received)
 			}
 			if got := mid.Counters().FramesLost; got != 2 {
-				t.Fatalf("%v fullScan=%v: middle node lost %d frames, want 2", pl.xs, fullScan, got)
+				t.Fatalf("%v %s: middle node lost %d frames, want 2", pl.xs, md.name, got)
 			}
 		}
 	}

@@ -56,7 +56,7 @@ type Config struct {
 	// with SpeedBounded set declares the nodes static (the index never
 	// goes stale). Without the promise the index is rebuilt whenever the
 	// clock has advanced — exact for arbitrary mobility, but O(N) per
-	// distinct transmission instant, like the old full scan.
+	// distinct transmission instant.
 	// netsim derives this from the scenario's mobility model; set it
 	// yourself only when driving the medium directly.
 	SpeedBounded bool
@@ -72,12 +72,6 @@ type Config struct {
 	// scenario's mobility model (area or street-graph bounding box); set
 	// it yourself only when driving the medium directly.
 	Bounds geo.Rect
-
-	// FullScan disables the spatial index entirely and scans the full
-	// roster for every frame — the pre-grid reference implementation.
-	// It exists for differential tests and benchmarks; the grid path is
-	// frame-for-frame identical to it.
-	FullScan bool
 }
 
 // gridRefresh is the node-index refresh period under SpeedBounded with
@@ -224,10 +218,11 @@ func (a Counters) Each(fn func(name string, v uint64)) {
 // find receivers, and live-transmission origins in a geo.Grid,
 // maintained exactly, to answer carrier-sense queries per attempt and
 // one interferer query per finished frame. Both indexes are
-// conservative supersets followed by the exact distance checks of the
-// reference full scan, so results — including the RNG draw sequence of
-// probabilistic reception — are frame-for-frame identical to
-// Config.FullScan.
+// conservative supersets followed by exact distance checks, so results —
+// including the RNG draw sequence of probabilistic reception — are
+// frame-for-frame identical to a plain roster walk that offers every
+// frame to every port and checks it against every live transmission
+// (refMedium, in the package's tests).
 //
 // The per-frame paths reuse scratch buffers and pool transmission
 // records and engine timers: once warm, broadcasting allocates nothing
@@ -268,7 +263,6 @@ type Medium struct {
 
 	scratch   []int32         // receiver-candidate reuse buffer (ranks)
 	txScratch []*transmission // transmission-grid query reuse buffer
-	allRanks  []int32         // 0..n-1, the FullScan "candidate set"
 	// rankBits and rankSum put receivers' candidates in rank order: one
 	// bit per attach rank, one summary bit per 64-rank word. Both are all
 	// zero between calls.
@@ -315,7 +309,6 @@ func (m *Medium) Attach(id event.NodeID, rx func(Frame)) *Port {
 	m.rank[id] = len(m.order)
 	m.order = append(m.order, id)
 	m.ports = append(m.ports, p)
-	m.allRanks = append(m.allRanks, p.rank)
 	m.nodeGridBuilt = false // new roster member: rebuild on next query
 	return p
 }
@@ -450,10 +443,10 @@ func (p *Port) finishCur() {
 	}
 }
 
-// hears is the per-receiver verdict on tx at port q, in the reference
-// order: out of range (not even noise), faded by the probabilistic
-// channel, lost to half-duplex or interference, or clean. It counts the
-// faded and lost outcomes on q and reports whether the frame is clean.
+// hears is the per-receiver verdict on tx at port q, in this order: out
+// of range (not even noise), faded by the probabilistic channel, lost to
+// half-duplex or interference, or clean. It counts the faded and lost
+// outcomes on q and reports whether the frame is clean.
 func (m *Medium) hears(tx *transmission, q *Port) bool {
 	rpos := m.loc.Position(q.id, tx.end)
 	if m.cfg.ReceiveProb == nil {
@@ -506,16 +499,13 @@ func within(a, b geo.Point, r float64) bool {
 // instant and the drift is zero), so by the triangle inequality that is
 // a superset of the true in-range set; hears re-checks exact current
 // distances, so delivery (and the RNG draw sequence under ReceiveProb)
-// is identical to the FullScan roster walk.
+// is identical to a walk of the whole roster in attach order.
 //
 // The grid yields candidates in bucket order, which depends on movement
 // history; they are put in rank order by marking them in a two-level
 // bitset and walking it, at a cost of one step per candidate plus one
 // per 4096 ranks — no comparison sort.
 func (m *Medium) receivers(tx *transmission) []int32 {
-	if m.cfg.FullScan {
-		return m.allRanks
-	}
 	m.ensureNodeGrid(tx.end)
 	m.scratch = m.nodeGrid.AppendWithin(tx.pos, m.cfg.Range+m.margin, m.scratch[:0])
 	m.scratch = m.rankOrder(m.scratch)
@@ -621,18 +611,13 @@ func (m *Medium) ensureNodeGrid(now sim.Time) {
 // busyUntil reports whether the channel is busy at pos as sensed by node
 // self, and until when. Transmissions starting exactly now are not
 // sensed — two nodes whose back-offs land on the same slot both fire and
-// collide, as on real hardware.
+// collide, as on real hardware. Transmission origins are fixed, so the
+// transmission grid answers exactly, with no margin.
 func (m *Medium) busyUntil(self event.NodeID, pos geo.Point, now sim.Time) (sim.Time, bool) {
 	var until sim.Time
 	busy := false
-	cand := m.live[m.liveHead:]
-	if !m.cfg.FullScan {
-		// Transmission origins are fixed, so the index is exact: no
-		// margin needed.
-		m.txScratch = m.txGrid.AppendDisc(pos, m.cfg.Range, m.txScratch[:0])
-		cand = m.txScratch
-	}
-	for _, t := range cand {
+	m.txScratch = m.txGrid.AppendDisc(pos, m.cfg.Range, m.txScratch[:0])
+	for _, t := range m.txScratch {
 		if t.from == self || t.end <= now || t.start >= now {
 			continue
 		}
@@ -654,11 +639,8 @@ func (m *Medium) busyUntil(self event.NodeID, pos geo.Point, now sim.Time) (sim.
 // has to walk it — usually empty — instead of querying the transmission
 // grid per receiver. The live set cannot change while finishCur's loop
 // runs: a handler's Broadcast reaches attempt, which only schedules
-// startTx, never calls it. The FullScan reference walks live instead.
+// startTx, never calls it.
 func (m *Medium) collectInterferers(tx *transmission) {
-	if m.cfg.FullScan {
-		return
-	}
 	m.txScratch = m.txGrid.AppendDisc(tx.pos, 2*m.cfg.Range, m.txScratch[:0])
 	ifs := m.interferers[:0]
 	for _, t := range m.txScratch {
@@ -674,22 +656,8 @@ func (m *Medium) collectInterferers(tx *transmission) {
 // concurrent foreign transmission interfered (hidden terminal). rpos is
 // q's position at the reception instant.
 func (m *Medium) corrupted(tx *transmission, q *Port, rpos geo.Point) bool {
-	if m.cfg.FullScan {
-		for _, t := range m.live[m.liveHead:] {
-			if t == tx || !t.overlaps(tx) {
-				continue
-			}
-			if t.from == q.id {
-				return true // half-duplex: q was talking
-			}
-			if within(t.pos, rpos, m.cfg.Range) {
-				return true // interference at the receiver
-			}
-		}
-		return false
-	}
 	// Half-duplex: q's own overlapping transmissions, wherever they
-	// started (the full scan does not distance-filter this case).
+	// started (a radio cannot hear while it talks, at any distance).
 	for _, t := range q.recent {
 		if t.overlaps(tx) {
 			return true
