@@ -150,11 +150,11 @@ func TestGridMatchesFullScanShadowing(t *testing.T) {
 	cfg := DefaultConfig(300)
 	cfg.SpeedBounded = true
 	cfg.MaxSpeed = 40
-	cfg.ReceiveProb = func(d float64) float64 {
+	cfg.Receives = func(d, u float64) bool {
 		if d > 250 {
-			return 0.3
+			return u < 0.3
 		}
-		return 0.9
+		return u < 0.9
 	}
 	compareMedia(t, cfg, 30, 2*time.Second)
 }

@@ -41,12 +41,14 @@ type Config struct {
 	HeaderBytes int
 	// QueueCap bounds the per-node outgoing queue; 0 means unbounded.
 	QueueCap int
-	// ReceiveProb, when non-nil, makes reception probabilistic: a frame
-	// arriving from distance d meters is received with probability
-	// ReceiveProb(d) (see radio.Shadowing). Range then acts as a
-	// pruning radius — set it to the model's MaxRange. Nil keeps the
+	// Receives, when non-nil, makes reception probabilistic: a frame
+	// arriving from distance d meters is received iff Receives(d, u),
+	// with u one uniform [0, 1) draw of the medium's RNG per in-range
+	// receiver (radio.ShadowTable.Receives answers u <
+	// radio.Shadowing.ReceiveProb(d)). Range then acts as a pruning
+	// radius — set it to the model's MaxRange. Nil keeps the
 	// deterministic unit disc.
-	ReceiveProb func(d float64) float64
+	Receives func(d, u float64) bool
 
 	// SpeedBounded, when true, promises that no attached node moves
 	// faster than MaxSpeed m/s. The medium then refreshes its spatial
@@ -449,7 +451,7 @@ func (p *Port) finishCur() {
 // outcomes on q and reports whether the frame is clean.
 func (m *Medium) hears(tx *transmission, q *Port) bool {
 	rpos := m.loc.Position(q.id, tx.end)
-	if m.cfg.ReceiveProb == nil {
+	if m.cfg.Receives == nil {
 		if !within(tx.pos, rpos, m.cfg.Range) {
 			return false
 		}
@@ -458,7 +460,7 @@ func (m *Medium) hears(tx *transmission, q *Port) bool {
 		if d > m.cfg.Range {
 			return false
 		}
-		if m.rng.Float64() >= m.cfg.ReceiveProb(d) {
+		if !m.cfg.Receives(d, m.rng.Float64()) {
 			q.c.FramesFaded++
 			return false
 		}
@@ -498,7 +500,7 @@ func within(a, b geo.Point, r float64) bool {
 // SpeedBounded contract; without it the index is rebuilt at the query
 // instant and the drift is zero), so by the triangle inequality that is
 // a superset of the true in-range set; hears re-checks exact current
-// distances, so delivery (and the RNG draw sequence under ReceiveProb)
+// distances, so delivery (and the RNG draw sequence under Receives)
 // is identical to a walk of the whole roster in attach order.
 //
 // The grid yields candidates in bucket order, which depends on movement

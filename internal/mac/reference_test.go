@@ -21,7 +21,7 @@ import (
 //
 // Its RNG draws and engine schedules come in Medium's order: one
 // contention draw per attempt (jitter when busy, back-off when idle),
-// then one ReceiveProb draw per in-range receiver of a finished frame.
+// then one Receives draw per in-range receiver of a finished frame.
 // That is what lets the two logs match frame for frame.
 type refMedium struct {
 	eng   *sim.Engine
@@ -150,7 +150,7 @@ func (m *refMedium) hears(tx *refTx, q *refPort) bool {
 	if d > m.cfg.Range {
 		return false
 	}
-	if m.cfg.ReceiveProb != nil && m.rng.Float64() >= m.cfg.ReceiveProb(d) {
+	if m.cfg.Receives != nil && !m.cfg.Receives(d, m.rng.Float64()) {
 		q.c.FramesFaded++
 		return false
 	}

@@ -13,7 +13,7 @@ func TestProbabilisticReception(t *testing.T) {
 	eng := sim.New(42)
 	loc := fixedLocator{1: geo.Pt(0, 0), 2: geo.Pt(100, 0)}
 	cfg := DefaultConfig(300)
-	cfg.ReceiveProb = func(d float64) float64 { return 0.5 }
+	cfg.Receives = func(d, u float64) bool { return u < 0.5 }
 	m := New(eng, cfg, loc)
 	p1 := m.Attach(1, nil)
 	var got int
@@ -46,11 +46,11 @@ func TestProbabilisticReceptionDistanceDependent(t *testing.T) {
 	eng := sim.New(7)
 	loc := fixedLocator{1: geo.Pt(0, 0), 2: geo.Pt(50, 0), 3: geo.Pt(250, 0)}
 	cfg := DefaultConfig(300)
-	cfg.ReceiveProb = func(d float64) float64 {
+	cfg.Receives = func(d, u float64) bool {
 		if d < 100 {
-			return 0.95
+			return u < 0.95
 		}
-		return 0.05
+		return u < 0.05
 	}
 	m := New(eng, cfg, loc)
 	p1 := m.Attach(1, nil)
@@ -76,7 +76,7 @@ func TestProbabilisticReceptionDeterministic(t *testing.T) {
 		eng := sim.New(11)
 		loc := fixedLocator{1: geo.Pt(0, 0), 2: geo.Pt(100, 0)}
 		cfg := DefaultConfig(300)
-		cfg.ReceiveProb = func(d float64) float64 { return 0.3 }
+		cfg.Receives = func(d, u float64) bool { return u < 0.3 }
 		m := New(eng, cfg, loc)
 		p1 := m.Attach(1, nil)
 		m.Attach(2, nil)

@@ -66,3 +66,51 @@ func (s Shadowing) MaxRange(eps float64) float64 {
 	}
 	return hi
 }
+
+// tableN is the number of equal distance intervals a ShadowTable spans.
+const tableN = 4096
+
+// tableSlack is the margin, far above the float error of evaluating
+// ReceiveProb, by which u must clear an interval's bracket before the
+// table alone decides.
+const tableSlack = 1e-9
+
+// ShadowTable answers Receives from ReceiveProb tabulated over [0, rng].
+// It is read-only once built, so runs on different goroutines may share
+// one.
+type ShadowTable struct {
+	s    Shadowing
+	step float64
+	p    [tableN + 1]float64 // p[i] = s.ReceiveProb(i*step)
+}
+
+// Tabulate returns s's reception verdict tabulated at tableN+1 evenly
+// spaced distances over [0, rng].
+func (s Shadowing) Tabulate(rng float64) *ShadowTable {
+	t := &ShadowTable{s: s, step: rng / tableN}
+	for i := range t.p {
+		t.p[i] = s.ReceiveProb(float64(i) * t.step)
+	}
+	return t
+}
+
+// Receives reports u < s.ReceiveProb(d), exactly. ReceiveProb does not
+// increase with d (path loss grows, erfc falls, the limit only drops it
+// to 0), so for d in [i*step, (i+1)*step] it lies in [p[i+1], p[i]].
+// ReceiveProb is evaluated only when u falls within tableSlack of that
+// bracket, when d is off the table, or when rounding d/step named an
+// interval that does not hold d.
+func (t *ShadowTable) Receives(d, u float64) bool {
+	if x := d / t.step; x >= 0 && x < tableN {
+		i := int(x)
+		if float64(i)*t.step <= d && d <= float64(i+1)*t.step {
+			if u < t.p[i+1]-tableSlack {
+				return true
+			}
+			if u >= t.p[i]+tableSlack {
+				return false
+			}
+		}
+	}
+	return u < t.s.ReceiveProb(d)
+}

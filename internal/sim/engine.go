@@ -12,9 +12,11 @@ import (
 // schedule further work. Scheduling a callback in the past clamps it to the
 // current instant.
 //
-// Pending callbacks live in a hierarchical timer wheel whose nine levels
-// span the whole Time range (see wheel.go); fired and cancelled
-// entries are recycled through a free list, so steady-state Schedule
+// Pending callbacks live in one item arena and are filed by int32 index
+// in a hierarchical timer wheel whose nine levels span the whole Time
+// range (see wheel.go), so the wheel, the ready buffer and the free list
+// hold no pointers and move without write barriers. Fired and cancelled
+// entries are recycled through the free list, so steady-state Schedule
 // and Timer.Reset allocate nothing (At and After allocate the returned
 // handle). Firing order is exactly ascending (at, seq): FIFO
 // among callbacks scheduled for the same instant.
@@ -28,16 +30,19 @@ type Engine struct {
 	// accounting and loop-detection in tests.
 	executed uint64
 
+	// items is the arena every index below refers to. It may move when
+	// it grows, so no *item is held across a schedule.
+	items []item
 	wheel wheel
 
 	// ready holds the items due at or before wheel.cur, sorted by
 	// (at, seq); readyPos is the consumed prefix. New items landing at
 	// or before the current tick are merge-inserted here.
-	ready    []*item
+	ready    []int32
 	readyPos int
 
-	scratch []*item // cascade reuse buffer
-	free    []*item // recycled items
+	scratch []int32 // cascade reuse buffer
+	free    []int32 // recycled items
 
 	// count is the number of resident items — scheduled and not yet
 	// fired or physically discarded, including stopped ones; stopped
@@ -81,7 +86,7 @@ func (e *Engine) NewRand() *rand.Rand {
 // Timer is a handle to a scheduled callback, which Reset re-arms.
 type Timer struct {
 	e       *Engine
-	it      *item
+	idx     int32
 	fn      func()
 	gen     uint32
 	stopped bool
@@ -91,10 +96,14 @@ type Timer struct {
 // prevented the callback from running. Stopping a nil or already-fired
 // timer is a no-op returning false.
 func (t *Timer) Stop() bool {
-	if t == nil || t.it == nil || t.stopped || t.it.gen != t.gen || t.it.stopped {
+	if t == nil || t.e == nil || t.stopped {
 		return false
 	}
-	t.it.stopped = true
+	it := &t.e.items[t.idx]
+	if it.gen != t.gen || it.stopped {
+		return false
+	}
+	it.stopped = true
 	t.stopped = true
 	t.e.stopped++
 	t.e.maybeCompact()
@@ -109,16 +118,16 @@ func (t *Timer) Stopped() bool { return t != nil && t.stopped }
 // here, so no firing order changes, and allocates nothing once warm.
 func (t *Timer) Reset(d time.Duration) bool {
 	pending := t.Stop()
-	it := t.e.schedule(t.e.now.Add(d), t.fn)
-	t.it, t.gen, t.stopped = it, it.gen, false
+	i := t.e.schedule(t.e.now.Add(d), t.fn)
+	t.idx, t.gen, t.stopped = i, t.e.items[i].gen, false
 	return pending
 }
 
 // At schedules fn to run at instant at (clamped to now if in the past) and
 // returns a cancellable handle.
 func (e *Engine) At(at Time, fn func()) *Timer {
-	it := e.schedule(at, fn)
-	return &Timer{e: e, it: it, fn: fn, gen: it.gen}
+	i := e.schedule(at, fn)
+	return &Timer{e: e, idx: i, fn: fn, gen: e.items[i].gen}
 }
 
 // After schedules fn to run d from now. Negative d behaves like zero.
@@ -136,70 +145,75 @@ func (e *Engine) ScheduleAfter(d time.Duration, fn func()) {
 	e.schedule(e.now.Add(d), fn)
 }
 
-func (e *Engine) schedule(at Time, fn func()) *item {
+// schedule files fn at at and returns its arena index.
+func (e *Engine) schedule(at Time, fn func()) int32 {
 	if fn == nil {
 		panic("sim: nil callback")
 	}
 	if at < e.now {
 		at = e.now
 	}
-	it := e.newItem(at, fn)
-	e.enqueue(it)
-	return it
-}
-
-func (e *Engine) newItem(at Time, fn func()) *item {
-	var it *item
+	var i int32
 	if n := len(e.free); n > 0 {
-		it = e.free[n-1]
-		e.free[n-1] = nil
+		i = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		it = &item{}
+		i = int32(len(e.items))
+		e.items = append(e.items, item{})
 	}
-	it.at = at
-	it.fn = fn
-	it.seq = e.seq
+	it := &e.items[i]
+	it.at, it.seq, it.fn = at, e.seq, fn
 	e.seq++
-	return it
+	e.enqueue(i, at)
+	return i
 }
 
 // recycle returns a fired or discarded item to the pool, bumping its
 // generation so outstanding Timer handles go stale.
-func (e *Engine) recycle(it *item) {
+func (e *Engine) recycle(i int32) {
+	it := &e.items[i]
 	it.fn = nil
 	it.stopped = false
 	it.gen++
-	e.free = append(e.free, it)
+	e.free = append(e.free, i)
 }
 
-// enqueue files the item: merge into the ready buffer when due at or
-// before the current tick, otherwise into the wheel.
-func (e *Engine) enqueue(it *item) {
+// enqueue files item i, due at at: merge into the ready buffer when due
+// at or before the current tick, otherwise into the wheel.
+func (e *Engine) enqueue(i int32, at Time) {
 	e.count++
-	if tickOf(it.at) <= e.wheel.cur {
-		e.readyInsert(it)
+	if tickOf(at) <= e.wheel.cur {
+		e.readyInsert(i)
 		return
 	}
-	e.wheel.place(it)
+	e.wheel.place(i, at)
+}
+
+// less orders items by (at, seq): time order, FIFO among equals.
+func (e *Engine) less(a, b int32) bool {
+	x, y := &e.items[a], &e.items[b]
+	if x.at != y.at {
+		return x.at < y.at
+	}
+	return x.seq < y.seq
 }
 
 // readyInsert merge-inserts into the unconsumed tail of the ready
 // buffer, preserving (at, seq) order. A freshly scheduled item carries
 // the largest seq, so its slot is always at or after readyPos.
-func (e *Engine) readyInsert(it *item) {
+func (e *Engine) readyInsert(i int32) {
 	lo, hi := e.readyPos, len(e.ready)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if itemLess(e.ready[mid], it) {
+		if e.less(e.ready[mid], i) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	e.ready = append(e.ready, nil)
+	e.ready = append(e.ready, 0)
 	copy(e.ready[lo+1:], e.ready[lo:])
-	e.ready[lo] = it
+	e.ready[lo] = i
 }
 
 // advance moves the wheel to the next occupied instant and refills the
@@ -227,7 +241,7 @@ func (e *Engine) advance() bool {
 			// full buffer is re-sorted after the append.
 			e.wheel.cur = start
 			e.ready = e.wheel.drain(0, start&slotMask, e.ready)
-			sortItems(e.ready)
+			e.sortItems(e.ready)
 			return true
 		}
 		// A coarser window opens next: advance to its boundary and
@@ -236,12 +250,11 @@ func (e *Engine) advance() bool {
 		e.wheel.cur = start
 		idx := (start >> (lvl * slotBits)) & slotMask
 		e.scratch = e.wheel.drain(lvl, idx, e.scratch[:0])
-		for i, it := range e.scratch {
-			e.scratch[i] = nil
-			if tickOf(it.at) <= e.wheel.cur {
-				e.readyInsert(it)
+		for _, i := range e.scratch {
+			if at := e.items[i].at; tickOf(at) <= e.wheel.cur {
+				e.readyInsert(i)
 			} else {
-				e.wheel.place(it)
+				e.wheel.place(i, at)
 			}
 		}
 	}
@@ -269,18 +282,15 @@ func (e *Engine) maybeCompact() {
 	if e.count < compactMin || e.stopped*2 <= e.count {
 		return
 	}
-	drop := func(s []*item) []*item {
+	drop := func(s []int32) []int32 {
 		kept := s[:0]
-		for _, it := range s {
-			if it.stopped {
+		for _, i := range s {
+			if e.items[i].stopped {
 				e.count--
-				e.recycle(it)
+				e.recycle(i)
 				continue
 			}
-			kept = append(kept, it)
-		}
-		for i := len(kept); i < len(s); i++ {
-			s[i] = nil
+			kept = append(kept, i)
 		}
 		return kept
 	}
@@ -292,7 +302,7 @@ func (e *Engine) maybeCompact() {
 			slot := drop(e.wheel.slots[l][idx])
 			e.wheel.slots[l][idx] = slot
 			if len(slot) == 0 {
-				e.wheel.occ[l] &^= 1 << idx
+				e.wheel.clear(l, idx)
 			}
 		}
 	}
@@ -304,17 +314,18 @@ func (e *Engine) maybeCompact() {
 func (e *Engine) Step() bool {
 	for {
 		for e.readyPos < len(e.ready) {
-			it := e.ready[e.readyPos]
-			e.ready[e.readyPos] = nil
+			i := e.ready[e.readyPos]
 			e.readyPos++
 			e.count--
+			it := &e.items[i]
 			if it.stopped {
 				e.stopped--
-				e.recycle(it)
+				e.recycle(i)
 				continue
 			}
+			// Copied out first: fn may schedule, and the arena may move.
 			at, fn := it.at, it.fn
-			e.recycle(it)
+			e.recycle(i)
 			e.now = at
 			e.executed++
 			fn()
@@ -354,15 +365,14 @@ func (e *Engine) RunUntil(limit Time) {
 func (e *Engine) peek() (Time, bool) {
 	for {
 		for e.readyPos < len(e.ready) {
-			it := e.ready[e.readyPos]
-			if !it.stopped {
+			i := e.ready[e.readyPos]
+			if it := &e.items[i]; !it.stopped {
 				return it.at, true
 			}
-			e.ready[e.readyPos] = nil
 			e.readyPos++
 			e.count--
 			e.stopped--
-			e.recycle(it)
+			e.recycle(i)
 		}
 		if !e.advance() {
 			return 0, false

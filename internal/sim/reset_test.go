@@ -152,3 +152,23 @@ func TestResetAllocs(t *testing.T) {
 		t.Fatalf("Reset allocates %v times per period once warm, want 0", allocs)
 	}
 }
+
+// TestScheduleStepAllocs pins the handle-free path at zero allocations
+// once the item arena is warm: callbacks that re-schedule themselves
+// with ScheduleAfter, as the MAC's contention rounds do, fired by Step.
+// The warm-up lets both periods visit every wheel slot they land in.
+func TestScheduleStepAllocs(t *testing.T) {
+	e := New(1)
+	var slow, fast func()
+	slow = func() { e.ScheduleAfter(time.Second, slow) }
+	fast = func() { e.ScheduleAfter(7*time.Millisecond, fast) }
+	e.ScheduleAfter(time.Second, slow)
+	e.ScheduleAfter(0, fast)
+	step := func() { e.Step() }
+	for i := 0; i < 100000; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("ScheduleAfter plus Step allocates %v times once warm, want 0", allocs)
+	}
+}

@@ -11,10 +11,12 @@ import (
 // more than the 2^49 an int64 of nanoseconds can hold, so every
 // representable instant has a slot and there is no second store.
 // Insertion and cancellation are O(1); finding the next occupied instant
-// is O(levels) via per-level occupancy bitmaps instead of the O(log n)
-// sift of the old global binary heap — the difference that keeps a
-// 10k-node city sweep (hundreds of thousands of resident heartbeat and
-// back-off timers) flat instead of logarithmic per event.
+// is O(occupied levels) via per-level occupancy bitmaps and a mask of
+// occupied levels, instead of the O(log n) sift of the old global binary
+// heap — the difference that keeps a 10k-node city sweep (hundreds of
+// thousands of resident heartbeat and back-off timers) flat instead of
+// logarithmic per event. Slots file int32 indices into the engine's item
+// arena, so moving them costs no GC write barriers.
 //
 // Exactness contract: callbacks fire in precisely the old heap's order —
 // ascending (at, seq), i.e. FIFO among equal instants. A level-0 slot
@@ -38,38 +40,45 @@ const (
 // tickOf returns the wheel tick containing instant at.
 func tickOf(at Time) int64 { return int64(at) >> tickBits }
 
-// wheel is the leveled slot store. Slots hold unsorted items; ordering
-// happens at drain time. occ tracks non-empty slots per level so the
-// next occupied window is found with bit scans, never slot walks.
+// wheel is the leveled slot store. Slots hold unsorted arena indices;
+// ordering happens at drain time. occ tracks non-empty slots per level
+// and lvls the levels with any, so the next occupied window is found
+// with bit scans, never slot or level walks.
 type wheel struct {
-	slots [wheelLevels][slotsPerLevel][]*item
+	slots [wheelLevels][slotsPerLevel][]int32
 	occ   [wheelLevels]uint64
+	lvls  uint16
 	// cur is the current tick: every resident item's tick is > cur
 	// (items due at or before cur live in the engine's ready buffer).
 	cur int64
 }
 
-// place files an item whose tick is strictly beyond cur at the finest
-// level l whose span still reaches it (distance < 64^(l+1) ticks). The
-// distance is below 2^49, so l never exceeds wheelLevels-1.
-func (w *wheel) place(it *item) {
-	t := tickOf(it.at)
+// place files item i, due at at, whose tick is strictly beyond cur at
+// the finest level l whose span still reaches it (distance < 64^(l+1)
+// ticks). The distance is below 2^49, so l never exceeds wheelLevels-1.
+func (w *wheel) place(i int32, at Time) {
+	t := tickOf(at)
 	l := (bits.Len64(uint64(t-w.cur)) - 1) / slotBits
 	idx := (t >> (l * slotBits)) & slotMask
-	w.slots[l][idx] = append(w.slots[l][idx], it)
+	w.slots[l][idx] = append(w.slots[l][idx], i)
 	w.occ[l] |= 1 << idx
+	w.lvls |= 1 << l
 }
 
 // drain empties slot idx of level l into buf and returns the result.
-func (w *wheel) drain(l int, idx int64, buf []*item) []*item {
-	s := w.slots[l][idx]
-	buf = append(buf, s...)
-	for i := range s {
-		s[i] = nil
-	}
-	w.slots[l][idx] = s[:0]
-	w.occ[l] &^= 1 << idx
+func (w *wheel) drain(l int, idx int64, buf []int32) []int32 {
+	buf = append(buf, w.slots[l][idx]...)
+	w.slots[l][idx] = w.slots[l][idx][:0]
+	w.clear(l, idx)
 	return buf
+}
+
+// clear marks slot idx of level l empty.
+func (w *wheel) clear(l int, idx int64) {
+	w.occ[l] &^= 1 << idx
+	if w.occ[l] == 0 {
+		w.lvls &^= 1 << l
+	}
 }
 
 // nextWindow returns the start tick of the earliest occupied window and
@@ -79,11 +88,9 @@ func (w *wheel) drain(l int, idx int64, buf []*item) []*item {
 func (w *wheel) nextWindow() (int64, int) {
 	best := int64(math.MaxInt64)
 	bestLvl := -1
-	for l := 0; l < wheelLevels; l++ {
+	for lm := w.lvls; lm != 0; lm &= lm - 1 {
+		l := bits.TrailingZeros16(lm)
 		m := w.occ[l]
-		if m == 0 {
-			continue
-		}
 		shift := l * slotBits
 		cl := (w.cur >> shift) & slotMask
 		// Rotation base: the start of the level-(l+1) window containing
@@ -118,25 +125,17 @@ func (w *wheel) nextWindow() (int64, int) {
 // trailingIdx returns the index of the lowest set bit of m (m != 0).
 func trailingIdx(m uint64) int64 { return int64(bits.TrailingZeros64(m)) }
 
-// itemLess orders items by (at, seq): time order, FIFO among equals.
-func itemLess(a, b *item) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // sortItems orders a drained slot by (at, seq). Small slots — the
 // common case — take the insertion-sort fast path; mass same-instant
 // fan-ins (a 10k-node warm-up tick) fall back to the library sort.
-func sortItems(items []*item) {
+func (e *Engine) sortItems(items []int32) {
 	if len(items) <= 12 {
 		for i := 1; i < len(items); i++ {
-			for j := i; j > 0 && itemLess(items[j], items[j-1]); j-- {
+			for j := i; j > 0 && e.less(items[j], items[j-1]); j-- {
 				items[j], items[j-1] = items[j-1], items[j]
 			}
 		}
 		return
 	}
-	sort.Slice(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
+	sort.Slice(items, func(i, j int) bool { return e.less(items[i], items[j]) })
 }

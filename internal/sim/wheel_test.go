@@ -21,6 +21,28 @@ type refItem struct {
 	seq     uint64
 	fn      func()
 	stopped bool
+	done    bool // popped: fired or discarded
+}
+
+// refTimer is the reference's Timer: a handle that Stop cancels and
+// Reset re-arms, with the Engine's return values.
+type refTimer struct {
+	r  *refEngine
+	it *refItem
+}
+
+func (t *refTimer) Stop() bool {
+	if t.it.done || t.it.stopped {
+		return false
+	}
+	t.it.stopped = true
+	return true
+}
+
+func (t *refTimer) Reset(d time.Duration) bool {
+	pending := t.Stop()
+	t.it = t.r.At(t.r.now.Add(d), t.it.fn)
+	return pending
 }
 
 func (r *refEngine) At(at Time, fn func()) *refItem {
@@ -47,6 +69,7 @@ func (r *refEngine) Step() bool {
 		}
 		it := r.items[best]
 		r.items = append(r.items[:best], r.items[best+1:]...)
+		it.done = true
 		if it.stopped {
 			continue
 		}
