@@ -9,7 +9,8 @@
 // That side-by-side is the point: the simulator's claims about the
 // protocol are validated against real sockets, real goroutines, and the
 // real codec under load, with the transport's backpressure counters
-// (queue drops, decode errors) surfaced alongside.
+// (send-ring drops, kernel receive drops, decode errors) surfaced
+// alongside.
 //
 // The mesh shape is configurable. -visibility 1 (default) builds the
 // full mesh of earlier revisions; below 1 it builds a circulant partial
@@ -566,7 +567,7 @@ func run() int {
 					return
 				case <-tick.C:
 					_, w := ms.totals()
-					fmt.Fprintf(os.Stderr, "progress: t=%-6s published %d  delivered %d  datagrams %d  drops send %d recv %d  churn %d/%d\n",
+					fmt.Fprintf(os.Stderr, "progress: t=%-6s published %d  delivered %d  datagrams %d  drops send-ring %d kernel-recv %d  churn %d/%d\n",
 						time.Since(start).Round(time.Second), ms.published.Load(), ms.inTime.Load(),
 						w.DatagramsSent, w.Dropped, w.RecvDropped, ms.crashes.Load(), ms.recoveries.Load())
 				}
@@ -621,7 +622,9 @@ func run() int {
 		protoMsgs, msgsPerDelivery, dps, dpcs, wire.Batches, wire.MmsgSends)
 	fmt.Printf("real:  latency ms p50 %.1f  p90 %.1f  p99 %.1f  (n=%d)\n",
 		lat.Quantile(0.50)*1e3, lat.Quantile(0.90)*1e3, lat.Quantile(0.99)*1e3, lat.N())
-	fmt.Printf("real:  drops send %d recv %d  decode errs %d  send errs %d\n",
+	// Receive drops are the kernel's count of datagrams that found a
+	// node's socket buffer full (0 off the Linux batched path).
+	fmt.Printf("real:  drops send-ring %d kernel-recv %d  decode errs %d  send errs %d\n",
 		wire.Dropped, wire.RecvDropped, wire.DecodeErrors, wire.SendErrors)
 	if dynamic || crashes > 0 {
 		fmt.Printf("real:  membership peers learned %d  evicted %d  crashes %d  recoveries %d\n",

@@ -28,8 +28,9 @@ const (
 	OpDeliver
 	// OpPublish is a local publication.
 	OpPublish
-	// OpDrop is a message lost to a bounded queue on the real path
-	// (transport send/recv ring overflow); unused by the simulator.
+	// OpDrop is a message lost to a bounded queue on the real path (a
+	// send-ring eviction, or a datagram the kernel dropped on a full
+	// socket buffer); unused by the simulator.
 	OpDrop
 )
 

@@ -1,32 +1,30 @@
 // Transport observability: the counters UDP already keeps as atomics are
 // exposed through the obs registry as scrape-time funcs, so the hot path
 // pays nothing it was not already paying. Registration additionally arms
-// a handler-latency histogram in the dispatch loop — the one instrument
+// a handler-latency histogram in the read loop — the one instrument
 // that is not free, costing one time.Now pair and a short mutex hold per
-// dispatched message, which is why it only runs once RegisterMetrics has
+// handled message, which is why it only runs once RegisterMetrics has
 // been called. See ARCHITECTURE.md "Observability contracts".
 
 package transport
 
 import "repro/internal/obs"
 
-// QueueDepths returns the current occupancy of the send and dispatch
-// rings. Safe to call from any goroutine; each read holds the ring
-// mutex briefly.
+// QueueDepths returns the send ring's current occupancy, and 0 for
+// recv: the one receive queue is the kernel's socket buffer, which is
+// not sampled (Stats.RecvDropped counts its overflow). Safe to call
+// from any goroutine.
 func (u *UDP) QueueDepths() (send, recv int) {
 	u.send.mu.Lock()
 	send = u.send.count
 	u.send.mu.Unlock()
-	u.recv.mu.Lock()
-	recv = u.recv.count
-	u.recv.mu.Unlock()
-	return send, recv
+	return send, 0
 }
 
-// SetDropHook arranges for fn to run after every ring eviction, send or
-// dispatch. The hook runs on the Broadcast caller or the socket read
-// goroutine respectively, so it must be fast and must not call back
-// into the transport. One hook at most; pubsub.Node's flight recorder
+// SetDropHook arranges for fn to run once per dropped message: a
+// send-ring eviction, on the Broadcast caller, or a datagram the kernel
+// reports dropped (Stats.RecvDropped), on the socket read goroutine. It
+// must be fast and must not call back into the transport. One hook at most; pubsub.Node's flight recorder
 // is the intended consumer.
 func (u *UDP) SetDropHook(fn func()) {
 	if fn == nil {
@@ -53,7 +51,7 @@ func (u *UDP) RegisterMetrics(reg *obs.Registry, labels ...string) {
 	reg.CounterFunc("repro_transport_send_drops_total",
 		"outbound messages evicted by send-ring overflow (drop-oldest)", u.dropped.Load, labels...)
 	reg.CounterFunc("repro_transport_recv_drops_total",
-		"inbound datagrams evicted by dispatch-ring overflow (drop-oldest)", u.recvDropped.Load, labels...)
+		"inbound datagrams the kernel dropped on a full socket buffer (SO_RXQ_OVFL; 0 off the Linux batched path)", u.recvDropped.Load, labels...)
 	reg.CounterFunc("repro_transport_batches_total",
 		"writer flush passes; datagrams_sent/batches is the coalescing factor", u.batches.Load, labels...)
 	reg.CounterFunc("repro_transport_peers_learned_total",
@@ -73,11 +71,6 @@ func (u *UDP) RegisterMetrics(reg *obs.Registry, labels ...string) {
 			s, _ := u.QueueDepths()
 			return float64(s)
 		}, labels...)
-	reg.GaugeFunc("repro_transport_recv_queue_depth",
-		"datagrams currently queued in the dispatch ring", func() float64 {
-			_, r := u.QueueDepths()
-			return float64(r)
-		}, labels...)
 	u.handlerHist.Store(reg.Histogram("repro_transport_handler_seconds",
-		"decode-to-return latency of each dispatched handler call", labels...))
+		"latency of each handler call", labels...))
 }

@@ -7,22 +7,23 @@
 // unchanged on real sockets (see pubsub's ExampleNewUDPNode, and
 // ExampleNewNode for the in-memory analogue).
 //
-// The fast path is asynchronous on both sides (the "real-path
-// contracts", see ARCHITECTURE.md): Broadcast marshals into a pooled
-// ring slot and returns — a writer goroutine coalesces queued messages
-// into per-flush batches and fans each one out to the peer group, so a
-// slow peer or a saturated socket can never stall the protocol layer.
-// Incoming datagrams are likewise copied into a bounded dispatch ring
-// and decoded/handled off the socket goroutine, so a slow handler can
-// never stall socket reads. Both rings drop the OLDEST entry on
-// overflow (new information beats stale information in a soft-state
-// protocol) and count drops in Stats; steady-state Broadcast performs
-// zero heap allocations. On Linux each flush batch is handed to the
+// The send path is asynchronous (the "real-path contracts", see
+// ARCHITECTURE.md): Broadcast marshals into a pooled ring slot and
+// returns — a writer goroutine coalesces queued messages into
+// per-flush batches and fans each one out to the peer group, so a slow
+// peer or a saturated socket can never stall the protocol layer. The
+// send ring drops the OLDEST entry on overflow (new information beats
+// stale information in a soft-state protocol), counted in Stats;
+// steady-state Broadcast performs zero heap allocations. The one
+// receive queue is the kernel's socket buffer: the read goroutine
+// decodes each datagram in place and calls the handler, and the kernel
+// drops the NEWEST arrivals past a full buffer and counts them
+// (Stats.RecvDropped). On Linux each flush batch is handed to the
 // kernel in one sendmmsg call, runs of equal-size messages go to each
 // peer as one UDP GSO segment train, and the read loop drains the
 // socket with recvmmsg, taking a train the kernel coalesced (UDP GRO)
 // apart again (see udp_mmsg_linux.go); the wire bytes and the
-// datagrams dispatched are identical to the portable per-datagram path.
+// datagrams handled are identical to the portable per-datagram path.
 //
 // Membership is dynamic when configured: the initial Peers act as
 // seeds, the roster grows from observed datagram sources (LearnPeers),
@@ -56,10 +57,10 @@ const maxDatagram = 64 * 1024
 // is zero: queued outbound messages beyond it drop the oldest.
 const DefaultSendQueue = 512
 
-// DefaultRecvQueue is the dispatch-ring capacity when
-// UDPConfig.RecvQueue is zero: queued inbound datagrams beyond it drop
-// the oldest.
-const DefaultRecvQueue = 512
+// recvBufferBytes is the SO_RCVBUF request. The kernel doubles it, up
+// to net.core.rmem_max: 2 MB holds ~2 500 heartbeats (~830 bytes of
+// buffer each), where the 212 992-byte default held ~250.
+const recvBufferBytes = 1 << 20
 
 // sockaddrBufSize holds a raw sockaddr_in or sockaddr_in6 for the
 // batched-syscall path (28 bytes = sizeof sockaddr_in6).
@@ -84,10 +85,12 @@ type UDPConfig struct {
 	// as join seeds rather than a full roster.
 	Peers []string
 	// Handler receives every decoded incoming message. It is called
-	// from the transport's single dispatch goroutine (serially), but a
+	// from the transport's single read goroutine (serially), but a
 	// protocol's timers and API callers run on others, so pass a
 	// goroutine-safe entry point such as pubsub.Node's HandleMessage.
-	// Required.
+	// While it runs the socket is not read: arrivals queue in the
+	// kernel's socket buffer, and beyond it are dropped and counted in
+	// Stats.RecvDropped. Required.
 	//
 	// The handler is never invoked before Start is called: NewUDP only
 	// binds the socket, so the caller can finish wiring the state the
@@ -103,12 +106,6 @@ type UDPConfig struct {
 	// message is dropped and Stats.Dropped incremented; Broadcast never
 	// blocks on the network.
 	SendQueue int
-	// RecvQueue bounds the inbound datagram ring between the socket
-	// read loop and the dispatch goroutine (DefaultRecvQueue when 0).
-	// Overflow drops the oldest queued datagram and increments
-	// Stats.RecvDropped; decode and handler work never stall socket
-	// reads.
-	RecvQueue int
 	// LearnPeers grows the roster dynamically: any decodable datagram
 	// arriving from a source address not yet in the peer group joins
 	// it (the configured Peers then act as seeds — a new node only
@@ -142,9 +139,12 @@ type Stats struct {
 	// broadcasts == DatagramsSent/peers + Dropped when no send errors
 	// occur.
 	Dropped uint64
-	// RecvDropped counts inbound datagrams evicted by dispatch-ring
-	// overflow before they reached the handler, plus datagrams still
-	// queued when Close ran.
+	// RecvDropped counts inbound datagrams the kernel dropped on a full
+	// socket buffer, from its SO_RXQ_OVFL count (Linux batched path).
+	// The kernel stamps that count on the next datagram it queues, so
+	// RecvDropped is as fresh as the last datagram read. A segment train
+	// that UDP GRO kept whole counts once if dropped whole. The portable
+	// path has no such counter and reads 0.
 	RecvDropped uint64
 	// Batches counts writer flush passes; DatagramsSent/Batches is the
 	// observed coalescing factor.
@@ -200,15 +200,13 @@ func (a Stats) Sub(b Stats) Stats {
 	}
 }
 
-// ring is a bounded FIFO of reusable byte buffers with drop-oldest
-// overflow. Slot buffers are pooled: they are swapped, never freed, so
-// a warm ring performs zero allocations per push/pop.
+// ring is the send ring: a bounded FIFO of reusable byte buffers with
+// drop-oldest overflow. Slot buffers are pooled: the writer swaps them
+// out and back, never frees them, so a warm ring performs zero
+// allocations per push.
 type ring struct {
 	mu    sync.Mutex
 	slots [][]byte
-	// srcs, when non-nil (the dispatch ring of a transport that tracks
-	// membership), holds each slot's datagram source.
-	srcs  []netip.AddrPort
 	tail  int // oldest entry
 	count int
 }
@@ -227,35 +225,6 @@ func (r *ring) push() (i int, dropped bool) {
 	i = (r.tail + r.count) % len(r.slots)
 	r.count++
 	return i, false
-}
-
-// pop swaps the oldest entry out for spare and returns it with its
-// source (zero without srcs); ok is false when the ring is empty (spare
-// is then still the caller's). The caller reclaims the returned buffer
-// as its next spare once done with it. Callers must hold mu.
-func (r *ring) pop(spare []byte) (data []byte, src netip.AddrPort, ok bool) {
-	if r.count == 0 {
-		return nil, src, false
-	}
-	i := r.tail
-	data, r.slots[i] = r.slots[i], spare
-	if r.srcs != nil {
-		src = r.srcs[i]
-	}
-	r.tail = (r.tail + 1) % len(r.slots)
-	r.count--
-	return data, src, true
-}
-
-// drain empties the ring and returns how many entries it held. Used by
-// Close to account for messages that no loop will ever serve.
-func (r *ring) drain() int {
-	r.mu.Lock()
-	n := r.count
-	r.count = 0
-	r.tail = 0
-	r.mu.Unlock()
-	return n
 }
 
 // peerAddr caches both address forms of one peer: the value-type
@@ -342,10 +311,8 @@ type UDP struct {
 	// starting any loop to drive the suspicion window deterministically.
 	now func() time.Time
 
-	send         ring
-	recv         ring
-	sendKick     chan struct{}
-	dispatchKick chan struct{}
+	send     ring
+	sendKick chan struct{}
 
 	sent, received, decodeErrs, sendErrs atomic.Uint64
 	dropped, recvDropped, batches        atomic.Uint64
@@ -365,10 +332,10 @@ type UDP struct {
 	mw *mmsgWriter
 
 	// handlerHist, when armed by RegisterMetrics, observes the
-	// decode-to-return latency of every dispatched handler call.
+	// latency of every handler call.
 	handlerHist atomic.Pointer[obs.Hist]
-	// dropHook, when armed by SetDropHook, is called after every ring
-	// eviction (flight-recorder feed; see pubsub.Node).
+	// dropHook, when armed by SetDropHook, is called once per dropped
+	// message, send or receive (flight-recorder feed; see pubsub.Node).
 	dropHook atomic.Pointer[func()]
 
 	startOnce sync.Once
@@ -395,8 +362,8 @@ func newUDP(cfg UDPConfig, startWriter bool) (*UDP, error) {
 	if cfg.Handler == nil {
 		return nil, errors.New("transport: nil Handler")
 	}
-	if cfg.SendQueue < 0 || cfg.RecvQueue < 0 {
-		return nil, fmt.Errorf("transport: negative queue bound (send %d, recv %d)", cfg.SendQueue, cfg.RecvQueue)
+	if cfg.SendQueue < 0 {
+		return nil, fmt.Errorf("transport: negative send queue bound %d", cfg.SendQueue)
 	}
 	if cfg.Suspicion < 0 {
 		return nil, fmt.Errorf("transport: negative suspicion window %v", cfg.Suspicion)
@@ -404,10 +371,6 @@ func newUDP(cfg UDPConfig, startWriter bool) (*UDP, error) {
 	sendQ := cfg.SendQueue
 	if sendQ == 0 {
 		sendQ = DefaultSendQueue
-	}
-	recvQ := cfg.RecvQueue
-	if recvQ == 0 {
-		recvQ = DefaultRecvQueue
 	}
 	pc, err := net.ListenPacket("udp", cfg.Listen)
 	if err != nil {
@@ -421,32 +384,31 @@ func newUDP(cfg UDPConfig, startWriter bool) (*UDP, error) {
 	}
 	local := conn.LocalAddr().(*net.UDPAddr).AddrPort()
 	u := &UDP{
-		conn:         conn,
-		raw:          raw,
-		handler:      cfg.Handler,
-		onError:      cfg.OnError,
-		peerIdx:      map[netip.AddrPort]*peerAddr{},
-		filter:       newLocalFilter(local),
-		sock6:        local.Addr().Is6(),
-		learn:        cfg.LearnPeers,
-		suspicion:    cfg.Suspicion,
-		sweepEvery:   max(cfg.Suspicion/4, 10*time.Millisecond),
-		trackSrc:     cfg.LearnPeers || cfg.Suspicion > 0,
-		now:          time.Now,
-		send:         ring{slots: make([][]byte, sendQ)},
-		recv:         ring{slots: make([][]byte, recvQ)},
-		sendKick:     make(chan struct{}, 1),
-		dispatchKick: make(chan struct{}, 1),
-		done:         make(chan struct{}),
-	}
-	if u.trackSrc {
-		u.recv.srcs = make([]netip.AddrPort, recvQ)
+		conn:       conn,
+		raw:        raw,
+		handler:    cfg.Handler,
+		onError:    cfg.OnError,
+		peerIdx:    map[netip.AddrPort]*peerAddr{},
+		filter:     newLocalFilter(local),
+		sock6:      local.Addr().Is6(),
+		learn:      cfg.LearnPeers,
+		suspicion:  cfg.Suspicion,
+		sweepEvery: max(cfg.Suspicion/4, 10*time.Millisecond),
+		trackSrc:   cfg.LearnPeers || cfg.Suspicion > 0,
+		now:        time.Now,
+		send:       ring{slots: make([][]byte, sendQ)},
+		sendKick:   make(chan struct{}, 1),
+		done:       make(chan struct{}),
 	}
 	u.mmsgOK.Store(true)
 	u.gsoOK.Store(probeGSO(raw))
 	// With UDP_GRO on, a read may return a whole segment train as one
 	// buffer; a socket that refuses it reads one datagram per buffer.
 	probeGRO(raw)
+	// Size the one receive queue and have the kernel count its overflow
+	// (best effort: a refusal keeps the default size, or counts none).
+	conn.SetReadBuffer(recvBufferBytes)
+	probeRxqOvfl(raw)
 	for _, p := range cfg.Peers {
 		if err := u.AddPeer(p); err != nil {
 			conn.Close()
@@ -471,15 +433,15 @@ func (u *UDP) startWriter() {
 	}
 }
 
-// Start launches the read and dispatch loops; incoming datagrams are
-// decoded and handed to the configured Handler from here on. It is
+// Start launches the read loop; incoming datagrams are decoded and
+// handed to the configured Handler from here on. It is
 // idempotent, safe to race with Close, and must be called before any
 // message can be received; broadcasts work without it.
 func (u *UDP) Start() {
 	u.startOnce.Do(func() {
-		// The mutex orders this against Close: after close(done) no
-		// loop may start (Close's wg.Wait must not race an Add), and if
-		// the loops start first, Close's conn.Close/done will stop them.
+		// The mutex orders this against Close: after close(done) the
+		// loop may not start (Close's wg.Wait must not race an Add), and
+		// if it starts first, Close's conn.Close will stop it.
 		u.mu.Lock()
 		defer u.mu.Unlock()
 		select {
@@ -487,9 +449,8 @@ func (u *UDP) Start() {
 			return // already closed: nothing to start
 		default:
 		}
-		u.wg.Add(2)
+		u.wg.Add(1)
 		go u.readLoop()
-		go u.dispatchLoop()
 	})
 }
 
@@ -590,7 +551,7 @@ func (u *UDP) PeerCount() int {
 
 // observeSource feeds the membership layer one datagram source: refresh
 // the sender's suspicion clock, or — with LearnPeers — join it to the
-// roster. Called from the dispatch goroutine for every datagram that
+// roster. Called from the read goroutine for every datagram that
 // decodes, when tracking is on: bytes that are not a protocol message
 // say nothing about a peer.
 func (u *UDP) observeSource(src netip.AddrPort) {
@@ -787,12 +748,11 @@ func (u *UDP) Stats() Stats {
 	}
 }
 
-// Close stops the writer and (if started) the read/dispatch/sweep
-// loops, and releases the socket. Messages still queued in either ring
-// are accounted — send-ring leftovers into Stats.Dropped, dispatch-ring
-// leftovers into Stats.RecvDropped — so the drop counters tell the
-// whole truth at shutdown. It is idempotent and safe to race with Start
-// and with in-flight Broadcasts/flushes.
+// Close stops the writer and (if started) the read and sweep loops,
+// and releases the socket. Messages still in the send ring count in
+// Stats.Dropped; datagrams left in the kernel's buffer go uncounted. It
+// is idempotent and safe to race with Start and with in-flight
+// Broadcasts/flushes.
 func (u *UDP) Close() error {
 	var err error
 	u.closeOnce.Do(func() {
@@ -801,22 +761,22 @@ func (u *UDP) Close() error {
 		u.mu.Unlock()
 		err = u.conn.Close() // also unblocks a writer stuck in WriteTo
 		u.wg.Wait()
-		// All loops have exited; whatever the rings still hold will
-		// never be served. The ring mutexes order these drains against
+		// All loops have exited; whatever the send ring still holds
+		// will never be sent. The ring mutex orders this drain against
 		// concurrent Broadcasts (see Broadcast's done check).
-		if n := u.send.drain(); n > 0 {
+		u.send.mu.Lock()
+		n := u.send.count
+		u.send.count, u.send.tail = 0, 0
+		u.send.mu.Unlock()
+		if n > 0 {
 			u.dropped.Add(uint64(n))
-			u.fireDropHook(n)
-		}
-		if n := u.recv.drain(); n > 0 {
-			u.recvDropped.Add(uint64(n))
 			u.fireDropHook(n)
 		}
 	})
 	return err
 }
 
-// fireDropHook runs the armed drop hook once per evicted message.
+// fireDropHook runs the armed drop hook once per dropped message.
 func (u *UDP) fireDropHook(n int) {
 	fn := u.dropHook.Load()
 	if fn == nil {
@@ -827,21 +787,18 @@ func (u *UDP) fireDropHook(n int) {
 	}
 }
 
-// readLoop moves raw datagrams from the socket into the dispatch ring.
-// It does no decoding and never calls the handler: its only job is to
-// keep the kernel buffer drained so bursts are absorbed by our bounded
-// ring (with accounted drops) instead of silent kernel tail drops. On
-// Linux it drains up to a whole recvmmsg batch per syscall, ingesting
-// a train GRO coalesced one segment at a time, so the ring, its drop
-// accounting and source learning stay per datagram. Persistent errors
-// back off exponentially (capped) instead of hot-spinning.
+// readLoop is the one receive path: it drains the socket (on Linux a
+// recvmmsg batch per syscall) and dispatches each datagram, or each
+// segment of a train GRO coalesced, straight from the read buffer;
+// meanwhile arrivals queue in the kernel. Persistent errors back off
+// exponentially (capped) instead of hot-spinning.
 func (u *UDP) readLoop() {
 	defer u.wg.Done()
 	rb := u.newReadBatcher()
+	defer rb.release()
 	var backoff time.Duration
 	for {
-		n, err := rb.read()
-		if err != nil {
+		if _, err := rb.read(); err != nil {
 			select {
 			case <-u.done:
 				return // closed: expected
@@ -864,40 +821,9 @@ func (u *UDP) readLoop() {
 			continue
 		}
 		backoff = 0
-		for i := 0; i < n; i++ {
-			u.ingestSegments(rb.datagram(i))
+		for data, src, ok := rb.next(); ok; data, src, ok = rb.next() {
+			u.dispatch(data, src)
 		}
-	}
-}
-
-// ingestSegments ingests one read buffer: a single datagram, or a
-// coalesced train of seg-byte segments (the last may be shorter), each
-// its own datagram from the same source.
-func (u *UDP) ingestSegments(data []byte, seg int, src netip.AddrPort) {
-	for seg > 0 && len(data) > seg {
-		u.ingest(data[:seg], src)
-		data = data[seg:]
-	}
-	u.ingest(data, src)
-}
-
-// ingest copies one received datagram, with its source when membership
-// is tracked, into the bounded dispatch ring.
-func (u *UDP) ingest(data []byte, src netip.AddrPort) {
-	u.recv.mu.Lock()
-	i, droppedOldest := u.recv.push()
-	u.recv.slots[i] = append(u.recv.slots[i][:0], data...)
-	if u.recv.srcs != nil {
-		u.recv.srcs[i] = src
-	}
-	u.recv.mu.Unlock()
-	if droppedOldest {
-		u.recvDropped.Add(1)
-		u.fireDropHook(1)
-	}
-	select {
-	case u.dispatchKick <- struct{}{}:
-	default:
 	}
 }
 
@@ -908,51 +834,27 @@ func (u *UDP) readOne(buf []byte) (int, netip.AddrPort, error) {
 	return n, netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), err
 }
 
-// dispatchLoop decodes queued datagrams and runs the handler, one
-// message at a time off the socket goroutine. The pop swaps a spare
-// buffer into the ring, so the loop is allocation-free once slot
-// buffers are warm; Unmarshal copies what it keeps, so the buffer is
-// immediately reusable.
-func (u *UDP) dispatchLoop() {
-	defer u.wg.Done()
-	var spare []byte
-	for {
-		select {
-		case <-u.done:
-			return
-		case <-u.dispatchKick:
-		}
-		for {
-			u.recv.mu.Lock()
-			data, src, ok := u.recv.pop(spare)
-			u.recv.mu.Unlock()
-			if !ok {
-				break
-			}
-			msg, err := event.Unmarshal(data)
-			spare = data // reclaim the buffer for the next pop
-			if err != nil {
-				u.decodeErrs.Add(1)
-				u.reportError(fmt.Errorf("transport: decode %d bytes: %w", len(data), err))
-				continue
-			}
-			if u.trackSrc {
-				u.observeSource(src)
-			}
-			u.received.Add(1)
-			if h := u.handlerHist.Load(); h != nil {
-				start := time.Now()
-				u.handler(msg)
-				h.Observe(time.Since(start).Seconds())
-			} else {
-				u.handler(msg)
-			}
-			select {
-			case <-u.done:
-				return
-			default:
-			}
-		}
+// dispatch decodes one datagram and runs the handler on it. Unmarshal
+// copies what it keeps, so the read buffer is reusable as soon as this
+// returns. Only a datagram that decodes tells the membership layer
+// about its source.
+func (u *UDP) dispatch(data []byte, src netip.AddrPort) {
+	msg, err := event.Unmarshal(data)
+	if err != nil {
+		u.decodeErrs.Add(1)
+		u.reportError(fmt.Errorf("transport: decode %d bytes: %w", len(data), err))
+		return
+	}
+	if u.trackSrc {
+		u.observeSource(src)
+	}
+	u.received.Add(1)
+	if h := u.handlerHist.Load(); h != nil {
+		start := time.Now()
+		u.handler(msg)
+		h.Observe(time.Since(start).Seconds())
+	} else {
+		u.handler(msg)
 	}
 }
 

@@ -8,7 +8,7 @@
 // a segment train. A socket with UDP GRO on (UDP_GRO, Linux 5.0+) may
 // read a whole train as one buffer, its segment size in a control
 // message, which the read loop splits back into datagrams. Either way
-// each receiver dispatches what the portable per-datagram path gives;
+// each receiver handles what the portable per-datagram path gives;
 // only the syscall, stack-walk and buffer counts change (see
 // TestMmsgPortableParity, TestGSOTrainParity, TestGROParity). Raw
 // syscall.Syscall6 against stdlib constants keeps the module
@@ -23,7 +23,10 @@
 // first: the portable read sees no control message. Trains have their
 // own latch, gsoOK: set by a setsockopt probe at construction, cleared
 // for good when the kernel rejects a train as malformed. GRO is turned
-// on at construction and off only by that fallback.
+// on at construction and off only by that fallback. SO_RXQ_OVFL is
+// on too: once the socket's receive buffer has overflowed, every
+// datagram read carries the kernel's cumulative drop count in a second
+// control message, which the read loop turns into Stats.RecvDropped.
 
 package transport
 
@@ -139,12 +142,12 @@ func isMmsgUnsupported(errno syscall.Errno) bool {
 	return false
 }
 
-// setUDPOpt sets a SOL_UDP socket option, reporting whether the
+// setSockOpt sets an integer socket option, reporting whether the
 // socket took it.
-func setUDPOpt(raw syscall.RawConn, opt, v int) bool {
+func setSockOpt(raw syscall.RawConn, level, opt, v int) bool {
 	var serr error
 	if err := raw.Control(func(fd uintptr) {
-		serr = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, opt, v)
+		serr = syscall.SetsockoptInt(int(fd), level, opt, v)
 	}); err != nil {
 		return false
 	}
@@ -155,16 +158,23 @@ func setUDPOpt(raw syscall.RawConn, opt, v int) bool {
 // without UDP GSO answers ENOPROTOOPT; one that ignored the control
 // message instead would put a whole train on the wire as one datagram,
 // so trains are never sent without this check passing.
-func probeGSO(raw syscall.RawConn) bool { return setUDPOpt(raw, udpSegment, 0) }
+func probeGSO(raw syscall.RawConn) bool { return setSockOpt(raw, syscall.IPPROTO_UDP, udpSegment, 0) }
 
 // probeGRO turns UDP_GRO on, reporting whether the socket took it;
 // without it the kernel splits every train into its segments.
-func probeGRO(raw syscall.RawConn) bool { return setUDPOpt(raw, udpGRO, 1) }
+func probeGRO(raw syscall.RawConn) bool { return setSockOpt(raw, syscall.IPPROTO_UDP, udpGRO, 1) }
+
+// probeRxqOvfl turns SO_RXQ_OVFL on, reporting whether the socket took
+// it: once a datagram has been dropped, the kernel stamps its
+// cumulative drop count on every datagram it queues.
+func probeRxqOvfl(raw syscall.RawConn) bool {
+	return setSockOpt(raw, syscall.SOL_SOCKET, syscall.SO_RXQ_OVFL, 1)
+}
 
 // fallBack latches the portable path for good. GRO goes off first:
 // readOne sees no control message, so it must never get a train.
 func (u *UDP) fallBack() {
-	setUDPOpt(u.raw, udpGRO, 0)
+	setSockOpt(u.raw, syscall.IPPROTO_UDP, udpGRO, 0)
 	u.mmsgOK.Store(false)
 }
 
@@ -418,27 +428,38 @@ func (u *UDP) resplit(h *syscall.Msghdr, p *peerAddr) flushStatus {
 	return flushOK
 }
 
-// groCmsg is the room for one UDP_GRO control message: the header and
-// its int segment size, padded to CMSG_SPACE(4).
-type groCmsg struct {
-	hdr  syscall.Cmsghdr
-	size int32
-	_    [4]byte
+// cmsg4 is the room for one control message with a 4-byte payload,
+// padded to CMSG_SPACE(4): UDP_GRO's int segment size or SO_RXQ_OVFL's
+// uint32 drop count.
+type cmsg4 struct {
+	hdr syscall.Cmsghdr
+	val uint32
+	_   [4]byte
 }
 
 // readBatcher drains the socket with recvmmsg: up to recvSlots queued
 // buffers (with their source addresses) per syscall. When the batched
 // path is unavailable it degrades to the portable single-read.
 type readBatcher struct {
-	u     *UDP
-	bufs  [recvSlots][]byte
-	names [recvSlots][sockaddrBufSize]byte
-	ctrl  [recvSlots]groCmsg
-	iovs  [recvSlots]syscall.Iovec
-	hdrs  [recvSlots]mmsghdr
-	lens  [recvSlots]int
-	segs  [recvSlots]int
-	srcs  [recvSlots]netip.AddrPort
+	u *UDP
+	// mem backs bufs: one anonymous mapping, or heap where mmap fails.
+	mem    []byte
+	mapped bool
+	bufs   [recvSlots][]byte
+	names  [recvSlots][sockaddrBufSize]byte
+	// ctrl holds each slot's control messages: a UDP_GRO segment size
+	// and an SO_RXQ_OVFL drop count can arrive together, in either
+	// order.
+	ctrl [recvSlots][2]cmsg4
+	iovs [recvSlots]syscall.Iovec
+	hdrs [recvSlots]mmsghdr
+	segs [recvSlots]int
+	srcs [recvSlots]netip.AddrPort
+	// drops is the socket's cumulative drop count as last read.
+	drops uint32
+	// cur and off walk the last read's datagrams for next: the slot,
+	// and the offset of the next segment in it.
+	cur, off int
 	// got/errno carry the syscall result out of the pre-allocated
 	// poller callback fn — no closure allocation per read.
 	got   int
@@ -448,8 +469,16 @@ type readBatcher struct {
 
 func (u *UDP) newReadBatcher() *readBatcher {
 	rb := &readBatcher{u: u}
+	// One anonymous mapping, off the Go heap: the kernel backs only the
+	// pages reads touch, and the collector never paces on the megabyte.
+	mem, err := syscall.Mmap(-1, 0, recvSlots*maxDatagram,
+		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if rb.mapped = err == nil; !rb.mapped {
+		mem = make([]byte, recvSlots*maxDatagram)
+	}
+	rb.mem = mem
 	for i := range rb.bufs {
-		rb.bufs[i] = make([]byte, maxDatagram)
+		rb.bufs[i] = mem[i*maxDatagram : (i+1)*maxDatagram]
 		rb.iovs[i] = syscall.Iovec{Base: &rb.bufs[i][0], Len: maxDatagram}
 		rb.hdrs[i].hdr = syscall.Msghdr{
 			Name:    &rb.names[i][0],
@@ -471,17 +500,28 @@ func (u *UDP) newReadBatcher() *readBatcher {
 	return rb
 }
 
+// release unmaps the slots. No read's bytes may be held past it:
+// dispatch hands the handler decoded copies.
+func (rb *readBatcher) release() {
+	if rb.mapped {
+		syscall.Munmap(rb.mem)
+		rb.mapped = false
+	}
+}
+
 // read blocks until at least one buffer arrives, returning how many
 // slots were filled.
 func (rb *readBatcher) read() (int, error) {
 	u := rb.u
+	rb.got, rb.cur, rb.off = 0, 0, 0
 	for {
 		if !u.mmsgOK.Load() {
 			n, src, err := u.readOne(rb.bufs[0])
 			if err != nil {
 				return 0, err
 			}
-			rb.lens[0], rb.segs[0], rb.srcs[0] = n, n, src
+			rb.hdrs[0].n, rb.segs[0], rb.srcs[0] = uint32(n), n, src
+			rb.got = 1
 			return 1, nil
 		}
 		for i := range rb.hdrs {
@@ -506,26 +546,65 @@ func (rb *readBatcher) read() (int, error) {
 		}
 		u.mmsgRecvs.Add(1)
 		for i := 0; i < rb.got; i++ {
-			h := &rb.hdrs[i].hdr
-			rb.lens[i] = int(rb.hdrs[i].n)
-			rb.segs[i] = rb.lens[i]
-			// The one control message a socket with only UDP_GRO on
-			// can carry, read in place: syscall.ParseSocketControlMessage
-			// allocates.
-			if c := &rb.ctrl[i]; h.Controllen >= uint64(syscall.CmsgLen(4)) &&
-				c.hdr.Level == syscall.IPPROTO_UDP && c.hdr.Type == udpGRO && c.size > 0 {
-				rb.segs[i] = int(c.size)
-			}
-			rb.srcs[i] = sockaddrToAddrPort(rb.names[i][:h.Namelen])
+			rb.parse(i)
 		}
 		return rb.got, nil
 	}
 }
 
-// datagram returns slot i of the last read: the buffer, its segment
-// size (the buffer's length unless GRO coalesced a train) and its
-// source. The buffer is valid until the next read call; ingest copies
-// each segment into the dispatch ring.
-func (rb *readBatcher) datagram(i int) ([]byte, int, netip.AddrPort) {
-	return rb.bufs[i][:rb.lens[i]], rb.segs[i], rb.srcs[i]
+// parse takes slot i of the last recvmmsg apart: its segment size, its
+// source, and the control messages a socket with UDP_GRO and
+// SO_RXQ_OVFL on can carry, read in place
+// (syscall.ParseSocketControlMessage allocates). Each fills one
+// CMSG_SPACE(4) entry; anything else ends the walk.
+func (rb *readBatcher) parse(i int) {
+	h := &rb.hdrs[i].hdr
+	rb.segs[i] = int(rb.hdrs[i].n)
+	for j := range rb.ctrl[i] {
+		c := &rb.ctrl[i][j]
+		if h.Controllen < uint64(j*int(unsafe.Sizeof(*c))+syscall.CmsgLen(4)) ||
+			c.hdr.Len != uint64(syscall.CmsgLen(4)) {
+			break
+		}
+		switch {
+		case c.hdr.Level == syscall.IPPROTO_UDP && c.hdr.Type == udpGRO && int32(c.val) > 0:
+			rb.segs[i] = int(int32(c.val))
+		case c.hdr.Level == syscall.SOL_SOCKET && c.hdr.Type == syscall.SO_RXQ_OVFL:
+			rb.countDrops(c.val)
+		}
+	}
+	rb.srcs[i] = sockaddrToAddrPort(rb.names[i][:h.Namelen])
+}
+
+// countDrops takes the socket's cumulative drop count from an
+// SO_RXQ_OVFL message and counts what it grew by since the last one.
+// The count is a uint32 that wraps, and so does the difference.
+func (rb *readBatcher) countDrops(total uint32) {
+	d := total - rb.drops
+	if d == 0 {
+		return
+	}
+	rb.drops = total
+	rb.u.recvDropped.Add(uint64(d))
+	rb.u.fireDropHook(int(d))
+}
+
+// next returns the next datagram of the last read and its source: a
+// buffer as read, or one segment of a train GRO coalesced, split at the
+// segment size (the last segment may be shorter). ok is false once
+// every datagram has been returned. The bytes are valid until the next
+// read.
+func (rb *readBatcher) next() (data []byte, src netip.AddrPort, ok bool) {
+	if rb.cur >= rb.got { // got is -1 after a failed syscall
+		return nil, src, false
+	}
+	i := rb.cur
+	data = rb.bufs[i][rb.off:rb.hdrs[i].n]
+	if seg := rb.segs[i]; len(data) > seg {
+		data = data[:seg]
+		rb.off += seg
+	} else {
+		rb.cur, rb.off = i+1, 0
+	}
+	return data, rb.srcs[i], true
 }

@@ -7,9 +7,11 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/event"
 )
@@ -541,35 +543,31 @@ func groReceiver(t *testing.T, gro bool) (*UDP, *readBatcher) {
 	if !u.mmsgOK.Load() || !probeGRO(u.raw) {
 		t.Skip("UDP GRO unavailable in this environment")
 	}
-	if !gro && !setUDPOpt(u.raw, udpGRO, 0) {
+	if !gro && !setSockOpt(u.raw, syscall.IPPROTO_UDP, udpGRO, 0) {
 		t.Fatal("UDP GRO would not turn off")
 	}
-	return u, u.newReadBatcher()
+	rb := u.newReadBatcher()
+	t.Cleanup(rb.release)
+	return u, rb
 }
 
-// readRing reads until u's dispatch ring holds want datagrams, exactly
-// as readLoop does, and pops them in ring order. It also returns how
+// readSplit reads until want datagrams have come out of rb, exactly
+// as readLoop takes them, and returns their bytes in read order and how
 // many buffers the reads returned.
-func readRing(t *testing.T, u *UDP, rb *readBatcher, want int) (got []string, bufs int) {
+func readSplit(t *testing.T, u *UDP, rb *readBatcher, want int) (got []string, bufs int) {
 	t.Helper()
 	u.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for u.recv.count < want {
+	for len(got) < want {
 		n, err := rb.read()
 		if err != nil {
-			t.Fatalf("read with %d of %d datagrams in the ring: %v", u.recv.count, want, err)
+			t.Fatalf("read with %d of %d datagrams: %v", len(got), want, err)
 		}
-		for i := 0; i < n; i++ {
-			u.ingestSegments(rb.datagram(i))
+		for data, _, ok := rb.next(); ok; data, _, ok = rb.next() {
+			got = append(got, string(data))
 		}
 		bufs += n
 	}
-	for {
-		data, _, ok := u.recv.pop(nil)
-		if !ok {
-			return got, bufs
-		}
-		got = append(got, string(data))
-	}
+	return got, bufs
 }
 
 func sorted(ss []string) []string {
@@ -580,8 +578,8 @@ func sorted(ss []string) []string {
 
 // TestGROParity: a batch that mixes trains, plain datagrams and sizes
 // reaches a GRO receiver as fewer buffers than datagrams, a receiver
-// with GRO off as one buffer per datagram (as before GRO), and both put
-// byte for byte the sent datagrams into the dispatch ring.
+// with GRO off as one buffer per datagram (as before GRO), and both
+// split out byte for byte the sent datagrams.
 func TestGROParity(t *testing.T) {
 	batch := trainBatch()
 	on, rbOn := groReceiver(t, true)
@@ -591,8 +589,8 @@ func TestGROParity(t *testing.T) {
 	if handled, completed := tx.sendBatchOS(batch, peers); !handled || completed != len(batch) {
 		t.Fatalf("sendBatchOS = (%v, %d), want (true, %d)", handled, completed, len(batch))
 	}
-	gotOn, bufsOn := readRing(t, on, rbOn, len(batch))
-	gotOff, bufsOff := readRing(t, off, rbOff, len(batch))
+	gotOn, bufsOn := readSplit(t, on, rbOn, len(batch))
+	gotOff, bufsOff := readSplit(t, off, rbOff, len(batch))
 	want := make([]string, len(batch))
 	for i, b := range batch {
 		want[i] = string(b)
@@ -601,7 +599,7 @@ func TestGROParity(t *testing.T) {
 	for name, got := range map[string][]string{"GRO on": gotOn, "GRO off": gotOff} {
 		got = sorted(got)
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d datagrams in the ring, want %d", name, len(got), len(want))
+			t.Fatalf("%s: %d datagrams read, want %d", name, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
@@ -630,7 +628,7 @@ func TestGROShortLastSegment(t *testing.T) {
 	if handled, completed := tx.sendBatchOS(plain, peers); !handled || completed != 1 {
 		t.Fatalf("sendBatchOS = (%v, %d), want (true, 1)", handled, completed)
 	}
-	if got, _ := readRing(t, rx, rb, 1); got[0] != "plain" {
+	if got, _ := readSplit(t, rx, rb, 1); got[0] != "plain" {
 		t.Fatalf("plain datagram read as %q", got[0])
 	}
 	batch := [][]byte{[]byte("segment-0-14B."), []byte("segment-1-14B."), []byte("segment-2-14B."), []byte("tail-9-B.")}
@@ -639,7 +637,7 @@ func TestGROShortLastSegment(t *testing.T) {
 	if done, status := tx.flushChunk(1, 0); status != flushOK || done != len(batch) {
 		t.Fatalf("flushChunk = (%d, %v), want (%d, flushOK)", done, status, len(batch))
 	}
-	got, _ := readRing(t, rx, rb, len(batch))
+	got, _ := readSplit(t, rx, rb, len(batch))
 	for i := range batch {
 		if got[i] != string(batch[i]) {
 			t.Fatalf("datagram %d is %q, want %q", i, got[i], batch[i])
@@ -649,7 +647,7 @@ func TestGROShortLastSegment(t *testing.T) {
 
 // TestGROMalformedSegmentMidTrain: an undecodable segment in the middle
 // of a coalesced train counts one decode error, and its neighbours are
-// each dispatched and teach the roster their source once.
+// each handled and teach the roster their source once.
 func TestGROMalformedSegmentMidTrain(t *testing.T) {
 	var c collect
 	rx, err := NewUDP(UDPConfig{Listen: "127.0.0.1:0", Handler: c.handle, LearnPeers: true})
@@ -691,11 +689,17 @@ func TestGROMalformedSegmentMidTrain(t *testing.T) {
 }
 
 // TestGROReadSplitZeroAlloc pins the receive path's allocation
-// contract: a warm read of a 10-segment train, the control-message
-// parse and the split into the dispatch ring allocate nothing (nor
-// does the warm sendmmsg that puts the train on the wire).
+// contract: a warm read of a 10-segment train, the parse of its slot's
+// control messages and the split into datagrams allocate nothing (nor
+// does the warm sendmmsg that puts the train on the wire). The socket
+// overflows first, so every train read afterwards carries the kernel's
+// drop count beside its segment size: two control messages, and a
+// reader that parsed only the first would miss the split.
 func TestGROReadSplitZeroAlloc(t *testing.T) {
 	rx, rb := groReceiver(t, true)
+	if !probeRxqOvfl(rx.raw) {
+		t.Skip("the kernel refuses SO_RXQ_OVFL")
+	}
 	tx, peers := senderAt(t, []string{rx.LocalAddr().String()})
 	skipWithoutGSO(t, tx)
 	batch := make([][]byte, 10)
@@ -709,22 +713,213 @@ func TestGROReadSplitZeroAlloc(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		for i := 0; i < n; i++ {
-			data, seg, src := rb.datagram(i)
-			rx.ingestSegments(data, seg, src)
-			segs += len(data) / seg
+		for _, _, ok := rb.next(); ok; _, _, ok = rb.next() {
+			segs++
 		}
 		bufs += n
 	}
-	// Warm every dispatch-ring slot: the ring (512) wraps, dropping
-	// the oldest, without ever allocating again.
-	for i := 0; i < 2*DefaultRecvQueue/len(batch); i++ {
-		round()
+	round()
+	if bufs != 1 || segs != len(batch) {
+		t.Skipf("the kernel split a train before the socket: %d buffers for %d segments", bufs, segs)
 	}
-	if bufs*len(batch) != segs {
-		t.Skipf("the kernel split trains before the socket: %d buffers for %d segments", bufs, segs)
+	// Overflow the unread socket with a multiple of what its buffer can
+	// hold (every queued train costs well over 512 bytes), drain it,
+	// and read one train more: the kernel stamps its drop count on it.
+	for range 2 * rcvBuf(t, rx) / 512 {
+		tx.sendBatchOS(batch, peers)
+	}
+	for {
+		rx.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		if _, err := rb.read(); err != nil {
+			break
+		}
+	}
+	rx.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	bufs, segs = 0, 0
+	round()
+	dropped := rx.Stats().RecvDropped
+	if dropped == 0 || uint64(rb.drops) != dropped {
+		t.Fatalf("RecvDropped %d, kernel count %d after an overflow; want equal and > 0", dropped, rb.drops)
 	}
 	if n := testing.AllocsPerRun(100, round); n != 0 {
 		t.Fatalf("read + split of a warm train allocated %.1f times/op, want 0", n)
 	}
+	if want := 102 * len(batch); bufs != 102 || segs != want {
+		t.Fatalf("%d buffers split into %d datagrams, want 102 and %d", bufs, segs, want)
+	}
+	if got := rx.Stats().RecvDropped; got != dropped {
+		t.Fatalf("RecvDropped moved %d → %d with no new drop", dropped, got)
+	}
+}
+
+// rcvBuf reads u's effective receive buffer size, SO_RCVBUF.
+func rcvBuf(t *testing.T, u *UDP) int {
+	t.Helper()
+	var v int
+	var gerr error
+	if err := u.raw.Control(func(fd uintptr) {
+		v, gerr = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+	}); err != nil || gerr != nil {
+		t.Fatalf("SO_RCVBUF unreadable: %v %v", err, gerr)
+	}
+	return v
+}
+
+// TestRecvControlMessagesInPlace: a slot's control buffer may carry a
+// UDP_GRO segment size and an SO_RXQ_OVFL drop count in either order,
+// or either alone. parse reads each in place, counts how far the drop
+// count grew (in uint32, so across its wrap) into RecvDropped and the
+// drop hook, and allocates nothing.
+func TestRecvControlMessagesInPlace(t *testing.T) {
+	u, err := newUDP(UDPConfig{Listen: "127.0.0.1:0", Handler: func(event.Message) {}}, false)
+	if err != nil {
+		t.Skipf("UDP unavailable: %v", err)
+	}
+	defer u.Close()
+	var hooked int
+	u.SetDropHook(func() { hooked++ })
+	rb := u.newReadBatcher()
+	defer rb.release()
+	gro := cmsg4{val: 14}
+	gro.hdr.Level, gro.hdr.Type = syscall.IPPROTO_UDP, udpGRO
+	ovfl := func(total uint32) cmsg4 {
+		c := cmsg4{val: total}
+		c.hdr.Level, c.hdr.Type = syscall.SOL_SOCKET, syscall.SO_RXQ_OVFL
+		return c
+	}
+	const n = 140 // a 10-segment train of 14-byte heartbeats
+	for _, c := range []struct {
+		name    string
+		from    uint32 // the count last read
+		msgs    []cmsg4
+		segs    int
+		dropped uint64 // the growth counted
+	}{
+		{"none", 0, nil, n, 0},
+		{"GRO only", 0, []cmsg4{gro}, 14, 0},
+		{"overflow, then GRO", 0, []cmsg4{ovfl(5), gro}, 14, 5},
+		{"GRO, then overflow", 5, []cmsg4{gro, ovfl(12)}, 14, 7},
+		{"overflow only", 12, []cmsg4{ovfl(20)}, n, 8},
+		{"count unchanged", 20, []cmsg4{ovfl(20), gro}, 14, 0},
+		{"count wraps", 1<<32 - 3, []cmsg4{gro, ovfl(4)}, 14, 7},
+	} {
+		rb.drops = c.from
+		before, hooks := u.Stats().RecvDropped, hooked
+		rb.ctrl[0] = [2]cmsg4{}
+		for j, m := range c.msgs {
+			m.hdr.SetLen(syscall.CmsgLen(4))
+			rb.ctrl[0][j] = m
+		}
+		rb.hdrs[0].n = n
+		rb.hdrs[0].hdr.Namelen = 0
+		rb.hdrs[0].hdr.SetControllen(len(c.msgs) * int(unsafe.Sizeof(cmsg4{})))
+		rb.parse(0)
+		if rb.segs[0] != c.segs {
+			t.Errorf("%s: %d-byte segments, want %d", c.name, rb.segs[0], c.segs)
+		}
+		if got := u.Stats().RecvDropped - before; got != c.dropped || hooked-hooks != int(c.dropped) {
+			t.Errorf("%s: counted %d drops and ran the hook %d times, want %d", c.name, got, hooked-hooks, c.dropped)
+		}
+	}
+	// Both messages, the count growing by one per read.
+	rb.ctrl[0] = [2]cmsg4{ovfl(0), gro}
+	for j := range rb.ctrl[0] {
+		rb.ctrl[0][j].hdr.SetLen(syscall.CmsgLen(4))
+	}
+	rb.hdrs[0].hdr.SetControllen(int(unsafe.Sizeof(rb.ctrl[0])))
+	rb.drops = 0
+	before := u.Stats().RecvDropped
+	allocs := testing.AllocsPerRun(100, func() {
+		rb.ctrl[0][0].val++
+		rb.parse(0)
+	})
+	if allocs != 0 {
+		t.Fatalf("parsing two control messages allocated %.1f times/op, want 0", allocs)
+	}
+	if got := u.Stats().RecvDropped - before; got != uint64(rb.ctrl[0][0].val) || rb.segs[0] != 14 {
+		t.Fatalf("counted %d drops over %d reads, segment size %d; want %d and 14", got, rb.ctrl[0][0].val, rb.segs[0], rb.ctrl[0][0].val)
+	}
+}
+
+// TestUDPRecvOverflowConservation pins the receive-side law with the
+// kernel's socket buffer as the one receive queue. A receiver whose
+// handler sleeps is flooded with twice what its buffer can hold; once
+// the handler is released and a trailing datagram has brought the
+// kernel's final drop count, every datagram sent was handled, counted
+// dropped or counted undecodable, exactly, and some were dropped. The
+// flood goes as plain datagrams: a segment train that UDP GRO kept
+// whole and the kernel dropped counts once (see Stats.RecvDropped).
+func TestUDPRecvOverflowConservation(t *testing.T) {
+	const blocker, marker = 1 << 20, 1 << 21
+	entered, release := make(chan struct{}), make(chan struct{})
+	var markerSeen atomic.Bool
+	var hooked atomic.Uint64
+	rx, err := NewUDP(UDPConfig{
+		Listen: "127.0.0.1:0",
+		Handler: func(m event.Message) {
+			switch m.(event.Heartbeat).From {
+			case blocker:
+				close(entered)
+				<-release
+			case marker:
+				markerSeen.Store(true)
+			}
+		},
+	})
+	if err != nil {
+		t.Skipf("UDP unavailable: %v", err)
+	}
+	defer rx.Close()
+	if !probeRxqOvfl(rx.raw) {
+		t.Skip("the kernel refuses SO_RXQ_OVFL")
+	}
+	rx.SetDropHook(func() { hooked.Add(1) })
+	rx.Start()
+	tx, peers := senderAt(t, []string{rx.LocalAddr().String()})
+	tx.gsoOK.Store(false)
+	send := func(froms ...int) {
+		batch := make([][]byte, len(froms))
+		for i, f := range froms {
+			batch[i] = event.Marshal(event.Heartbeat{From: event.NodeID(f)})
+		}
+		if handled, completed := tx.sendBatchOS(batch, peers); !handled || completed != len(batch) {
+			t.Fatalf("sendBatchOS = (%v, %d), want (true, %d)", handled, completed, len(batch))
+		}
+	}
+	send(blocker)
+	<-entered
+	// A queued heartbeat costs the buffer ~830 bytes, so it holds fewer
+	// than rcvBuf/512: the flood overflows it by more than its size.
+	flood := 2 * rcvBuf(t, rx) / 512
+	chunk := make([]int, mmsgChunk)
+	for sent := 0; sent < flood; sent += len(chunk) {
+		for i := range chunk {
+			chunk[i] = sent + i
+		}
+		send(chunk...)
+	}
+	close(release)
+	// The marker may itself meet a full buffer; resend until one is
+	// handled. Nothing follows it, so its count is the final one.
+	waitFor(t, func() bool {
+		if markerSeen.Load() {
+			return true
+		}
+		send(marker)
+		return false
+	}, "a trailing datagram handled")
+	sent := tx.Stats().DatagramsSent
+	waitFor(t, func() bool {
+		s := rx.Stats()
+		return s.DatagramsReceived+s.RecvDropped+s.DecodeErrors == sent
+	}, "every datagram handled or counted")
+	s := rx.Stats()
+	if s.RecvDropped == 0 || s.DecodeErrors != 0 {
+		t.Fatalf("sent %d: received %d, dropped %d, undecodable %d; want some dropped and none undecodable",
+			sent, s.DatagramsReceived, s.RecvDropped, s.DecodeErrors)
+	}
+	if hooked.Load() != s.RecvDropped {
+		t.Fatalf("drop hook ran %d times for %d drops", hooked.Load(), s.RecvDropped)
+	}
+	t.Logf("sent %d: handled %d, dropped %d", sent, s.DatagramsReceived, s.RecvDropped)
 }

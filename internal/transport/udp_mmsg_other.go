@@ -2,8 +2,9 @@
 
 // Portable stand-ins for the Linux batched-syscall fast path (see
 // udp_mmsg_linux.go): sends go one WriteTo per packet, reads one
-// datagram per syscall. Semantics and wire bytes are identical — only
-// the syscall count differs.
+// datagram per syscall. Wire bytes and the datagrams handled are
+// identical; the syscall count differs, and no kernel drop count is
+// read, so Stats.RecvDropped stays 0.
 
 package transport
 
@@ -32,12 +33,12 @@ func (u *UDP) fillSockaddr(ap netip.AddrPort, buf *[sockaddrBufSize]byte) uint32
 type readBatcher struct {
 	u   *UDP
 	buf []byte
-	n   int
+	n   int // bytes in buf; -1 once next has returned them
 	src netip.AddrPort
 }
 
 func (u *UDP) newReadBatcher() *readBatcher {
-	return &readBatcher{u: u, buf: make([]byte, maxDatagram)}
+	return &readBatcher{u: u, buf: make([]byte, maxDatagram), n: -1}
 }
 
 func (rb *readBatcher) read() (int, error) {
@@ -49,8 +50,17 @@ func (rb *readBatcher) read() (int, error) {
 	return 1, nil
 }
 
-func (rb *readBatcher) datagram(int) ([]byte, int, netip.AddrPort) {
-	return rb.buf[:rb.n], rb.n, rb.src
+// release frees nothing: the buffer is heap.
+func (rb *readBatcher) release() {}
+
+// next returns the datagram of the last read once.
+func (rb *readBatcher) next() ([]byte, netip.AddrPort, bool) {
+	if rb.n < 0 {
+		return nil, netip.AddrPort{}, false
+	}
+	data := rb.buf[:rb.n]
+	rb.n = -1
+	return data, rb.src, true
 }
 
 // probeGSO reports segment trains unavailable: they exist only on the
@@ -60,3 +70,7 @@ func probeGSO(syscall.RawConn) bool { return false }
 // probeGRO reports coalesced receives unavailable: every read is one
 // datagram.
 func probeGRO(syscall.RawConn) bool { return false }
+
+// probeRxqOvfl reports the kernel's drop count unavailable: the
+// portable read takes no control messages.
+func probeRxqOvfl(syscall.RawConn) bool { return false }

@@ -1,6 +1,6 @@
 // Node observability: protocol and transport counters exposed through
 // the obs registry, and a bounded flight recorder of recent lifecycle
-// events (publish, send, receive, deliver, queue drop) for post-mortem
+// events (publish, send, receive, deliver, drop) for post-mortem
 // debugging of live deployments. Both are opt-in and read-only: an
 // unobserved node pays one atomic pointer load per recordable operation
 // and nothing more, and nothing here feeds back into protocol state
@@ -66,8 +66,9 @@ func (n *Node) RegisterMetrics(reg *MetricsRegistry) {
 
 // StartFlightRecorder arms a bounded ring of the node's last capacity
 // lifecycle events: publications, transport sends, receptions,
-// application deliveries and (on the built-in UDP transport) queue-drop
-// evictions. Recording costs one short mutex hold per event and
+// application deliveries and (on the built-in UDP transport) drops:
+// send-ring evictions and datagrams the kernel dropped on a full socket
+// buffer. Recording costs one short mutex hold per event and
 // overwrites the oldest entry when full — safe to leave on in
 // production. Dump it with WriteFlight. Calling it again replaces the
 // ring; the capacity must be positive.
@@ -75,9 +76,10 @@ func (n *Node) StartFlightRecorder(capacity int) {
 	r := trace.NewRing(capacity)
 	if n.udp != nil {
 		n.udp.SetDropHook(func() {
-			// The evicted message is gone (that is what a drop is), so
+			// The dropped message is gone (that is what a drop is), so
 			// the record carries only the fact; the
-			// repro_transport_*_drops_total counters tell the rings apart.
+			// repro_transport_{send,recv}_drops_total counters tell a
+			// send-ring eviction from a kernel receive drop.
 			if ring := n.flight.Load(); ring != nil {
 				ring.Add(trace.Record{At: n.flightNow(), Node: n.id, Op: trace.OpDrop})
 			}

@@ -62,7 +62,7 @@ type (
 	// Stats are the protocol's cumulative counters.
 	Stats = core.Stats
 	// TransportStats are the UDP transport's cumulative counters
-	// (datagrams, decode errors, queue drops, writer batches).
+	// (datagrams, decode errors, send and receive drops, writer batches).
 	TransportStats = transport.Stats
 )
 
