@@ -47,7 +47,7 @@ func (nh *neighborhood) checkGhosts(tb testing.TB, t *eventTable) {
 	}
 	for _, n := range nh.rows {
 		for i := 0; i < maxGhosts+64; i++ {
-			if n.ghost.test(i) && (i >= len(g.ring) || t.has(g.ring[i])) {
+			if n.ghost.test(i) && (i >= len(g.ring) || t.get(g.ring[i]) != nil) {
 				tb.Fatalf("row %d keeps a bit on index %d, which is no unstored ghost", n.id, i)
 			}
 		}

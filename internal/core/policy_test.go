@@ -58,23 +58,6 @@ func TestGCRandomStillPrefersExpired(t *testing.T) {
 	}
 }
 
-func TestProtocolAccessors(t *testing.T) {
-	h := newHarness(t, 30)
-	p := h.addNode(9, Config{}, ".a", ".b")
-	if p.ID() != 9 {
-		t.Fatalf("ID = %v", p.ID())
-	}
-	subs := p.Subscriptions()
-	if subs.Len() != 2 || !subs.Has(topic.MustParse(".a")) {
-		t.Fatalf("Subscriptions = %v", subs)
-	}
-	// The returned set is a copy: mutating it must not affect the node.
-	subs.Add(topic.MustParse(".evil"))
-	if p.Subscriptions().Len() != 2 {
-		t.Fatal("Subscriptions leaked internal state")
-	}
-}
-
 func TestPendingIDListExpiry(t *testing.T) {
 	// An id list stashed from an unknown sender expires after the NGC
 	// horizon: a heartbeat arriving later must not apply it.
@@ -186,7 +169,7 @@ func TestHBLowerBoundClamps(t *testing.T) {
 	p1 := h.addNode(1, cfg, ".t")
 	h.addNode(2, cfg, ".t")
 	h.runUntil(5)
-	if got := p1.HBDelay(); got != 800*time.Millisecond {
+	if got := p1.hbDelay; got != 800*time.Millisecond {
 		t.Fatalf("HBDelay = %v, want clamped 800ms", got)
 	}
 }

@@ -105,17 +105,8 @@ func New(cfg Config, sched Scheduler, tr Transport) (*Protocol, error) {
 	return p, nil
 }
 
-// ID returns the process identifier.
-func (p *Protocol) ID() event.NodeID { return p.cfg.ID }
-
 // Stats returns a snapshot of the protocol counters.
 func (p *Protocol) Stats() Stats { return p.stats }
-
-// HBDelay returns the current (adaptive) heartbeat period.
-func (p *Protocol) HBDelay() time.Duration { return p.hbDelay }
-
-// NGCDelay returns the current neighborhood garbage-collection period.
-func (p *Protocol) NGCDelay() time.Duration { return p.ngcDelay }
 
 // NeighborIDs returns the ids in the neighborhood table, sorted.
 func (p *Protocol) NeighborIDs() []event.NodeID {
@@ -128,14 +119,7 @@ func (p *Protocol) NeighborIDs() []event.NodeID {
 }
 
 // HasEvent reports whether the event table holds id.
-func (p *Protocol) HasEvent(id event.ID) bool { return p.table.has(id) }
-
-// EventCount returns the number of stored events (valid or not yet
-// collected).
-func (p *Protocol) EventCount() int { return p.table.len() }
-
-// Subscriptions returns a copy of the current subscription set.
-func (p *Protocol) Subscriptions() *topic.Set { return p.subs.Clone() }
+func (p *Protocol) HasEvent(id event.ID) bool { return p.table.get(id) != nil }
 
 // Subscribe adds t to the subscription list and starts the heartbeat and
 // neighborhood-GC tasks if needed (paper Figure 5).

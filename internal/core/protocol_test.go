@@ -402,10 +402,10 @@ func TestHeartbeatDelayAdaptsToSpeed(t *testing.T) {
 	p2 := h.addNode(2, cfg, ".t")
 	h.runUntil(5)
 	// x/avgSpeed = 40/20 = 2s for both.
-	if got := p1.HBDelay(); got != 2*time.Second {
+	if got := p1.hbDelay; got != 2*time.Second {
 		t.Fatalf("p1 HBDelay = %v, want 2s", got)
 	}
-	if got := p2.NGCDelay(); got != 5*time.Second {
+	if got := p2.ngcDelay; got != 5*time.Second {
 		t.Fatalf("p2 NGCDelay = %v, want 5s (2s * 2.5)", got)
 	}
 }
@@ -420,7 +420,7 @@ func TestHeartbeatUpperBoundClamps(t *testing.T) {
 	p1 := h.addNode(1, cfg, ".t")
 	h.addNode(2, cfg, ".t")
 	h.runUntil(5)
-	if got := p1.HBDelay(); got != time.Second {
+	if got := p1.hbDelay; got != time.Second {
 		t.Fatalf("HBDelay = %v, want clamped 1s", got)
 	}
 }
@@ -544,7 +544,7 @@ func TestEventTableCapacityTriggersGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := p1.EventCount(); got != 5 {
+	if got := len(p1.table.byID); got != 5 {
 		t.Fatalf("table size = %d, want 5", got)
 	}
 	if p1.Stats().TableEvictions != 5 {
@@ -716,7 +716,7 @@ func TestStaleTimerCallbackKeepsOneChain(t *testing.T) {
 	if len(s.pending) != 2 {
 		t.Fatalf("%d timers pending after the late callbacks, want 2 (one heartbeat, one GC)", len(s.pending))
 	}
-	period := p.HBDelay()
+	period := p.hbDelay
 	sent := tr.n
 	s.advance(10 * period)
 	if got := tr.n - sent; got != 10 {

@@ -438,7 +438,7 @@ func (p *refProtocol) onHeartbeat(h event.Heartbeat) {
 	}
 	now := p.sched.Now()
 	hbSubs := topic.NewSet(h.Subscriptions...)
-	if !hbSubs.Overlaps(p.subs) {
+	if !hbSubs.OverlapsAny(p.subs.Topics()) {
 		p.nbrs.remove(h.From)
 		return
 	}

@@ -15,12 +15,10 @@ const ProtocolName = "frugal"
 // (identity, RNG, deliver hook) the runner supplies through proto.Env.
 // The zero value selects the paper's defaults.
 type Tuning struct {
-	HB2NGC       float64
 	HBDelay      time.Duration
 	HBLowerBound time.Duration
 	HBUpperBound time.Duration
 	MaxEvents    int
-	MaxNeighbors int
 	// UseSpeed feeds the node's true speed into heartbeats (the paper's
 	// tachometer optimization), via the environment's speed source.
 	UseSpeed bool
@@ -43,12 +41,10 @@ func (t Tuning) Validate() error {
 func (t Tuning) config(env proto.Env) Config {
 	cfg := Config{
 		ID:                 env.ID,
-		HB2NGC:             t.HB2NGC,
 		HBDelay:            t.HBDelay,
 		HBLowerBound:       t.HBLowerBound,
 		HBUpperBound:       t.HBUpperBound,
 		MaxEvents:          t.MaxEvents,
-		MaxNeighbors:       t.MaxNeighbors,
 		OnDeliver:          env.OnDeliver,
 		Rand:               env.Rand,
 		DisableSuppression: t.DisableSuppression,

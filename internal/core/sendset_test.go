@@ -414,8 +414,8 @@ func runScript(t testing.TB, data []byte, sh scriptShape) (cov scriptCoverage) {
 		if g, w := got.d.Stats(), want.d.Stats(); g != w {
 			t.Fatalf("step %d: stats %+v, reference %+v", step, g, w)
 		}
-		if p.table.len() != ref.table.len() {
-			t.Fatalf("step %d: %d events stored, reference %d", step, p.table.len(), ref.table.len())
+		if len(p.table.byID) != ref.table.len() {
+			t.Fatalf("step %d: %d events stored, reference %d", step, len(p.table.byID), ref.table.len())
 		}
 		for _, nb := range p.nbrs.rows {
 			rnb := ref.nbrs.get(nb.id)
@@ -606,7 +606,7 @@ func TestSlotReuseDoesNotInheritBits(t *testing.T) {
 	// Event 11, from a stranger, evicts 10 and takes over its slot. No
 	// neighbor is known to hold 11: it must go to both.
 	handle(t, p, event.Events{From: 8, Events: []event.Event{eventT(11, time.Minute)}})
-	if p.table.has(event.ID{Lo: 10}) || p.table.get(event.ID{Lo: 11}).slot != slot {
+	if p.table.get(event.ID{Lo: 10}) != nil || p.table.get(event.ID{Lo: 11}).slot != slot {
 		t.Fatal("event 11 did not take over event 10's slot")
 	}
 	ids, rcv := sendSet(p)
@@ -654,7 +654,7 @@ func TestEvictionAndRereceptionKeepHolders(t *testing.T) {
 	handle(t, p, event.Events{From: 2, Events: []event.Event{eventT(30, time.Minute)}})
 	// Event 31 evicts 30 from the one-entry table.
 	handle(t, p, event.Events{From: 8, Events: []event.Event{eventT(31, time.Minute)}})
-	if p.table.has(event.ID{Lo: 30}) {
+	if p.table.get(event.ID{Lo: 30}) != nil {
 		t.Fatal("event 30 still stored")
 	}
 	if !p.knows(p.nbrs.get(2), event.ID{Lo: 30}) || p.knows(p.nbrs.get(3), event.ID{Lo: 30}) {

@@ -153,13 +153,6 @@ func newEventTable(capacity int) *eventTable {
 	return &eventTable{cap: capacity, byID: make(map[event.ID]*tableEntry), byScore: entryHeap{key: byScore}}
 }
 
-func (t *eventTable) len() int { return len(t.byID) }
-
-func (t *eventTable) has(id event.ID) bool {
-	_, ok := t.byID[id]
-	return ok
-}
-
 func (t *eventTable) get(id event.ID) *tableEntry { return t.byID[id] }
 
 // insert stores ev, evicting via the GC policy when the table is full.

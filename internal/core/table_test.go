@@ -134,13 +134,13 @@ func TestSlotSet(t *testing.T) {
 func TestTableInsertHas(t *testing.T) {
 	tb := newEventTable(0)
 	ev := mkEvent(1, ".a", time.Minute)
-	if tb.has(ev.ID) {
+	if tb.get(ev.ID) != nil {
 		t.Fatal("empty table has event")
 	}
 	if evicted := tb.put(t, ev, 0); evicted != nil {
 		t.Fatal("unbounded table evicted")
 	}
-	if !tb.has(ev.ID) || tb.len() != 1 {
+	if tb.get(ev.ID) == nil || len(tb.byID) != 1 {
 		t.Fatal("insert failed")
 	}
 	e := tb.get(ev.ID)
@@ -185,8 +185,8 @@ func TestGCPrefersExpired(t *testing.T) {
 	if evicted == nil || evicted.ev.ID.Lo != 1 {
 		t.Fatalf("evicted = %+v, want expired event 1", evicted)
 	}
-	if tb.len() != 2 {
-		t.Fatalf("len = %d", tb.len())
+	if len(tb.byID) != 2 {
+		t.Fatalf("len = %d", len(tb.byID))
 	}
 }
 
@@ -212,10 +212,10 @@ func TestGCNeverForwardedShortLivedSurvives(t *testing.T) {
 	tb.put(t, mkEvent(2, ".a", 10*time.Minute), 0)
 	tb.setFwd(tb.get(event.ID{Lo: 2}), 12)
 	tb.put(t, mkEvent(3, ".a", time.Minute), time.Second)
-	if !tb.has(event.ID{Lo: 1}) {
+	if tb.get(event.ID{Lo: 1}) == nil {
 		t.Fatal("short-lived unforwarded event was evicted")
 	}
-	if tb.has(event.ID{Lo: 2}) {
+	if tb.get(event.ID{Lo: 2}) != nil {
 		t.Fatal("forwarded long-lived event should have been evicted")
 	}
 }
@@ -228,15 +228,15 @@ func TestTableCapacityInvariant(t *testing.T) {
 		now += time.Duration(rng.Intn(3)) * time.Second
 		ev := mkEvent(uint64(i+1), ".a", time.Duration(1+rng.Intn(300))*time.Second)
 		tb.put(t, ev, now)
-		if tb.len() > 5 {
-			t.Fatalf("table exceeded capacity: %d", tb.len())
+		if len(tb.byID) > 5 {
+			t.Fatalf("table exceeded capacity: %d", len(tb.byID))
 		}
 		if e := tb.get(ev.ID); e != nil {
 			tb.setFwd(e, rng.Intn(10))
 		}
 	}
-	if tb.len() != 5 {
-		t.Fatalf("len = %d, want 5", tb.len())
+	if len(tb.byID) != 5 {
+		t.Fatalf("len = %d, want 5", len(tb.byID))
 	}
 }
 
@@ -282,7 +282,7 @@ func TestRemoveAlsoPrunesTree(t *testing.T) {
 	ev := mkEvent(1, ".a.b", time.Minute)
 	tb.put(t, ev, 0)
 	tb.remove(tb.get(ev.ID))
-	if tb.has(ev.ID) || tb.len() != 0 {
+	if tb.get(ev.ID) != nil || len(tb.byID) != 0 {
 		t.Fatal("remove left byID entry")
 	}
 	tb.check(t, 0)

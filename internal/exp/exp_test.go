@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 )
 
@@ -42,12 +43,12 @@ func TestFig13ShapeAndDeterminism(t *testing.T) {
 		return out
 	}
 	a := run()
-	if len(a.Tables) != 1 || a.Tables[0].NumRows() != 5 {
+	if len(a.Tables) != 1 || len(rows(a.Tables[0])) != 5 {
 		t.Fatalf("fig13 shape wrong: %+v", a)
 	}
 	// The paper's trend: short heartbeat bounds beat long ones.
-	first := parsePct(t, a.Tables[0].Row(0)[1])
-	last := parsePct(t, a.Tables[0].Row(4)[1])
+	first := parsePct(t, rows(a.Tables[0])[0][1])
+	last := parsePct(t, rows(a.Tables[0])[4][1])
 	if first <= last {
 		t.Fatalf("reliability at 1s bound (%v) should beat 5s bound (%v)", first, last)
 	}
@@ -62,9 +63,9 @@ func TestFig16ValidityMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := out.Tables[0]
-	lo := parsePct(t, tb.Row(0)[1])                // 25 s
-	hi := parsePct(t, tb.Row(tb.NumRows() - 1)[1]) // 150 s
+	rs := rows(out.Tables[0])
+	lo := parsePct(t, rs[0][1])         // 25 s
+	hi := parsePct(t, rs[len(rs)-1][1]) // 150 s
 	if hi < lo+0.2 {
 		t.Fatalf("validity 150s (%v) should clearly beat 25s (%v)", hi, lo)
 	}
@@ -229,6 +230,20 @@ func TestHeadlineClaim(t *testing.T) {
 	}
 }
 
+// rows returns tb's data rows, read back from its rendering: the cells
+// the figures print hold no spaces.
+func rows(tb *metrics.Table) [][]string {
+	lines := strings.Split(strings.TrimRight(tb.String(), "\n"), "\n")
+	if tb.Title != "" {
+		lines = lines[1:]
+	}
+	var out [][]string
+	for _, l := range lines[2:] { // past the header and the separator
+		out = append(out, strings.Fields(l))
+	}
+	return out
+}
+
 func parsePct(t *testing.T, s string) float64 {
 	t.Helper()
 	s = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(s), "%"))
@@ -273,14 +288,15 @@ func TestFig12TableShape(t *testing.T) {
 	if len(tb.Cols) != 4 { // validity + 3 fractions (quick scale)
 		t.Fatalf("cols = %v", tb.Cols)
 	}
-	if tb.NumRows() != 4 {
-		t.Fatalf("rows = %d, want 4 validities", tb.NumRows())
+	rs := rows(tb)
+	if len(rs) != 4 {
+		t.Fatalf("rows = %d, want 4 validities", len(rs))
 	}
 	// More subscribers never hurts (row-wise monotone, with slack for
 	// single-seed noise).
-	for i := 0; i < tb.NumRows(); i++ {
-		lo := parsePct(t, tb.Row(i)[1])
-		hi := parsePct(t, tb.Row(i)[3])
+	for i, r := range rs {
+		lo := parsePct(t, r[1])
+		hi := parsePct(t, r[3])
 		if hi+0.15 < lo {
 			t.Fatalf("row %d: 100%% subs (%v) far below 20%% subs (%v)", i, hi, lo)
 		}
@@ -292,13 +308,13 @@ func TestFig17TableShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := out.Tables[0]
+	rs := rows(out.Tables[0])
 	// 4 protocols x 3 event counts at quick scale.
-	if tb.NumRows() != 12 {
-		t.Fatalf("rows = %d, want 12", tb.NumRows())
+	if len(rs) != 12 {
+		t.Fatalf("rows = %d, want 12", len(rs))
 	}
-	if tb.Row(0)[0] != "frugal" {
-		t.Fatalf("first protocol = %q", tb.Row(0)[0])
+	if rs[0][0] != "frugal" {
+		t.Fatalf("first protocol = %q", rs[0][0])
 	}
 }
 
@@ -308,13 +324,14 @@ func TestExtShadowingRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := out.Tables[0]
-	if tb.NumRows() != 3 || len(tb.Cols) != 4 {
-		t.Fatalf("shape = %dx%d", tb.NumRows(), len(tb.Cols))
+	rs := rows(tb)
+	if len(rs) != 3 || len(tb.Cols) != 4 {
+		t.Fatalf("shape = %dx%d", len(rs), len(tb.Cols))
 	}
 	// Shadowing at the calibrated radius must not hurt reliability at
 	// the longest validity (long links only add opportunities).
-	disc := parsePct(t, tb.Row(2)[1])
-	sigma8 := parsePct(t, tb.Row(2)[3])
+	disc := parsePct(t, rs[2][1])
+	sigma8 := parsePct(t, rs[2][3])
 	if sigma8+0.1 < disc {
 		t.Fatalf("sigma=8 (%v) far below disc (%v)", sigma8, disc)
 	}

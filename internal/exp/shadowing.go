@@ -23,16 +23,13 @@ func ExtShadowing(o Options) (*Output, error) {
 	ranges := make([]float64, len(sigmas))
 	tables := make([]*radio.ShadowTable, len(sigmas))
 	for i, sigma := range sigmas[1:] {
-		params := radio.Default80211b()
 		sh := radio.Shadowing{
-			Params: params,
 			// Calibrate the threshold so the *nominal*
 			// (50%-probability) radius equals the disc's
 			// 339 m — shadowing then only spreads the
 			// boundary, keeping the comparison fair.
-			SensitivityDBm: params.ReceivedPowerDBm(paperRange),
+			SensitivityDBm: radio.ReceivedPowerDBm(paperRange),
 			SigmaDB:        sigma,
-			LimitDBm:       -111, // the paper's propagation limit
 		}
 		ranges[i+1] = sh.MaxRange(1e-3)
 		tables[i+1] = sh.Tabulate(ranges[i+1])

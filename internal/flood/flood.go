@@ -47,19 +47,16 @@ type Protocol struct {
 	nbrs    *proto.Neighbors[struct{}] // NeighborsInterest only
 }
 
+// period is the flood (and approach-3 heartbeat) period: the paper's
+// one second.
+const period = time.Second
+
 // New creates a flooding node; the periodic flood task starts on the
 // first Subscribe or Publish.
-func New(v Variant, t Tuning, env proto.Env) (*Protocol, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
+func New(v Variant, env proto.Env) (*Protocol, error) {
 	p := &Protocol{variant: v}
 	if err := p.Init(env, p); err != nil {
 		return nil, err
-	}
-	period := t.Period
-	if period == 0 {
-		period = time.Second
 	}
 	// The tick's phase is drawn before the heartbeat's.
 	p.Every(period, p.tick)

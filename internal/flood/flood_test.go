@@ -74,7 +74,7 @@ func (h *harness) join(id event.NodeID, d proto.Disseminator, err error, subs []
 
 func (h *harness) addNode(id event.NodeID, v Variant, subs ...string) *Protocol {
 	h.t.Helper()
-	p, err := New(v, Tuning{}, h.env(id, 50))
+	p, err := New(v, h.env(id, 50))
 	h.join(id, p, err, subs)
 	return p
 }
@@ -82,15 +82,6 @@ func (h *harness) addNode(id event.NodeID, v Variant, subs ...string) *Protocol 
 func (h *harness) runUntil(sec float64) { h.eng.RunUntil(sim.Seconds(sec)) }
 
 // ---- tests ----
-
-// TestConfigValidate: the constructor refuses what Tuning.Validate
-// refuses (the missing-environment half is TestProtocolInputContract's).
-func TestConfigValidate(t *testing.T) {
-	h := newHarness(t, 1)
-	if _, err := New(Simple, Tuning{Period: -time.Second}, h.env(1, 50)); err == nil {
-		t.Fatal("negative period accepted")
-	}
-}
 
 func TestSimpleFloodingDelivers(t *testing.T) {
 	h := newHarness(t, 1)

@@ -1,9 +1,7 @@
 package flood
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/proto"
 )
@@ -19,38 +17,14 @@ const (
 	StormCounterName      = "counter-based-broadcast"
 )
 
-// Tuning is the flooding baselines' registry params: the rebroadcast
-// period (zero = the paper's one second).
-type Tuning struct {
-	Period time.Duration
-}
+// Tuning is the registry params (proto.Params) of all five baselines.
+// They have no settings: each runs at the one setup the paper and the
+// storm literature give it. The type remains the registry's schema, so
+// a spec carrying another protocol's params is still refused.
+type Tuning struct{}
 
 // Validate implements proto.Params.
-func (t Tuning) Validate() error {
-	if t.Period < 0 {
-		return errors.New("flood: negative period")
-	}
-	return nil
-}
-
-// StormTuning is the broadcast-storm schemes' registry params (zero =
-// the package defaults: P 0.6, threshold 3, assessment 500 ms).
-type StormTuning struct {
-	P                float64
-	CounterThreshold int
-	AssessmentDelay  time.Duration
-}
-
-// Validate implements proto.Params.
-func (t StormTuning) Validate() error {
-	if t.P < 0 || t.P > 1 {
-		return fmt.Errorf("flood: storm probability %v out of [0,1]", t.P)
-	}
-	if t.CounterThreshold < 0 || t.AssessmentDelay < 0 {
-		return errors.New("flood: negative storm parameter")
-	}
-	return nil
-}
+func (Tuning) Validate() error { return nil }
 
 func registerFlood(name, description string, variant Variant) {
 	proto.RegisterProtocol(proto.Definition{
@@ -58,11 +32,10 @@ func registerFlood(name, description string, variant Variant) {
 		Description: description,
 		Params:      Tuning{},
 		New: func(p proto.Params, env proto.Env) (proto.Disseminator, error) {
-			t, ok := p.(Tuning)
-			if !ok {
+			if _, ok := p.(Tuning); !ok {
 				return nil, fmt.Errorf("flood: params are %T, want flood.Tuning", p)
 			}
-			return New(variant, t, env)
+			return New(variant, env)
 		},
 	})
 }
@@ -71,13 +44,12 @@ func registerStorm(name, description string, scheme StormScheme) {
 	proto.RegisterProtocol(proto.Definition{
 		Name:        name,
 		Description: description,
-		Params:      StormTuning{},
+		Params:      Tuning{},
 		New: func(p proto.Params, env proto.Env) (proto.Disseminator, error) {
-			t, ok := p.(StormTuning)
-			if !ok {
-				return nil, fmt.Errorf("flood: params are %T, want flood.StormTuning", p)
+			if _, ok := p.(Tuning); !ok {
+				return nil, fmt.Errorf("flood: params are %T, want flood.Tuning", p)
 			}
-			return NewStorm(scheme, t, env)
+			return NewStorm(scheme, env)
 		},
 	})
 }

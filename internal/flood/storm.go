@@ -12,8 +12,8 @@ import (
 // counter-based schemes. Storm implements both as additional baselines.
 // Unlike the three periodic flooding variants, these are single-shot:
 // a node rebroadcasts a newly received event at most once — with
-// probability P (probabilistic) or only if it heard fewer than
-// CounterThreshold copies during a random assessment delay
+// probability stormP (probabilistic) or only if it heard fewer than
+// counterThreshold copies during a random assessment delay
 // (counter-based). They tame redundancy in dense networks but cannot
 // exploit node mobility or event validity: once the broadcast wave dies,
 // partitioned nodes are never reached — precisely the gap the frugal
@@ -23,11 +23,22 @@ import (
 type StormScheme int
 
 const (
-	// Probabilistic rebroadcasts each new event with probability P.
+	// Probabilistic rebroadcasts each new event with probability stormP.
 	Probabilistic StormScheme = iota
-	// CounterBased rebroadcasts unless CounterThreshold copies were
+	// CounterBased rebroadcasts unless counterThreshold copies were
 	// overheard during the assessment delay.
 	CounterBased
+)
+
+// The schemes' parameters: standard choices in the literature.
+const (
+	// stormP is the probabilistic scheme's relay probability.
+	stormP = 0.6
+	// counterThreshold is the overheard-copy count that suppresses a
+	// counter-based relay.
+	counterThreshold = 3
+	// assessmentDelay bounds the random wait before a relay decision.
+	assessmentDelay = 500 * time.Millisecond
 )
 
 // stormState is one event's local rebroadcast state.
@@ -41,24 +52,16 @@ type stormState struct {
 type Storm struct {
 	proto.Baseline[stormState]
 	scheme StormScheme
-	tun    StormTuning // defaults resolved
+	// prob, threshold and assess are stormP, counterThreshold and
+	// assessmentDelay; in-package tests change them to force a verdict.
+	prob      float64
+	threshold int
+	assess    time.Duration
 }
 
 // NewStorm creates a probabilistic or counter-based broadcast node.
-func NewStorm(scheme StormScheme, t StormTuning, env proto.Env) (*Storm, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	if t.P == 0 {
-		t.P = 0.6 // a standard choice in the literature
-	}
-	if t.CounterThreshold == 0 {
-		t.CounterThreshold = 3
-	}
-	if t.AssessmentDelay == 0 {
-		t.AssessmentDelay = 500 * time.Millisecond
-	}
-	s := &Storm{scheme: scheme, tun: t}
+func NewStorm(scheme StormScheme, env proto.Env) (*Storm, error) {
+	s := &Storm{scheme: scheme, prob: stormP, threshold: counterThreshold, assess: assessmentDelay}
 	if err := s.Init(env, s); err != nil {
 		return nil, err
 	}
@@ -100,11 +103,11 @@ func (s *Storm) OnEvents(msg event.Events) {
 // scheduleDecision arms the single-shot rebroadcast decision. The coin
 // flip is drawn before the delay.
 func (s *Storm) scheduleDecision(e *proto.Stored[stormState]) {
-	if s.scheme == Probabilistic && s.Rand.Float64() >= s.tun.P {
+	if s.scheme == Probabilistic && s.Rand.Float64() >= s.prob {
 		e.State.decided = true // lost the coin flip: never rebroadcast
 		return
 	}
-	delay := time.Duration(s.Rand.Int63n(int64(s.tun.AssessmentDelay) + 1))
+	delay := time.Duration(s.Rand.Int63n(int64(s.assess) + 1))
 	s.Sched.After(delay, func() {
 		if s.Stopped() || e.State.decided {
 			return
@@ -114,7 +117,7 @@ func (s *Storm) scheduleDecision(e *proto.Stored[stormState]) {
 		if now >= e.ExpiresAt {
 			return
 		}
-		if s.scheme == CounterBased && e.State.copies >= s.tun.CounterThreshold {
+		if s.scheme == CounterBased && e.State.copies >= s.threshold {
 			return // the neighborhood is saturated: suppress
 		}
 		s.Send([]*proto.Stored[stormState]{e}, now)

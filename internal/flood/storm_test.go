@@ -10,27 +10,37 @@ import (
 	"repro/internal/topic"
 )
 
-func (h *harness) addStorm(id event.NodeID, scheme StormScheme, t StormTuning, subs ...string) *Storm {
+// stormParams overrides a Storm's parameters; zero fields keep the
+// package's.
+type stormParams struct {
+	P                float64
+	CounterThreshold int
+	AssessmentDelay  time.Duration
+}
+
+func (h *harness) addStorm(id event.NodeID, scheme StormScheme, t stormParams, subs ...string) *Storm {
 	h.t.Helper()
-	p, err := NewStorm(scheme, t, h.env(id, 500))
+	p, err := NewStorm(scheme, h.env(id, 500))
+	if err == nil {
+		if t.P != 0 {
+			p.prob = t.P
+		}
+		if t.CounterThreshold != 0 {
+			p.threshold = t.CounterThreshold
+		}
+		if t.AssessmentDelay != 0 {
+			p.assess = t.AssessmentDelay
+		}
+	}
 	h.join(id, p, err, subs)
 	return p
 }
 
-func TestStormTuningValidate(t *testing.T) {
-	h := newHarness(t, 1)
-	for _, bad := range []StormTuning{{P: 1.5}, {P: -0.1}, {CounterThreshold: -1}, {AssessmentDelay: -time.Second}} {
-		if _, err := NewStorm(CounterBased, bad, h.env(1, 500)); err == nil {
-			t.Errorf("StormTuning %+v accepted", bad)
-		}
-	}
-}
-
 func TestStormProbabilisticDelivers(t *testing.T) {
 	h := newHarness(t, 1)
-	p1 := h.addStorm(1, Probabilistic, StormTuning{P: 1.0}, ".t")
-	h.addStorm(2, Probabilistic, StormTuning{P: 1.0}, ".t")
-	h.addStorm(3, Probabilistic, StormTuning{P: 1.0}, ".t")
+	p1 := h.addStorm(1, Probabilistic, stormParams{P: 1.0}, ".t")
+	h.addStorm(2, Probabilistic, stormParams{P: 1.0}, ".t")
+	h.addStorm(3, Probabilistic, stormParams{P: 1.0}, ".t")
 	id, err := p1.Publish(topic.MustParse(".t"), []byte("x"), time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +55,8 @@ func TestStormProbabilisticDelivers(t *testing.T) {
 
 func TestStormProbabilisticZeroNeverRelays(t *testing.T) {
 	h := newHarness(t, 2)
-	p1 := h.addStorm(1, Probabilistic, StormTuning{P: 1}, ".t")
-	p2 := h.addStorm(2, Probabilistic, StormTuning{P: 1e-12}, ".t")
+	p1 := h.addStorm(1, Probabilistic, stormParams{P: 1}, ".t")
+	p2 := h.addStorm(2, Probabilistic, stormParams{P: 1e-12}, ".t")
 	if _, err := p1.Publish(topic.MustParse(".t"), nil, time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +76,7 @@ func TestStormSingleShot(t *testing.T) {
 	h := newHarness(t, 3)
 	ps := make([]*Storm, 4)
 	for i := range ps {
-		ps[i] = h.addStorm(event.NodeID(i+1), Probabilistic, StormTuning{P: 1}, ".t")
+		ps[i] = h.addStorm(event.NodeID(i+1), Probabilistic, stormParams{P: 1}, ".t")
 	}
 	if _, err := ps[0].Publish(topic.MustParse(".t"), nil, time.Hour); err != nil {
 		t.Fatal(err)
@@ -87,7 +97,7 @@ func TestStormCounterSuppression(t *testing.T) {
 	const n = 8
 	ps := make([]*Storm, n)
 	for i := range ps {
-		ps[i] = h.addStorm(event.NodeID(i+1), CounterBased, StormTuning{
+		ps[i] = h.addStorm(event.NodeID(i+1), CounterBased, stormParams{
 			CounterThreshold: 2,
 			AssessmentDelay:  300 * time.Millisecond,
 		}, ".t")
@@ -115,8 +125,8 @@ func TestStormRelaysParasitesButDoesNotDeliver(t *testing.T) {
 	// Storm schemes are network-layer broadcasts: uninterested nodes
 	// relay but never deliver.
 	h := newHarness(t, 5)
-	p1 := h.addStorm(1, Probabilistic, StormTuning{P: 1}, ".t")
-	p2 := h.addStorm(2, Probabilistic, StormTuning{P: 1}, ".other")
+	p1 := h.addStorm(1, Probabilistic, stormParams{P: 1}, ".t")
+	p2 := h.addStorm(2, Probabilistic, stormParams{P: 1}, ".other")
 	if _, err := p1.Publish(topic.MustParse(".t"), nil, time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +145,8 @@ func TestStormRelaysParasitesButDoesNotDeliver(t *testing.T) {
 
 func TestStormExpiredPruned(t *testing.T) {
 	h := newHarness(t, 6)
-	p1 := h.addStorm(1, Probabilistic, StormTuning{P: 1}, ".t")
-	p2 := h.addStorm(2, Probabilistic, StormTuning{P: 1}, ".t")
+	p1 := h.addStorm(1, Probabilistic, stormParams{P: 1}, ".t")
+	p2 := h.addStorm(2, Probabilistic, stormParams{P: 1}, ".t")
 	old, err := p1.Publish(topic.MustParse(".t"), nil, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +168,7 @@ func TestStormDeterminism(t *testing.T) {
 		h := newHarness(t, 42)
 		ps := make([]*Storm, 5)
 		for i := range ps {
-			ps[i] = h.addStorm(event.NodeID(i+1), CounterBased, StormTuning{}, ".t")
+			ps[i] = h.addStorm(event.NodeID(i+1), CounterBased, stormParams{}, ".t")
 		}
 		if _, err := ps[0].Publish(topic.MustParse(".t"), nil, time.Minute); err != nil {
 			t.Fatal(err)

@@ -16,15 +16,6 @@ type Point struct {
 // Pt is shorthand for Point{x, y}.
 func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 
-// Add returns p+q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p-q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by k.
-func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
@@ -58,24 +49,3 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
 // Height returns the vertical extent.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Area returns the rectangle's area in square meters.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Contains reports whether p lies within r (borders included).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// Clamp returns the point of r closest to p.
-func (r Rect) Clamp(p Point) Point {
-	return Point{
-		X: math.Min(math.Max(p.X, r.Min.X), r.Max.X),
-		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
-	}
-}
-
-// Center returns the rectangle's midpoint.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}

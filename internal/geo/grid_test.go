@@ -223,7 +223,7 @@ func TestIndexGridAppendWithin(t *testing.T) {
 		drift := margin * rng.Float64()
 		for i := range current {
 			a, d := rng.Float64()*2*math.Pi, drift*rng.Float64()
-			current[i] = recorded[i].Add(Pt(d*math.Cos(a), d*math.Sin(a)))
+			current[i] = Pt(recorded[i].X+d*math.Cos(a), recorded[i].Y+d*math.Sin(a))
 		}
 		for q := 0; q < 50; q++ {
 			qp := Pt(rng.Float64()*1000-100, rng.Float64()*1000-100)

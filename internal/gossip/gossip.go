@@ -23,7 +23,6 @@
 package gossip
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -35,51 +34,24 @@ import (
 // ProtocolName is the registry key.
 const ProtocolName = "gossip-pushpull"
 
-// Defaults; zero Tuning fields select these.
+// The protocol's one setup.
 const (
-	// DefaultFanout is the number of neighbors sampled per push round.
-	DefaultFanout = 2
-	// DefaultRounds is the per-rumor push budget: after this many
+	// defaultFanout is the number of neighbors sampled per push round.
+	defaultFanout = 2
+	// defaultRounds is the per-rumor push budget: after this many
 	// rounds a rumor is only served through pulls.
-	DefaultRounds = 3
-	// DefaultPeriod is the gossip round interval.
-	DefaultPeriod = time.Second
+	defaultRounds = 3
+	// period is the gossip round interval; the heartbeat period equals
+	// it.
+	period = time.Second
 )
 
-// Tuning is the protocol's registry params (proto.Params). The zero
-// value selects the defaults above.
-type Tuning struct {
-	// Fanout bounds the neighbors pushed to per round.
-	Fanout int
-	// Rounds is the push budget per rumor.
-	Rounds int
-	// Period is the round interval; the heartbeat period equals it.
-	Period time.Duration
-}
+// Tuning is the protocol's registry params (proto.Params). It has no
+// settings; the type remains the registry's schema.
+type Tuning struct{}
 
 // Validate implements proto.Params.
-func (t Tuning) Validate() error {
-	if t.Fanout < 0 || t.Rounds < 0 {
-		return errors.New("gossip: negative fanout or rounds")
-	}
-	if t.Period < 0 {
-		return errors.New("gossip: negative period")
-	}
-	return nil
-}
-
-func (t Tuning) withDefaults() Tuning {
-	if t.Fanout == 0 {
-		t.Fanout = DefaultFanout
-	}
-	if t.Rounds == 0 {
-		t.Rounds = DefaultRounds
-	}
-	if t.Period == 0 {
-		t.Period = DefaultPeriod
-	}
-	return t
-}
+func (Tuning) Validate() error { return nil }
 
 // rumor is the push state of one stored event.
 type rumor struct {
@@ -96,30 +68,28 @@ type known map[event.ID]bool
 // expired rumor is remembered.
 type Protocol struct {
 	proto.Baseline[rumor]
-	tun  Tuning // defaults resolved
-	nbrs *proto.Neighbors[known]
+	// fanout and rounds are defaultFanout and defaultRounds; in-package
+	// tests lower them.
+	fanout, rounds int
+	nbrs           *proto.Neighbors[known]
 }
 
 // New creates a gossip node; the periodic round and heartbeat tasks
 // start on the first Subscribe or Publish.
-func New(t Tuning, env proto.Env) (*Protocol, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	t = t.withDefaults()
-	p := &Protocol{tun: t, nbrs: proto.NewNeighbors[known](t.Period)}
+func New(env proto.Env) (*Protocol, error) {
+	p := &Protocol{fanout: defaultFanout, rounds: defaultRounds, nbrs: proto.NewNeighbors[known](period)}
 	if err := p.Init(env, p); err != nil {
 		return nil, err
 	}
 	// The round's phase is drawn before the heartbeat's.
-	p.Every(t.Period, p.roundTick)
-	p.Every(t.Period, p.Heartbeat)
+	p.Every(period, p.roundTick)
+	p.Every(period, p.Heartbeat)
 	return p, nil
 }
 
 // OnPublish implements proto.Rule: a published rumor starts with a full
 // push budget; the next round starts spreading it.
-func (p *Protocol) OnPublish(ru *proto.Stored[rumor]) { ru.State.pushLeft = p.tun.Rounds }
+func (p *Protocol) OnPublish(ru *proto.Stored[rumor]) { ru.State.pushLeft = p.rounds }
 
 // OnHeartbeat implements proto.Rule.
 func (p *Protocol) OnHeartbeat(h event.Heartbeat) {
@@ -163,7 +133,7 @@ func (p *Protocol) OnEvents(msg event.Events) {
 		}
 		// Events outside our interests are dropped.
 		if ru, fresh := p.Receive(ev, now, false); fresh {
-			ru.State.pushLeft = p.tun.Rounds
+			ru.State.pushLeft = p.rounds
 		}
 	}
 }
@@ -214,15 +184,15 @@ func (p *Protocol) send(valid []*proto.Stored[rumor], now time.Duration, peer ev
 	p.Send(batch, now, peer)
 }
 
-// sampleNeighbors draws up to Fanout live neighbor ids, uniformly
+// sampleNeighbors draws up to fanout live neighbor ids, uniformly
 // without replacement, in a deterministic order given the node RNG.
 func (p *Protocol) sampleNeighbors() []event.NodeID {
 	ids := p.nbrs.IDs()
-	if len(ids) <= p.tun.Fanout {
+	if len(ids) <= p.fanout {
 		return ids
 	}
-	picked := make([]event.NodeID, 0, p.tun.Fanout)
-	for _, i := range p.Rand.Perm(len(ids))[:p.tun.Fanout] {
+	picked := make([]event.NodeID, 0, p.fanout)
+	for _, i := range p.Rand.Perm(len(ids))[:p.fanout] {
 		picked = append(picked, ids[i])
 	}
 	slices.Sort(picked)
@@ -259,11 +229,10 @@ func init() {
 		Description: "push-pull rumor mongering: per-round fanout-bounded pushes plus digest-driven pulls over heartbeat-learned neighborhoods",
 		Params:      Tuning{},
 		New: func(p proto.Params, env proto.Env) (proto.Disseminator, error) {
-			t, ok := p.(Tuning)
-			if !ok {
+			if _, ok := p.(Tuning); !ok {
 				return nil, fmt.Errorf("gossip: params are %T, want gossip.Tuning", p)
 			}
-			return New(t, env)
+			return New(env)
 		},
 	})
 }

@@ -49,9 +49,13 @@ func newHarness(t *testing.T, seed int64) *harness {
 	}
 }
 
-func (h *harness) addNode(id event.NodeID, tun Tuning, subs ...string) *Protocol {
+// knobs overrides a node's push parameters; zero fields keep the
+// package's.
+type knobs struct{ Fanout, Rounds int }
+
+func (h *harness) addNode(id event.NodeID, k knobs, subs ...string) *Protocol {
 	h.t.Helper()
-	p, err := New(tun, proto.Env{
+	p, err := New(proto.Env{
 		ID:        id,
 		Sched:     proto.EngineScheduler{Eng: h.eng},
 		Transport: bus{h: h, from: id},
@@ -60,6 +64,12 @@ func (h *harness) addNode(id event.NodeID, tun Tuning, subs ...string) *Protocol
 	})
 	if err != nil {
 		h.t.Fatal(err)
+	}
+	if k.Fanout != 0 {
+		p.fanout = k.Fanout
+	}
+	if k.Rounds != 0 {
+		p.rounds = k.Rounds
 	}
 	for _, s := range subs {
 		if err := p.Subscribe(topic.MustParse(s)); err != nil {
@@ -74,18 +84,15 @@ func (h *harness) addNode(id event.NodeID, tun Tuning, subs ...string) *Protocol
 func (h *harness) runUntil(secs float64) { h.eng.RunUntil(sim.Seconds(secs)) }
 
 func TestValidateAndDefaults(t *testing.T) {
-	for _, bad := range []Tuning{
-		{Fanout: -1}, {Rounds: -1}, {Period: -time.Second},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("Tuning %+v validated", bad)
-		}
+	if err := (Tuning{}).Validate(); err != nil {
+		t.Fatal(err)
 	}
-	d := (Tuning{}).withDefaults()
-	if d.Fanout != DefaultFanout || d.Rounds != DefaultRounds || d.Period != DefaultPeriod {
-		t.Fatalf("defaults = %+v", d)
+	h := newHarness(t, 1)
+	p := h.addNode(1, knobs{})
+	if p.fanout != defaultFanout || p.rounds != defaultRounds || p.nbrs.TTL != 2500*time.Millisecond {
+		t.Fatalf("defaults: fanout %d rounds %d neighbour TTL %v", p.fanout, p.rounds, p.nbrs.TTL)
 	}
-	if _, err := New(Tuning{}, proto.Env{}); err == nil {
+	if _, err := New(proto.Env{}); err == nil {
 		t.Fatal("New without environment succeeded")
 	}
 }
@@ -94,7 +101,7 @@ func TestRumorReachesEveryoneAndStopsPushing(t *testing.T) {
 	h := newHarness(t, 1)
 	const n = 5
 	for id := event.NodeID(1); id <= n; id++ {
-		h.addNode(id, Tuning{}, ".t")
+		h.addNode(id, knobs{}, ".t")
 	}
 	h.runUntil(3) // heartbeats discover the clique
 	id, err := h.nodes[1].Publish(topic.MustParse(".t"), nil, 10*time.Minute)
@@ -129,7 +136,7 @@ func TestRumorReachesEveryoneAndStopsPushing(t *testing.T) {
 func TestPullHealsLateJoiner(t *testing.T) {
 	h := newHarness(t, 2)
 	for id := event.NodeID(1); id <= 3; id++ {
-		h.addNode(id, Tuning{}, ".t")
+		h.addNode(id, knobs{}, ".t")
 	}
 	h.runUntil(3)
 	id, err := h.nodes[1].Publish(topic.MustParse(".t"), nil, 10*time.Minute)
@@ -140,7 +147,7 @@ func TestPullHealsLateJoiner(t *testing.T) {
 	h.runUntil(30)
 	// A late joiner appears; only the digest/pull path can serve it
 	// (pushLeft is long exhausted everywhere).
-	late := h.addNode(9, Tuning{}, ".t")
+	late := h.addNode(9, knobs{}, ".t")
 	h.runUntil(45)
 	if !late.HasEvent(id) {
 		t.Fatal("late joiner never pulled the cold rumor")
@@ -152,9 +159,9 @@ func TestPullHealsLateJoiner(t *testing.T) {
 
 func TestUninterestedNodesGetNothing(t *testing.T) {
 	h := newHarness(t, 3)
-	h.addNode(1, Tuning{}, ".t")
-	h.addNode(2, Tuning{}, ".t")
-	h.addNode(3, Tuning{}, ".other")
+	h.addNode(1, knobs{}, ".t")
+	h.addNode(2, knobs{}, ".t")
+	h.addNode(3, knobs{}, ".other")
 	h.runUntil(3)
 	id, err := h.nodes[1].Publish(topic.MustParse(".t"), nil, 10*time.Minute)
 	if err != nil {
@@ -180,7 +187,7 @@ func TestFanoutBoundsPerRoundPushes(t *testing.T) {
 	h := newHarness(t, 4)
 	const n = 8
 	for id := event.NodeID(1); id <= n; id++ {
-		h.addNode(id, Tuning{Fanout: 1, Rounds: 2}, ".t")
+		h.addNode(id, knobs{Fanout: 1, Rounds: 2}, ".t")
 	}
 	h.runUntil(3)
 	if _, err := h.nodes[1].Publish(topic.MustParse(".t"), nil, 10*time.Minute); err != nil {
@@ -204,8 +211,8 @@ func TestFanoutBoundsPerRoundPushes(t *testing.T) {
 
 func TestExpiredRumorsDropAndValidityRespected(t *testing.T) {
 	h := newHarness(t, 5)
-	h.addNode(1, Tuning{}, ".t")
-	h.addNode(2, Tuning{}, ".t")
+	h.addNode(1, knobs{}, ".t")
+	h.addNode(2, knobs{}, ".t")
 	h.runUntil(3)
 	id, err := h.nodes[1].Publish(topic.MustParse(".t"), nil, 4*time.Second)
 	if err != nil {
@@ -226,7 +233,7 @@ func TestExpiredRumorsDropAndValidityRespected(t *testing.T) {
 // as a duplicate, not deliver again.
 func TestNoRedeliveryAtExpiryBoundary(t *testing.T) {
 	h := newHarness(t, 8)
-	a := h.addNode(1, Tuning{}, ".t")
+	a := h.addNode(1, knobs{}, ".t")
 	rng := rand.New(rand.NewSource(99))
 	ev := event.Event{
 		ID:        event.NewID(rng),
@@ -260,8 +267,8 @@ func TestNoRedeliveryAtExpiryBoundary(t *testing.T) {
 
 func TestStoppedProtocolIsInert(t *testing.T) {
 	h := newHarness(t, 6)
-	p := h.addNode(1, Tuning{}, ".t")
-	h.addNode(2, Tuning{}, ".t")
+	p := h.addNode(1, knobs{}, ".t")
+	h.addNode(2, knobs{}, ".t")
 	h.runUntil(3)
 	p.Stop()
 	before := p.Stats()
@@ -273,8 +280,8 @@ func TestStoppedProtocolIsInert(t *testing.T) {
 
 func TestNeighborTTLExpires(t *testing.T) {
 	h := newHarness(t, 7)
-	a := h.addNode(1, Tuning{}, ".t")
-	b := h.addNode(2, Tuning{}, ".t")
+	a := h.addNode(1, knobs{}, ".t")
+	b := h.addNode(2, knobs{}, ".t")
 	h.runUntil(3)
 	if got := len(a.nbrs.IDs()); got != 1 {
 		t.Fatalf("node 1 knows %d neighbors, want 1", got)

@@ -71,7 +71,6 @@ func runTrafficLog(t *testing.T, newMedium mediumFunc, cfg Config, nodes int, du
 			Area:     geo.NewRect(1500, 1500),
 			MinSpeed: 1,
 			MaxSpeed: 40,
-			Pause:    500 * time.Millisecond,
 		}, rand.New(rand.NewSource(int64(i)+1)))
 	}
 	attach := newMedium(eng, cfg, models)

@@ -21,26 +21,28 @@ import (
 	"repro/internal/sim"
 )
 
-// Config parameterizes the medium. The defaults model 802.11b broadcast
-// at the 2 Mbps basic rate.
+// The paper's 802.11b broadcast at the 2 Mbps basic rate.
+const (
+	// bitrateBps is the broadcast bitrate.
+	bitrateBps = 2e6
+	// slotTime is the contention slot.
+	slotTime = 20 * time.Microsecond
+	// difs is the idle period sensed before transmitting.
+	difs = 50 * time.Microsecond
+	// cwSlots is the contention window size in slots (CWmin+1).
+	cwSlots = 32
+	// preamble is the PHY preamble+PLCP airtime (long preamble).
+	preamble = 192 * time.Microsecond
+	// headerBytes is the MAC framing overhead added to every frame.
+	headerBytes = 28
+)
+
+// Config parameterizes the medium: the radio radius, the channel model
+// and the mobility promises that size its spatial indexes.
 type Config struct {
-	// BitrateBps is the broadcast bitrate (802.11b basic rate: 2 Mbps).
-	BitrateBps float64
 	// Range is the radio radius in meters: a node receives, senses the
 	// channel busy and suffers interference within it.
 	Range float64
-	// SlotTime is the contention slot (802.11b: 20 us).
-	SlotTime time.Duration
-	// DIFS is the idle period sensed before transmitting (50 us).
-	DIFS time.Duration
-	// CWSlots is the contention window size in slots (802.11b CWmin+1 = 32).
-	CWSlots int
-	// Preamble is the PHY preamble+PLCP airtime (long preamble: 192 us).
-	Preamble time.Duration
-	// HeaderBytes is the MAC framing overhead added to every frame.
-	HeaderBytes int
-	// QueueCap bounds the per-node outgoing queue; 0 means unbounded.
-	QueueCap int
 	// Receives, when non-nil, makes reception probabilistic: a frame
 	// arriving from distance d meters is received iff Receives(d, u),
 	// with u one uniform [0, 1) draw of the medium's RNG per in-range
@@ -84,30 +86,13 @@ const gridRefresh = 200 * time.Millisecond
 // DefaultConfig returns an 802.11b broadcast medium with the given
 // reception radius.
 func DefaultConfig(rangeM float64) Config {
-	return Config{
-		BitrateBps:  2e6,
-		Range:       rangeM,
-		SlotTime:    20 * time.Microsecond,
-		DIFS:        50 * time.Microsecond,
-		CWSlots:     32,
-		Preamble:    192 * time.Microsecond,
-		HeaderBytes: 28,
-	}
+	return Config{Range: rangeM}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.BitrateBps <= 0 {
-		return fmt.Errorf("mac: bitrate %v", c.BitrateBps)
-	}
 	if c.Range <= 0 {
 		return fmt.Errorf("mac: range %v", c.Range)
-	}
-	if c.SlotTime <= 0 || c.DIFS < 0 || c.CWSlots < 1 {
-		return fmt.Errorf("mac: bad contention params")
-	}
-	if c.HeaderBytes < 0 || c.QueueCap < 0 || c.Preamble < 0 {
-		return fmt.Errorf("mac: negative sizes")
 	}
 	if c.MaxSpeed < 0 {
 		return fmt.Errorf("mac: negative MaxSpeed %v", c.MaxSpeed)
@@ -118,11 +103,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Airtime returns the on-air duration of a frame carrying appBytes of
+// airtime returns the on-air duration of a frame carrying appBytes of
 // payload.
-func (c Config) Airtime(appBytes int) time.Duration {
-	bits := float64(appBytes+c.HeaderBytes) * 8
-	return c.Preamble + time.Duration(bits/c.BitrateBps*float64(time.Second))
+func airtime(appBytes int) time.Duration {
+	bits := float64(appBytes+headerBytes) * 8
+	return preamble + time.Duration(bits/bitrateBps*float64(time.Second))
 }
 
 // Locator supplies node positions to the medium.
@@ -161,7 +146,7 @@ type Counters struct {
 	FramesReceived uint64
 	FramesLost     uint64 // in range, corrupted by collision or half-duplex
 	FramesFaded    uint64 // in range, lost to the probabilistic channel
-	QueueDrops     uint64
+	QueueDrops     uint64 // reads 0: the outgoing queue is unbounded
 	Defers         uint64 // attempts postponed by carrier sense
 }
 
@@ -238,6 +223,9 @@ type Medium struct {
 	ports []*Port              // by attach rank
 	order []event.NodeID       // rank -> id, deterministic iteration order
 	rank  map[event.NodeID]int // id -> attach rank
+	// cw is the contention window in slots: cwSlots, which in-package
+	// tests lower to 1 to force simultaneous starts.
+	cw int
 
 	live     []*transmission // on-air or recently ended (pruned FIFO)
 	liveHead int             // consumed prefix of live
@@ -287,6 +275,7 @@ func New(eng *sim.Engine, cfg Config, loc Locator) *Medium {
 		loc:  loc,
 		rng:  eng.NewRand(),
 		rank: make(map[event.NodeID]int),
+		cw:   cwSlots,
 	}
 	if cfg.SpeedBounded {
 		m.staleAfter = gridRefresh
@@ -347,10 +336,6 @@ func (p *Port) Counters() Counters { return p.c }
 // sensing, back-off and airtime; there is no feedback to the sender, as
 // with real broadcast frames.
 func (p *Port) Broadcast(msg event.Message, appBytes int) {
-	if p.m.cfg.QueueCap > 0 && len(p.queue)-p.qhead >= p.m.cfg.QueueCap {
-		p.c.QueueDrops++
-		return
-	}
 	if p.qhead > 0 && p.qhead == len(p.queue) {
 		// Queue drained: restart at the front of the backing array so
 		// steady-state traffic reuses it instead of growing it.
@@ -378,11 +363,11 @@ func (p *Port) attempt() {
 	pos := m.loc.Position(p.id, now)
 	if until, busy := m.busyUntil(p.id, pos, now); busy {
 		p.c.Defers++
-		jitter := time.Duration(m.rng.Intn(m.cfg.CWSlots)) * m.cfg.SlotTime
-		m.eng.Schedule(until.Add(m.cfg.DIFS+jitter), p.attemptFn)
+		jitter := time.Duration(m.rng.Intn(m.cw)) * slotTime
+		m.eng.Schedule(until.Add(difs+jitter), p.attemptFn)
 		return
 	}
-	backoff := m.cfg.DIFS + time.Duration(m.rng.Intn(m.cfg.CWSlots))*m.cfg.SlotTime
+	backoff := difs + time.Duration(m.rng.Intn(m.cw))*slotTime
 	m.eng.ScheduleAfter(backoff, p.startTxFn)
 }
 
@@ -402,7 +387,7 @@ func (p *Port) startTx() {
 	tx.owner = p
 	tx.pos = pos
 	tx.start = now
-	tx.end = now.Add(m.cfg.Airtime(frame.AppBytes))
+	tx.end = now.Add(airtime(frame.AppBytes))
 	m.maxAir = max(m.maxAir, tx.end-tx.start)
 	m.live = append(m.live, tx)
 	m.txGrid.Put(tx, tx.pos)
@@ -410,7 +395,7 @@ func (p *Port) startTx() {
 	p.curTx = tx
 	p.c.FramesSent++
 	p.c.AppBytesSent += uint64(frame.AppBytes)
-	p.c.MACBytesSent += uint64(frame.AppBytes + m.cfg.HeaderBytes)
+	p.c.MACBytesSent += uint64(frame.AppBytes + headerBytes)
 	m.eng.Schedule(tx.end, p.finishFn)
 }
 
@@ -672,10 +657,6 @@ func (m *Medium) corrupted(tx *transmission, q *Port, rpos geo.Point) bool {
 	}
 	return false
 }
-
-// port returns the port attached as id (tests and diagnostics; the hot
-// paths address ports by attach rank).
-func (m *Medium) port(id event.NodeID) *Port { return m.ports[m.rank[id]] }
 
 // InFlight counts the transmissions still on air at now. live retains
 // recently ended records until prune reclaims them, so the count

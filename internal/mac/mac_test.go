@@ -39,10 +39,7 @@ func TestConfigValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"default", func(*Config) {}, true},
-		{"zero bitrate", func(c *Config) { c.BitrateBps = 0 }, false},
 		{"zero range", func(c *Config) { c.Range = 0 }, false},
-		{"zero slots", func(c *Config) { c.CWSlots = 0 }, false},
-		{"negative header", func(c *Config) { c.HeaderBytes = -1 }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -56,14 +53,13 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestAirtime(t *testing.T) {
-	cfg := DefaultConfig(300)
 	// 400 B payload + 28 B header at 2 Mbps = 1712 us + 192 us preamble.
-	got := cfg.Airtime(400)
+	got := airtime(400)
 	want := 192*time.Microsecond + 1712*time.Microsecond
 	if got != want {
 		t.Fatalf("Airtime(400) = %v, want %v", got, want)
 	}
-	if cfg.Airtime(0) <= cfg.Preamble {
+	if airtime(0) <= preamble {
 		t.Fatal("empty frame still carries header airtime")
 	}
 }
@@ -107,8 +103,8 @@ func TestDeliveryDelayIsAirtimePlusBackoff(t *testing.T) {
 	if len(log2.times) != 1 {
 		t.Fatalf("got %d frames", len(log2.times))
 	}
-	minT := sim.Time(0).Add(cfg.DIFS + cfg.Airtime(50))
-	maxT := minT.Add(time.Duration(cfg.CWSlots) * cfg.SlotTime)
+	minT := sim.Time(0).Add(difs + airtime(50))
+	maxT := minT.Add(cwSlots * slotTime)
 	if log2.times[0] < minT || log2.times[0] > maxT {
 		t.Fatalf("delivered at %v, want within [%v,%v]", log2.times[0], minT, maxT)
 	}
@@ -169,9 +165,8 @@ func TestHiddenTerminalCollision(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.New(1)
 			loc := fixedLocator{1: geo.Pt(0, 0), 2: tc.c, 3: geo.Pt(300, 0)}
-			cfg := DefaultConfig(340)
-			cfg.CWSlots = 1 // deterministic back-off: both start together
-			m := New(eng, cfg, loc)
+			m := New(eng, DefaultConfig(340), loc)
+			m.cw = 1 // deterministic back-off: both start together
 			pa := m.Attach(1, nil)
 			pc := m.Attach(2, nil)
 			logB := attach(m, eng, 3)
@@ -186,7 +181,7 @@ func TestHiddenTerminalCollision(t *testing.T) {
 			if tc.wantRx == 1 && logB.frames[0].From != 1 {
 				t.Fatalf("B received a frame from %v, want A's", logB.frames[0].From)
 			}
-			if got := m.port(3).Counters(); got.FramesLost != tc.wantLost {
+			if got := m.ports[m.rank[3]].Counters(); got.FramesLost != tc.wantLost {
 				t.Fatalf("FramesLost = %d, want %d", got.FramesLost, tc.wantLost)
 			}
 			// The senders, unaware, still count their transmissions.
@@ -199,12 +194,12 @@ func TestHiddenTerminalCollision(t *testing.T) {
 
 func TestHalfDuplexLoss(t *testing.T) {
 	// Both nodes transmit simultaneously in mutual range (forced by
-	// CWSlots=1): neither can receive the other's frame.
+	// a one-slot contention window): neither can receive the other's
+	// frame.
 	eng := sim.New(1)
 	loc := fixedLocator{1: geo.Pt(0, 0), 2: geo.Pt(100, 0)}
-	cfg := DefaultConfig(340)
-	cfg.CWSlots = 1
-	m := New(eng, cfg, loc)
+	m := New(eng, DefaultConfig(340), loc)
+	m.cw = 1
 	var got1, got2 int
 	p1 := m.Attach(1, func(Frame) { got1++ })
 	p2 := m.Attach(2, func(Frame) { got2++ })
@@ -238,27 +233,6 @@ func TestQueueFIFO(t *testing.T) {
 		if l.IDs[0].Lo != uint64(i) {
 			t.Fatalf("frame %d out of order: %v", i, l.IDs[0].Lo)
 		}
-	}
-}
-
-func TestQueueCapDrops(t *testing.T) {
-	eng := sim.New(1)
-	loc := fixedLocator{1: geo.Pt(0, 0)}
-	cfg := DefaultConfig(300)
-	cfg.QueueCap = 2
-	m := New(eng, cfg, loc)
-	p1 := m.Attach(1, nil)
-	for i := 0; i < 5; i++ {
-		p1.Broadcast(hb(1), 10)
-	}
-	eng.Run()
-	c := p1.Counters()
-	// Head-of-queue frame is being sent while the queue holds 2 more.
-	if c.QueueDrops == 0 {
-		t.Fatal("expected queue drops")
-	}
-	if c.FramesSent+c.QueueDrops != 5 {
-		t.Fatalf("sent %d + dropped %d != 5", c.FramesSent, c.QueueDrops)
 	}
 }
 

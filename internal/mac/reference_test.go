@@ -66,10 +66,6 @@ func (m *refMedium) Attach(id event.NodeID, rx func(Frame)) *refPort {
 func (p *refPort) Counters() Counters { return p.c }
 
 func (p *refPort) Broadcast(msg event.Message, appBytes int) {
-	if p.m.cfg.QueueCap > 0 && len(p.queue) >= p.m.cfg.QueueCap {
-		p.c.QueueDrops++
-		return
-	}
 	p.queue = append(p.queue, Frame{From: p.id, Msg: msg, AppBytes: appBytes})
 	if !p.sending {
 		p.sending = true
@@ -82,11 +78,11 @@ func (p *refPort) attempt() {
 	now := m.eng.Now()
 	if until, busy := m.busyUntil(p.id, m.loc.Position(p.id, now), now); busy {
 		p.c.Defers++
-		jitter := time.Duration(m.rng.Intn(m.cfg.CWSlots)) * m.cfg.SlotTime
-		m.eng.Schedule(until.Add(m.cfg.DIFS+jitter), p.attempt)
+		jitter := time.Duration(m.rng.Intn(cwSlots)) * slotTime
+		m.eng.Schedule(until.Add(difs+jitter), p.attempt)
 		return
 	}
-	backoff := m.cfg.DIFS + time.Duration(m.rng.Intn(m.cfg.CWSlots))*m.cfg.SlotTime
+	backoff := difs + time.Duration(m.rng.Intn(cwSlots))*slotTime
 	m.eng.ScheduleAfter(backoff, p.startTx)
 }
 
@@ -99,11 +95,11 @@ func (p *refPort) startTx() {
 		return
 	}
 	f := p.queue[0]
-	p.cur = &refTx{from: p.id, pos: pos, start: now, end: now.Add(m.cfg.Airtime(f.AppBytes))}
+	p.cur = &refTx{from: p.id, pos: pos, start: now, end: now.Add(airtime(f.AppBytes))}
 	m.live = append(m.live, p.cur)
 	p.c.FramesSent++
 	p.c.AppBytesSent += uint64(f.AppBytes)
-	p.c.MACBytesSent += uint64(f.AppBytes + m.cfg.HeaderBytes)
+	p.c.MACBytesSent += uint64(f.AppBytes + headerBytes)
 	m.eng.Schedule(p.cur.end, p.finish)
 }
 

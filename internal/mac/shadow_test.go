@@ -25,7 +25,7 @@ func TestProbabilisticReception(t *testing.T) {
 	}
 	eng.Run()
 
-	c := m.port(2).Counters()
+	c := m.ports[m.rank[2]].Counters()
 	if got < frames/4 || got > frames*3/4 {
 		t.Fatalf("received %d of %d at p=0.5", got, frames)
 	}
@@ -84,7 +84,7 @@ func TestProbabilisticReceptionDeterministic(t *testing.T) {
 			p1.Broadcast(hb(1), 50)
 		}
 		eng.Run()
-		c := m.port(2).Counters()
+		c := m.ports[m.rank[2]].Counters()
 		return c.FramesReceived, c.FramesFaded
 	}
 	r1, f1 := run()

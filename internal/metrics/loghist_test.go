@@ -51,7 +51,7 @@ func TestLogHistQuantileError(t *testing.T) {
 	}
 	sort.Float64s(xs)
 	for _, q := range []float64{0.01, 0.1, 0.5, 0.9, 0.99} {
-		exact := Quantile(xs, q)
+		exact := quantile(xs, q)
 		got := h.Quantile(q)
 		if rel := math.Abs(got-exact) / exact; rel > 0.06 {
 			t.Fatalf("q=%v: est %v vs exact %v (rel err %.3f)", q, got, exact, rel)

@@ -1,28 +1,24 @@
 // Package metrics provides the statistics plumbing for the experiment
-// harness: streaming mean/deviation accumulators, multi-seed aggregation
+// harness: streaming mean accumulators, multi-seed aggregation
 // and plain-text table rendering in the shape of the paper's figures.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
-// Agg is a streaming aggregator (Welford's algorithm). The zero value is
-// ready to use.
+// Agg is a streaming mean (Welford's update). The zero value is ready
+// to use.
 type Agg struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add folds x into the aggregate.
 func (a *Agg) Add(x float64) {
 	a.n++
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
+	a.mean += (x - a.mean) / float64(a.n)
 }
 
 // N returns the number of samples.
@@ -30,17 +26,6 @@ func (a *Agg) N() int { return a.n }
 
 // Mean returns the sample mean (0 with no samples).
 func (a *Agg) Mean() float64 { return a.mean }
-
-// Var returns the unbiased sample variance.
-func (a *Agg) Var() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// Std returns the unbiased sample standard deviation.
-func (a *Agg) Std() float64 { return math.Sqrt(a.Var()) }
 
 // Table is a simple aligned text table, used to print the paper's
 // figure/table data.
@@ -61,12 +46,6 @@ func (t *Table) AddRow(cells ...string) {
 	copy(row, cells)
 	t.rows = append(t.rows, row)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
-// Row returns row i.
-func (t *Table) Row(i int) []string { return t.rows[i] }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {

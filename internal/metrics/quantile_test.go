@@ -8,6 +8,32 @@ import (
 	"testing/quick"
 )
 
+// quantile returns the q-quantile (0 <= q <= 1) of xs using linear
+// interpolation between order statistics (the common "type 7" estimator).
+// It returns NaN for empty input. It is the exact reference LogHist's
+// bucketed quantiles are held to.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := pos - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
 func TestQuantileKnownValues(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	tests := []struct {
@@ -22,39 +48,33 @@ func TestQuantileKnownValues(t *testing.T) {
 		{0.125, 1.5}, // interpolated
 	}
 	for _, tt := range tests {
-		if got := Quantile(xs, tt.q); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
+		if got := quantile(xs, tt.q); math.Abs(got-tt.want) > 1e-12 {
+			t.Errorf("quantile(%v) = %v, want %v", tt.q, got, tt.want)
 		}
 	}
 }
 
 func TestQuantileEdges(t *testing.T) {
-	if !math.IsNaN(Quantile(nil, 0.5)) {
+	if !math.IsNaN(quantile(nil, 0.5)) {
 		t.Fatal("empty input should be NaN")
 	}
-	if got := Quantile([]float64{7}, 0.9); got != 7 {
+	if got := quantile([]float64{7}, 0.9); got != 7 {
 		t.Fatalf("single sample = %v", got)
 	}
 	// Out-of-range q clamps.
-	if got := Quantile([]float64{1, 2}, -1); got != 1 {
+	if got := quantile([]float64{1, 2}, -1); got != 1 {
 		t.Fatalf("q<0 = %v", got)
 	}
-	if got := Quantile([]float64{1, 2}, 2); got != 2 {
+	if got := quantile([]float64{1, 2}, 2); got != 2 {
 		t.Fatalf("q>1 = %v", got)
 	}
 }
 
 func TestQuantileDoesNotMutateInput(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
+	quantile(xs, 0.5)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Fatal("input mutated")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{5, 1, 3}); got != 3 {
-		t.Fatalf("Median = %v", got)
 	}
 }
 
@@ -71,7 +91,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		sort.Float64s(sorted)
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.1 {
-			v := Quantile(xs, q)
+			v := quantile(xs, q)
 			if v < prev-1e-9 || v < sorted[0]-1e-9 || v > sorted[n-1]+1e-9 {
 				return false
 			}

@@ -8,18 +8,23 @@ import (
 	"repro/internal/sim"
 )
 
+// The city-section model's traffic rules.
+const (
+	// cityStopProb is the probability of pausing at an intermediate
+	// intersection (red light).
+	cityStopProb = 0.3
+	// cityStopMin and cityStopMax bound the pause at a red light.
+	cityStopMin = 2 * time.Second
+	cityStopMax = 10 * time.Second
+	// cityDestPause is the dwell time at each reached destination
+	// (parking) before picking the next trip.
+	cityDestPause = 5 * time.Second
+)
+
 // CityConfig parameterizes the city-section model.
 type CityConfig struct {
 	// Graph is the street network; it must be Validate()-clean.
 	Graph *Graph
-	// StopProb is the probability of pausing at an intermediate
-	// intersection (red light), in [0,1].
-	StopProb float64
-	// StopMin/StopMax bound the pause duration at a red light.
-	StopMin, StopMax time.Duration
-	// DestPause is the dwell time at each reached destination
-	// (parking) before picking the next trip.
-	DestPause time.Duration
 }
 
 // Validate reports configuration errors.
@@ -27,19 +32,7 @@ func (c CityConfig) Validate() error {
 	if c.Graph == nil {
 		return fmt.Errorf("mobility: nil graph")
 	}
-	if err := c.Graph.Validate(); err != nil {
-		return err
-	}
-	if c.StopProb < 0 || c.StopProb > 1 {
-		return fmt.Errorf("mobility: StopProb %v out of [0,1]", c.StopProb)
-	}
-	if c.StopMin < 0 || c.StopMax < c.StopMin {
-		return fmt.Errorf("mobility: bad stop range [%v,%v]", c.StopMin, c.StopMax)
-	}
-	if c.DestPause < 0 {
-		return fmt.Errorf("mobility: negative DestPause")
-	}
-	return nil
+	return c.Graph.Validate()
 }
 
 // City implements the city-section model: nodes start at a predefined
@@ -49,7 +42,6 @@ func (c CityConfig) Validate() error {
 // hot-spot roads.
 type City struct {
 	graphTraveler
-	cfg CityConfig
 }
 
 var _ Model = (*City)(nil)
@@ -60,7 +52,7 @@ func NewCity(cfg CityConfig, rng *rand.Rand) *City {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &City{cfg: cfg}
+	c := &City{}
 	c.graphTraveler = newGraphTraveler(cfg.Graph, rng, c.addTrip)
 	c.startAt(c.weightedIntersection())
 	return c
@@ -73,18 +65,11 @@ func (c *City) addTrip() {
 		func(r Road) float64 { return r.SpeedLimit },
 		func(_ int, _ sim.Time, final bool) time.Duration {
 			if final {
-				return c.cfg.DestPause
+				return cityDestPause
 			}
-			if c.rng.Float64() < c.cfg.StopProb {
-				return c.stopTime()
+			if c.rng.Float64() < cityStopProb {
+				return cityStopMin + time.Duration(c.rng.Int63n(int64(cityStopMax-cityStopMin)))
 			}
 			return 0
 		})
-}
-
-func (c *City) stopTime() time.Duration {
-	if c.cfg.StopMax == c.cfg.StopMin {
-		return c.cfg.StopMin
-	}
-	return c.cfg.StopMin + time.Duration(c.rng.Int63n(int64(c.cfg.StopMax-c.cfg.StopMin)))
 }

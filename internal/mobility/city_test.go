@@ -12,13 +12,7 @@ import (
 
 func cityCfg(t *testing.T) CityConfig {
 	t.Helper()
-	return CityConfig{
-		Graph:     NewCampusGraph(),
-		StopProb:  0.3,
-		StopMin:   2 * time.Second,
-		StopMax:   10 * time.Second,
-		DestPause: 5 * time.Second,
-	}
+	return CityConfig{Graph: NewCampusGraph()}
 }
 
 func TestCityConfigValidate(t *testing.T) {
@@ -29,9 +23,6 @@ func TestCityConfigValidate(t *testing.T) {
 	}{
 		{"valid", func(*CityConfig) {}, true},
 		{"nil graph", func(c *CityConfig) { c.Graph = nil }, false},
-		{"bad prob", func(c *CityConfig) { c.StopProb = 1.5 }, false},
-		{"inverted stops", func(c *CityConfig) { c.StopMin = time.Minute; c.StopMax = time.Second }, false},
-		{"negative dest pause", func(c *CityConfig) { c.DestPause = -time.Second }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -82,7 +73,7 @@ func TestCityStaysOnCampus(t *testing.T) {
 	c := NewCity(cityCfg(t), rand.New(rand.NewSource(3)))
 	for s := 0.0; s < 2000; s += 3.1 {
 		p := c.Position(sim.Seconds(s))
-		if !area.Contains(p) {
+		if !inside(area, p) {
 			t.Fatalf("node off campus at t=%v: %v", s, p)
 		}
 	}
@@ -140,18 +131,25 @@ func TestCityDeterminism(t *testing.T) {
 }
 
 func TestCityPausesAtDestinations(t *testing.T) {
-	cfg := cityCfg(t)
-	cfg.StopProb = 0 // isolate destination pauses
-	cfg.DestPause = 30 * time.Second
-	c := NewCity(cfg, rand.New(rand.NewSource(5)))
-	paused := 0
-	for s := 0.0; s < 2000; s += 1 {
-		if c.Speed(sim.Seconds(s)) == 0 {
-			paused++
+	c := NewCity(cityCfg(t), rand.New(rand.NewSource(5)))
+	// A leg ends at an intersection with no stop, a red light in
+	// [cityStopMin, cityStopMax) or, at a trip's destination, exactly
+	// cityDestPause; a red light lands on cityDestPause to the
+	// nanosecond with negligible probability.
+	c.Position(sim.Seconds(2000))
+	dest, red := 0, 0
+	for i, l := range c.traj.legs[1:] {
+		switch p := time.Duration(l.end - l.moveEnd); {
+		case p == cityDestPause:
+			dest++
+		case p >= cityStopMin && p < cityStopMax:
+			red++
+		case p != 0:
+			t.Fatalf("leg %d pauses %v", i, p)
 		}
 	}
-	if paused < 30 {
-		t.Fatalf("expected long destination pauses, saw %d paused seconds", paused)
+	if dest < 5 || red < 5 {
+		t.Fatalf("%d destination pauses and %d red lights in 2000 s", dest, red)
 	}
 }
 

@@ -28,8 +28,7 @@ type Graph struct {
 
 	mu        sync.Mutex
 	validated bool      // Validate passed and no mutation since
-	pop       []float64 // per-intersection popularity, nil until built
-	cumPop    []float64 // prefix sums of pop, nil until built
+	cumPop    []float64 // prefix sums of popularity, nil until built
 
 	// Route cache: per-source shortest-path trees, LRU-evicted under a
 	// byte budget (see routeCacheBudget). Guarded by mu like the other
@@ -61,7 +60,6 @@ var routeCacheBudget = 64 << 20
 func (g *Graph) mutated() {
 	g.mu.Lock()
 	g.validated = false
-	g.pop = nil
 	g.cumPop = nil
 	g.routes = nil
 	g.routeLRU.Init()
@@ -98,9 +96,6 @@ func (g *Graph) Intersections() int { return len(g.points) }
 
 // Point returns the location of intersection i.
 func (g *Graph) Point(i int) geo.Point { return g.points[i] }
-
-// Roads returns the directed roads leaving intersection i.
-func (g *Graph) Roads(i int) []Road { return g.adj[i] }
 
 // AddRoad adds a directed road a->b; AddStreet adds both directions.
 func (g *Graph) AddRoad(a, b int, speedLimit, weight float64) error {
@@ -171,46 +166,33 @@ func (g *Graph) Bounds() geo.Rect {
 	return r
 }
 
-// Popularity returns the sum of weights of roads incident to i (in either
-// direction); used to bias destination choice toward busy spots. All
-// intersections' popularities are built in one O(V+E) edge sweep and
-// memoized — the per-call incoming-edge scan was O(E) and ran V times
-// per vehicle at construction.
-func (g *Graph) Popularity(i int) float64 {
-	pop, _ := g.buildPopularity()
-	return pop[i]
-}
-
-// cumPopularity returns the memoized prefix sums of Popularity, shared
-// by every traveler on the graph for weighted destination draws. The
-// returned slice is never written again; concurrent travelers may read
-// it freely.
+// cumPopularity returns the memoized prefix sums of the intersections'
+// popularity: the sum of weights of roads incident to each (in either
+// direction), which biases destination choice toward busy spots. They
+// are built in one O(V+E) edge sweep and shared by every traveler on
+// the graph for weighted destination draws. The returned slice is never
+// written again; concurrent travelers may read it freely.
 func (g *Graph) cumPopularity() []float64 {
-	_, cum := g.buildPopularity()
-	return cum
-}
-
-func (g *Graph) buildPopularity() (pop, cum []float64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.pop != nil {
-		return g.pop, g.cumPop
+	if g.cumPop != nil {
+		return g.cumPop
 	}
-	pop = make([]float64, len(g.points))
+	pop := make([]float64, len(g.points))
 	for a := range g.adj {
 		for _, r := range g.adj[a] {
 			pop[a] += r.Weight
 			pop[r.To] += r.Weight
 		}
 	}
-	cum = make([]float64, len(pop))
+	cum := make([]float64, len(pop))
 	sum := 0.0
 	for i, w := range pop {
 		sum += w
 		cum[i] = sum
 	}
-	g.pop, g.cumPop = pop, cum
-	return pop, cum
+	g.cumPop = cum
+	return cum
 }
 
 // ErrUnreachable is returned when no path exists between intersections.

@@ -36,7 +36,7 @@ func refShortestPath(g *Graph, a, b int) ([]int, error) {
 		if cur.cost > dist[cur.node] {
 			continue
 		}
-		for _, r := range g.Roads(cur.node) {
+		for _, r := range g.adj[cur.node] {
 			c := cur.cost + r.Length/r.SpeedLimit
 			if c < dist[r.To] {
 				dist[r.To] = c
@@ -77,7 +77,7 @@ func builtinGraphs() map[string]*Graph {
 		"campus":    NewCampusGraph(),
 		"manhattan": NewManhattanGraph(),
 		"highway":   NewHighwayGraph(),
-		"metro":     NewMetroGraph(),
+		"metro":     NewManhattanStyleGraph(36, 28), // the metro-5k grid
 		"metro-2k":  NewManhattanStyleGraph(23, 18), // MetroGraphDims-scale grid
 	}
 }

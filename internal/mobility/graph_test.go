@@ -28,8 +28,8 @@ func TestGraphBasics(t *testing.T) {
 	if g.Intersections() != 4 {
 		t.Fatalf("Intersections = %d", g.Intersections())
 	}
-	if len(g.Roads(1)) != 2 {
-		t.Fatalf("roads at 1 = %d, want 2", len(g.Roads(1)))
+	if len(g.adj[1]) != 2 {
+		t.Fatalf("roads at 1 = %d, want 2", len(g.adj[1]))
 	}
 	r, ok := g.road(0, 1)
 	if !ok || math.Abs(r.Length-100) > 1e-9 {
@@ -149,14 +149,23 @@ func TestValidateOneWayOnly(t *testing.T) {
 	}
 }
 
+// popularity is intersection i's popularity, read off the prefix sums.
+func popularity(g *Graph, i int) float64 {
+	cum := g.cumPopularity()
+	if i == 0 {
+		return cum[0]
+	}
+	return cum[i] - cum[i-1]
+}
+
 func TestPopularity(t *testing.T) {
 	g := lineGraph(t)
 	// Node 1 touches streets 0-1 and 1-2: 4 directed roads of weight 1.
-	if got := g.Popularity(1); math.Abs(got-4) > 1e-9 {
-		t.Fatalf("Popularity(1) = %v, want 4", got)
+	if got := popularity(g, 1); math.Abs(got-4) > 1e-9 {
+		t.Fatalf("popularity(1) = %v, want 4", got)
 	}
-	if got := g.Popularity(0); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("Popularity(0) = %v, want 2", got)
+	if got := popularity(g, 0); math.Abs(got-2) > 1e-9 {
+		t.Fatalf("popularity(0) = %v, want 2", got)
 	}
 }
 
@@ -180,15 +189,15 @@ func TestCampusGraph(t *testing.T) {
 	}
 	// Speed limits stay in the paper's 8-13 m/s band.
 	for i := 0; i < g.Intersections(); i++ {
-		for _, r := range g.Roads(i) {
+		for _, r := range g.adj[i] {
 			if r.SpeedLimit < 8 || r.SpeedLimit > 13 {
 				t.Fatalf("road limit %v outside [8,13]", r.SpeedLimit)
 			}
 		}
 	}
 	// Arterial roads are strictly more popular than typical side roads.
-	arterial := g.Popularity(3*9 + 4) // row 3, col 4: the crossing
-	side := g.Popularity(0)
+	arterial := popularity(g, 3*9+4) // row 3, col 4: the crossing
+	side := popularity(g, 0)
 	if arterial <= side {
 		t.Fatalf("arterial popularity %v should exceed corner %v", arterial, side)
 	}

@@ -9,22 +9,28 @@ import (
 	"repro/internal/sim"
 )
 
+// The highway convoy's platoons.
+const (
+	// platoons is the number of platoon speed tiers. Each vehicle joins
+	// one tier at construction; same-tier vehicles share a cruise speed
+	// and an entry point, so they travel as clusters.
+	platoons = 4
+	// cruiseMin and cruiseMax bound the tier cruise speeds in m/s; tier
+	// k cruises at cruiseMin + k*(cruiseMax-cruiseMin)/(platoons-1),
+	// capped by each road's speed limit (ramps slow everyone down
+	// equally).
+	cruiseMin = 24.0
+	cruiseMax = 32.0
+	// rampPause is the dwell time at each reached destination (rest
+	// area, toll plaza) before picking the next trip.
+	rampPause = 5 * time.Second
+)
+
 // HighwayConfig parameterizes the highway convoy model.
 type HighwayConfig struct {
 	// Graph is the highway network; it must be Validate()-clean
 	// (NewHighwayGraph builds the default bidirectional corridor).
 	Graph *Graph
-	// Platoons is the number of platoon speed tiers (>= 1). Each
-	// vehicle joins one tier at construction; same-tier vehicles share
-	// a cruise speed and an entry point, so they travel as clusters.
-	Platoons int
-	// CruiseMin/CruiseMax bound the tier cruise speeds in m/s; tier k
-	// of n cruises at CruiseMin + k*(CruiseMax-CruiseMin)/(n-1), capped
-	// by each road's speed limit (ramps slow everyone down equally).
-	CruiseMin, CruiseMax float64
-	// RampPause is the dwell time at each reached destination (rest
-	// area, toll plaza) before picking the next trip.
-	RampPause time.Duration
 }
 
 // Validate reports configuration errors.
@@ -32,19 +38,7 @@ func (c HighwayConfig) Validate() error {
 	if c.Graph == nil {
 		return fmt.Errorf("mobility: nil graph")
 	}
-	if err := c.Graph.Validate(); err != nil {
-		return err
-	}
-	if c.Platoons < 1 {
-		return fmt.Errorf("mobility: Platoons %d < 1", c.Platoons)
-	}
-	if c.CruiseMin <= 0 || c.CruiseMax < c.CruiseMin {
-		return fmt.Errorf("mobility: bad cruise range [%v,%v]", c.CruiseMin, c.CruiseMax)
-	}
-	if c.RampPause < 0 {
-		return fmt.Errorf("mobility: negative RampPause")
-	}
-	return nil
+	return c.Graph.Validate()
 }
 
 // Highway implements a VANET-style highway convoy model: high-speed
@@ -56,7 +50,6 @@ func (c HighwayConfig) Validate() error {
 // neighbors rather than oncoming traffic.
 type Highway struct {
 	graphTraveler
-	cfg     HighwayConfig
 	platoon int
 	cruise  float64
 }
@@ -69,32 +62,22 @@ func NewHighway(cfg HighwayConfig, rng *rand.Rand) *Highway {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	h := &Highway{cfg: cfg}
+	h := &Highway{}
 	h.graphTraveler = newGraphTraveler(cfg.Graph, rng, h.addTrip)
-	h.platoon = rng.Intn(cfg.Platoons)
-	h.cruise = cfg.CruiseMin
-	if cfg.Platoons > 1 {
-		h.cruise += float64(h.platoon) * (cfg.CruiseMax - cfg.CruiseMin) / float64(cfg.Platoons-1)
-	}
+	h.platoon = rng.Intn(platoons)
+	h.cruise = cruiseMin + float64(h.platoon)*(cruiseMax-cruiseMin)/(platoons-1)
 	// Same-platoon vehicles enter at the same intersection, spreading
 	// the tiers across the network deterministically.
-	h.startAt(h.platoon * cfg.Graph.Intersections() / cfg.Platoons)
+	h.startAt(h.platoon * cfg.Graph.Intersections() / platoons)
 	return h
 }
-
-// Platoon returns the vehicle's platoon tier index.
-func (h *Highway) Platoon() int { return h.platoon }
-
-// Cruise returns the vehicle's cruise speed in m/s (before per-road
-// speed-limit capping).
-func (h *Highway) Cruise() float64 { return h.cruise }
 
 func (h *Highway) addTrip() {
 	h.drive(h.pickDest(),
 		func(r Road) float64 { return min(h.cruise, r.SpeedLimit) },
 		func(_ int, _ sim.Time, final bool) time.Duration {
 			if final {
-				return h.cfg.RampPause
+				return rampPause
 			}
 			return 0 // no stopping on the mainline
 		})

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/sim"
@@ -12,13 +11,7 @@ import (
 
 func highwayCfg(t *testing.T) HighwayConfig {
 	t.Helper()
-	return HighwayConfig{
-		Graph:     NewHighwayGraph(),
-		Platoons:  4,
-		CruiseMin: 24,
-		CruiseMax: 32,
-		RampPause: 5 * time.Second,
-	}
+	return HighwayConfig{Graph: NewHighwayGraph()}
 }
 
 func TestHighwayConfigValidate(t *testing.T) {
@@ -28,12 +21,7 @@ func TestHighwayConfigValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"valid", func(*HighwayConfig) {}, true},
-		{"single platoon", func(c *HighwayConfig) { c.Platoons = 1 }, true},
 		{"nil graph", func(c *HighwayConfig) { c.Graph = nil }, false},
-		{"zero platoons", func(c *HighwayConfig) { c.Platoons = 0 }, false},
-		{"zero cruise", func(c *HighwayConfig) { c.CruiseMin = 0 }, false},
-		{"inverted cruise", func(c *HighwayConfig) { c.CruiseMin = 30; c.CruiseMax = 20 }, false},
-		{"negative ramp pause", func(c *HighwayConfig) { c.RampPause = -time.Second }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -82,8 +70,8 @@ func TestHighwaySpeedWithinLimits(t *testing.T) {
 			if v < 14 || v > 33 {
 				t.Fatalf("speed %v outside [14,33] (ramp..mainline)", v)
 			}
-			if v > h.Cruise()+1e-9 {
-				t.Fatalf("speed %v exceeds cruise %v", v, h.Cruise())
+			if v > h.cruise+1e-9 {
+				t.Fatalf("speed %v exceeds cruise %v", v, h.cruise)
 			}
 		}
 	}
@@ -97,7 +85,7 @@ func TestHighwayStaysOnCorridor(t *testing.T) {
 	h := NewHighway(highwayCfg(t), rand.New(rand.NewSource(3)))
 	for s := 0.0; s < 2000; s += 3.1 {
 		p := h.Position(sim.Seconds(s))
-		if !area.Contains(p) {
+		if !inside(area, p) {
 			t.Fatalf("vehicle off corridor at t=%v: %v", s, p)
 		}
 	}
@@ -156,12 +144,12 @@ func TestHighwayPlatoonTiers(t *testing.T) {
 	seen := map[int]bool{}
 	for seed := int64(0); seed < 32; seed++ {
 		h := NewHighway(cfg, rand.New(rand.NewSource(seed)))
-		k := h.Platoon()
-		if k < 0 || k >= cfg.Platoons {
+		k := h.platoon
+		if k < 0 || k >= platoons {
 			t.Fatalf("platoon %d out of range", k)
 		}
-		if math.Abs(h.Cruise()-want[k]) > 1e-9 {
-			t.Fatalf("platoon %d cruise = %v, want %v", k, h.Cruise(), want[k])
+		if math.Abs(h.cruise-want[k]) > 1e-9 {
+			t.Fatalf("platoon %d cruise = %v, want %v", k, h.cruise, want[k])
 		}
 		seen[k] = true
 	}
@@ -178,9 +166,9 @@ func TestHighwayPlatoonSharedEntry(t *testing.T) {
 	for seed := int64(0); seed < 48; seed++ {
 		h := NewHighway(cfg, rand.New(rand.NewSource(seed)))
 		p := h.Position(0)
-		if prev, ok := entries[h.Platoon()]; ok && prev != p {
-			t.Fatalf("platoon %d entered at both %v and %v", h.Platoon(), prev, p)
+		if prev, ok := entries[h.platoon]; ok && prev != p {
+			t.Fatalf("platoon %d entered at both %v and %v", h.platoon, prev, p)
 		}
-		entries[h.Platoon()] = p
+		entries[h.platoon] = p
 	}
 }

@@ -27,11 +27,6 @@ func TestLegModelReproducesPosition(t *testing.T) {
 		"waypoint": func() Model {
 			return NewWaypoint(waypointCfg(), rand.New(rand.NewSource(21)))
 		},
-		"waypoint-no-pause": func() Model {
-			cfg := waypointCfg()
-			cfg.Pause = 0
-			return NewWaypoint(cfg, rand.New(rand.NewSource(22)))
-		},
 		"city":      func() Model { return NewCity(cityCfg(t), rand.New(rand.NewSource(23))) },
 		"manhattan": func() Model { return NewManhattan(manhattanCfg(t), rand.New(rand.NewSource(24))) },
 		"highway":   func() Model { return NewHighway(highwayCfg(t), rand.New(rand.NewSource(25))) },

@@ -92,7 +92,7 @@ func TestManhattanStaysOnGrid(t *testing.T) {
 	m := NewManhattan(manhattanCfg(t), rand.New(rand.NewSource(3)))
 	for s := 0.0; s < 2000; s += 3.1 {
 		p := m.Position(sim.Seconds(s))
-		if !area.Contains(p) {
+		if !inside(area, p) {
 			t.Fatalf("vehicle off grid at t=%v: %v", s, p)
 		}
 	}

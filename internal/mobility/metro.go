@@ -2,29 +2,9 @@ package mobility
 
 import "repro/internal/geo"
 
-// NewMetroGraph builds the city-scale street network behind the
-// metro-5k scenario: a 36x28-intersection Manhattan-style grid on
-// 110 m blocks (3850x2970 m, ~11.4 km^2) with the same three speed
-// tiers as the downtown grid — avenues every third column (14 m/s,
-// heavy weight), arterial cross-streets every third row (11 m/s) and
-// side streets cycling 8-10 m/s. At ~440 vehicles/km^2 this is the
-// paper's urban density pushed to city scale: each radio neighborhood
-// is a tiny fraction of the roster — the regime the engine's timer
-// wheel and spatial index are built for. Larger populations grow the
-// city at the same density (see NewManhattanStyleGraph callers in
-// netsim/exp) rather than packing it denser: reception work per
-// second scales with N x density, so fixed-area growth would be
-// quadratic in N.
-//
-// The graph is deliberately one Validate()-clean strongly-connected
-// component so popularity-weighted trips can run anywhere in the city.
-func NewMetroGraph() *Graph {
-	return NewManhattanStyleGraph(36, 28)
-}
-
 // NewManhattanStyleGraph lays out cols x rows intersections on 110 m
 // blocks with the downtown grid's speed tiers (NewManhattanGraph fixes
-// 10x8, NewMetroGraph 36x28). It panics below the 2x2 minimum.
+// 10x8). It panics below the 2x2 minimum.
 func NewManhattanStyleGraph(cols, rows int) *Graph {
 	if cols < 2 || rows < 2 {
 		panic("mobility: Manhattan-style grid needs at least 2x2 intersections")

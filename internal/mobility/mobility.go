@@ -51,9 +51,9 @@
 // LegAt only if it can guarantee what the slab relies on: its
 // trajectory is made of contiguous half-open legs, a leg once returned
 // is never revised, and Position(t) is exactly that leg's Position(t)
-// for every t the leg Covers. Models without it (CustomModels in tests
-// and examples) are queried through Position as before, with identical
-// results.
+// for every t the leg Covers. Models without it (netsim's CustomModels,
+// which only tests set) are queried through Position as before, with
+// identical results.
 package mobility
 
 import (

@@ -3,7 +3,6 @@ package mobility
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/sim"
@@ -21,12 +20,16 @@ func TestStatic(t *testing.T) {
 	}
 }
 
+// inside reports whether p lies within r, borders included.
+func inside(r geo.Rect, p geo.Point) bool {
+	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
+}
+
 func waypointCfg() WaypointConfig {
 	return WaypointConfig{
 		Area:     geo.NewRect(5000, 5000),
 		MinSpeed: 10,
 		MaxSpeed: 10,
-		Pause:    time.Second,
 	}
 }
 
@@ -40,7 +43,6 @@ func TestWaypointConfigValidate(t *testing.T) {
 		{"empty area", func(c *WaypointConfig) { c.Area = geo.Rect{} }, false},
 		{"negative speed", func(c *WaypointConfig) { c.MinSpeed = -1 }, false},
 		{"inverted speeds", func(c *WaypointConfig) { c.MinSpeed = 20; c.MaxSpeed = 10 }, false},
-		{"negative pause", func(c *WaypointConfig) { c.Pause = -time.Second }, false},
 		{"zero speeds ok", func(c *WaypointConfig) { c.MinSpeed = 0; c.MaxSpeed = 0 }, true},
 	}
 	for _, tt := range tests {
@@ -60,7 +62,7 @@ func TestWaypointStaysInArea(t *testing.T) {
 	w := NewWaypoint(cfg, rand.New(rand.NewSource(1)))
 	for s := 0.0; s < 2000; s += 7.3 {
 		p := w.Position(sim.Seconds(s))
-		if !cfg.Area.Contains(p) {
+		if !inside(cfg.Area, p) {
 			t.Fatalf("node left area at t=%vs: %v", s, p)
 		}
 	}
@@ -144,17 +146,20 @@ func TestWaypointBackwardQueries(t *testing.T) {
 }
 
 func TestWaypointPausesAtWaypoints(t *testing.T) {
-	cfg := waypointCfg()
-	cfg.Pause = 10 * time.Second
-	w := NewWaypoint(cfg, rand.New(rand.NewSource(6)))
-	// Find a moment when the node is paused: scan speed.
-	paused := 0
-	for s := 0.0; s < 2000; s += 0.5 {
-		if w.Speed(sim.Seconds(s)) == 0 {
-			paused++
-		}
+	w := NewWaypoint(waypointCfg(), rand.New(rand.NewSource(6)))
+	// Every leg after the seed leg moves, then dwells the paper's 1 s at
+	// its waypoint with zero speed.
+	w.Position(sim.Seconds(2000))
+	legs := w.traj.legs[1:]
+	if len(legs) < 5 {
+		t.Fatalf("only %d legs in 2000 s", len(legs))
 	}
-	if paused < 10 {
-		t.Fatalf("expected pauses with 10s dwell, saw %d paused samples", paused)
+	for i, l := range legs {
+		if l.end-l.moveEnd != sim.Second {
+			t.Fatalf("leg %d dwells %v, want 1s", i, l.end-l.moveEnd)
+		}
+		if v := w.Speed(l.moveEnd + sim.Second/2); v != 0 {
+			t.Fatalf("leg %d: speed %v during the pause", i, v)
+		}
 	}
 }

@@ -9,6 +9,9 @@ import (
 	"repro/internal/sim"
 )
 
+// waypointPause is the dwell time at each waypoint: the paper's 1 s.
+const waypointPause = time.Second
+
 // WaypointConfig parameterizes the random waypoint model.
 type WaypointConfig struct {
 	// Area is the rectangular mobility area.
@@ -16,8 +19,6 @@ type WaypointConfig struct {
 	// MinSpeed and MaxSpeed bound the per-leg speed draw, in m/s. Equal
 	// values pin the speed; both zero yields a static node.
 	MinSpeed, MaxSpeed float64
-	// Pause is the dwell time at each waypoint (the paper uses 1 s).
-	Pause time.Duration
 }
 
 // Validate reports configuration errors.
@@ -27,9 +28,6 @@ func (c WaypointConfig) Validate() error {
 	}
 	if c.MinSpeed < 0 || c.MaxSpeed < c.MinSpeed {
 		return fmt.Errorf("mobility: bad speed range [%v,%v]", c.MinSpeed, c.MaxSpeed)
-	}
-	if c.Pause < 0 {
-		return fmt.Errorf("mobility: negative pause %v", c.Pause)
 	}
 	return nil
 }
@@ -93,13 +91,8 @@ func (w *Waypoint) extend(at sim.Time) {
 		to := w.randPoint()
 		dist := from.Dist(to)
 		moveEnd := start + sim.Seconds(dist/speed)
-		end := moveEnd.Add(w.cfg.Pause)
-		if end == start {
-			// Degenerate zero-length leg with no pause; force progress.
-			end = start + 1
-		}
 		w.traj.append(Leg{
-			start: start, moveEnd: moveEnd, end: end,
+			start: start, moveEnd: moveEnd, end: moveEnd.Add(waypointPause),
 			from: from, to: to, speed: speed,
 		})
 	}

@@ -172,9 +172,9 @@ func TestWorkloadChurnRunIsFailsafe(t *testing.T) {
 		Workload: WorkloadSpec{
 			Name: "mix",
 			Params: workload.MixParams{Parts: []workload.Spec{
-				{Name: "periodic", Params: workload.PeriodicParams{Period: 4 * time.Second}},
+				{Name: "periodic"},
 				{Name: "churn-nodes", Params: workload.NodeChurnParams{Waves: 3, Fraction: 0.25, Downtime: 10 * time.Second}},
-				{Name: "churn-subs", Params: workload.SubChurnParams{Rate: 0.2, Resub: 5 * time.Second}},
+				{Name: "churn-subs"},
 			}},
 		},
 		Warmup:      10 * time.Second,
@@ -276,7 +276,7 @@ func TestBatchedPumpConcurrentRuns(t *testing.T) {
 				return
 			}
 			rels[i] = res.Reliability()
-			delivered[i] = res.DeliveredTotal()
+			delivered[i] = deliveredTotal(res)
 		}(i)
 	}
 	wg.Wait()

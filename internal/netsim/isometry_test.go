@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/geo"
@@ -21,6 +22,23 @@ var isometries = []struct {
 	{"rotate (x,y)→(−y,x)", func(p geo.Point) geo.Point { return geo.Point{X: -p.Y, Y: p.X} }},
 }
 
+// roads returns the roads leaving intersection i. The graph exports no
+// view of its adjacency lists, since no program needs one, so the test
+// reads them by reflection.
+func roads(g *mobility.Graph, i int) []mobility.Road {
+	adj := reflect.ValueOf(g).Elem().FieldByName("adj").Index(i)
+	out := make([]mobility.Road, adj.Len())
+	for j := range out {
+		r := adj.Index(j)
+		out[j] = mobility.Road{
+			To:         int(r.FieldByName("To").Int()),
+			SpeedLimit: r.FieldByName("SpeedLimit").Float(),
+			Weight:     r.FieldByName("Weight").Float(),
+		}
+	}
+	return out
+}
+
 // mapGraph rebuilds g with every intersection moved by f, in the same
 // index order, and every road re-added in the same order.
 func mapGraph(t *testing.T, g *mobility.Graph, f func(geo.Point) geo.Point) *mobility.Graph {
@@ -30,7 +48,7 @@ func mapGraph(t *testing.T, g *mobility.Graph, f func(geo.Point) geo.Point) *mob
 		m.AddIntersection(f(g.Point(i)))
 	}
 	for i := range g.Intersections() {
-		for _, r := range g.Roads(i) {
+		for _, r := range roads(g, i) {
 			if err := m.AddRoad(i, r.To, r.SpeedLimit, r.Weight); err != nil {
 				t.Fatal(err)
 			}

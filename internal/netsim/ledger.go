@@ -42,7 +42,7 @@ type Ledger struct {
 	lat       metrics.LogHist
 
 	// keepLog keeps full DeliveryRecords (Result.Deliveries) for
-	// CoverageAt/DeliveryLatencies.
+	// CoverageAt.
 	keepLog bool
 	records []DeliveryRecord
 }

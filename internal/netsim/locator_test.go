@@ -32,7 +32,6 @@ func legSlabScenario(wrap func(i int, m mobility.Model) mobility.Model) Scenario
 				Area:     geo.NewRect(900, 900),
 				MinSpeed: 5,
 				MaxSpeed: 30,
-				Pause:    time.Second,
 			}, rand.New(rand.NewSource(int64(i)+100)))
 		}
 		models[i] = wrap(i, m)
@@ -79,7 +78,7 @@ func TestLegSlabMatchesPlainModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.DeliveredTotal() == 0 {
+		if deliveredTotal(res) == 0 {
 			t.Fatalf("%s: nothing delivered; the comparison is vacuous", name)
 		}
 		if got := res.Fingerprint(); got != legSlabFingerprint {

@@ -212,8 +212,7 @@ type Scenario struct {
 
 	// DeliveryLog keeps the full per-delivery record list
 	// (Result.Deliveries) and the per-event delivery bitsets alive for
-	// the whole run, enabling Result.CoverageAt and
-	// Result.DeliveryLatencies. Off by default: the runner then folds
+	// the whole run, enabling Result.CoverageAt. Off by default: the runner then folds
 	// each delivery into fixed-size per-event counters and a streaming
 	// latency histogram at delivery time, so result memory stays flat
 	// in roster size (the megacity contract — see ARCHITECTURE.md

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -203,8 +205,8 @@ func TestDeliverOnceInvariant(t *testing.T) {
 			t.Fatalf("node %v delivered %d times", n.ID, n.Proto.Delivered)
 		}
 	}
-	if res.DeliveredTotal() != 10 {
-		t.Fatalf("total deliveries = %d, want 10", res.DeliveredTotal())
+	if deliveredTotal(res) != 10 {
+		t.Fatalf("total deliveries = %d, want 10", deliveredTotal(res))
 	}
 }
 
@@ -473,23 +475,36 @@ func TestTraceIsObservationOnly(t *testing.T) {
 	if !reflect.DeepEqual(got.Outcomes, want.Outcomes) {
 		t.Fatalf("tracing changed the outcomes:\n%+v\n%+v", got.Outcomes, want.Outcomes)
 	}
-	recs := traced.Trace.Records()
-	if uint64(len(recs)) != traced.Trace.Total() {
-		t.Fatalf("ring wrapped: %d of %d records kept", len(recs), traced.Trace.Total())
+	// The timeline as the ring renders it: one "<at>s <node> <op> ..."
+	// line per record, oldest first.
+	var text strings.Builder
+	if err := traced.Trace.WriteText(&text); err != nil {
+		t.Fatal(err)
 	}
-	ops := map[trace.Op]int{}
-	for i, r := range recs {
-		if i > 0 && r.At < recs[i-1].At {
-			t.Fatalf("record %d at %v precedes record %d at %v", i, r.At, i-1, recs[i-1].At)
+	lines := strings.Split(strings.TrimSuffix(text.String(), "\n"), "\n")
+	if uint64(len(lines)) != traced.Trace.Total() {
+		t.Fatalf("ring wrapped: %d of %d records kept", len(lines), traced.Trace.Total())
+	}
+	ops := map[string]int{}
+	prev := 0.0
+	for i, l := range lines {
+		f := strings.Fields(l)
+		at, err := strconv.ParseFloat(strings.TrimSuffix(f[0], "s"), 64)
+		if err != nil {
+			t.Fatalf("record %d: %q: %v", i, l, err)
 		}
-		ops[r.Op]++
+		if at < prev {
+			t.Fatalf("record %d at %vs precedes the record before it at %vs", i, at, prev)
+		}
+		prev = at
+		ops[f[2]]++
 	}
 	for _, op := range []trace.Op{trace.OpSend, trace.OpReceive, trace.OpDeliver, trace.OpPublish} {
-		if ops[op] == 0 {
-			t.Errorf("no %v records in %d", op, len(recs))
+		if ops[op.String()] == 0 {
+			t.Errorf("no %v records in %d", op, len(lines))
 		}
 	}
-	if ops[trace.OpDeliver] != len(got.Deliveries) {
-		t.Fatalf("%d deliver records, %d logged deliveries", ops[trace.OpDeliver], len(got.Deliveries))
+	if ops[trace.OpDeliver.String()] != len(got.Deliveries) {
+		t.Fatalf("%d deliver records, %d logged deliveries", ops[trace.OpDeliver.String()], len(got.Deliveries))
 	}
 }

@@ -127,27 +127,6 @@ func (r *Result) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// DeliveryLatencies returns the publish-to-delivery latencies in seconds
-// of every recorded delivery (excluding the publisher's local
-// self-delivery), across all events. Useful for exact percentile
-// analysis via metrics.Quantile; requires Scenario.DeliveryLog (use
-// Latency for the always-on streaming estimate).
-func (r *Result) DeliveryLatencies() []float64 {
-	pubAt := make(map[event.ID]PublishedEvent, len(r.Published))
-	for _, pe := range r.Published {
-		pubAt[pe.ID] = pe
-	}
-	var out []float64
-	for _, d := range r.Deliveries {
-		pe, ok := pubAt[d.Event]
-		if !ok || d.Node == pe.Publisher {
-			continue
-		}
-		out = append(out, d.At.Sub(pe.At).Seconds())
-	}
-	return out
-}
-
 // CoverageAt returns the fraction of eligible subscribers that had
 // delivered event id by time t. It reads Deliveries, so it requires
 // Scenario.DeliveryLog.
@@ -218,15 +197,6 @@ func (r *Result) DuplicatesPerProcess() float64 {
 // (paper Figure 20).
 func (r *Result) ParasitesPerProcess() float64 {
 	return r.meanPerNode(func(n NodeResult) float64 { return float64(n.Proto.Parasites) })
-}
-
-// DeliveredTotal sums application deliveries over all nodes.
-func (r *Result) DeliveredTotal() uint64 {
-	var sum uint64
-	for _, n := range r.Nodes {
-		sum += n.Proto.Delivered
-	}
-	return sum
 }
 
 // FramesLostTotal sums MAC-level collision losses over all nodes.

@@ -245,20 +245,13 @@ func (r *runner) buildMobility() (mobility.Model, error) {
 			Area:     m.Area,
 			MinSpeed: m.MinSpeed,
 			MaxSpeed: m.MaxSpeed,
-			Pause:    time.Second, // paper: pause time always 1 s
 		}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
 		return mobility.NewWaypoint(cfg, rng), nil
 	case CitySection:
-		cfg := mobility.CityConfig{
-			Graph:     r.graph,
-			StopProb:  0.3,
-			StopMin:   2 * time.Second,
-			StopMax:   10 * time.Second,
-			DestPause: 5 * time.Second,
-		}
+		cfg := mobility.CityConfig{Graph: r.graph}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
@@ -275,13 +268,7 @@ func (r *runner) buildMobility() (mobility.Model, error) {
 		}
 		return mobility.NewManhattan(cfg, rng), nil
 	case HighwayConvoy:
-		cfg := mobility.HighwayConfig{
-			Graph:     r.graph,
-			Platoons:  4,
-			CruiseMin: 24,
-			CruiseMax: 32,
-			RampPause: 5 * time.Second,
-		}
+		cfg := mobility.HighwayConfig{Graph: r.graph}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}

@@ -2,12 +2,13 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/event"
 	"repro/internal/geo"
 	"repro/internal/mac"
-	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/sim"
 	"repro/internal/topic"
@@ -187,6 +188,35 @@ func TestUnsubscribeStopsDeliveries(t *testing.T) {
 	}
 }
 
+// deliveryLatencies returns the publish-to-delivery latencies in seconds
+// of every recorded delivery (excluding the publisher's local
+// self-delivery), across all events: the exact reference the streaming
+// Result.Latency is held to. It requires Scenario.DeliveryLog.
+func deliveryLatencies(r *Result) []float64 {
+	pubAt := make(map[event.ID]PublishedEvent, len(r.Published))
+	for _, pe := range r.Published {
+		pubAt[pe.ID] = pe
+	}
+	var out []float64
+	for _, d := range r.Deliveries {
+		pe, ok := pubAt[d.Event]
+		if !ok || d.Node == pe.Publisher {
+			continue
+		}
+		out = append(out, d.At.Sub(pe.At).Seconds())
+	}
+	return out
+}
+
+// deliveredTotal sums application deliveries over all nodes.
+func deliveredTotal(r *Result) uint64 {
+	var sum uint64
+	for _, n := range r.Nodes {
+		sum += n.Proto.Delivered
+	}
+	return sum
+}
+
 func TestDeliveryLatencies(t *testing.T) {
 	sc := Scenario{
 		Name:  "latency",
@@ -202,13 +232,13 @@ func TestDeliveryLatencies(t *testing.T) {
 		Schedule:           []workload.Op{publish(2*time.Second, 0, 60*time.Second)},
 		Warmup:             0,
 		Measure:            70 * time.Second,
-		DeliveryLog:        true, // DeliveryLatencies needs the full record list
+		DeliveryLog:        true, // deliveryLatencies needs the full record list
 	}
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lats := res.DeliveryLatencies()
+	lats := deliveryLatencies(res)
 	if len(lats) != 7 {
 		t.Fatalf("latencies = %d, want 7 (publisher excluded)", len(lats))
 	}
@@ -217,11 +247,7 @@ func TestDeliveryLatencies(t *testing.T) {
 			t.Fatalf("latency %vs implausible in a dense static net", l)
 		}
 	}
-	p50 := metrics.Median(lats)
-	p99 := metrics.Quantile(lats, 0.99)
-	if p50 > p99 {
-		t.Fatal("median exceeds p99")
-	}
+	p50 := slices.Sorted(slices.Values(lats))[3] // the median of 7
 	// The always-on streaming histogram must agree with the exact
 	// record-derived list: same count/sum, quantiles within its
 	// documented bucket error.

@@ -115,7 +115,7 @@ func TestStreamingOutcomesMatchRecords(t *testing.T) {
 		t.Fatal("no aliased event ID in this run; pick a seed whose churn replays one")
 	}
 	// The streaming latency histogram folded something sensible (exact
-	// agreement with DeliveryLatencies is pinned by
+	// agreement with the delivery records is pinned by
 	// TestDeliveryLatencies on an alias-free run).
 	if res.Latency.N() == 0 {
 		t.Fatal("empty latency histogram on a delivering run")

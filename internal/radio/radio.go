@@ -9,15 +9,12 @@
 // resulting radio ranges directly: 442, 339, 321 and 273 m (and 44 m for
 // the city-section runs with -65 dBm sensitivity). The protocol only
 // observes the resulting reception radius, so the simulator consumes a
-// Range value; this package both reproduces the published radii
-// (PaperRange*) and derives radii from first principles (RangeFor) for
-// custom configurations.
+// Range value: the published radii (PaperRange*) for the disc, and the
+// received-power curve below for the shadowing extension. The radio
+// setup is the paper's one QualNet configuration, so it is constants.
 package radio
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // SpeedOfLight is in meters per second.
 const SpeedOfLight = 2.99792458e8
@@ -32,41 +29,21 @@ const (
 	PaperRangeCity   = 44.0
 )
 
-// Params describes a radio configuration.
-type Params struct {
-	// TxPowerDBm is the transmission power in dBm (paper: 15).
-	TxPowerDBm float64
-	// TxGainDBi and RxGainDBi are antenna gains in dBi.
-	TxGainDBi, RxGainDBi float64
-	// AntennaEfficiency in (0,1]; the paper uses 0.8 omni antennas.
-	AntennaEfficiency float64
-	// FrequencyHz is the carrier frequency (paper: 2.4 GHz).
-	FrequencyHz float64
-	// AntennaHeightM is the common antenna height above ground used by
-	// the two-ray model.
-	AntennaHeightM float64
-	// SystemLossDB lumps miscellaneous losses (>= 0).
-	SystemLossDB float64
-}
+// The paper's QualNet radio (Section 5.1): 15 dBm transmission power,
+// 0.8-efficient omni antennas with no gain at a common 1.5 m height, a
+// 2.4 GHz carrier and no lumped system loss.
+const (
+	txPowerDBm        = 15.0
+	antennaEfficiency = 0.8
+	frequencyHz       = 2.4e9
+	antennaHeightM    = 1.5
+)
 
-// Default80211b returns the paper's QualNet radio configuration.
-func Default80211b() Params {
-	return Params{
-		TxPowerDBm:        15,
-		AntennaEfficiency: 0.8,
-		FrequencyHz:       2.4e9,
-		AntennaHeightM:    1.5,
-	}
-}
+// antennasDB is what the two antennas' efficiency costs a link, in dB.
+var antennasDB = 2 * 10 * math.Log10(antennaEfficiency)
 
-// Wavelength returns the carrier wavelength in meters.
-func (p Params) Wavelength() float64 { return SpeedOfLight / p.FrequencyHz }
-
-// DBmToMilliwatt converts a power level from dBm to milliwatts.
-func DBmToMilliwatt(dbm float64) float64 { return math.Pow(10, dbm/10) }
-
-// MilliwattToDBm converts a power level from milliwatts to dBm.
-func MilliwattToDBm(mw float64) float64 { return 10 * math.Log10(mw) }
+// wavelength is the carrier wavelength in meters.
+const wavelength = SpeedOfLight / frequencyHz
 
 // FreeSpacePathLossDB returns the Friis free-space path loss in dB at
 // distance d meters for frequency f Hz. d must be positive.
@@ -90,50 +67,16 @@ func CrossoverDistance(ht, hr, lambda float64) float64 {
 // ReceivedPowerDBm returns the predicted received power at distance d
 // meters, using free space below the crossover distance and the two-ray
 // model beyond it (the standard ns-2/QualNet hybrid).
-func (p Params) ReceivedPowerDBm(d float64) float64 {
+func ReceivedPowerDBm(d float64) float64 {
 	if d <= 0 {
 		d = 1e-3
 	}
-	gains := p.TxGainDBi + p.RxGainDBi + 2*efficiencyDB(p.AntennaEfficiency) - p.SystemLossDB
-	cross := CrossoverDistance(p.AntennaHeightM, p.AntennaHeightM, p.Wavelength())
+	cross := CrossoverDistance(antennaHeightM, antennaHeightM, wavelength)
 	var loss float64
 	if d <= cross {
-		loss = FreeSpacePathLossDB(d, p.FrequencyHz)
+		loss = FreeSpacePathLossDB(d, frequencyHz)
 	} else {
-		loss = TwoRayPathLossDB(d, p.AntennaHeightM, p.AntennaHeightM)
+		loss = TwoRayPathLossDB(d, antennaHeightM, antennaHeightM)
 	}
-	return p.TxPowerDBm + gains - loss
-}
-
-func efficiencyDB(eff float64) float64 {
-	if eff <= 0 || eff > 1 {
-		return 0
-	}
-	return 10 * math.Log10(eff)
-}
-
-// ErrNoRange is returned when the sensitivity is not reachable at any
-// distance (e.g. sensitivity above transmit power at 1 mm).
-var ErrNoRange = errors.New("radio: sensitivity unreachable")
-
-// RangeFor returns the maximum distance in meters at which the received
-// power still meets sensitivityDBm, by bisection over the monotone
-// received-power curve.
-func (p Params) RangeFor(sensitivityDBm float64) (float64, error) {
-	lo, hi := 1e-3, 100_000.0
-	if p.ReceivedPowerDBm(lo) < sensitivityDBm {
-		return 0, ErrNoRange
-	}
-	if p.ReceivedPowerDBm(hi) >= sensitivityDBm {
-		return hi, nil
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if p.ReceivedPowerDBm(mid) >= sensitivityDBm {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
+	return txPowerDBm + antennasDB - loss
 }

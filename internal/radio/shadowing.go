@@ -9,26 +9,25 @@ import "math"
 // power at distance d is ReceivedPowerDBm(d) plus a zero-mean Gaussian
 // with deviation SigmaDB.
 
+// limitDBm is QualNet's propagation limit (-111 dBm in the paper):
+// signals whose mean received power falls below it are discarded
+// regardless of the shadowing draw.
+const limitDBm = -111.0
+
 // Shadowing is a log-normal shadowing reception model.
 type Shadowing struct {
-	// Params is the deterministic propagation model.
-	Params Params
 	// SensitivityDBm is the receiver sensitivity threshold.
 	SensitivityDBm float64
 	// SigmaDB is the shadowing deviation (typical outdoor: 4-8 dB).
 	// Zero degenerates to the deterministic disc.
 	SigmaDB float64
-	// LimitDBm discards signals below this floor regardless of the
-	// shadowing draw (QualNet's propagation limit, -111 dBm in the
-	// paper). Zero disables the floor.
-	LimitDBm float64
 }
 
 // ReceiveProb returns the probability that a frame transmitted from
 // distance d meters is received: P[Pr(d) + N(0, sigma) >= sensitivity].
 func (s Shadowing) ReceiveProb(d float64) float64 {
-	pr := s.Params.ReceivedPowerDBm(d)
-	if s.LimitDBm != 0 && pr < s.LimitDBm {
+	pr := ReceivedPowerDBm(d)
+	if pr < limitDBm {
 		return 0
 	}
 	if s.SigmaDB <= 0 {

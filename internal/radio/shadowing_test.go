@@ -8,17 +8,12 @@ import (
 )
 
 func defaultShadowing(sigma float64) Shadowing {
-	return Shadowing{
-		Params:         Default80211b(),
-		SensitivityDBm: -89,
-		SigmaDB:        sigma,
-		LimitDBm:       -111,
-	}
+	return Shadowing{SensitivityDBm: -89, SigmaDB: sigma}
 }
 
 func TestShadowingDegeneratesToDisc(t *testing.T) {
 	s := defaultShadowing(0)
-	r, err := s.Params.RangeFor(s.SensitivityDBm)
+	r, err := rangeFor(s.SensitivityDBm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +29,7 @@ func TestShadowingHalfAtNominalRange(t *testing.T) {
 	// At the distance where mean received power equals the sensitivity,
 	// reception probability is exactly 1/2 for any sigma.
 	s := defaultShadowing(6)
-	r, err := s.Params.RangeFor(s.SensitivityDBm)
+	r, err := rangeFor(s.SensitivityDBm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +57,7 @@ func TestShadowingSigmaWidensTail(t *testing.T) {
 	// More shadowing means more reception probability far beyond the
 	// nominal range.
 	narrow, wide := defaultShadowing(2), defaultShadowing(8)
-	r, _ := narrow.Params.RangeFor(narrow.SensitivityDBm)
+	r, _ := rangeFor(narrow.SensitivityDBm)
 	d := r * 1.3
 	if wide.ReceiveProb(d) <= narrow.ReceiveProb(d) {
 		t.Fatalf("sigma=8 tail (%v) should exceed sigma=2 tail (%v) at %vm",
@@ -75,7 +70,7 @@ func TestShadowingLimitFloor(t *testing.T) {
 	// Find a distance where mean power is below the -111 dBm limit: the
 	// probability must be exactly 0 no matter the sigma.
 	d := 50000.0
-	if s.Params.ReceivedPowerDBm(d) >= s.LimitDBm {
+	if ReceivedPowerDBm(d) >= limitDBm {
 		t.Skip("test distance not beyond the limit")
 	}
 	if got := s.ReceiveProb(d); got != 0 {
@@ -95,7 +90,7 @@ func TestShadowingMaxRange(t *testing.T) {
 	if p := s.ReceiveProb(r * 0.8); p < 1e-3 {
 		t.Fatalf("prob well inside MaxRange = %v, want >= 1e-3", p)
 	}
-	nominal, _ := s.Params.RangeFor(s.SensitivityDBm)
+	nominal, _ := rangeFor(s.SensitivityDBm)
 	if r <= nominal {
 		t.Fatalf("pruning radius %v should exceed nominal range %v", r, nominal)
 	}
@@ -109,20 +104,17 @@ type channelCase struct {
 	tab  *ShadowTable
 }
 
-// channelCases covers sigma 0, 4 and 8, with and without the limit,
-// each tabulated over its pruning radius.
+// channelCases covers sigma 0, 4 and 8, each tabulated over its pruning
+// radius.
 func channelCases() []channelCase {
 	var cs []channelCase
 	for _, sigma := range []float64{0, 4, 8} {
-		for _, limit := range []float64{0, -111} {
-			s := defaultShadowing(sigma)
-			s.LimitDBm = limit
-			rng := s.MaxRange(1e-3)
-			cs = append(cs, channelCase{
-				name: fmt.Sprintf("sigma=%v/limit=%v", sigma, limit),
-				s:    s, rng: rng, tab: s.Tabulate(rng),
-			})
-		}
+		s := defaultShadowing(sigma)
+		rng := s.MaxRange(1e-3)
+		cs = append(cs, channelCase{
+			name: fmt.Sprintf("sigma=%v", sigma),
+			s:    s, rng: rng, tab: s.Tabulate(rng),
+		})
 	}
 	return cs
 }
@@ -152,17 +144,15 @@ func TestShadowTableMatchesReceiveProb(t *testing.T) {
 			e := float64(i) * step
 			ds = append(ds, e, math.Nextafter(e, 0), math.Nextafter(e, math.Inf(1)))
 		}
-		if c.s.LimitDBm != 0 {
-			ld, err := c.s.Params.RangeFor(c.s.LimitDBm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lo := math.Floor(ld/step) * step
-			for i := 0; i <= 200; i++ {
-				ds = append(ds, lo+step*float64(i)/200)
-			}
-			ds = append(ds, ld, math.Nextafter(ld, 0), math.Nextafter(ld, math.Inf(1)))
+		ld, err := rangeFor(limitDBm)
+		if err != nil {
+			t.Fatal(err)
 		}
+		lo := math.Floor(ld/step) * step
+		for i := 0; i <= 200; i++ {
+			ds = append(ds, lo+step*float64(i)/200)
+		}
+		ds = append(ds, ld, math.Nextafter(ld, 0), math.Nextafter(ld, math.Inf(1)))
 		ds = append(ds, 0, c.rng, math.Nextafter(c.rng, 0), math.Nextafter(c.rng, math.Inf(1)))
 		for _, d := range ds {
 			p := c.s.ReceiveProb(d)
@@ -192,8 +182,7 @@ func FuzzShadowTableMatchesReceiveProb(f *testing.F) {
 // rounded index alone gets wrong.
 func TestShadowTableJumpAtGridPoint(t *testing.T) {
 	s := defaultShadowing(0)
-	s.LimitDBm = 0
-	in, err := s.Params.RangeFor(s.SensitivityDBm)
+	in, err := rangeFor(s.SensitivityDBm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,10 +26,6 @@ type Engine struct {
 	halt bool
 	rng  *rand.Rand
 
-	// executed counts callbacks that have run; useful for progress
-	// accounting and loop-detection in tests.
-	executed uint64
-
 	// items is the arena every index below refers to. It may move when
 	// it grows, so no *item is held across a schedule.
 	items []item
@@ -73,9 +69,6 @@ func New(seed int64) *Engine {
 // Now returns the current instant of the simulation clock.
 func (e *Engine) Now() Time { return e.now }
 
-// Executed returns the number of callbacks that have run so far.
-func (e *Engine) Executed() uint64 { return e.executed }
-
 // NewRand derives an independent RNG stream from the engine seed. Like
 // the engine's own, it comes from NewStream, the repository's one RNG
 // constructor.
@@ -109,9 +102,6 @@ func (t *Timer) Stop() bool {
 	t.e.maybeCompact()
 	return true
 }
-
-// Stopped reports whether Stop was called before the timer fired.
-func (t *Timer) Stopped() bool { return t != nil && t.stopped }
 
 // Reset re-arms the callback to run d from now, cancelling a pending
 // run, and reports whether it did. It files the callback as After would
@@ -327,7 +317,6 @@ func (e *Engine) Step() bool {
 			at, fn := it.at, it.fn
 			e.recycle(i)
 			e.now = at
-			e.executed++
 			fn()
 			return true
 		}

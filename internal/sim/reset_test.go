@@ -112,14 +112,14 @@ func TestTimerReset(t *testing.T) {
 	if tm.Reset(time.Second) {
 		t.Fatal("Reset of a fired timer should report false")
 	}
-	if !tm.Stop() || !tm.Stopped() {
+	if !tm.Stop() || !tm.stopped {
 		t.Fatal("Stop of the re-armed timer should report true")
 	}
 	if tm.Reset(time.Second) {
 		t.Fatal("Reset after Stop should report false")
 	}
-	if tm.Stopped() {
-		t.Fatal("Reset after Stop should clear Stopped")
+	if tm.stopped {
+		t.Fatal("Reset after Stop should clear stopped")
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("%d callbacks pending after Reset, want 1", e.Pending())

@@ -38,12 +38,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
 // String formats the instant as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 

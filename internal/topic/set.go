@@ -66,12 +66,6 @@ func (s *Set) Len() int { return len(s.ts) }
 // Empty reports whether the set has no subscriptions.
 func (s *Set) Empty() bool { return len(s.ts) == 0 }
 
-// Has reports whether t is an exact member (no subtree semantics).
-func (s *Set) Has(t Topic) bool {
-	_, ok := s.search(t)
-	return ok
-}
-
 // Covers reports whether some subscription in the set is an
 // ancestor-or-equal of t: an event published on t is of interest to this
 // subscriber.
@@ -84,16 +78,11 @@ func (s *Set) Covers(t Topic) bool {
 	return false
 }
 
-// Overlaps reports whether any pair of subscriptions across the two sets
-// is related (one covers the other). This is the paper's neighbor-matching
-// rule: two processes are mutually interesting when their subscription
-// sets overlap.
-func (s *Set) Overlaps(o *Set) bool {
-	return s != nil && o != nil && s.OverlapsAny(o.ts)
-}
-
-// OverlapsAny is Overlaps against a plain topic list, such as the one a
-// heartbeat carries: a receiver can tell an uninteresting sender without
+// OverlapsAny reports whether any subscription in the set is related to
+// (covers or is covered by) a topic of ts, a plain topic list such as
+// the one a heartbeat carries. This is the paper's neighbor-matching
+// rule: two processes are mutually interesting when their subscriptions
+// overlap, and a receiver can tell an uninteresting sender without
 // building a set.
 func (s *Set) OverlapsAny(ts []Topic) bool {
 	for _, ta := range s.ts {
@@ -109,11 +98,6 @@ func (s *Set) OverlapsAny(ts []Topic) bool {
 // Topics returns the members sorted by canonical name.
 func (s *Set) Topics() []Topic {
 	return append([]Topic(nil), s.ts...)
-}
-
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() *Set {
-	return &Set{ts: append([]Topic(nil), s.ts...)}
 }
 
 // Minimal returns the smallest subscription list with the same coverage:

@@ -10,6 +10,12 @@ import (
 	"repro/internal/sim"
 )
 
+// records returns the retained records, oldest first.
+func records(r *Ring) []Record {
+	recs, _ := r.snapshot()
+	return recs
+}
+
 func TestOpString(t *testing.T) {
 	tests := []struct {
 		op   Op
@@ -35,11 +41,11 @@ func TestRingEviction(t *testing.T) {
 	r := NewRing(3)
 	for i := 0; i < 5; i++ {
 		r.Add(Record{At: sim.Time(i), Node: event.NodeID(i), Op: OpSend, Msg: event.KindHeartbeat})
-		if got, want := len(r.Records()), min(i+1, 3); got != want {
+		if got, want := len(records(r)), min(i+1, 3); got != want {
 			t.Fatalf("after %d adds: retained %d, want %d", i+1, got, want)
 		}
 	}
-	rs := r.Records()
+	rs := records(r)
 	if dropped := r.Total() - uint64(len(rs)); dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", dropped)
 	}
@@ -55,7 +61,7 @@ func TestRingWrap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Add(Record{At: sim.Time(i), Node: event.NodeID(i), Op: OpPublish})
 	}
-	recs := r.Records()
+	recs := records(r)
 	if len(recs) != 3 {
 		t.Fatalf("len = %d, want 3", len(recs))
 	}
@@ -136,14 +142,14 @@ func TestRingConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			_ = r.Records()
+			_ = records(r)
 		}
 	}()
 	wg.Wait()
 	if r.Total() != 2000 {
 		t.Fatalf("Total = %d, want 2000", r.Total())
 	}
-	if got := len(r.Records()); got != 64 {
+	if got := len(records(r)); got != 64 {
 		t.Fatalf("retained %d, want 64", got)
 	}
 }

@@ -108,12 +108,6 @@ func (r *Ring) Total() uint64 {
 	return r.total
 }
 
-// Records returns a copy of the retained records, oldest first.
-func (r *Ring) Records() []Record {
-	recs, _ := r.snapshot()
-	return recs
-}
-
 // snapshot copies the retained records, oldest first, and the total
 // under one lock hold, so the two agree even while writers run.
 func (r *Ring) snapshot() ([]Record, uint64) {

@@ -16,10 +16,9 @@ import (
 func TestRegisterMetricsAndDropHook(t *testing.T) {
 	var hooked atomic.Int64
 	u, err := newUDP(UDPConfig{
-		Listen:    "127.0.0.1:0",
-		Handler:   func(event.Message) {},
-		SendQueue: 2,
-	}, false) // no writer: queued messages stay put
+		Listen:  "127.0.0.1:0",
+		Handler: func(event.Message) {},
+	}, 2, false) // no writer: queued messages stay put
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)
 	}

@@ -53,8 +53,9 @@ import (
 // smaller (a full 20-event push is ~9 kB).
 const maxDatagram = 64 * 1024
 
-// DefaultSendQueue is the send-ring capacity when UDPConfig.SendQueue
-// is zero: queued outbound messages beyond it drop the oldest.
+// DefaultSendQueue is the send-ring capacity: when a Broadcast finds
+// the ring full, the OLDEST queued message is dropped and Stats.Dropped
+// incremented, so Broadcast never blocks on the network.
 const DefaultSendQueue = 512
 
 // recvBufferBytes is the SO_RCVBUF request. The kernel doubles it, up
@@ -101,11 +102,6 @@ type UDPConfig struct {
 	// OnError, when non-nil, receives decode and I/O errors. Transient
 	// errors never stop the read loop.
 	OnError func(error)
-	// SendQueue bounds the outbound message ring (DefaultSendQueue
-	// when 0). When a Broadcast finds the ring full, the OLDEST queued
-	// message is dropped and Stats.Dropped incremented; Broadcast never
-	// blocks on the network.
-	SendQueue int
 	// LearnPeers grows the roster dynamically: any decodable datagram
 	// arriving from a source address not yet in the peer group joins
 	// it (the configured Peers then act as seeds — a new node only
@@ -352,25 +348,19 @@ type UDP struct {
 // the handler closes over. The writer goroutine DOES start here:
 // broadcasts work without Start, exactly as before.
 func NewUDP(cfg UDPConfig) (*UDP, error) {
-	return newUDP(cfg, true)
+	return newUDP(cfg, DefaultSendQueue, true)
 }
 
-// newUDP is NewUDP with the writer (and suspicion sweeper) goroutines
-// optional, so ring semantics and failure-detector timing are testable
-// without racing the drains.
-func newUDP(cfg UDPConfig, startWriter bool) (*UDP, error) {
+// newUDP is NewUDP with the send-ring size a parameter and the writer
+// (and suspicion sweeper) goroutines optional, so ring semantics and
+// failure-detector timing are testable on a small ring without racing
+// the drains.
+func newUDP(cfg UDPConfig, sendQ int, startWriter bool) (*UDP, error) {
 	if cfg.Handler == nil {
 		return nil, errors.New("transport: nil Handler")
 	}
-	if cfg.SendQueue < 0 {
-		return nil, fmt.Errorf("transport: negative send queue bound %d", cfg.SendQueue)
-	}
 	if cfg.Suspicion < 0 {
 		return nil, fmt.Errorf("transport: negative suspicion window %v", cfg.Suspicion)
-	}
-	sendQ := cfg.SendQueue
-	if sendQ == 0 {
-		sendQ = DefaultSendQueue
 	}
 	pc, err := net.ListenPacket("udp", cfg.Listen)
 	if err != nil {

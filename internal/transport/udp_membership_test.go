@@ -61,10 +61,9 @@ func TestUDPShutdownDropConservation(t *testing.T) {
 	const queue = 4
 	// Writer deliberately not started: everything queues.
 	u, err := newUDP(UDPConfig{
-		Listen:    "127.0.0.1:0",
-		Handler:   func(event.Message) {},
-		SendQueue: queue,
-	}, false)
+		Listen:  "127.0.0.1:0",
+		Handler: func(event.Message) {},
+	}, queue, false)
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)
 	}
@@ -244,7 +243,7 @@ func TestUDPSuspicionDeterministic(t *testing.T) {
 		Handler:    func(event.Message) {},
 		LearnPeers: true,
 		Suspicion:  time.Second,
-	}, false) // no background loops: the test owns the clock and the sweeps
+	}, DefaultSendQueue, false) // no background loops: the test owns the clock and the sweeps
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)
 	}
@@ -378,7 +377,7 @@ func TestUDPUndecodableSourceNotLearned(t *testing.T) {
 		Handler:    func(event.Message) {},
 		LearnPeers: true,
 		Suspicion:  time.Second,
-	}, false) // no sweeper: the test owns the clock
+	}, DefaultSendQueue, false) // no sweeper: the test owns the clock
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)
 	}

@@ -111,7 +111,7 @@ func senderAt(t *testing.T, peerAddrs []string) (*UDP, []*peerAddr) {
 		Listen:  "127.0.0.1:0",
 		Peers:   peerAddrs,
 		Handler: func(event.Message) {},
-	}, false)
+	}, DefaultSendQueue, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestMmsgSendLatchTurnsGROOff(t *testing.T) {
 		Listen:  "127.0.0.1:0",
 		Peers:   []string{sink.conn.LocalAddr().String()},
 		Handler: c.handle,
-	}, false)
+	}, DefaultSendQueue, false)
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)
 	}
@@ -535,7 +535,7 @@ func TestGSOTrainLayout(t *testing.T) {
 // GRO stays on.
 func groReceiver(t *testing.T, gro bool) (*UDP, *readBatcher) {
 	t.Helper()
-	u, err := newUDP(UDPConfig{Listen: "127.0.0.1:0", Handler: func(event.Message) {}}, false)
+	u, err := newUDP(UDPConfig{Listen: "127.0.0.1:0", Handler: func(event.Message) {}}, DefaultSendQueue, false)
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)
 	}
@@ -771,7 +771,7 @@ func rcvBuf(t *testing.T, u *UDP) int {
 // count grew (in uint32, so across its wrap) into RecvDropped and the
 // drop hook, and allocates nothing.
 func TestRecvControlMessagesInPlace(t *testing.T) {
-	u, err := newUDP(UDPConfig{Listen: "127.0.0.1:0", Handler: func(event.Message) {}}, false)
+	u, err := newUDP(UDPConfig{Listen: "127.0.0.1:0", Handler: func(event.Message) {}}, DefaultSendQueue, false)
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)
 	}

@@ -257,16 +257,13 @@ func TestUDPConfigValidation(t *testing.T) {
 		t.Fatal("bad peer accepted")
 	}
 	h := func(event.Message) {}
-	if _, err := NewUDP(UDPConfig{Listen: "127.0.0.1:0", Handler: h, SendQueue: -1}); err == nil {
-		t.Fatal("negative SendQueue accepted")
-	}
 	if _, err := NewUDP(UDPConfig{Listen: "127.0.0.1:0", Handler: h, Suspicion: -time.Second}); err == nil {
 		t.Fatal("negative Suspicion accepted")
 	}
 }
 
 // TestUDPSendRingOverflowDropsOldest pins the backpressure contract of
-// the send ring: with the writer parked, queuing past SendQueue evicts
+// the send ring: with the writer parked, queuing past the ring size evicts
 // the OLDEST messages, counts them in Stats.Dropped, and — once the
 // writer runs — delivers exactly the surviving newest window.
 func TestUDPSendRingOverflowDropsOldest(t *testing.T) {
@@ -283,11 +280,10 @@ func TestUDPSendRingOverflowDropsOldest(t *testing.T) {
 	recv.Start()
 	// Writer deliberately not started: enqueue semantics in isolation.
 	u, err := newUDP(UDPConfig{
-		Listen:    "127.0.0.1:0",
-		Peers:     []string{recv.LocalAddr().String()},
-		Handler:   func(event.Message) {},
-		SendQueue: queue,
-	}, false)
+		Listen:  "127.0.0.1:0",
+		Peers:   []string{recv.LocalAddr().String()},
+		Handler: func(event.Message) {},
+	}, queue, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,12 +334,11 @@ func TestUDPBroadcastNotBlockedByUnreadPeer(t *testing.T) {
 	}
 	defer live.Close()
 	live.Start()
-	sender, err := NewUDP(UDPConfig{
-		Listen:    "127.0.0.1:0",
-		Peers:     []string{dead.LocalAddr().String(), live.LocalAddr().String()},
-		Handler:   func(event.Message) {},
-		SendQueue: n,
-	})
+	sender, err := newUDP(UDPConfig{
+		Listen:  "127.0.0.1:0",
+		Peers:   []string{dead.LocalAddr().String(), live.LocalAddr().String()},
+		Handler: func(event.Message) {},
+	}, n, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +373,7 @@ func TestUDPBatchCoalescing(t *testing.T) {
 		Listen:  "127.0.0.1:0",
 		Peers:   []string{recv.LocalAddr().String()},
 		Handler: func(event.Message) {},
-	}, false)
+	}, DefaultSendQueue, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,10 +395,9 @@ func TestUDPBatchCoalescing(t *testing.T) {
 // sees the pure enqueue cost the protocol layer pays.
 func TestUDPBroadcastZeroAlloc(t *testing.T) {
 	u, err := newUDP(UDPConfig{
-		Listen:    "127.0.0.1:0",
-		Handler:   func(event.Message) {},
-		SendQueue: 64,
-	}, false)
+		Listen:  "127.0.0.1:0",
+		Handler: func(event.Message) {},
+	}, 64, false)
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)
 	}
@@ -429,7 +423,7 @@ func TestUDPBroadcastZeroAlloc(t *testing.T) {
 // group; a lap broadcasts a full ring and waits until every datagram
 // has hit the wire.
 //
-// The pool is 2 x SendQueue buffers — the ring's slots and the writer's
+// The pool is 2 x ring-size buffers — the ring's slots and the writer's
 // spares, which start empty — and each grows on the first message
 // marshaled into it (3 appends, 56 B for this heartbeat). A spare
 // enters the ring only when a flush swaps it in, so one warm lap is not
@@ -460,11 +454,10 @@ func TestUDPBroadcastMmsgPipelineAllocs(t *testing.T) {
 		sinks = append(sinks, c.LocalAddr().String())
 	}
 	u, err := newUDP(UDPConfig{
-		Listen:    "127.0.0.1:0",
-		Peers:     sinks,
-		Handler:   func(event.Message) {},
-		SendQueue: perLap,
-	}, false)
+		Listen:  "127.0.0.1:0",
+		Peers:   sinks,
+		Handler: func(event.Message) {},
+	}, perLap, false)
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)
 	}

@@ -40,27 +40,23 @@ func (p NodeChurnParams) Validate() error {
 	return nil
 }
 
-// SubChurnParams tunes the "churn-subs" generator: a Poisson stream of
-// subscription flips — a random node drops the event topic, then
-// resubscribes after a fixed delay — exercising the paper's "the list
-// of subscriptions can change at any point in time".
-type SubChurnParams struct {
-	// Rate is the mean flip rate across the roster in flips/second
-	// (default 0.1).
-	Rate float64
-	// Resub is the delay before a flipped node resubscribes (default
-	// 15 s); negative means it never resubscribes. Resubscriptions past
-	// the run's horizon are dropped.
-	Resub time.Duration
-}
+// SubChurnParams is the "churn-subs" generator's params: a Poisson
+// stream of subscription flips — a random node drops the event topic,
+// then resubscribes after a fixed delay — exercising the paper's "the
+// list of subscriptions can change at any point in time". It has no
+// settings; the generator runs at the constants below.
+type SubChurnParams struct{}
 
 // Validate implements Params.
-func (p SubChurnParams) Validate() error {
-	if p.Rate < 0 {
-		return fmt.Errorf("workload: negative sub-churn Rate %v", p.Rate)
-	}
-	return nil
-}
+func (SubChurnParams) Validate() error { return nil }
+
+// The churn-subs generator's mean flip rate across the roster in
+// flips/second, and the delay before a flipped node resubscribes;
+// resubscriptions past the run's horizon are dropped.
+const (
+	subChurnRate  = 0.1
+	subChurnResub = 15 * time.Second
+)
 
 // nodeChurnGen precomputes its wave schedule at build: churn volume is
 // bounded by Waves x Fraction x Nodes (dozens of ops, not the
@@ -114,19 +110,17 @@ func newNodeChurn(p NodeChurnParams, env Env) Generator {
 
 // subChurnGen lazily interleaves the Poisson unsubscribe stream with
 // the resubscriptions it spawns. Pending resubscriptions form a FIFO
-// (fixed Resub delay keeps it time-ordered), so memory stays bounded by
-// Rate x Resub, independent of run length.
+// (the fixed delay keeps it time-ordered), so memory stays bounded by
+// subChurnRate x subChurnResub, independent of run length.
 type subChurnGen struct {
 	env       Env
-	rate      float64
-	resub     time.Duration
 	nextUnsub time.Duration
 	unsubDone bool
 	pending   []Op
 }
 
 func (g *subChurnGen) advance() {
-	gap := time.Duration(g.env.Rand.ExpFloat64() / g.rate * float64(time.Second))
+	gap := time.Duration(g.env.Rand.ExpFloat64() / subChurnRate * float64(time.Second))
 	g.nextUnsub += gap
 	if g.nextUnsub >= g.env.End() {
 		g.unsubDone = true
@@ -146,10 +140,8 @@ func (g *subChurnGen) Next() (Op, bool) {
 		at := g.nextUnsub
 		node := g.env.Rand.Intn(g.env.Nodes)
 		g.advance()
-		if g.resub >= 0 {
-			if resubAt := at + g.resub; resubAt <= g.env.End() {
-				g.pending = append(g.pending, Op{At: resubAt, Kind: Subscribe, Node: node})
-			}
+		if resubAt := at + subChurnResub; resubAt <= g.env.End() {
+			g.pending = append(g.pending, Op{At: resubAt, Kind: Subscribe, Node: node})
 		}
 		// The zero topic resolves to the scenario's event topic.
 		return Op{At: at, Kind: Unsubscribe, Node: node}, true
@@ -171,17 +163,11 @@ func init() {
 		Description: "Poisson subscription flips: drop the event topic, resubscribe after a delay",
 		Class:       ClassChurn,
 		Params:      SubChurnParams{},
-		New: func(p Params, env Env) (Generator, error) {
-			pp := p.(SubChurnParams)
-			rate := defFloat(pp.Rate, 0.1)
-			resub := pp.Resub
-			if resub == 0 {
-				resub = 15 * time.Second
-			}
-			if rate <= 0 || env.Nodes <= 0 {
+		New: func(_ Params, env Env) (Generator, error) {
+			if env.Nodes <= 0 {
 				return NewExplicit(nil), nil
 			}
-			g := &subChurnGen{env: env, rate: rate, resub: resub, nextUnsub: env.Start()}
+			g := &subChurnGen{env: env, nextUnsub: env.Start()}
 			g.advance() // the first flip arrives one exponential gap in
 			return g, nil
 		},

@@ -167,36 +167,22 @@ func (p PoissonParams) Validate() error {
 	return p.Topics.Validate()
 }
 
-// PeriodicParams tunes the "periodic" generator: fixed-period arrivals
-// with per-arrival forward jitter, the sensor-beacon traffic model.
-type PeriodicParams struct {
-	// Period is the base interval (default 5 s).
-	Period time.Duration
-	// Jitter is the maximum forward shift added to each arrival,
-	// uniform in [0, Jitter]. Zero selects the default (Period/10);
-	// negative disables jitter. Jitter must stay <= Period so the
-	// stream stays monotone.
-	Jitter time.Duration
-	// Validity is each event's validity period (default 60 s).
-	Validity time.Duration
-	// Topics selects topic popularity over the topic tree.
-	Topics TopicModel
-}
+// PeriodicParams is the "periodic" generator's params: fixed-period
+// arrivals with per-arrival forward jitter, the sensor-beacon traffic
+// model. It has no settings; the generator runs at the constants below
+// with the default validity and topic model.
+type PeriodicParams struct{}
 
 // Validate implements Params.
-func (p PeriodicParams) Validate() error {
-	if p.Period < 0 {
-		return fmt.Errorf("workload: negative periodic Period %v", p.Period)
-	}
-	period := defDuration(p.Period, 5*time.Second)
-	if p.Jitter > period {
-		return fmt.Errorf("workload: Jitter %v exceeds Period %v", p.Jitter, period)
-	}
-	if p.Validity < 0 {
-		return fmt.Errorf("workload: negative Validity %v", p.Validity)
-	}
-	return p.Topics.Validate()
-}
+func (PeriodicParams) Validate() error { return nil }
+
+// The periodic generator's base interval, and the maximum forward shift
+// added to each arrival, uniform in [0, periodicJitter]; the jitter
+// stays below the period, so the stream stays monotone.
+const (
+	periodicPeriod = 5 * time.Second
+	periodicJitter = periodicPeriod / 10
+)
 
 // FlashCrowdParams tunes the "flash-crowd" generator: a low background
 // rate with one high-rate burst window — the stadium-event traffic
@@ -240,9 +226,6 @@ type DiurnalParams struct {
 	MinRate float64
 	// MaxRate is the peak rate in events/second (default 0.5).
 	MaxRate float64
-	// Cycle is the full cycle length (default: the measurement window,
-	// i.e. one quiet-rush-quiet arc per run).
-	Cycle time.Duration
 	// Validity is each event's validity period (default 60 s).
 	Validity time.Duration
 	// Topics selects topic popularity over the topic tree.
@@ -257,9 +240,6 @@ func (p DiurnalParams) Validate() error {
 	if defFloat(p.MinRate, 0.02) > defFloat(p.MaxRate, 0.5) {
 		return fmt.Errorf("workload: diurnal MinRate %v exceeds MaxRate %v", p.MinRate, p.MaxRate)
 	}
-	if p.Cycle < 0 {
-		return fmt.Errorf("workload: negative Cycle %v", p.Cycle)
-	}
 	if p.Validity < 0 {
 		return fmt.Errorf("workload: negative Validity %v", p.Validity)
 	}
@@ -269,20 +249,16 @@ func (p DiurnalParams) Validate() error {
 // periodicGen is the deterministic-period arrival process with forward
 // jitter.
 type periodicGen struct {
-	rng    *rand.Rand
-	base   time.Duration
-	period time.Duration
-	jitter time.Duration
-	end    time.Duration
+	rng  *rand.Rand
+	base time.Duration
+	end  time.Duration
 }
 
 func (g *periodicGen) next() (time.Duration, bool) {
 	for g.base < g.end {
 		t := g.base
-		g.base += g.period
-		if g.jitter > 0 {
-			t += time.Duration(g.rng.Int63n(int64(g.jitter) + 1))
-		}
+		g.base += periodicPeriod
+		t += time.Duration(g.rng.Int63n(int64(periodicJitter) + 1))
 		if t < g.end {
 			return t, true
 		}
@@ -312,19 +288,10 @@ func init() {
 		Description: "fixed-period arrivals with forward jitter (sensor-beacon traffic)",
 		Class:       ClassTraffic,
 		Params:      PeriodicParams{},
-		New: func(p Params, env Env) (Generator, error) {
-			pp := p.(PeriodicParams)
-			period := defDuration(pp.Period, 5*time.Second)
-			jitter := pp.Jitter
-			if jitter == 0 {
-				jitter = period / 10
-			}
-			if jitter < 0 {
-				jitter = 0
-			}
-			g := &periodicGen{rng: env.Rand, base: env.Start(), period: period, jitter: jitter, end: env.End()}
-			return &trafficGen{arrive: g.next, topics: newTopicPicker(pp.Topics, env),
-				validity: defDuration(pp.Validity, defaultValidity)}, nil
+		New: func(_ Params, env Env) (Generator, error) {
+			g := &periodicGen{rng: env.Rand, base: env.Start(), end: env.End()}
+			return &trafficGen{arrive: g.next, topics: newTopicPicker(TopicModel{}, env),
+				validity: defaultValidity}, nil
 		},
 	})
 	RegisterWorkload(Definition{
@@ -360,7 +327,8 @@ func init() {
 			if minRate > maxRate {
 				return nil, fmt.Errorf("workload: diurnal MinRate %v exceeds MaxRate %v", minRate, maxRate)
 			}
-			cycle := defDuration(pp.Cycle, env.Measure)
+			// One quiet-rush-quiet arc per measurement window.
+			cycle := env.Measure
 			if cycle <= 0 {
 				return nil, fmt.Errorf("workload: diurnal cycle %v not positive", cycle)
 			}

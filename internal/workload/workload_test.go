@@ -83,11 +83,9 @@ func TestBadParamsRejected(t *testing.T) {
 		workload.PoissonParams{Rate: -1},
 		workload.PoissonParams{Topics: workload.TopicModel{ZipfS: 0.5}},
 		workload.PoissonParams{Topics: workload.TopicModel{Spread: -1}},
-		workload.PeriodicParams{Period: time.Second, Jitter: 2 * time.Second},
 		workload.FlashCrowdParams{PeakRate: -1},
 		workload.DiurnalParams{MinRate: 5, MaxRate: 1},
 		workload.NodeChurnParams{Fraction: 1.5},
-		workload.SubChurnParams{Rate: -0.1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -1,6 +1,8 @@
 package pubsub
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,8 +34,15 @@ func TestArmedBroadcastAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, broadcast); allocs != 0 {
 		t.Errorf("armed Broadcast allocates %.0f times, want 0", allocs)
 	}
-	recs := n.flight.Load().Records()
-	if got, want := recs[len(recs)-1].Bytes, len(event.Marshal(m)); got != want {
-		t.Fatalf("send record says %d bytes, the wire format has %d", got, want)
+	// The newest timeline line, above the ring's "(N older records
+	// dropped)" note, is the send record: "<at> <node> send <kind> <n>B".
+	var text strings.Builder
+	if err := n.flight.Load().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(text.String(), "\n"), "\n")
+	fields := strings.Fields(lines[len(lines)-2])
+	if got, want := fields[len(fields)-1], fmt.Sprintf("%dB", len(event.Marshal(m))); got != want {
+		t.Fatalf("send record says %s, the wire format has %s", got, want)
 	}
 }
